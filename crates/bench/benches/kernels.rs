@@ -17,7 +17,7 @@ fn kernel_bench(c: &mut Criterion) {
         curr.set(x, y, (i % 13) as f64 * 0.1);
     }
     let mut next = Tile::new(50, grid.halo);
-    let offsets = kernel.storage_offsets(curr.stride());
+    let plan = kernel.plan(curr.stride());
     let region = curr.interior_rect();
     let dt = kernel.stable_dt(0.5);
     let src = zero_source();
@@ -25,11 +25,11 @@ fn kernel_bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel");
     g.bench_function("apply_sd_50x50_eps8h", |b| {
         b.iter(|| {
-            kernel.apply_region(
+            kernel.apply_region_blocked(
                 black_box(&curr),
                 &mut next,
                 &region,
-                &offsets,
+                &plan,
                 (0, 0),
                 0.0,
                 dt,

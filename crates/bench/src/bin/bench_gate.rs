@@ -5,10 +5,13 @@
 //! `BENCH_hotpath.json` snapshot and fails when a benchmark regressed
 //! beyond the tolerance band. Two independent checks:
 //!
-//! 1. **Within-run pairs** (machine-independent): every optimized path must
-//!    not be slower than its retained baseline measured *in the same run* —
-//!    `blocked` vs `scalar` kernels, `zerocopy` vs `legacy` halo codec.
-//!    A small slack absorbs micro-bench noise.
+//! 1. **Within-run pairs** (machine-independent): every optimized path is
+//!    held against its retained baseline measured *in the same run*. The
+//!    `zerocopy` vs `legacy` halo codec and the sweep runner must not be
+//!    slower (a small slack absorbs micro-bench noise). The production
+//!    kernel must stay at or under [`KERNEL_LIMIT`] × the scalar reference:
+//!    its speed *is* its eight independent accumulator chains, and a fall
+//!    back to one chain lands at ≈ 0.85 ×, well past the limit.
 //! 2. **Snapshot band**: every benchmark present in the snapshot must stay
 //!    within `NLHEAT_BENCH_TOLERANCE` × its recorded mean (default 1.5 —
 //!    wide enough for runner-to-runner variance, tight enough to catch a
@@ -74,29 +77,43 @@ fn lookup<'a>(entries: &'a [Entry], name: &str) -> Option<&'a Entry> {
     entries.iter().find(|e| e.name == name)
 }
 
-/// The optimized/baseline pairs measured within one run. The optimized leg
-/// may be at most `slack` × the baseline — in practice it should be well
-/// under 1.0×; the slack only absorbs timer noise on sub-µs benches.
-const PAIRS: &[(&str, &str)] = &[
-    ("kernel/blocked_50x50_eps8h", "kernel/scalar_50x50_eps8h"),
+/// Most the production kernel may take relative to the scalar reference
+/// in the same run. Measured 0.26–0.31 (SSE2 codegen, 2-vCPU Xeon); the
+/// pre-blocking single-chain kernel measured 0.82–0.88.
+const KERNEL_LIMIT: f64 = 0.6;
+
+/// The optimized/baseline pairs measured within one run, each with the
+/// most its optimized leg may take relative to the baseline: `Some(limit)`
+/// for a pair with a limit of its own, `None` for the shared slack — those
+/// sit under 1.0× in practice and the slack only absorbs timer noise on
+/// sub-µs benches.
+const PAIRS: &[(&str, &str, Option<f64>)] = &[
+    (
+        "kernel/blocked_50x50_eps8h",
+        "kernel/scalar_50x50_eps8h",
+        Some(KERNEL_LIMIT),
+    ),
     (
         "kernel/blocked_200x200_eps8h",
         "kernel/scalar_200x200_eps8h",
+        Some(KERNEL_LIMIT),
     ),
-    ("halo/pack_zerocopy_8x50", "halo/pack_legacy_8x50"),
-    ("halo/unpack_zerocopy_8x50", "halo/unpack_legacy_8x50"),
+    ("halo/pack_zerocopy_8x50", "halo/pack_legacy_8x50", None),
+    ("halo/unpack_zerocopy_8x50", "halo/unpack_legacy_8x50", None),
     // The parallel sweep runner: 4 workers must never be slower than 1
     // (on a single-core runner the two legs tie; the slack covers queue
     // and thread-spawn overhead, and any real speedup only helps).
     (
         "sweep/quick_grid_16runs_4thr",
         "sweep/quick_grid_16runs_1thr",
+        None,
     ),
 ];
 
 fn check_pairs(current: &[Entry], slack: f64) -> Vec<String> {
     let mut failures = Vec::new();
-    for &(optimized, baseline) in PAIRS {
+    for &(optimized, baseline, own_limit) in PAIRS {
+        let limit = own_limit.unwrap_or(slack);
         let (Some(o), Some(b)) = (lookup(current, optimized), lookup(current, baseline)) else {
             failures.push(format!(
                 "missing pair {optimized} / {baseline} in current run"
@@ -104,15 +121,15 @@ fn check_pairs(current: &[Entry], slack: f64) -> Vec<String> {
             continue;
         };
         let ratio = o.mean_ns / b.mean_ns;
-        let verdict = if ratio <= slack { "ok" } else { "FAIL" };
+        let verdict = if ratio <= limit { "ok" } else { "FAIL" };
         println!(
-            "  pair {optimized}: {:.1} µs vs {baseline}: {:.1} µs  (ratio {ratio:.2}, limit {slack:.2}) {verdict}",
+            "  pair {optimized}: {:.1} µs vs {baseline}: {:.1} µs  (ratio {ratio:.2}, limit {limit:.2}) {verdict}",
             o.mean_ns / 1e3,
             b.mean_ns / 1e3
         );
-        if ratio > slack {
+        if ratio > limit {
             failures.push(format!(
-                "{optimized} is {ratio:.2}x its baseline {baseline} (limit {slack:.2}x)"
+                "{optimized} is {ratio:.2}x its baseline {baseline} (limit {limit:.2}x)"
             ));
         }
     }
@@ -169,8 +186,9 @@ fn main() -> ExitCode {
         "no results parsed from {snapshot_path}"
     );
 
-    // Pairs sit well below 1.0x in practice; the slack only has to clear
-    // timer noise on the sub-µs halo benches.
+    // The halo and sweep pairs sit below 1.0x in practice; the slack only
+    // has to clear timer noise on the sub-µs halo benches. The kernel pairs
+    // have a fixed limit of their own (KERNEL_LIMIT).
     let slack = env_factor("NLHEAT_BENCH_PAIR_SLACK", 1.15);
     let tolerance = env_factor("NLHEAT_BENCH_TOLERANCE", 1.5);
 
@@ -215,27 +233,54 @@ mod tests {
         assert!((entries[1].mean_ns - 500.0).abs() < 1e-9);
     }
 
+    fn entry(name: &str, mean_ns: f64) -> Entry {
+        Entry {
+            name: name.into(),
+            mean_ns,
+        }
+    }
+
     #[test]
-    fn pair_check_flags_slower_optimized_leg() {
+    fn pair_check_holds_the_kernel_to_its_own_limit() {
         let fast = parse_results(DOC);
-        // only one pair present; the other four report as missing
+        // only one pair present (at 0.50x); the other four report as missing
         let failures = check_pairs(&fast, 1.10);
         assert_eq!(
             failures.len(),
             PAIRS.len() - 1,
             "missing pairs counted: {failures:?}"
         );
-        let inverted = vec![
-            Entry {
-                name: "kernel/scalar_50x50_eps8h".into(),
-                mean_ns: 500.0,
-            },
-            Entry {
-                name: "kernel/blocked_50x50_eps8h".into(),
-                mean_ns: 1000.0,
-            },
+        // Faster than the scalar reference is not enough: 0.85x is what a
+        // single dependency chain measures, and the slack does not apply.
+        let one_chain = vec![
+            entry("kernel/scalar_50x50_eps8h", 1000.0),
+            entry("kernel/blocked_50x50_eps8h", 850.0),
         ];
-        let failures = check_pairs(&inverted, 1.10);
+        let failures = check_pairs(&one_chain, 1.10);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("0.85x") && f.contains("limit 0.60x")),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn pair_check_applies_the_slack_to_the_other_pairs() {
+        let within = vec![
+            entry("halo/pack_legacy_8x50", 100.0),
+            entry("halo/pack_zerocopy_8x50", 105.0),
+        ];
+        let failures = check_pairs(&within, 1.10);
+        assert!(
+            failures.iter().all(|f| f.contains("missing")),
+            "{failures:?}"
+        );
+        let slower = vec![
+            entry("halo/pack_legacy_8x50", 100.0),
+            entry("halo/pack_zerocopy_8x50", 200.0),
+        ];
+        let failures = check_pairs(&slower, 1.10);
         assert!(failures.iter().any(|f| f.contains("2.00x")), "{failures:?}");
     }
 

@@ -10,18 +10,73 @@
 //! weight `J(r/ε)·h²` and applies the update over a rectangular region of a
 //! [`Tile`] — the same code path serves the serial solver (one tile = the
 //! whole grid), the shared-memory solver and the distributed solver.
+//!
+//! # The interaction sum
+//!
+//! At ε = 8h the sum has 196 terms per DP and is ≈ 85 % of a time step.
+//! Summed one DP at a time it is a single `acc += w·(u_j − u_i)` chain:
+//! every add waits for the one before it, so the loop runs at
+//! floating-point *latency* however its operands are addressed. The one
+//! production implementation ([`NonlocalKernel::interaction_sums`]) instead
+//! accumulates `W` = 8 adjacent cells of a row together — for each stencil
+//! weight, `acc[k] += w·(u[idx+k] − u_i[k])` for k in 0..W — which gives the
+//! core eight independent chains and turns the loop throughput-bound.
+//! Row remainders run the same const-generic body at widths 4, 2 and 1.
+//!
+//! Each cell still meets its neighbours in [`Stencil`] order, with a
+//! separate multiply and add (no `mul_add`, no reassociation), starting
+//! from `0.0`: the cells of a block never mix, so every cell's sum is the
+//! one the scalar reference [`NonlocalKernel::apply_region`] computes,
+//! bit for bit, at every width. The step update and the manufactured
+//! solution's precompute ([`crate::manufactured`]) both go through it.
 
 use crate::influence::{conductivity_constant_2d, Influence};
 use nlheat_mesh::{Grid, Rect, Stencil, Tile};
 use std::sync::Arc;
 
-/// External heat source b(t, x_i) addressed by global cell index.
-pub type SourceFn = Arc<dyn Fn(f64, i64, i64) -> f64 + Send + Sync>;
+/// External heat source b(t, x_i) addressed by global cell index. Every
+/// `Fn(t, gi, gj) -> f64` closure is one.
+pub trait Source: Send + Sync {
+    /// b(t, x_i) at global cell `(gi, gj)`.
+    fn at(&self, t: f64, gi: i64, gj: i64) -> f64;
+
+    /// The source at a fixed time, as a row evaluator: `(gi0, gj, out)`
+    /// sets `out[k]` to the bits of `at(t, gi0 + k, gj)`. The step kernel
+    /// asks for it once per call, so a source whose time dependence
+    /// factors out overrides this to pay for those factors once per call
+    /// rather than once per cell.
+    fn at_time<'a>(&'a self, t: f64) -> RowSource<'a> {
+        Box::new(move |gi0, gj, out| {
+            for (gi, b) in (gi0..).zip(out) {
+                *b = self.at(t, gi, gj);
+            }
+        })
+    }
+}
+
+/// What [`Source::at_time`] returns.
+pub type RowSource<'a> = Box<dyn Fn(i64, i64, &mut [f64]) + 'a>;
+
+impl<F: Fn(f64, i64, i64) -> f64 + Send + Sync> Source for F {
+    fn at(&self, t: f64, gi: i64, gj: i64) -> f64 {
+        self(t, gi, gj)
+    }
+}
+
+/// A shareable [`Source`].
+pub type SourceFn = Arc<dyn Source>;
 
 /// A source that is identically zero.
 pub fn zero_source() -> SourceFn {
-    Arc::new(|_, _, _| 0.0)
+    Arc::new(|_: f64, _: i64, _: i64| 0.0)
 }
+
+/// Output cells of a row whose interaction sums are accumulated together.
+/// Eight independent chains cover a 4-cycle add latency at two adds per
+/// cycle, and as 128-bit vectors the eight accumulators, the eight centre
+/// values and one broadcast weight still fit the sixteen registers of
+/// baseline x86-64.
+const W: usize = 8;
 
 /// Stencil + weights + conductivity for one grid resolution.
 #[derive(Debug, Clone)]
@@ -70,7 +125,8 @@ impl NonlocalKernel {
     }
 
     /// Storage-index offsets of the stencil for a tile of row stride
-    /// `stride` — precompute once per tile shape, reuse across steps.
+    /// `stride` — the addressing of the scalar reference
+    /// [`apply_region`](Self::apply_region).
     pub fn storage_offsets(&self, stride: i64) -> Vec<isize> {
         self.stencil
             .offsets
@@ -79,10 +135,8 @@ impl NonlocalKernel {
             .collect()
     }
 
-    /// Precompute the cache-blocked execution plan for a tile of row
-    /// stride `stride` — the blocked counterpart of
-    /// [`storage_offsets`](Self::storage_offsets); build once per tile
-    /// shape, reuse across steps with
+    /// Precompute the execution plan for tiles of row stride `stride`;
+    /// build once per tile shape, reuse across steps with
     /// [`apply_region_blocked`](Self::apply_region_blocked).
     ///
     /// [`Stencil::build`] emits offsets dj-major with di ascending, so the
@@ -106,15 +160,19 @@ impl NonlocalKernel {
             }
             prev = Some((di, dj));
         }
-        KernelPlan { runs }
+        KernelPlan { stride, runs }
     }
 
-    /// Apply one forward-Euler step over `region` (local coordinates of the
-    /// tiles, which must share shape). `origin` is the global cell index of
-    /// the tiles' local (0,0); `repeats ≥ 1` re-executes the interaction sum
+    /// The scalar reference: one forward-Euler step over `region` (local
+    /// coordinates of the tiles, which must share shape), one DP and one
+    /// accumulator at a time. `origin` is the global cell index of the
+    /// tiles' local (0,0); `repeats ≥ 1` re-executes the interaction sum
     /// to emulate a slower node (the heterogeneity knob of §7).
     ///
     /// Reads `curr` (interior + halo), writes `next` in `region` only.
+    /// No solver runs this; it is the oracle the production kernel
+    /// [`apply_region_blocked`](Self::apply_region_blocked) is pinned
+    /// against, bit for bit.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_region(
         &self,
@@ -153,23 +211,115 @@ impl NonlocalKernel {
                     // Prevent the optimizer from collapsing the repeats.
                     interaction = std::hint::black_box(acc);
                 }
-                let rhs = source(t, gi, gj) + self.c * interaction;
+                let rhs = source.at(t, gi, gj) + self.c * interaction;
                 next.set(li, lj, ui + dt * rhs);
             }
         }
     }
 
-    /// Cache-blocked variant of [`apply_region`](Self::apply_region) driven
-    /// by a [`KernelPlan`] built for the tiles' stride.
+    /// The interaction sum `Σ_j w_j (u_j − u_i)` for every cell i of
+    /// `region` (local coordinates of `field`), handed to `emit` one row
+    /// segment of `W`, 4, 2 or 1 cells at a time as `(li, lj, u, sums)`:
+    /// the local coordinates of the segment's first cell, then the
+    /// segment's centre values and its sums. See the module docs for why
+    /// segments, and why the sums are bit-equal to the scalar reference.
     ///
-    /// Bit-identical to `apply_region` with `storage_offsets(stride)`: the
-    /// plan's runs cover the stencil offsets in their original order, and
-    /// within a run the contiguous weight and field slices are walked in
-    /// that same order, so the floating-point accumulation sequence is
-    /// unchanged. What changes is the addressing — the inner loop streams
-    /// two contiguous slices instead of chasing a per-element offset table,
-    /// which lets the compiler vectorize and keeps each stencil row on one
-    /// or two cache lines.
+    /// # Panics
+    /// Unless `plan` was built for `field`'s stride, the stencil fits the
+    /// halo and `region` lies within the interior — so every cell `emit`
+    /// sees is an interior cell of a tile of `field`'s shape.
+    pub(crate) fn interaction_sums(
+        &self,
+        field: &Tile,
+        region: &Rect,
+        plan: &KernelPlan,
+        repeats: u32,
+        mut emit: impl FnMut(i64, i64, &[f64], &[f64]),
+    ) {
+        assert_eq!(
+            plan.stride,
+            field.stride(),
+            "kernel plan was built for another tile stride"
+        );
+        assert!(
+            self.stencil.reach <= field.halo(),
+            "stencil reach {} exceeds the tile halo {}",
+            self.stencil.reach,
+            field.halo()
+        );
+        assert!(
+            field.interior_rect().contains_rect(region),
+            "region {region:?} leaves the tile interior"
+        );
+        debug_assert_eq!(
+            plan.runs.iter().map(|r| r.len).sum::<usize>(),
+            self.weights.len(),
+            "plan does not cover this kernel's stencil"
+        );
+        let data = field.data();
+        let repeats = repeats.max(1);
+        let width = region.w as usize;
+        for lj in region.y0..region.y1() {
+            let row = field.storage_index(region.x0, lj);
+            let mut x = 0;
+            macro_rules! segments {
+                ($n:expr) => {
+                    while width - x >= $n {
+                        let (u, sums) = self.segment_sums::<{ $n }>(data, plan, row + x, repeats);
+                        emit(region.x0 + x as i64, lj, &u, &sums);
+                        x += $n;
+                    }
+                };
+            }
+            segments!(W);
+            // the narrower instances cover every remainder below W = 8
+            segments!(4);
+            segments!(2);
+            segments!(1);
+        }
+    }
+
+    /// Centre values and interaction sums of the `N` cells stored from
+    /// `base`: run-outer, weight-middle, cell-inner.
+    #[inline(always)]
+    fn segment_sums<const N: usize>(
+        &self,
+        data: &[f64],
+        plan: &KernelPlan,
+        base: usize,
+        repeats: u32,
+    ) -> ([f64; N], [f64; N]) {
+        let u: [f64; N] = data[base..base + N].try_into().expect("N cells");
+        let mut sums = [0.0; N];
+        for _rep in 0..repeats {
+            let mut acc = [0.0; N];
+            for run in &plan.runs {
+                let ws = &self.weights[run.w0..run.w0 + run.len];
+                let start = (base as isize + run.off0) as usize;
+                // the N cells' neighbours under one weight are adjacent
+                let us = &data[start..start + run.len + N - 1];
+                for (w, uj) in ws.iter().zip(us.windows(N)) {
+                    for k in 0..N {
+                        acc[k] += w * (uj[k] - u[k]);
+                    }
+                }
+            }
+            // Prevent the optimizer from collapsing the repeats.
+            sums = std::hint::black_box(acc);
+        }
+        (u, sums)
+    }
+
+    /// One forward-Euler step over `region` — the production kernel, with
+    /// the arguments of [`apply_region`](Self::apply_region) except that a
+    /// [`KernelPlan`] built for the tiles' stride replaces the offset
+    /// table. Bit-identical to `apply_region`: the interaction sums match
+    /// (see the module docs), [`Source::at_time`] returns the bits of
+    /// [`Source::at`], and the update keeps the reference's association
+    /// `u + Δt·(b + c·Σ)`.
+    ///
+    /// # Panics
+    /// If the tiles differ in shape, or on the conditions of the raw path.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_region_blocked(
         &self,
@@ -183,11 +333,11 @@ impl NonlocalKernel {
         source: &SourceFn,
         repeats: u32,
     ) {
-        debug_assert_eq!(curr.stride(), next.stride());
-        debug_assert_eq!(curr.halo(), next.halo());
-        // SAFETY: `next` is exclusively borrowed with geometry matching
-        // `curr`, so the single-writer contract of the raw path holds
-        // trivially.
+        assert_eq!(curr.stride(), next.stride(), "tiles differ in stride");
+        assert_eq!(curr.halo(), next.halo(), "tiles differ in halo");
+        // SAFETY: `next` is exclusively borrowed and, as just asserted,
+        // has `curr`'s stride and halo, so the raw path's pointer and
+        // single-writer requirements hold.
         unsafe {
             self.apply_region_blocked_raw(
                 curr,
@@ -209,10 +359,13 @@ impl NonlocalKernel {
     /// bands of one SD's `next` tile concurrently without a lock around
     /// the compute.
     ///
-    /// The per-cell arithmetic (run order, accumulation order, the single
-    /// write per cell) is byte-for-byte the safe path's, so any disjoint
-    /// decomposition of a region produces a bit-identical tile regardless
-    /// of which thread computed which band.
+    /// A cell's value does not depend on which segment or region it falls
+    /// in, so any disjoint decomposition of a region produces a
+    /// bit-identical tile regardless of which thread computed which band.
+    ///
+    /// # Panics
+    /// If `plan` was built for another stride than `curr`'s, the stencil
+    /// reaches past `curr`'s halo, or `region` leaves its interior.
     ///
     /// # Safety
     /// - `next_data` must point to the storage of a live tile with the
@@ -220,7 +373,6 @@ impl NonlocalKernel {
     /// - Concurrent callers targeting the same tile must cover pairwise
     ///   disjoint regions, and nothing may read the written cells until
     ///   every caller returns.
-    /// - `region` must lie within the tile interior (debug-asserted).
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn apply_region_blocked_raw(
         &self,
@@ -234,46 +386,25 @@ impl NonlocalKernel {
         source: &SourceFn,
         repeats: u32,
     ) {
-        debug_assert!(curr.interior_rect().contains_rect(region));
-        debug_assert!(self.stencil.reach <= curr.halo());
-        debug_assert_eq!(
-            plan.runs.iter().map(|r| r.len).sum::<usize>(),
-            self.weights.len(),
-            "plan does not cover this kernel's stencil"
-        );
-        let data = curr.data();
-        let weights = &self.weights;
-        let repeats = repeats.max(1);
-        for lj in region.y0..region.y1() {
-            let gj = origin.1 + lj;
-            for li in region.x0..region.x1() {
-                let gi = origin.0 + li;
-                let base = curr.storage_index(li, lj) as isize;
-                let ui = data[base as usize];
-                let mut interaction = 0.0;
-                for _rep in 0..repeats {
-                    let mut acc = 0.0;
-                    for run in &plan.runs {
-                        // In-bounds: region ⊆ interior and every offset in
-                        // the run satisfies |offset| ≤ halo·(stride+1), so
-                        // the whole span lies inside the padded tile.
-                        let ws = &weights[run.w0..run.w0 + run.len];
-                        let start = (base + run.off0) as usize;
-                        let us = &data[start..start + run.len];
-                        for (w, uj) in ws.iter().zip(us) {
-                            acc += w * (uj - ui);
-                        }
-                    }
-                    // Prevent the optimizer from collapsing the repeats.
-                    interaction = std::hint::black_box(acc);
-                }
-                let rhs = source(t, gi, gj) + self.c * interaction;
-                // SAFETY: same index the safe path writes via `Tile::set`;
-                // in-bounds because region ⊆ interior (asserted above) and
-                // the caller guarantees matching geometry.
-                unsafe { *next_data.add(base as usize) = ui + dt * rhs };
+        let source_row = source.at_time(t);
+        let mut b = [0.0; W];
+        self.interaction_sums(curr, region, plan, repeats, |li, lj, u, sums| {
+            let b = &mut b[..u.len()];
+            source_row(origin.0 + li, origin.1 + lj, b);
+            let base = curr.storage_index(li, lj);
+            for k in 0..u.len() {
+                let rhs = b[k] + self.c * sums[k];
+                // SAFETY: every read above went through bounds-checked
+                // slices of `curr`; this is the block's one raw access, one
+                // write per cell. `interaction_sums` asserted region ⊆
+                // interior before the first call, so `base + k` is the
+                // index `Tile::set` would use for interior cell
+                // `(li + k, lj)`, in bounds of `curr`'s storage and hence
+                // of any tile of its stride and halo — which the caller
+                // guarantees `next_data` is.
+                unsafe { *next_data.add(base + k) = u[k] + dt * rhs };
             }
-        }
+        });
     }
 }
 
@@ -289,10 +420,11 @@ struct WeightRun {
 
 /// Stride-specific execution plan for
 /// [`apply_region_blocked`](NonlocalKernel::apply_region_blocked), produced
-/// by [`NonlocalKernel::plan`]. Valid only for tiles with the stride it was
-/// built for.
+/// by [`NonlocalKernel::plan`]. The kernel refuses tiles of any other
+/// stride than the one recorded here.
 #[derive(Debug, Clone)]
 pub struct KernelPlan {
+    stride: i64,
     runs: Vec<WeightRun>,
 }
 
@@ -380,7 +512,7 @@ mod tests {
         let mut next = Tile::new(8, grid.halo);
         let offsets = kernel.storage_offsets(curr.stride());
         let dt = 0.01;
-        let src: SourceFn = Arc::new(|_, _, _| 3.0);
+        let src: SourceFn = Arc::new(|_: f64, _: i64, _: i64| 3.0);
         let region = curr.interior_rect();
         kernel.apply_region(
             &curr,
@@ -463,59 +595,180 @@ mod tests {
         }
     }
 
+    /// A tile whose every padded cell holds an irregular, sign-mixed value
+    /// (exercises cancellation), and a source that varies in time and space.
+    fn irregular_tile(n: i64, halo: i64) -> (Tile, SourceFn) {
+        let mut curr = Tile::new(n, halo);
+        for (i, (x, y)) in curr.padded_rect().cells().enumerate() {
+            curr.set(x, y, ((i * 2654435761) % 1000) as f64 * 1e-3 - 0.5);
+        }
+        let src: SourceFn =
+            Arc::new(|t: f64, gi: i64, gj: i64| (3.0 * t).sin() + 0.01 * (gi - gj) as f64);
+        (curr, src)
+    }
+
+    /// Both kernels over `region`; panics unless they agree bit for bit.
+    fn assert_blocked_matches_scalar(
+        kernel: &NonlocalKernel,
+        curr: &Tile,
+        src: &SourceFn,
+        region: &Rect,
+        repeats: u32,
+    ) {
+        let offsets = kernel.storage_offsets(curr.stride());
+        let plan = kernel.plan(curr.stride());
+        assert!(plan.run_count() < offsets.len(), "runs must coalesce");
+        let dt = kernel.stable_dt(0.5);
+        let mut next_s = Tile::new(curr.sd(), curr.halo());
+        let mut next_b = Tile::new(curr.sd(), curr.halo());
+        kernel.apply_region(
+            curr,
+            &mut next_s,
+            region,
+            &offsets,
+            (7, -3),
+            0.25,
+            dt,
+            src,
+            repeats,
+        );
+        kernel.apply_region_blocked(
+            curr,
+            &mut next_b,
+            region,
+            &plan,
+            (7, -3),
+            0.25,
+            dt,
+            src,
+            repeats,
+        );
+        // whole tiles: cells outside the region must stay untouched too
+        for (x, y) in curr.padded_rect().cells() {
+            assert_eq!(
+                next_s.get(x, y).to_bits(),
+                next_b.get(x, y).to_bits(),
+                "mismatch at ({x},{y}) region={region:?} repeats={repeats}"
+            );
+        }
+    }
+
     #[test]
     fn blocked_matches_scalar_bitwise() {
-        // The blocked plan must reproduce the flat scalar loop bit for bit —
-        // same accumulation order, only the addressing differs.
-        for (n, eps_mult) in [(12usize, 2.0), (30, 4.0), (50, 8.0)] {
-            let (grid, kernel) = grid_kernel(n, eps_mult);
-            let mut curr = Tile::new(n as i64, grid.halo);
-            for (i, (x, y)) in curr.padded_rect().cells().enumerate() {
-                // irregular, sign-mixed field exercises cancellation paths
-                curr.set(x, y, ((i * 2654435761) % 1000) as f64 * 1e-3 - 0.5);
-            }
-            let offsets = kernel.storage_offsets(curr.stride());
-            let plan = kernel.plan(curr.stride());
-            assert!(plan.run_count() < offsets.len(), "runs must coalesce");
-            let dt = kernel.stable_dt(0.5);
-            let src: SourceFn = Arc::new(|t, gi, gj| t + 0.01 * (gi - gj) as f64);
-            for (region, repeats) in [
-                (curr.interior_rect(), 1u32),
-                (Rect::new(1, 2, n as i64 - 3, n as i64 - 4), 3),
-            ] {
-                let mut next_s = Tile::new(n as i64, grid.halo);
-                let mut next_b = Tile::new(n as i64, grid.halo);
-                kernel.apply_region(
-                    &curr,
-                    &mut next_s,
-                    &region,
-                    &offsets,
-                    (7, -3),
-                    0.25,
-                    dt,
-                    &src,
-                    repeats,
-                );
-                kernel.apply_region_blocked(
-                    &curr,
-                    &mut next_b,
-                    &region,
-                    &plan,
-                    (7, -3),
-                    0.25,
-                    dt,
-                    &src,
-                    repeats,
-                );
-                for (x, y) in region.cells() {
-                    assert_eq!(
-                        next_s.get(x, y).to_bits(),
-                        next_b.get(x, y).to_bits(),
-                        "mismatch at ({x},{y}) n={n} eps_mult={eps_mult}"
-                    );
+        // The W-wide kernel must reproduce the flat scalar loop bit for bit:
+        // every cell keeps its accumulation order whichever segment width
+        // it lands in. Widths 1..=2W+1 at x-offsets 0..W reach every mix of
+        // the 8/4/2/1 bodies at every alignment; Triangular makes the
+        // weights non-uniform, so a misplaced weight cannot cancel out.
+        for influence in [Influence::Constant, Influence::Triangular] {
+            for (n, eps_mult) in [(12usize, 2.0), (30, 4.0), (50, 8.0)] {
+                let grid = Grid::square(n, eps_mult);
+                let kernel = NonlocalKernel::new(&grid, 1.0, influence);
+                let n = n as i64;
+                let (curr, src) = irregular_tile(n, grid.halo);
+                assert_blocked_matches_scalar(&kernel, &curr, &src, &curr.interior_rect(), 1);
+                for x0 in 0..W as i64 {
+                    for w in 1..=(2 * W as i64 + 1).min(n - x0) {
+                        let region = Rect::new(x0, 1, w, 3);
+                        let repeats = if (x0 + w) % 2 == 0 { 1 } else { 3 };
+                        assert_blocked_matches_scalar(&kernel, &curr, &src, &region, repeats);
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_bands_through_the_raw_path_match_scalar_bitwise() {
+        // Intra-step stealing covers a region with disjoint row bands, each
+        // written through the raw pointer; the tile must equal the scalar
+        // reference's whatever the band height.
+        let grid = Grid::square(27, 4.0);
+        let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Triangular);
+        let (curr, src) = irregular_tile(27, grid.halo);
+        let dt = kernel.stable_dt(0.5);
+        let region = Rect::new(2, 1, 23, 25);
+        let mut reference = Tile::new(27, grid.halo);
+        kernel.apply_region(
+            &curr,
+            &mut reference,
+            &region,
+            &kernel.storage_offsets(curr.stride()),
+            (0, 0),
+            0.5,
+            dt,
+            &src,
+            3,
+        );
+        let plan = kernel.plan(curr.stride());
+        for band in [1, 4, 25] {
+            let mut next = Tile::new(27, grid.halo);
+            let next_data = next.data_mut().as_mut_ptr();
+            for y0 in (region.y0..region.y1()).step_by(band) {
+                let h = (band as i64).min(region.y1() - y0);
+                let rows = Rect::new(region.x0, y0, region.w, h);
+                // SAFETY: `next` has `curr`'s shape, is not otherwise
+                // accessed while the bands run, and the bands are disjoint.
+                unsafe {
+                    kernel.apply_region_blocked_raw(
+                        &curr,
+                        next_data,
+                        &rows,
+                        &plan,
+                        (0, 0),
+                        0.5,
+                        dt,
+                        &src,
+                        3,
+                    );
+                }
+            }
+            assert_eq!(next, reference, "band height {band}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "another tile stride")]
+    fn plan_for_another_stride_is_refused() {
+        let (grid, kernel) = grid_kernel(12, 2.0);
+        let curr = Tile::new(12, grid.halo);
+        let mut next = Tile::new(12, grid.halo);
+        let plan = kernel.plan(curr.stride() + 1);
+        let region = curr.interior_rect();
+        kernel.apply_region_blocked(
+            &curr,
+            &mut next,
+            &region,
+            &plan,
+            (0, 0),
+            0.0,
+            0.001,
+            &zero_source(),
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the tile interior")]
+    fn region_outside_the_interior_is_refused() {
+        let (grid, kernel) = grid_kernel(12, 2.0);
+        let curr = Tile::new(12, grid.halo);
+        let mut next = Tile::new(12, grid.halo);
+        let plan = kernel.plan(curr.stride());
+        // one column into the halo: the raw write would still be in bounds
+        // of the storage, but it is not a cell this kernel may update
+        let region = Rect::new(1, 0, 12, 12);
+        kernel.apply_region_blocked(
+            &curr,
+            &mut next,
+            &region,
+            &plan,
+            (0, 0),
+            0.0,
+            0.001,
+            &zero_source(),
+            1,
+        );
     }
 
     #[test]

@@ -14,9 +14,17 @@
 //! Because `w` separates as `cos(2πt)·S(x)`, the discrete operator applied
 //! to `w` is `cos(2πt)·L` with a *time-independent* field
 //! `L_i = Σ_j w_j (S_j − S_i)`, so `b` evaluation is O(1) per cell after a
-//! one-time precomputation of S and L.
+//! one-time precomputation of S and L. L *is* the solver's interaction sum
+//! applied to S, so it is computed by the solver's own core
+//! (`NonlocalKernel::interaction_sums`), not by a second loop here.
+//!
+//! `b(t, x_i) = (−2π·sin 2πt)·S_i − (c·cos 2πt)·L_i`: the two bracketed
+//! factors depend on time only. [`Manufactured::source`] evaluates them per
+//! cell; as a [`Source`] for the step kernel the type evaluates them once
+//! per kernel call ([`Source::at_time`]) and then fills whole row segments
+//! from S and L, with the same association, hence the same bits.
 
-use crate::kernel::{NonlocalKernel, SourceFn};
+use crate::kernel::{NonlocalKernel, RowSource, Source, SourceFn};
 use nlheat_mesh::{Grid, Tile};
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -54,17 +62,14 @@ impl Manufactured {
                 // collar cells stay zero: w ≡ 0 outside D
             }
         }
+        // same shape as `s`, so a storage index means the same cell in both
         let mut l = Tile::new(n, halo);
-        for lj in 0..n {
-            for li in 0..n {
-                let si = s.get(li, lj);
-                let mut acc = 0.0;
-                for (&(di, dj), &w) in kernel.stencil.offsets.iter().zip(&kernel.weights) {
-                    acc += w * (s.get(li + di, lj + dj) - si);
-                }
-                l.set(li, lj, acc);
-            }
-        }
+        let l_data = l.data_mut();
+        let plan = kernel.plan(s.stride());
+        kernel.interaction_sums(&s, &s.interior_rect(), &plan, 1, |li, lj, _, sums| {
+            let first = s.storage_index(li, lj);
+            l_data[first..first + sums.len()].copy_from_slice(sums);
+        });
         Manufactured {
             grid: *grid,
             c: kernel.c,
@@ -86,22 +91,47 @@ impl Manufactured {
         self.exact(0.0, gi, gj)
     }
 
+    /// The time-only factors `(−2π·sin 2πt, c·cos 2πt)` of the source.
+    fn time_factors(&self, t: f64) -> (f64, f64) {
+        let phase = 2.0 * PI * t;
+        (-2.0 * PI * phase.sin(), self.c * phase.cos())
+    }
+
     /// Source `b(t, x_i)` per eq. 6 with the discrete quadrature.
     pub fn source(&self, t: f64, gi: i64, gj: i64) -> f64 {
         debug_assert!(self.grid.in_domain(gi, gj));
-        let phase = 2.0 * PI * t;
-        -2.0 * PI * phase.sin() * self.s.get(gi, gj) - self.c * phase.cos() * self.l.get(gi, gj)
+        let (ds, dl) = self.time_factors(t);
+        ds * self.s.get(gi, gj) - dl * self.l.get(gi, gj)
     }
 
-    /// The source as a shareable closure for the solvers.
+    /// The source in the form the solvers take.
     pub fn source_fn(self: &Arc<Self>) -> SourceFn {
-        let me = self.clone();
-        Arc::new(move |t, gi, gj| me.source(t, gi, gj))
+        self.clone()
     }
 
     /// The grid this instance was built for.
     pub fn grid(&self) -> &Grid {
         &self.grid
+    }
+}
+
+impl Source for Manufactured {
+    fn at(&self, t: f64, gi: i64, gj: i64) -> f64 {
+        self.source(t, gi, gj)
+    }
+
+    fn at_time<'a>(&'a self, t: f64) -> RowSource<'a> {
+        let (ds, dl) = self.time_factors(t);
+        Box::new(move |gi0, gj, out| {
+            debug_assert!(self.grid.in_domain(gi0, gj));
+            debug_assert!(self.grid.in_domain(gi0 + out.len() as i64 - 1, gj));
+            let first = self.s.storage_index(gi0, gj);
+            let s = &self.s.data()[first..first + out.len()];
+            let l = &self.l.data()[first..first + out.len()];
+            for ((b, s), l) in out.iter_mut().zip(s).zip(l) {
+                *b = ds * s - dl * l;
+            }
+        })
     }
 }
 
@@ -115,6 +145,41 @@ mod tests {
         let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Constant);
         let m = Manufactured::new(&grid, &kernel);
         (grid, kernel, m)
+    }
+
+    #[test]
+    fn l_and_source_equal_the_naive_per_cell_formulas_bitwise() {
+        // The reference: L as its own scalar loop over the stencil, b with
+        // sin and cos evaluated per cell — what this module computed before
+        // it shared the kernel's core and hoisted the time factors. 23 cells
+        // per side reach the 8-, 4-, 2- and 1-wide segment bodies;
+        // Triangular makes the weights non-uniform.
+        let grid = Grid::square(23, 3.0);
+        let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Triangular);
+        let m = Arc::new(Manufactured::new(&grid, &kernel));
+        let src = m.source_fn();
+        for t in [0.0, 0.013, 0.4] {
+            let row_source = src.at_time(t);
+            let phase = 2.0 * PI * t;
+            for gj in 0..grid.ny {
+                let mut row = vec![0.0; grid.nx as usize];
+                row_source(0, gj, &mut row);
+                for gi in 0..grid.nx {
+                    let si = m.s.get(gi, gj);
+                    let mut l = 0.0;
+                    for (&(di, dj), &w) in kernel.stencil.offsets.iter().zip(&kernel.weights) {
+                        l += w * (m.s.get(gi + di, gj + dj) - si);
+                    }
+                    assert_eq!(m.l.get(gi, gj).to_bits(), l.to_bits(), "L at ({gi},{gj})");
+                    let b = -2.0 * PI * phase.sin() * si - kernel.c * phase.cos() * l;
+                    assert_eq!(m.source(t, gi, gj).to_bits(), b.to_bits());
+                    assert_eq!(src.at(t, gi, gj).to_bits(), b.to_bits());
+                    assert_eq!(row[gi as usize].to_bits(), b.to_bits());
+                }
+            }
+        }
+        // the halo of L stays zero
+        assert_eq!(m.l.get(-1, 0), 0.0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Numerics pin for the hot-path optimizations: the blocked kernel, the
-//! zero-copy halo codec and the pooled migration buffers must be invisible
-//! in the results. Every optimized path is compared against the retained
-//! scalar/copying reference — `apply_region` with a flat offset table, and
-//! `pack` + `encode_f64_slice` — bit for bit, at scenario scope.
+//! Numerics pin for the hot-path optimizations: the 8-wide register-blocked
+//! kernel, the zero-copy halo codec and the pooled migration buffers must
+//! be invisible in the results. Every optimized path is compared against
+//! the retained scalar/copying reference — `apply_region` with a flat
+//! offset table, and `pack` + `encode_f64_slice` — bit for bit, at scenario
+//! scope. CI runs this file in release as well: the kernel's vectorised
+//! form only exists under the optimiser.
 
 use bytes::BytesMut;
 use nlheat_amt::codec::{decode_f64_rows, decode_f64_vec, encode_f64_rows, encode_f64_slice};
@@ -49,10 +51,22 @@ fn scalar_reference_field(sc: &Scenario) -> Vec<f64> {
     out
 }
 
+/// 23-cell SDs whose ghost-dependent margins are 3 = 2+1 cells wide: the
+/// regions the runtime updates are 3 cells wide, or 23 = 8+8+4+2+1 less
+/// one or two margins (20 = 8+8+4, 17 = 8+8+1), so every segment width of
+/// the kernel runs — on non-uniform (triangular) weights, with the slower
+/// rank repeating its sums 3×.
+fn odd_tiles() -> Scenario {
+    let mut sc = Scenario::square(46, 3.0, 23, 5).on(ClusterSpec::speeds(&[1.0, 0.4]));
+    sc.problem.influence = Influence::Triangular;
+    sc
+}
+
 fn pinned_scenarios() -> Vec<(&'static str, Scenario)> {
     vec![
         ("paper-baseline", scenarios::paper_baseline(true)),
         ("lopsided-two-rack", scenarios::lopsided_two_rack(true)),
+        ("odd-tiles", odd_tiles()),
     ]
 }
 
