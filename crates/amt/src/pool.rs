@@ -33,6 +33,9 @@ struct StealStats {
     /// Times the worker gave up and parked on the sleep condvar.
     parks: AtomicU64,
     /// The worker's current adaptive batch bound (a gauge, not a count).
+    /// Starts at 1, the bound every worker loop starts from — set by the
+    /// constructor, so the gauge is in range before the worker thread has
+    /// run at all.
     chunk: AtomicU64,
 }
 
@@ -86,7 +89,12 @@ impl ThreadPool {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             steal_stats: (0..n_workers)
-                .map(|_| CachePadded::new(StealStats::default()))
+                .map(|_| {
+                    CachePadded::new(StealStats {
+                        chunk: AtomicU64::new(1),
+                        ..StealStats::default()
+                    })
+                })
                 .collect(),
             executed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
@@ -333,7 +341,6 @@ fn find_task(
 
 fn worker_loop(inner: Arc<PoolInner>, local: Worker<Task>, me: usize) {
     let mut chunk = 1usize;
-    inner.steal_stats[me].chunk.store(1, Ordering::Relaxed);
     loop {
         match find_task(&inner, &local, me, &mut chunk) {
             Some(task) => {
@@ -443,6 +450,13 @@ mod tests {
     #[test]
     fn steal_counters_observe_activity() {
         let pool = ThreadPool::new(4, "t");
+        let chunks_in_bounds = |pool: &ThreadPool| {
+            (0..pool.n_workers())
+                .all(|w| (1..=MAX_STEAL_CHUNK as u64).contains(&pool.steal_chunk(w)))
+        };
+        // The adaptive chunk gauge is in bounds from construction — before
+        // any worker thread has necessarily run — and stays there.
+        assert!(chunks_in_bounds(&pool));
         let counter = Arc::new(AtomicU32::new(0));
         for _ in 0..512 {
             let c = counter.clone();
@@ -455,10 +469,7 @@ mod tests {
         // Every task enters through the injector, so the workers must have
         // recorded injector-batch steals.
         assert!(pool.steals_total() >= 1);
-        // The adaptive chunk gauge is live and stays within its bounds.
-        for w in 0..pool.n_workers() {
-            assert!((1..=MAX_STEAL_CHUNK as u64).contains(&pool.steal_chunk(w)));
-        }
+        assert!(chunks_in_bounds(&pool));
         // Failure/park telemetry is wired (idle workers may or may not have
         // whiffed yet — just exercise the getters).
         let _ = pool.steal_fails_total();

@@ -21,7 +21,7 @@ use nlheat_core::scenarios;
 use nlheat_core::Ownership;
 use nlheat_mesh::{Grid, Rect, Tile};
 use nlheat_model::{zero_source, Influence, NonlocalKernel};
-use nlheat_sim::engine::{simulate, SimConfig, VirtualNode};
+use nlheat_sim::engine::simulate;
 use nlheat_sim::scenario::{RunSim, SimSubstrate};
 use nlheat_sim::LbSchedule;
 use std::sync::Once;
@@ -39,51 +39,22 @@ fn init() {
     });
 }
 
-/// A heterogeneous 4-node cluster (one 2x-fast node) so the balancer
-/// actually plans and realizes migrations inside the event loop.
-fn het4() -> Vec<VirtualNode> {
-    vec![
-        VirtualNode {
-            cores: 1,
-            speed: 2.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-    ]
-}
-
 fn event_core_bench(c: &mut Criterion) {
     init();
     let mut g = c.benchmark_group("event_core");
     // 256 SDs, 12 steps, LB every 4 — arrivals, per-node scheduling and
     // realized migration epochs all on the measured path.
-    let mut lb_cfg = SimConfig::paper(400, 25, 12, het4());
-    lb_cfg.lb = Some(LbSchedule::every(4));
+    // (a heterogeneous cluster — one 2x-fast node — so the balancer
+    // actually plans and realizes migrations inside the event loop)
+    let lb_cfg = Scenario::square(400, 8.0, 25, 12)
+        .on(ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0]))
+        .with_lb(LbSchedule::every(4));
     g.bench_function("sim_lb_256sd_4n_12st", |b| {
         b.iter(|| black_box(simulate(&lb_cfg)))
     });
     // 1024 SDs over 8 nodes without LB: pure ghost-arrival + scheduling
     // throughput at 4x the SD count.
-    let nolb_cfg = SimConfig::paper(
-        800,
-        25,
-        6,
-        (0..8).map(|_| VirtualNode::with_cores(2)).collect(),
-    );
+    let nolb_cfg = Scenario::square(800, 8.0, 25, 6).on(ClusterSpec::uniform(8, 2));
     g.bench_function("sim_nolb_1024sd_8n_6st", |b| {
         b.iter(|| black_box(simulate(&nolb_cfg)))
     });

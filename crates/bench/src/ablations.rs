@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md.
+//! Ablation studies for the design choices the README's sections argue.
 
 use crate::figdata::{FigData, Series};
 use nlheat_core::balance::{LbSchedule, LbSpec};
@@ -12,10 +12,16 @@ use nlheat_core::workload::WorkModel;
 use nlheat_mesh::{Grid, SdGrid};
 use nlheat_netmodel::{LinkClass, NetSpec};
 use nlheat_partition::{edge_cut, sd_dual_graph, strip_partition, SdGraph};
-use nlheat_sim::{simulate, RunSim, SimConfig, SimSubstrate, VirtualNode};
+use nlheat_sim::{RunSim, SimSubstrate};
 
-fn nodes1(n: usize) -> Vec<VirtualNode> {
-    (0..n).map(|_| VirtualNode::with_cores(1)).collect()
+/// The paper problem (ε = 8h) on `cluster` — the simulator legs' base.
+fn paper(mesh: usize, sd: usize, steps: usize, cluster: ClusterSpec) -> Scenario {
+    Scenario::square(mesh, 8.0, sd, steps).on(cluster)
+}
+
+/// Bytes the simulated run moved between nodes.
+fn cross_bytes(report: &RunReport) -> u64 {
+    report.sim_extras().expect("sim extras").cross_bytes
 }
 
 /// **A1** — partition quality: multilevel METIS-substitute vs naive
@@ -40,11 +46,14 @@ pub fn a1_partition_quality(quick: bool) -> FigData {
         let strip = strip_partition(&sds, k as u32);
         cut_metis.push(k as f64, metis.edgecut as f64);
         cut_strip.push(k as f64, edge_cut(&dual, &strip) as f64);
-        let mut cfg = SimConfig::paper(mesh, sd, steps, nodes1(k));
-        cfg.partition = PartitionSpec::Metis { seed: 1 };
-        mb_metis.push(k as f64, simulate(&cfg).cross_bytes as f64 / 1e6);
-        cfg.partition = PartitionSpec::Strip;
-        mb_strip.push(k as f64, simulate(&cfg).cross_bytes as f64 / 1e6);
+        let sc = paper(mesh, sd, steps, ClusterSpec::uniform(k, 1));
+        let metis_run = sc
+            .clone()
+            .with_partition(PartitionSpec::Metis { seed: 1 })
+            .run_sim();
+        mb_metis.push(k as f64, cross_bytes(&metis_run) as f64 / 1e6);
+        let strip_run = sc.with_partition(PartitionSpec::Strip).run_sim();
+        mb_strip.push(k as f64, cross_bytes(&strip_run) as f64 / 1e6);
     }
     fig.series = vec![cut_metis, cut_strip, mb_metis, mb_strip];
     fig
@@ -62,12 +71,10 @@ pub fn a2_overlap(quick: bool) -> FigData {
     );
     let mut ratio = Series::new("no-overlap / overlap");
     for &lat_us in &[1.0f64, 100.0, 1000.0, 5000.0] {
-        let mut cfg = SimConfig::paper(200, 50, steps, nodes1(4));
-        cfg.net = NetSpec::shared(lat_us * 1e-6, 1e9);
-        cfg.overlap = true;
-        let with = simulate(&cfg).total_time;
-        cfg.overlap = false;
-        let without = simulate(&cfg).total_time;
+        let sc = paper(200, 50, steps, ClusterSpec::uniform(4, 1))
+            .with_net(NetSpec::shared(lat_us * 1e-6, 1e9));
+        let with = sc.clone().with_overlap(true).run_sim().makespan;
+        let without = sc.with_overlap(false).run_sim().makespan;
         ratio.push(lat_us, without / with);
     }
     fig.series.push(ratio);
@@ -86,15 +93,8 @@ pub fn a3_sd_size(quick: bool) -> FigData {
     );
     let mut t = Series::new("time");
     for &sd in &[10usize, 20, 25, 50, 100, 200] {
-        let nodes = (0..4)
-            .map(|_| VirtualNode {
-                cores: 2,
-                speed: 1.0,
-                memory_bytes: None,
-            })
-            .collect();
-        let cfg = SimConfig::paper(mesh, sd, steps, nodes);
-        t.push(sd as f64, simulate(&cfg).total_time * 1e3);
+        let sc = paper(mesh, sd, steps, ClusterSpec::uniform(4, 2));
+        t.push(sd as f64, sc.run_sim().makespan * 1e3);
     }
     fig.series.push(t);
     fig
@@ -109,35 +109,12 @@ pub fn a4_lb_heterogeneous(quick: bool) -> FigData {
         "LB period (steps; 0 = off)",
         "total time (ms)",
     );
-    let nodes = vec![
-        VirtualNode {
-            cores: 1,
-            speed: 2.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-    ];
     let mut t = Series::new("time");
-    let mut cfg = SimConfig::paper(400, 25, steps, nodes);
-    cfg.lb = None;
-    t.push(0.0, simulate(&cfg).total_time * 1e3);
+    let sc = paper(400, 25, steps, ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0]));
+    t.push(0.0, sc.run_sim().makespan * 1e3);
     for &period in &[2usize, 4, 8] {
-        cfg.lb = Some(LbSchedule::every(period));
-        t.push(period as f64, simulate(&cfg).total_time * 1e3);
+        let on = sc.clone().with_lb(LbSchedule::every(period));
+        t.push(period as f64, on.run_sim().makespan * 1e3);
     }
     fig.series.push(t);
     fig
@@ -153,20 +130,19 @@ pub fn a5_crack(quick: bool) -> FigData {
         "total time (ms)",
     );
     let mut t = Series::new("time");
-    let mut cfg = SimConfig::paper(400, 25, steps, nodes1(4));
     // crack through the middle: the strip partition gives one node the
     // whole cheap band, so the others become the bottleneck
-    cfg.partition = PartitionSpec::Strip;
-    cfg.work = WorkModel::Crack {
-        y_cell: 200,
-        half_width: 30,
-        factor: 0.25,
-    };
-    cfg.lb = None;
-    t.push(0.0, simulate(&cfg).total_time * 1e3);
+    let sc = paper(400, 25, steps, ClusterSpec::uniform(4, 1))
+        .with_partition(PartitionSpec::Strip)
+        .with_work(WorkModel::Crack {
+            y_cell: 200,
+            half_width: 30,
+            factor: 0.25,
+        });
+    t.push(0.0, sc.run_sim().makespan * 1e3);
     for &period in &[2usize, 4, 8] {
-        cfg.lb = Some(LbSchedule::every(period));
-        t.push(period as f64, simulate(&cfg).total_time * 1e3);
+        let on = sc.clone().with_lb(LbSchedule::every(period));
+        t.push(period as f64, on.run_sim().makespan * 1e3);
     }
     fig.series.push(t);
     fig
@@ -185,15 +161,13 @@ pub fn a5b_moving_crack(quick: bool) -> FigData {
     );
     let mut ratio = Series::new("no-LB / LB");
     for &dwell in &[4usize, 8, 16, 32] {
-        let mut cfg = SimConfig::paper(400, 25, steps, nodes1(4));
-        cfg.partition = PartitionSpec::Strip;
         let jumps = steps / dwell;
         // Partial band (as in A5): eq. 8 models power per *node*, so a
         // crack that makes a whole strip cheap inflates that node's power
         // estimate and the plan oscillates — a granularity limitation of
         // the algorithm documented in EXPERIMENTS.md. A partial band keeps
         // the per-node estimate sound.
-        cfg.work_schedule = (0..jumps)
+        let schedule = (0..jumps)
             .map(|seg| {
                 (
                     seg * dwell,
@@ -205,10 +179,11 @@ pub fn a5b_moving_crack(quick: bool) -> FigData {
                 )
             })
             .collect();
-        cfg.lb = None;
-        let off = simulate(&cfg).total_time;
-        cfg.lb = Some(LbSchedule::every(4));
-        let on = simulate(&cfg).total_time;
+        let sc = paper(400, 25, steps, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Strip)
+            .with_work_schedule(schedule);
+        let off = sc.run_sim().makespan;
+        let on = sc.with_lb(LbSchedule::every(4)).run_sim().makespan;
         ratio.push(dwell as f64, off / on);
     }
     fig.series.push(ratio);
@@ -227,28 +202,6 @@ pub fn a6_network_models(quick: bool) -> FigData {
         "model (0=instant 1=constant 2=shared 3=topology)",
         "total time (ms)",
     );
-    let nodes = vec![
-        VirtualNode {
-            cores: 1,
-            speed: 2.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-        VirtualNode {
-            cores: 1,
-            speed: 1.0,
-            memory_bytes: None,
-        },
-    ];
     // A deliberately tight network so the serialization term matters:
     // 100 µs latency, 100 MB/s per NIC; the topology variant splits the
     // four nodes into two racks with a 4x slower inter-rack uplink
@@ -263,14 +216,19 @@ pub fn a6_network_models(quick: bool) -> FigData {
     for (x, spec) in specs {
         net_axis = net_axis.value(format!("{x}"), x, move |sc: Scenario| sc.with_net(spec));
     }
-    let sweep = ScenarioSweep::new(Scenario::square(400, 8.0, 25, steps).on(ClusterSpec { nodes }))
-        .axis(net_axis)
-        .axis(Axis::new("lb").value("off", 0.0, |sc: Scenario| sc).value(
-            "on",
-            1.0,
-            |sc: Scenario| sc.with_lb(LbSchedule::every(4)),
-        ))
-        .with_parallelism(2);
+    let sweep = ScenarioSweep::new(paper(
+        400,
+        25,
+        steps,
+        ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0]),
+    ))
+    .axis(net_axis)
+    .axis(
+        Axis::new("lb")
+            .value("off", 0.0, |sc: Scenario| sc)
+            .value("on", 1.0, |sc: Scenario| sc.with_lb(LbSchedule::every(4))),
+    )
+    .with_parallelism(2);
     let mut off = Series::new("LB off");
     let mut on = Series::new("LB on (period 4)");
     for record in sweep.run_collect(&SimSubstrate) {

@@ -3,9 +3,20 @@
 use crate::figdata::{FigData, Series};
 use nlheat_core::balance::iterate_rebalance;
 use nlheat_core::ownership::Ownership;
+use nlheat_core::scenario::{ClusterSpec, Scenario};
 use nlheat_mesh::SdGrid;
 use nlheat_model::{ProblemSpec, SerialSolver};
-use nlheat_sim::{simulate, SimConfig, VirtualNode};
+use nlheat_sim::RunSim;
+
+/// Simulated makespan of the paper problem (ε = 8h, `mesh`² cells in
+/// `sd`-cell SDs) on `nodes` nodes of `cores` cores — what every scaling
+/// figure plots ratios of.
+fn sim_time(mesh: usize, sd: usize, quick: bool, nodes: usize, cores: usize) -> f64 {
+    Scenario::square(mesh, 8.0, sd, steps(quick))
+        .on(ClusterSpec::uniform(nodes, cores))
+        .run_sim()
+        .makespan
+}
 
 /// Steps used by every scaling figure (the paper runs N = 20).
 fn steps(quick: bool) -> usize {
@@ -60,15 +71,7 @@ pub fn fig9(quick: bool) -> FigData {
         .map(|&cpus| {
             STRONG_SD_SIDES
                 .iter()
-                .map(|&side| {
-                    let cfg = SimConfig::paper(
-                        mesh,
-                        mesh / side,
-                        steps(quick),
-                        vec![VirtualNode::with_cores(cpus)],
-                    );
-                    simulate(&cfg).total_time
-                })
+                .map(|&side| sim_time(mesh, mesh / side, quick, 1, cpus))
                 .collect()
         })
         .collect();
@@ -99,11 +102,8 @@ pub fn fig10(quick: bool) -> FigData {
         let mut s = Series::new(format!("{units}Node"));
         for &n in &sides {
             let mesh = 50 * n;
-            let mk = |cores: usize| {
-                SimConfig::paper(mesh, 50, steps(quick), vec![VirtualNode::with_cores(cores)])
-            };
-            let t1 = simulate(&mk(1)).total_time;
-            let tn = simulate(&mk(units)).total_time;
+            let t1 = sim_time(mesh, 50, quick, 1, 1);
+            let tn = sim_time(mesh, 50, quick, 1, units);
             s.push((n * n) as f64, t1 / tn);
         }
         fig.series.push(s);
@@ -126,15 +126,7 @@ pub fn fig11(quick: bool) -> FigData {
         .map(|&nodes| {
             STRONG_SD_SIDES
                 .iter()
-                .map(|&side| {
-                    let cfg = SimConfig::paper(
-                        mesh,
-                        mesh / side,
-                        steps(quick),
-                        (0..nodes).map(|_| VirtualNode::with_cores(1)).collect(),
-                    );
-                    simulate(&cfg).total_time
-                })
+                .map(|&side| sim_time(mesh, mesh / side, quick, nodes, 1))
                 .collect()
         })
         .collect();
@@ -165,16 +157,8 @@ pub fn fig12(quick: bool) -> FigData {
         let mut s = Series::new(format!("{nodes}Node"));
         for &n in &sides {
             let mesh = 50 * n;
-            let mk = |k: usize| {
-                SimConfig::paper(
-                    mesh,
-                    50,
-                    steps(quick),
-                    (0..k).map(|_| VirtualNode::with_cores(1)).collect(),
-                )
-            };
-            let t1 = simulate(&mk(1)).total_time;
-            let tn = simulate(&mk(nodes)).total_time;
+            let t1 = sim_time(mesh, 50, quick, 1, 1);
+            let tn = sim_time(mesh, 50, quick, nodes, 1);
             s.push((n * n) as f64, t1 / tn);
         }
         fig.series.push(s);
@@ -193,23 +177,11 @@ pub fn fig13(quick: bool) -> FigData {
         "speedup",
     );
     let node_counts: Vec<usize> = (1..=max_nodes).collect();
-    let t1 = simulate(&SimConfig::paper(
-        mesh,
-        50,
-        steps(quick),
-        vec![VirtualNode::with_cores(1)],
-    ))
-    .total_time;
+    let t1 = sim_time(mesh, 50, quick, 1, 1);
     let mut measured = Series::new("Measured");
     let mut optimal = Series::new("Optimal");
     for &k in &node_counts {
-        let cfg = SimConfig::paper(
-            mesh,
-            50,
-            steps(quick),
-            (0..k).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
-        measured.push(k as f64, t1 / simulate(&cfg).total_time);
+        measured.push(k as f64, t1 / sim_time(mesh, 50, quick, k, 1));
         optimal.push(k as f64, k as f64);
     }
     fig.series.push(measured);

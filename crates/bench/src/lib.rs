@@ -2,11 +2,12 @@
 //!
 //! One function per figure of the paper's evaluation section (§8), each
 //! returning a [`FigData`] table with the same series the paper plots,
-//! plus the ablation studies listed in DESIGN.md. The `figures` binary
+//! plus the ablation studies in [`ablations`]. The `figures` binary
 //! prints them as markdown; the criterion benches run scaled-down variants
 //! so `cargo bench` stays tractable.
 //!
-//! Measurement substrate per figure (see DESIGN.md §1 for the rationale):
+//! Measurement substrate per figure (README "Regenerating figures" has
+//! the rationale):
 //!
 //! | figure | substrate |
 //! |---|---|

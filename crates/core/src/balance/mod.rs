@@ -34,7 +34,11 @@
 //! Lifflander et al., arXiv:2404.16793). `μ = 0` is pinned
 //! byte-identical to the ghost-blind planner, and every realized epoch is
 //! recorded as an [`EpochTrace`] (plan size, migration bytes, cut
-//! before/after) by both substrates.
+//! before/after).
+//!
+//! The epoch itself — stall feedback, busy selection, membership mask,
+//! metrics, `plan`, trace — is written once, in [`epoch`]: every substrate
+//! measures, calls [`LbEpoch::plan`], and executes what comes back.
 //!
 //! The tree planner is one strategy behind the pluggable [`policy`] layer:
 //! both substrates select an [`policy::LbPolicy`] via
@@ -50,6 +54,7 @@
 //! stages the old→new diff as budgeted single-hop plans.
 
 pub mod algorithm;
+pub mod epoch;
 pub mod hier;
 pub mod policy;
 pub mod power;
@@ -63,6 +68,7 @@ pub use algorithm::{
     plan_rebalance_ghost_aware, plan_rebalance_with_cost, CostParams, MigrationPlan, Move,
     PlanComm, SdBytes,
 };
+pub use epoch::{EpochConfig, EpochLog, EpochMeasure, EpochPlan, LbEpoch};
 pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};
 pub use nlheat_partition::SdGraph;
 pub use policy::{

@@ -133,15 +133,8 @@ impl LbNetwork {
         self
     }
 
-    /// Attach the elastic-membership mask (one flag per rank; `false` =
-    /// drained / failed / not yet joined).
-    pub fn with_active(mut self, active: Arc<Vec<bool>>) -> Self {
-        self.active = Some(active);
-        self
-    }
-
-    /// Derive the view from a network spec (what `DistConfig`/`SimConfig`
-    /// do with their configured `net`).
+    /// Derive the view from a network spec (what the epoch driver does
+    /// with a run's configured `net`).
     pub fn from_spec(spec: &NetSpec, sd_bytes: impl Into<SdBytes>) -> Self {
         LbNetwork::new(spec.comm_cost(), sd_bytes)
     }
@@ -302,7 +295,7 @@ pub trait LbPolicy: Send {
     }
 }
 
-/// Serde-free policy selection shared by `DistConfig` and `SimConfig`
+/// Serde-free policy selection shared by `Scenario` and `DistConfig`
 /// (via [`LbSchedule`]), mirroring how `NetSpec` selects a `NetModel`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LbSpec {
@@ -761,9 +754,9 @@ impl LbSpec {
     }
 }
 
-/// When to balance and how — the one load-balancing configuration shared
-/// by `Scenario`, `DistConfig` and `SimConfig` alike, replacing the
-/// duplicated per-substrate structs.
+/// When to balance and how — the one load-balancing configuration, read
+/// by every substrate through `Scenario` (or the real runtime's low-level
+/// `DistConfig`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LbSchedule {
     /// Run the policy every `period` (simulated or real) timesteps.
@@ -793,6 +786,14 @@ impl LbSchedule {
         spec.validate();
         self.spec = spec;
         self
+    }
+
+    /// True when a balancing epoch follows timestep `step` of an
+    /// `n_steps` run: the period divides the steps completed, except after
+    /// the last step (nothing is left to balance for). The one schedule
+    /// predicate every substrate asks.
+    pub fn due(&self, step: usize, n_steps: usize) -> bool {
+        (step + 1).is_multiple_of(self.period) && step + 1 < n_steps
     }
 
     /// Validate the whole schedule (covers direct field assignment that

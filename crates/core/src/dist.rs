@@ -15,11 +15,11 @@
 //! asynchronous pipelining an AMT runtime buys.
 
 pub use crate::balance::LbSpec;
-use crate::balance::{compute_metrics, EpochTrace, LbNetwork, LbSchedule, Move, SdGraph};
-use crate::ownership::Ownership;
-use crate::scenario::{
-    active_at, failed_at, modeled_busy, nominal_sec_per_dp, LbInput, PartitionSpec,
+use crate::balance::{
+    EpochConfig, EpochLog, EpochMeasure, EpochTrace, LbEpoch, LbSchedule, Move, SdGraph,
 };
+use crate::ownership::Ownership;
+use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
 use crate::workload::WorkModel;
 use bytes::{Bytes, BytesMut};
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
@@ -47,10 +47,11 @@ const CLASS_LBPLAN: u8 = 3;
 const CLASS_MIGRATE: u8 = 4;
 
 /// Configuration of a distributed run — the low-level execution config of
-/// the real runtime. Prefer describing experiments with
+/// the real runtime. Describe experiments with
 /// [`crate::scenario::Scenario`] (which compiles into this via
-/// [`crate::scenario::Scenario::dist_config`]); `DistConfig` remains the
-/// compatibility layer for code that drives the runtime directly.
+/// [`crate::scenario::Scenario::dist_config`]); `DistConfig` remains for
+/// code that must own the [`Cluster`] it runs on and so drives
+/// [`run_distributed`] directly.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     /// The physical problem (manufactured source and initial condition).
@@ -78,8 +79,8 @@ pub struct DistConfig {
     pub work_schedule: Vec<(usize, WorkModel)>,
     /// Elastic cluster-membership timeline (`(from_step, event)`, sorted
     /// by step; see [`crate::scenario::ClusterEvent`]). Events change the
-    /// planner's view — the active-rank mask on locality 0's
-    /// [`LbNetwork`] and the failure mask the ghost counters honour —
+    /// planner's view — the active-rank mask locality 0's [`LbEpoch`]
+    /// plans under and the failure mask the ghost counters honour —
     /// never the execution: every locality keeps computing the SDs it
     /// owns until a replan evacuates them, so the field stays bit-exact.
     pub cluster_events: Vec<(usize, crate::scenario::ClusterEvent)>,
@@ -101,9 +102,9 @@ pub struct DistConfig {
     pub intra_step_stealing: bool,
     /// Per-locality memory capacities in bytes (`None` = unbounded),
     /// indexed by locality id. Empty = memory-blind planning (the
-    /// historical behaviour). When any cap is set the driver attaches the
-    /// capacities and the per-SD resident footprints to its [`LbNetwork`]
-    /// so memory-aware policies gate destinations on them.
+    /// historical behaviour). When any cap is set the planner sees the
+    /// capacities and the per-SD resident footprints, so memory-aware
+    /// policies gate destinations on them.
     pub memory_bytes: Vec<Option<u64>>,
 }
 
@@ -200,10 +201,6 @@ pub struct DistReport {
     pub pool_parks: Vec<u64>,
 }
 
-/// Memory-aware planning tables: per-locality capacities (`u64::MAX` =
-/// unbounded) and per-SD resident footprints.
-type MemoryTables = (Arc<Vec<u64>>, Arc<Vec<u64>>);
-
 /// Ownership-independent, cluster-wide setup shared by all drivers.
 struct Setup {
     cfg: DistConfig,
@@ -219,9 +216,9 @@ struct Setup {
     /// produce.
     sd_graph: Arc<SdGraph>,
     initial_owners: Vec<u32>,
-    /// Memory-aware planning tables, built once when any locality declares
-    /// a cap.
-    memory: Option<MemoryTables>,
+    /// Per-locality memory capacities (`u64::MAX` = unbounded) when any
+    /// locality declares a cap.
+    memory_caps: Option<Vec<u64>>,
     n_nodes: u32,
     /// Per-locality speed factors (from the cluster), for modeled busy.
     speeds: Vec<f64>,
@@ -258,18 +255,16 @@ impl Setup {
         let initial_owners = cfg.partition.initial_owners(&sds, n_nodes);
         let sd_graph = Arc::new(SdGraph::from_plans(&sds, &plans));
         let sec_per_dp = nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len());
-        let memory = cfg.memory_bytes.iter().any(Option::is_some).then(|| {
+        let memory_caps = cfg.memory_bytes.iter().any(Option::is_some).then(|| {
             assert_eq!(
                 cfg.memory_bytes.len(),
                 n_nodes as usize,
                 "memory_bytes must name every locality"
             );
-            let caps: Vec<u64> = cfg
-                .memory_bytes
+            cfg.memory_bytes
                 .iter()
                 .map(|c| c.unwrap_or(u64::MAX))
-                .collect();
-            (Arc::new(caps), Arc::new(sd_graph.footprints()))
+                .collect()
         });
         Setup {
             cfg,
@@ -279,7 +274,7 @@ impl Setup {
             reverse,
             sd_graph,
             initial_owners,
-            memory,
+            memory_caps,
             n_nodes,
             speeds,
             sec_per_dp,
@@ -362,9 +357,8 @@ struct NodeReport {
     /// Planner-grade ghost bytes this locality *sent* to other localities.
     ghost_bytes: u64,
     inter_rack_ghost_bytes: u64,
-    lb_counts: Vec<Vec<usize>>,
-    lb_plans: Vec<Vec<Move>>,
-    lb_traces: Vec<EpochTrace>,
+    /// The run's epoch record — locality 0 plans, so only it has one.
+    lb_log: Option<EpochLog>,
     /// Worker-pool steal counters of this locality over the whole run.
     pool_steals: u64,
     pool_steal_fails: u64,
@@ -399,7 +393,7 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
     let speeds: Vec<f64> = cluster.localities().iter().map(|l| l.speed()).collect();
     let setup = Arc::new(Setup::build(cfg.clone(), n_nodes, speeds));
     let t0 = Instant::now();
-    let reports = cluster.run(|loc| driver(loc, setup.clone()));
+    let mut reports = cluster.run(|loc| driver(loc, setup.clone()));
     let elapsed = t0.elapsed();
 
     // Assemble the global field.
@@ -428,21 +422,7 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         acc
     });
     let migrations = reports.iter().map(|r| r.in_migrations).sum();
-    let lb_history = reports
-        .iter()
-        .map(|r| r.lb_counts.clone())
-        .find(|h| !h.is_empty())
-        .unwrap_or_default();
-    let epoch_traces = reports
-        .iter()
-        .map(|r| r.lb_traces.clone())
-        .find(|t| !t.is_empty())
-        .unwrap_or_default();
-    let lb_plans = reports
-        .iter()
-        .map(|r| r.lb_plans.clone())
-        .find(|p| !p.is_empty())
-        .unwrap_or_default();
+    let lb_log = reports[0].lb_log.take().unwrap_or_default();
     DistReport {
         elapsed,
         error,
@@ -450,16 +430,13 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         final_ownership: Ownership::new(setup.sds, final_owners, n_nodes),
         busy_ns: reports.iter().map(|r| r.busy_ns).collect(),
         migrations,
-        migration_bytes: epoch_traces.iter().map(|t| t.migration_bytes).sum(),
-        inter_rack_migration_bytes: epoch_traces
-            .iter()
-            .map(|t| t.inter_rack_migration_bytes)
-            .sum(),
+        migration_bytes: lb_log.migration_bytes,
+        inter_rack_migration_bytes: lb_log.inter_rack_migration_bytes,
         ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
         inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
-        lb_history,
-        lb_plans,
-        epoch_traces,
+        lb_history: lb_log.history,
+        lb_plans: lb_log.plans,
+        epoch_traces: lb_log.traces,
         pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
         pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
         pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
@@ -520,9 +497,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut tile_pool: Vec<Tile> = Vec::new();
     let mut error_partials = Vec::with_capacity(cfg.n_steps);
     let mut in_migrations = 0usize;
-    let mut lb_counts: Vec<Vec<usize>> = Vec::new();
-    let mut lb_plans: Vec<Vec<Move>> = Vec::new();
-    let mut lb_traces: Vec<EpochTrace> = Vec::new();
     // Planner-grade ghost-traffic counters (what this locality sends):
     // per foreign patch the same `patch_wire_bytes` the simulator charges
     // and the SdGraph weighs, so both substrates' counters agree under
@@ -536,23 +510,30 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut window_ghost_ns = 0u64;
     let spawner = loc.spawner();
 
-    // Locality 0 plans every epoch through one policy instance, kept
-    // alive across epochs so stateful policies (the adaptive-λ decorator)
-    // can learn from the measured migration stalls.
-    let mut policy = if me == 0 {
-        cfg.lb.as_ref().map(|lb| lb.spec.build())
-    } else {
-        None
-    };
-    // The planning view: the fabric's CommCost plus the SD adjacency /
-    // halo-volume graph of the *real* halo plans, so μ-weighted policies
-    // price the recurring parcels this driver sends every step (to within
-    // the constant framing word `patch_wire_bytes` documents).
-    let mut lb_net =
-        LbNetwork::for_sd_tiles(&cfg.net, sds.cells_per_sd()).with_sd_graph(setup.sd_graph.clone());
-    if let Some((caps, footprints)) = &setup.memory {
-        lb_net = lb_net.with_memory(caps.clone(), footprints.clone());
-    }
+    // Locality 0 plans every epoch through one driver, kept alive across
+    // epochs so stateful policies (the adaptive-λ decorator) can learn
+    // from the measured migration stalls. Its planning view carries the SD
+    // graph of the *real* halo plans, so μ-weighted policies price the
+    // recurring parcels this driver sends every step (to within the
+    // constant framing word `patch_wire_bytes` documents).
+    let mut lb_epoch = cfg.lb.as_ref().filter(|_| me == 0).map(|lb| {
+        LbEpoch::new(EpochConfig {
+            lb,
+            net: &cfg.net,
+            cells_per_sd: sds.cells_per_sd(),
+            sd_graph: setup.sd_graph.clone(),
+            memory_caps: setup.memory_caps.clone(),
+            lb_input: cfg.lb_input,
+            cluster_events: &cfg.cluster_events,
+            work: &cfg.work,
+            work_schedule: &cfg.work_schedule,
+            speeds: setup.speeds.clone(),
+            sec_per_dp: setup.sec_per_dp,
+        })
+    });
+    // Link classes for the ghost counters: the very CommCost the planner
+    // prices moves with.
+    let comm_cost = cfg.net.comm_cost();
     // Wall time this locality spent in the previous epoch's migration
     // exchange (gathered with the busy times as the adaptive-λ stall
     // signal) and, on locality 0, the length of the previous window.
@@ -602,7 +583,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                         pidx,
                         src_rect: patch.src_rect,
                         wire: patch_wire_bytes(patch.dst_rect.area()),
-                        inter_rack: lb_net.comm.link_class(me, dst_owner) == LinkClass::InterRack,
+                        inter_rack: comm_cost.link_class(me, dst_owner) == LinkClass::InterRack,
                     });
                 }
             }
@@ -859,12 +840,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         }
 
         // --- 6. load-balancing epoch (the configured LbSpec policy) ---
-        let do_lb = cfg
-            .lb
-            .as_ref()
-            .is_some_and(|lb| (step + 1) % lb.period == 0 && step + 1 < cfg.n_steps);
-        if do_lb {
-            let lb_cfg = cfg.lb.as_ref().unwrap();
+        if let Some(lb_cfg) = cfg.lb.as_ref().filter(|lb| lb.due(step, cfg.n_steps)) {
             let epoch = ((step + 1) / lb_cfg.period) as u64;
             // gather busy times on locality 0, piggybacking the wall time
             // each locality spent in the *previous* epoch's migration
@@ -878,11 +854,11 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 (busy, states.len() as u64, prev_stall_ns, window_ghost_ns).to_bytes(),
             );
             let plan_fut = loc.expect(tag(CLASS_LBPLAN, epoch, me as u64, 0));
-            if me == 0 {
+            if let Some(lb_epoch) = &mut lb_epoch {
                 let stat_futs: Vec<Future<Bytes>> = (0..setup.n_nodes)
                     .map(|n| loc.expect(tag(CLASS_LBSTAT, epoch, n as u64, 0)))
                     .collect();
-                let mut measured_busy = Vec::with_capacity(setup.n_nodes as usize);
+                let mut busy_secs = Vec::with_capacity(setup.n_nodes as usize);
                 let mut max_stall_ns = 0u64;
                 let mut max_ghost_ns = 0u64;
                 for fut in stat_futs {
@@ -890,67 +866,28 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                         <(u64, u64, u64, u64)>::from_bytes(fut.get()).expect("corrupt LB stat");
                     // seconds, so relief is commensurable with the
                     // CommCost transfer estimates the planner weighs in
-                    measured_busy.push((busy_ns as f64 * 1e-9).max(1e-12));
+                    busy_secs.push(busy_ns as f64 * 1e-9);
                     max_stall_ns = max_stall_ns.max(stall_ns);
                     max_ghost_ns = max_ghost_ns.max(ghost_ns);
                 }
-                let policy = policy.as_mut().expect("locality 0 holds the policy");
-                if cfg.lb_input == LbInput::Measured {
-                    // Controller updates before planning: the previous
-                    // epoch's measured migration stall (worst locality)
-                    // over the previous window, and this window's worst
-                    // ghost stall, so the nudged λ/μ steer *this* epoch's
-                    // plan. Modeled planning disables runtime feedback —
-                    // determinism is the point of that mode.
-                    if let Some(window) = prev_window_secs {
-                        policy.observe_stall((max_stall_ns as f64 * 1e-9) / window.max(1e-9));
-                    }
-                    let window_now = window_t0.elapsed().as_secs_f64().max(1e-9);
-                    policy.observe_ghost_stall((max_ghost_ns as f64 * 1e-9) / window_now);
-                }
-                let busy_vec = match cfg.lb_input {
-                    LbInput::Measured => measured_busy,
-                    // Deterministic planner input derived from the
-                    // declared work model — byte-identical to what the
-                    // simulator computes for the same scenario.
-                    LbInput::Modeled => modeled_busy(
-                        &sds,
-                        &owners,
-                        setup.n_nodes,
-                        cfg.work_at(step),
-                        &setup.speeds,
-                        setup.sec_per_dp,
-                    ),
+                // The worst locality's stalls as fractions of their
+                // windows: the previous epoch's migration exchange over
+                // the previous window, this window's ghost waits over
+                // this window.
+                let window_now = window_t0.elapsed().as_secs_f64().max(1e-9);
+                let measure = EpochMeasure {
+                    busy: busy_secs,
+                    ghost_stall_frac: (max_ghost_ns as f64 * 1e-9) / window_now,
+                    prev_migration_stall_frac: prev_window_secs
+                        .map(|window| (max_stall_ns as f64 * 1e-9) / window.max(1e-9)),
                 };
                 let ownership = Ownership::new(sds, owners.clone(), setup.n_nodes);
-                // The policy sees the same network the fabric was built
-                // with: locality 0 derives the LbNetwork cost estimate
-                // from the config's NetSpec — plus, under an elastic
-                // timeline, the membership mask in effect at this epoch
-                // (shared `active_at`, so both substrates see the same
-                // mask for the same scenario).
-                if !cfg.cluster_events.is_empty() {
-                    lb_net.active = Some(Arc::new(active_at(
-                        setup.n_nodes as usize,
-                        &cfg.cluster_events,
-                        step + 1,
-                    )));
-                }
-                let metrics = compute_metrics(&ownership.counts(), &busy_vec);
-                let plan = policy.plan(&ownership, &metrics, &lb_net);
+                let plan = lb_epoch.plan(step, &ownership, measure).plan;
                 let wire: Vec<(u64, u32, u32)> = plan
                     .moves
                     .iter()
                     .map(|m| (m.sd as u64, m.from, m.to))
                     .collect();
-                if !plan.moves.is_empty() {
-                    lb_traces.push(
-                        EpochTrace::record(step + 1, policy.name(), &plan, &ownership, &lb_net)
-                            .with_drift(policy.drift_info()),
-                    );
-                    // take the move list instead of cloning it
-                    lb_plans.push(plan.moves);
-                }
                 let payload = wire.to_bytes();
                 for n in 0..setup.n_nodes {
                     loc.send(n, tag(CLASS_LBPLAN, epoch, n as u64, 0), payload.clone());
@@ -1031,15 +968,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             if me == 0 {
                 prev_window_secs = Some(window_t0.elapsed().as_secs_f64());
                 window_t0 = Instant::now();
-                // Metrics emission is skipped for empty plans so
-                // idle-policy runs don't record no-op epochs.
-                if !moves.is_empty() {
-                    let mut counts = vec![0usize; setup.n_nodes as usize];
-                    for &o in &owners {
-                        counts[o as usize] += 1;
-                    }
-                    lb_counts.push(counts);
-                }
             }
         }
     }
@@ -1060,9 +988,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         in_migrations,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        lb_counts,
-        lb_plans,
-        lb_traces,
+        lb_log: lb_epoch.map(LbEpoch::into_log),
         pool_steals: loc.pool().steals_total(),
         pool_steal_fails: loc.pool().steal_fails_total(),
         pool_parks: loc.pool().parks_total(),

@@ -2,24 +2,22 @@
 //! execution substrates.
 //!
 //! The paper's whole argument rests on running the *same* experiment on
-//! the real AMT runtime and on the discrete-event simulator. Before this
-//! module the two substrates were configured through diverging structs
-//! (`DistConfig` vs `SimConfig`, two partition enums, simulator-only
-//! `work_schedule`) and compared through two report shapes, so every
-//! ablation and test hand-built two configs. A [`Scenario`] declares the
-//! experiment once — problem, decomposition, cluster shape, network,
-//! initial partition, workload (possibly time-varying), overlap mode and
-//! load-balancing schedule — and is *executed* through the [`Substrate`]
-//! abstraction: [`Scenario::run_dist`] on the real runtime, and
-//! `Scenario::run_sim` (provided by `nlheat-sim`) on the simulator. Both
-//! return the same [`RunReport`], with substrate-specific measurements
-//! nested in [`RunExtras`] instead of forked into parallel types.
+//! the real AMT runtime and on the discrete-event simulator. A
+//! [`Scenario`] declares the experiment once — problem, decomposition,
+//! cluster shape, network, initial partition, workload (possibly
+//! time-varying), overlap mode and load-balancing schedule — and is
+//! *executed* through the [`Substrate`] abstraction:
+//! [`Scenario::run_dist`] on the real runtime, and `Scenario::run_sim`
+//! (provided by `nlheat-sim`) on the simulator. Both return the same
+//! [`RunReport`], with substrate-specific measurements nested in
+//! [`RunExtras`] instead of forked into parallel types.
 //!
-//! `DistConfig` and `SimConfig` remain as the low-level per-substrate
-//! execution configs a scenario compiles into (`Scenario::dist_config`,
-//! `SimConfig::from(&scenario)`) — the compatibility layer — but
-//! everything above them (ablations, examples, integration tests, the
-//! scenario [`library`]) describes experiments declaratively.
+//! The simulator executes a `Scenario` directly. The real runtime still
+//! compiles it into its low-level `DistConfig` ([`Scenario::dist_config`])
+//! and reports through `DistReport` before [`RunReport::from_dist`] wraps
+//! it — the one remaining per-substrate pair, kept because code that
+//! drives a hand-built `Cluster` (the repo benchmark's traced run) spells
+//! those calls out.
 //!
 //! Declarative scenario/phase descriptions are what let one harness sweep
 //! many workloads across heterogeneous backends (cf. Lifflander et al.,
@@ -32,7 +30,7 @@ pub mod sweep;
 
 pub use plan::{PlanExtras, PlanSubstrate};
 
-use crate::balance::{EpochTrace, LbSchedule, Move};
+use crate::balance::{EpochConfig, EpochTrace, LbSchedule, Move};
 use crate::dist::{run_distributed, DistConfig, DistReport};
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
@@ -41,6 +39,7 @@ use nlheat_mesh::{Grid, SdGrid, Stencil};
 use nlheat_model::{ErrorAccumulator, ProblemSpec};
 use nlheat_netmodel::NetSpec;
 use nlheat_partition::{part_mesh_dual, strip_partition};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The declared shape of one cluster node: `cores` workers at relative
@@ -705,8 +704,34 @@ impl Scenario {
         }
     }
 
-    /// Compile into the real runtime's low-level execution config (the
-    /// compatibility layer).
+    /// The planning-relevant slice of this scenario, for the
+    /// [`LbEpoch`](crate::balance::LbEpoch) driver of a substrate that
+    /// executes the scenario directly (`sd_graph` is the graph of the halo
+    /// plans that substrate runs).
+    pub fn epoch_config<'a>(
+        &'a self,
+        lb: &'a LbSchedule,
+        sd_graph: Arc<nlheat_partition::SdGraph>,
+    ) -> EpochConfig<'a> {
+        EpochConfig {
+            lb,
+            net: &self.net,
+            cells_per_sd: self.sd_grid().cells_per_sd(),
+            sd_graph,
+            memory_caps: self
+                .cluster
+                .has_memory_caps()
+                .then(|| self.cluster.memory_capacities()),
+            lb_input: self.lb_input,
+            cluster_events: &self.cluster_events,
+            work: &self.work,
+            work_schedule: &self.work_schedule,
+            speeds: self.cluster.speed_factors(),
+            sec_per_dp: self.sec_per_dp(),
+        }
+    }
+
+    /// Compile into the real runtime's low-level execution config.
     pub fn dist_config(&self) -> DistConfig {
         DistConfig {
             spec: self.problem,
@@ -751,8 +776,8 @@ impl Scenario {
 }
 
 /// The workload in effect at `step` under a base model + switch schedule —
-/// shared by [`Scenario`], `DistConfig` and `SimConfig` so the substrates
-/// cannot disagree on what a schedule means.
+/// shared by [`Scenario`], `DistConfig` and the epoch driver so the
+/// substrates cannot disagree on what a schedule means.
 pub fn work_at<'a>(
     base: &'a WorkModel,
     schedule: &'a [(usize, WorkModel)],
@@ -1186,6 +1211,16 @@ mod tests {
 
     #[test]
     fn scenario_defaults_and_builders() {
+        // a bare scenario *is* the paper configuration
+        let paper = Scenario::square(400, 8.0, 25, 5);
+        assert_eq!(paper.net, NetSpec::cluster());
+        assert_eq!(paper.partition, PartitionSpec::Metis { seed: 1 });
+        assert!(paper.overlap);
+        assert_eq!(paper.work, WorkModel::Uniform);
+        assert!(paper.work_schedule.is_empty() && paper.cluster_events.is_empty());
+        assert!(paper.lb.is_none());
+        assert_eq!(paper.lb_input, LbInput::Measured);
+
         let sc = Scenario::square(16, 2.0, 4, 5)
             .on(ClusterSpec::uniform(2, 1))
             .with_net(NetSpec::Instant)

@@ -4,13 +4,13 @@
 //! scale — 10k ranks over a million SDs — where actually timestepping the
 //! mesh (on either substrate) would swamp the measurement and the memory
 //! of a CI box. [`PlanSubstrate`] realizes a [`Scenario`] as exactly one
-//! load-balancing epoch: it derives the deterministic modeled busy times
-//! the [`super::LbInput::Modeled`] parity mode uses, builds the same
-//! [`LbNetwork`] view both real substrates hand their policies (SD graph,
-//! memory capacities, per-SD footprints), runs the configured policy's
-//! `plan` once under a wall clock, and reports the plan itself — through
-//! the same [`RunReport`] shape, so [`super::sweep::ScenarioSweep`] can
-//! sweep plan time over rank counts like any other measurement.
+//! load-balancing epoch — the scenario's first — through the same
+//! [`LbEpoch`] driver both real substrates plan with, under the
+//! deterministic [`super::LbInput::Modeled`] input (there is no run to
+//! measure), and reports the plan itself with the wall time of the
+//! policy's `plan` call — through the same [`RunReport`] shape, so
+//! [`super::sweep::ScenarioSweep`] can sweep plan time over rank counts
+//! like any other measurement.
 //!
 //! `makespan` is the planning wall time in seconds (the quantity the
 //! near-linearity benches regress); `lb_plans`/`epoch_traces` carry the
@@ -18,11 +18,10 @@
 //! against the scenario's memory capacities exactly as it does for full
 //! runs.
 
-use super::{modeled_busy, work_at, RunExtras, RunReport, Scenario, Substrate};
-use crate::balance::{compute_metrics, EpochTrace, LbNetwork};
+use super::{LbInput, RunExtras, RunReport, Scenario, Substrate};
+use crate::balance::{EpochConfig, EpochMeasure, LbEpoch};
 use crate::ownership::Ownership;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What only a plan-only run can measure.
 #[derive(Debug, Clone)]
@@ -52,70 +51,38 @@ impl Substrate for PlanSubstrate {
         let sds = scenario.sd_grid();
         let n_nodes = scenario.cluster.len() as u32;
         let owners = scenario.partition.initial_owners(&sds, n_nodes);
-        // The deterministic modeled planning input (the cross-substrate
-        // parity mode's busy times) at the first balancing step.
-        let busy = modeled_busy(
-            &sds,
-            &owners,
-            n_nodes,
-            work_at(&scenario.work, &scenario.work_schedule, 0),
-            &scenario.cluster.speed_factors(),
-            scenario.sec_per_dp(),
-        );
-        let ownership = Ownership::new(sds, owners.clone(), n_nodes);
-        let metrics = compute_metrics(&ownership.counts(), &busy);
-        let sd_graph = Arc::new(scenario.sd_graph());
-        let mut net = LbNetwork::for_sd_tiles(&scenario.net, sds.cells_per_sd())
-            .with_sd_graph(sd_graph.clone());
-        if scenario.cluster.has_memory_caps() {
-            net = net.with_memory(
-                Arc::new(scenario.cluster.memory_capacities()),
-                Arc::new(sd_graph.footprints()),
-            );
-        }
-        let mut policy = lb.spec.build();
+        let ownership = Ownership::new(sds, owners, n_nodes);
+        // There is nothing to measure without a run, so the planner input
+        // is the deterministic modeled one whatever the scenario declares.
+        let mut epoch = LbEpoch::new(EpochConfig {
+            lb_input: LbInput::Modeled,
+            ..scenario.epoch_config(lb, Arc::new(scenario.sd_graph()))
+        });
 
-        // Everything above is setup either real substrate would amortize
-        // over a whole run; the measured quantity is the planning call.
-        let t0 = Instant::now();
-        let plan = policy.plan(&ownership, &metrics, &net);
-        let plan_seconds = t0.elapsed().as_secs_f64();
-
-        let mut final_owners = owners;
-        for m in &plan.moves {
-            final_owners[m.sd as usize] = m.to;
-        }
-        let realized = !plan.moves.is_empty();
-        let trace =
-            realized.then(|| EpochTrace::record(lb.period, policy.name(), &plan, &ownership, &net));
-        let final_ownership = Ownership::new(sds, final_owners, n_nodes);
+        // The scenario's first epoch; the driver times the planning call
+        // alone (everything around it is setup either real substrate
+        // amortizes over a whole run).
+        let planned = epoch.plan(lb.period - 1, &ownership, EpochMeasure::default());
+        let log = epoch.into_log();
         RunReport {
             substrate: "plan",
-            makespan: plan_seconds,
-            busy,
-            migrations: plan.moves.len(),
-            migration_bytes: trace.as_ref().map_or(0, |t| t.migration_bytes),
-            inter_rack_migration_bytes: trace.as_ref().map_or(0, |t| t.inter_rack_migration_bytes),
+            makespan: planned.plan_seconds,
+            busy: planned.busy,
+            migrations: planned.plan.moves.len(),
+            migration_bytes: log.migration_bytes,
+            inter_rack_migration_bytes: log.inter_rack_migration_bytes,
             ghost_bytes: 0,
             inter_rack_ghost_bytes: 0,
-            lb_history: if realized {
-                vec![final_ownership.counts()]
-            } else {
-                Vec::new()
-            },
-            lb_plans: if realized {
-                vec![plan.moves]
-            } else {
-                Vec::new()
-            },
-            epoch_traces: trace.into_iter().collect(),
-            final_ownership,
+            lb_history: log.history,
+            lb_plans: log.plans,
+            epoch_traces: log.traces,
+            final_ownership: planned.plan.new_ownership,
             field: None,
             error: None,
             memory_bytes: None,
             sd_footprint: None,
             extras: RunExtras::Plan(PlanExtras {
-                plan_seconds,
+                plan_seconds: planned.plan_seconds,
                 n_ranks: n_nodes as usize,
                 n_sds: sds.count(),
             }),

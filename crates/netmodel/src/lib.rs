@@ -27,8 +27,8 @@
 //! * [`TopologyNet`] — per-pair link classes (intra-node / intra-rack /
 //!   inter-rack) with per-sender NIC serialization, for heterogeneous
 //!   clusters built by `ClusterBuilder`.
-//! * [`NetSpec`] — the serializable configuration enum `DistConfig`,
-//!   `SimConfig`, examples and benches all use to select a model
+//! * [`NetSpec`] — the serializable configuration enum `Scenario`,
+//!   `DistConfig`, examples and benches all use to select a model
 //!   uniformly; [`NetSpec::build`] instantiates the trait object.
 
 use std::time::Duration;
@@ -569,7 +569,7 @@ impl NetModel for TopologyNet {
     }
 }
 
-/// Model selection shared by `DistConfig`, `SimConfig`, `ClusterBuilder`,
+/// Model selection shared by `Scenario`, `DistConfig`, `ClusterBuilder`,
 /// examples and benches. Build a live model with [`NetSpec::build`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum NetSpec {

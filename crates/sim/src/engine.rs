@@ -3,141 +3,15 @@
 //! load-balancing epochs.
 
 use crate::cost::CostModel;
-pub use nlheat_core::balance::LbSpec;
-use nlheat_core::balance::{compute_metrics, EpochTrace, LbNetwork, LbPolicy, LbSchedule, Move};
+use nlheat_core::balance::{EpochMeasure, LbEpoch};
 use nlheat_core::ownership::Ownership;
-use nlheat_core::scenario::{
-    active_at, failed_at, modeled_busy, ClusterEvent, LbInput, PartitionSpec,
-};
-use nlheat_core::workload::WorkModel;
+use nlheat_core::scenario::{failed_at, RunExtras, RunReport, Scenario, SimExtras};
 use nlheat_mesh::{build_halo_plan, split_cases, Grid, HaloPlan, PatchSource, SdGrid, Stencil};
-use nlheat_netmodel::{LinkClass, Msg, NetSpec};
+use nlheat_netmodel::{LinkClass, Msg};
 use nlheat_partition::SdGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-// The declared node shape lives with `ClusterSpec` in `nlheat-core`: one
-// source of truth both the virtual cluster and the real localities are
-// built from.
-pub use nlheat_core::scenario::VirtualNode;
-
-/// Full simulation configuration — the low-level execution config of the
-/// discrete-event simulator. Prefer describing experiments with
-/// [`nlheat_core::scenario::Scenario`] (which compiles into this via
-/// `SimConfig::from(&scenario)`); `SimConfig` remains the compatibility
-/// layer for code that drives the engine directly.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Mesh cells per side.
-    pub mesh_n: usize,
-    /// Horizon multiplier (ε = m·h; the paper uses 8).
-    pub eps_mult: f64,
-    /// SD side length in cells.
-    pub sd_size: usize,
-    /// Timesteps to simulate.
-    pub n_steps: usize,
-    /// The virtual cluster.
-    pub nodes: Vec<VirtualNode>,
-    /// Network model (shared with the real fabric via `nlheat-netmodel`).
-    pub net: NetSpec,
-    /// Compute-cost model.
-    pub cost: CostModel,
-    /// Initial distribution (shared with the real runtime).
-    pub partition: PartitionSpec,
-    /// Case-1/case-2 overlap on/off (ablation A2).
-    pub overlap: bool,
-    /// Per-SD work factors.
-    pub work: WorkModel,
-    /// Time-varying workload: `(from_step, model)` switch points, sorted by
-    /// step. At step `s` the last entry with `from_step ≤ s` overrides
-    /// `work` — this models a *propagating* crack (the paper's §9 outlook
-    /// toward nonlocal fracture), where the cheap band migrates through the
-    /// domain and the balancer must keep chasing it. The real runtime
-    /// executes the same schedule.
-    pub work_schedule: Vec<(usize, WorkModel)>,
-    /// Elastic cluster-membership timeline (`(from_step, event)`, sorted
-    /// by step; see [`ClusterEvent`]). Applied exactly like the real
-    /// runtime: events set the planner's active-rank mask and the failure
-    /// mask the ghost counters honour; nodes keep executing the SDs they
-    /// own until a replan evacuates them.
-    pub cluster_events: Vec<(usize, ClusterEvent)>,
-    /// Optional load balancing.
-    pub lb: Option<LbSchedule>,
-    /// What the balancing policies plan from: simulated busy windows (the
-    /// default) or deterministic modeled busy times ([`LbInput::Modeled`],
-    /// the cross-substrate parity mode).
-    pub lb_input: LbInput,
-}
-
-impl SimConfig {
-    /// The workload in effect at `step`.
-    fn work_at(&self, step: usize) -> &WorkModel {
-        nlheat_core::scenario::work_at(&self.work, &self.work_schedule, step)
-    }
-}
-
-impl SimConfig {
-    /// Paper-style configuration over `nodes`.
-    pub fn paper(mesh_n: usize, sd_size: usize, n_steps: usize, nodes: Vec<VirtualNode>) -> Self {
-        let grid = Grid::square(mesh_n, 8.0);
-        let stencil = Stencil::build(grid.h, grid.eps);
-        SimConfig {
-            mesh_n,
-            eps_mult: 8.0,
-            sd_size,
-            n_steps,
-            nodes,
-            net: NetSpec::cluster(),
-            cost: CostModel::calibrated(stencil.len()),
-            partition: PartitionSpec::Metis { seed: 1 },
-            overlap: true,
-            work: WorkModel::Uniform,
-            work_schedule: Vec::new(),
-            cluster_events: Vec::new(),
-            lb: None,
-            lb_input: LbInput::Measured,
-        }
-    }
-}
-
-/// Simulation outcome.
-#[derive(Debug, Clone)]
-pub struct SimRun {
-    /// Virtual seconds from step 0 to the last node finishing.
-    pub total_time: f64,
-    /// Per-node total busy seconds.
-    pub busy: Vec<f64>,
-    /// Per-node busy fraction: busy / (cores · total_time).
-    pub busy_fraction: Vec<f64>,
-    /// Bytes crossing node boundaries.
-    pub cross_bytes: u64,
-    /// Messages crossing node boundaries.
-    pub messages: u64,
-    /// SD counts per node after each LB epoch.
-    pub lb_history: Vec<Vec<usize>>,
-    /// Total SDs migrated.
-    pub migrations: usize,
-    /// Total migration payload bytes (a subset of `cross_bytes`).
-    pub migration_bytes: u64,
-    /// Migration payload bytes that crossed a rack boundary (per the
-    /// configured [`NetSpec`]'s link classes; 0 for rack-less models).
-    pub inter_rack_migration_bytes: u64,
-    /// Ghost-exchange payload bytes between nodes over the whole run
-    /// (`cross_bytes` minus the migration traffic).
-    pub ghost_bytes: u64,
-    /// Ghost-exchange bytes that crossed a rack boundary — the recurring
-    /// traffic μ-weighted (ghost-aware) balancing exists to shrink.
-    pub inter_rack_ghost_bytes: u64,
-    /// One [`EpochTrace`] per realized balancing epoch: plan size,
-    /// migration bytes, and the ghost-traffic cut before/after.
-    pub epoch_traces: Vec<EpochTrace>,
-    /// The realized migration plan of each epoch, in epoch order (empty
-    /// plans are skipped, matching `lb_history`).
-    pub lb_plans: Vec<Vec<Move>>,
-    /// Final ownership.
-    pub final_ownership: Ownership,
-}
 
 struct Geometry {
     sds: SdGrid,
@@ -149,9 +23,7 @@ struct Geometry {
 }
 
 impl Geometry {
-    fn build(cfg: &SimConfig) -> Self {
-        let grid = Grid::square(cfg.mesh_n, cfg.eps_mult);
-        let sds = SdGrid::tile_mesh(cfg.mesh_n, cfg.mesh_n, cfg.sd_size);
+    fn build(sds: SdGrid, grid: &Grid) -> Self {
         let plans: Vec<HaloPlan> = sds
             .ids()
             .map(|id| build_halo_plan(&sds, grid.halo, id))
@@ -191,7 +63,6 @@ struct GhostSend {
 /// case splits) every step; ownership only changes at realized balancing
 /// epochs, so the view is computed once and swapped on migration.
 struct OwnershipView {
-    owners: Vec<u32>,
     /// Per-node owned SDs, ascending id (the order `owned_by` yields).
     owned: Vec<Vec<u32>>,
     /// Cross-node ghost sends in arrival-call order.
@@ -209,7 +80,7 @@ impl OwnershipView {
         nn: usize,
         comm: &nlheat_netmodel::CommCost,
     ) -> Self {
-        let owners = ownership.owners().to_vec();
+        let owners = ownership.owners();
         let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nn];
         let mut sends = Vec::new();
         let mut local_copy_cells = vec![0i64; nn];
@@ -242,7 +113,6 @@ impl OwnershipView {
             splits.push((split.case1_area(), split.case2_area()));
         }
         OwnershipView {
-            owners,
             owned,
             sends,
             local_copy_cells,
@@ -321,71 +191,57 @@ impl Ord for Ordered {
     }
 }
 
-/// Run the simulation.
-pub fn simulate(cfg: &SimConfig) -> SimRun {
-    let geo = Geometry::build(cfg);
-    let n_nodes = cfg.nodes.len() as u32;
-    // Reject unpriceable work models at configuration time, mirroring the
-    // real runtime's up-front validation.
-    cfg.work.validate(&geo.sds);
-    for (_, model) in &cfg.work_schedule {
-        model.validate(&geo.sds);
-    }
-    let owners0 = cfg.partition.initial_owners(&geo.sds, n_nodes);
-    let mut ownership = Ownership::new(geo.sds, owners0, n_nodes);
+/// Run `sc` on the discrete-event simulator.
+///
+/// The cost model is calibrated from the scenario's own stencil, so the
+/// modeled planning inputs ([`nlheat_core::scenario::modeled_busy`]) use
+/// exactly the per-DP seconds the event loop charges.
+///
+/// # Panics
+/// Panics on an invalid scenario — see [`Scenario::validate`].
+pub fn simulate(sc: &Scenario) -> RunReport {
+    sc.validate();
+    let grid = Grid::square(sc.problem.n, sc.problem.eps_mult);
+    let cost = CostModel::calibrated(Stencil::build(grid.h, grid.eps).len());
+    let geo = Geometry::build(sc.sd_grid(), &grid);
+    let nodes = &sc.cluster.nodes;
+    let nn = nodes.len();
+    let owners0 = sc.partition.initial_owners(&geo.sds, nn as u32);
+    let mut ownership = Ownership::new(geo.sds, owners0, nn as u32);
 
-    let nn = cfg.nodes.len();
     let mut node_time = vec![0.0f64; nn];
     let mut busy_total = vec![0.0f64; nn];
     let mut busy_window = vec![0.0f64; nn]; // since last LB counter reset
-    let mut net = cfg.net.build(nn);
+    let mut net = sc.net.build(nn);
     let mut cross_bytes = 0u64;
     let mut messages = 0u64;
-    let mut lb_history: Vec<Vec<usize>> = Vec::new();
-    let mut migrations = 0usize;
-    let mut migration_bytes = 0u64;
-    let mut inter_rack_migration_bytes = 0u64;
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
-    let mut epoch_traces: Vec<EpochTrace> = Vec::new();
-    let mut lb_plans: Vec<Vec<Move>> = Vec::new();
     // Worst ghost-arrival delay per node per step, accumulated per
     // balancing window — the adaptive-μ feedback signal (virtual-time
     // analogue of the real driver's wall-clock measurement).
     let mut ghost_wait_window = vec![0.0f64; nn];
-    let speeds: Vec<f64> = cfg.nodes.iter().map(|n| n.speed).collect();
-    // Planner-facing cost estimate of the same network the event loop
-    // simulates — the simulator mirrors `core::dist`'s wiring exactly:
-    // one policy instance lives across epochs (stateful policies learn
-    // from the simulated migration stalls), and the SD adjacency /
+    // One epoch driver lives across the run (stateful policies learn from
+    // the simulated migration stalls), and the SD adjacency /
     // halo-volume graph it prices μ against is built from the very halo
     // plans whose messages the loop below charges.
-    let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
-    let mut lb_net =
-        LbNetwork::for_sd_tiles(&cfg.net, geo.sds.cells_per_sd()).with_sd_graph(sd_graph.clone());
-    if cfg.nodes.iter().any(|n| n.memory_bytes.is_some()) {
-        let caps: Vec<u64> = cfg
-            .nodes
-            .iter()
-            .map(|n| n.memory_bytes.unwrap_or(u64::MAX))
-            .collect();
-        lb_net = lb_net.with_memory(Arc::new(caps), Arc::new(sd_graph.footprints()));
-    }
-    let sd_tile_bytes = lb_net.sd_bytes.clone();
+    let mut lb_epoch = sc.lb.as_ref().map(|lb| {
+        let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
+        LbEpoch::new(sc.epoch_config(lb, sd_graph))
+    });
     // Link classes for the virtual-time ghost accounting: the very
     // CommCost the planner prices moves with, so counter and μ term can
     // never disagree on what crosses a rack.
-    let comm = lb_net.comm;
-    let mut policy: Option<Box<dyn LbPolicy>> = cfg.lb.as_ref().map(|lb| {
-        lb.validate();
-        lb.spec.build()
-    });
+    let comm = sc.net.comm_cost();
+    // The previous epoch's migration stall, fed to the policy with the
+    // next epoch's measurement.
+    let mut prev_stall_frac: Option<f64> = None;
     let mut last_barrier = 0.0f64;
-    let max_cores = cfg.nodes.iter().map(|n| n.cores).max().unwrap_or(1);
+    let max_cores = nodes.iter().map(|n| n.cores).max().unwrap_or(1);
     let mut scratch = StepScratch::new(geo.sds.count(), max_cores);
     let mut view = OwnershipView::build(&geo, &ownership, nn, &comm);
 
-    for step in 0..cfg.n_steps {
+    for step in 0..sc.steps {
         // --- ghost messages: (dst node, dst sd) -> arrival time ---
         // replay the precomputed send list (destination SDs in id order,
         // the order sender NICs serialize in).
@@ -398,10 +254,10 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         // planner-grade counters — mirroring the real runtime, and
         // keeping `cross_bytes == ghost_bytes + migration_bytes` intact.
         let failed_now =
-            (!cfg.cluster_events.is_empty()).then(|| failed_at(nn, &cfg.cluster_events, step));
+            (!sc.cluster_events.is_empty()).then(|| failed_at(nn, &sc.cluster_events, step));
         for s in &view.sends {
             // pack cost delays the send readiness a little
-            let ready = node_time[s.src as usize] + cfg.cost.copy_sec_per_cell * s.area as f64;
+            let ready = node_time[s.src as usize] + cost.copy_sec_per_cell * s.area as f64;
             let arr = net.arrival(
                 ready,
                 &Msg {
@@ -425,14 +281,14 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         }
 
         // --- per-node task graphs and scheduling ---
-        let work = cfg.work_at(step);
+        let work = sc.work_at(step);
         for node in 0..nn {
-            let spec = cfg.nodes[node];
+            let spec = nodes[node];
             let owned = &view.owned[node];
             // serial driver phase: local halo copies + task spawns
             let n_tasks_approx = owned.len().max(1);
-            let serial = cfg.cost.copy_sec_per_cell * view.local_copy_cells[node] as f64
-                + cfg.cost.spawn_sec * n_tasks_approx as f64;
+            let serial = cost.copy_sec_per_cell * view.local_copy_cells[node] as f64
+                + cost.spawn_sec * n_tasks_approx as f64;
             let t0 = node_time[node] + serial;
 
             scratch.tasks.clear();
@@ -444,27 +300,26 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
                 let ghosts_in = if arrived.is_empty() {
                     t0
                 } else {
-                    let unpack = cfg.cost.copy_sec_per_cell * geo.ghost_cells[sd as usize];
+                    let unpack = cost.copy_sec_per_cell * geo.ghost_cells[sd as usize];
                     let ready = arrived.iter().fold(t0, |m, &a| m.max(a)) + unpack;
                     step_ghost_delay = step_ghost_delay.max(ready - t0);
                     ready
                 };
-                if cfg.overlap {
+                if sc.overlap {
                     if case2_area > 0 {
                         scratch
                             .tasks
-                            .push((t0, cfg.cost.task_sec(case2_area, factor, spec.speed)));
+                            .push((t0, cost.task_sec(case2_area, factor, spec.speed)));
                     }
                     if case1_area > 0 {
                         scratch
                             .tasks
-                            .push((ghosts_in, cfg.cost.task_sec(case1_area, factor, spec.speed)));
+                            .push((ghosts_in, cost.task_sec(case1_area, factor, spec.speed)));
                     }
                 } else {
                     scratch.tasks.push((
                         ghosts_in,
-                        cfg.cost
-                            .task_sec(geo.sds.cells_per_sd() as i64, factor, spec.speed),
+                        cost.task_sec(geo.sds.cells_per_sd() as i64, factor, spec.speed),
                     ));
                 }
             }
@@ -477,59 +332,26 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
         }
 
         // --- load-balancing epoch (the configured LbSpec policy) ---
-        let do_lb = cfg
-            .lb
-            .as_ref()
-            .is_some_and(|lb| (step + 1) % lb.period == 0 && step + 1 < cfg.n_steps);
-        if do_lb {
+        if let Some(lb_epoch) = lb_epoch.as_mut().filter(|e| e.due(step, sc.steps)) {
             // collective: everyone synchronizes for the gather/plan
-            let barrier = node_time.iter().cloned().fold(0.0, f64::max) + cfg.cost.lb_plan_sec;
+            let barrier = node_time.iter().cloned().fold(0.0, f64::max) + cost.lb_plan_sec;
             for t in node_time.iter_mut() {
                 *t = barrier;
             }
             let window = (barrier - last_barrier).max(1e-12);
-            let policy = policy.as_mut().expect("lb configured");
-            if cfg.lb_input == LbInput::Measured {
-                // Pre-plan feedback: this window's worst ghost stall, so
-                // an adaptive-μ decorator steers *this* epoch's plan
-                // (modeled planning disables runtime feedback).
-                let worst_ghost = ghost_wait_window.iter().cloned().fold(0.0, f64::max);
-                policy.observe_ghost_stall(worst_ghost / window);
-            }
-            let busy_vec: Vec<f64> = match cfg.lb_input {
-                LbInput::Measured => busy_window.iter().map(|&b| b.max(1e-12)).collect(),
-                // Deterministic planner input derived from the declared
-                // work model — byte-identical to what the real runtime
-                // computes for the same scenario.
-                LbInput::Modeled => modeled_busy(
-                    &geo.sds,
-                    &view.owners,
-                    n_nodes,
-                    cfg.work_at(step),
-                    &speeds,
-                    cfg.cost.sec_per_dp,
-                ),
+            let worst_ghost = ghost_wait_window.iter().cloned().fold(0.0, f64::max);
+            let measure = EpochMeasure {
+                busy: busy_window.clone(),
+                ghost_stall_frac: worst_ghost / window,
+                prev_migration_stall_frac: prev_stall_frac,
             };
-            // Under an elastic timeline the planner sees the membership
-            // mask in effect at this epoch (shared `active_at`, so both
-            // substrates see the same mask for the same scenario).
-            if !cfg.cluster_events.is_empty() {
-                lb_net.active = Some(Arc::new(active_at(nn, &cfg.cluster_events, step + 1)));
-            }
-            let metrics = compute_metrics(&ownership.counts(), &busy_vec);
-            let plan = policy.plan(&ownership, &metrics, &lb_net);
-            // An empty plan pays the planning barrier but emits no
-            // metrics: idle epochs must not skew migration accounting or
-            // record no-op history entries.
+            let plan = lb_epoch.plan(step, &ownership, measure).plan;
+            // An empty plan pays the planning barrier and nothing else.
             if !plan.moves.is_empty() {
-                epoch_traces.push(
-                    EpochTrace::record(step + 1, policy.name(), &plan, &ownership, &lb_net)
-                        .with_drift(policy.drift_info()),
-                );
                 // migration costs: tile payloads over the network
                 net.reset(barrier);
                 for mv in &plan.moves {
-                    let bytes = sd_tile_bytes.get(mv.sd);
+                    let bytes = lb_epoch.net().sd_bytes.get(mv.sd);
                     let arr = net.arrival(
                         node_time[mv.from as usize],
                         &Msg {
@@ -543,71 +365,84 @@ pub fn simulate(cfg: &SimConfig) -> SimRun {
                     cross_bytes += bytes;
                     messages += 1;
                 }
-                migrations += plan.moves.len();
-                migration_bytes += plan.comm.total_bytes;
-                inter_rack_migration_bytes += plan.comm.inter_rack_bytes();
-                // take ownership of the plan instead of cloning the full
-                // owner map and move list out of it
                 ownership = plan.new_ownership;
-                lb_plans.push(plan.moves);
-                lb_history.push(ownership.counts());
                 view = OwnershipView::build(&geo, &ownership, nn, &comm);
             }
-            // Feedback for adaptive policies: how much of the balancing
-            // window the epoch's migrations stalled the cluster.
-            if cfg.lb_input == LbInput::Measured {
-                let after = node_time.iter().cloned().fold(0.0, f64::max);
-                policy.observe_stall((after - barrier) / window);
-            }
+            // How much of the balancing window the epoch's migrations
+            // stalled the cluster.
+            let after = node_time.iter().cloned().fold(0.0, f64::max);
+            prev_stall_frac = Some((after - barrier) / window);
             last_barrier = barrier;
             // Algorithm 1 line 35: reset the busy and ghost-stall windows
-            for b in busy_window.iter_mut() {
-                *b = 0.0;
-            }
-            for g in ghost_wait_window.iter_mut() {
-                *g = 0.0;
-            }
+            busy_window.fill(0.0);
+            ghost_wait_window.fill(0.0);
         }
     }
 
-    let total_time = node_time.iter().cloned().fold(0.0, f64::max);
+    let makespan = node_time.iter().cloned().fold(0.0, f64::max);
     let busy_fraction = busy_total
         .iter()
-        .zip(&cfg.nodes)
+        .zip(nodes)
         .map(|(&b, n)| {
-            if total_time > 0.0 {
-                b / (n.cores as f64 * total_time)
+            if makespan > 0.0 {
+                b / (n.cores as f64 * makespan)
             } else {
                 0.0
             }
         })
         .collect();
-    SimRun {
-        total_time,
+    let log = lb_epoch.map(LbEpoch::into_log).unwrap_or_default();
+    RunReport {
+        substrate: "sim",
+        makespan,
         busy: busy_total,
-        busy_fraction,
-        cross_bytes,
-        messages,
-        lb_history,
-        migrations,
-        migration_bytes,
-        inter_rack_migration_bytes,
+        migrations: log.plans.iter().map(Vec::len).sum(),
+        migration_bytes: log.migration_bytes,
+        inter_rack_migration_bytes: log.inter_rack_migration_bytes,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        epoch_traces,
-        lb_plans,
+        lb_history: log.history,
+        lb_plans: log.plans,
+        epoch_traces: log.traces,
         final_ownership: ownership,
+        field: None,
+        error: None,
+        memory_bytes: None,
+        sd_footprint: None,
+        extras: RunExtras::Sim(SimExtras {
+            busy_fraction,
+            cross_bytes,
+            messages,
+        }),
     }
+    .with_scenario_memory(sc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlheat_core::balance::{LbSchedule, LbSpec};
+    use nlheat_core::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec};
+    use nlheat_core::workload::WorkModel;
+    use nlheat_netmodel::NetSpec;
 
-    fn shared_cfg(n_sds_side: usize, cores: usize) -> SimConfig {
+    /// The paper problem (ε = 8h) on `cluster`.
+    fn paper(mesh_n: usize, sd_size: usize, n_steps: usize, cluster: ClusterSpec) -> Scenario {
+        Scenario::square(mesh_n, 8.0, sd_size, n_steps).on(cluster)
+    }
+
+    fn shared_cfg(n_sds_side: usize, cores: usize) -> Scenario {
         // 400x400 paper mesh decomposed into n x n SDs, one node.
-        let sd = 400 / n_sds_side;
-        SimConfig::paper(400, sd, 5, vec![VirtualNode::with_cores(cores)])
+        paper(400, 400 / n_sds_side, 5, ClusterSpec::uniform(1, cores))
+    }
+
+    /// Four single-core nodes, the first twice as fast.
+    fn het4() -> ClusterSpec {
+        ClusterSpec::speeds(&[2.0, 1.0, 1.0, 1.0])
+    }
+
+    fn cross_bytes(run: &RunReport) -> u64 {
+        run.sim_extras().expect("sim extras").cross_bytes
     }
 
     #[test]
@@ -615,23 +450,23 @@ mod tests {
         let cfg = shared_cfg(4, 2);
         let a = simulate(&cfg);
         let b = simulate(&cfg);
-        assert_eq!(a.total_time, b.total_time);
+        assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.busy, b.busy);
     }
 
     #[test]
     fn single_sd_cannot_use_extra_cores() {
         // Fig. 9's 1-SD data point: speedup stays 1.
-        let t1 = simulate(&shared_cfg(1, 1)).total_time;
-        let t4 = simulate(&shared_cfg(1, 4)).total_time;
+        let t1 = simulate(&shared_cfg(1, 1)).makespan;
+        let t4 = simulate(&shared_cfg(1, 4)).makespan;
         assert!((t1 / t4) < 1.05, "one task cannot speed up: {}", t1 / t4);
     }
 
     #[test]
     fn many_sds_scale_with_cores() {
         // Fig. 9's 64-SD point: 4 cores approach 4x.
-        let t1 = simulate(&shared_cfg(8, 1)).total_time;
-        let t4 = simulate(&shared_cfg(8, 4)).total_time;
+        let t1 = simulate(&shared_cfg(8, 1)).makespan;
+        let t4 = simulate(&shared_cfg(8, 4)).makespan;
         let speedup = t1 / t4;
         assert!(
             (3.0..=4.2).contains(&speedup),
@@ -642,16 +477,9 @@ mod tests {
     #[test]
     fn distributed_nodes_scale() {
         // Fig. 13 shape: 1 vs 4 single-core nodes on a fixed mesh.
-        let mk = |n: usize| {
-            SimConfig::paper(
-                400,
-                50,
-                5,
-                (0..n).map(|_| VirtualNode::with_cores(1)).collect(),
-            )
-        };
-        let t1 = simulate(&mk(1)).total_time;
-        let t4 = simulate(&mk(4)).total_time;
+        let mk = |n: usize| paper(400, 50, 5, ClusterSpec::uniform(n, 1));
+        let t1 = simulate(&mk(1)).makespan;
+        let t4 = simulate(&mk(4)).makespan;
         let speedup = t1 / t4;
         assert!((3.0..=4.2).contains(&speedup), "4-node speedup {speedup}");
     }
@@ -659,33 +487,21 @@ mod tests {
     #[test]
     fn communication_counted_only_across_nodes() {
         let single = simulate(&shared_cfg(8, 4));
-        assert_eq!(single.cross_bytes, 0, "one node never crosses");
-        let mk = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
-        let two = simulate(&mk);
-        assert!(two.cross_bytes > 0);
-        assert!(two.messages > 0);
+        assert_eq!(cross_bytes(&single), 0, "one node never crosses");
+        let two = simulate(&paper(400, 50, 5, ClusterSpec::uniform(2, 1)));
+        assert!(cross_bytes(&two) > 0);
+        assert!(two.sim_extras().unwrap().messages > 0);
     }
 
     #[test]
     fn metis_beats_strip_on_cross_traffic() {
         // Ablation A1 at test scale: block-ish multilevel partitions move
         // fewer ghost bytes than strips for 4 nodes.
-        let mut metis = SimConfig::paper(
-            400,
-            25,
-            3,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
-        metis.partition = PartitionSpec::Metis { seed: 1 };
-        let mut strip = metis.clone();
-        strip.partition = PartitionSpec::Strip;
-        let mb = simulate(&metis).cross_bytes;
-        let sb = simulate(&strip).cross_bytes;
+        let metis = paper(400, 25, 3, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Metis { seed: 1 });
+        let strip = metis.clone().with_partition(PartitionSpec::Strip);
+        let mb = cross_bytes(&simulate(&metis));
+        let sb = cross_bytes(&simulate(&strip));
         assert!(mb < sb, "metis {mb} bytes should undercut strip {sb} bytes");
     }
 
@@ -694,17 +510,10 @@ mod tests {
         // Every SD borders foreign territory (4 SDs per node, quadrants)
         // and the latency is comparable to one SD's compute time, so the
         // case-2 work is exactly what hides the wait.
-        let mut cfg = SimConfig::paper(
-            200,
-            50,
-            5,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
-        cfg.net = NetSpec::shared(5e-3, 1e9);
-        cfg.overlap = true;
-        let with = simulate(&cfg).total_time;
-        cfg.overlap = false;
-        let without = simulate(&cfg).total_time;
+        let cfg =
+            paper(200, 50, 5, ClusterSpec::uniform(4, 1)).with_net(NetSpec::shared(5e-3, 1e9));
+        let with = simulate(&cfg.clone().with_overlap(true)).makespan;
+        let without = simulate(&cfg.with_overlap(false)).makespan;
         assert!(
             with < without * 0.95,
             "overlap {with} must clearly beat no-overlap {without} on a slow net"
@@ -713,35 +522,7 @@ mod tests {
 
     #[test]
     fn lb_balances_heterogeneous_nodes() {
-        let mut cfg = SimConfig::paper(
-            400,
-            25,
-            24,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        cfg.lb = Some(LbSchedule::every(4));
-        let run = simulate(&cfg);
+        let run = simulate(&paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4)));
         assert!(run.migrations > 0);
         let counts = run.final_ownership.counts();
         // fast node should end up with roughly 2/5 of 256 SDs ≈ 102
@@ -755,33 +536,9 @@ mod tests {
 
     #[test]
     fn lb_reduces_makespan_under_heterogeneity() {
-        let nodes = vec![
-            VirtualNode {
-                cores: 1,
-                speed: 2.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-            VirtualNode {
-                cores: 1,
-                speed: 1.0,
-                memory_bytes: None,
-            },
-        ];
-        let mut base = SimConfig::paper(400, 25, 24, nodes);
-        base.lb = None;
-        let without = simulate(&base).total_time;
-        base.lb = Some(LbSchedule::every(4));
-        let with = simulate(&base).total_time;
+        let base = paper(400, 25, 24, het4());
+        let without = simulate(&base).makespan;
+        let with = simulate(&base.with_lb(LbSchedule::every(4))).makespan;
         assert!(
             with < without,
             "LB {with} must beat no-LB {without} on a 2x-fast node"
@@ -802,9 +559,7 @@ mod tests {
         // One node: every plan is a no-op. The balancer must not record
         // history entries or migration traffic for idle epochs (it still
         // pays the planning barrier).
-        let mut cfg = shared_cfg(4, 2);
-        cfg.lb = Some(LbSchedule::every(2));
-        let run = simulate(&cfg);
+        let run = simulate(&shared_cfg(4, 2).with_lb(LbSchedule::every(2)));
         assert_eq!(run.migrations, 0);
         assert_eq!(run.migration_bytes, 0);
         assert!(
@@ -823,81 +578,27 @@ mod tests {
     fn ghost_bytes_split_out_of_cross_traffic() {
         // Two uniform nodes, no LB: all cross traffic is ghost traffic
         // and a rack-less model never crosses racks.
-        let cfg = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
+        let cfg = paper(400, 50, 5, ClusterSpec::uniform(2, 1));
         let run = simulate(&cfg);
         assert!(run.ghost_bytes > 0);
-        assert_eq!(run.ghost_bytes, run.cross_bytes);
+        assert_eq!(run.ghost_bytes, cross_bytes(&run));
         assert_eq!(run.inter_rack_ghost_bytes, 0, "uniform model has no racks");
         // 2 racks x 1 node: every cross message is inter-rack
-        let mut racked = SimConfig::paper(
-            400,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-        );
-        racked.net = NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(1));
+        let racked = cfg.with_net(NetSpec::Topology(nlheat_netmodel::TopologySpec::two_tier(
+            1,
+        )));
         let rr = simulate(&racked);
         assert_eq!(rr.inter_rack_ghost_bytes, rr.ghost_bytes);
         // and with LB on, migration bytes stay separate from ghost bytes
-        let mut lb = SimConfig::paper(
-            400,
-            25,
-            12,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        lb.lb = Some(LbSchedule::every(4));
+        let lb = paper(400, 25, 12, ClusterSpec::speeds(&[2.0, 1.0])).with_lb(LbSchedule::every(4));
         let lr = simulate(&lb);
         assert!(lr.migrations > 0);
-        assert_eq!(lr.cross_bytes, lr.ghost_bytes + lr.migration_bytes);
+        assert_eq!(cross_bytes(&lr), lr.ghost_bytes + lr.migration_bytes);
     }
 
     #[test]
     fn epoch_traces_record_the_cut_from_the_sim_graph() {
-        let mut cfg = SimConfig::paper(
-            400,
-            25,
-            24,
-            vec![
-                VirtualNode {
-                    cores: 1,
-                    speed: 2.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-                VirtualNode {
-                    cores: 1,
-                    speed: 1.0,
-                    memory_bytes: None,
-                },
-            ],
-        );
-        cfg.lb = Some(LbSchedule::every(4));
-        let run = simulate(&cfg);
+        let run = simulate(&paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4)));
         assert!(run.migrations > 0);
         assert_eq!(run.epoch_traces.len(), run.lb_history.len());
         let moves: usize = run.epoch_traces.iter().map(|t| t.moves).sum();
@@ -917,27 +618,25 @@ mod tests {
         // grow. The shaped plan must leave strictly less recurring
         // inter-rack ghost traffic (the recorded cut and the counted
         // virtual-time bytes both say so) at unchanged makespan.
-        let nodes: Vec<VirtualNode> = (0..4).map(|_| VirtualNode::with_cores(1)).collect();
         let sds = SdGrid::tile_mesh(400, 400, 25);
         let mut owners = vec![0u32; 256];
         owners[sds.id(15, 0) as usize] = 1;
         owners[sds.id(0, 15) as usize] = 2;
         owners[sds.id(15, 15) as usize] = 3;
-        let mut cfg = SimConfig::paper(400, 25, 24, nodes);
-        cfg.partition = PartitionSpec::Explicit(owners);
-        cfg.net = NetSpec::Topology(nlheat_netmodel::TopologySpec {
-            ranks_per_node: 1,
-            nodes_per_rack: 2,
-            intra_node: nlheat_netmodel::LinkSpec::new(1e-7, 5e9),
-            intra_rack: nlheat_netmodel::LinkSpec::new(1e-4, 1e8),
-            inter_rack: nlheat_netmodel::LinkSpec::new(4e-4, 2.5e7),
-        });
-        cfg.lb = Some(LbSchedule::every(4).with_spec(LbSpec::tree(0.0)));
-        let blind = simulate(&cfg);
-        cfg.lb = Some(LbSchedule::every(4).with_spec(LbSpec::tree(0.0).with_mu(0.25)));
-        let aware = simulate(&cfg);
+        let cfg = paper(400, 25, 24, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Explicit(owners))
+            .with_net(NetSpec::Topology(nlheat_netmodel::TopologySpec {
+                ranks_per_node: 1,
+                nodes_per_rack: 2,
+                intra_node: nlheat_netmodel::LinkSpec::new(1e-7, 5e9),
+                intra_rack: nlheat_netmodel::LinkSpec::new(1e-4, 1e8),
+                inter_rack: nlheat_netmodel::LinkSpec::new(4e-4, 2.5e7),
+            }));
+        let with_tree = |spec: LbSpec| cfg.clone().with_lb(LbSchedule::every(4).with_spec(spec));
+        let blind = simulate(&with_tree(LbSpec::tree(0.0)));
+        let aware = simulate(&with_tree(LbSpec::tree(0.0).with_mu(0.25)));
         assert!(blind.migrations > 0 && aware.migrations > 0);
-        let last_cut = |run: &SimRun| {
+        let last_cut = |run: &RunReport| {
             run.epoch_traces
                 .last()
                 .unwrap()
@@ -956,10 +655,10 @@ mod tests {
             blind.inter_rack_ghost_bytes
         );
         assert!(
-            aware.total_time <= blind.total_time * 1.05,
+            aware.makespan <= blind.makespan * 1.05,
             "makespan must stay within noise: {} vs {}",
-            aware.total_time,
-            blind.total_time
+            aware.makespan,
+            blind.makespan
         );
     }
 
@@ -973,34 +672,8 @@ mod tests {
             LbSpec::greedy_steal(1),
             LbSpec::adaptive(LbSpec::tree(0.0), 0.2),
         ] {
-            let mut cfg = SimConfig::paper(
-                400,
-                25,
-                24,
-                vec![
-                    VirtualNode {
-                        cores: 1,
-                        speed: 2.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                    VirtualNode {
-                        cores: 1,
-                        speed: 1.0,
-                        memory_bytes: None,
-                    },
-                ],
-            );
-            cfg.lb = Some(LbSchedule::every(4).with_spec(spec.clone()));
+            let cfg =
+                paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4).with_spec(spec.clone()));
             let run = simulate(&cfg);
             assert!(run.migrations > 0, "{} must migrate", spec.name());
             let counts = run.final_ownership.counts();
@@ -1026,18 +699,13 @@ mod tests {
     fn join_event_spreads_load_onto_the_new_rank() {
         // Rank 2 is declared but only joins at step 3; its first replan
         // after the join must spread SDs onto it.
-        let mut cfg = SimConfig::paper(
-            400,
-            50,
-            12,
-            (0..3).map(|_| VirtualNode::with_cores(1)).collect(),
-        );
         let sds = SdGrid::tile_mesh(400, 400, 50);
         let owners: Vec<u32> = (0..sds.count()).map(|sd| (sd % 2) as u32).collect();
-        cfg.partition = PartitionSpec::Explicit(owners);
-        cfg.lb = Some(repart_lb(2));
-        cfg.cluster_events = vec![(3, ClusterEvent::Join { rank: 2 })];
-        cfg.lb_input = LbInput::Modeled;
+        let cfg = paper(400, 50, 12, ClusterSpec::uniform(3, 1))
+            .with_partition(PartitionSpec::Explicit(owners))
+            .with_lb(repart_lb(2))
+            .with_cluster_events(vec![(3, ClusterEvent::Join { rank: 2 })])
+            .with_lb_input(LbInput::Modeled);
         let run = simulate(&cfg);
         let counts = run.final_ownership.counts();
         assert!(counts[2] > 0, "joined rank must receive work: {counts:?}");
@@ -1056,16 +724,12 @@ mod tests {
         // while the sim's cross-traffic partition invariant holds on
         // both.
         let mk = |ev: ClusterEvent| {
-            let mut cfg = SimConfig::paper(
-                400,
-                50,
-                10,
-                vec![VirtualNode::with_cores(1), VirtualNode::with_cores(1)],
-            );
-            cfg.lb = Some(repart_lb(2));
-            cfg.cluster_events = vec![(3, ev)];
-            cfg.lb_input = LbInput::Modeled;
-            simulate(&cfg)
+            simulate(
+                &paper(400, 50, 10, ClusterSpec::uniform(2, 1))
+                    .with_lb(repart_lb(2))
+                    .with_cluster_events(vec![(3, ev)])
+                    .with_lb_input(LbInput::Modeled),
+            )
         };
         let fail = mk(ClusterEvent::Fail { rank: 1 });
         let drain = mk(ClusterEvent::Drain { rank: 1 });
@@ -1080,7 +744,7 @@ mod tests {
         );
         for run in [&fail, &drain] {
             assert_eq!(
-                run.cross_bytes,
+                cross_bytes(run),
                 run.ghost_bytes + run.migration_bytes,
                 "the cross-traffic partition must survive the event"
             );
@@ -1089,17 +753,11 @@ mod tests {
 
     #[test]
     fn work_schedule_switches_models() {
-        let mut cfg = SimConfig::paper(100, 25, 4, vec![VirtualNode::with_cores(1)]);
-        cfg.work = WorkModel::Uniform;
-        cfg.work_schedule = vec![(2, WorkModel::PerSd(vec![0.5; 16]))];
-        assert_eq!(cfg.work_at(0), &WorkModel::Uniform);
-        assert_eq!(cfg.work_at(1), &WorkModel::Uniform);
-        assert_eq!(cfg.work_at(2), &WorkModel::PerSd(vec![0.5; 16]));
-        assert_eq!(cfg.work_at(3), &WorkModel::PerSd(vec![0.5; 16]));
+        let cfg = paper(100, 25, 4, ClusterSpec::uniform(1, 1))
+            .with_work_schedule(vec![(2, WorkModel::PerSd(vec![0.5; 16]))]);
         // half-work from step 2 must shorten the run vs uniform
-        let scheduled = simulate(&cfg).total_time;
-        cfg.work_schedule.clear();
-        let uniform = simulate(&cfg).total_time;
+        let scheduled = simulate(&cfg).makespan;
+        let uniform = simulate(&cfg.with_work_schedule(Vec::new())).makespan;
         assert!(scheduled < uniform);
     }
 
@@ -1107,17 +765,14 @@ mod tests {
     fn moving_crack_keeps_lb_busy() {
         // A crack band marching upward; with LB the balancer re-migrates
         // as the cheap region moves, beating the static assignment.
-        let nodes: Vec<VirtualNode> = (0..4).map(|_| VirtualNode::with_cores(1)).collect();
-        let mut cfg = SimConfig::paper(400, 25, 32, nodes);
-        cfg.partition = PartitionSpec::Strip;
-        // one jump at mid-run: the dwell time (16 steps) must exceed the
+        // One jump at mid-run: the dwell time (16 steps) must exceed the
         // balancer's adaptation time (period + one stale window) for LB to
         // amortize the migrations — faster cracks are a genuinely
         // adversarial regime, reported by ablation A5b.
         // Bands straddle strip boundaries: eq. 8 estimates power per
         // node, so a band hiding entirely inside one node's strip makes
         // that node's power estimate unsound (see ablation A5b notes).
-        cfg.work_schedule = (0..2)
+        let schedule = (0..2)
             .map(|seg| {
                 (
                     seg * 16,
@@ -1129,15 +784,16 @@ mod tests {
                 )
             })
             .collect();
-        cfg.lb = None;
+        let cfg = paper(400, 25, 32, ClusterSpec::uniform(4, 1))
+            .with_partition(PartitionSpec::Strip)
+            .with_work_schedule(schedule);
         let off = simulate(&cfg);
-        cfg.lb = Some(LbSchedule::every(4));
-        let on = simulate(&cfg);
+        let on = simulate(&cfg.with_lb(LbSchedule::every(4)));
         assert!(
-            on.total_time < off.total_time,
+            on.makespan < off.makespan,
             "LB must track the moving crack: on {} off {}",
-            on.total_time,
-            off.total_time
+            on.makespan,
+            off.makespan
         );
         assert!(on.migrations > 0);
     }
@@ -1145,20 +801,8 @@ mod tests {
     #[test]
     fn weak_scaling_holds_time_roughly_constant() {
         // Fig. 10/12 shape: problem grows with node count.
-        let t1 = simulate(&SimConfig::paper(
-            100,
-            50,
-            5,
-            vec![VirtualNode::with_cores(1)],
-        ))
-        .total_time;
-        let t4 = simulate(&SimConfig::paper(
-            200,
-            50,
-            5,
-            (0..4).map(|_| VirtualNode::with_cores(1)).collect(),
-        ))
-        .total_time;
+        let t1 = simulate(&paper(100, 50, 5, ClusterSpec::uniform(1, 1))).makespan;
+        let t4 = simulate(&paper(200, 50, 5, ClusterSpec::uniform(4, 1))).makespan;
         let efficiency = t1 / t4;
         assert!(
             efficiency > 0.8,

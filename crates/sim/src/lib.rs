@@ -3,8 +3,8 @@
 //! The paper's evaluation ran on a cluster of 40-core Skylake nodes; this
 //! reproduction runs in a single-core container where wall-clock parallel
 //! speedups are physically unmeasurable. Per the documented substitution
-//! (DESIGN.md §1), the scaling figures are regenerated with a deterministic
-//! discrete-event simulator that executes the *same decomposition,
+//! (README "Regenerating figures"), the scaling figures are regenerated
+//! with a deterministic discrete-event simulator that executes the *same decomposition,
 //! dependency structure and communication volumes* as the real solver in
 //! `nlheat-core` — per-SD case-1/case-2 tasks, ghost messages with
 //! latency + bandwidth + NIC serialization, per-node core counts and speed
@@ -17,6 +17,11 @@
 //! flatness, partition-quality effects, and load-balancer convergence.
 //!
 //! No wall-clock enters the simulation: it is fully deterministic.
+//!
+//! The one entry point is [`simulate`]: a [`Scenario`] in, the unified
+//! [`RunReport`] out (`scenario.run_sim()` and [`SimSubstrate`] are
+//! spellings of it). The cost model is derived from the scenario's
+//! stencil; there is no simulator-side configuration type.
 
 pub mod cost;
 pub mod engine;
@@ -24,8 +29,8 @@ pub mod net;
 pub mod scenario;
 
 pub use cost::CostModel;
-pub use engine::{simulate, SimConfig, SimRun, VirtualNode};
+pub use engine::simulate;
 pub use net::{NetModel, NetSpec};
 pub use nlheat_core::balance::{LbSchedule, LbSpec};
-pub use nlheat_core::scenario::{PartitionSpec, RunReport, Scenario};
-pub use scenario::{run_report, RunSim, SimSubstrate};
+pub use nlheat_core::scenario::{PartitionSpec, RunReport, Scenario, VirtualNode};
+pub use scenario::{RunSim, SimSubstrate};

@@ -1,38 +1,9 @@
-//! The simulator leg of the declarative [`Scenario`] API: compiles a
-//! scenario into a [`SimConfig`], executes it, and wraps the outcome in
-//! the unified [`RunReport`] both substrates share.
+//! The simulator leg of the declarative [`Scenario`] API: the engine runs
+//! a scenario directly ([`simulate`]); this module gives it the
+//! [`Substrate`] and `scenario.run_sim()` spellings.
 
-use crate::cost::CostModel;
-use crate::engine::{simulate, SimConfig, SimRun};
-use nlheat_core::scenario::{RunExtras, RunReport, Scenario, SimExtras, Substrate};
-use nlheat_mesh::{Grid, Stencil};
-
-impl From<&Scenario> for SimConfig {
-    /// Compile a scenario into the simulator's execution config. The cost
-    /// model is calibrated from the scenario's own stencil, so the
-    /// modeled planning inputs ([`nlheat_core::scenario::modeled_busy`])
-    /// use exactly the per-DP seconds the event loop charges.
-    fn from(sc: &Scenario) -> Self {
-        let grid = Grid::square(sc.problem.n, sc.problem.eps_mult);
-        let stencil = Stencil::build(grid.h, grid.eps);
-        SimConfig {
-            mesh_n: sc.problem.n,
-            eps_mult: sc.problem.eps_mult,
-            sd_size: sc.sd_size,
-            n_steps: sc.steps,
-            nodes: sc.cluster.nodes.clone(),
-            net: sc.net,
-            cost: CostModel::calibrated(stencil.len()),
-            partition: sc.partition.clone(),
-            overlap: sc.overlap,
-            work: sc.work.clone(),
-            work_schedule: sc.work_schedule.clone(),
-            cluster_events: sc.cluster_events.clone(),
-            lb: sc.lb.clone(),
-            lb_input: sc.lb_input,
-        }
-    }
-}
+use crate::engine::simulate;
+use nlheat_core::scenario::{RunReport, Scenario, Substrate};
 
 /// The discrete-event simulator as a [`Substrate`].
 pub struct SimSubstrate;
@@ -43,36 +14,7 @@ impl Substrate for SimSubstrate {
     }
 
     fn run(&self, scenario: &Scenario) -> RunReport {
-        scenario.validate();
-        let cfg = SimConfig::from(scenario);
-        run_report(simulate(&cfg)).with_scenario_memory(scenario)
-    }
-}
-
-/// Wrap a [`SimRun`] in the unified report shape.
-pub fn run_report(run: SimRun) -> RunReport {
-    RunReport {
-        substrate: "sim",
-        makespan: run.total_time,
-        busy: run.busy,
-        migrations: run.migrations,
-        migration_bytes: run.migration_bytes,
-        inter_rack_migration_bytes: run.inter_rack_migration_bytes,
-        ghost_bytes: run.ghost_bytes,
-        inter_rack_ghost_bytes: run.inter_rack_ghost_bytes,
-        lb_history: run.lb_history,
-        lb_plans: run.lb_plans,
-        epoch_traces: run.epoch_traces,
-        final_ownership: run.final_ownership,
-        field: None,
-        error: None,
-        memory_bytes: None,
-        sd_footprint: None,
-        extras: RunExtras::Sim(SimExtras {
-            busy_fraction: run.busy_fraction,
-            cross_bytes: run.cross_bytes,
-            messages: run.messages,
-        }),
+        simulate(scenario)
     }
 }
 
@@ -96,26 +38,6 @@ mod tests {
     use nlheat_core::balance::LbSchedule;
     use nlheat_core::scenario::{ClusterSpec, LbInput, PartitionSpec, Scenario};
     use nlheat_netmodel::NetSpec;
-
-    #[test]
-    fn scenario_compiles_into_the_paper_config() {
-        // A scenario over the paper problem must produce exactly what
-        // SimConfig::paper builds, so converted callers keep their
-        // RNG-seeded numerics byte-identically.
-        let sc = Scenario::square(400, 8.0, 25, 5).on(ClusterSpec::uniform(4, 1));
-        let via_scenario = SimConfig::from(&sc);
-        let direct = SimConfig::paper(400, 25, 5, sc.cluster.nodes.clone());
-        assert_eq!(via_scenario.mesh_n, direct.mesh_n);
-        assert_eq!(via_scenario.eps_mult, direct.eps_mult);
-        assert_eq!(via_scenario.cost, direct.cost);
-        assert_eq!(via_scenario.partition, direct.partition);
-        assert_eq!(via_scenario.net, direct.net);
-        let a = simulate(&via_scenario);
-        let b = simulate(&direct);
-        assert_eq!(a.total_time, b.total_time);
-        assert_eq!(a.busy, b.busy);
-        assert_eq!(a.cross_bytes, b.cross_bytes);
-    }
 
     #[test]
     fn run_sim_produces_a_valid_unified_report() {

@@ -68,5 +68,5 @@ pub mod prelude {
     pub use nlheat_mesh::{Grid, SdGrid};
     pub use nlheat_model::prelude::*;
     pub use nlheat_partition::{part_mesh_dual, PartitionConfig, SdGraph};
-    pub use nlheat_sim::{simulate, RunSim, SimConfig, SimSubstrate, VirtualNode};
+    pub use nlheat_sim::{simulate, RunSim, SimSubstrate, VirtualNode};
 }

@@ -157,3 +157,56 @@ fn scenario_validation_rejects_bad_per_sd_vectors() {
         "unexpected panic message: {msg}"
     );
 }
+
+#[test]
+fn plan_only_run_plans_the_first_epoch_of_the_full_run() {
+    // A plan-only run goes through the same epoch driver at the first due
+    // step, so it reads the work model in force *there* (not at step 0):
+    // balanced strips under the uniform start, rank 0 four times as heavy
+    // from step 1 on, first epoch after step 1.
+    use nonlocalheat::core::scenario::PlanSubstrate;
+    let base = Scenario::square(16, 2.0, 4, 6)
+        .on(ClusterSpec::uniform(2, 1))
+        .with_net(NetSpec::Instant)
+        .with_partition(PartitionSpec::Strip)
+        .with_lb(LbSchedule::every(2))
+        .with_lb_input(LbInput::Modeled);
+    let owners = base.partition.initial_owners(&base.sd_grid(), 2);
+    let heavy_on_rank0 = owners
+        .iter()
+        .map(|&o| if o == 0 { 4.0 } else { 1.0 })
+        .collect();
+    let sc = base.with_work_schedule(vec![(1, WorkModel::PerSd(heavy_on_rank0))]);
+    let plan = PlanSubstrate.run(&sc);
+    let sim = sc.run_sim();
+    assert!(
+        !sim.lb_plans.is_empty(),
+        "the switch must unbalance the run"
+    );
+    assert_eq!(plan.lb_plans[0], sim.lb_plans[0]);
+    assert_eq!(plan.epoch_traces[0], sim.epoch_traces[0]);
+}
+
+#[test]
+fn plan_only_trace_carries_the_drift_monitor_columns() {
+    // The repartition decorator's drift monitor fires on the decayed
+    // start; a plan-only run must report it like the simulator does.
+    use nonlocalheat::core::scenario::PlanSubstrate;
+    let sc = scenarios::cut_drift(true);
+    let plan = PlanSubstrate.run(&sc);
+    let trace = &plan.epoch_traces[0];
+    let sim = sc.run_sim();
+    let sim_trace = sim
+        .epoch_traces
+        .iter()
+        .find(|t| t.step == trace.step)
+        .expect("the simulator realizes the same first epoch");
+    assert_eq!(
+        (trace.cut_drift, trace.replan),
+        (sim_trace.cut_drift, sim_trace.replan)
+    );
+    assert!(
+        trace.replan && trace.cut_drift > 1.0,
+        "the monitor must fire"
+    );
+}
