@@ -21,6 +21,12 @@ pub enum WireError {
     BadUtf8,
     /// Trailing bytes after a complete top-level decode.
     TrailingBytes(usize),
+    /// A ghost record's header disagrees with the record the receiver's
+    /// exchange schedule expects at this position of the bundle.
+    RecordMismatch {
+        expected: GhostRecordHeader,
+        found: GhostRecordHeader,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -35,6 +41,12 @@ impl std::fmt::Display for WireError {
             WireError::BadTag(t) => write!(f, "invalid discriminant byte {t}"),
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::TrailingBytes(n) => write!(f, "{n} trailing bytes after decode"),
+            WireError::RecordMismatch { expected, found } => {
+                write!(
+                    f,
+                    "ghost record mismatch: expected {expected}, found {found}"
+                )
+            }
         }
     }
 }
@@ -373,6 +385,82 @@ pub fn decode_f64_rows<'a>(
     Ok(())
 }
 
+/// Header of one record of a ghost bundle: which halo patch of which
+/// destination sub-domain the following `f64` run fills, and how many
+/// cells it carries.
+///
+/// A bundle is the concatenation of its records, nothing else. One record
+/// on the wire is `dst_sd: u64 | pidx: u64 | cells: u64 | cells × f64`,
+/// all little-endian — the two header words followed by exactly the
+/// length-prefixed run [`encode_f64_rows`] writes. This type and the two
+/// functions below are the only code that knows that layout.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GhostRecordHeader {
+    /// Destination sub-domain.
+    pub dst_sd: u64,
+    /// Patch index within the destination's halo plan.
+    pub pidx: u64,
+    /// Cells in the patch.
+    pub cells: u64,
+}
+
+impl GhostRecordHeader {
+    /// Bytes the whole record (header and run) occupies in a bundle.
+    pub const fn wire_bytes(&self) -> usize {
+        24 + 8 * self.cells as usize
+    }
+}
+
+impl std::fmt::Display for GhostRecordHeader {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "(dst_sd {}, patch {}, {} cells)",
+            self.dst_sd, self.pidx, self.cells
+        )
+    }
+}
+
+/// Append one ghost record: `header` followed by the run supplied as
+/// strided `rows`, which must hold `header.cells` values in total. Grows
+/// `buf` by exactly [`GhostRecordHeader::wire_bytes`].
+pub fn encode_ghost_record<'a>(
+    header: GhostRecordHeader,
+    rows: impl Iterator<Item = &'a [f64]>,
+    buf: &mut BytesMut,
+) {
+    header.dst_sd.encode(buf);
+    header.pidx.encode(buf);
+    encode_f64_rows(header.cells as usize, rows, buf);
+}
+
+/// Decode the next record of a bundle straight into the strided `rows`
+/// (which must hold `expected.cells` values in total). The record's
+/// header is compared with `expected` *before* anything is written: a
+/// record for another patch, or one with a different cell count, is a
+/// [`WireError::RecordMismatch`] naming both sides and leaves `rows`
+/// untouched; a bundle that ends early is [`WireError::Truncated`].
+pub fn decode_ghost_record<'a>(
+    buf: &mut Bytes,
+    expected: GhostRecordHeader,
+    rows: impl Iterator<Item = &'a mut [f64]>,
+) -> Result<(), WireError> {
+    need(buf, 24)?;
+    // Peek at the length prefix through a cheap handle so the run decoder
+    // below still finds it in place.
+    let mut head = buf.clone();
+    let found = GhostRecordHeader {
+        dst_sd: head.get_u64_le(),
+        pidx: head.get_u64_le(),
+        cells: head.get_u64_le(),
+    };
+    if found != expected {
+        return Err(WireError::RecordMismatch { expected, found });
+    }
+    buf.advance(16);
+    decode_f64_rows(buf, rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,6 +581,88 @@ mod tests {
             decode_f64_rows(&mut b, small.chunks_mut(2)),
             Err(WireError::TrailingBytes(16))
         ));
+    }
+
+    fn header(dst_sd: u64, pidx: u64, cells: u64) -> GhostRecordHeader {
+        GhostRecordHeader {
+            dst_sd,
+            pidx,
+            cells,
+        }
+    }
+
+    /// A two-record bundle: (sd 7, patch 3, 6 cells) then (sd 9, patch 0,
+    /// 2 cells), with values 0.5, 1.5, ...
+    fn two_record_bundle() -> Bytes {
+        let values: Vec<f64> = (0..8).map(|i| i as f64 + 0.5).collect();
+        let mut buf = BytesMut::new();
+        encode_ghost_record(header(7, 3, 6), values[..6].chunks(3), &mut buf);
+        encode_ghost_record(header(9, 0, 2), values[6..].chunks(2), &mut buf);
+        assert_eq!(
+            buf.len(),
+            header(7, 3, 6).wire_bytes() + header(9, 0, 2).wire_bytes()
+        );
+        buf.freeze()
+    }
+
+    #[test]
+    fn ghost_records_roundtrip_and_size_exactly() {
+        let mut bundle = two_record_bundle();
+        let mut a = [0.0f64; 6];
+        decode_ghost_record(&mut bundle, header(7, 3, 6), a.chunks_mut(2)).unwrap();
+        assert_eq!(a, [0.5, 1.5, 2.5, 3.5, 4.5, 5.5]);
+        // a record consumes exactly its own bytes: the next one follows
+        assert_eq!(bundle.remaining(), header(9, 0, 2).wire_bytes());
+        let mut b = [0.0f64; 2];
+        decode_ghost_record(&mut bundle, header(9, 0, 2), b.chunks_mut(2)).unwrap();
+        assert_eq!(b, [6.5, 7.5]);
+        assert!(!bundle.has_remaining());
+    }
+
+    #[test]
+    fn ghost_record_for_another_patch_is_rejected_before_any_write() {
+        for expected in [header(8, 3, 6), header(7, 4, 6)] {
+            let mut bundle = two_record_bundle();
+            let mut dst = [-1.0f64; 6];
+            let err = decode_ghost_record(&mut bundle, expected, dst.chunks_mut(3)).unwrap_err();
+            assert_eq!(
+                err,
+                WireError::RecordMismatch {
+                    expected,
+                    found: header(7, 3, 6)
+                }
+            );
+            assert_eq!(dst, [-1.0; 6], "a rejected record must not scatter");
+            let text = err.to_string();
+            assert!(
+                text.contains(&expected.to_string())
+                    && text.contains("(dst_sd 7, patch 3, 6 cells)"),
+                "the error names both sides: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn ghost_record_with_a_short_run_is_rejected() {
+        // the sender packed 6 cells where the schedule expects 8
+        let mut bundle = two_record_bundle();
+        let mut dst = [0.0f64; 8];
+        assert_eq!(
+            decode_ghost_record(&mut bundle, header(7, 3, 8), dst.chunks_mut(4)),
+            Err(WireError::RecordMismatch {
+                expected: header(7, 3, 8),
+                found: header(7, 3, 6)
+            })
+        );
+        // the bundle itself cut short, mid-run and mid-header
+        for keep in [24 + 5 * 8, 20] {
+            let mut cut = two_record_bundle().slice(0..keep);
+            let mut dst = [0.0f64; 6];
+            assert!(matches!(
+                decode_ghost_record(&mut cut, header(7, 3, 6), dst.chunks_mut(3)),
+                Err(WireError::Truncated { .. })
+            ));
+        }
     }
 
     #[test]

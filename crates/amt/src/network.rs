@@ -27,7 +27,10 @@ pub struct NetStats {
     n: usize,
     msgs: AtomicU64,
     bytes: AtomicU64,
-    pair_bytes: Mutex<Vec<u64>>,
+    /// Row-major `src × dst` byte matrix. Pure statistics (they publish
+    /// no other data), so writers and readers use relaxed operations and
+    /// the send path of every locality stays free of shared locks.
+    pair_bytes: Vec<AtomicU64>,
 }
 
 impl NetStats {
@@ -36,14 +39,15 @@ impl NetStats {
             n,
             msgs: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            pair_bytes: Mutex::new(vec![0; n * n]),
+            pair_bytes: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     fn record(&self, src: LocalityId, dst: LocalityId, bytes: usize) {
         self.msgs.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.pair_bytes.lock()[src as usize * self.n + dst as usize] += bytes as u64;
+        self.pair_bytes[src as usize * self.n + dst as usize]
+            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Total messages sent.
@@ -58,21 +62,17 @@ impl NetStats {
 
     /// Bytes sent from `src` to `dst`.
     pub fn pair_bytes(&self, src: LocalityId, dst: LocalityId) -> u64 {
-        self.pair_bytes.lock()[src as usize * self.n + dst as usize]
+        self.pair_bytes[src as usize * self.n + dst as usize].load(Ordering::Relaxed)
     }
 
     /// Bytes crossing locality boundaries (excludes self-sends).
     pub fn cross_bytes(&self) -> u64 {
-        let m = self.pair_bytes.lock();
-        let mut total = 0;
-        for s in 0..self.n {
-            for d in 0..self.n {
-                if s != d {
-                    total += m[s * self.n + d];
-                }
-            }
-        }
-        total
+        self.pair_bytes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i / self.n != i % self.n)
+            .map(|(_, b)| b.load(Ordering::Relaxed))
+            .sum()
     }
 }
 

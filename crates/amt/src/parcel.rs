@@ -3,7 +3,7 @@
 //! A [`Parcel`] is the only way data moves between localities, mirroring
 //! HPX's parcel transport. The 64-bit [`Tag`] both routes the message inside
 //! the destination (via the class byte) and keys the rendezvous table for
-//! point-to-point matching (step, sub-domain, patch).
+//! point-to-point matching (step, sender).
 
 use bytes::Bytes;
 
@@ -12,8 +12,9 @@ pub type LocalityId = u32;
 
 /// Message tag: `class (8 bits) | a (24 bits) | b (20 bits) | c (12 bits)`.
 ///
-/// The solver uses `a` for the timestep, `b` for the destination sub-domain
-/// and `c` for the halo-patch index; other protocols use the fields freely.
+/// The solver uses `a` for the timestep (or LB epoch) and `b` for the
+/// sending locality (ghost bundles, LB statistics) or the sub-domain
+/// (migrations); other protocols use the fields freely.
 pub type Tag = u64;
 
 const A_BITS: u32 = 24;
@@ -30,11 +31,14 @@ pub const TAG_C_MAX: u64 = (1 << C_BITS) - 1;
 /// Build a tag from its four fields.
 ///
 /// # Panics
-/// Panics (debug assertions) if a field exceeds its bit budget.
+/// Panics — in every build profile — if a field exceeds its bit budget: an
+/// oversized field would spill into its neighbour and alias another
+/// parcel's tag, and the rendezvous table would then match the wrong
+/// payload silently.
 pub fn tag(class: u8, a: u64, b: u64, c: u64) -> Tag {
-    debug_assert!(a <= TAG_A_MAX, "tag field a={a} exceeds {TAG_A_MAX}");
-    debug_assert!(b <= TAG_B_MAX, "tag field b={b} exceeds {TAG_B_MAX}");
-    debug_assert!(c <= TAG_C_MAX, "tag field c={c} exceeds {TAG_C_MAX}");
+    assert!(a <= TAG_A_MAX, "tag field a={a} exceeds {TAG_A_MAX}");
+    assert!(b <= TAG_B_MAX, "tag field b={b} exceeds {TAG_B_MAX}");
+    assert!(c <= TAG_C_MAX, "tag field c={c} exceeds {TAG_C_MAX}");
     ((class as u64) << (A_BITS + B_BITS + C_BITS)) | (a << (B_BITS + C_BITS)) | (b << C_BITS) | c
 }
 
@@ -109,6 +113,24 @@ mod tests {
         assert_eq!(tag_a(t), TAG_A_MAX);
         assert_eq!(tag_b(t), TAG_B_MAX);
         assert_eq!(tag_c(t), TAG_C_MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag field a=16777216 exceeds 16777215")]
+    fn step_field_over_limit_is_rejected() {
+        let _ = tag(1, TAG_A_MAX + 1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag field b=1048576 exceeds 1048575")]
+    fn sd_field_over_limit_is_rejected() {
+        let _ = tag(1, 0, TAG_B_MAX + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag field c=4096 exceeds 4095")]
+    fn patch_field_over_limit_is_rejected() {
+        let _ = tag(1, 0, 0, TAG_C_MAX + 1);
     }
 
     #[test]

@@ -318,8 +318,9 @@ fn plan_bench(c: &mut Criterion) {
     g.finish();
 }
 
-fn dist_straggler_bench(c: &mut Criterion) {
+fn dist_bench(c: &mut Criterion) {
     init();
+    let mut g = c.benchmark_group("dist");
     // One straggler SD on a single 4-core locality: SD 0 costs 8x its
     // peers, so without intra-step stealing three workers idle at the step
     // barrier while one grinds the hot SD. The snapshot seed was captured
@@ -327,12 +328,27 @@ fn dist_straggler_bench(c: &mut Criterion) {
     // with stealing on, so the band also guards the chunked task path.
     let mut work = vec![1.0f64; 16];
     work[0] = 8.0;
-    let sc = Scenario::square(64, 4.0, 16, 4)
+    let straggler = Scenario::square(64, 4.0, 16, 4)
         .on(ClusterSpec::uniform(1, 4))
         .with_work(nlheat_core::WorkModel::PerSd(work))
         .with_intra_step_stealing(true);
-    let mut g = c.benchmark_group("dist");
-    g.bench_function("step_straggler", |b| b.iter(|| black_box(sc.run_dist())));
+    g.bench_function("step_straggler", |b| {
+        b.iter(|| black_box(straggler.run_dist()))
+    });
+    // The many-patch exchange: 400 five-cell SDs whose columns alternate
+    // between 2 ranks, so every SD trades ~20 tiny patches with the other
+    // rank each step (the repository benchmark's `dist_ghost_heavy` at a
+    // quarter of its size). The kernel is negligible; what is timed is
+    // the halo exchange — per *message* cost if patches travel one by
+    // one, per *byte* cost when each rank pair shares one bundle a step.
+    let base = Scenario::square(100, 4.0, 5, 4);
+    let owners = scenarios::drifted_owners(&base.sd_grid(), 2);
+    let ghost_heavy = base
+        .on(ClusterSpec::uniform(2, 1))
+        .with_partition(PartitionSpec::Explicit(owners));
+    g.bench_function("step_ghost_heavy", |b| {
+        b.iter(|| black_box(ghost_heavy.run_dist()))
+    });
     g.finish();
 }
 
@@ -345,6 +361,6 @@ criterion_group!(
     sweep_bench,
     pool_bench,
     plan_bench,
-    dist_straggler_bench
+    dist_bench
 );
 criterion_main!(benches);

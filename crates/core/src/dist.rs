@@ -1,16 +1,18 @@
 //! Fully distributed asynchronous solver with online load balancing.
 //!
 //! Implements §6 of the paper end to end: SDs distributed over localities
-//! by the mesh partitioner (§6.2), ghost zones exchanged as parcels, the
+//! by the mesh partitioner (§6.2), ghost zones exchanged as one bundle
+//! parcel per step and ordered rank pair (see [`crate::ghost`]), the
 //! case-2 (foreign-independent) computation launched immediately while
-//! case-1 computation is a dataflow continuation on the ghost futures
-//! (§6.3, Fig. 5) — so communication hides behind computation — and, every
+//! each SD's case-1 computation is released by a countdown of the bundles
+//! that fill its halo (§6.3, Fig. 5) — so communication hides behind
+//! computation — and, every
 //! [`LbSchedule::period`] steps, a full load-balancing epoch: busy-time
 //! gather, plan on locality 0 via the configured [`LbSpec`] policy
 //! (Algorithm 1 by default), broadcast, SD migration, counter reset (§7).
 //!
 //! There is deliberately **no global barrier between timesteps**: tags
-//! carry the step index, so a fast node may run ahead and its messages are
+//! carry the step index, so a fast node may run ahead and its bundles are
 //! stashed by the receiver's rendezvous table until expected — the
 //! asynchronous pipelining an AMT runtime buys.
 
@@ -18,25 +20,26 @@ pub use crate::balance::LbSpec;
 use crate::balance::{
     EpochConfig, EpochLog, EpochMeasure, EpochTrace, LbEpoch, LbSchedule, Move, SdGraph,
 };
+use crate::ghost::{reverse_index, GhostSchedule, PatchRecord};
 use crate::ownership::Ownership;
 use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
 use crate::workload::WorkModel;
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
-use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows, Wire};
+use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, Wire, WireError};
 use nlheat_amt::future::{when_all, Future};
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
+use nlheat_amt::task::Task;
 use nlheat_mesh::{
     build_halo_plan, split_cases, CaseSplit, HaloPlan, PatchSource, Rect, SdGrid, SdId, Stencil,
     Tile,
 };
 use nlheat_model::{ErrorAccumulator, ProblemParts, ProblemSpec};
 use nlheat_netmodel::{LinkClass, NetSpec};
-use nlheat_partition::patch_wire_bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -176,11 +179,17 @@ pub struct DistReport {
     pub inter_rack_migration_bytes: u64,
     /// Planner-grade ghost-exchange bytes between localities over the
     /// whole run, counted per foreign halo patch with the same
-    /// `patch_wire_bytes` formula the simulator charges (the wire
-    /// additionally carries an 8-byte codec length per parcel).
+    /// `patch_wire_bytes` formula the simulator charges — exactly the
+    /// payload bytes of the ghost bundles (the wire adds only the 24-byte
+    /// parcel header per bundle).
     pub ghost_bytes: u64,
     /// The inter-rack share of `ghost_bytes`.
     pub inter_rack_ghost_bytes: u64,
+    /// Foreign halo patches shipped over the whole run (counted beside
+    /// `ghost_bytes`, under the same failure mask): the records inside
+    /// the bundles, and the number of ghost messages the simulator's
+    /// per-patch model sends.
+    pub ghost_patches: u64,
     /// Per-node SD counts after each balancing epoch.
     pub lb_history: Vec<Vec<usize>>,
     /// The realized migration plan of each epoch, in epoch order (empty
@@ -244,14 +253,7 @@ impl Setup {
             .ids()
             .map(|id| build_halo_plan(&sds, grid.halo, id))
             .collect();
-        let mut reverse: Vec<Vec<(SdId, u16)>> = vec![Vec::new(); sds.count()];
-        for plan in &plans {
-            for (idx, patch) in plan.patches.iter().enumerate() {
-                if let PatchSource::Sd(src) = patch.source {
-                    reverse[src as usize].push((plan.sd, idx as u16));
-                }
-            }
-        }
+        let reverse = reverse_index(&plans);
         let initial_owners = cfg.partition.initial_owners(&sds, n_nodes);
         let sd_graph = Arc::new(SdGraph::from_plans(&sds, &plans));
         let sec_per_dp = nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len());
@@ -322,30 +324,70 @@ struct NodeSd {
     cell: Arc<SdCell>,
 }
 
-/// Ownership-dependent per-SD communication info (rebuilt after LB).
-struct SdComm {
-    /// `(patch index, destination rect)` of foreign-sourced halo patches.
-    foreign: Vec<(u16, Rect)>,
-    split: CaseSplit,
+/// Everything a driver derives from ownership alone, rebuilt when a
+/// migration epoch rewrites it: the ghost schedule (shared with the bundle
+/// continuations) and the case-1/case-2 split of every owned SD, parallel
+/// to `schedule.owned`.
+fn ownership_view(setup: &Setup, owners: &[u32], me: u32) -> (Arc<GhostSchedule>, Vec<CaseSplit>) {
+    let schedule = GhostSchedule::build(&setup.plans, &setup.reverse, owners, me);
+    let halo = setup.parts.grid.halo;
+    let splits = schedule
+        .owned
+        .iter()
+        .map(|&sd| {
+            let plan = &setup.plans[sd as usize];
+            split_cases(setup.sds.sd, halo, plan, |n| owners[n as usize] != me)
+        })
+        .collect();
+    (Arc::new(schedule), splits)
 }
 
-/// One outgoing ghost parcel, precomputed when ownership changes so the
-/// per-step send loop just replays the list (records are grouped by
-/// ascending source SD; the per-step loop holds one read lock per group).
-struct SendRec {
-    /// Source SD on this locality.
-    src_sd: SdId,
-    /// Owner of the destination SD.
-    dst_owner: u32,
-    dst_sd: SdId,
-    /// Patch index within the destination's halo plan.
-    pidx: u16,
-    /// The patch in the source SD's local coordinates.
-    src_rect: Rect,
-    /// Planner-grade wire bytes of the patch.
-    wire: u64,
-    /// Whether the link to `dst_owner` crosses a rack boundary.
-    inter_rack: bool,
+/// One owned SD's halo gate for one step: the bundle continuations write
+/// the foreign patches into `cell` and count `awaiting` down; the one that
+/// reaches zero has seen the SD's halo completed and releases `gated`.
+struct SdGate {
+    cell: Arc<SdCell>,
+    /// Incoming bundles that have not yet delivered into this halo.
+    awaiting: AtomicU32,
+    /// The SD's compute tasks that read foreign ghost cells.
+    gated: Mutex<Vec<Task>>,
+}
+
+/// Scatter one incoming bundle into the destination halos: check every
+/// record against the schedule's `records`, decode it straight into its
+/// tile of `gates` (parallel to the schedule's `owned`), and hand the gated
+/// tasks of each SD whose last awaited bundle this was to `release`. A
+/// bundle that disagrees with the schedule — a record for another patch, a
+/// short run, bytes after the last record — is an error, and no record at
+/// or after the disagreement is written.
+fn scatter_bundle(
+    mut payload: Bytes,
+    records: &[PatchRecord],
+    gates: &[SdGate],
+    mut release: impl FnMut(Task),
+) -> Result<(), WireError> {
+    for run in records.chunk_by(|a, b| a.tile == b.tile) {
+        let gate = &gates[run[0].tile as usize];
+        {
+            let mut curr = gate.cell.curr.write();
+            for rec in run {
+                let rows = curr.rect_rows_mut(&rec.rect);
+                decode_ghost_record(&mut payload, rec.header(), rows)?;
+            }
+        }
+        // AcqRel: every bundle's decrement releases its halo writes, and
+        // the decrement that reaches zero acquires them all before the
+        // gated tasks are handed out.
+        if gate.awaiting.fetch_sub(1, Ordering::AcqRel) == 1 {
+            std::mem::take(&mut *gate.gated.lock())
+                .into_iter()
+                .for_each(&mut release);
+        }
+    }
+    if payload.has_remaining() {
+        return Err(WireError::TrailingBytes(payload.remaining()));
+    }
+    Ok(())
 }
 
 /// Per-node report returned by each driver.
@@ -357,6 +399,7 @@ struct NodeReport {
     /// Planner-grade ghost bytes this locality *sent* to other localities.
     ghost_bytes: u64,
     inter_rack_ghost_bytes: u64,
+    ghost_patches: u64,
     /// The run's epoch record — locality 0 plans, so only it has one.
     lb_log: Option<EpochLog>,
     /// Worker-pool steal counters of this locality over the whole run.
@@ -434,6 +477,7 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         inter_rack_migration_bytes: lb_log.inter_rack_migration_bytes,
         ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
         inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
+        ghost_patches: reports.iter().map(|r| r.ghost_patches).sum(),
         lb_history: lb_log.history,
         lb_plans: lb_log.plans,
         epoch_traces: lb_log.traces,
@@ -490,8 +534,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         );
     }
 
-    let mut comm: HashMap<SdId, SdComm> = HashMap::new();
-    let mut comm_dirty = true;
     // Tiles reclaimed from migrated-away SDs, reused (zeroed) for incoming
     // migrations so steady-state balancing stops allocating tile pairs.
     let mut tile_pool: Vec<Tile> = Vec::new();
@@ -503,8 +545,9 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     // identical ownership sequences.
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
+    let mut ghost_patches = 0u64;
     // Ghost-stall accounting: each step's worst ghost-arrival delay
-    // (wall time from task spawn to the case-1 continuation firing),
+    // (wall time from task spawn to the last bundle continuation firing),
     // accumulated per balancing window — the adaptive-μ feedback signal.
     let step_ghost_wait = Arc::new(AtomicU64::new(0));
     let mut window_ghost_ns = 0u64;
@@ -513,9 +556,8 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     // Locality 0 plans every epoch through one driver, kept alive across
     // epochs so stateful policies (the adaptive-λ decorator) can learn
     // from the measured migration stalls. Its planning view carries the SD
-    // graph of the *real* halo plans, so μ-weighted policies price the
-    // recurring parcels this driver sends every step (to within the
-    // constant framing word `patch_wire_bytes` documents).
+    // graph of the *real* halo plans, so μ-weighted policies price exactly
+    // the record bytes this driver's ghost bundles carry every step.
     let mut lb_epoch = cfg.lb.as_ref().filter(|_| me == 0).map(|lb| {
         LbEpoch::new(EpochConfig {
             lb,
@@ -541,57 +583,16 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut prev_window_secs: Option<f64> = None;
     let mut window_t0 = Instant::now();
 
-    // The owned-SD list and outgoing send records change only when a
-    // migration epoch rewrites ownership, so they are rebuilt together
-    // with the per-SD comm info under the `comm_dirty` flag instead of
-    // being rederived every step.
-    let mut owned: Vec<SdId> = Vec::new();
-    let mut send_recs: Vec<SendRec> = Vec::new();
+    // The owned-SD list, the ghost bundles and the case splits change only
+    // when a migration epoch rewrites ownership, so they are rebuilt there
+    // instead of being rederived every step.
+    let (mut schedule, mut splits) = ownership_view(&setup, &owners, me);
+    let full = Rect::new(0, 0, sds.sd, sds.sd);
     for step in 0..cfg.n_steps {
-        if comm_dirty {
-            comm.clear();
-            owned = states.keys().copied().collect();
-            owned.sort_unstable();
-            for &sd in &owned {
-                let plan = &setup.plans[sd as usize];
-                let foreign: Vec<(u16, Rect)> = plan
-                    .patches
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(idx, p)| match p.source {
-                        PatchSource::Sd(src) if owners[src as usize] != me => {
-                            Some((idx as u16, p.dst_rect))
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                let split = split_cases(sds.sd, halo, plan, |n| owners[n as usize] != me);
-                comm.insert(sd, SdComm { foreign, split });
-            }
-            send_recs.clear();
-            for &sd in &owned {
-                for &(dst_sd, pidx) in &setup.reverse[sd as usize] {
-                    let dst_owner = owners[dst_sd as usize];
-                    if dst_owner == me {
-                        continue;
-                    }
-                    let patch = &setup.plans[dst_sd as usize].patches[pidx as usize];
-                    send_recs.push(SendRec {
-                        src_sd: sd,
-                        dst_owner,
-                        dst_sd,
-                        pidx,
-                        src_rect: patch.src_rect,
-                        wire: patch_wire_bytes(patch.dst_rect.area()),
-                        inter_rack: comm_cost.link_class(me, dst_owner) == LinkClass::InterRack,
-                    });
-                }
-            }
-            comm_dirty = false;
-        }
+        let owned = &schedule.owned;
 
         // --- 1. local halo fill (same-node neighbours: plain copies) ---
-        for &sd in &owned {
+        for &sd in owned {
             let dst_cell = states[&sd].cell.clone();
             let mut dst = dst_cell.curr.write();
             for patch in &setup.plans[sd as usize].patches {
@@ -605,37 +606,34 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             }
         }
 
-        // --- 2. sends: scatter ghost data to foreign-owned readers ---
-        // (replays the precomputed records; one curr read lock per source
-        // SD, exactly like the per-step scan this replaces)
+        // --- 2. sends: one ghost bundle per neighbour rank ---
         //
-        // Failure mask of this step: parcels to or from a fail-stopped
+        // Failure mask of this step: bundles to or from a fail-stopped
         // rank still flow (the solver's numerics are sacred) but stop
         // counting toward the planner-grade ghost counters — a failed
         // rank's in-flight contributions are lost to the application.
         let failed_now = (!cfg.cluster_events.is_empty())
             .then(|| failed_at(setup.n_nodes as usize, &cfg.cluster_events, step));
-        let mut rec_i = 0;
-        while rec_i < send_recs.len() {
-            let src_sd = send_recs[rec_i].src_sd;
-            let src_tile = states[&src_sd].cell.curr.read();
-            while let Some(rec) = send_recs.get(rec_i).filter(|r| r.src_sd == src_sd) {
+        if !schedule.sends.is_empty() {
+            // No task of this step is running yet, so the read locks are
+            // uncontended; records index this list by tile.
+            let tiles: Vec<_> = owned.iter().map(|sd| states[sd].cell.curr.read()).collect();
+            for bundle in &schedule.sends {
                 let counted = failed_now
                     .as_ref()
-                    .is_none_or(|f| !f[me as usize] && !f[rec.dst_owner as usize]);
+                    .is_none_or(|f| !f[me as usize] && !f[bundle.peer as usize]);
                 if counted {
-                    ghost_bytes += rec.wire;
-                    if rec.inter_rack {
-                        inter_rack_ghost_bytes += rec.wire;
+                    ghost_patches += bundle.records.len() as u64;
+                    ghost_bytes += bundle.wire_bytes as u64;
+                    if comm_cost.link_class(me, bundle.peer) == LinkClass::InterRack {
+                        inter_rack_ghost_bytes += bundle.wire_bytes as u64;
                     }
                 }
-                let payload = pack_tile_rect(&src_tile, &rec.src_rect);
                 loc.send(
-                    rec.dst_owner,
-                    tag(CLASS_GHOST, step as u64, rec.dst_sd as u64, rec.pidx as u64),
-                    payload,
+                    bundle.peer,
+                    tag(CLASS_GHOST, step as u64, me as u64, 0),
+                    bundle.pack(&tiles),
                 );
-                rec_i += 1;
             }
         }
 
@@ -643,7 +641,6 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         let t = step as f64 * dt;
         let ghost_t0 = Instant::now();
         let work_now = cfg.work_at(step);
-        let mut step_futures: Vec<Future<()>> = Vec::new();
         // Intra-step stealing: chop each SD's compute into row bands of
         // this height and spawn every band as its own pool task, so idle
         // workers steal pieces of a straggler SD *within* the timestep.
@@ -653,38 +650,44 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         // arithmetic — so the field is bit-identical to the unchunked
         // path no matter which worker runs which band.
         let band = (sds.sd / (2 * loc.pool().n_workers() as i64)).max(1);
-        // Futures of ghost-gated band tasks. Those are spawned from
-        // inside parcel continuations — after `step_futures` is sealed —
-        // so they are collected here and drained for a second barrier
-        // once `when_all(step_futures)` guarantees every continuation
-        // (and thus every spawn) has run.
-        let deferred_futs: Arc<Mutex<Vec<Future<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        for &sd in &owned {
-            let unit = &states[&sd];
-            let info = &comm[&sd];
-            let ghost_futs: Vec<Future<Bytes>> = info
-                .foreign
+        // The tasks that update `rects` of one SD: one task over all of
+        // them, or one per row band when stealing is on.
+        let compute_tasks = |unit: &NodeSd, repeats, rects: &[Rect]| -> Vec<Task> {
+            let cell = unit.cell.clone();
+            let kernel = kernel.clone();
+            let plan = kernel_plan.clone();
+            let source = source.clone();
+            let origin = unit.origin;
+            if !cfg.intra_step_stealing {
+                if rects.iter().all(Rect::is_empty) {
+                    return Vec::new();
+                }
+                let rects = rects.to_vec();
+                return vec![Box::new(move || {
+                    let curr = cell.curr.read();
+                    let mut next = cell.next.lock();
+                    for rect in &rects {
+                        kernel.apply_region_blocked(
+                            &curr, &mut next, rect, &plan, origin, t, dt, &source, repeats,
+                        );
+                    }
+                })];
+            }
+            // One raw pointer to this SD's next buffer per step (the swap
+            // below rotates the tiles between the lock slots, so the
+            // pointer cannot be cached across steps). Band tasks write
+            // through it lock-free; holding the mutex per band would
+            // serialize exactly the compute we are splitting.
+            let next_ptr = NextPtr(cell.next.lock().data_mut().as_mut_ptr());
+            rects
                 .iter()
-                .map(|&(pidx, _)| loc.expect(tag(CLASS_GHOST, step as u64, sd as u64, pidx as u64)))
-                .collect();
-            // The work factor in effect *now* (the schedule may have
-            // switched models): emulated by kernel repetition, so the
-            // numerics stay bit-exact while the busy time shifts.
-            let repeats = work_now.repeats(&sds, sd, loc.speed());
-            if cfg.intra_step_stealing {
-                // One raw pointer to this SD's next buffer per step (the
-                // swap below rotates the tiles between the lock slots, so
-                // the pointer cannot be cached across steps). Band tasks
-                // write through it lock-free; holding the mutex per band
-                // would serialize exactly the compute we are splitting.
-                let next_ptr = NextPtr(unit.cell.next.lock().data_mut().as_mut_ptr());
-                let make_chunk = |rect: Rect| {
-                    let cell = unit.cell.clone();
+                .flat_map(|r| row_bands(r, band))
+                .map(|rect| {
+                    let cell = cell.clone();
                     let kernel = kernel.clone();
-                    let plan = kernel_plan.clone();
+                    let plan = plan.clone();
                     let source = source.clone();
-                    let origin = unit.origin;
-                    move || {
+                    Box::new(move || {
                         // bind the wrapper, not its field: edition-2021
                         // disjoint capture would otherwise move the bare
                         // `*mut f64` into the closure, which is !Send
@@ -699,119 +702,81 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                                 &curr, next.0, &rect, &plan, origin, t, dt, &source, repeats,
                             );
                         }
-                    }
-                };
-                if info.foreign.is_empty() {
-                    for r in row_bands(&Rect::new(0, 0, sds.sd, sds.sd), band) {
-                        step_futures.push(spawner.async_call(make_chunk(r)));
-                    }
-                    continue;
-                }
-                let dst_rects: Vec<Rect> = info.foreign.iter().map(|&(_, r)| r).collect();
-                let cell_for_unpack = unit.cell.clone();
-                let unpack = move |payloads: Vec<Bytes>| {
-                    let mut curr = cell_for_unpack.curr.write();
-                    for (mut payload, rect) in payloads.into_iter().zip(dst_rects) {
-                        decode_f64_rows(&mut payload, curr.rect_rows_mut(&rect))
-                            .expect("corrupt ghost payload");
-                    }
-                };
-                let ghost_wait = step_ghost_wait.clone();
-                let gated: Vec<Rect> = if cfg.overlap {
-                    if !info.split.case2.is_empty() {
-                        for r in row_bands(&info.split.case2, band) {
-                            step_futures.push(spawner.async_call(make_chunk(r)));
-                        }
-                    }
-                    info.split
-                        .case1
-                        .iter()
-                        .flat_map(|r| row_bands(r, band))
-                        .collect()
-                } else {
-                    row_bands(&Rect::new(0, 0, sds.sd, sds.sd), band)
-                };
-                let chunk_tasks: Vec<_> = gated.into_iter().map(&make_chunk).collect();
-                let deferred = deferred_futs.clone();
-                let spawn_in = spawner.clone();
-                step_futures.push(when_all(ghost_futs).then(&spawner, move |payloads| {
-                    ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    unpack(payloads);
-                    let mut futs = deferred.lock();
-                    for task in chunk_tasks {
-                        futs.push(spawn_in.async_call(task));
-                    }
-                }));
-                continue;
-            }
-            let make_task = |rects: Vec<Rect>| {
-                let cell = unit.cell.clone();
-                let kernel = kernel.clone();
-                let plan = kernel_plan.clone();
-                let source = source.clone();
-                let origin = unit.origin;
-                move || {
-                    let curr = cell.curr.read();
-                    let mut next = cell.next.lock();
-                    for rect in &rects {
-                        kernel.apply_region_blocked(
-                            &curr, &mut next, rect, &plan, origin, t, dt, &source, repeats,
-                        );
-                    }
-                }
-            };
-            if info.foreign.is_empty() {
-                // fully local SD: one immediate task over the interior
-                let task = make_task(vec![Rect::new(0, 0, sds.sd, sds.sd)]);
-                step_futures.push(spawner.async_call(task));
-                continue;
-            }
-            let dst_rects: Vec<Rect> = info.foreign.iter().map(|&(_, r)| r).collect();
-            let cell_for_unpack = unit.cell.clone();
-            let unpack = move |payloads: Vec<Bytes>| {
-                let mut curr = cell_for_unpack.curr.write();
-                for (mut payload, rect) in payloads.into_iter().zip(dst_rects) {
-                    // straight into the padded tile: no intermediate Vec
-                    decode_f64_rows(&mut payload, curr.rect_rows_mut(&rect))
-                        .expect("corrupt ghost payload");
-                }
-            };
-            // Record the worst ghost-arrival delay of the step (wall time
-            // until the gated continuation fires) — the μ feedback signal.
-            let ghost_wait = step_ghost_wait.clone();
-            if cfg.overlap {
-                // case 2 now, case 1 when the ghosts are in
-                if !info.split.case2.is_empty() {
-                    let task = make_task(vec![info.split.case2]);
-                    step_futures.push(spawner.async_call(task));
-                }
-                let case1_task = make_task(info.split.case1.clone());
-                step_futures.push(when_all(ghost_futs).then(&spawner, move |payloads| {
-                    ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    unpack(payloads);
-                    case1_task();
-                }));
+                    }) as Task
+                })
+                .collect()
+        };
+        let mut step_futures: Vec<Future<()>> = Vec::new();
+        let mut gates = Vec::with_capacity(owned.len());
+        for (i, &sd) in owned.iter().enumerate() {
+            let unit = &states[&sd];
+            let split = &splits[i];
+            // The work factor in effect *now* (the schedule may have
+            // switched models): emulated by kernel repetition, so the
+            // numerics stay bit-exact while the busy time shifts.
+            let repeats = work_now.repeats(&sds, sd, loc.speed());
+            // case 2 now, case 1 when the halo is complete; a fully local
+            // SD is all case 2. The overlap-off ablation makes an SD with
+            // foreign ghosts wait for them before computing anything.
+            let (now, gated) = if cfg.overlap || split.is_all_case2() {
+                (split.case2, &split.case1[..])
             } else {
-                // ablation: everything waits for the ghosts
-                let task = make_task(vec![Rect::new(0, 0, sds.sd, sds.sd)]);
-                step_futures.push(when_all(ghost_futs).then(&spawner, move |payloads| {
-                    ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    unpack(payloads);
-                    task();
-                }));
+                (Rect::empty(), std::slice::from_ref(&full))
+            };
+            for task in compute_tasks(unit, repeats, &[now]) {
+                step_futures.push(spawner.async_call(task));
             }
+            gates.push(SdGate {
+                cell: unit.cell.clone(),
+                awaiting: AtomicU32::new(schedule.awaited[i]),
+                gated: Mutex::new(compute_tasks(unit, repeats, gated)),
+            });
+        }
+        // One continuation per incoming bundle: check every record against
+        // the schedule, decode it straight into the destination halo, and
+        // release each SD whose last awaited bundle this was. The released
+        // tasks' futures are the continuation's value, so the second
+        // barrier below sees exactly the tasks that were spawned.
+        let gates = Arc::new(gates);
+        let mut bundle_futures = Vec::with_capacity(schedule.recvs.len());
+        for b in 0..schedule.recvs.len() {
+            let peer = schedule.recvs[b].peer;
+            let schedule = schedule.clone();
+            let gates = gates.clone();
+            let ghost_wait = step_ghost_wait.clone();
+            let spawn_in = spawner.clone();
+            let arrival = loc.expect(tag(CLASS_GHOST, step as u64, peer as u64, 0));
+            bundle_futures.push(arrival.then(&spawner, move |payload| {
+                // the worst ghost-arrival delay of the step — the μ
+                // feedback signal
+                ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                let mut released = Vec::new();
+                let records = &schedule.recvs[b].records;
+                scatter_bundle(payload, records, &gates, |task| {
+                    released.push(spawn_in.async_call(task));
+                })
+                .unwrap_or_else(|e| {
+                    panic!("step {step}: ghost bundle from rank {peer} to rank {me}: {e}")
+                });
+                released
+            }));
         }
         when_all(step_futures).get();
-        // Second barrier for stealing mode: every ghost continuation has
-        // now run, so `deferred_futs` holds the complete set of gated
-        // band-task futures (empty when stealing is off or all SDs were
-        // fully local — `when_all` of nothing is immediately ready).
-        let deferred = std::mem::take(&mut *deferred_futs.lock());
-        when_all(deferred).get();
+        // Every continuation has run once its future is ready, so this is
+        // the complete set of gated tasks (none on a single locality).
+        let released: Vec<Future<()>> = when_all(bundle_futures)
+            .get()
+            .into_iter()
+            .flatten()
+            .collect();
+        when_all(released).get();
+        // The gates share the SD cells; a migration below wants them back
+        // uniquely owned to recycle their tiles.
+        drop(gates);
         window_ghost_ns += step_ghost_wait.swap(0, Ordering::Relaxed);
 
         // --- 4. swap buffers ---
-        for &sd in &owned {
+        for &sd in owned {
             let cell = &states[&sd].cell;
             let mut curr = cell.curr.write();
             let mut next = cell.next.lock();
@@ -823,7 +788,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             let t_now = (step + 1) as f64 * dt;
             let h = setup.parts.grid.h;
             let mut sum = 0.0;
-            for &sd in &owned {
+            for &sd in owned {
                 let unit = &states[&sd];
                 let curr = unit.cell.curr.read();
                 for lj in 0..sds.sd {
@@ -951,7 +916,9 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 );
                 in_migrations += 1;
             }
-            comm_dirty = true;
+            if !moves.is_empty() {
+                (schedule, splits) = ownership_view(&setup, &owners, me);
+            }
             // Record this locality's migration-exchange time for the next
             // epoch's LBSTAT gather (0 for an empty plan — nothing
             // shipped, nothing stalled).
@@ -988,6 +955,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         in_migrations,
         ghost_bytes,
         inter_rack_ghost_bytes,
+        ghost_patches,
         lb_log: lb_epoch.map(LbEpoch::into_log),
         pool_steals: loc.pool().steals_total(),
         pool_steal_fails: loc.pool().steal_fails_total(),
@@ -1294,6 +1262,140 @@ mod tests {
         }
     }
 
+    /// Three ranks, the last at quarter speed, under a two-ring halo: the
+    /// fast ranks run ahead, so the slow rank finds later steps' bundles
+    /// stashed in its rendezvous table before it expects them.
+    fn run_ahead(lb: Option<LbSchedule>) -> DistReport {
+        let cluster = ClusterBuilder::new()
+            .node(1, 1.0)
+            .node(1, 1.0)
+            .node(1, 0.25)
+            .build();
+        let mut cfg = DistConfig::new(24, 6.0, 4, 6);
+        cfg.lb = lb;
+        // the plan (not the execution) comes from the modeled load, so
+        // "the slow rank sheds" does not depend on wall-clock luck
+        cfg.lb_input = LbInput::Modeled;
+        let report = run_distributed(&cluster, &cfg);
+        assert_eq!(report.field, serial_field(24, 6.0, 6));
+        for i in 0..cluster.len() {
+            assert_eq!(
+                cluster.locality(i).rendezvous().outstanding(),
+                0,
+                "locality {i} leaked rendezvous entries"
+            );
+        }
+        report
+    }
+
+    #[test]
+    fn ranks_running_ahead_keep_the_field_exact() {
+        let report = run_ahead(None);
+        // 6 steps x the 6 ordered pairs of 3 mutually adjacent ranks is
+        // the most bundles there can be; each carries many patches
+        assert!(report.ghost_patches > 6 * 6);
+    }
+
+    #[test]
+    fn schedule_rebuilt_mid_run_keeps_the_field_exact() {
+        // The slow rank sheds SDs at the epochs, so sender and receiver
+        // schedules are rebuilt on every rank between two steps.
+        let report = run_ahead(Some(LbSchedule::every(2)));
+        assert!(report.migrations > 0, "the quarter-speed rank must shed");
+    }
+
+    /// Three 4-cell SDs in a row, one per rank, halo 2: the middle rank
+    /// awaits one bundle from each side. Returns the two bundles' payloads,
+    /// the middle rank's schedule, its one gate (a single gated task that
+    /// bumps the returned counter), and the two source tiles the payloads
+    /// were packed from.
+    fn middle_rank_gate() -> (
+        [Bytes; 2],
+        GhostSchedule,
+        Vec<SdGate>,
+        Arc<AtomicU32>,
+        [Tile; 2],
+    ) {
+        let sds = SdGrid::new(3, 1, 4);
+        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 2, id)).collect();
+        let reverse = reverse_index(&plans);
+        let owners = [0, 1, 2];
+        let sources = [0u32, 2].map(|rank| {
+            let mut tile = Tile::new(4, 2);
+            for (i, (x, y)) in tile.interior_rect().cells().enumerate() {
+                tile.set(x, y, f64::from(rank) * 100.0 + i as f64);
+            }
+            tile
+        });
+        let payloads = [0usize, 1].map(|k| {
+            let rank = [0u32, 2][k];
+            let sender = GhostSchedule::build(&plans, &reverse, &owners, rank);
+            assert_eq!(sender.sends[0].peer, 1);
+            sender.sends[0].pack(&[&sources[k]])
+        });
+        let schedule = GhostSchedule::build(&plans, &reverse, &owners, 1);
+        assert_eq!(schedule.awaited, vec![2]);
+        let ran = Arc::new(AtomicU32::new(0));
+        let task_ran = ran.clone();
+        let gates = vec![SdGate {
+            cell: Arc::new(SdCell {
+                curr: RwLock::new(Tile::new(4, 2)),
+                next: Mutex::new(Tile::new(4, 2)),
+            }),
+            awaiting: AtomicU32::new(2),
+            gated: Mutex::new(vec![Box::new(move || {
+                task_ran.fetch_add(1, Ordering::Relaxed);
+            }) as Task]),
+        }];
+        (payloads, schedule, gates, ran, sources)
+    }
+
+    #[test]
+    fn the_last_awaited_bundle_releases_the_gated_tasks() {
+        let (payloads, schedule, gates, ran, sources) = middle_rank_gate();
+        let run_now = |task: Task| task();
+        let [left, right] = payloads;
+        scatter_bundle(left, &schedule.recvs[0].records, &gates, run_now).unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 0, "one bundle still awaited");
+        scatter_bundle(right, &schedule.recvs[1].records, &gates, run_now).unwrap();
+        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        // both halo strips hold exactly what a local copy would have put there
+        let plans = build_halo_plan(&SdGrid::new(3, 1, 4), 2, 1);
+        let mut want = Tile::new(4, 2);
+        for (_, src, patch) in plans.sd_patches() {
+            let from = &sources[usize::from(src == 2)];
+            want.copy_rect_from(from, &patch.src_rect, &patch.dst_rect);
+        }
+        assert_eq!(gates[0].cell.curr.read().data(), want.data());
+    }
+
+    #[test]
+    fn a_bundle_that_disagrees_with_the_schedule_is_rejected() {
+        // bytes after the last scheduled record
+        let (payloads, schedule, gates, ran, _) = middle_rank_gate();
+        let mut long = BytesMut::new();
+        long.extend_from_slice(&payloads[0]);
+        long.extend_from_slice(&[0u8; 8]);
+        assert_eq!(
+            scatter_bundle(long.freeze(), &schedule.recvs[0].records, &gates, |_| ()),
+            Err(WireError::TrailingBytes(8))
+        );
+        // the right neighbour's bundle where the left one's is expected:
+        // refused at the first header, nothing scattered, nothing released
+        let (payloads, schedule, gates, _, _) = middle_rank_gate();
+        let [_, right] = payloads;
+        let err = scatter_bundle(right, &schedule.recvs[0].records, &gates, |_| ()).unwrap_err();
+        assert!(
+            matches!(err, WireError::RecordMismatch { expected, found }
+                if expected == schedule.recvs[0].records[0].header()
+                    && found == schedule.recvs[1].records[0].header()),
+            "{err}"
+        );
+        assert!(gates[0].cell.curr.read().data().iter().all(|&v| v == 0.0));
+        assert_eq!(gates[0].awaiting.load(Ordering::Relaxed), 2);
+        assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
     #[test]
     fn single_node_cluster_works() {
         let cluster = ClusterBuilder::new().uniform(1, 2).build();
@@ -1348,23 +1450,31 @@ mod tests {
 
     #[test]
     fn ghost_byte_counters_match_the_planner_grade_formula() {
-        // LB-free run on 2 nodes: every cross parcel is a ghost patch, so
-        // the planner-grade counter must equal patches x patch_wire_bytes,
-        // which is also what the simulator charges for this scenario.
+        // LB-free run on 2 nodes: the only parcels are the ghost bundles,
+        // one per step and direction, and their payload is exactly the
+        // planner-grade volume — the ownership cut of the SD graph, which
+        // is also what the simulator charges for this scenario.
         let cluster = ClusterBuilder::new().uniform(2, 1).build();
         let mut cfg = DistConfig::new(16, 2.0, 4, 3);
         cfg.partition = PartitionSpec::Strip;
         let report = run_distributed(&cluster, &cfg);
-        assert!(report.ghost_bytes > 0);
+        let sds = SdGrid::tile_mesh(16, 16, 4);
+        let graph = SdGraph::build(&sds, cfg.spec.build().grid.halo);
+        let cut = graph.cut_bytes(report.final_ownership.owners());
+        assert!(cut > 0);
+        assert_eq!(report.ghost_bytes, 3 * cut);
         assert_eq!(report.migration_bytes, 0);
         // rack-less model: no inter-rack share
         assert_eq!(report.inter_rack_ghost_bytes, 0);
-        // the wire carries the same parcels plus an 8-byte codec length
-        // word each: planner-grade + 8 * messages == wire bytes
-        let msgs = cluster.net_stats().messages();
+        // 4 boundary SD pairs with 3 patches each way (side + 2 corners,
+        // minus the 2 x 2 corners that fall off the strip's ends)
+        assert_eq!(report.ghost_patches, 3 * 2 * (4 * 3 - 2));
+        let stats = cluster.net_stats();
+        assert_eq!(stats.messages(), 3 * 2, "one bundle per step and rank pair");
+        // the wire adds only the 24-byte parcel header per bundle
         assert_eq!(
-            report.ghost_bytes + 8 * msgs,
-            cluster.net_stats().cross_bytes()
+            report.ghost_bytes + 24 * stats.messages(),
+            stats.cross_bytes()
         );
     }
 

@@ -5,21 +5,24 @@
 //! * [`shared`] — the shared-memory asynchronous solver (§8.2): SDs as unit
 //!   tasks futurized over a work-stealing pool.
 //! * [`dist`] — the fully distributed solver (§6): per-locality drivers,
-//!   ghost-zone parcels, case-2 computation overlapped with communication
-//!   and case-1 computation gated on ghost futures (§6.3), plus online load
-//!   balancing epochs.
+//!   ghost-zone bundles, case-2 computation overlapped with communication
+//!   and case-1 computation gated on the bundles' arrival (§6.3), plus
+//!   online load balancing epochs.
 //! * [`balance`] — **Algorithm 1**: busy-time-derived node power (eq. 8),
 //!   expected SD counts (eq. 10), load imbalance (eq. 9), the
 //!   data-dependency tree with topological ordering (Fig. 7), and
 //!   contiguity-preserving uniform SD borrowing (Fig. 6) — one strategy
 //!   behind the pluggable `LbPolicy`/`LbSpec` layer that also ships
 //!   diffusion, greedy-steal and adaptive-λ policies.
+//! * [`ghost`] — the halo-exchange schedule: one bundle of patch records
+//!   per step and ordered rank pair, derived from ownership alone.
 //! * [`ownership`] — the SD→node ownership map shared by all of the above.
 //! * [`workload`] — heterogeneity models (per-node speed, per-SD work
 //!   factors such as the crack scenario of §7).
 
 pub mod balance;
 pub mod dist;
+pub mod ghost;
 pub mod ownership;
 pub mod scenario;
 pub mod shared;

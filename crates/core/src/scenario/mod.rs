@@ -841,12 +841,16 @@ pub struct DistExtras {
     pub elapsed: Duration,
     /// Per-locality busy nanoseconds (raw counter values).
     pub busy_ns: Vec<u64>,
-    /// Messages the fabric actually carried (ghosts + LB protocol +
-    /// migrations).
+    /// Parcels the fabric actually carried (one ghost bundle per step and
+    /// ordered rank pair + LB protocol + migrations).
     pub wire_messages: u64,
-    /// Bytes that actually crossed localities on the wire (includes codec
-    /// framing and the LB protocol, unlike the planner-grade counters).
+    /// Bytes that actually crossed localities on the wire (includes the
+    /// parcel headers and the LB protocol, unlike the planner-grade
+    /// counters).
     pub wire_cross_bytes: u64,
+    /// Foreign halo patches shipped inside the ghost bundles — what the
+    /// simulator's per-patch model counts as `messages`.
+    pub ghost_patches: u64,
     /// Per-locality successful task steals in the worker pools over the
     /// whole run (injector grabs plus peer-to-peer deque steals — the
     /// intra-step stealing observability signal).
@@ -945,6 +949,7 @@ impl RunReport {
                 busy_ns: report.busy_ns,
                 wire_messages,
                 wire_cross_bytes,
+                ghost_patches: report.ghost_patches,
                 pool_steals: report.pool_steals,
                 pool_steal_fails: report.pool_steal_fails,
                 pool_parks: report.pool_parks,
@@ -1063,8 +1068,8 @@ impl RunReport {
                 );
             }
             RunExtras::Dist(d) => {
-                // wire bytes carry codec framing and the LB protocol on
-                // top of the planner-grade counters
+                // wire bytes carry the parcel headers and the LB protocol
+                // on top of the planner-grade counters
                 assert!(
                     self.ghost_bytes + self.migration_bytes <= d.wire_cross_bytes,
                     "dist: planner-grade bytes ({} + {}) exceed the wire ({})",

@@ -22,15 +22,14 @@ use crate::graph::Csr;
 use crate::metrics::edge_cut;
 use nlheat_mesh::{build_halo_plan, HaloPlan, SdGrid, SdId};
 
-/// Wire bytes of one ghost message carrying `cells` cells — the
+/// Wire bytes of one ghost patch carrying `cells` cells — the
 /// 8-byte-f64 payload plus 24 bytes of framing, the planning-grade wire
 /// estimate shared by the discrete-event simulator's per-patch charge and
 /// the balancer's `sd_bytes` tile size, kept here so the graph's edge
-/// weights and the simulated traffic can never disagree. (The real
-/// fabric's parcels additionally carry the codec's 8-byte length prefix,
-/// so this estimate undercounts a real ghost message by one word — an
-/// approximation, constant per message, that cancels in every edge-cut
-/// *delta* the planner prices.)
+/// weights and the simulated traffic can never disagree. On the real
+/// fabric this is exactly the size of the patch's record inside a ghost
+/// bundle (two header words, the run's length word, the cells), so an
+/// ownership cut of this graph is the bundles' payload byte for byte.
 pub fn patch_wire_bytes(cells: i64) -> u64 {
     (cells * 8 + 24) as u64
 }

@@ -162,15 +162,15 @@ fn traffic_statistics_are_plausible() {
         .on(ClusterSpec::uniform(2, 1))
         .run_dist();
     // 4x4 SDs halved: 4 boundary SD pairs + diagonals, both directions,
-    // 3 steps; an LB-free run has no other messages. Just sanity-check
-    // magnitude and consistency of the unified counters.
+    // 3 steps, shipped as one bundle per step and direction; an LB-free
+    // run has no other messages.
     let extras = report.dist_extras().expect("real-runtime extras");
-    assert!(extras.wire_messages > 0);
-    assert!(extras.wire_cross_bytes > 0);
+    assert_eq!(extras.wire_messages, 3 * 2);
+    assert!(extras.ghost_patches > extras.wire_messages);
     assert!(report.ghost_bytes > 0);
-    // planner-grade bytes + the 8-byte codec length per parcel = wire
+    // planner-grade bytes + the 24-byte parcel header per bundle = wire
     assert_eq!(
-        report.ghost_bytes + 8 * extras.wire_messages,
+        report.ghost_bytes + 24 * extras.wire_messages,
         extras.wire_cross_bytes
     );
 

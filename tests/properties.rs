@@ -6,6 +6,7 @@ use nonlocalheat::amt::rendezvous::Rendezvous;
 use nonlocalheat::core::balance::{
     compute_metrics, plan_rebalance, plan_rebalance_with_cost, CostParams, LbNetwork, LbSpec,
 };
+use nonlocalheat::core::ghost::{reverse_index, GhostSchedule, RankBundle};
 use nonlocalheat::core::ownership::Ownership;
 use nonlocalheat::mesh::{build_halo_plan, split_cases, Rect, SdGrid};
 use nonlocalheat::netmodel::{CommCost, LinkSpec, NetSpec, TopologySpec};
@@ -128,6 +129,57 @@ proptest! {
             }
             prop_assert_eq!(area, sd * sd);
         }
+    }
+}
+
+// ---------- ghost exchange schedule ----------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn ghost_bundles_mirror_and_sum_to_the_cut(
+        nsx in 2i64..6,
+        nsy in 2i64..6,
+        sd in 2i64..6,
+        halo in 1i64..9,
+        n_ranks in 2u32..5,
+        seed in any::<u64>(),
+    ) {
+        // Every rank derives its schedule on its own; nothing but the
+        // shared ordering rule keeps sender and receiver in step.
+        let grid = SdGrid::new(nsx as usize, nsy as usize, sd as usize);
+        let plans: Vec<_> = grid.ids().map(|id| build_halo_plan(&grid, halo, id)).collect();
+        let reverse = reverse_index(&plans);
+        let owners = scrambled_owners(grid.count(), n_ranks, seed);
+        let schedules: Vec<GhostSchedule> = (0..n_ranks)
+            .map(|me| GhostSchedule::build(&plans, &reverse, &owners, me))
+            .collect();
+        let keys = |b: &RankBundle| -> Vec<_> {
+            b.records.iter().map(|r| (r.dst_sd, r.pidx, r.rect.area())).collect()
+        };
+        let mut payload = 0u64;
+        for (src, sender) in schedules.iter().enumerate() {
+            for (dst, receiver) in schedules.iter().enumerate() {
+                let sent = sender.sends.iter().find(|b| b.peer as usize == dst);
+                let expected = receiver.recvs.iter().find(|b| b.peer as usize == src);
+                prop_assert_eq!(sent.map(keys), expected.map(keys), "pair {} -> {}", src, dst);
+                prop_assert_eq!(
+                    sent.map(|b| b.wire_bytes),
+                    expected.map(|b| b.wire_bytes)
+                );
+                payload += sent.map_or(0, |b| b.wire_bytes as u64);
+            }
+            // every record reads from / writes into a tile this rank owns
+            for bundle in sender.sends.iter().chain(&sender.recvs) {
+                prop_assert!(bundle.peer as usize != src && !bundle.records.is_empty());
+                for r in &bundle.records {
+                    prop_assert_eq!(owners[sender.owned[r.tile as usize] as usize], src as u32);
+                }
+            }
+        }
+        // the bundles carry exactly the planner's view of the recurring
+        // traffic under this ownership
+        prop_assert_eq!(payload, SdGraph::from_plans(&grid, &plans).cut_bytes(&owners));
     }
 }
 

@@ -1,52 +1,101 @@
 //! Consistency between the discrete-event simulator and the real runtime:
 //! both execute the same decomposition, so their *communication structure*
-//! must agree (message counts exactly, byte volumes up to the small
-//! framing difference documented below). One `Scenario` value drives both
-//! substrates; the unified `RunReport` carries the counters.
+//! must agree. The simulator models one message per foreign halo patch;
+//! the real runtime ships the same patches as records of one bundle parcel
+//! per step and ordered rank pair. So patch counts and planner-grade bytes
+//! agree exactly, and the wire differs from the model only by the 24-byte
+//! parcel header per bundle. One `Scenario` value drives both substrates;
+//! the unified `RunReport` carries the counters.
 
 use nonlocalheat::prelude::*;
 
-/// Run the same scenario through both substrates and return
-/// `(real messages, real wire bytes, sim messages, sim bytes)` for the
-/// LB-free ghost traffic.
-fn traffic(n: usize, eps_mult: f64, sd: usize, nodes: usize, steps: usize) -> (u64, u64, u64, u64) {
+/// LB-free ghost traffic of one scenario on both substrates.
+struct Traffic {
+    steps: u64,
+    /// Ordered rank pairs `(src, dst)` that share a halo under the
+    /// scenario's (static) ownership.
+    halo_pairs: u64,
+    real: RunReport,
+    sim: RunReport,
+}
+
+fn traffic(n: usize, eps_mult: f64, sd: usize, nodes: usize, steps: usize) -> Traffic {
     let scenario = Scenario::square(n, eps_mult, sd, steps)
         .on(ClusterSpec::uniform(nodes, 1))
         .with_partition(PartitionSpec::Strip)
         .with_net(NetSpec::Instant);
     let real = scenario.run_dist();
-    let dist = real.dist_extras().expect("real-runtime extras");
     let sim = scenario.run_sim();
-    let se = sim.sim_extras().expect("sim extras");
-    (
-        dist.wire_messages,
-        dist.wire_cross_bytes,
-        se.messages,
-        se.cross_bytes,
-    )
+    let graph = scenario.sd_graph();
+    let owners = real.final_ownership.owners();
+    let mut pairs = std::collections::BTreeSet::new();
+    for sd in scenario.sd_grid().ids() {
+        for (nb, _) in graph.neighbours(sd) {
+            let (a, b) = (owners[sd as usize], owners[nb as usize]);
+            if a != b {
+                pairs.insert((a, b));
+            }
+        }
+    }
+    Traffic {
+        steps: steps as u64,
+        halo_pairs: pairs.len() as u64,
+        real,
+        sim,
+    }
+}
+
+impl Traffic {
+    /// The identities every LB-free run satisfies; returns
+    /// `(ghost patches, bundles)` for the callers' magnitude checks.
+    fn check(&self) -> (u64, u64) {
+        let dist = self.real.dist_extras().expect("real-runtime extras");
+        let sim = self.sim.sim_extras().expect("sim extras");
+        // the simulator's per-patch messages are the bundles' records
+        assert_eq!(
+            sim.messages, dist.ghost_patches,
+            "sim messages vs real ghost patches"
+        );
+        // the fabric carries one bundle per step and ordered rank pair
+        assert_eq!(
+            dist.wire_messages,
+            self.steps * self.halo_pairs,
+            "{} steps x {} halo-sharing rank pairs",
+            self.steps,
+            self.halo_pairs
+        );
+        // record bytes are exactly planner-grade on both substrates; only
+        // the parcel header per bundle is extra on the wire
+        let headers = 24 * dist.wire_messages;
+        assert_eq!(self.real.ghost_bytes + headers, dist.wire_cross_bytes);
+        assert_eq!(sim.cross_bytes + headers, dist.wire_cross_bytes);
+        (dist.ghost_patches, dist.wire_messages)
+    }
 }
 
 #[test]
 fn message_counts_agree_exactly() {
-    let (rm, _, sm, _) = traffic(24, 2.0, 4, 2, 3);
-    assert_eq!(rm, sm, "real {rm} vs sim {sm} ghost messages");
-    let (rm4, _, sm4, _) = traffic(24, 2.0, 4, 4, 2);
-    assert_eq!(rm4, sm4);
+    let two = traffic(24, 2.0, 4, 2, 3);
+    assert_eq!(two.halo_pairs, 2);
+    let (patches, bundles) = two.check();
+    assert_eq!(bundles, 6);
+    assert!(patches > bundles, "bundles coalesce: {patches} patches");
+    // four strips: only adjacent strips share a halo (3 pairs, both ways)
+    let four = traffic(24, 2.0, 4, 4, 2);
+    assert_eq!(four.halo_pairs, 6);
+    four.check();
 }
 
 #[test]
 fn byte_volumes_agree_within_framing() {
-    // The real codec prepends an 8-byte length to each payload; the sim
-    // accounts payload + 24-byte header. Expected delta: 8 bytes/message.
-    let (rm, rb, sm, sb) = traffic(24, 2.0, 4, 2, 3);
-    assert_eq!(rm, sm);
-    let expected_real = sb + 8 * sm;
-    assert_eq!(
-        rb,
-        expected_real,
-        "real bytes {rb} vs sim bytes {sb} + framing {}",
-        8 * sm
-    );
+    // The sim accounts payload + a 24-byte header per *patch*, which is
+    // exactly the size of a record inside a bundle; the real parcel adds
+    // its own 24-byte header once per bundle.
+    let t = traffic(24, 2.0, 4, 2, 3);
+    t.check();
+    let sim = t.sim.sim_extras().unwrap();
+    assert_eq!(sim.cross_bytes, t.real.ghost_bytes);
+    assert_eq!(sim.cross_bytes, t.sim.ghost_bytes);
 }
 
 #[test]
@@ -68,10 +117,12 @@ fn planner_grade_ghost_counters_agree_exactly() {
 #[test]
 fn multi_ring_traffic_agrees() {
     // eps spanning two SD rings: the heavier communication pattern must
-    // match too.
-    let (rm, rb, sm, sb) = traffic(16, 6.0, 4, 2, 2);
-    assert_eq!(rm, sm);
-    assert_eq!(rb, sb + 8 * sm);
+    // match too — many more patches, still one bundle per rank pair.
+    let t = traffic(16, 6.0, 4, 2, 2);
+    let (patches, bundles) = t.check();
+    assert_eq!(bundles, 4);
+    let (one_ring, _) = traffic(16, 2.0, 4, 2, 2).check();
+    assert!(patches > 2 * one_ring, "{patches} vs {one_ring} patches");
 }
 
 /// Run a library scenario on both substrates and assert the planner made
