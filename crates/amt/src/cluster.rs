@@ -9,6 +9,7 @@ use crate::counters::CounterRegistry;
 use crate::locality::Locality;
 use crate::network::{Fabric, NetStats};
 use nlheat_netmodel::NetSpec;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -100,6 +101,7 @@ impl ClusterBuilder {
         }
         let mut localities = Vec::with_capacity(n);
         let mut pumps = Vec::with_capacity(n);
+        let pumps_started = Arc::new(AtomicUsize::new(0));
         for (i, (spec, rx)) in self.nodes.iter().zip(receivers).enumerate() {
             let loc = Locality::new(
                 i as u32,
@@ -109,10 +111,14 @@ impl ClusterBuilder {
                 registry.clone(),
             );
             let (rendezvous, handlers) = loc.pump_parts();
+            let started = pumps_started.clone();
             pumps.push(
                 std::thread::Builder::new()
                     .name(format!("loc{i}-pump"))
-                    .spawn(move || Locality::pump(rx, rendezvous, handlers))
+                    .spawn(move || {
+                        started.fetch_add(1, Ordering::Release);
+                        Locality::pump(rx, rendezvous, handlers)
+                    })
                     .expect("failed to spawn inbox pump"),
             );
             localities.push(loc);
@@ -121,6 +127,7 @@ impl ClusterBuilder {
             localities,
             fabric,
             pumps,
+            pumps_started,
             registry,
             net,
         }
@@ -132,6 +139,8 @@ pub struct Cluster {
     localities: Vec<Arc<Locality>>,
     fabric: Fabric,
     pumps: Vec<JoinHandle<()>>,
+    /// Pump threads that have entered their loop.
+    pumps_started: Arc<AtomicUsize>,
     registry: Arc<CounterRegistry>,
     net: NetSpec,
 }
@@ -175,11 +184,27 @@ impl Cluster {
 
     /// Run a distributed program: `f` executes once per locality on its own
     /// driver thread (SPMD style); returns per-locality results in id order.
+    ///
+    /// The drivers start only once every worker and pump thread of the
+    /// cluster is up. `build` returns while those threads are still
+    /// starting, and a driver that races the tail of that start-up runs
+    /// its first step against a half-started pool and — because the
+    /// allocator hands its per-thread arenas out in the order threads
+    /// start — puts its tiles and bundles on a different arena from one
+    /// cluster to the next, while the arenas earlier drivers grew stay
+    /// resident: a process that runs clusters back to back then peaks at
+    /// a different size every time.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Arc<Locality>) -> R + Send + Sync,
     {
+        for loc in &self.localities {
+            loc.pool().wait_started();
+        }
+        while self.pumps_started.load(Ordering::Acquire) < self.pumps.len() {
+            std::thread::yield_now();
+        }
         std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .localities
@@ -235,6 +260,14 @@ mod tests {
         let cluster = ClusterBuilder::new().uniform(4, 1).build();
         let ids = cluster.run(|loc| loc.id());
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn drivers_start_after_every_cluster_thread() {
+        // (the pools' side of the gate: `pool::tests::wait_started_sees_every_worker`)
+        let cluster = ClusterBuilder::new().uniform(3, 1).build();
+        let pumps_up = cluster.run(|_| cluster.pumps_started.load(Ordering::Acquire));
+        assert_eq!(pumps_up, vec![3; 3]);
     }
 
     #[test]

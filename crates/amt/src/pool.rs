@@ -43,6 +43,8 @@ struct PoolInner {
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
     shutdown: AtomicBool,
+    /// Workers that have entered their loop.
+    started: AtomicUsize,
     /// Tasks submitted but not yet finished.
     pending: AtomicUsize,
     busy_ns: Vec<CachePadded<AtomicU64>>,
@@ -84,6 +86,7 @@ impl ThreadPool {
             injector: Injector::new(),
             stealers,
             shutdown: AtomicBool::new(false),
+            started: AtomicUsize::new(0),
             pending: AtomicUsize::new(0),
             busy_ns: (0..n_workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -133,6 +136,15 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn n_workers(&self) -> usize {
         self.inner.busy_ns.len()
+    }
+
+    /// Block until every worker thread is running. Threads start
+    /// asynchronously, so a caller about to fan work out (or to time it)
+    /// waits here rather than race the pool's own start-up.
+    pub fn wait_started(&self) {
+        while self.inner.started.load(Ordering::Acquire) < self.n_workers() {
+            std::thread::yield_now();
+        }
     }
 
     /// Submit a task.
@@ -340,6 +352,7 @@ fn find_task(
 }
 
 fn worker_loop(inner: Arc<PoolInner>, local: Worker<Task>, me: usize) {
+    inner.started.fetch_add(1, Ordering::Release);
     let mut chunk = 1usize;
     loop {
         match find_task(&inner, &local, me, &mut chunk) {
@@ -388,6 +401,13 @@ mod tests {
     use super::*;
     use crate::future::when_all;
     use std::sync::atomic::AtomicU32;
+
+    #[test]
+    fn wait_started_sees_every_worker() {
+        let pool = ThreadPool::new(3, "t");
+        pool.wait_started();
+        assert_eq!(pool.inner.started.load(Ordering::Acquire), 3);
+    }
 
     #[test]
     fn executes_all_tasks() {

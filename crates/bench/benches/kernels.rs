@@ -2,7 +2,7 @@
 //! pack/unpack, the partitioner and one Algorithm-1 planning round.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nlheat_core::balance::plan_rebalance;
+use nlheat_core::balance::{compute_metrics, plan_rebalance, LbNetwork, MoveWeights};
 use nlheat_core::ownership::Ownership;
 use nlheat_mesh::{Grid, Rect, SdGrid, Tile};
 use nlheat_model::{zero_source, Influence, NonlocalKernel};
@@ -74,8 +74,16 @@ fn balance_bench(c: &mut Criterion) {
     let busy: Vec<f64> = (0..8).map(|i| 1.0 + i as f64 * 0.3).collect();
     let mut g = c.benchmark_group("balance");
     g.sample_size(20);
-    g.bench_function("plan_rebalance_256sd_8nodes", |b| {
-        b.iter(|| black_box(plan_rebalance(&own, &busy)))
+    g.bench_function("rebalance_256sd_8nodes", |b| {
+        b.iter(|| {
+            let metrics = compute_metrics(&own.counts(), &busy);
+            black_box(plan_rebalance(
+                &own,
+                &metrics,
+                &LbNetwork::free(),
+                MoveWeights::default(),
+            ))
+        })
     });
     g.finish();
 }

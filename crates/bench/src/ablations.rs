@@ -269,9 +269,7 @@ pub fn a7_comm_aware_lambda(quick: bool) -> FigData {
         .axis(Axis::numeric(
             "lambda",
             &[0.0, 0.5, 1.0, 2.0, 4.0],
-            |sc, lambda| {
-                sc.with_lb(LbSchedule::every(4).with_spec(LbSpec::Tree { lambda, mu: 0.0 }))
-            },
+            |sc, lambda| sc.with_lb(LbSchedule::every(4).with_spec(LbSpec::tree(lambda))),
         ))
         .with_parallelism(2);
     let mut inter = Series::new("inter-rack-KB");

@@ -25,11 +25,12 @@ use nlheat_sim::SimSubstrate;
 use std::time::Instant;
 
 /// The λ mutator of the throughput grid: set λ where the scheduled policy
-/// has one (the tree planner), leave λ-less policies untouched.
+/// is the tree planner, leave the diffusion and greedy-steal rows
+/// untouched (the grid's records are pinned to that meaning).
 fn with_lambda(mut sc: Scenario, lambda: f64) -> Scenario {
     if let Some(lb) = &mut sc.lb {
-        if let LbSpec::Tree { lambda: l, .. } = &mut lb.spec {
-            *l = lambda;
+        if let LbSpec::Tree { weights } = &mut lb.spec {
+            weights.lambda = lambda;
         }
     }
     sc

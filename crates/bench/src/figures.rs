@@ -1,7 +1,7 @@
 //! The seven evaluation figures of the paper (§8.1–§8.3).
 
 use crate::figdata::{FigData, Series};
-use nlheat_core::balance::iterate_rebalance;
+use nlheat_core::balance::{compute_metrics, plan_rebalance, LbNetwork, MoveWeights};
 use nlheat_core::ownership::Ownership;
 use nlheat_core::scenario::{ClusterSpec, Scenario};
 use nlheat_mesh::SdGrid;
@@ -213,10 +213,25 @@ pub fn fig14() -> Fig14Output {
     owners[sds.id(4, 4) as usize] = 3;
     let own = Ownership::new(sds, owners, 4);
 
-    // Symmetric nodes: busy time proportional to owned SDs.
-    let history = iterate_rebalance(&own, 3, |o| {
-        o.counts().iter().map(|&c| c.max(1) as f64).collect()
-    });
+    // Symmetric nodes: busy time proportional to owned SDs. Replan the
+    // count-based Algorithm 1 until it settles, three iterations at most.
+    let mut history = vec![own];
+    for _ in 0..3 {
+        let current = &history[history.len() - 1];
+        let counts = current.counts();
+        let busy: Vec<f64> = counts.iter().map(|&c| c.max(1) as f64).collect();
+        let metrics = compute_metrics(&counts, &busy);
+        let plan = plan_rebalance(
+            current,
+            &metrics,
+            &LbNetwork::free(),
+            MoveWeights::default(),
+        );
+        if plan.is_noop() {
+            break;
+        }
+        history.push(plan.new_ownership);
+    }
     let mut fig = FigData::new(
         "Fig 14 — load balancing of 5x5 SDs over 4 symmetric nodes",
         "iteration",

@@ -210,6 +210,7 @@ mod tests {
     use crate::balance::algorithm::finish_plan;
     use crate::balance::power::LoadMetrics;
     use crate::balance::repart::DriftInfo;
+    use crate::balance::score::MoveWeights;
     use nlheat_mesh::SdGrid;
     use std::sync::Mutex;
 
@@ -229,6 +230,7 @@ mod tests {
     struct Scripted {
         calls: Arc<Mutex<Vec<Call>>>,
         script: Vec<Vec<Move>>,
+        weights: MoveWeights,
     }
 
     impl LbPolicy for Scripted {
@@ -250,7 +252,7 @@ mod tests {
             for mv in &moves {
                 working.set_owner(mv.sd, mv.to);
             }
-            finish_plan(m.clone(), working, moves, &net.comm, &net.sd_bytes)
+            finish_plan(m.clone(), working, moves, net)
         }
 
         fn observe_stall(&mut self, frac: f64) {
@@ -259,6 +261,10 @@ mod tests {
 
         fn observe_ghost_stall(&mut self, frac: f64) {
             self.calls.lock().unwrap().push(Call::GhostStall(frac));
+        }
+
+        fn weights_mut(&mut self) -> &mut MoveWeights {
+            &mut self.weights
         }
 
         fn drift_info(&self) -> Option<DriftInfo> {
@@ -317,6 +323,7 @@ mod tests {
             let policy = Box::new(Scripted {
                 calls: calls.clone(),
                 script,
+                weights: MoveWeights::default(),
             });
             (LbEpoch::with_policy(cfg, policy), calls)
         }

@@ -5,11 +5,11 @@
 //! per-node `node_adjacency()` recomputation and `owned_by()` frontier
 //! scans go superlinear.
 //!
-//! Each level runs the same Algorithm-1 shape the flat planner uses
-//! (power-proportional expected shares, dependency forest rooted at the
-//! minimum imbalance, topological `imbalance/L` settlement), but over
-//! *groups* (racks, nodes, ranks) instead of ranks, with transfers
-//! realized along the SD frontier between the two groups:
+//! Each level runs the same Algorithm-1 walk the flat planner uses
+//! (`algorithm::settle`: power-proportional expected shares, dependency forest
+//! rooted at the minimum imbalance, topological `imbalance/L`
+//! settlement), but over *groups* (racks, nodes, ranks) instead of ranks,
+//! with transfers realized along the SD frontier between the two groups:
 //!
 //! 1. one O(`n_sds`) boundary pass builds the group adjacency and the
 //!    per-ordered-pair frontier SD sets;
@@ -23,12 +23,11 @@
 //! The planner is **memory-aware** end to end: when the [`LbNetwork`]
 //! carries per-rank capacities and per-SD resident footprints, every
 //! level rejects a destination whose memory the move would overflow, and
-//! the running usage advances with each realized move. λ gates each move
-//! by its migration cost and μ by its recurring ghost-traffic delta,
-//! exactly like the flat planner ([`ghost_delta_seconds`]); residual
-//! imbalance that the frontier, the gates, or the capacities refuse
-//! simply stays for the next epoch — the algorithm is iterative by
-//! design.
+//! the running usage advances with each realized move. Every move is
+//! gated by the same [`MoveScore`] the flat planner uses (λ prices its
+//! migration, μ its recurring ghost-traffic delta); residual imbalance
+//! that the frontier, the gate, or the capacities refuse simply stays for
+//! the next epoch — the algorithm is iterative by design.
 //!
 //! The rank → node → rack hierarchy comes from the
 //! [`TopologySpec`](nlheat_netmodel::TopologySpec) behind the active
@@ -38,14 +37,13 @@
 //! unless memory capacities are attached, in which case the capacity-
 //! gated machinery runs even flat.
 
-use crate::balance::algorithm::{finish_plan, ghost_delta_seconds, MigrationPlan, Move};
+use crate::balance::algorithm::{finish_plan, settle, MigrationPlan, Move, Settlement};
 use crate::balance::policy::{LbNetwork, LbPolicy};
 use crate::balance::power::{largest_remainder_round, LoadMetrics};
-use crate::balance::tree::build_forest_weighted;
+use crate::balance::score::{MoveScore, MoveWeights};
 use crate::ownership::{NodeId, Ownership};
 use nlheat_mesh::SdId;
 use nlheat_netmodel::CommCost;
-use nlheat_partition::SdGraph;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -85,31 +83,6 @@ impl MemoryState {
     }
 }
 
-/// The planning knobs shared by every level.
-struct PlanCtx<'a> {
-    metrics: &'a LoadMetrics,
-    net: &'a LbNetwork,
-    lambda: f64,
-    mu: f64,
-    /// `sd_bytes.nominal()`, computed once — the per-SD mean is O(n_sds).
-    nominal: u64,
-    /// λ terms can affect the plan (λ > 0 over a non-free network).
-    lambda_active: bool,
-}
-
-impl PlanCtx<'_> {
-    /// λ-weighted seconds of migrating one nominal tile between the
-    /// groups' representative ranks — the group-graph ordering weight;
-    /// exactly 0 when inactive.
-    fn edge_weight(&self, rep_src: NodeId, rep_dst: NodeId) -> f64 {
-        if self.lambda_active {
-            self.lambda * self.net.comm.seconds(rep_src, rep_dst, self.nominal)
-        } else {
-            0.0
-        }
-    }
-}
-
 /// True when the comm hierarchy offers nothing coarser than ranks: no
 /// topology at all, or a single rack of single-rank nodes. [`HierPolicy`]
 /// then delegates to its inner leaf policy (byte-identical plans) unless
@@ -130,15 +103,11 @@ pub fn plan_hierarchical(
     own: &Ownership,
     metrics: &LoadMetrics,
     net: &LbNetwork,
-    lambda: f64,
-    mu: f64,
+    weights: MoveWeights,
 ) -> MigrationPlan {
     let n_ranks = own.n_nodes() as usize;
     assert_eq!(metrics.counts.len(), n_ranks, "metrics cover every rank");
-    let ghost = net.ghost_graph(mu);
-    if let Some(g) = ghost {
-        assert_eq!(g.n_sds(), own.sds().count(), "ghost graph covers the grid");
-    }
+    let score = MoveScore::new(weights, metrics, net);
 
     let levels: Vec<Level> = match net.comm.topology_spec() {
         Some(t) => {
@@ -193,29 +162,21 @@ pub fn plan_hierarchical(
         _ => None,
     };
 
-    let ctx = PlanCtx {
-        metrics,
-        net,
-        lambda,
-        mu,
-        nominal: net.sd_bytes.nominal(),
-        lambda_active: lambda > 0.0 && !net.comm.is_free(),
-    };
     let mut working = own.clone();
     let mut raw: Vec<Move> = Vec::new();
     for level in &levels {
-        balance_level(&ctx, &mut working, &mut raw, &mut mem, ghost, level);
+        balance_level(&score, metrics, &mut working, &mut raw, &mut mem, level);
     }
-    finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
+    finish_plan(metrics.clone(), working, raw, net)
 }
 
 /// Settle the imbalance between the groups of one level, scope by scope.
 fn balance_level(
-    ctx: &PlanCtx<'_>,
+    score: &MoveScore<'_>,
+    metrics: &LoadMetrics,
     working: &mut Ownership,
     raw: &mut Vec<Move>,
     mem: &mut Option<MemoryState>,
-    ghost: Option<&SdGraph>,
     level: &Level,
 ) {
     let n_groups = level.n_groups;
@@ -246,7 +207,7 @@ fn balance_level(
     let mut rep = vec![u32::MAX; n_groups];
     for rank in 0..n_ranks {
         let g = level.group_of[rank] as usize;
-        power[g] += ctx.metrics.power[rank];
+        power[g] += metrics.power[rank];
         if rep[g] == u32::MAX {
             rep[g] = rank as u32;
         }
@@ -345,226 +306,192 @@ fn balance_level(
                 .map(|&g| adjacency[g as usize].iter().map(|n| lidx[n]).collect())
                 .collect()
         };
-        let weight = |u: NodeId, v: NodeId| {
-            ctx.edge_weight(
-                rep[groups[u as usize] as usize],
-                rep[groups[v as usize] as usize],
-            )
+        // The level-start adjacency is kept static — near-linearity — so
+        // adjacency created mid-level waits an epoch.
+        let mut scope = ScopeSettlement {
+            score,
+            working: &mut *working,
+            raw: &mut *raw,
+            mem: &mut *mem,
+            level,
+            rep: &rep,
+            groups,
+            local_adj: &local_adj,
+            counts: &mut counts,
+            frontier: &mut frontier,
         };
-        let forest = build_forest_weighted(&local_adj, &imbalance, weight);
-        let mut visited = vec![false; groups.len()];
-        for tree in &forest {
-            for &i in &tree.order {
-                visited[i as usize] = true;
-                if imbalance[i as usize] == 0 {
-                    continue;
-                }
-                // Unvisited graph neighbours, cheapest links first (the
-                // level-start adjacency is kept static — near-linearity —
-                // so adjacency created mid-level waits an epoch).
-                let mut neighbors: Vec<NodeId> = local_adj[i as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&m| !visited[m as usize])
-                    .collect();
-                neighbors.sort_by(|&a, &b| weight(i, a).total_cmp(&weight(i, b)).then(a.cmp(&b)));
-                let l = neighbors.len() as i64;
-                if l == 0 {
-                    continue;
-                }
-                let want = imbalance[i as usize];
-                let base = want / l;
-                let mut rem = want - base * l;
-                for &m in &neighbors {
-                    let mut x = base;
-                    if rem != 0 {
-                        x += rem.signum();
-                        rem -= rem.signum();
-                    }
-                    if x == 0 {
-                        continue;
-                    }
-                    let (src, dst, amount) = if x > 0 {
-                        (m, i, x as usize) // i borrows from m
-                    } else {
-                        (i, m, (-x) as usize) // i lends to m
-                    };
-                    let (src_g, dst_g) = (groups[src as usize], groups[dst as usize]);
-                    let realized = realize_group_transfer(
-                        ctx,
-                        working,
-                        raw,
-                        mem,
-                        ghost,
-                        level,
-                        &rep,
-                        src_g,
-                        dst_g,
-                        counts[dst_g as usize] == 0,
-                        amount,
-                        &mut frontier,
-                    );
-                    imbalance[dst as usize] -= realized;
-                    imbalance[src as usize] += realized;
-                    counts[src_g as usize] -= realized as usize;
-                    counts[dst_g as usize] += realized as usize;
-                }
-            }
-        }
+        settle(&local_adj, &mut imbalance, &mut scope);
     }
 }
 
-/// Realize up to `amount` SD moves from `src_g` to `dst_g` along their
-/// shared frontier, in ascending SD id order, growing the frontier
-/// incrementally as the source territory recedes. Every candidate passes
-/// the λ/μ gates and (when attached) the destination's memory capacity;
-/// a refused candidate is dropped, not retried — residuals wait for the
-/// next epoch. Returns the number of SDs actually moved.
-#[allow(clippy::too_many_arguments)]
-fn realize_group_transfer(
-    ctx: &PlanCtx<'_>,
-    working: &mut Ownership,
-    raw: &mut Vec<Move>,
-    mem: &mut Option<MemoryState>,
-    ghost: Option<&SdGraph>,
-    level: &Level,
-    rep: &[u32],
-    src_g: u32,
-    dst_g: u32,
-    dst_empty: bool,
-    amount: usize,
-    frontier: &mut HashMap<(u32, u32), BTreeSet<SdId>>,
-) -> i64 {
-    // Each ordered pair settles at most once per level, so consuming the
-    // set is safe.
-    let mut set = frontier.remove(&(src_g, dst_g)).unwrap_or_default();
-    let sds = *working.sds();
-    let (nsx, nsy) = (sds.nsx, sds.nsy);
-    if set.is_empty() && dst_empty && amount > 0 {
-        // The destination owns nothing, so no shared frontier exists:
-        // seed its territory with the source's most peripheral SD (the
-        // flat planner's empty-borrower seeding), then grow normally.
-        let owners = working.owners();
-        let mut seed: Option<(usize, SdId)> = None;
-        for sd in 0..owners.len() as SdId {
-            if level.group_of[owners[sd as usize] as usize] != src_g {
-                continue;
-            }
-            let (sx, sy) = sds.coords(sd);
-            let mut same = 0usize;
-            for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
-                if nx >= 0
-                    && ny >= 0
-                    && nx < nsx
-                    && ny < nsy
-                    && level.group_of[owners[sds.id(nx, ny) as usize] as usize] == src_g
-                {
-                    same += 1;
-                }
-            }
-            if seed.is_none_or(|best| (same, sd) < best) {
-                seed = Some((same, sd));
-            }
-        }
-        if let Some((_, sd)) = seed {
-            set.insert(sd);
-        }
+/// The group-level [`Settlement`] of one scope: its groups are the nodes
+/// (local ids index `groups`), links are priced between the groups'
+/// representative ranks, and transfers pop the precomputed frontier sets.
+struct ScopeSettlement<'a> {
+    score: &'a MoveScore<'a>,
+    working: &'a mut Ownership,
+    raw: &'a mut Vec<Move>,
+    mem: &'a mut Option<MemoryState>,
+    level: &'a Level,
+    /// Representative (lowest) rank of each group of the level.
+    rep: &'a [u32],
+    /// The scope's groups, ascending: local node id → group id.
+    groups: &'a [u32],
+    local_adj: &'a [Vec<NodeId>],
+    /// Current SD count of each group of the level.
+    counts: &'a mut [usize],
+    frontier: &'a mut HashMap<(u32, u32), BTreeSet<SdId>>,
+}
+
+impl Settlement for ScopeSettlement<'_> {
+    fn edge_weight(&self, u: NodeId, v: NodeId) -> f64 {
+        let rep = |local: NodeId| self.rep[self.groups[local as usize] as usize];
+        self.score.edge_weight(rep(u), rep(v))
     }
-    let mut realized = 0i64;
-    while realized < amount as i64 {
-        let Some(&sd) = set.iter().next() else { break };
-        set.remove(&sd);
-        let src_rank = working.owner(sd);
-        if level.group_of[src_rank as usize] != src_g {
-            continue; // stale: an earlier transfer took this SD
-        }
-        // Destination rank: the lowest-id adjacent rank of the target
-        // group whose memory can host the SD.
-        let (sx, sy) = sds.coords(sd);
-        let mut dst_rank: Option<NodeId> = None;
-        for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
-            if nx < 0 || ny < 0 || nx >= nsx || ny >= nsy {
-                continue;
-            }
-            let r = working.owner(sds.id(nx, ny));
-            if level.group_of[r as usize] != dst_g {
-                continue;
-            }
-            if let Some(m) = mem {
-                if !m.fits(r, sd) {
+
+    fn adjacent(&self, i: NodeId) -> Vec<NodeId> {
+        self.local_adj[i as usize].clone()
+    }
+
+    fn transfer(&mut self, src: NodeId, dst: NodeId, amount: usize) -> i64 {
+        let (src_g, dst_g) = (self.groups[src as usize], self.groups[dst as usize]);
+        let realized = self.realize_group_transfer(src_g, dst_g, amount);
+        self.counts[src_g as usize] -= realized as usize;
+        self.counts[dst_g as usize] += realized as usize;
+        realized
+    }
+}
+
+impl ScopeSettlement<'_> {
+    /// Realize up to `amount` SD moves from `src_g` to `dst_g` along their
+    /// shared frontier, in ascending SD id order, growing the frontier
+    /// incrementally as the source territory recedes. Every candidate
+    /// passes the [`MoveScore`] gate and (when attached) the destination's
+    /// memory capacity; a refused candidate is dropped, not retried —
+    /// residuals wait for the next epoch. Returns the number of SDs
+    /// actually moved.
+    fn realize_group_transfer(&mut self, src_g: u32, dst_g: u32, amount: usize) -> i64 {
+        let level = self.level;
+        let dst_empty = self.counts[dst_g as usize] == 0;
+        // Each ordered pair settles at most once per level, so consuming
+        // the set is safe.
+        let mut set = self.frontier.remove(&(src_g, dst_g)).unwrap_or_default();
+        let sds = *self.working.sds();
+        let (nsx, nsy) = (sds.nsx, sds.nsy);
+        if set.is_empty() && dst_empty && amount > 0 {
+            // The destination owns nothing, so no shared frontier exists:
+            // seed its territory with the source's most peripheral SD (the
+            // flat planner's empty-borrower seeding), then grow normally.
+            let owners = self.working.owners();
+            let mut seed: Option<(usize, SdId)> = None;
+            for sd in 0..owners.len() as SdId {
+                if level.group_of[owners[sd as usize] as usize] != src_g {
                     continue;
                 }
-            }
-            dst_rank = Some(dst_rank.map_or(r, |cur| cur.min(r)));
-        }
-        if dst_rank.is_none() && dst_empty {
-            // bootstrap: no destination territory to be adjacent to — the
-            // lowest member rank of the group with room hosts the seed
-            let mut r = rep[dst_g as usize];
-            while (r as usize) < level.group_of.len() && level.group_of[r as usize] == dst_g {
-                if mem.as_ref().is_none_or(|m| m.fits(r, sd)) {
-                    dst_rank = Some(r);
-                    break;
+                let (sx, sy) = sds.coords(sd);
+                let mut same = 0usize;
+                for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
+                    if nx >= 0
+                        && ny >= 0
+                        && nx < nsx
+                        && ny < nsy
+                        && level.group_of[owners[sds.id(nx, ny) as usize] as usize] == src_g
+                    {
+                        same += 1;
+                    }
                 }
-                r += 1;
+                if seed.is_none_or(|best| (same, sd) < best) {
+                    seed = Some((same, sd));
+                }
+            }
+            if let Some((_, sd)) = seed {
+                set.insert(sd);
             }
         }
-        let Some(dst_rank) = dst_rank else { continue };
-        // λ/μ gate: the move's busy-time relief must cover its one-off
-        // migration cost and its μ-weighted recurring ghost delta.
-        let mut score = ctx.metrics.relief_per_sd(src_rank as usize);
-        if ctx.lambda_active {
-            score -= ctx.lambda
-                * ctx
-                    .net
-                    .comm
-                    .seconds(src_rank, dst_rank, ctx.net.sd_bytes.get(sd));
-        }
-        if let Some(g) = ghost {
-            score -= ctx.mu * ghost_delta_seconds(&ctx.net.comm, g, working.owners(), sd, dst_rank);
-        }
-        if score < 0.0 {
-            continue;
-        }
-        working.set_owner(sd, dst_rank);
-        raw.push(Move {
-            sd,
-            from: src_rank,
-            to: dst_rank,
-        });
-        if let Some(m) = mem {
-            m.apply(sd, src_rank, dst_rank);
-        }
-        realized += 1;
-        // the frontier recedes: the moved SD's still-src neighbours are
-        // now boundary candidates
-        for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
-            if nx < 0 || ny < 0 || nx >= nsx || ny >= nsy {
+        let mut realized = 0i64;
+        while realized < amount as i64 {
+            let Some(&sd) = set.iter().next() else { break };
+            set.remove(&sd);
+            let src_rank = self.working.owner(sd);
+            if level.group_of[src_rank as usize] != src_g {
+                continue; // stale: an earlier transfer took this SD
+            }
+            // Destination rank: the lowest-id adjacent rank of the target
+            // group whose memory can host the SD.
+            let fits = |r: NodeId| self.mem.as_ref().is_none_or(|m| m.fits(r, sd));
+            let (sx, sy) = sds.coords(sd);
+            let mut dst_rank: Option<NodeId> = None;
+            for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
+                if nx < 0 || ny < 0 || nx >= nsx || ny >= nsy {
+                    continue;
+                }
+                let r = self.working.owner(sds.id(nx, ny));
+                if level.group_of[r as usize] == dst_g && fits(r) {
+                    dst_rank = Some(dst_rank.map_or(r, |cur| cur.min(r)));
+                }
+            }
+            if dst_rank.is_none() && dst_empty {
+                // bootstrap: no destination territory to be adjacent to —
+                // the lowest member rank of the group with room hosts the
+                // seed
+                let mut r = self.rep[dst_g as usize];
+                while (r as usize) < level.group_of.len() && level.group_of[r as usize] == dst_g {
+                    if fits(r) {
+                        dst_rank = Some(r);
+                        break;
+                    }
+                    r += 1;
+                }
+            }
+            let Some(dst_rank) = dst_rank else { continue };
+            // the move's busy-time relief must cover its one-off migration
+            // cost and its recurring ghost delta
+            if self
+                .score
+                .score(self.working.owners(), sd, src_rank, dst_rank)
+                < 0.0
+            {
                 continue;
             }
-            let nb = sds.id(nx, ny);
-            if level.group_of[working.owner(nb) as usize] == src_g {
-                set.insert(nb);
+            self.working.set_owner(sd, dst_rank);
+            self.raw.push(Move {
+                sd,
+                from: src_rank,
+                to: dst_rank,
+            });
+            if let Some(m) = self.mem.as_mut() {
+                m.apply(sd, src_rank, dst_rank);
+            }
+            realized += 1;
+            // the frontier recedes: the moved SD's still-src neighbours are
+            // now boundary candidates
+            for (nx, ny) in [(sx - 1, sy), (sx + 1, sy), (sx, sy - 1), (sx, sy + 1)] {
+                if nx < 0 || ny < 0 || nx >= nsx || ny >= nsy {
+                    continue;
+                }
+                let nb = sds.id(nx, ny);
+                if level.group_of[self.working.owner(nb) as usize] == src_g {
+                    set.insert(nb);
+                }
             }
         }
+        realized
     }
-    realized
 }
 
 /// `LbSpec::Hierarchical`: the three-level planner, delegating wholesale
 /// to its inner leaf policy when the hierarchy is degenerate and no
-/// memory capacities are attached.
+/// memory capacities are attached. Both paths plan at the leaf's
+/// [`MoveWeights`], so the degenerate case is byte-identical to the leaf
+/// run standalone.
 pub struct HierPolicy {
     inner: Box<dyn LbPolicy>,
-    lambda: f64,
-    mu: f64,
 }
 
 impl HierPolicy {
-    /// Wrap the already-built leaf policy `inner` (the degenerate-case
-    /// delegate) with the hierarchical machinery's own λ/μ.
-    pub fn new(inner: Box<dyn LbPolicy>, lambda: f64, mu: f64) -> Self {
-        HierPolicy { inner, lambda, mu }
+    /// Wrap the already-built leaf policy `inner`.
+    pub fn new(inner: Box<dyn LbPolicy>) -> Self {
+        HierPolicy { inner }
     }
 }
 
@@ -575,32 +502,13 @@ impl LbPolicy for HierPolicy {
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
         if hierarchy_is_degenerate(own.n_nodes(), &net.comm) && net.memory_bytes.is_none() {
-            // keep the delegate's gates in lockstep with ours, so the
-            // degenerate case is byte-identical to the leaf policy run
-            // standalone at the same weights
-            self.inner.set_cost_weight(self.lambda);
-            self.inner.set_ghost_weight(self.mu);
             return self.inner.plan(own, metrics, net);
         }
-        plan_hierarchical(own, metrics, net, self.lambda, self.mu)
+        plan_hierarchical(own, metrics, net, *self.inner.weights_mut())
     }
 
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-        self.inner.set_cost_weight(lambda);
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        self.inner.weights_mut()
     }
 }
 
@@ -611,6 +519,7 @@ mod tests {
     use crate::balance::power::compute_metrics;
     use nlheat_mesh::SdGrid;
     use nlheat_netmodel::{LinkSpec, NetSpec, TopologySpec};
+    use nlheat_partition::SdGraph;
 
     fn three_tier_net(ranks_per_node: usize, nodes_per_rack: usize) -> LbNetwork {
         LbNetwork::from_spec(
@@ -621,7 +530,7 @@ mod tests {
                 intra_rack: LinkSpec::new(1e-6, 1e10),
                 inter_rack: LinkSpec::new(1e-4, 1e9),
             }),
-            1000u64,
+            1000,
         )
     }
 
@@ -649,7 +558,7 @@ mod tests {
         let (own, busy) = skewed_eight_ranks();
         let net = three_tier_net(2, 2);
         let metrics = metrics_for(&own, &busy);
-        let plan = plan_hierarchical(&own, &metrics, &net, 0.0, 0.0);
+        let plan = plan_hierarchical(&own, &metrics, &net, MoveWeights::default());
         assert!(!plan.is_noop(), "the 32/…/0 skew must move work");
         let mut seen = std::collections::HashSet::new();
         let mut check = own.clone();
@@ -676,7 +585,7 @@ mod tests {
         for _ in 0..8 {
             let busy: Vec<f64> = current.counts().iter().map(|&c| c.max(1) as f64).collect();
             let metrics = metrics_for(&current, &busy);
-            let plan = plan_hierarchical(&current, &metrics, &net, 0.0, 0.0);
+            let plan = plan_hierarchical(&current, &metrics, &net, MoveWeights::default());
             if plan.is_noop() {
                 break;
             }
@@ -722,7 +631,7 @@ mod tests {
                 intra_rack: LinkSpec::new(1e-6, 1e9),
                 inter_rack: LinkSpec::new(1e-3, 1e8),
             }),
-            1000u64,
+            1000,
         );
         for lambda in [0.0, 1.0] {
             let mut hier = LbSpec::hierarchical(LbSpec::tree(0.0), lambda).build();
@@ -757,7 +666,7 @@ mod tests {
         let net = three_tier_net(1, 1).with_memory(Arc::new(vec![300, 10_000]), Arc::new(fp));
         let busy = vec![1.0, 20.0];
         let metrics = metrics_for(&own, &busy);
-        let plan = plan_hierarchical(&own, &metrics, &net, 0.0, 0.0);
+        let plan = plan_hierarchical(&own, &metrics, &net, MoveWeights::default());
         // rank 0 would take 2-3 SDs unconstrained; the cap admits one
         assert_eq!(
             plan.moves.len(),
@@ -781,8 +690,8 @@ mod tests {
             .clone()
             .with_memory(Arc::new(vec![u64::MAX; 8]), Arc::new(vec![1u64; 64]));
         let metrics = metrics_for(&own, &busy);
-        let a = plan_hierarchical(&own, &metrics, &net, 0.0, 0.0);
-        let b = plan_hierarchical(&own, &metrics, &roomy, 0.0, 0.0);
+        let a = plan_hierarchical(&own, &metrics, &net, MoveWeights::default());
+        let b = plan_hierarchical(&own, &metrics, &roomy, MoveWeights::default());
         assert_eq!(a.moves, b.moves, "unbounded caps must be inert");
         assert_eq!(a.new_ownership, b.new_ownership);
     }
@@ -800,16 +709,16 @@ mod tests {
                 intra_rack: LinkSpec::new(1e-9, f64::INFINITY),
                 inter_rack: LinkSpec::new(10.0, 1.0),
             }),
-            1000u64,
+            1000,
         );
         let metrics = metrics_for(&own, &busy);
-        let free = plan_hierarchical(&own, &metrics, &net, 0.0, 0.0);
+        let free = plan_hierarchical(&own, &metrics, &net, MoveWeights::default());
         assert!(
             free.comm.inter_rack_bytes() > 0,
             "λ=0 must cross racks here: {:?}",
             free.moves
         );
-        let gated = plan_hierarchical(&own, &metrics, &net, 1.0, 0.0);
+        let gated = plan_hierarchical(&own, &metrics, &net, MoveWeights::new(1.0, 0.0));
         assert_eq!(
             gated.comm.inter_rack_bytes(),
             0,
@@ -830,9 +739,9 @@ mod tests {
         let graph = Arc::new(SdGraph::build(&sds, 1));
         let net = three_tier_net(1, 1).with_sd_graph(graph);
         let metrics = metrics_for(&own, &busy);
-        let plain = plan_hierarchical(&own, &metrics, &net, 0.0, 0.0);
+        let plain = plan_hierarchical(&own, &metrics, &net, MoveWeights::default());
         assert!(!plain.is_noop(), "μ=0 must balance the skew");
-        let gated = plan_hierarchical(&own, &metrics, &net, 0.0, 1e12);
+        let gated = plan_hierarchical(&own, &metrics, &net, MoveWeights::new(0.0, 1e12));
         assert!(gated.is_noop(), "huge μ must refuse cut-worsening moves");
     }
 }

@@ -16,25 +16,39 @@
 //! 5. emit the migration plan and reset the busy-time counters
 //!    (Algorithm 1 line 35) — [`algorithm`].
 //!
-//! The stack is **communication-aware** end to end: every step can weigh
-//! *where* bytes would go, not just how many SDs move. A
-//! [`CostParams`] (λ plus a [`nlheat_netmodel::CommCost`] derived from the
-//! active `NetSpec`) makes the dependency forest prefer cheap links, the
-//! remainder distribution favour cheap neighbours, and the frontier
-//! selection gate transfers whose busy-time relief does not cover
-//! `λ · migration bytes × link cost`. With `λ = 0` the whole stack
-//! degenerates — byte-identically — to the paper's count-based planner.
+//! What the balancer optimises has a one-file answer, [`score`]: every
+//! candidate move — in the tree walk, in diffusion, in greedy stealing and
+//! at every level of the hierarchical planner — is scored by one
+//! [`MoveScore`],
 //!
-//! It is also **ghost-traffic-aware**: migration bytes are paid once, but
-//! an ownership's edge cut over the SD adjacency / halo-volume graph
-//! ([`SdGraph`], built from the same halo plans the runtimes execute) is
-//! paid *every timestep*. A second weight μ prices each candidate move's
-//! cut delta ([`ghost_delta_seconds`]) so the balancer can refuse — or
-//! favour — moves by the recurring traffic they leave behind (cf.
-//! Lifflander et al., arXiv:2404.16793). `μ = 0` is pinned
-//! byte-identical to the ghost-blind planner, and every realized epoch is
-//! recorded as an [`EpochTrace`] (plan size, migration bytes, cut
-//! before/after).
+//! ```text
+//! relief − λ·migration_seconds − μ·ghost_delta_seconds
+//! ```
+//!
+//! and realized only while that stays non-negative. The two weights travel
+//! in one [`MoveWeights`], held by the [`LbSpec`] leaf and reached through
+//! [`LbPolicy::weights_mut`].
+//!
+//! * λ makes the stack **communication-aware**: migration bytes priced by
+//!   the [`nlheat_netmodel::CommCost`] of the active `NetSpec` make the
+//!   dependency forest prefer cheap links, the remainder distribution
+//!   favour cheap neighbours, and the frontier selection gate transfers
+//!   whose busy-time relief does not cover their shipping time.
+//! * μ makes it **ghost-traffic-aware**: migration bytes are paid once,
+//!   but an ownership's edge cut over the SD adjacency / halo-volume graph
+//!   ([`SdGraph`], built from the same halo plans the runtimes execute) is
+//!   paid *every timestep*. μ prices each candidate move's cut delta
+//!   ([`ghost_delta_seconds`]) so the balancer can refuse — or favour —
+//!   moves by the recurring traffic they leave behind (cf. Lifflander et
+//!   al., arXiv:2404.16793).
+//!
+//! With `λ = μ = 0` (or over a free network) the whole stack degenerates —
+//! byte-identically, because an inactive term is absent rather than
+//! multiplied by zero — to the paper's count-based planner. There is one
+//! planner entry point, [`plan_rebalance`], and one settlement walk
+//! (`algorithm::settle`) that the rank-level planner and every hierarchy
+//! level share. Every realized epoch is recorded as an [`EpochTrace`]
+//! (plan size, migration bytes, cut before/after).
 //!
 //! The epoch itself — stall feedback, busy selection, membership mask,
 //! metrics, `plan`, trace — is written once, in [`epoch`]: every substrate
@@ -59,24 +73,22 @@ pub mod hier;
 pub mod policy;
 pub mod power;
 pub mod repart;
+pub mod score;
 pub mod trace;
 pub mod transfer;
 pub mod tree;
 
-pub use algorithm::{
-    ghost_delta_seconds, iterate_rebalance, plan_rebalance, plan_rebalance_from_metrics,
-    plan_rebalance_ghost_aware, plan_rebalance_with_cost, CostParams, MigrationPlan, Move,
-    PlanComm, SdBytes,
-};
+pub use algorithm::{plan_rebalance, MigrationPlan, Move, PlanComm};
 pub use epoch::{EpochConfig, EpochLog, EpochMeasure, EpochPlan, LbEpoch};
 pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};
 pub use nlheat_partition::SdGraph;
 pub use policy::{
-    AdaptiveLambdaPolicy, AdaptiveMuPolicy, DiffusionPolicy, GreedyStealPolicy, LbNetwork,
-    LbPolicy, LbSchedule, LbSpec, TreePolicy,
+    AdaptivePolicy, DiffusionPolicy, GreedyStealPolicy, LbNetwork, LbPolicy, LbSchedule, LbSpec,
+    TreePolicy,
 };
 pub use power::{compute_metrics, LoadMetrics};
 pub use repart::{DriftInfo, RepartitionPolicy};
+pub use score::{ghost_delta_seconds, MoveScore, MoveWeights};
 pub use trace::EpochTrace;
 pub use transfer::{select_transfer, select_transfer_scored};
 pub use tree::{build_forest, build_forest_weighted, DependencyTree};

@@ -22,9 +22,9 @@
 //!
 //! Shipped policies:
 //!
-//! * [`LbSpec::Tree`] — the paper's Algorithm 1 with the λ-weighted
-//!   communication-cost gate of `plan_rebalance_with_cost`; byte-identical
-//!   to the pre-policy-layer planner by construction (it delegates to it).
+//! * [`LbSpec::Tree`] — the paper's Algorithm 1
+//!   ([`plan_rebalance`]) at the leaf's
+//!   [`MoveWeights`].
 //! * [`LbSpec::Diffusion`] — first-order pairwise load exchange
 //!   (dimension-exchange diffusion, cf. Cybenko 1989 and Demirel &
 //!   Sbalzarini, arXiv:1308.0148) over the neighbour graph induced by the
@@ -33,23 +33,25 @@
 //!   (cf. Fernandes et al., arXiv:2401.04494): the most overloaded rank
 //!   repeatedly sheds one SD to its cheapest underloaded neighbour.
 //! * [`LbSpec::AdaptiveLambda`] — a decorator closing the "λ adapts
-//!   online" loop: wraps any inner policy and nudges its cost weight from
+//!   online" loop: wraps any inner policy and nudges its leaf's λ from
 //!   the measured migration-stall fraction of previous epochs.
-//! * [`LbSpec::AdaptiveMu`] — the μ analogue: nudges the inner policy's
-//!   ghost weight from the measured ghost-stall fraction
-//!   ([`LbPolicy::observe_ghost_stall`]), so the recurring-traffic gate is
-//!   steered online instead of hand-picked.
+//! * [`LbSpec::AdaptiveMu`] — the μ analogue: the same controller
+//!   ([`AdaptivePolicy`]) steering μ from the measured ghost-stall
+//!   fraction ([`LbPolicy::observe_ghost_stall`]), so the
+//!   recurring-traffic gate is steered online instead of hand-picked.
 //! * [`LbSpec::Hierarchical`] — the three-level (racks → nodes → ranks)
 //!   memory-aware planner of [`crate::balance::hier`], near-linear plan
 //!   time at 10k-rank scale; on a degenerate hierarchy without memory
 //!   capacities it delegates wholesale to its inner leaf policy.
+//!
+//! Every leaf scores candidate moves through the one
+//! [`MoveScore`] at its own [`MoveWeights`];
+//! decorators hold no weights of their own and reach the leaf's through
+//! [`LbPolicy::weights_mut`].
 
-use crate::balance::algorithm::{
-    finish_plan, ghost_delta_seconds, mu_active, plan_rebalance_ghost_aware, realize_ghost_aware,
-    CostParams, MigrationPlan, Move, SdBytes,
-};
+use crate::balance::algorithm::{finish_plan, plan_rebalance, MigrationPlan, Move};
 use crate::balance::power::LoadMetrics;
-use crate::balance::transfer::select_transfer_scored;
+use crate::balance::score::{MoveScore, MoveWeights};
 use crate::ownership::{NodeId, Ownership};
 use nlheat_netmodel::{CommCost, NetSpec};
 use nlheat_partition::SdGraph;
@@ -66,9 +68,8 @@ use std::sync::Arc;
 pub struct LbNetwork {
     /// Transfer-cost estimate derived from the active network spec.
     pub comm: CommCost,
-    /// Wire bytes of each migrating SD tile (payload + framing). The
-    /// [`SdBytes::Uniform`] case is the historical scalar.
-    pub sd_bytes: SdBytes,
+    /// Wire bytes of each migrating SD tile (payload + framing).
+    pub sd_bytes: u64,
     /// The SD adjacency / halo-volume graph ([`SdGraph`]), shared with
     /// the substrate that built it. `None` = ghost-blind planning (every
     /// μ term is inert), the pre-ghost-aware behaviour.
@@ -84,17 +85,19 @@ pub struct LbNetwork {
     /// Elastic-membership mask: `active[r]` is false once rank `r` has
     /// drained, failed, or not yet joined ([`crate::scenario::ClusterEvent`]
     /// timeline). `None` = every rank is a legal destination, the
-    /// fixed-membership behaviour. Only [`LbSpec::Repartition`] evacuates
-    /// inactive ranks; for every other policy the mask merely filters
-    /// destinations.
+    /// fixed-membership behaviour. Only [`LbSpec::Repartition`] reads it:
+    /// it evacuates inactive ranks and drops moves onto them from the
+    /// plans of the policy it wraps. Every other policy is
+    /// membership-blind, which is why elastic scenarios require the
+    /// decorator.
     pub active: Option<Arc<Vec<bool>>>,
 }
 
 impl LbNetwork {
-    pub fn new(comm: CommCost, sd_bytes: impl Into<SdBytes>) -> Self {
+    pub fn new(comm: CommCost, sd_bytes: u64) -> Self {
         LbNetwork {
             comm,
-            sd_bytes: sd_bytes.into(),
+            sd_bytes,
             sd_graph: None,
             memory_bytes: None,
             sd_footprint: None,
@@ -104,7 +107,7 @@ impl LbNetwork {
 
     /// Free network: every cost term vanishes, λ/μ gates are inert.
     pub fn free() -> Self {
-        LbNetwork::new(CommCost::free(), 0u64)
+        LbNetwork::new(CommCost::free(), 0)
     }
 
     /// Attach the SD adjacency / halo-volume graph, enabling μ-weighted
@@ -135,7 +138,7 @@ impl LbNetwork {
 
     /// Derive the view from a network spec (what the epoch driver does
     /// with a run's configured `net`).
-    pub fn from_spec(spec: &NetSpec, sd_bytes: impl Into<SdBytes>) -> Self {
+    pub fn from_spec(spec: &NetSpec, sd_bytes: u64) -> Self {
         LbNetwork::new(spec.comm_cost(), sd_bytes)
     }
 
@@ -153,29 +156,17 @@ impl LbNetwork {
         )
     }
 
-    /// The ghost graph iff a μ term of weight `mu` can affect plans
-    /// (graph attached, `mu > 0`, non-free network — the same
-    /// `mu_active` predicate the tree planner's [`CostParams`] gates on)
-    /// — `None` otherwise, so degenerate cases take exactly the
-    /// ghost-blind code path.
-    pub fn ghost_graph(&self, mu: f64) -> Option<&SdGraph> {
-        if mu_active(mu, &self.comm) {
-            self.sd_graph.as_deref()
-        } else {
-            None
-        }
-    }
-
     /// The node neighbour graph a policy exchanges load over, each list
     /// ordered cheapest link class first (ties by id).
     ///
-    /// With an active ghost term (`mu > 0` and an attached [`SdGraph`])
-    /// this is the *real* exchange adjacency: node pairs whose
+    /// With an active ghost term (`ghost` is [`MoveScore::ghost_graph`]:
+    /// `Some` iff μ can affect the plan) this is the *real* exchange
+    /// adjacency: node pairs whose
     /// territories trade ghost patches under `own`, projected from the SD
     /// graph — the same adjacency the partitioner's edge cut counts — plus
     /// every pair involving an empty territory (which has no ghost edges
-    /// but still needs bootstrap seeding). Ghost-blind (`mu = 0` or no
-    /// graph) it falls back to [`CommCost::neighbour_graph`]'s complete
+    /// but still needs bootstrap seeding). Ghost-blind (`None`) it falls
+    /// back to [`CommCost::neighbour_graph`]'s complete
     /// graph, keeping μ = 0 plans byte-identical to the pre-ghost-aware
     /// planner: a policy may discover mid-plan that two initially
     /// non-adjacent territories became adjacent, which a fixed projected
@@ -185,8 +176,8 @@ impl LbNetwork {
     /// anyway (no shared frontier), and any adjacency a plan creates is
     /// in the projection of the *next* epoch, so restricting the edge set
     /// costs at most extra epochs, never reachability.
-    pub fn neighbour_graph(&self, own: &Ownership, mu: f64) -> Vec<Vec<NodeId>> {
-        let Some(graph) = self.ghost_graph(mu) else {
+    pub fn neighbour_graph(&self, own: &Ownership, ghost: Option<&SdGraph>) -> Vec<Vec<NodeId>> {
+        let Some(graph) = ghost else {
             return self.comm.neighbour_graph(own.n_nodes());
         };
         let n = own.n_nodes() as usize;
@@ -261,30 +252,11 @@ pub trait LbPolicy: Send {
         let _ = ghost_frac;
     }
 
-    /// Override the policy's communication-cost weight λ (used by the
-    /// adaptive-λ decorator to steer its inner policy). Default: ignored —
-    /// a policy without a cost gate has nothing to set.
-    fn set_cost_weight(&mut self, lambda: f64) {
-        let _ = lambda;
-    }
-
-    /// The policy's current communication-cost weight λ (0 for policies
-    /// without a cost gate).
-    fn cost_weight(&self) -> f64 {
-        0.0
-    }
-
-    /// Override the policy's ghost-traffic weight μ. Default: ignored — a
-    /// policy without a ghost gate has nothing to set.
-    fn set_ghost_weight(&mut self, mu: f64) {
-        let _ = mu;
-    }
-
-    /// The policy's current ghost-traffic weight μ (0 for policies
-    /// without a ghost gate).
-    fn ghost_weight(&self) -> f64 {
-        0.0
-    }
+    /// The λ/μ the policy scores moves with — read them, or steer them
+    /// (the adaptive decorators do). A leaf returns its own pair;
+    /// a decorator forwards to the policy it wraps, so the leaf's pair is
+    /// the single source of truth for the whole chain.
+    fn weights_mut(&mut self) -> &mut MoveWeights;
 
     /// What the cut-drift monitor saw at the last epoch. `None` for every
     /// policy without one — only [`LbSpec::Repartition`] (and decorators
@@ -297,42 +269,45 @@ pub trait LbPolicy: Send {
 
 /// Serde-free policy selection shared by `Scenario` and `DistConfig`
 /// (via [`LbSchedule`]), mirroring how `NetSpec` selects a `NetModel`.
+///
+/// The three leaf arms carry the [`MoveWeights`] they score moves with;
+/// decorators carry none — [`LbSpec::with_mu`] and
+/// [`LbSpec::hierarchical`] write into the leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LbSpec {
     /// The paper's Algorithm-1 dependency-tree planner with the λ-weighted
     /// communication-cost gate and the μ-weighted ghost-traffic gate;
-    /// `lambda = mu = 0` is the count-based paper algorithm,
-    /// byte-identical to the pre-policy-layer planner.
-    Tree { lambda: f64, mu: f64 },
+    /// zero weights are the count-based paper algorithm.
+    Tree { weights: MoveWeights },
     /// First-order diffusion: sweep the neighbour graph (cheap edges
     /// first) and settle half of each pair's imbalance difference, for at
     /// most `max_rounds` rounds or until every node is within `tolerance`
-    /// SDs of its expected share. `mu > 0` additionally charges each
-    /// candidate SD its ghost-traffic delta.
+    /// SDs of its expected share.
     Diffusion {
         tolerance: f64,
         max_rounds: usize,
-        mu: f64,
+        weights: MoveWeights,
     },
     /// Greedy offload: while some rank's overload is at least `threshold`
     /// SDs, the most overloaded rank sheds one SD to its cheapest
-    /// underloaded neighbour. `mu > 0` additionally charges each candidate
-    /// SD its ghost-traffic delta.
-    GreedySteal { threshold: usize, mu: f64 },
-    /// Decorator: run `inner`, and after each epoch nudge its cost weight
-    /// λ so the measured migration-stall fraction approaches
+    /// underloaded neighbour.
+    GreedySteal {
+        threshold: usize,
+        weights: MoveWeights,
+    },
+    /// Decorator: run `inner`, and after each epoch nudge its leaf's λ so
+    /// the measured migration-stall fraction approaches
     /// `target_stall_frac` (doubling λ when migrations stall more than
     /// the target, halving it when they stall less than half of it).
     AdaptiveLambda {
         inner: Box<LbSpec>,
         target_stall_frac: f64,
     },
-    /// Decorator: run `inner`, and before each epoch nudge its ghost
-    /// weight μ so the measured ghost-stall fraction approaches
-    /// `target_ghost_frac` — the μ analogue of [`LbSpec::AdaptiveLambda`],
-    /// driving the [`LbPolicy::set_ghost_weight`] hook from the substrate's
-    /// [`LbPolicy::observe_ghost_stall`] feedback instead of hand-picking
-    /// a constant.
+    /// Decorator: run `inner`, and before each epoch nudge its leaf's μ so
+    /// the measured ghost-stall fraction approaches `target_ghost_frac` —
+    /// the μ analogue of [`LbSpec::AdaptiveLambda`], fed by the
+    /// substrate's [`LbPolicy::observe_ghost_stall`] instead of a
+    /// hand-picked constant.
     AdaptiveMu {
         inner: Box<LbSpec>,
         target_ghost_frac: f64,
@@ -346,14 +321,10 @@ pub enum LbSpec {
     /// every level refuses destination-overflowing moves. On a
     /// degenerate hierarchy (no [`nlheat_netmodel::TopologySpec`], or a
     /// single rack of single-rank nodes) without capacities it delegates
-    /// wholesale to `inner` — a concrete leaf policy, not a decorator —
-    /// with its λ/μ synced, so plans are byte-identical to running the
-    /// leaf standalone.
-    Hierarchical {
-        inner: Box<LbSpec>,
-        lambda: f64,
-        mu: f64,
-    },
+    /// wholesale to `inner` — a concrete leaf policy, not a decorator.
+    /// The level machinery plans at `inner`'s weights, so the two paths
+    /// cannot drift apart.
+    Hierarchical { inner: Box<LbSpec> },
     /// Decorator: run `inner` while the live ownership's ghost cut stays
     /// within `drift_threshold` of a freshly computed capacity-aware
     /// k-way cut (recomputed every `period` balancing epochs); past the
@@ -378,8 +349,7 @@ impl Default for LbSpec {
     /// The paper's count-based Algorithm 1.
     fn default() -> Self {
         LbSpec::Tree {
-            lambda: 0.0,
-            mu: 0.0,
+            weights: MoveWeights::default(),
         }
     }
 }
@@ -391,12 +361,12 @@ impl LbSpec {
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn tree(lambda: f64) -> Self {
-        let spec = LbSpec::Tree { lambda, mu: 0.0 };
-        spec.validate();
-        spec
+        LbSpec::Tree {
+            weights: MoveWeights::new(lambda, 0.0),
+        }
     }
 
-    /// Diffusion with the given stop condition (ghost-blind: `mu = 0`).
+    /// Diffusion with the given stop condition (`lambda = mu = 0`).
     ///
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
@@ -404,65 +374,52 @@ impl LbSpec {
         let spec = LbSpec::Diffusion {
             tolerance,
             max_rounds,
-            mu: 0.0,
+            weights: MoveWeights::default(),
         };
         spec.validate();
         spec
     }
 
-    /// Greedy stealing with the given overload threshold (ghost-blind:
-    /// `mu = 0`).
+    /// Greedy stealing with the given overload threshold
+    /// (`lambda = mu = 0`).
     ///
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn greedy_steal(threshold: usize) -> Self {
-        let spec = LbSpec::GreedySteal { threshold, mu: 0.0 };
+        let spec = LbSpec::GreedySteal {
+            threshold,
+            weights: MoveWeights::default(),
+        };
         spec.validate();
         spec
     }
 
     /// Weigh each candidate move's recurring ghost-traffic delta by `mu`
-    /// (applied to the inner policy of an adaptive decorator). The term
-    /// only bites when the substrate attaches an [`SdGraph`] to its
+    /// (written into the leaf policy of a decorator chain). The term only
+    /// bites when the substrate attaches an [`SdGraph`] to its
     /// [`LbNetwork`]; both execution substrates always do.
     ///
     /// # Panics
     /// Panics on negative or non-finite `mu`.
     pub fn with_mu(mut self, mu: f64) -> Self {
-        crate::balance::algorithm::validate_mu(mu);
-        match &mut self {
-            LbSpec::Tree { mu: m, .. }
-            | LbSpec::Diffusion { mu: m, .. }
-            | LbSpec::GreedySteal { mu: m, .. } => *m = mu,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Repartition { inner, .. } => {
-                let updated = std::mem::take(inner.as_mut()).with_mu(mu);
-                **inner = updated;
-            }
-            // the hierarchical machinery has its own μ AND keeps the
-            // degenerate-case delegate in lockstep
-            LbSpec::Hierarchical { inner, mu: m, .. } => {
-                *m = mu;
-                let updated = std::mem::take(inner.as_mut()).with_mu(mu);
-                **inner = updated;
-            }
-        }
+        let weights = self.leaf_weights_mut();
+        weights.mu = mu;
+        weights.validate();
         self
     }
 
-    /// The hierarchical planner, weighing migration traffic by `lambda`
-    /// (ghost-blind: `mu = 0` — add it via [`LbSpec::with_mu`]). `inner`
-    /// is the leaf policy the degenerate case delegates to.
+    /// The hierarchical planner over the leaf policy `inner` (which the
+    /// degenerate case delegates to), weighing migration traffic by
+    /// `lambda` and ghost-blind: the leaf's weights become
+    /// `(lambda, 0)` — add μ via [`LbSpec::with_mu`].
     ///
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn hierarchical(inner: LbSpec, lambda: f64) -> Self {
-        let spec = LbSpec::Hierarchical {
+        let mut spec = LbSpec::Hierarchical {
             inner: Box::new(inner),
-            lambda,
-            mu: 0.0,
         };
+        *spec.leaf_weights_mut() = MoveWeights { lambda, mu: 0.0 };
         spec.validate();
         spec
     }
@@ -514,42 +471,37 @@ impl LbSpec {
         spec
     }
 
-    /// True when the spec's decorator chain contains an adaptive-λ
-    /// decorator (used to reject silently-inert nesting).
-    fn chain_has_adaptive_lambda(&self) -> bool {
+    /// The weights of the leaf policy at the bottom of the decorator
+    /// chain — the only weights the chain has.
+    fn leaf_weights_mut(&mut self) -> &mut MoveWeights {
         match self {
-            LbSpec::AdaptiveLambda { .. } => true,
-            LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner, .. }
-            | LbSpec::Repartition { inner, .. } => inner.chain_has_adaptive_lambda(),
-            _ => false,
+            LbSpec::Tree { weights }
+            | LbSpec::Diffusion { weights, .. }
+            | LbSpec::GreedySteal { weights, .. } => weights,
+            LbSpec::AdaptiveLambda { inner, .. }
+            | LbSpec::AdaptiveMu { inner, .. }
+            | LbSpec::Hierarchical { inner }
+            | LbSpec::Repartition { inner, .. } => inner.leaf_weights_mut(),
         }
     }
 
-    /// True when the spec's decorator chain contains an adaptive-μ
-    /// decorator.
-    fn chain_has_adaptive_mu(&self) -> bool {
-        match self {
-            LbSpec::AdaptiveMu { .. } => true,
+    /// The spec and everything it wraps, outermost first.
+    fn chain(&self) -> impl Iterator<Item = &LbSpec> {
+        std::iter::successors(Some(self), |spec| match spec {
+            LbSpec::Tree { .. } | LbSpec::Diffusion { .. } | LbSpec::GreedySteal { .. } => None,
             LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::Hierarchical { inner, .. }
-            | LbSpec::Repartition { inner, .. } => inner.chain_has_adaptive_mu(),
-            _ => false,
-        }
+            | LbSpec::AdaptiveMu { inner, .. }
+            | LbSpec::Hierarchical { inner }
+            | LbSpec::Repartition { inner, .. } => Some(&**inner),
+        })
     }
 
     /// True when the spec's decorator chain contains a repartition
-    /// decorator (nesting one would double-replan the same drift;
-    /// elastic-membership scenarios *require* one — see
+    /// decorator (elastic-membership scenarios *require* one — see
     /// [`crate::scenario::Scenario::validate`]).
     pub(crate) fn chain_has_repartition(&self) -> bool {
-        match self {
-            LbSpec::Repartition { .. } => true,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner, .. } => inner.chain_has_repartition(),
-            _ => false,
-        }
+        self.chain()
+            .any(|spec| matches!(spec, LbSpec::Repartition { .. }))
     }
 
     /// The policy's ablation label.
@@ -571,34 +523,33 @@ impl LbSpec {
     /// deadlocks the cluster).
     ///
     /// # Panics
-    /// Panics on: non-finite or negative `lambda` or `mu`; non-finite or
-    /// non-positive `tolerance`; `max_rounds` of 0; `threshold` of 0;
-    /// `target_stall_frac` outside `(0, 1)`; or an invalid inner spec.
+    /// Panics on: non-finite or negative `lambda` or `mu`
+    /// ([`MoveWeights::validate`]); non-finite or non-positive
+    /// `tolerance`; `max_rounds` of 0; `threshold` of 0;
+    /// `target_stall_frac` or `target_ghost_frac` outside `(0, 1)`; an
+    /// adaptive or repartition decorator with another of its own kind
+    /// anywhere below it; a `Hierarchical` whose `inner` is not a leaf
+    /// (tree, diffusion, greedy-steal); a NaN or non-positive
+    /// `drift_threshold`; a repartition `period` of 0;
+    /// `max_bytes_per_epoch` of 0; or an invalid inner spec.
     pub fn validate(&self) {
-        let check_mu = |mu: &f64| crate::balance::algorithm::validate_mu(*mu);
         match self {
-            LbSpec::Tree { lambda, mu } => {
-                assert!(
-                    *lambda >= 0.0 && lambda.is_finite(),
-                    "lambda must be finite and non-negative, got {lambda}"
-                );
-                check_mu(mu);
-            }
+            LbSpec::Tree { weights } => weights.validate(),
             LbSpec::Diffusion {
                 tolerance,
                 max_rounds,
-                mu,
+                weights,
             } => {
                 assert!(
                     *tolerance > 0.0 && tolerance.is_finite(),
                     "diffusion tolerance must be finite and positive, got {tolerance}"
                 );
                 assert!(*max_rounds >= 1, "diffusion max_rounds must be at least 1");
-                check_mu(mu);
+                weights.validate();
             }
-            LbSpec::GreedySteal { threshold, mu } => {
+            LbSpec::GreedySteal { threshold, weights } => {
                 assert!(*threshold >= 1, "greedy-steal threshold must be at least 1");
-                check_mu(mu);
+                weights.validate();
             }
             LbSpec::AdaptiveLambda {
                 inner,
@@ -611,11 +562,13 @@ impl LbSpec {
                     "target_stall_frac must be in (0, 1), got {target_stall_frac}"
                 );
                 // A nested same-kind decorator would be silently inert:
-                // the outer one keeps the feedback to itself and clobbers
-                // the inner's weight every epoch — anywhere in the chain,
-                // including through an adaptive-μ layer in between.
+                // both steer the one leaf weight, so the outer feedback
+                // fights the inner — anywhere in the chain, including
+                // through an adaptive-μ layer in between.
                 assert!(
-                    !inner.chain_has_adaptive_lambda(),
+                    !inner
+                        .chain()
+                        .any(|spec| matches!(spec, LbSpec::AdaptiveLambda { .. })),
                     "AdaptiveLambda cannot wrap another AdaptiveLambda"
                 );
                 inner.validate();
@@ -631,17 +584,14 @@ impl LbSpec {
                     "target_ghost_frac must be in (0, 1), got {target_ghost_frac}"
                 );
                 assert!(
-                    !inner.chain_has_adaptive_mu(),
+                    !inner
+                        .chain()
+                        .any(|spec| matches!(spec, LbSpec::AdaptiveMu { .. })),
                     "AdaptiveMu cannot wrap another AdaptiveMu"
                 );
                 inner.validate();
             }
-            LbSpec::Hierarchical { inner, lambda, mu } => {
-                assert!(
-                    *lambda >= 0.0 && lambda.is_finite(),
-                    "lambda must be finite and non-negative, got {lambda}"
-                );
-                check_mu(mu);
+            LbSpec::Hierarchical { inner } => {
                 // The inner spec is the degenerate-case delegate, planning
                 // whole epochs on its own: a decorator there would never
                 // receive the substrate feedback it adapts on, and a
@@ -671,6 +621,7 @@ impl LbSpec {
                     *max_bytes_per_epoch >= 1,
                     "max_bytes_per_epoch must be positive (u64::MAX = unbounded)"
                 );
+                // nesting one would double-replan the same drift
                 assert!(
                     !inner.chain_has_repartition(),
                     "Repartition cannot wrap another Repartition"
@@ -687,57 +638,38 @@ impl LbSpec {
     pub fn build(&self) -> Box<dyn LbPolicy> {
         self.validate();
         match self {
-            LbSpec::Tree { lambda, mu } => Box::new(TreePolicy {
-                lambda: *lambda,
-                mu: *mu,
-            }),
+            LbSpec::Tree { weights } => Box::new(TreePolicy { weights: *weights }),
             LbSpec::Diffusion {
                 tolerance,
                 max_rounds,
-                mu,
+                weights,
             } => Box::new(DiffusionPolicy {
                 tolerance: *tolerance,
                 max_rounds: *max_rounds,
-                cost_weight: 0.0,
-                ghost_weight: *mu,
+                weights: *weights,
             }),
-            LbSpec::GreedySteal { threshold, mu } => Box::new(GreedyStealPolicy {
+            LbSpec::GreedySteal { threshold, weights } => Box::new(GreedyStealPolicy {
                 threshold: *threshold,
-                cost_weight: 0.0,
-                ghost_weight: *mu,
+                weights: *weights,
             }),
             LbSpec::AdaptiveLambda {
                 inner,
                 target_stall_frac,
-            } => {
-                let inner = inner.build();
-                // start from the inner policy's configured weight so the
-                // decorator nudges rather than resets
-                let lambda = inner.cost_weight();
-                Box::new(AdaptiveLambdaPolicy {
-                    inner,
-                    target_stall_frac: *target_stall_frac,
-                    lambda,
-                })
-            }
+            } => Box::new(AdaptivePolicy {
+                inner: inner.build(),
+                steers: Steered::Lambda,
+                target_frac: *target_stall_frac,
+            }),
             LbSpec::AdaptiveMu {
                 inner,
                 target_ghost_frac,
-            } => {
-                let inner = inner.build();
-                let mu = inner.ghost_weight();
-                Box::new(AdaptiveMuPolicy {
-                    inner,
-                    target_ghost_frac: *target_ghost_frac,
-                    mu,
-                })
-            }
-            LbSpec::Hierarchical { inner, lambda, mu } => {
-                let mut leaf = inner.build();
-                // keep the delegate's gates in lockstep from the start
-                leaf.set_cost_weight(*lambda);
-                leaf.set_ghost_weight(*mu);
-                Box::new(crate::balance::hier::HierPolicy::new(leaf, *lambda, *mu))
+            } => Box::new(AdaptivePolicy {
+                inner: inner.build(),
+                steers: Steered::Mu,
+                target_frac: *target_ghost_frac,
+            }),
+            LbSpec::Hierarchical { inner } => {
+                Box::new(crate::balance::hier::HierPolicy::new(inner.build()))
             }
             LbSpec::Repartition {
                 inner,
@@ -813,8 +745,7 @@ impl LbSchedule {
 
 /// [`LbSpec::Tree`]: delegates to the Algorithm-1 planner.
 pub struct TreePolicy {
-    lambda: f64,
-    mu: f64,
+    weights: MoveWeights,
 }
 
 impl LbPolicy for TreePolicy {
@@ -823,24 +754,11 @@ impl LbPolicy for TreePolicy {
     }
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        let cost = CostParams::new(net.comm, self.lambda, net.sd_bytes.clone()).with_mu(self.mu);
-        plan_rebalance_ghost_aware(own, metrics.clone(), &cost, net.sd_graph.as_deref())
+        plan_rebalance(own, metrics, net, self.weights)
     }
 
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        &mut self.weights
     }
 }
 
@@ -848,10 +766,7 @@ impl LbPolicy for TreePolicy {
 pub struct DiffusionPolicy {
     tolerance: f64,
     max_rounds: usize,
-    /// λ gate on realizations; 0 unless set by the adaptive decorator.
-    cost_weight: f64,
-    /// μ gate on each candidate SD's ghost-traffic delta.
-    ghost_weight: f64,
+    weights: MoveWeights,
 }
 
 impl LbPolicy for DiffusionPolicy {
@@ -860,17 +775,17 @@ impl LbPolicy for DiffusionPolicy {
     }
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
+        let score = MoveScore::new(self.weights, metrics, net);
         let mut imbalance = metrics.imbalance.clone();
         let mut working = own.clone();
         let mut raw: Vec<Move> = Vec::new();
-        let ghost = net.ghost_graph(self.ghost_weight);
         // Undirected exchange edges from the neighbour graph (the real
         // ghost-exchange adjacency when μ is active, the complete
         // link-class graph otherwise), cheapest class first (ties by ids)
         // so imbalance settles within racks before any of it crosses them.
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
         for (i, nbs) in net
-            .neighbour_graph(own, self.ghost_weight)
+            .neighbour_graph(own, score.ghost_graph())
             .iter()
             .enumerate()
         {
@@ -904,32 +819,7 @@ impl LbPolicy for DiffusionPolicy {
                 } else {
                     (j, i, (-flow) as usize)
                 };
-                let relief = metrics.relief_per_sd(src as usize);
-                let gain = |sd| {
-                    relief - self.cost_weight * net.comm.seconds(src, dst, net.sd_bytes.get(sd))
-                };
-                let realized = match ghost {
-                    Some(g) => {
-                        // one SD at a time so every delta is exact against
-                        // the evolving ownership (see realize_ghost_aware)
-                        realize_ghost_aware(&mut working, &mut raw, src, dst, amount, |o, sd| {
-                            gain(sd)
-                                - self.ghost_weight * ghost_delta_seconds(&net.comm, g, o, sd, dst)
-                        })
-                    }
-                    None => {
-                        let chosen = select_transfer_scored(&working, src, dst, amount, gain);
-                        for &sd in &chosen {
-                            working.set_owner(sd, dst);
-                            raw.push(Move {
-                                sd,
-                                from: src,
-                                to: dst,
-                            });
-                        }
-                        chosen.len() as i64
-                    }
-                };
+                let realized = score.realize(&mut working, &mut raw, src, dst, amount);
                 if realized == 0 {
                     continue;
                 }
@@ -943,23 +833,11 @@ impl LbPolicy for DiffusionPolicy {
                 break;
             }
         }
-        finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
+        finish_plan(metrics.clone(), working, raw, net)
     }
 
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.cost_weight = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.cost_weight
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.ghost_weight = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.ghost_weight
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        &mut self.weights
     }
 }
 
@@ -967,10 +845,7 @@ impl LbPolicy for DiffusionPolicy {
 /// underloaded neighbour, one SD at a time.
 pub struct GreedyStealPolicy {
     threshold: usize,
-    /// λ gate on steals; 0 unless set by the adaptive decorator.
-    cost_weight: f64,
-    /// μ gate on each candidate SD's ghost-traffic delta.
-    ghost_weight: f64,
+    weights: MoveWeights,
 }
 
 impl LbPolicy for GreedyStealPolicy {
@@ -980,13 +855,13 @@ impl LbPolicy for GreedyStealPolicy {
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
         let n = own.n_nodes() as usize;
+        let score = MoveScore::new(self.weights, metrics, net);
         let mut imbalance = metrics.imbalance.clone();
         let mut working = own.clone();
         let mut raw: Vec<Move> = Vec::new();
-        let ghost = net.ghost_graph(self.ghost_weight);
-        let graph = net.neighbour_graph(own, self.ghost_weight);
+        let graph = net.neighbour_graph(own, score.ghost_graph());
         // A rank whose every candidate fails (no reachable frontier, or
-        // fully λ-gated) is parked so the loop always terminates: each
+        // fully gated) is parked so the loop always terminates: each
         // iteration either realizes a move (shrinking Σ|imbalance|) or
         // parks one rank.
         let mut parked = vec![false; n];
@@ -996,30 +871,9 @@ impl LbPolicy for GreedyStealPolicy {
         {
             let mut moved = false;
             for &dst in &graph[src] {
-                if imbalance[dst as usize] <= 0 {
-                    continue;
-                }
-                let relief = metrics.relief_per_sd(src);
-                let gain = |sd| {
-                    relief
-                        - self.cost_weight
-                            * net.comm.seconds(src as NodeId, dst, net.sd_bytes.get(sd))
-                };
-                let chosen = match ghost {
-                    Some(g) => select_transfer_scored(&working, src as NodeId, dst, 1, |sd| {
-                        gain(sd)
-                            - self.ghost_weight
-                                * ghost_delta_seconds(&net.comm, g, working.owners(), sd, dst)
-                    }),
-                    None => select_transfer_scored(&working, src as NodeId, dst, 1, gain),
-                };
-                if let Some(&sd) = chosen.first() {
-                    working.set_owner(sd, dst);
-                    raw.push(Move {
-                        sd,
-                        from: src as NodeId,
-                        to: dst,
-                    });
+                if imbalance[dst as usize] > 0
+                    && score.realize(&mut working, &mut raw, src as NodeId, dst, 1) == 1
+                {
                     imbalance[dst as usize] -= 1;
                     imbalance[src] += 1;
                     moved = true;
@@ -1030,176 +884,101 @@ impl LbPolicy for GreedyStealPolicy {
                 parked[src] = true;
             }
         }
-        finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
+        finish_plan(metrics.clone(), working, raw, net)
     }
 
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.cost_weight = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.cost_weight
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.ghost_weight = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.ghost_weight
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        &mut self.weights
     }
 }
 
-/// [`LbSpec::AdaptiveLambda`]: closes the λ feedback loop. Doubles the
-/// inner policy's cost weight when migrations stalled the last window more
-/// than the target fraction, halves it when they stalled less than half
-/// the target (the dead band in between holds λ steady, avoiding
-/// oscillation around the setpoint).
-pub struct AdaptiveLambdaPolicy {
+/// Which leaf weight an [`AdaptivePolicy`] steers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Steered {
+    /// λ, from the migration-stall fraction ([`LbPolicy::observe_stall`]).
+    Lambda,
+    /// μ, from the ghost-stall fraction
+    /// ([`LbPolicy::observe_ghost_stall`]).
+    Mu,
+}
+
+/// [`LbSpec::AdaptiveLambda`] and [`LbSpec::AdaptiveMu`]: one feedback
+/// controller on one of the leaf policy's [`MoveWeights`]. Doubles the
+/// steered weight when its stall signal exceeded the target fraction over
+/// the last window, halves it when the signal stayed under half the
+/// target (the dead band in between holds the weight steady, avoiding
+/// oscillation around the setpoint). The other signal passes through, so
+/// a λ and a μ controller stack in either order.
+pub struct AdaptivePolicy {
     inner: Box<dyn LbPolicy>,
-    target_stall_frac: f64,
-    lambda: f64,
+    steers: Steered,
+    target_frac: f64,
 }
 
-impl AdaptiveLambdaPolicy {
-    /// λ is clamped here so `CostParams::new` can never see a non-finite
-    /// weight, no matter how many stalled epochs pile up.
-    const LAMBDA_MAX: f64 = 1e9;
-    /// Below this, λ snaps to exactly 0 so the inner policy degenerates to
-    /// its count-based behaviour instead of carrying float dust.
-    const LAMBDA_MIN: f64 = 1e-6;
-}
+impl AdaptivePolicy {
+    /// The weight is clamped here so [`MoveWeights::validate`] can never
+    /// see a non-finite one, no matter how many stalled epochs pile up.
+    const WEIGHT_MAX: f64 = 1e9;
+    /// Below this, the weight snaps to exactly 0 so the inner policy
+    /// degenerates to its count-based / ghost-blind behaviour instead of
+    /// carrying float dust.
+    const WEIGHT_MIN: f64 = 1e-6;
 
-impl LbPolicy for AdaptiveLambdaPolicy {
-    fn name(&self) -> &'static str {
-        "adaptive-lambda"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        self.inner.set_cost_weight(self.lambda);
-        self.inner.plan(own, metrics, net)
-    }
-
-    fn observe_stall(&mut self, stall_frac: f64) {
+    fn nudge(&mut self, stall_frac: f64) {
         if !stall_frac.is_finite() || stall_frac < 0.0 {
             return;
         }
-        if stall_frac > self.target_stall_frac {
-            self.lambda = if self.lambda <= 0.0 {
-                1.0
+        let weights = self.inner.weights_mut();
+        // A disengaged weight restarts where it shapes plans instead of
+        // freezing them: λ at 1 (seconds against seconds), μ at the bottom
+        // of the A9 shaping band.
+        let (weight, engage) = match self.steers {
+            Steered::Lambda => (&mut weights.lambda, 1.0),
+            Steered::Mu => (&mut weights.mu, 0.05),
+        };
+        if stall_frac > self.target_frac {
+            *weight = if *weight <= 0.0 {
+                engage
             } else {
-                (self.lambda * 2.0).min(Self::LAMBDA_MAX)
+                (*weight * 2.0).min(Self::WEIGHT_MAX)
             };
-        } else if stall_frac < self.target_stall_frac * 0.5 {
-            self.lambda *= 0.5;
-            if self.lambda < Self::LAMBDA_MIN {
-                self.lambda = 0.0;
+        } else if stall_frac < self.target_frac * 0.5 {
+            *weight *= 0.5;
+            if *weight < Self::WEIGHT_MIN {
+                *weight = 0.0;
             }
         }
     }
-
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.lambda = lambda;
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The ghost gate is orthogonal to the adapted λ: forward it to the
-    /// inner policy untouched.
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.inner.ghost_weight()
-    }
-
-    /// Ghost-stall feedback is the μ decorator's signal: forward it so an
-    /// inner adaptive-μ layer keeps learning through this decorator.
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        self.inner.observe_ghost_stall(ghost_frac);
-    }
-
-    fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
-        self.inner.drift_info()
-    }
 }
 
-/// [`LbSpec::AdaptiveMu`]: closes the μ feedback loop. Doubles the inner
-/// policy's ghost weight when the measured ghost-stall fraction of the
-/// last window exceeded the target, halves it when it stayed under half
-/// the target (the dead band in between holds μ steady). The engaged
-/// weight starts at the bottom of the shaping band (≈ 0.05 with
-/// seconds-scaled busy times) so the first correction shapes plans
-/// instead of freezing them.
-pub struct AdaptiveMuPolicy {
-    inner: Box<dyn LbPolicy>,
-    target_ghost_frac: f64,
-    mu: f64,
-}
-
-impl AdaptiveMuPolicy {
-    /// μ is clamped so `CostParams` can never see a non-finite weight.
-    const MU_MAX: f64 = 1e9;
-    /// Below this, μ snaps to exactly 0 so the inner policy degenerates to
-    /// its ghost-blind behaviour instead of carrying float dust.
-    const MU_MIN: f64 = 1e-6;
-    /// The weight the first engagement starts from — the bottom of the
-    /// A9 shaping band.
-    const MU_ENGAGE: f64 = 0.05;
-}
-
-impl LbPolicy for AdaptiveMuPolicy {
+impl LbPolicy for AdaptivePolicy {
     fn name(&self) -> &'static str {
-        "adaptive-mu"
+        match self.steers {
+            Steered::Lambda => "adaptive-lambda",
+            Steered::Mu => "adaptive-mu",
+        }
     }
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        self.inner.set_ghost_weight(self.mu);
         self.inner.plan(own, metrics, net)
     }
 
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        if !ghost_frac.is_finite() || ghost_frac < 0.0 {
-            return;
-        }
-        if ghost_frac > self.target_ghost_frac {
-            self.mu = if self.mu <= 0.0 {
-                Self::MU_ENGAGE
-            } else {
-                (self.mu * 2.0).min(Self::MU_MAX)
-            };
-        } else if ghost_frac < self.target_ghost_frac * 0.5 {
-            self.mu *= 0.5;
-            if self.mu < Self::MU_MIN {
-                self.mu = 0.0;
-            }
-        }
-    }
-
-    /// The migration-stall signal belongs to an inner λ decorator (if
-    /// any): forward it untouched.
     fn observe_stall(&mut self, stall_frac: f64) {
-        self.inner.observe_stall(stall_frac);
+        match self.steers {
+            Steered::Lambda => self.nudge(stall_frac),
+            Steered::Mu => self.inner.observe_stall(stall_frac),
+        }
     }
 
-    /// The cost gate is orthogonal to the adapted μ: forward it.
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.inner.set_cost_weight(lambda);
+    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
+        match self.steers {
+            Steered::Lambda => self.inner.observe_ghost_stall(ghost_frac),
+            Steered::Mu => self.nudge(ghost_frac),
+        }
     }
 
-    fn cost_weight(&self) -> f64 {
-        self.inner.cost_weight()
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.mu = mu;
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.mu
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        self.inner.weights_mut()
     }
 
     fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
@@ -1210,7 +989,6 @@ impl LbPolicy for AdaptiveMuPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::algorithm::{plan_rebalance, plan_rebalance_with_cost};
     use crate::balance::power::compute_metrics;
     use nlheat_mesh::{SdGrid, SdId};
     use nlheat_netmodel::{LinkSpec, TopologySpec};
@@ -1295,29 +1073,28 @@ mod tests {
 
     #[test]
     fn tree_policy_is_byte_identical_to_planner() {
-        // The tentpole acceptance criterion: routing Algorithm 1 through
-        // the policy layer must not change a single move, at λ = 0 and
-        // λ > 0 alike.
+        // The policy glue must hand the planner exactly the spec's weights
+        // and the epoch's network: `LbSpec::tree(λ)` through the policy
+        // layer is `plan_rebalance` at `(λ, 0)`, move for move, at λ = 0
+        // and λ > 0 alike.
         let net = two_rack_net(1 << 12);
         for lambda in [0.0, 0.5, 2.0] {
             let mut policy = LbSpec::tree(lambda).build();
             sweep(|own, busy| {
-                let direct = plan_rebalance_with_cost(
-                    own,
-                    busy,
-                    &CostParams::new(net.comm, lambda, net.sd_bytes.clone()),
-                );
-                let via_policy = policy.plan(own, &metrics_for(own, busy), &net);
+                let metrics = metrics_for(own, busy);
+                let direct = plan_rebalance(own, &metrics, &net, MoveWeights::new(lambda, 0.0));
+                let via_policy = policy.plan(own, &metrics, &net);
                 assert_eq!(direct.moves, via_policy.moves, "λ={lambda}");
                 assert_eq!(direct.new_ownership, via_policy.new_ownership);
                 assert_eq!(direct.comm, via_policy.comm);
             });
         }
-        // and with a free network the λ=0 tree matches the seed planner
+        // and over a free network the λ=0 tree is the count-based planner
         let mut policy = LbSpec::tree(0.0).build();
         sweep(|own, busy| {
-            let seed = plan_rebalance(own, busy);
-            let via_policy = policy.plan(own, &metrics_for(own, busy), &LbNetwork::free());
+            let metrics = metrics_for(own, busy);
+            let seed = plan_rebalance(own, &metrics, &LbNetwork::free(), MoveWeights::default());
+            let via_policy = policy.plan(own, &metrics, &LbNetwork::free());
             assert_eq!(seed.moves, via_policy.moves);
         });
     }
@@ -1441,23 +1218,23 @@ mod tests {
     #[test]
     fn adaptive_lambda_tracks_stall_feedback() {
         let mut policy = LbSpec::adaptive(LbSpec::tree(0.0), 0.1).build();
-        assert_eq!(policy.cost_weight(), 0.0, "starts from the inner λ");
+        assert_eq!(policy.weights_mut().lambda, 0.0, "starts from the inner λ");
         policy.observe_stall(0.5); // stalled well above target: engage gate
-        assert_eq!(policy.cost_weight(), 1.0);
+        assert_eq!(policy.weights_mut().lambda, 1.0);
         policy.observe_stall(0.5);
-        assert_eq!(policy.cost_weight(), 2.0, "doubles while stalling");
+        assert_eq!(policy.weights_mut().lambda, 2.0, "doubles while stalling");
         policy.observe_stall(0.07); // inside the dead band: hold
-        assert_eq!(policy.cost_weight(), 2.0);
+        assert_eq!(policy.weights_mut().lambda, 2.0);
         policy.observe_stall(0.01); // below half target: relax
-        assert_eq!(policy.cost_weight(), 1.0);
+        assert_eq!(policy.weights_mut().lambda, 1.0);
         for _ in 0..40 {
             policy.observe_stall(0.0);
         }
-        assert_eq!(policy.cost_weight(), 0.0, "λ decays to exactly 0");
+        assert_eq!(policy.weights_mut().lambda, 0.0, "λ decays to exactly 0");
         // garbage feedback is ignored
         policy.observe_stall(f64::NAN);
         policy.observe_stall(-1.0);
-        assert_eq!(policy.cost_weight(), 0.0);
+        assert_eq!(policy.weights_mut().lambda, 0.0);
     }
 
     #[test]
@@ -1494,22 +1271,20 @@ mod tests {
             sched.spec,
             LbSpec::GreedySteal {
                 threshold: 2,
-                mu: 0.0
+                weights: MoveWeights::default()
             }
         );
         assert_eq!(
             LbSchedule::every(3).spec,
             LbSpec::Tree {
-                lambda: 0.0,
-                mu: 0.0
+                weights: MoveWeights::default()
             }
         );
-        // with_mu reaches the variant's μ field, through decorators too
+        // with_mu reaches the leaf's weights, through decorators too
         assert_eq!(
             LbSpec::tree(1.0).with_mu(0.5),
             LbSpec::Tree {
-                lambda: 1.0,
-                mu: 0.5
+                weights: MoveWeights::new(1.0, 0.5)
             }
         );
         match LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1).with_mu(2.0) {
@@ -1518,7 +1293,7 @@ mod tests {
                     *inner,
                     LbSpec::GreedySteal {
                         threshold: 1,
-                        mu: 2.0
+                        weights: MoveWeights::new(0.0, 2.0)
                     }
                 );
             }
@@ -1567,16 +1342,15 @@ mod tests {
                 assert_eq!(
                     **inner,
                     LbSpec::Tree {
-                        lambda: 0.5,
-                        mu: 0.25
+                        weights: MoveWeights::new(0.5, 0.25)
                     }
                 );
             }
             other => panic!("shape lost: {other:?}"),
         }
-        let policy = spec.build();
-        assert_eq!(policy.cost_weight(), 0.5);
-        assert_eq!(policy.ghost_weight(), 0.25);
+        let mut policy = spec.build();
+        assert_eq!(policy.weights_mut().lambda, 0.5);
+        assert_eq!(policy.weights_mut().mu, 0.25);
         assert!(policy.drift_info().is_some(), "monitor must report");
         // an adaptive decorator over Repartition surfaces the drift info
         let wrapped = LbSpec::adaptive(
@@ -1591,24 +1365,30 @@ mod tests {
 
     #[test]
     fn hierarchical_spec_round_trips_weights() {
-        // with_mu reaches both the machinery's μ and the delegate's
-        let spec = LbSpec::hierarchical(LbSpec::tree(0.0), 2.0).with_mu(0.5);
-        match &spec {
-            LbSpec::Hierarchical { inner, lambda, mu } => {
-                assert_eq!((*lambda, *mu), (2.0, 0.5));
-                assert_eq!(
-                    **inner,
-                    LbSpec::Tree {
-                        lambda: 0.0,
-                        mu: 0.5
-                    }
-                );
+        // the hierarchy has no weights of its own: its λ and with_mu's μ
+        // land in the leaf — replacing whatever the leaf was built with —
+        // which the machinery and the degenerate delegate both read
+        let spec = LbSpec::hierarchical(LbSpec::tree(0.7).with_mu(0.1), 2.0);
+        assert_eq!(
+            spec,
+            LbSpec::Hierarchical {
+                inner: Box::new(LbSpec::Tree {
+                    weights: MoveWeights::new(2.0, 0.0)
+                })
             }
-            other => panic!("shape lost: {other:?}"),
-        }
-        let policy = spec.build();
-        assert_eq!(policy.cost_weight(), 2.0);
-        assert_eq!(policy.ghost_weight(), 0.5);
+        );
+        let spec = spec.with_mu(0.5);
+        assert_eq!(
+            spec,
+            LbSpec::Hierarchical {
+                inner: Box::new(LbSpec::Tree {
+                    weights: MoveWeights::new(2.0, 0.5)
+                })
+            }
+        );
+        let mut policy = spec.build();
+        assert_eq!(policy.weights_mut().lambda, 2.0);
+        assert_eq!(policy.weights_mut().mu, 0.5);
     }
 
     #[test]
@@ -1631,29 +1411,29 @@ mod tests {
         spec.validate();
         let mut policy = spec.build();
         policy.observe_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "outer λ engaged");
+        assert_eq!(policy.weights_mut().lambda, 1.0, "outer λ engaged");
     }
 
     #[test]
     fn adaptive_mu_tracks_ghost_stall_feedback() {
         let mut policy = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2).build();
-        assert_eq!(policy.ghost_weight(), 0.0, "starts from the inner μ");
+        assert_eq!(policy.weights_mut().mu, 0.0, "starts from the inner μ");
         policy.observe_ghost_stall(0.5); // well above target: engage gate
-        assert_eq!(policy.ghost_weight(), 0.05, "engages at the shaping band");
+        assert_eq!(policy.weights_mut().mu, 0.05, "engages at the shaping band");
         policy.observe_ghost_stall(0.5);
-        assert_eq!(policy.ghost_weight(), 0.1, "doubles while stalling");
+        assert_eq!(policy.weights_mut().mu, 0.1, "doubles while stalling");
         policy.observe_ghost_stall(0.15); // inside the dead band: hold
-        assert_eq!(policy.ghost_weight(), 0.1);
+        assert_eq!(policy.weights_mut().mu, 0.1);
         policy.observe_ghost_stall(0.05); // below half target: relax
-        assert_eq!(policy.ghost_weight(), 0.05);
+        assert_eq!(policy.weights_mut().mu, 0.05);
         for _ in 0..40 {
             policy.observe_ghost_stall(0.0);
         }
-        assert_eq!(policy.ghost_weight(), 0.0, "μ decays to exactly 0");
+        assert_eq!(policy.weights_mut().mu, 0.0, "μ decays to exactly 0");
         // garbage feedback is ignored
         policy.observe_ghost_stall(f64::NAN);
         policy.observe_ghost_stall(-1.0);
-        assert_eq!(policy.ghost_weight(), 0.0);
+        assert_eq!(policy.weights_mut().mu, 0.0);
     }
 
     #[test]
@@ -1678,7 +1458,7 @@ mod tests {
         assert!(
             policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
             "learned μ={} must refuse cut-worsening moves",
-            policy.ghost_weight()
+            policy.weights_mut().mu
         );
     }
 
@@ -1691,15 +1471,19 @@ mod tests {
         let mut policy = both.build();
         policy.observe_stall(0.9);
         policy.observe_ghost_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "outer λ engaged");
-        assert_eq!(policy.ghost_weight(), 0.05, "inner μ engaged through λ");
+        assert_eq!(policy.weights_mut().lambda, 1.0, "outer λ engaged");
+        assert_eq!(policy.weights_mut().mu, 0.05, "inner μ engaged through λ");
         let other = LbSpec::adaptive_mu(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.2);
         other.validate();
         let mut policy = other.build();
         policy.observe_stall(0.9);
         policy.observe_ghost_stall(0.9);
-        assert_eq!(policy.cost_weight(), 1.0, "inner λ engaged through μ");
-        assert_eq!(policy.ghost_weight(), 0.05, "outer μ engaged");
+        assert_eq!(
+            policy.weights_mut().lambda,
+            1.0,
+            "inner λ engaged through μ"
+        );
+        assert_eq!(policy.weights_mut().mu, 0.05, "outer μ engaged");
     }
 
     #[test]
@@ -1808,10 +1592,10 @@ mod tests {
 
     #[test]
     fn ghost_weight_hooks_round_trip_and_steer_plans() {
-        // The μ feedback seam (the future AdaptiveMu decorator's handle):
-        // every concrete policy round-trips set_ghost_weight, the
-        // decorator forwards to its inner policy, and a raised μ actually
-        // changes planning — the same gate as the spec-level field.
+        // The μ feedback seam (the adaptive-μ decorator's handle): every
+        // policy exposes its leaf's weights through `weights_mut`, the
+        // decorators forward to their inner policy, and a raised μ
+        // actually changes planning — the same gate as the spec's field.
         for spec in [
             LbSpec::tree(0.0),
             LbSpec::diffusion(1.0, 8),
@@ -1820,9 +1604,10 @@ mod tests {
             LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.1),
         ] {
             let mut policy = spec.with_mu(0.75).build();
-            assert_eq!(policy.ghost_weight(), 0.75, "{}: spec μ", policy.name());
-            policy.set_ghost_weight(2.5);
-            assert_eq!(policy.ghost_weight(), 2.5, "{}: round trip", policy.name());
+            let name = policy.name();
+            assert_eq!(policy.weights_mut().mu, 0.75, "{name}: spec μ");
+            policy.weights_mut().mu = 2.5;
+            assert_eq!(policy.weights_mut().mu, 2.5, "{name}: round trip");
         }
         // steering: the huge_mu fixture, but with μ injected through the
         // hook after build instead of the spec
@@ -1834,7 +1619,7 @@ mod tests {
         let net = LbNetwork::from_spec(&NetSpec::cluster(), 1000).with_sd_graph(graph);
         let mut policy = LbSpec::tree(0.0).build();
         assert!(!policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop());
-        policy.set_ghost_weight(1e12);
+        policy.weights_mut().mu = 1e12;
         assert!(
             policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
             "hook-injected μ must gate like the spec field"
@@ -1850,20 +1635,21 @@ mod tests {
         let own = Ownership::new(sds, vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
         let graph = std::sync::Arc::new(nlheat_partition::SdGraph::build(&sds, 1));
         let net = two_rack_net(1000).with_sd_graph(graph);
-        let projected = net.neighbour_graph(&own, 1.0);
+        let ghost = net.sd_graph.as_deref();
+        let projected = net.neighbour_graph(&own, ghost);
         assert_eq!(projected[0], vec![1]);
         assert_eq!(projected[1], vec![0, 2], "intra-rack peer first");
         assert_eq!(projected[2], vec![3, 1]);
         assert_eq!(projected[3], vec![2]);
-        // μ = 0 falls back to the complete link-class graph
+        // ghost-blind falls back to the complete link-class graph
         assert_eq!(
-            net.neighbour_graph(&own, 0.0),
+            net.neighbour_graph(&own, None),
             net.comm.neighbour_graph(4),
             "ghost-blind path must stay the PR-3 complete graph"
         );
         // an empty territory keeps every partner (bootstrap seeding)
         let lopsided = Ownership::new(sds, vec![0, 0, 0, 0, 0, 0, 1, 1], 3);
-        let boot = net.neighbour_graph(&lopsided, 1.0);
+        let boot = net.neighbour_graph(&lopsided, ghost);
         assert_eq!(boot[2], vec![0, 1], "empty node 2 reaches everyone");
         assert!(boot[0].contains(&2) && boot[1].contains(&2));
     }
@@ -1872,8 +1658,7 @@ mod tests {
     fn sd_tile_view_is_the_shared_wire_formula() {
         // both substrates derive sd_bytes through this one constructor
         let net = LbNetwork::for_sd_tiles(&NetSpec::cluster(), 25 * 25);
-        assert_eq!(net.sd_bytes, SdBytes::Uniform(25 * 25 * 8 + 24));
-        assert_eq!(net.sd_bytes.get(0), 25 * 25 * 8 + 24);
+        assert_eq!(net.sd_bytes, 25 * 25 * 8 + 24);
         assert!(!net.comm.is_free());
     }
 
@@ -1883,8 +1668,10 @@ mod tests {
         // constructed via the struct literal so only validate() can catch it
         let spec = LbSpec::AdaptiveLambda {
             inner: Box::new(LbSpec::Tree {
-                lambda: f64::NAN,
-                mu: 0.0,
+                weights: MoveWeights {
+                    lambda: f64::NAN,
+                    mu: 0.0,
+                },
             }),
             target_stall_frac: 0.1,
         };
@@ -1902,7 +1689,10 @@ mod tests {
     fn nan_mu_rejected_by_validate() {
         let spec = LbSpec::GreedySteal {
             threshold: 1,
-            mu: f64::NAN,
+            weights: MoveWeights {
+                lambda: 0.0,
+                mu: f64::NAN,
+            },
         };
         spec.validate();
     }

@@ -32,6 +32,7 @@
 use crate::balance::algorithm::{finish_plan, MigrationPlan, Move};
 use crate::balance::policy::{LbNetwork, LbPolicy};
 use crate::balance::power::LoadMetrics;
+use crate::balance::score::MoveWeights;
 use crate::ownership::Ownership;
 use nlheat_mesh::SdId;
 use nlheat_partition::{repartition_capacitated, PartitionConfig};
@@ -74,25 +75,17 @@ pub struct RepartitionPolicy {
 }
 
 impl RepartitionPolicy {
-    /// See [`LbSpec::repartition`] for parameter semantics; invalid
-    /// parameters panic (mirroring `LbSpec::validate`).
+    /// Parameters as validated by [`LbSpec::validate`] — reached through
+    /// [`LbSpec::build`] only.
     ///
-    /// [`LbSpec::repartition`]: crate::balance::policy::LbSpec::repartition
-    pub fn new(
+    /// [`LbSpec::validate`]: crate::balance::policy::LbSpec::validate
+    /// [`LbSpec::build`]: crate::balance::policy::LbSpec::build
+    pub(crate) fn new(
         inner: Box<dyn LbPolicy>,
         drift_threshold: f64,
         period: usize,
         max_bytes_per_epoch: u64,
     ) -> Self {
-        assert!(
-            drift_threshold > 0.0 && !drift_threshold.is_nan(),
-            "drift_threshold must be positive (infinity = never), got {drift_threshold}"
-        );
-        assert!(period >= 1, "repartition period must be at least 1 epoch");
-        assert!(
-            max_bytes_per_epoch >= 1,
-            "max_bytes_per_epoch must be positive (u64::MAX = unbounded)"
-        );
         RepartitionPolicy {
             inner,
             drift_threshold,
@@ -171,30 +164,24 @@ impl RepartitionPolicy {
         // Evacuations cannot wait: a drained/failed rank keeps paying for
         // every SD stranded on it, so they outrank cut repairs.
         pending.sort_by_key(|&sd| (!inactive(owners[sd as usize]), sd));
+        let ship = |sd: SdId| Move {
+            sd,
+            from: owners[sd as usize],
+            to: target[sd as usize],
+        };
         let mut raw: Vec<Move> = Vec::new();
         let mut bytes = 0u64;
         for &sd in &pending {
-            let cost = net.sd_bytes.get(sd);
-            if bytes.saturating_add(cost) > self.max_bytes_per_epoch {
-                continue; // a smaller tile later may still fit
+            if bytes.saturating_add(net.sd_bytes) > self.max_bytes_per_epoch {
+                break;
             }
-            bytes += cost;
-            raw.push(Move {
-                sd,
-                from: owners[sd as usize],
-                to: target[sd as usize],
-            });
+            bytes += net.sd_bytes;
+            raw.push(ship(sd));
         }
         if raw.is_empty() {
-            // Progress guarantee: one tile larger than the whole budget
-            // would stall the drain forever — ship the cheapest one.
-            if let Some(&sd) = pending.iter().min_by_key(|&&sd| (net.sd_bytes.get(sd), sd)) {
-                raw.push(Move {
-                    sd,
-                    from: owners[sd as usize],
-                    to: target[sd as usize],
-                });
-            }
+            // Progress guarantee: a tile larger than the whole budget
+            // would stall the drain forever — ship the lowest SD id.
+            raw.extend(pending.iter().min().map(|&sd| ship(sd)));
         }
         if raw.len() == pending.len() {
             self.target = None; // drained
@@ -203,7 +190,7 @@ impl RepartitionPolicy {
         for m in &raw {
             working.set_owner(m.sd, m.to);
         }
-        finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
+        finish_plan(metrics.clone(), working, raw, net)
     }
 
     /// Run the inner policy, dropping any move that targets an inactive
@@ -230,7 +217,7 @@ impl RepartitionPolicy {
         for m in &raw {
             working.set_owner(m.sd, m.to);
         }
-        finish_plan(metrics.clone(), working, raw, &net.comm, &net.sd_bytes)
+        finish_plan(metrics.clone(), working, raw, net)
     }
 }
 
@@ -315,20 +302,8 @@ impl LbPolicy for RepartitionPolicy {
         self.inner.observe_ghost_stall(ghost_frac);
     }
 
-    fn set_cost_weight(&mut self, lambda: f64) {
-        self.inner.set_cost_weight(lambda);
-    }
-
-    fn cost_weight(&self) -> f64 {
-        self.inner.cost_weight()
-    }
-
-    fn set_ghost_weight(&mut self, mu: f64) {
-        self.inner.set_ghost_weight(mu);
-    }
-
-    fn ghost_weight(&self) -> f64 {
-        self.inner.ghost_weight()
+    fn weights_mut(&mut self) -> &mut MoveWeights {
+        self.inner.weights_mut()
     }
 }
 

@@ -111,8 +111,9 @@ impl EpochTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::algorithm::{plan_rebalance_from_metrics, CostParams};
+    use crate::balance::algorithm::plan_rebalance;
     use crate::balance::power::compute_metrics;
+    use crate::balance::score::MoveWeights;
     use nlheat_mesh::SdGrid;
     use nlheat_netmodel::{LinkSpec, NetSpec, TopologySpec};
     use nlheat_partition::SdGraph;
@@ -136,11 +137,7 @@ mod tests {
         let graph = Arc::new(SdGraph::build(&sds, 1));
         let net =
             LbNetwork::for_sd_tiles(&two_rack(), sds.cells_per_sd()).with_sd_graph(graph.clone());
-        let plan = plan_rebalance_from_metrics(
-            &own,
-            metrics,
-            &CostParams::new(net.comm, 0.0, net.sd_bytes.clone()),
-        );
+        let plan = plan_rebalance(&own, &metrics, &net, MoveWeights::default());
         assert!(!plan.is_noop());
         let trace = EpochTrace::record(4, "tree", &plan, &own, &net);
         assert_eq!(trace.step, 4);

@@ -21,14 +21,14 @@ pub fn select_transfer(own: &Ownership, from: NodeId, to: NodeId, count: usize) 
 }
 
 /// [`select_transfer`] with a per-SD migration score: `score(sd)` is the
-/// estimated net gain of moving `sd` — for the cost-aware balancer,
-/// busy-time relief minus λ·(migration bytes × link cost), in seconds.
+/// estimated net gain of moving `sd` — for the balancer, the
+/// [`MoveScore`](crate::balance::MoveScore) of the move, in seconds.
 /// SDs with a negative score are never selected (their migration would
 /// cost more than it relieves), and within a partial ring higher-scoring
 /// SDs are preferred before the uniform-growth tie-breaks. A score that is
 /// constant and non-negative (e.g. the zero score of [`select_transfer`])
-/// reproduces the count-based selection exactly; with per-SD tile sizes a
-/// future caller can differentiate within one frontier.
+/// reproduces the count-based selection exactly; the ghost term of an
+/// active μ is what differentiates SDs within one frontier.
 pub fn select_transfer_scored(
     own: &Ownership,
     from: NodeId,

@@ -37,7 +37,7 @@ pub fn build_forest(adjacency: &[Vec<NodeId>], imbalance: &[i64]) -> Vec<Depende
 /// lowest id), so the topological processing order settles imbalance over
 /// cheap links before expensive ones. `weight(u, v)` is the cost of the
 /// `u`→`v` edge (for the cost-aware balancer: the λ-weighted estimated
-/// seconds of migrating one SD — see `CostParams::edge_weight`). A
+/// seconds of migrating one SD — see `MoveScore::edge_weight`). A
 /// constant weight reproduces `build_forest` exactly, because adjacency
 /// lists are already sorted by id.
 pub fn build_forest_weighted(

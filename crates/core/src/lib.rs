@@ -35,6 +35,7 @@ pub use scenario::library as scenarios;
 
 pub use balance::{
     plan_rebalance, LbNetwork, LbPolicy, LbSchedule, LbSpec, LoadMetrics, MigrationPlan, Move,
+    MoveWeights,
 };
 pub use dist::{run_distributed, DistConfig, DistReport};
 pub use ownership::Ownership;

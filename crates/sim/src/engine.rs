@@ -351,7 +351,7 @@ pub fn simulate(sc: &Scenario) -> RunReport {
                 // migration costs: tile payloads over the network
                 net.reset(barrier);
                 for mv in &plan.moves {
-                    let bytes = lb_epoch.net().sd_bytes.get(mv.sd);
+                    let bytes = lb_epoch.net().sd_bytes;
                     let arr = net.arrival(
                         node_time[mv.from as usize],
                         &Msg {
@@ -421,7 +421,7 @@ pub fn simulate(sc: &Scenario) -> RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlheat_core::balance::{LbSchedule, LbSpec};
+    use nlheat_core::balance::{LbSchedule, LbSpec, MoveWeights};
     use nlheat_core::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec};
     use nlheat_core::workload::WorkModel;
     use nlheat_netmodel::NetSpec;
@@ -549,8 +549,10 @@ mod tests {
     #[should_panic(expected = "lambda must be finite")]
     fn degenerate_lambda_rejected_at_configuration() {
         let _ = LbSchedule::every(4).with_spec(LbSpec::Tree {
-            lambda: f64::NAN,
-            mu: 0.0,
+            weights: MoveWeights {
+                lambda: f64::NAN,
+                mu: 0.0,
+            },
         });
     }
 

@@ -127,7 +127,7 @@ fn main() {
     for lambda in [0.0, 1.0, 2.0] {
         let run = lam_base
             .clone()
-            .with_lb(LbSchedule::every(4).with_spec(LbSpec::Tree { lambda, mu: 0.0 }))
+            .with_lb(LbSchedule::every(4).with_spec(LbSpec::tree(lambda)))
             .run_sim();
         println!(
             "lambda {lambda}: {:>6.1} KB inter-rack / {:>6.1} KB total migration traffic, makespan {:.2} ms",

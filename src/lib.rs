@@ -50,8 +50,8 @@ pub use nlheat_sim as sim;
 pub mod prelude {
     pub use nlheat_amt::prelude::*;
     pub use nlheat_core::balance::{
-        iterate_rebalance, plan_rebalance, plan_rebalance_ghost_aware, plan_rebalance_with_cost,
-        CostParams, EpochTrace, LbNetwork, LbPolicy, LbSchedule, LbSpec,
+        plan_rebalance, EpochTrace, LbNetwork, LbPolicy, LbSchedule, LbSpec, MigrationPlan,
+        MoveScore, MoveWeights,
     };
     pub use nlheat_core::dist::{run_distributed, DistConfig};
     pub use nlheat_core::ownership::Ownership;

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use nonlocalheat::amt::codec::{decode_f64_vec, encode_f64_slice, Wire};
 use nonlocalheat::amt::rendezvous::Rendezvous;
 use nonlocalheat::core::balance::{
-    compute_metrics, plan_rebalance, plan_rebalance_with_cost, CostParams, LbNetwork, LbSpec,
+    compute_metrics, plan_rebalance, LbNetwork, LbSpec, MoveWeights,
 };
 use nonlocalheat::core::ghost::{reverse_index, GhostSchedule, RankBundle};
 use nonlocalheat::core::ownership::Ownership;
@@ -247,7 +247,8 @@ proptest! {
         let own = Ownership::new(grid, owners, n_nodes);
         let busy_vec: Vec<f64> =
             (0..n_nodes as usize).map(|i| busy[i % busy.len()]).collect();
-        let plan = plan_rebalance(&own, &busy_vec);
+        let metrics = compute_metrics(&own.counts(), &busy_vec);
+        let plan = plan_rebalance(&own, &metrics, &LbNetwork::free(), MoveWeights::default());
 
         // 1. moves apply sequentially from the initial state
         let mut working = own.clone();
@@ -296,15 +297,18 @@ proptest! {
         let own = Ownership::new(grid, owners, n_nodes);
         let busy_vec: Vec<f64> =
             (0..n_nodes as usize).map(|i| busy[i % busy.len()]).collect();
-        let comm = CommCost::from_spec(&NetSpec::Topology(TopologySpec {
-            ranks_per_node: 1,
-            nodes_per_rack: 2,
-            intra_node: LinkSpec::new(0.0, f64::INFINITY),
-            intra_rack: LinkSpec::new(1e-3, 1e6),
-            inter_rack: LinkSpec::new(0.5, 2e4),
-        }));
-        let params = CostParams::new(comm, lambda, 4 * 4 * 8 + 24);
-        let plan = plan_rebalance_with_cost(&own, &busy_vec, &params);
+        let net = LbNetwork::from_spec(
+            &NetSpec::Topology(TopologySpec {
+                ranks_per_node: 1,
+                nodes_per_rack: 2,
+                intra_node: LinkSpec::new(0.0, f64::INFINITY),
+                intra_rack: LinkSpec::new(1e-3, 1e6),
+                inter_rack: LinkSpec::new(0.5, 2e4),
+            }),
+            4 * 4 * 8 + 24,
+        );
+        let metrics = compute_metrics(&own.counts(), &busy_vec);
+        let plan = plan_rebalance(&own, &metrics, &net, MoveWeights::new(lambda, 0.0));
 
         let mut arrived = std::collections::HashSet::new();
         for m in &plan.moves {
