@@ -110,14 +110,14 @@ impl ClusterBuilder {
                 fabric.handle(),
                 registry.clone(),
             );
-            let (rendezvous, handlers) = loc.pump_parts();
+            let rendezvous = loc.rendezvous().clone();
             let started = pumps_started.clone();
             pumps.push(
                 std::thread::Builder::new()
                     .name(format!("loc{i}-pump"))
                     .spawn(move || {
                         started.fetch_add(1, Ordering::Release);
-                        Locality::pump(rx, rendezvous, handlers)
+                        Locality::pump(rx, rendezvous)
                     })
                     .expect("failed to spawn inbox pump"),
             );
@@ -334,25 +334,5 @@ mod tests {
             Some(0),
             "self-send is not cross traffic"
         );
-    }
-
-    #[test]
-    fn handler_intercepts_class() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = hits.clone();
-        cluster.locality(1).register_handler(9, move |p| {
-            h.fetch_add(p.payload.len() as u64, Ordering::SeqCst);
-        });
-        cluster
-            .locality(0)
-            .send(1, tag(9, 0, 0, 0), Bytes::from_static(&[0; 5]));
-        // Handler runs on the pump thread; spin briefly.
-        let t0 = std::time::Instant::now();
-        while hits.load(Ordering::SeqCst) == 0 && t0.elapsed() < std::time::Duration::from_secs(2) {
-            std::thread::yield_now();
-        }
-        assert_eq!(hits.load(Ordering::SeqCst), 5);
     }
 }

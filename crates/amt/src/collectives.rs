@@ -1,10 +1,10 @@
 //! Cluster-wide collective operations built on parcels.
 //!
-//! HPX ships collectives (`hpx::collectives::{broadcast, reduce, barrier}`)
-//! on top of its parcel transport; the load-balancing epoch of the solver
-//! is exactly a gather → plan → broadcast round. This module provides the
-//! same three primitives for localities, using a dedicated tag class and an
-//! epoch counter so successive collectives never collide.
+//! HPX ships collectives (`hpx::collectives::{gather, broadcast, …}`) on top
+//! of its parcel transport; the load-balancing epoch of the solver is
+//! exactly a gather → plan → broadcast round, and calls the two primitives
+//! of this module for it. They use a dedicated tag class and an epoch
+//! counter so successive rounds never collide.
 //!
 //! All collectives are **symmetric calls**: every locality of the cluster
 //! must call the same operation with the same epoch, like an MPI
@@ -23,11 +23,9 @@ pub const CLASS_COLLECTIVE: u8 = 0xC0;
 /// field so gather/broadcast phases of the same epoch stay distinct).
 const OP_GATHER: u64 = 1;
 const OP_BCAST: u64 = 2;
-const OP_BARRIER_UP: u64 = 3;
-const OP_BARRIER_DOWN: u64 = 4;
 
-fn coll_tag(epoch: u64, node: u64, op: u64) -> u64 {
-    tag(CLASS_COLLECTIVE, epoch, node, op)
+fn coll_tag(epoch: u64, node: u32, op: u64) -> u64 {
+    tag(CLASS_COLLECTIVE, epoch, node as u64, op)
 }
 
 /// Gather every locality's `value` on locality 0.
@@ -41,12 +39,12 @@ pub fn gather<T: Wire>(
     value: &T,
 ) -> Result<Option<Vec<T>>, WireError> {
     let me = loc.id();
-    loc.send(0, coll_tag(epoch, me as u64, OP_GATHER), value.to_bytes());
+    loc.send(0, coll_tag(epoch, me, OP_GATHER), value.to_bytes());
     if me != 0 {
         return Ok(None);
     }
     let futures: Vec<Future<Bytes>> = (0..n)
-        .map(|node| loc.expect(coll_tag(epoch, node as u64, OP_GATHER)))
+        .map(|node| loc.expect(coll_tag(epoch, node, OP_GATHER)))
         .collect();
     let mut out = Vec::with_capacity(n as usize);
     for fut in futures {
@@ -69,66 +67,17 @@ pub fn broadcast<T: Wire>(
             .expect("root must supply the broadcast value")
             .to_bytes();
         for node in 0..n {
-            loc.send(
-                node,
-                coll_tag(epoch, node as u64, OP_BCAST),
-                payload.clone(),
-            );
+            loc.send(node, coll_tag(epoch, node, OP_BCAST), payload.clone());
         }
     }
-    let fut = loc.expect(coll_tag(epoch, me as u64, OP_BCAST));
+    let fut = loc.expect(coll_tag(epoch, me, OP_BCAST));
     T::from_bytes(fut.get())
-}
-
-/// Reduce every locality's `value` with `op` on locality 0, then broadcast
-/// the result back to everyone (an allreduce).
-pub fn all_reduce<T: Wire + Clone>(
-    loc: &Locality,
-    n: u32,
-    epoch: u64,
-    value: &T,
-    op: impl Fn(T, T) -> T,
-) -> Result<T, WireError> {
-    let gathered = gather(loc, n, epoch, value)?;
-    let reduced = gathered.map(|values| {
-        let mut it = values.into_iter();
-        let first = it.next().expect("cluster has at least one locality");
-        it.fold(first, &op)
-    });
-    broadcast(loc, n, epoch, reduced.as_ref())
-}
-
-/// Cluster-wide barrier: returns only after every locality has entered.
-pub fn barrier(loc: &Locality, n: u32, epoch: u64) {
-    let me = loc.id();
-    // up phase: everyone reports to the root
-    loc.send(0, coll_tag(epoch, me as u64, OP_BARRIER_UP), Bytes::new());
-    if me == 0 {
-        let futures: Vec<Future<Bytes>> = (0..n)
-            .map(|node| loc.expect(coll_tag(epoch, node as u64, OP_BARRIER_UP)))
-            .collect();
-        for fut in futures {
-            fut.get();
-        }
-        // down phase: release everyone
-        for node in 0..n {
-            loc.send(
-                node,
-                coll_tag(epoch, node as u64, OP_BARRIER_DOWN),
-                Bytes::new(),
-            );
-        }
-    }
-    loc.expect(coll_tag(epoch, me as u64, OP_BARRIER_DOWN))
-        .get();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterBuilder;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn gather_collects_all_values() {
@@ -153,15 +102,12 @@ mod tests {
         assert_eq!(results, vec![42, 42, 42]);
     }
 
-    #[test]
-    fn all_reduce_sums() {
-        let cluster = ClusterBuilder::new().uniform(4, 1).build();
-        let n = cluster.len() as u32;
-        let results = cluster.run(|loc| {
-            let v = loc.id() as u64 + 1; // 1..=4
-            all_reduce(&loc, n, 0, &v, |a, b| a + b).unwrap()
-        });
-        assert_eq!(results, vec![10, 10, 10, 10]);
+    /// The LB epoch's shape: gather, decide on the root, broadcast.
+    fn max_round(loc: &Locality, n: u32, epoch: u64, value: u64) -> u64 {
+        let decided = gather(loc, n, epoch, &value)
+            .unwrap()
+            .map(|values| values.into_iter().max().unwrap());
+        broadcast(loc, n, epoch, decided.as_ref()).unwrap()
     }
 
     #[test]
@@ -169,12 +115,9 @@ mod tests {
         let cluster = ClusterBuilder::new().uniform(2, 1).build();
         let n = cluster.len() as u32;
         let results = cluster.run(|loc| {
-            let mut out = Vec::new();
-            for epoch in 0..5u64 {
-                let v = epoch * 100 + loc.id() as u64;
-                out.push(all_reduce(&loc, n, epoch, &v, u64::max).unwrap());
-            }
-            out
+            (0..5u64)
+                .map(|epoch| max_round(&loc, n, epoch, epoch * 100 + loc.id() as u64))
+                .collect::<Vec<_>>()
         });
         for r in &results {
             assert_eq!(r, &vec![1, 101, 201, 301, 401]);
@@ -182,28 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn barrier_orders_phases() {
-        // After the barrier, every locality must observe every other
-        // locality's pre-barrier increment.
-        let cluster = ClusterBuilder::new().uniform(4, 1).build();
-        let n = cluster.len() as u32;
-        let counter = Arc::new(AtomicU32::new(0));
-        let c = counter.clone();
-        let observed = cluster.run(move |loc| {
-            c.fetch_add(1, Ordering::SeqCst);
-            barrier(&loc, n, 7);
-            c.load(Ordering::SeqCst)
-        });
-        assert_eq!(observed, vec![4, 4, 4, 4]);
-    }
-
-    #[test]
-    fn single_locality_collectives_are_trivial() {
+    fn single_locality_round_is_trivial() {
         let cluster = ClusterBuilder::new().uniform(1, 1).build();
-        let results = cluster.run(|loc| {
-            barrier(&loc, 1, 0);
-            all_reduce(&loc, 1, 1, &5u64, |a, b| a + b).unwrap()
-        });
+        let results = cluster.run(|loc| max_round(&loc, 1, 1, 5));
         assert_eq!(results, vec![5]);
     }
 }

@@ -17,8 +17,9 @@
 //!   ([`locality::Locality`]) communicating exclusively through serialized
 //!   [`parcel::Parcel`]s over an in-memory [`network::Fabric`] with an
 //!   optional latency/bandwidth model.
-//! * **AGAS** — a global ownership directory ([`agas::Agas`]) mapping
-//!   distributed object ids (sub-domains) to their owning locality.
+//! * **Collectives** — [`collectives::gather`] / [`collectives::broadcast`]
+//!   over those parcels: the two halves of the solver's load-balancing
+//!   round (counters to locality 0 → plan there → plan to everyone).
 //!
 //! The distributed pieces run in a single process: each locality owns its own
 //! worker pool and inbox, and all inter-locality data flows through the
@@ -34,7 +35,6 @@
 //! assert_eq!(a.get() + b.get(), 12);
 //! ```
 
-pub mod agas;
 pub mod cluster;
 pub mod codec;
 pub mod collectives;
@@ -49,7 +49,6 @@ pub mod task;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::agas::Agas;
     pub use crate::cluster::{Cluster, ClusterBuilder, NodeSpec};
     pub use crate::codec::{Wire, WireError};
     pub use crate::counters::{Counter, CounterRegistry};

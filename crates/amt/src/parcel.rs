@@ -1,9 +1,9 @@
 //! Parcels: tagged, addressed messages between localities.
 //!
 //! A [`Parcel`] is the only way data moves between localities, mirroring
-//! HPX's parcel transport. The 64-bit [`Tag`] both routes the message inside
-//! the destination (via the class byte) and keys the rendezvous table for
-//! point-to-point matching (step, sender).
+//! HPX's parcel transport. The 64-bit [`Tag`] keys the destination's
+//! rendezvous table for point-to-point matching (protocol class, step,
+//! sender).
 
 use bytes::Bytes;
 

@@ -67,7 +67,6 @@ struct PoolInner {
 pub struct ThreadPool {
     inner: Arc<PoolInner>,
     workers: Vec<JoinHandle<()>>,
-    started: Instant,
 }
 
 /// Cheap, cloneable submission handle (implements [`Spawn`]).
@@ -119,11 +118,7 @@ impl ThreadPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        ThreadPool {
-            inner,
-            workers,
-            started: Instant::now(),
-        }
+        ThreadPool { inner, workers }
     }
 
     /// Submission handle for this pool.
@@ -191,11 +186,6 @@ impl ThreadPool {
     /// Number of completed tasks.
     pub fn tasks_executed(&self) -> u64 {
         self.inner.executed.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock time since pool construction.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// Number of tasks that panicked.

@@ -9,7 +9,12 @@
 //! computation — and, every
 //! [`LbSchedule::period`] steps, a full load-balancing epoch: busy-time
 //! gather, plan on locality 0 via the configured [`LbSpec`] policy
-//! (Algorithm 1 by default), broadcast, SD migration, counter reset (§7).
+//! (Algorithm 1 by default), broadcast — the round
+//! [`nlheat_amt::collectives`] provides — SD migration, counter reset (§7).
+//!
+//! This is the only step loop of the real runtime: on one locality no
+//! ghost is foreign, every SD is all case 2, and the loop is the paper's
+//! shared-memory solver (§8.2) — see [`crate::shared`].
 //!
 //! There is deliberately **no global barrier between timesteps**: tags
 //! carry the step index, so a fast node may run ahead and its bundles are
@@ -26,7 +31,8 @@ use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
 use crate::workload::WorkModel;
 use bytes::{Buf, Bytes, BytesMut};
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
-use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, Wire, WireError};
+use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, WireError};
+use nlheat_amt::collectives;
 use nlheat_amt::future::{when_all, Future};
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
@@ -35,7 +41,9 @@ use nlheat_mesh::{
     build_halo_plan, split_cases, CaseSplit, HaloPlan, PatchSource, Rect, SdGrid, SdId, Stencil,
     Tile,
 };
-use nlheat_model::{ErrorAccumulator, ProblemParts, ProblemSpec};
+use nlheat_model::{
+    ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, ProblemSpec, SourceFn,
+};
 use nlheat_netmodel::{LinkClass, NetSpec};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -43,10 +51,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Parcel tag classes of the solver protocol.
+/// Parcel tag classes of the solver protocol (the LB round's gather and
+/// broadcast travel under the collectives' own class).
 const CLASS_GHOST: u8 = 1;
-const CLASS_LBSTAT: u8 = 2;
-const CLASS_LBPLAN: u8 = 3;
 const CLASS_MIGRATE: u8 = 4;
 
 /// Configuration of a distributed run — the low-level execution config of
@@ -96,12 +103,12 @@ pub struct DistConfig {
     /// times (the paper's mode) or deterministic modeled busy times
     /// ([`LbInput::Modeled`], the cross-substrate parity mode).
     pub lb_input: LbInput,
-    /// Decompose each SD's per-step compute into row-band tile tasks on
-    /// the worker pool so idle workers steal pieces of a straggler SD
-    /// *within* a timestep (intra-epoch balancing; the LB policies only
-    /// move SD ownership *between* epochs). The row-band split is
-    /// deterministic and every cell is written exactly once from `curr`,
-    /// so the field stays bit-identical to the unchunked path.
+    /// Group each SD's per-step compute into one task per row band
+    /// instead of one task per case, so idle workers steal pieces of a
+    /// straggler SD *within* a timestep (intra-epoch balancing; the LB
+    /// policies only move SD ownership *between* epochs). The grouping is
+    /// deterministic and every cell is written exactly once from `curr`
+    /// by the same task body, so the field is bit-identical either way.
     pub intra_step_stealing: bool,
     /// Per-locality memory capacities in bytes (`None` = unbounded),
     /// indexed by locality id. Empty = memory-blind planning (the
@@ -290,20 +297,37 @@ struct SdCell {
     next: Mutex<Tile>,
 }
 
-/// Raw pointer into an SD's `next` buffer, captured once per step so the
-/// intra-step row-band tasks can write their pairwise-disjoint rows
-/// without serializing on the tile lock. The safety argument lives at the
-/// capture site in the step loop.
+/// Raw pointer into an SD's `next` buffer, through which the SD's compute
+/// tasks of one step write their pairwise-disjoint regions without a lock
+/// around the compute. The safety argument lives at its one dereference,
+/// in [`compute_tasks`].
 #[derive(Clone, Copy)]
 struct NextPtr(*mut f64);
-// SAFETY: the pointer is only dereferenced by chunk tasks writing
-// pairwise-disjoint regions, all of which complete before the step
-// barrier releases the buffer for the swap.
+// SAFETY: the pointer is only dereferenced by the compute tasks of one
+// step, which write pairwise-disjoint regions and all complete before the
+// step barrier releases the buffer for the swap.
 unsafe impl Send for NextPtr {}
-unsafe impl Sync for NextPtr {}
+
+impl NextPtr {
+    /// Capture `cell`'s next buffer, once per SD and step: the swap ending
+    /// a step rotates the tiles between the lock slots, and deriving the
+    /// pointer again would invalidate the one running tasks write through.
+    ///
+    /// # Panics
+    /// If the tiles differ in geometry: tasks index `next` by `curr`'s.
+    fn capture(cell: &SdCell) -> Self {
+        let curr = cell.curr.read();
+        let mut next = cell.next.lock();
+        assert!(
+            curr.stride() == next.stride() && curr.halo() == next.halo(),
+            "the curr and next tiles of an SD differ in geometry: stride or halo"
+        );
+        NextPtr(next.data_mut().as_mut_ptr())
+    }
+}
 
 /// Split `rect` into horizontal bands of height ≤ `band`, top to bottom.
-/// Deterministic in the inputs and an exact cover of `rect`, so chunked
+/// Deterministic in the inputs and an exact cover of `rect`, so banded
 /// execution visits every cell exactly once in a schedule-independent
 /// decomposition.
 fn row_bands(rect: &Rect, band: i64) -> Vec<Rect> {
@@ -322,6 +346,71 @@ fn row_bands(rect: &Rect, band: i64) -> Vec<Rect> {
 struct NodeSd {
     origin: (i64, i64),
     cell: Arc<SdCell>,
+}
+
+/// What every compute task of a run shares: the kernel, its plan for the
+/// tile stride, the source and the timestep.
+struct StepKernel {
+    kernel: NonlocalKernel,
+    plan: KernelPlan,
+    source: SourceFn,
+    dt: f64,
+}
+
+/// The tasks that update `rects` of `unit` at time `t`, writing through
+/// `next`. There is one task body: a task owns a group of regions and runs
+/// the kernel over each. `band` only sets the grouping — `None`: every
+/// non-empty rect in one task (no task if all are empty); `Some(h)`: one
+/// task per row band of height ≤ `h`, the piece an idle worker steals
+/// within a step. Every cell is computed once, from the same `curr` with
+/// the same arithmetic, so the field does not depend on the grouping.
+fn compute_tasks(
+    kern: &Arc<StepKernel>,
+    t: f64,
+    unit: &NodeSd,
+    next: NextPtr,
+    repeats: u32,
+    rects: &[Rect],
+    band: Option<i64>,
+) -> Vec<Task> {
+    let regions: Vec<Rect> = rects
+        .iter()
+        .filter(|r| !r.is_empty())
+        .flat_map(|r| row_bands(r, band.unwrap_or(r.h)))
+        .collect();
+    regions
+        .chunks(band.map_or(usize::MAX, |_| 1))
+        .map(|group| {
+            let group = group.to_vec();
+            let k = kern.clone();
+            let cell = unit.cell.clone();
+            let origin = unit.origin;
+            Box::new(move || {
+                // bind the wrapper, not its field: edition-2021 disjoint
+                // capture would otherwise move the bare `*mut f64` into
+                // the closure, which is !Send
+                let next = next;
+                let curr = cell.curr.read();
+                for rect in &group {
+                    // SAFETY: `NextPtr::capture` took `next` from this
+                    // cell's next tile after asserting that it has
+                    // `curr`'s stride and halo, and the storage stays put
+                    // until the driver swaps the buffers. The SD's tasks of
+                    // one step write pairwise disjoint regions: bands
+                    // partition their rect, and the rects of the step's two
+                    // calls — case 2 now, case 1 gated — tile the interior
+                    // (`split_cases`; overlap off: nothing, then all of
+                    // it). Nothing reads `next` before the step barriers
+                    // have seen every task complete.
+                    unsafe {
+                        k.kernel.apply_region_blocked_raw(
+                            &curr, next.0, rect, &k.plan, origin, t, k.dt, &k.source, repeats,
+                        );
+                    }
+                }
+            }) as Task
+        })
+        .collect()
 }
 
 /// Everything a driver derives from ownership alone, rebuilt when a
@@ -414,12 +503,13 @@ struct NodeReport {
 /// Panics if the mesh does not tile into SDs or the configuration is
 /// internally inconsistent.
 pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
-    // Guard the config/cluster seam: if the config names a non-default
-    // network model, the cluster must actually have been built with it
-    // (via `cfg.cluster()`), or the run would silently measure a
-    // different transport than the paired simulation.
+    // Guard the config/cluster seam in both directions: the fabric delays
+    // parcels by the cluster's model while the LB epoch prices moves and
+    // the ghost counters classify links by the config's, so a mismatch
+    // would silently measure a different transport than it plans for (and
+    // than the paired simulation).
     assert!(
-        cfg.net == NetSpec::Instant || cluster.net_spec() == &cfg.net,
+        cluster.net_spec() == &cfg.net,
         "DistConfig.net is {:?} but the cluster was built with {:?}; \
          build the cluster with DistConfig::cluster() so both agree",
         cfg.net,
@@ -504,9 +594,12 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let sds = setup.sds;
     let halo = setup.parts.grid.halo;
     let dt = setup.parts.dt;
-    let kernel = Arc::new(setup.parts.kernel.clone());
-    let kernel_plan = Arc::new(kernel.plan(sds.sd + 2 * halo));
-    let source = setup.parts.manufactured.source_fn();
+    let kern = Arc::new(StepKernel {
+        kernel: setup.parts.kernel.clone(),
+        plan: setup.parts.kernel.plan(sds.sd + 2 * halo),
+        source: setup.parts.manufactured.source_fn(),
+        dt,
+    });
     let manufactured = setup.parts.manufactured.clone();
 
     let mut owners = setup.initial_owners.clone();
@@ -641,71 +734,11 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         let t = step as f64 * dt;
         let ghost_t0 = Instant::now();
         let work_now = cfg.work_at(step);
-        // Intra-step stealing: chop each SD's compute into row bands of
-        // this height and spawn every band as its own pool task, so idle
-        // workers steal pieces of a straggler SD *within* the timestep.
-        // The band height is a function of the config alone (never of
-        // timing), the bands partition the same cell set, and each cell
-        // is computed from the same `curr` snapshot with identical
-        // arithmetic — so the field is bit-identical to the unchunked
-        // path no matter which worker runs which band.
-        let band = (sds.sd / (2 * loc.pool().n_workers() as i64)).max(1);
-        // The tasks that update `rects` of one SD: one task over all of
-        // them, or one per row band when stealing is on.
-        let compute_tasks = |unit: &NodeSd, repeats, rects: &[Rect]| -> Vec<Task> {
-            let cell = unit.cell.clone();
-            let kernel = kernel.clone();
-            let plan = kernel_plan.clone();
-            let source = source.clone();
-            let origin = unit.origin;
-            if !cfg.intra_step_stealing {
-                if rects.iter().all(Rect::is_empty) {
-                    return Vec::new();
-                }
-                let rects = rects.to_vec();
-                return vec![Box::new(move || {
-                    let curr = cell.curr.read();
-                    let mut next = cell.next.lock();
-                    for rect in &rects {
-                        kernel.apply_region_blocked(
-                            &curr, &mut next, rect, &plan, origin, t, dt, &source, repeats,
-                        );
-                    }
-                })];
-            }
-            // One raw pointer to this SD's next buffer per step (the swap
-            // below rotates the tiles between the lock slots, so the
-            // pointer cannot be cached across steps). Band tasks write
-            // through it lock-free; holding the mutex per band would
-            // serialize exactly the compute we are splitting.
-            let next_ptr = NextPtr(cell.next.lock().data_mut().as_mut_ptr());
-            rects
-                .iter()
-                .flat_map(|r| row_bands(r, band))
-                .map(|rect| {
-                    let cell = cell.clone();
-                    let kernel = kernel.clone();
-                    let plan = plan.clone();
-                    let source = source.clone();
-                    Box::new(move || {
-                        // bind the wrapper, not its field: edition-2021
-                        // disjoint capture would otherwise move the bare
-                        // `*mut f64` into the closure, which is !Send
-                        let next = next_ptr;
-                        let curr = cell.curr.read();
-                        // SAFETY: the bands of one step are pairwise
-                        // disjoint, `next` shares `curr`'s geometry, and
-                        // the step barriers below complete before the
-                        // swap reads the written cells.
-                        unsafe {
-                            kernel.apply_region_blocked_raw(
-                                &curr, next.0, &rect, &plan, origin, t, dt, &source, repeats,
-                            );
-                        }
-                    }) as Task
-                })
-                .collect()
-        };
+        // Intra-step stealing: one task per row band of this height — a
+        // function of the config alone, never of timing.
+        let band = cfg
+            .intra_step_stealing
+            .then(|| (sds.sd / (2 * loc.pool().n_workers() as i64)).max(1));
         let mut step_futures: Vec<Future<()>> = Vec::new();
         let mut gates = Vec::with_capacity(owned.len());
         for (i, &sd) in owned.iter().enumerate() {
@@ -723,13 +756,14 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             } else {
                 (Rect::empty(), std::slice::from_ref(&full))
             };
-            for task in compute_tasks(unit, repeats, &[now]) {
+            let next = NextPtr::capture(&unit.cell);
+            for task in compute_tasks(&kern, t, unit, next, repeats, &[now], band) {
                 step_futures.push(spawner.async_call(task));
             }
             gates.push(SdGate {
                 cell: unit.cell.clone(),
                 awaiting: AtomicU32::new(schedule.awaited[i]),
-                gated: Mutex::new(compute_tasks(unit, repeats, gated)),
+                gated: Mutex::new(compute_tasks(&kern, t, unit, next, repeats, gated, band)),
             });
         }
         // One continuation per incoming bundle: check every record against
@@ -812,54 +846,40 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             // exchange — the cluster-wide stall signal adaptive policies
             // feed on (locality 0's own exchange alone would miss
             // migrations flowing entirely between other localities)
-            let busy = loc.busy_time_ns();
-            loc.send(
-                0,
-                tag(CLASS_LBSTAT, epoch, me as u64, 0),
-                (busy, states.len() as u64, prev_stall_ns, window_ghost_ns).to_bytes(),
+            let stat = (
+                loc.busy_time_ns(),
+                states.len() as u64,
+                prev_stall_ns,
+                window_ghost_ns,
             );
-            let plan_fut = loc.expect(tag(CLASS_LBPLAN, epoch, me as u64, 0));
-            if let Some(lb_epoch) = &mut lb_epoch {
-                let stat_futs: Vec<Future<Bytes>> = (0..setup.n_nodes)
-                    .map(|n| loc.expect(tag(CLASS_LBSTAT, epoch, n as u64, 0)))
-                    .collect();
-                let mut busy_secs = Vec::with_capacity(setup.n_nodes as usize);
-                let mut max_stall_ns = 0u64;
-                let mut max_ghost_ns = 0u64;
-                for fut in stat_futs {
-                    let (busy_ns, _count, stall_ns, ghost_ns) =
-                        <(u64, u64, u64, u64)>::from_bytes(fut.get()).expect("corrupt LB stat");
-                    // seconds, so relief is commensurable with the
-                    // CommCost transfer estimates the planner weighs in
-                    busy_secs.push(busy_ns as f64 * 1e-9);
-                    max_stall_ns = max_stall_ns.max(stall_ns);
-                    max_ghost_ns = max_ghost_ns.max(ghost_ns);
-                }
-                // The worst locality's stalls as fractions of their
-                // windows: the previous epoch's migration exchange over
-                // the previous window, this window's ghost waits over
-                // this window.
-                let window_now = window_t0.elapsed().as_secs_f64().max(1e-9);
-                let measure = EpochMeasure {
-                    busy: busy_secs,
-                    ghost_stall_frac: (max_ghost_ns as f64 * 1e-9) / window_now,
-                    prev_migration_stall_frac: prev_window_secs
-                        .map(|window| (max_stall_ns as f64 * 1e-9) / window.max(1e-9)),
-                };
-                let ownership = Ownership::new(sds, owners.clone(), setup.n_nodes);
-                let plan = lb_epoch.plan(step, &ownership, measure).plan;
-                let wire: Vec<(u64, u32, u32)> = plan
-                    .moves
-                    .iter()
-                    .map(|m| (m.sd as u64, m.from, m.to))
-                    .collect();
-                let payload = wire.to_bytes();
-                for n in 0..setup.n_nodes {
-                    loc.send(n, tag(CLASS_LBPLAN, epoch, n as u64, 0), payload.clone());
-                }
-            }
-            let moves: Vec<(u64, u32, u32)> =
-                Wire::from_bytes(plan_fut.get()).expect("corrupt LB plan");
+            let moves = collectives::gather(&loc, setup.n_nodes, epoch, &stat)
+                .and_then(|stats| {
+                    // the gather lands on locality 0, the one that plans
+                    let plan = stats.zip(lb_epoch.as_mut()).map(|(stats, lb_epoch)| {
+                        // seconds, so relief is commensurable with the
+                        // CommCost transfer estimates the planner weighs in
+                        let busy = stats.iter().map(|s| s.0 as f64 * 1e-9).collect();
+                        let max_stall_ns = stats.iter().map(|s| s.2).max().unwrap_or(0);
+                        let max_ghost_ns = stats.iter().map(|s| s.3).max().unwrap_or(0);
+                        // The worst locality's stalls as fractions of their
+                        // windows: the previous epoch's migration exchange
+                        // over the previous window, this window's ghost
+                        // waits over this window.
+                        let window_now = window_t0.elapsed().as_secs_f64().max(1e-9);
+                        let measure = EpochMeasure {
+                            busy,
+                            ghost_stall_frac: (max_ghost_ns as f64 * 1e-9) / window_now,
+                            prev_migration_stall_frac: prev_window_secs
+                                .map(|window| (max_stall_ns as f64 * 1e-9) / window.max(1e-9)),
+                        };
+                        let ownership = Ownership::new(sds, owners.clone(), setup.n_nodes);
+                        let plan = lb_epoch.plan(step, &ownership, measure).plan;
+                        let wire = plan.moves.iter().map(|m| (m.sd as u64, m.from, m.to));
+                        wire.collect::<Vec<(u64, u32, u32)>>()
+                    });
+                    collectives::broadcast(&loc, setup.n_nodes, epoch, plan.as_ref())
+                })
+                .unwrap_or_else(|e| panic!("LB epoch {epoch} on rank {me}: {e}"));
             let migrate_t0 = Instant::now();
             // send outgoing SDs first, then collect incoming; tiles of
             // migrated-away SDs go back to the pool (all step tasks have
@@ -920,7 +940,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 (schedule, splits) = ownership_view(&setup, &owners, me);
             }
             // Record this locality's migration-exchange time for the next
-            // epoch's LBSTAT gather (0 for an empty plan — nothing
+            // epoch's stat gather (0 for an empty plan — nothing
             // shipped, nothing stalled).
             prev_stall_ns = if moves.is_empty() {
                 0
@@ -1381,6 +1401,124 @@ mod tests {
         assert!(gates[0].cell.curr.read().data().iter().all(|&v| v == 0.0));
         assert_eq!(gates[0].awaiting.load(Ordering::Relaxed), 2);
         assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    /// The kernel of a 16-cell mesh at ε = 2h, the `curr` tile of one of
+    /// its 8-cell SDs with every storage cell different, and a region list
+    /// shaped like a case split: a wide rect, a strip, an empty rect.
+    fn lone_sd() -> (Arc<StepKernel>, Tile, [Rect; 3]) {
+        let parts = ProblemSpec::square(16, 2.0).build();
+        let mut curr = Tile::new(8, parts.grid.halo);
+        for (i, v) in curr.data_mut().iter_mut().enumerate() {
+            *v = (i as f64 * 0.37).sin();
+        }
+        let kern = Arc::new(StepKernel {
+            plan: parts.kernel.plan(curr.stride()),
+            kernel: parts.kernel,
+            source: parts.manufactured.source_fn(),
+            dt: parts.dt,
+        });
+        let rects = [Rect::new(2, 0, 6, 8), Rect::new(0, 0, 2, 8), Rect::empty()];
+        (kern, curr, rects)
+    }
+
+    /// Build the tasks for `rects` over a fresh cell holding `curr`, run
+    /// them here, and return their number and the `next` tile they wrote.
+    fn run_tasks(
+        kern: &Arc<StepKernel>,
+        curr: &Tile,
+        rects: &[Rect],
+        repeats: u32,
+        band: Option<i64>,
+    ) -> (usize, Tile) {
+        let unit = NodeSd {
+            origin: (8, 8),
+            cell: Arc::new(SdCell {
+                curr: RwLock::new(curr.clone()),
+                next: Mutex::new(Tile::new(curr.sd(), curr.halo())),
+            }),
+        };
+        let next = NextPtr::capture(&unit.cell);
+        let tasks = compute_tasks(kern, 0.25, &unit, next, repeats, rects, band);
+        let n = tasks.len();
+        tasks.into_iter().for_each(|task| task());
+        let written = unit.cell.next.lock().clone();
+        (n, written)
+    }
+
+    #[test]
+    fn stealing_off_is_one_task_per_region_list() {
+        let (kern, curr, rects) = lone_sd();
+        assert_eq!(run_tasks(&kern, &curr, &rects, 1, None).0, 1);
+        assert_eq!(run_tasks(&kern, &curr, &rects[..1], 1, None).0, 1);
+        // nothing to compute, nothing to schedule
+        let (n, written) = run_tasks(&kern, &curr, &[Rect::empty(), Rect::empty()], 1, None);
+        assert_eq!(n, 0);
+        assert!(written.data().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn stealing_on_is_one_task_per_row_band() {
+        let (kern, curr, rects) = lone_sd();
+        for band in [1, 3, 8] {
+            let bands: usize = rects.iter().map(|r| row_bands(r, band).len()).sum();
+            assert_eq!(run_tasks(&kern, &curr, &rects, 1, Some(band)).0, bands);
+        }
+        // 8 rows in bands of 3 are 3 + 3 + 2, for both non-empty rects
+        assert_eq!(run_tasks(&kern, &curr, &rects, 1, Some(3)).0, 6);
+        assert_eq!(run_tasks(&kern, &curr, &[Rect::empty()], 1, Some(3)).0, 0);
+    }
+
+    #[test]
+    fn grouping_does_not_change_a_bit() {
+        let (kern, curr, rects) = lone_sd();
+        for repeats in [1, 3] {
+            let mut want = Tile::new(curr.sd(), curr.halo());
+            for rect in &rects {
+                kern.kernel.apply_region_blocked(
+                    &curr,
+                    &mut want,
+                    rect,
+                    &kern.plan,
+                    (8, 8),
+                    0.25,
+                    kern.dt,
+                    &kern.source,
+                    repeats,
+                );
+            }
+            assert_ne!(want.get(0, 0), 0.0);
+            let (_, whole) = run_tasks(&kern, &curr, &rects, repeats, None);
+            let (_, banded) = run_tasks(&kern, &curr, &rects, repeats, Some(3));
+            assert_eq!(whole.data(), want.data(), "repeats {repeats}");
+            assert_eq!(banded.data(), want.data(), "repeats {repeats}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in geometry: stride or halo")]
+    fn next_of_another_geometry_is_refused_at_capture() {
+        // equal strides, so every offset is in bounds — but of the wrong
+        // cells: refused before any task exists, let alone writes
+        let cell = SdCell {
+            curr: RwLock::new(Tile::new(10, 2)),
+            next: Mutex::new(Tile::new(8, 3)),
+        };
+        let _ = NextPtr::capture(&cell);
+    }
+
+    #[test]
+    #[should_panic(expected = "build the cluster with")]
+    fn instant_config_on_a_priced_cluster_is_rejected() {
+        // the direction the one-sided guard let through: the fabric would
+        // delay parcels by rack while the LB epoch plans over a free network
+        let cluster = ClusterBuilder::new()
+            .net(NetSpec::shared(1e-6, 10e9))
+            .uniform(2, 1)
+            .build();
+        let cfg = DistConfig::new(16, 2.0, 4, 2);
+        assert_eq!(cfg.net, NetSpec::Instant);
+        let _ = run_distributed(&cluster, &cfg);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! The primary contribution of Gadikar, Diehl & Jha 2021, rebuilt in Rust:
 //!
-//! * [`shared`] — the shared-memory asynchronous solver (§8.2): SDs as unit
-//!   tasks futurized over a work-stealing pool.
-//! * [`dist`] — the fully distributed solver (§6): per-locality drivers,
-//!   ghost-zone bundles, case-2 computation overlapped with communication
-//!   and case-1 computation gated on the bundles' arrival (§6.3), plus
-//!   online load balancing epochs.
+//! * [`dist`] — the fully distributed solver (§6) and the one step loop of
+//!   the real runtime: per-locality drivers, ghost-zone bundles, case-2
+//!   computation overlapped with communication and case-1 computation gated
+//!   on the bundles' arrival (§6.3), plus online load balancing epochs.
+//! * [`shared`] — the shared-memory asynchronous solver (§8.2): the same
+//!   driver on one locality.
 //! * [`balance`] — **Algorithm 1**: busy-time-derived node power (eq. 8),
 //!   expected SD counts (eq. 10), load imbalance (eq. 9), the
 //!   data-dependency tree with topological ordering (Fig. 7), and

@@ -1,20 +1,18 @@
-//! Shared-memory asynchronous solver (paper §8.2).
+//! Shared-memory solver (§8.2): the one-locality instance of the §6 driver.
 //!
-//! One computational node, many threads: the mesh is decomposed into SDs,
-//! every timestep spawns one task per SD onto the work-stealing pool, and
-//! futurization synchronizes the step (the `hpx::async`/`hpx::future`
-//! pattern of Listing 1). All data lives in one address space, so halo
-//! fills are plain copies and there is no case-1/case-2 distinction — that
-//! split only matters across localities.
+//! One node, many threads: each timestep spawns one task per SD onto the
+//! work-stealing pool and futurization synchronizes the step (Listing 1's
+//! `hpx::async`/`hpx::future` pattern). [`crate::dist`]'s step loop does
+//! exactly that on a cluster of one locality — no ghost is foreign, so no
+//! bundle is sent or awaited and no case-1 work exists — so this module
+//! describes such a run and reads the result; it has no loop of its own.
 
+use crate::dist::run_distributed;
+use crate::scenario::{ClusterSpec, Scenario};
 use crate::workload::WorkModel;
-use nlheat_amt::future::when_all;
-use nlheat_amt::pool::ThreadPool;
-use nlheat_mesh::{build_halo_plan, HaloPlan, PatchSource, SdGrid, Tile};
-use nlheat_model::{ErrorAccumulator, KernelPlan, ProblemParts, ProblemSpec, SourceFn};
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use nlheat_model::{ErrorAccumulator, ProblemSpec};
+use nlheat_netmodel::NetSpec;
+use std::time::Duration;
 
 /// Configuration of a shared-memory run.
 #[derive(Debug, Clone)]
@@ -47,23 +45,10 @@ impl SharedConfig {
     }
 }
 
-/// Per-SD double-buffered storage shared between driver and tasks.
-struct SdCell {
-    curr: RwLock<Tile>,
-    next: Mutex<Tile>,
-}
-
-struct SdUnit {
-    origin: (i64, i64),
-    plan: HaloPlan,
-    cell: Arc<SdCell>,
-    repeats: u32,
-}
-
 /// Outcome of a shared-memory run.
 #[derive(Debug, Clone)]
 pub struct SharedReport {
-    /// Wall time of the stepping loop.
+    /// Wall time on the locality: initial condition, steps, field read-out.
     pub elapsed: Duration,
     /// Per-step errors when requested.
     pub error: Option<ErrorAccumulator>,
@@ -75,170 +60,40 @@ pub struct SharedReport {
     pub tasks: u64,
 }
 
-/// The shared-memory solver: owns the pool and the SD storage.
+/// The shared-memory solver: one locality of `n_threads` workers.
 pub struct SharedSolver {
     cfg: SharedConfig,
-    parts: ProblemParts,
-    sds: SdGrid,
-    units: Vec<SdUnit>,
-    pool: ThreadPool,
-    kernel_plan: Arc<KernelPlan>,
-    source: SourceFn,
-    step: usize,
 }
 
 impl SharedSolver {
-    /// Build the solver, decompose the mesh, set the initial condition.
+    /// A solver for `cfg`; all work happens in [`run`](Self::run).
     pub fn new(cfg: SharedConfig) -> Self {
-        let parts = cfg.spec.build();
-        let grid = parts.grid;
-        let sds = SdGrid::tile_mesh(grid.nx as usize, grid.ny as usize, cfg.sd_size);
-        let halo = grid.halo;
-        let m = parts.manufactured.clone();
-        let units: Vec<SdUnit> = sds
-            .ids()
-            .map(|id| {
-                let origin = sds.origin(id);
-                let mut curr = Tile::new(sds.sd, halo);
-                for lj in 0..sds.sd {
-                    for li in 0..sds.sd {
-                        curr.set(li, lj, m.initial(origin.0 + li, origin.1 + lj));
-                    }
-                }
-                SdUnit {
-                    origin,
-                    plan: build_halo_plan(&sds, halo, id),
-                    cell: Arc::new(SdCell {
-                        curr: RwLock::new(curr),
-                        next: Mutex::new(Tile::new(sds.sd, halo)),
-                    }),
-                    repeats: cfg.work.repeats(&sds, id, 1.0),
-                }
-            })
-            .collect();
-        let pool = ThreadPool::new(cfg.n_threads, "shared");
-        let kernel_plan = Arc::new(parts.kernel.plan(sds.sd + 2 * halo));
-        let source = m.source_fn();
-        SharedSolver {
-            cfg,
-            parts,
-            sds,
-            units,
-            pool,
-            kernel_plan,
-            source,
-            step: 0,
-        }
-    }
-
-    /// Simulated time.
-    pub fn time(&self) -> f64 {
-        self.step as f64 * self.parts.dt
-    }
-
-    /// Advance one futurized timestep.
-    pub fn step(&mut self) {
-        // 1. halo fill: all-local copies (single address space)
-        for unit in &self.units {
-            let mut dst = unit.cell.curr.write();
-            for patch in &unit.plan.patches {
-                if let PatchSource::Sd(src_id) = patch.source {
-                    let src = self.units[src_id as usize].cell.curr.read();
-                    dst.copy_rect_from(&src, &patch.src_rect, &patch.dst_rect);
-                }
-                // collar patches stay zero (boundary condition eq. 4)
-            }
-        }
-        // 2. one asynchronous task per SD (the unit of work, §6.1)
-        let t = self.time();
-        let dt = self.parts.dt;
-        let kernel = Arc::new(self.parts.kernel.clone());
-        let handle = self.pool.handle();
-        let futures: Vec<_> = self
-            .units
-            .iter()
-            .map(|unit| {
-                let cell = unit.cell.clone();
-                let kernel = kernel.clone();
-                let plan = self.kernel_plan.clone();
-                let source = self.source.clone();
-                let origin = unit.origin;
-                let repeats = unit.repeats;
-                handle.async_call(move || {
-                    let curr = cell.curr.read();
-                    let mut next = cell.next.lock();
-                    let region = curr.interior_rect();
-                    kernel.apply_region_blocked(
-                        &curr, &mut next, &region, &plan, origin, t, dt, &source, repeats,
-                    );
-                })
-            })
-            .collect();
-        when_all(futures).get();
-        // 3. swap buffers
-        for unit in &self.units {
-            let mut curr = unit.cell.curr.write();
-            let mut next = unit.cell.next.lock();
-            std::mem::swap(&mut *curr, &mut *next);
-        }
-        self.step += 1;
-    }
-
-    /// Current error `e_k` (eq. 7) against the manufactured solution.
-    pub fn error_now(&self) -> f64 {
-        let m = &self.parts.manufactured;
-        let t = self.time();
-        let h = self.parts.grid.h;
-        let mut sum = 0.0;
-        for unit in &self.units {
-            let curr = unit.cell.curr.read();
-            for lj in 0..self.sds.sd {
-                for li in 0..self.sds.sd {
-                    let (gi, gj) = (unit.origin.0 + li, unit.origin.1 + lj);
-                    let d = m.exact(t, gi, gj) - curr.get(li, lj);
-                    sum += d * d;
-                }
-            }
-        }
-        h * h * sum
-    }
-
-    /// Assemble the global interior field row-major.
-    pub fn field(&self) -> Vec<f64> {
-        let (nx, ny) = self.sds.mesh_extent();
-        let mut out = vec![0.0; (nx * ny) as usize];
-        for unit in &self.units {
-            let curr = unit.cell.curr.read();
-            for lj in 0..self.sds.sd {
-                for li in 0..self.sds.sd {
-                    let (gi, gj) = (unit.origin.0 + li, unit.origin.1 + lj);
-                    out[(gj * nx + gi) as usize] = curr.get(li, lj);
-                }
-            }
-        }
-        out
+        SharedSolver { cfg }
     }
 
     /// Run the configured number of steps and report.
-    pub fn run(mut self) -> SharedReport {
-        let mut acc = self.cfg.record_error.then(ErrorAccumulator::new);
-        let t0 = Instant::now();
-        for _ in 0..self.cfg.n_steps {
-            self.step();
-            if let Some(acc) = acc.as_mut() {
-                acc.push(self.error_now());
-            }
+    pub fn run(self) -> SharedReport {
+        let cfg = self.cfg;
+        let scenario = Scenario {
+            problem: cfg.spec,
+            ..Scenario::square(cfg.spec.n, cfg.spec.eps_mult, cfg.sd_size, cfg.n_steps)
         }
-        let elapsed = t0.elapsed();
-        // `when_all` resolves inside the final task, slightly before the
-        // pool retires it — drain fully so the counters below are final.
-        self.pool.wait_idle();
+        .on(ClusterSpec::uniform(1, cfg.n_threads))
+        .with_net(NetSpec::Instant)
+        .with_work(cfg.work)
+        .with_record_error(cfg.record_error);
+        let cluster = scenario.build_cluster();
+        let report = run_distributed(&cluster, &scenario.dist_config());
+        // The step barrier resolves inside the final task, slightly before
+        // the pool retires it — drain fully so the counters below are final.
+        let locality = cluster.locality(0);
+        locality.wait_idle();
         SharedReport {
-            elapsed,
-            error: acc,
-            field: self.field(),
-            busy_ns: self.pool.busy_ns_total(),
-            tasks: self.pool.tasks_executed(),
+            elapsed: report.elapsed,
+            error: report.error,
+            field: report.field,
+            busy_ns: locality.pool().busy_ns_total(),
+            tasks: locality.pool().tasks_executed(),
         }
     }
 }

@@ -769,6 +769,40 @@ mod tests {
         assert!((net.arrival(1.0, &msg(0, 1, 1 << 40)) - 1.25).abs() < 1e-12);
     }
 
+    // The simulator's legacy `NicState` suite, moved here with its numbers
+    // unchanged when `nlheat_sim::net` (by then only re-exports) was dropped.
+
+    #[test]
+    fn wire_time_linear_in_bytes() {
+        let mut net = NetSpec::cluster().build(2);
+        // 10 GB at 10 GB/s = 1 s of wire time (+5 µs latency).
+        let a = net.arrival(0.0, &msg(0, 1, 10_000_000_000));
+        assert!((a - (1.0 + 5e-6)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nic_serializes_messages() {
+        let mut nic = SharedBandwidthNet::new(0.0, 100.0, 1); // 100 B/s
+        let a1 = nic.arrival(0.0, &msg(0, 1, 100)); // 1 s wire
+        let a2 = nic.arrival(0.0, &msg(0, 1, 100)); // queued behind the first
+        assert!((a1 - 1.0).abs() < 1e-12);
+        assert!((a2 - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn latency_added_after_wire() {
+        let mut nic = SharedBandwidthNet::new(0.5, 100.0, 1);
+        let arr = nic.arrival(1.0, &msg(0, 1, 100));
+        assert!((arr - (1.0 + 1.0 + 0.5)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nic_respects_ready_time() {
+        let mut nic = SharedBandwidthNet::new(0.0, 1e9, 1);
+        let arr = nic.arrival(7.0, &msg(0, 1, 8));
+        assert!(arr >= 7.0);
+    }
+
     /// The acceptance-criterion test: `SharedBandwidthNet` reproduces the
     /// old `sim::net::NicState::send` arrival times exactly. The expected
     /// values are hand-evaluated from the legacy arithmetic

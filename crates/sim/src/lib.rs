@@ -25,12 +25,11 @@
 
 pub mod cost;
 pub mod engine;
-pub mod net;
 pub mod scenario;
 
 pub use cost::CostModel;
 pub use engine::simulate;
-pub use net::{NetModel, NetSpec};
 pub use nlheat_core::balance::{LbSchedule, LbSpec};
 pub use nlheat_core::scenario::{PartitionSpec, RunReport, Scenario, VirtualNode};
+pub use nlheat_netmodel::{NetModel, NetSpec};
 pub use scenario::{RunSim, SimSubstrate};
