@@ -16,6 +16,19 @@
 //! ghost is foreign, every SD is all case 2, and the loop is the paper's
 //! shared-memory solver (§8.2) — see [`crate::shared`].
 //!
+//! The step is **built once per ownership epoch and replayed**: what
+//! changes only when ownership does — the tile table that owns the SD
+//! buffers, the local halo fill as a flat copy list, each SD's at-spawn
+//! and gated regions, the halo gates, the kernel repeats of the work model
+//! in force — lives in one `StepPlan` over a [`crate::ghost::StepLayout`],
+//! rebuilt at the start of the run and after a non-empty migration plan.
+//! A step then copies, packs, deals regions into tasks that each carry at
+//! least [`crate::ghost::TASK_WORK_FLOOR`] of work (a task owns a list of
+//! regions of any tiles; with `intra_step_stealing` one row band), waits
+//! for them, re-arms the gates and swaps — per step the driver's own work
+//! is O(tasks + bundles), not O(SDs). Where a rank's step loop went is in
+//! the cluster's counter registry, phase by phase ([`STEP_PHASES`]).
+//!
 //! There is deliberately **no global barrier between timesteps**: tags
 //! carry the step index, so a fast node may run ahead and its bundles are
 //! stashed by the receiver's rendezvous table until expected — the
@@ -25,7 +38,7 @@ pub use crate::balance::LbSpec;
 use crate::balance::{
     EpochConfig, EpochLog, EpochMeasure, EpochTrace, LbEpoch, LbSchedule, Move, SdGraph,
 };
-use crate::ghost::{reverse_index, GhostSchedule, PatchRecord};
+use crate::ghost::{group_by_work, reverse_index, PatchRecord, Region, RegionCut, StepLayout};
 use crate::ownership::Ownership;
 use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
 use crate::workload::WorkModel;
@@ -33,21 +46,19 @@ use bytes::{Buf, Bytes, BytesMut};
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
 use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, WireError};
 use nlheat_amt::collectives;
-use nlheat_amt::future::{when_all, Future};
+use nlheat_amt::counters::Counter;
+use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
-use nlheat_amt::task::Task;
-use nlheat_mesh::{
-    build_halo_plan, split_cases, CaseSplit, HaloPlan, PatchSource, Rect, SdGrid, SdId, Stencil,
-    Tile,
-};
+use nlheat_amt::pool::PoolHandle;
+use nlheat_mesh::{build_halo_plan, HaloPlan, Rect, SdGrid, SdId, Stencil, Tile};
 use nlheat_model::{
     ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, ProblemSpec, SourceFn,
 };
 use nlheat_netmodel::{LinkClass, NetSpec};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -215,6 +226,9 @@ pub struct DistReport {
     pub pool_steal_fails: Vec<u64>,
     /// Per-locality worker park events (idle workers going to sleep).
     pub pool_parks: Vec<u64>,
+    /// Per-locality wall nanoseconds in each of [`STEP_PHASES`] over the
+    /// run, read from the cluster's counter registry.
+    pub phase_ns: Vec<[u64; 6]>,
 }
 
 /// Ownership-independent, cluster-wide setup shared by all drivers.
@@ -291,61 +305,63 @@ impl Setup {
     }
 }
 
-/// Double-buffered SD storage shared between the driver and its tasks.
-struct SdCell {
+/// One owned SD in the epoch's tile table: its double buffer, shared
+/// between the driver and the SD's tasks, and where those tasks write.
+struct TileSlot {
+    origin: (i64, i64),
     curr: RwLock<Tile>,
     next: Mutex<Tile>,
+    /// Storage of the tile in `next`, through which the SD's compute tasks
+    /// of one step write their pairwise-disjoint regions without a lock
+    /// around the compute. Set by [`TileSlot::arm`]; the safety argument
+    /// lives at its one dereference, in [`region_task`].
+    next_data: AtomicPtr<f64>,
 }
 
-/// Raw pointer into an SD's `next` buffer, through which the SD's compute
-/// tasks of one step write their pairwise-disjoint regions without a lock
-/// around the compute. The safety argument lives at its one dereference,
-/// in [`compute_tasks`].
-#[derive(Clone, Copy)]
-struct NextPtr(*mut f64);
-// SAFETY: the pointer is only dereferenced by the compute tasks of one
-// step, which write pairwise-disjoint regions and all complete before the
-// step barrier releases the buffer for the swap.
-unsafe impl Send for NextPtr {}
+impl TileSlot {
+    /// # Panics
+    /// If the tiles differ in geometry (see [`TileSlot::arm`]).
+    fn new(origin: (i64, i64), curr: Tile, next: Tile) -> Self {
+        let slot = TileSlot {
+            origin,
+            curr: RwLock::new(curr),
+            next: Mutex::new(next),
+            next_data: AtomicPtr::new(std::ptr::null_mut()),
+        };
+        slot.arm(&slot.curr.read(), &mut slot.next.lock());
+        slot
+    }
 
-impl NextPtr {
-    /// Capture `cell`'s next buffer, once per SD and step: the swap ending
-    /// a step rotates the tiles between the lock slots, and deriving the
+    /// Point `next_data` at the storage of `next`, the tile in the slot of
+    /// that name. Called when a tile enters that slot — in `new` and after
+    /// every swap — and so never while a task of the SD runs: deriving the
     /// pointer again would invalidate the one running tasks write through.
     ///
     /// # Panics
     /// If the tiles differ in geometry: tasks index `next` by `curr`'s.
-    fn capture(cell: &SdCell) -> Self {
-        let curr = cell.curr.read();
-        let mut next = cell.next.lock();
+    fn arm(&self, curr: &Tile, next: &mut Tile) {
         assert!(
             curr.stride() == next.stride() && curr.halo() == next.halo(),
             "the curr and next tiles of an SD differ in geometry: stride or halo"
         );
-        NextPtr(next.data_mut().as_mut_ptr())
+        // Release, paired with the tasks' Acquire load (the spawn that
+        // hands them out orders the two as well).
+        self.next_data
+            .store(next.data_mut().as_mut_ptr(), Ordering::Release);
     }
-}
 
-/// Split `rect` into horizontal bands of height ≤ `band`, top to bottom.
-/// Deterministic in the inputs and an exact cover of `rect`, so banded
-/// execution visits every cell exactly once in a schedule-independent
-/// decomposition.
-fn row_bands(rect: &Rect, band: i64) -> Vec<Rect> {
-    debug_assert!(band >= 1);
-    let mut out = Vec::with_capacity(((rect.h + band - 1) / band).max(0) as usize);
-    let mut y = rect.y0;
-    while y < rect.y1() {
-        let h = band.min(rect.y1() - y);
-        out.push(Rect::new(rect.x0, y, rect.w, h));
-        y += h;
+    /// End of a step: what the tasks wrote becomes the current field.
+    fn swap(&self) {
+        let mut curr = self.curr.write();
+        let mut next = self.next.lock();
+        std::mem::swap(&mut *curr, &mut *next);
+        self.arm(&curr, &mut next);
     }
-    out
-}
 
-/// One owned SD with its task-facing state.
-struct NodeSd {
-    origin: (i64, i64),
-    cell: Arc<SdCell>,
+    /// The slot's `[curr, next]` tiles, for the migration hand-off.
+    fn into_tiles(self) -> [Tile; 2] {
+        [self.curr.into_inner(), self.next.into_inner()]
+    }
 }
 
 /// What every compute task of a run shares: the kernel, its plan for the
@@ -355,110 +371,163 @@ struct StepKernel {
     plan: KernelPlan,
     source: SourceFn,
     dt: f64,
+    /// Cell updates the tasks have executed, kernel repeats included
+    /// (Σ region cells × repeats): the work the pool was actually given.
+    cell_updates: Counter,
 }
 
-/// The tasks that update `rects` of `unit` at time `t`, writing through
-/// `next`. There is one task body: a task owns a group of regions and runs
-/// the kernel over each. `band` only sets the grouping — `None`: every
-/// non-empty rect in one task (no task if all are empty); `Some(h)`: one
-/// task per row band of height ≤ `h`, the piece an idle worker steals
-/// within a step. Every cell is computed once, from the same `curr` with
-/// the same arithmetic, so the field does not depend on the grouping.
-fn compute_tasks(
-    kern: &Arc<StepKernel>,
+/// The step of one ownership epoch, built when ownership changes and
+/// replayed every step until it changes again: the layout ownership
+/// implies, the tile table that *owns* the SD buffers for the epoch
+/// (parallel to the schedule's `owned`), one halo gate per owned SD, and
+/// the kernel repeats of the work model in force.
+struct StepPlan {
+    layout: StepLayout,
+    tiles: Vec<TileSlot>,
+    /// Per owned SD the incoming bundles that have not yet delivered into
+    /// its halo this step. The bundle continuations count it down — the
+    /// one that reaches zero has seen the halo completed and releases the
+    /// SD's gated regions — and the driver stores `schedule.awaited` back
+    /// between steps.
+    gates: Vec<AtomicU32>,
+    /// Per owned SD the kernel repetitions emulating its work factor; see
+    /// [`StepPlan::set_work`].
+    repeats: Vec<u32>,
+    kern: Arc<StepKernel>,
+}
+
+impl StepPlan {
+    /// The plan of `layout` over `tiles` (`tiles[i]` is the slot of
+    /// `layout.schedule.owned[i]`), gates armed, under uniform work.
+    fn new(layout: StepLayout, tiles: Vec<TileSlot>, kern: Arc<StepKernel>) -> Self {
+        assert_eq!(tiles.len(), layout.schedule.owned.len());
+        let awaited = &layout.schedule.awaited;
+        StepPlan {
+            gates: awaited.iter().map(|&n| AtomicU32::new(n)).collect(),
+            repeats: vec![1; tiles.len()],
+            layout,
+            tiles,
+            kern,
+        }
+    }
+
+    /// Refresh the repeats table for `work` on a locality of `speed`. The
+    /// work factor is emulated by kernel repetition, so the numerics stay
+    /// bit-exact while the busy time shifts — which also means a stale
+    /// table is invisible in the field: the driver calls this whenever the
+    /// plan is new or the model in force changes.
+    fn set_work(&mut self, work: &WorkModel, sds: &SdGrid, speed: f64) {
+        let owned = &self.layout.schedule.owned;
+        self.repeats.clear();
+        self.repeats
+            .extend(owned.iter().map(|&sd| work.repeats(sds, sd, speed)));
+    }
+
+    /// Re-arm the gates for the next step. Must happen after the driver
+    /// has seen every bundle continuation of the last step complete (their
+    /// futures' locks order the countdowns before these stores) and before
+    /// it expects the next step's bundles (a continuation only exists once
+    /// `expect` has registered it, so it sees the stores).
+    fn reset_gates(&self) {
+        for (gate, &n) in self.gates.iter().zip(&self.layout.schedule.awaited) {
+            gate.store(n, Ordering::Release);
+        }
+    }
+}
+
+/// The one compute-task body: update `regions` — of any tiles of `plan` —
+/// from time `t`, writing each through its tile's `next_data`. Every cell
+/// is computed once, from the same `curr` with the same arithmetic, so the
+/// field does not depend on how regions were grouped into tasks.
+fn region_task(
+    plan: &Arc<StepPlan>,
     t: f64,
-    unit: &NodeSd,
-    next: NextPtr,
-    repeats: u32,
-    rects: &[Rect],
-    band: Option<i64>,
-) -> Vec<Task> {
-    let regions: Vec<Rect> = rects
-        .iter()
-        .filter(|r| !r.is_empty())
-        .flat_map(|r| row_bands(r, band.unwrap_or(r.h)))
-        .collect();
-    regions
-        .chunks(band.map_or(usize::MAX, |_| 1))
-        .map(|group| {
-            let group = group.to_vec();
-            let k = kern.clone();
-            let cell = unit.cell.clone();
-            let origin = unit.origin;
-            Box::new(move || {
-                // bind the wrapper, not its field: edition-2021 disjoint
-                // capture would otherwise move the bare `*mut f64` into
-                // the closure, which is !Send
-                let next = next;
-                let curr = cell.curr.read();
-                for rect in &group {
-                    // SAFETY: `NextPtr::capture` took `next` from this
-                    // cell's next tile after asserting that it has
-                    // `curr`'s stride and halo, and the storage stays put
-                    // until the driver swaps the buffers. The SD's tasks of
-                    // one step write pairwise disjoint regions: bands
-                    // partition their rect, and the rects of the step's two
-                    // calls — case 2 now, case 1 gated — tile the interior
-                    // (`split_cases`; overlap off: nothing, then all of
-                    // it). Nothing reads `next` before the step barriers
-                    // have seen every task complete.
-                    unsafe {
-                        k.kernel.apply_region_blocked_raw(
-                            &curr, next.0, rect, &k.plan, origin, t, k.dt, &k.source, repeats,
-                        );
-                    }
+    regions: Vec<Region>,
+) -> impl FnOnce() + Send + 'static {
+    let plan = plan.clone();
+    move || {
+        let k = &*plan.kern;
+        let mut cell_updates = 0;
+        for run in regions.chunk_by(|a, b| a.tile == b.tile) {
+            let tile = run[0].tile as usize;
+            let (slot, repeats) = (&plan.tiles[tile], plan.repeats[tile]);
+            let curr = slot.curr.read();
+            let next = slot.next_data.load(Ordering::Acquire);
+            for region in run {
+                // SAFETY: `TileSlot::arm` took `next` from the tile in this
+                // slot's `next` when it entered the slot, after asserting
+                // that it has `curr`'s stride and halo, and the storage
+                // stays put and untouched until the driver swaps the
+                // buffers or takes the slot out of the table — both only
+                // after it has seen every task of the step complete. The
+                // tasks of one step write pairwise disjoint regions of a
+                // tile: `StepLayout` cuts the SD's interior into an
+                // `at_spawn` and a `gated` list that tile it (`split_cases`;
+                // bands partition their rect; overlap off: nothing, then
+                // all of it), `group_by_work` puts each region of a list in
+                // exactly one task, and a step deals `at_spawn` once and a
+                // tile's `gated` list once — in the one bundle continuation
+                // that takes its gate to zero. Nothing reads `next` before
+                // the driver has seen every task complete.
+                unsafe {
+                    k.kernel.apply_region_blocked_raw(
+                        &curr,
+                        next,
+                        &region.rect,
+                        &k.plan,
+                        slot.origin,
+                        t,
+                        k.dt,
+                        &k.source,
+                        repeats,
+                    );
                 }
-            }) as Task
-        })
-        .collect()
+                cell_updates += region.rect.area() as u64 * u64::from(repeats);
+            }
+        }
+        k.cell_updates.add(cell_updates);
+    }
 }
 
-/// Everything a driver derives from ownership alone, rebuilt when a
-/// migration epoch rewrites it: the ghost schedule (shared with the bundle
-/// continuations) and the case-1/case-2 split of every owned SD, parallel
-/// to `schedule.owned`.
-fn ownership_view(setup: &Setup, owners: &[u32], me: u32) -> (Arc<GhostSchedule>, Vec<CaseSplit>) {
-    let schedule = GhostSchedule::build(&setup.plans, &setup.reverse, owners, me);
-    let halo = setup.parts.grid.halo;
-    let splits = schedule
-        .owned
-        .iter()
-        .map(|&sd| {
-            let plan = &setup.plans[sd as usize];
-            split_cases(setup.sds.sd, halo, plan, |n| owners[n as usize] != me)
-        })
-        .collect();
-    (Arc::new(schedule), splits)
-}
-
-/// One owned SD's halo gate for one step: the bundle continuations write
-/// the foreign patches into `cell` and count `awaiting` down; the one that
-/// reaches zero has seen the SD's halo completed and releases `gated`.
-struct SdGate {
-    cell: Arc<SdCell>,
-    /// Incoming bundles that have not yet delivered into this halo.
-    awaiting: AtomicU32,
-    /// The SD's compute tasks that read foreign ghost cells.
-    gated: Mutex<Vec<Task>>,
+/// Deal `lists` — region lists of tiles of `plan` — into tasks worth
+/// scheduling ([`group_by_work`]), spawn them at time `t` and return their
+/// futures.
+fn spawn_grouped<'a>(
+    plan: &'a Arc<StepPlan>,
+    spawner: &PoolHandle,
+    t: f64,
+    lists: impl IntoIterator<Item = &'a [Region]>,
+) -> Vec<Future<()>> {
+    let stencil_points = plan.kern.kernel.stencil.len() as u64;
+    let with_work = lists.into_iter().filter_map(|list| {
+        let tile = list.first()?.tile as usize;
+        Some((list, u64::from(plan.repeats[tile]) * stencil_points))
+    });
+    let mut futures = Vec::new();
+    group_by_work(with_work, &plan.layout.cut, |regions| {
+        futures.push(spawner.async_call(region_task(plan, t, regions)));
+    });
+    futures
 }
 
 /// Scatter one incoming bundle into the destination halos: check every
 /// record against the schedule's `records`, decode it straight into its
-/// tile of `gates` (parallel to the schedule's `owned`), and hand the gated
-/// tasks of each SD whose last awaited bundle this was to `release`. A
-/// bundle that disagrees with the schedule — a record for another patch, a
-/// short run, bytes after the last record — is an error, and no record at
-/// or after the disagreement is written.
+/// tile of `tiles`, count the tile's gate (both parallel to the schedule's
+/// `owned`) down once, and report each tile whose last awaited bundle this
+/// was to `release`. A bundle that disagrees with the schedule — a record
+/// for another patch, a short run, bytes after the last record — is an
+/// error, and no record at or after the disagreement is written.
 fn scatter_bundle(
     mut payload: Bytes,
     records: &[PatchRecord],
-    gates: &[SdGate],
-    mut release: impl FnMut(Task),
+    tiles: &[TileSlot],
+    gates: &[AtomicU32],
+    mut release: impl FnMut(u32),
 ) -> Result<(), WireError> {
     for run in records.chunk_by(|a, b| a.tile == b.tile) {
-        let gate = &gates[run[0].tile as usize];
+        let tile = run[0].tile;
         {
-            let mut curr = gate.cell.curr.write();
+            let mut curr = tiles[tile as usize].curr.write();
             for rec in run {
                 let rows = curr.rect_rows_mut(&rec.rect);
                 decode_ghost_record(&mut payload, rec.header(), rows)?;
@@ -466,17 +535,76 @@ fn scatter_bundle(
         }
         // AcqRel: every bundle's decrement releases its halo writes, and
         // the decrement that reaches zero acquires them all before the
-        // gated tasks are handed out.
-        if gate.awaiting.fetch_sub(1, Ordering::AcqRel) == 1 {
-            std::mem::take(&mut *gate.gated.lock())
-                .into_iter()
-                .for_each(&mut release);
+        // gated regions are handed out.
+        if gates[tile as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+            release(tile);
         }
     }
     if payload.has_remaining() {
         return Err(WireError::TrailingBytes(payload.remaining()));
     }
     Ok(())
+}
+
+/// The sections of a driver step, in order. Each rank accumulates the
+/// wall time it spends in each into the raw counter
+/// [`phase_counter_name`]`(rank, phase)` of the cluster's registry; the
+/// sections are contiguous, so the six sum to the rank's step loop.
+pub const STEP_PHASES: [&str; 6] = ["fill", "send", "spawn", "wait", "swap", "lb"];
+
+/// Registry name of locality `locality`'s nanoseconds in step phase
+/// `phase` (one of [`STEP_PHASES`]).
+pub fn phase_counter_name(locality: u32, phase: &str) -> String {
+    format!("/dist{{locality#{locality}}}/phase/{phase}")
+}
+
+/// Registry name of the cell updates (kernel repeats included) locality
+/// `locality`'s compute tasks have executed.
+pub fn cell_updates_counter_name(locality: u32) -> String {
+    format!("/dist{{locality#{locality}}}/count/cell-updates")
+}
+
+/// Registry name of the wall nanoseconds of locality `locality`'s whole
+/// step loop — what its [`STEP_PHASES`] counters add up to.
+pub fn loop_counter_name(locality: u32) -> String {
+    format!("/dist{{locality#{locality}}}/time/loop")
+}
+
+/// Index into [`STEP_PHASES`].
+#[derive(Clone, Copy)]
+enum Phase {
+    Fill,
+    Send,
+    Spawn,
+    Wait,
+    Swap,
+    Lb,
+}
+
+/// Lap clock over [`STEP_PHASES`]: `end(phase)` charges the time since the
+/// previous `end` (or `start`) to `phase`.
+struct PhaseClock {
+    counters: [Counter; 6],
+    lap: Instant,
+}
+
+impl PhaseClock {
+    fn start(loc: &Locality) -> Self {
+        let register = |phase| {
+            loc.registry()
+                .register(phase_counter_name(loc.id(), phase), Counter::raw())
+        };
+        PhaseClock {
+            counters: STEP_PHASES.map(register),
+            lap: Instant::now(),
+        }
+    }
+
+    fn end(&mut self, phase: Phase) {
+        let now = Instant::now();
+        self.counters[phase as usize].add((now - self.lap).as_nanos() as u64);
+        self.lap = now;
+    }
 }
 
 /// Per-node report returned by each driver.
@@ -574,6 +702,17 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
         pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
         pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
+        phase_ns: (0..n_nodes)
+            .map(|rank| {
+                STEP_PHASES.map(|phase| {
+                    let name = phase_counter_name(rank, phase);
+                    cluster
+                        .registry()
+                        .read(&name)
+                        .expect("every driver registers its phases")
+                })
+            })
+            .collect(),
     }
 }
 
@@ -594,20 +733,40 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let sds = setup.sds;
     let halo = setup.parts.grid.halo;
     let dt = setup.parts.dt;
+    let registry = loc.registry();
     let kern = Arc::new(StepKernel {
         kernel: setup.parts.kernel.clone(),
         plan: setup.parts.kernel.plan(sds.sd + 2 * halo),
         source: setup.parts.manufactured.source_fn(),
         dt,
+        cell_updates: registry.register(cell_updates_counter_name(me), Counter::raw()),
     });
     let manufactured = setup.parts.manufactured.clone();
+    let cut = RegionCut {
+        sd: sds.sd,
+        halo,
+        overlap: cfg.overlap,
+        // Intra-step stealing: one task per row band of this height — a
+        // function of the config alone, never of timing.
+        band: cfg
+            .intra_step_stealing
+            .then(|| (sds.sd / (2 * loc.n_workers() as i64)).max(1)),
+    };
+    // The step plan of `owners`, its tiles drawn from `slot_of`. Rebuilt
+    // only when a migration epoch rewrites ownership.
+    let plan_for = |owners: &[u32], slot_of: &mut dyn FnMut(SdId) -> TileSlot| {
+        let layout = StepLayout::build(&setup.plans, &setup.reverse, owners, me, &cut);
+        let tiles = layout
+            .schedule
+            .owned
+            .iter()
+            .map(|&sd| slot_of(sd))
+            .collect();
+        Arc::new(StepPlan::new(layout, tiles, kern.clone()))
+    };
 
     let mut owners = setup.initial_owners.clone();
-    let mut states: HashMap<SdId, NodeSd> = HashMap::new();
-    for sd in sds.ids() {
-        if owners[sd as usize] != me {
-            continue;
-        }
+    let mut plan = plan_for(&owners, &mut |sd| {
         let origin = sds.origin(sd);
         let mut curr = Tile::new(sds.sd, halo);
         for lj in 0..sds.sd {
@@ -615,17 +774,11 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 curr.set(li, lj, manufactured.initial(origin.0 + li, origin.1 + lj));
             }
         }
-        states.insert(
-            sd,
-            NodeSd {
-                origin,
-                cell: Arc::new(SdCell {
-                    curr: RwLock::new(curr),
-                    next: Mutex::new(Tile::new(sds.sd, halo)),
-                }),
-            },
-        );
-    }
+        TileSlot::new(origin, curr, Tile::new(sds.sd, halo))
+    });
+    // The work model `plan.repeats` was computed from; `None` while the
+    // plan is new.
+    let mut work_set: Option<&WorkModel> = None;
 
     // Tiles reclaimed from migrated-away SDs, reused (zeroed) for incoming
     // migrations so steady-state balancing stops allocating tile pairs.
@@ -639,6 +792,11 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
     let mut ghost_patches = 0u64;
+    // Failure mask, re-evaluated at event steps: bundles to or from a
+    // fail-stopped rank still flow (the solver's numerics are sacred) but
+    // stop counting toward the planner-grade ghost counters — a failed
+    // rank's in-flight contributions are lost to the application.
+    let mut failed = vec![false; setup.n_nodes as usize];
     // Ghost-stall accounting: each step's worst ghost-arrival delay
     // (wall time from task spawn to the last bundle continuation firing),
     // accumulated per balancing window — the adaptive-μ feedback signal.
@@ -676,46 +834,31 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let mut prev_window_secs: Option<f64> = None;
     let mut window_t0 = Instant::now();
 
-    // The owned-SD list, the ghost bundles and the case splits change only
-    // when a migration epoch rewrites ownership, so they are rebuilt there
-    // instead of being rederived every step.
-    let (mut schedule, mut splits) = ownership_view(&setup, &owners, me);
-    let full = Rect::new(0, 0, sds.sd, sds.sd);
+    let loop_ns = registry.register(loop_counter_name(me), Counter::raw());
+    let loop_t0 = Instant::now();
+    let mut clock = PhaseClock::start(&loc);
     for step in 0..cfg.n_steps {
-        let owned = &schedule.owned;
-
         // --- 1. local halo fill (same-node neighbours: plain copies) ---
-        for &sd in owned {
-            let dst_cell = states[&sd].cell.clone();
-            let mut dst = dst_cell.curr.write();
-            for patch in &setup.plans[sd as usize].patches {
-                if let PatchSource::Sd(src) = patch.source {
-                    if owners[src as usize] == me {
-                        let src_cell = states[&src].cell.clone();
-                        let src_tile = src_cell.curr.read();
-                        dst.copy_rect_from(&src_tile, &patch.src_rect, &patch.dst_rect);
-                    }
-                }
+        for run in plan.layout.fills.chunk_by(|a, b| a.dst_tile == b.dst_tile) {
+            let mut dst = plan.tiles[run[0].dst_tile as usize].curr.write();
+            for fill in run {
+                let src = plan.tiles[fill.src_tile as usize].curr.read();
+                dst.copy_rect_from(&src, &fill.src_rect, &fill.dst_rect);
             }
         }
+        clock.end(Phase::Fill);
 
         // --- 2. sends: one ghost bundle per neighbour rank ---
-        //
-        // Failure mask of this step: bundles to or from a fail-stopped
-        // rank still flow (the solver's numerics are sacred) but stop
-        // counting toward the planner-grade ghost counters — a failed
-        // rank's in-flight contributions are lost to the application.
-        let failed_now = (!cfg.cluster_events.is_empty())
-            .then(|| failed_at(setup.n_nodes as usize, &cfg.cluster_events, step));
+        if cfg.cluster_events.iter().any(|&(from, _)| from == step) {
+            failed = failed_at(failed.len(), &cfg.cluster_events, step);
+        }
+        let schedule = &plan.layout.schedule;
         if !schedule.sends.is_empty() {
             // No task of this step is running yet, so the read locks are
             // uncontended; records index this list by tile.
-            let tiles: Vec<_> = owned.iter().map(|sd| states[sd].cell.curr.read()).collect();
+            let tiles: Vec<_> = plan.tiles.iter().map(|slot| slot.curr.read()).collect();
             for bundle in &schedule.sends {
-                let counted = failed_now
-                    .as_ref()
-                    .is_none_or(|f| !f[me as usize] && !f[bundle.peer as usize]);
-                if counted {
+                if !failed[me as usize] && !failed[bundle.peer as usize] {
                     ghost_patches += bundle.records.len() as u64;
                     ghost_bytes += bundle.wire_bytes as u64;
                     if comm_cost.link_class(me, bundle.peer) == LinkClass::InterRack {
@@ -729,54 +872,32 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 );
             }
         }
+        clock.end(Phase::Send);
 
         // --- 3. spawn compute tasks (case 2 immediately, case 1 gated) ---
+        //
+        // The work factor in effect *now* (the schedule may have switched
+        // models since the table was made).
+        let work_now = cfg.work_at(step);
+        if !work_set.is_some_and(|set| std::ptr::eq(set, work_now)) {
+            Arc::get_mut(&mut plan)
+                .expect("no task outlives its step, so the plan is unshared between steps")
+                .set_work(work_now, &sds, loc.speed());
+            work_set = Some(work_now);
+        }
         let t = step as f64 * dt;
         let ghost_t0 = Instant::now();
-        let work_now = cfg.work_at(step);
-        // Intra-step stealing: one task per row band of this height — a
-        // function of the config alone, never of timing.
-        let band = cfg
-            .intra_step_stealing
-            .then(|| (sds.sd / (2 * loc.pool().n_workers() as i64)).max(1));
-        let mut step_futures: Vec<Future<()>> = Vec::new();
-        let mut gates = Vec::with_capacity(owned.len());
-        for (i, &sd) in owned.iter().enumerate() {
-            let unit = &states[&sd];
-            let split = &splits[i];
-            // The work factor in effect *now* (the schedule may have
-            // switched models): emulated by kernel repetition, so the
-            // numerics stay bit-exact while the busy time shifts.
-            let repeats = work_now.repeats(&sds, sd, loc.speed());
-            // case 2 now, case 1 when the halo is complete; a fully local
-            // SD is all case 2. The overlap-off ablation makes an SD with
-            // foreign ghosts wait for them before computing anything.
-            let (now, gated) = if cfg.overlap || split.is_all_case2() {
-                (split.case2, &split.case1[..])
-            } else {
-                (Rect::empty(), std::slice::from_ref(&full))
-            };
-            let next = NextPtr::capture(&unit.cell);
-            for task in compute_tasks(&kern, t, unit, next, repeats, &[now], band) {
-                step_futures.push(spawner.async_call(task));
-            }
-            gates.push(SdGate {
-                cell: unit.cell.clone(),
-                awaiting: AtomicU32::new(schedule.awaited[i]),
-                gated: Mutex::new(compute_tasks(&kern, t, unit, next, repeats, gated, band)),
-            });
-        }
+        let step_futures = spawn_grouped(&plan, &spawner, t, plan.layout.at_spawn.lists());
         // One continuation per incoming bundle: check every record against
         // the schedule, decode it straight into the destination halo, and
-        // release each SD whose last awaited bundle this was. The released
-        // tasks' futures are the continuation's value, so the second
-        // barrier below sees exactly the tasks that were spawned.
-        let gates = Arc::new(gates);
-        let mut bundle_futures = Vec::with_capacity(schedule.recvs.len());
-        for b in 0..schedule.recvs.len() {
-            let peer = schedule.recvs[b].peer;
-            let schedule = schedule.clone();
-            let gates = gates.clone();
+        // spawn the gated regions of each SD whose last awaited bundle
+        // this was, grouped like the ones above. Their futures are the
+        // continuation's value, so the wait below sees exactly the tasks
+        // that were spawned.
+        let mut bundle_futures = Vec::with_capacity(plan.layout.schedule.recvs.len());
+        for (b, bundle) in plan.layout.schedule.recvs.iter().enumerate() {
+            let peer = bundle.peer;
+            let plan = plan.clone();
             let ghost_wait = step_ghost_wait.clone();
             let spawn_in = spawner.clone();
             let arrival = loc.expect(tag(CLASS_GHOST, step as u64, peer as u64, 0));
@@ -785,49 +906,44 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 // feedback signal
                 ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 let mut released = Vec::new();
-                let records = &schedule.recvs[b].records;
-                scatter_bundle(payload, records, &gates, |task| {
-                    released.push(spawn_in.async_call(task));
+                let records = &plan.layout.schedule.recvs[b].records;
+                scatter_bundle(payload, records, &plan.tiles, &plan.gates, |tile| {
+                    released.push(tile);
                 })
                 .unwrap_or_else(|e| {
                     panic!("step {step}: ghost bundle from rank {peer} to rank {me}: {e}")
                 });
-                released
+                let gated = &plan.layout.gated;
+                let lists = released.iter().map(|&tile| gated.of(tile));
+                spawn_grouped(&plan, &spawn_in, t, lists)
             }));
         }
-        when_all(step_futures).get();
-        // Every continuation has run once its future is ready, so this is
-        // the complete set of gated tasks (none on a single locality).
-        let released: Vec<Future<()>> = when_all(bundle_futures)
-            .get()
-            .into_iter()
-            .flatten()
-            .collect();
-        when_all(released).get();
-        // The gates share the SD cells; a migration below wants them back
-        // uniquely owned to recycle their tiles.
-        drop(gates);
-        window_ghost_ns += step_ghost_wait.swap(0, Ordering::Relaxed);
+        clock.end(Phase::Spawn);
 
-        // --- 4. swap buffers ---
-        for &sd in owned {
-            let cell = &states[&sd].cell;
-            let mut curr = cell.curr.write();
-            let mut next = cell.next.lock();
-            std::mem::swap(&mut *curr, &mut *next);
+        step_futures.into_iter().for_each(Future::get);
+        // Every continuation has run once its future is ready, so its value
+        // is the complete set of the gated tasks it released (there is no
+        // continuation on a single locality).
+        for released in bundle_futures {
+            released.get().into_iter().for_each(Future::get);
         }
+        window_ghost_ns += step_ghost_wait.swap(0, Ordering::Relaxed);
+        clock.end(Phase::Wait);
+
+        // --- 4. re-arm the gates, swap buffers ---
+        plan.reset_gates();
+        plan.tiles.iter().for_each(TileSlot::swap);
 
         // --- 5. error recording ---
         if cfg.record_error {
             let t_now = (step + 1) as f64 * dt;
             let h = setup.parts.grid.h;
             let mut sum = 0.0;
-            for &sd in owned {
-                let unit = &states[&sd];
-                let curr = unit.cell.curr.read();
+            for slot in &plan.tiles {
+                let curr = slot.curr.read();
                 for lj in 0..sds.sd {
                     for li in 0..sds.sd {
-                        let (gi, gj) = (unit.origin.0 + li, unit.origin.1 + lj);
+                        let (gi, gj) = (slot.origin.0 + li, slot.origin.1 + lj);
                         let d = manufactured.exact(t_now, gi, gj) - curr.get(li, lj);
                         sum += d * d;
                     }
@@ -837,6 +953,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         } else {
             error_partials.push(0.0);
         }
+        clock.end(Phase::Swap);
 
         // --- 6. load-balancing epoch (the configured LbSpec policy) ---
         if let Some(lb_cfg) = cfg.lb.as_ref().filter(|lb| lb.due(step, cfg.n_steps)) {
@@ -848,7 +965,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             // migrations flowing entirely between other localities)
             let stat = (
                 loc.busy_time_ns(),
-                states.len() as u64,
+                plan.tiles.len() as u64,
                 prev_stall_ns,
                 window_ghost_ns,
             );
@@ -881,63 +998,59 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 })
                 .unwrap_or_else(|e| panic!("LB epoch {epoch} on rank {me}: {e}"));
             let migrate_t0 = Instant::now();
-            // send outgoing SDs first, then collect incoming; tiles of
-            // migrated-away SDs go back to the pool (all step tasks have
-            // completed, so the Arc is uniquely held) and incoming SDs
-            // draw from it, so repeated epochs stop allocating tile pairs
-            let mut incoming: Vec<(SdId, Future<Bytes>)> = Vec::new();
-            for &(sd64, from, to) in &moves {
-                let sd = sd64 as SdId;
-                if from == me {
-                    let unit = states.remove(&sd).expect("migrating unowned SD");
-                    {
-                        let curr = unit.cell.curr.read();
+            if !moves.is_empty() {
+                // Ownership changes, so the epoch's plan ends here: take
+                // the tiles back out of its table. Every task of the step
+                // has completed and dropped its handle on the plan.
+                let StepPlan { layout, tiles, .. } = Arc::try_unwrap(plan).unwrap_or_else(|_| {
+                    panic!("rank {me}: a task of step {step} still holds the step plan")
+                });
+                let mut slots: HashMap<SdId, TileSlot> =
+                    layout.schedule.owned.into_iter().zip(tiles).collect();
+                // send outgoing SDs first, then collect incoming; tiles of
+                // migrated-away SDs go back to the pool and incoming SDs
+                // draw from it, so repeated epochs stop allocating tile
+                // pairs
+                let mut incoming: Vec<(SdId, Future<Bytes>)> = Vec::new();
+                for &(sd64, from, to) in &moves {
+                    let sd = sd64 as SdId;
+                    if from == me {
+                        let slot = slots.remove(&sd).unwrap_or_else(|| {
+                            panic!("rank {me} is to migrate SD {sd}, which it does not own")
+                        });
+                        let [curr, next] = slot.into_tiles();
                         let payload = pack_tile_rect(&curr, &curr.interior_rect());
                         loc.send(to, tag(CLASS_MIGRATE, epoch, sd as u64, 0), payload);
+                        tile_pool.extend([curr, next]);
                     }
-                    if let Ok(cell) = Arc::try_unwrap(unit.cell) {
-                        tile_pool.push(cell.curr.into_inner());
-                        tile_pool.push(cell.next.into_inner());
+                    if to == me {
+                        incoming.push((sd, loc.expect(tag(CLASS_MIGRATE, epoch, sd as u64, 0))));
                     }
+                    owners[sd as usize] = to;
                 }
-                if to == me {
-                    incoming.push((sd, loc.expect(tag(CLASS_MIGRATE, epoch, sd as u64, 0))));
+                let mut fresh_tile = || {
+                    tile_pool
+                        .pop()
+                        .map(|mut t| {
+                            // pooled tiles must look newly constructed
+                            t.data_mut().fill(0.0);
+                            t
+                        })
+                        .unwrap_or_else(|| Tile::new(sds.sd, halo))
+                };
+                in_migrations += incoming.len();
+                for (sd, fut) in incoming {
+                    let mut payload = fut.get();
+                    let mut curr = fresh_tile();
+                    decode_f64_rows(&mut payload, curr.rect_rows_mut(&curr.interior_rect()))
+                        .expect("corrupt migration");
+                    slots.insert(sd, TileSlot::new(sds.origin(sd), curr, fresh_tile()));
                 }
-                owners[sd as usize] = to;
-            }
-            let fresh_tile = |pool: &mut Vec<Tile>| {
-                pool.pop()
-                    .map(|mut t| {
-                        // pooled tiles must look newly constructed
-                        t.data_mut().fill(0.0);
-                        t
-                    })
-                    .unwrap_or_else(|| Tile::new(sds.sd, halo))
-            };
-            for (sd, fut) in incoming {
-                let mut payload = fut.get();
-                let origin = sds.origin(sd);
-                let mut curr = fresh_tile(&mut tile_pool);
-                decode_f64_rows(
-                    &mut payload,
-                    curr.rect_rows_mut(&Rect::new(0, 0, sds.sd, sds.sd)),
-                )
-                .expect("corrupt migration");
-                let next = fresh_tile(&mut tile_pool);
-                states.insert(
-                    sd,
-                    NodeSd {
-                        origin,
-                        cell: Arc::new(SdCell {
-                            curr: RwLock::new(curr),
-                            next: Mutex::new(next),
-                        }),
-                    },
-                );
-                in_migrations += 1;
-            }
-            if !moves.is_empty() {
-                (schedule, splits) = ownership_view(&setup, &owners, me);
+                plan = plan_for(&owners, &mut |sd| {
+                    slots.remove(&sd).expect("an owned SD has a tile")
+                });
+                assert!(slots.is_empty(), "rank {me} holds tiles of SDs it lost");
+                work_set = None;
             }
             // Record this locality's migration-exchange time for the next
             // epoch's stat gather (0 for an empty plan — nothing
@@ -957,17 +1070,19 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
                 window_t0 = Instant::now();
             }
         }
+        clock.end(Phase::Lb);
     }
+    loop_ns.add(loop_t0.elapsed().as_nanos() as u64);
 
-    // final per-SD fields
-    let mut sd_fields: Vec<(SdId, Vec<f64>)> = states
-        .iter()
-        .map(|(&sd, unit)| {
-            let curr = unit.cell.curr.read();
-            (sd, curr.pack(&Rect::new(0, 0, sds.sd, sds.sd)))
+    // final per-SD fields, ascending by SD like the plan's table
+    let owned = plan.layout.schedule.owned.iter();
+    let sd_fields = owned
+        .zip(&plan.tiles)
+        .map(|(&sd, slot)| {
+            let curr = slot.curr.read();
+            (sd, curr.pack(&curr.interior_rect()))
         })
         .collect();
-    sd_fields.sort_by_key(|(sd, _)| *sd);
     NodeReport {
         sd_fields,
         error_partials,
@@ -987,7 +1102,9 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
 mod tests {
     use super::*;
     use crate::balance::MoveWeights;
+    use crate::ghost::{row_bands, RegionLists};
     use nlheat_amt::cluster::ClusterBuilder;
+    use nlheat_amt::pool::ThreadPool;
     use nlheat_model::SerialSolver;
 
     fn serial_field(n: usize, eps_mult: f64, steps: usize) -> Vec<f64> {
@@ -1311,22 +1428,33 @@ mod tests {
         assert!(report.migrations > 0, "the quarter-speed rank must shed");
     }
 
+    /// A kernel bundle for tests: `parts`' kernel planned for `stride`,
+    /// counting into a counter of its own.
+    fn step_kernel(parts: ProblemParts, stride: i64) -> Arc<StepKernel> {
+        Arc::new(StepKernel {
+            plan: parts.kernel.plan(stride),
+            kernel: parts.kernel,
+            source: parts.manufactured.source_fn(),
+            dt: parts.dt,
+            cell_updates: Counter::raw(),
+        })
+    }
+
     /// Three 4-cell SDs in a row, one per rank, halo 2: the middle rank
     /// awaits one bundle from each side. Returns the two bundles' payloads,
-    /// the middle rank's schedule, its one gate (a single gated task that
-    /// bumps the returned counter), and the two source tiles the payloads
-    /// were packed from.
-    fn middle_rank_gate() -> (
-        [Bytes; 2],
-        GhostSchedule,
-        Vec<SdGate>,
-        Arc<AtomicU32>,
-        [Tile; 2],
-    ) {
+    /// the middle rank's plan (one tile, all of it gated), and the two
+    /// source tiles the payloads were packed from.
+    fn middle_rank_gate() -> ([Bytes; 2], Arc<StepPlan>, [Tile; 2]) {
         let sds = SdGrid::new(3, 1, 4);
         let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 2, id)).collect();
         let reverse = reverse_index(&plans);
         let owners = [0, 1, 2];
+        let cut = RegionCut {
+            sd: 4,
+            halo: 2,
+            overlap: true,
+            band: None,
+        };
         let sources = [0u32, 2].map(|rank| {
             let mut tile = Tile::new(4, 2);
             for (i, (x, y)) in tile.interior_rect().cells().enumerate() {
@@ -1336,36 +1464,46 @@ mod tests {
         });
         let payloads = [0usize, 1].map(|k| {
             let rank = [0u32, 2][k];
-            let sender = GhostSchedule::build(&plans, &reverse, &owners, rank);
+            let sender = StepLayout::build(&plans, &reverse, &owners, rank, &cut).schedule;
             assert_eq!(sender.sends[0].peer, 1);
             sender.sends[0].pack(&[&sources[k]])
         });
-        let schedule = GhostSchedule::build(&plans, &reverse, &owners, 1);
-        assert_eq!(schedule.awaited, vec![2]);
-        let ran = Arc::new(AtomicU32::new(0));
-        let task_ran = ran.clone();
-        let gates = vec![SdGate {
-            cell: Arc::new(SdCell {
-                curr: RwLock::new(Tile::new(4, 2)),
-                next: Mutex::new(Tile::new(4, 2)),
-            }),
-            awaiting: AtomicU32::new(2),
-            gated: Mutex::new(vec![Box::new(move || {
-                task_ran.fetch_add(1, Ordering::Relaxed);
-            }) as Task]),
-        }];
-        (payloads, schedule, gates, ran, sources)
+        let layout = StepLayout::build(&plans, &reverse, &owners, 1, &cut);
+        assert_eq!(layout.schedule.awaited, vec![2]);
+        // both sides foreign: the margins swallow the 4-cell SD
+        assert!(layout.at_spawn.of(0).is_empty());
+        assert_eq!(layout.gated.of(0).len(), 1);
+        let slot = TileSlot::new(sds.origin(1), Tile::new(4, 2), Tile::new(4, 2));
+        // ε = 2h on a 12-cell mesh has the halo of 2 the tiles were made with
+        let parts = ProblemSpec::square(12, 2.0).build();
+        assert_eq!(parts.grid.halo, 2);
+        let kern = step_kernel(parts, 8);
+        let plan = Arc::new(StepPlan::new(layout, vec![slot], kern));
+        (payloads, plan, sources)
     }
 
     #[test]
     fn the_last_awaited_bundle_releases_the_gated_tasks() {
-        let (payloads, schedule, gates, ran, sources) = middle_rank_gate();
-        let run_now = |task: Task| task();
+        let (payloads, plan, sources) = middle_rank_gate();
+        let recvs = &plan.layout.schedule.recvs;
+        let mut released = Vec::new();
         let [left, right] = payloads;
-        scatter_bundle(left, &schedule.recvs[0].records, &gates, run_now).unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "one bundle still awaited");
-        scatter_bundle(right, &schedule.recvs[1].records, &gates, run_now).unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        let scatter = |payload, b: usize, released: &mut Vec<u32>| {
+            scatter_bundle(
+                payload,
+                &recvs[b].records,
+                &plan.tiles,
+                &plan.gates,
+                |tile| {
+                    released.push(tile);
+                },
+            )
+            .unwrap();
+        };
+        scatter(left, 0, &mut released);
+        assert!(released.is_empty(), "one bundle still awaited");
+        scatter(right, 1, &mut released);
+        assert_eq!(released, vec![0]);
         // both halo strips hold exactly what a local copy would have put there
         let plans = build_halo_plan(&SdGrid::new(3, 1, 4), 2, 1);
         let mut want = Tile::new(4, 2);
@@ -1373,106 +1511,137 @@ mod tests {
             let from = &sources[usize::from(src == 2)];
             want.copy_rect_from(from, &patch.src_rect, &patch.dst_rect);
         }
-        assert_eq!(gates[0].cell.curr.read().data(), want.data());
+        assert_eq!(plan.tiles[0].curr.read().data(), want.data());
+        // the released tile's gated regions become tasks that update the
+        // whole interior from that halo
+        let pool = ThreadPool::new(1, "gate");
+        let lists = released.iter().map(|&tile| plan.layout.gated.of(tile));
+        let futures = spawn_grouped(&plan, &pool.handle(), 0.0, lists);
+        assert_eq!(futures.len(), 1);
+        futures.into_iter().for_each(Future::get);
+        let next = plan.tiles[0].next.lock();
+        assert!(next
+            .interior_rect()
+            .cells()
+            .all(|(x, y)| next.get(x, y) != 0.0));
+        assert_eq!(plan.kern.cell_updates.read(), 16);
+        // the driver re-arms the gate between steps
+        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 0);
+        plan.reset_gates();
+        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn a_bundle_that_disagrees_with_the_schedule_is_rejected() {
         // bytes after the last scheduled record
-        let (payloads, schedule, gates, ran, _) = middle_rank_gate();
+        let (payloads, plan, _) = middle_rank_gate();
+        let recvs = &plan.layout.schedule.recvs;
         let mut long = BytesMut::new();
         long.extend_from_slice(&payloads[0]);
         long.extend_from_slice(&[0u8; 8]);
+        let (tiles, gates) = (&plan.tiles, &plan.gates);
         assert_eq!(
-            scatter_bundle(long.freeze(), &schedule.recvs[0].records, &gates, |_| ()),
+            scatter_bundle(long.freeze(), &recvs[0].records, tiles, gates, |_| ()),
             Err(WireError::TrailingBytes(8))
         );
         // the right neighbour's bundle where the left one's is expected:
         // refused at the first header, nothing scattered, nothing released
-        let (payloads, schedule, gates, _, _) = middle_rank_gate();
+        let (payloads, plan, _) = middle_rank_gate();
+        let recvs = &plan.layout.schedule.recvs;
         let [_, right] = payloads;
-        let err = scatter_bundle(right, &schedule.recvs[0].records, &gates, |_| ()).unwrap_err();
+        let mut released = 0;
+        let err = scatter_bundle(right, &recvs[0].records, &plan.tiles, &plan.gates, |_| {
+            released += 1;
+        })
+        .unwrap_err();
         assert!(
             matches!(err, WireError::RecordMismatch { expected, found }
-                if expected == schedule.recvs[0].records[0].header()
-                    && found == schedule.recvs[1].records[0].header()),
+                if expected == recvs[0].records[0].header()
+                    && found == recvs[1].records[0].header()),
             "{err}"
         );
-        assert!(gates[0].cell.curr.read().data().iter().all(|&v| v == 0.0));
-        assert_eq!(gates[0].awaiting.load(Ordering::Relaxed), 2);
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
+        assert!(plan.tiles[0].curr.read().data().iter().all(|&v| v == 0.0));
+        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 2);
+        assert_eq!(released, 0);
     }
 
-    /// The kernel of a 16-cell mesh at ε = 2h, the `curr` tile of one of
-    /// its 8-cell SDs with every storage cell different, and a region list
+    /// A one-SD plan over the kernel of a 16-cell mesh at ε = 2h — the SD's
+    /// `curr` tile has every storage cell different — and a region list
     /// shaped like a case split: a wide rect, a strip, an empty rect.
-    fn lone_sd() -> (Arc<StepKernel>, Tile, [Rect; 3]) {
+    fn lone_sd(repeats: u32, band: Option<i64>) -> (Arc<StepPlan>, [Rect; 3]) {
         let parts = ProblemSpec::square(16, 2.0).build();
-        let mut curr = Tile::new(8, parts.grid.halo);
+        let halo = parts.grid.halo;
+        let mut curr = Tile::new(8, halo);
         for (i, v) in curr.data_mut().iter_mut().enumerate() {
             *v = (i as f64 * 0.37).sin();
         }
-        let kern = Arc::new(StepKernel {
-            plan: parts.kernel.plan(curr.stride()),
-            kernel: parts.kernel,
-            source: parts.manufactured.source_fn(),
-            dt: parts.dt,
-        });
+        let sds = SdGrid::new(1, 1, 8);
+        let plans = [build_halo_plan(&sds, halo, 0)];
+        let cut = RegionCut {
+            sd: 8,
+            halo,
+            overlap: true,
+            band,
+        };
+        let layout = StepLayout::build(&plans, &reverse_index(&plans), &[0], 0, &cut);
+        let kern = step_kernel(parts, curr.stride());
+        let slot = TileSlot::new((8, 8), curr, Tile::new(8, halo));
+        let mut plan = StepPlan::new(layout, vec![slot], kern);
+        plan.repeats = vec![repeats];
         let rects = [Rect::new(2, 0, 6, 8), Rect::new(0, 0, 2, 8), Rect::empty()];
-        (kern, curr, rects)
+        (Arc::new(plan), rects)
     }
 
-    /// Build the tasks for `rects` over a fresh cell holding `curr`, run
-    /// them here, and return their number and the `next` tile they wrote.
-    fn run_tasks(
-        kern: &Arc<StepKernel>,
-        curr: &Tile,
-        rects: &[Rect],
-        repeats: u32,
-        band: Option<i64>,
-    ) -> (usize, Tile) {
-        let unit = NodeSd {
-            origin: (8, 8),
-            cell: Arc::new(SdCell {
-                curr: RwLock::new(curr.clone()),
-                next: Mutex::new(Tile::new(curr.sd(), curr.halo())),
-            }),
-        };
-        let next = NextPtr::capture(&unit.cell);
-        let tasks = compute_tasks(kern, 0.25, &unit, next, repeats, rects, band);
+    /// Cut `rects` of the lone SD into a region list, deal it into tasks,
+    /// run them here, and return their number and the `next` tile they
+    /// wrote.
+    fn run_tasks(plan: &Arc<StepPlan>, rects: &[Rect]) -> (usize, Tile) {
+        let cut = &plan.layout.cut;
+        let mut lists = RegionLists::default();
+        lists.push_tile(rects, cut.band);
+        let mut tasks = Vec::new();
+        let work = u64::from(plan.repeats[0]) * plan.kern.kernel.stencil.len() as u64;
+        group_by_work(lists.lists().map(|list| (list, work)), cut, |regions| {
+            tasks.push(region_task(plan, 0.25, regions));
+        });
         let n = tasks.len();
         tasks.into_iter().for_each(|task| task());
-        let written = unit.cell.next.lock().clone();
+        let written = plan.tiles[0].next.lock().clone();
         (n, written)
     }
 
     #[test]
     fn stealing_off_is_one_task_per_region_list() {
-        let (kern, curr, rects) = lone_sd();
-        assert_eq!(run_tasks(&kern, &curr, &rects, 1, None).0, 1);
-        assert_eq!(run_tasks(&kern, &curr, &rects[..1], 1, None).0, 1);
+        let (plan, rects) = lone_sd(1, None);
+        assert_eq!(run_tasks(&plan, &rects).0, 1);
+        assert_eq!(run_tasks(&plan, &rects[..1]).0, 1);
         // nothing to compute, nothing to schedule
-        let (n, written) = run_tasks(&kern, &curr, &[Rect::empty(), Rect::empty()], 1, None);
+        let (plan, _) = lone_sd(1, None);
+        let (n, written) = run_tasks(&plan, &[Rect::empty(), Rect::empty()]);
         assert_eq!(n, 0);
         assert!(written.data().iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn stealing_on_is_one_task_per_row_band() {
-        let (kern, curr, rects) = lone_sd();
         for band in [1, 3, 8] {
-            let bands: usize = rects.iter().map(|r| row_bands(r, band).len()).sum();
-            assert_eq!(run_tasks(&kern, &curr, &rects, 1, Some(band)).0, bands);
+            let (plan, rects) = lone_sd(1, Some(band));
+            let bands: usize = rects.iter().map(|r| row_bands(r, band).count()).sum();
+            assert_eq!(run_tasks(&plan, &rects).0, bands);
         }
         // 8 rows in bands of 3 are 3 + 3 + 2, for both non-empty rects
-        assert_eq!(run_tasks(&kern, &curr, &rects, 1, Some(3)).0, 6);
-        assert_eq!(run_tasks(&kern, &curr, &[Rect::empty()], 1, Some(3)).0, 0);
+        let (plan, rects) = lone_sd(1, Some(3));
+        assert_eq!(run_tasks(&plan, &rects).0, 6);
+        assert_eq!(run_tasks(&plan, &[Rect::empty()]).0, 0);
     }
 
     #[test]
     fn grouping_does_not_change_a_bit() {
-        let (kern, curr, rects) = lone_sd();
         for repeats in [1, 3] {
+            let (whole, rects) = lone_sd(repeats, None);
+            let (banded, _) = lone_sd(repeats, Some(3));
+            let kern = &whole.kern;
+            let curr = whole.tiles[0].curr.read().clone();
             let mut want = Tile::new(curr.sd(), curr.halo());
             for rect in &rects {
                 kern.kernel.apply_region_blocked(
@@ -1488,8 +1657,8 @@ mod tests {
                 );
             }
             assert_ne!(want.get(0, 0), 0.0);
-            let (_, whole) = run_tasks(&kern, &curr, &rects, repeats, None);
-            let (_, banded) = run_tasks(&kern, &curr, &rects, repeats, Some(3));
+            let (_, whole) = run_tasks(&whole, &rects);
+            let (_, banded) = run_tasks(&banded, &rects);
             assert_eq!(whole.data(), want.data(), "repeats {repeats}");
             assert_eq!(banded.data(), want.data(), "repeats {repeats}");
         }
@@ -1497,14 +1666,10 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "differ in geometry: stride or halo")]
-    fn next_of_another_geometry_is_refused_at_capture() {
+    fn next_of_another_geometry_is_refused_when_armed() {
         // equal strides, so every offset is in bounds — but of the wrong
         // cells: refused before any task exists, let alone writes
-        let cell = SdCell {
-            curr: RwLock::new(Tile::new(10, 2)),
-            next: Mutex::new(Tile::new(8, 3)),
-        };
-        let _ = NextPtr::capture(&cell);
+        let _ = TileSlot::new((0, 0), Tile::new(10, 2), Tile::new(8, 3));
     }
 
     #[test]
@@ -1559,6 +1724,107 @@ mod tests {
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert_eq!(cfg.work_at(0), &cfg.work_schedule[0].1);
         assert_eq!(cfg.work_at(4), &cfg.work_schedule[1].1);
+    }
+
+    /// A run whose work model switches at steps 2 and 5 — neither an LB
+    /// step of the period-4 schedule — between per-SD factor tables that
+    /// differ on every SD.
+    fn switching_work(n_steps: usize) -> DistConfig {
+        let mut cfg = DistConfig::new(16, 2.0, 4, n_steps);
+        let table = |shift: usize| {
+            WorkModel::PerSd((0..16).map(|sd| 1.0 + ((sd + shift) % 3) as f64).collect())
+        };
+        cfg.work = table(0);
+        cfg.work_schedule = vec![(2, table(1)), (5, table(2))];
+        cfg.lb = Some(LbSchedule::every(4));
+        cfg.lb_input = LbInput::Modeled;
+        cfg
+    }
+
+    #[test]
+    fn set_work_gives_the_repeats_of_the_model_in_force() {
+        let cfg = switching_work(8);
+        let setup = Setup::build(cfg.clone(), 2, vec![1.0, 0.5]);
+        let cut = RegionCut {
+            sd: 4,
+            halo: setup.parts.grid.halo,
+            overlap: true,
+            band: None,
+        };
+        for (me, speed) in [(0, 1.0), (1, 0.5)] {
+            let owners = &setup.initial_owners;
+            let layout = StepLayout::build(&setup.plans, &setup.reverse, owners, me, &cut);
+            let owned = layout.schedule.owned.clone();
+            let tile = || Tile::new(4, cut.halo);
+            let tiles = owned.iter().map(|_| TileSlot::new((0, 0), tile(), tile()));
+            let kern = step_kernel(cfg.spec.build(), 4 + 2 * cut.halo);
+            let mut plan = StepPlan::new(layout, tiles.collect(), kern);
+            assert!(!owned.is_empty());
+            for step in 0..cfg.n_steps {
+                let work = cfg.work_at(step);
+                plan.set_work(work, &setup.sds, speed);
+                let want: Vec<u32> = owned
+                    .iter()
+                    .map(|&sd| work.repeats(&setup.sds, sd, speed))
+                    .collect();
+                assert_eq!(plan.repeats, want, "rank {me}, step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stale_repeats_table_cannot_hide() {
+        // Kernel repetition recomputes the same value, so the field is
+        // blind to a work factor baked in when the plan was built. The
+        // cell-update counters are not: they must add up to the repeats of
+        // the model in force at every step — on one locality, where the
+        // plan is never rebuilt, and on two, where an LB epoch rebuilds it
+        // between the switches.
+        let cfg = switching_work(8);
+        let sds = SdGrid::tile_mesh(16, 16, 4);
+        let want: u64 = (0..cfg.n_steps)
+            .flat_map(|step| sds.ids().map(move |sd| (step, sd)))
+            .map(|(step, sd)| 16 * u64::from(cfg.work_at(step).repeats(&sds, sd, 1.0)))
+            .sum();
+        assert_ne!(want, 8 * 256 * u64::from(cfg.work.repeats(&sds, 0, 1.0)));
+        for n_nodes in [1, 2] {
+            let cluster = ClusterBuilder::new().uniform(n_nodes, 1).build();
+            let mut cfg = cfg.clone();
+            // lopsided, so the epoch after step 3 migrates
+            let mut owners = vec![0u32; 16];
+            owners[15] = n_nodes as u32 - 1;
+            cfg.partition = PartitionSpec::Explicit(owners);
+            let report = run_distributed(&cluster, &cfg);
+            assert_eq!(report.field, serial_field(16, 2.0, 8));
+            assert_eq!(report.migrations > 0, n_nodes == 2);
+            let executed: u64 = (0..n_nodes as u32)
+                .map(|rank| {
+                    let name = cell_updates_counter_name(rank);
+                    cluster.registry().read(&name).expect("registered")
+                })
+                .sum();
+            assert_eq!(executed, want, "{n_nodes} localities");
+        }
+    }
+
+    #[test]
+    fn the_phase_counters_add_up_to_the_step_loop() {
+        let cluster = ClusterBuilder::new().uniform(2, 1).build();
+        let mut cfg = switching_work(8);
+        cfg.partition = PartitionSpec::Strip;
+        cfg.record_error = true;
+        let report = run_distributed(&cluster, &cfg);
+        for rank in 0..2u32 {
+            let read = |name: String| cluster.registry().read(&name).expect("registered");
+            let phases = STEP_PHASES.map(|phase| read(phase_counter_name(rank, phase)));
+            assert_eq!(report.phase_ns[rank as usize], phases);
+            assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
+            let (sum, whole) = (phases.iter().sum::<u64>(), read(loop_counter_name(rank)));
+            assert!(
+                sum <= whole && sum as f64 >= 0.95 * whole as f64,
+                "rank {rank}: phases {phases:?} sum to {sum} of a {whole} ns loop"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,17 @@
 //! the record headers on the wire (see
 //! [`nlheat_amt::codec::GhostRecordHeader`]) are there to *verify* that
 //! agreement, not to establish it.
+//!
+//! Everything else a step does to the halos and interiors is a function of
+//! the ownership map too, so [`StepLayout`] derives it in the same pass and
+//! the driver replays it every step of the ownership epoch: the local halo
+//! fill as a flat copy list, and each owned SD's interior cut into the
+//! [`Region`]s its compute tasks run — which [`group_by_work`] then deals
+//! into tasks that are worth scheduling.
 
 use bytes::{Bytes, BytesMut};
 use nlheat_amt::codec::{encode_ghost_record, GhostRecordHeader};
-use nlheat_mesh::{HaloPlan, Rect, SdId, Tile};
+use nlheat_mesh::{split_cases, HaloPlan, Rect, SdId, Tile};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 
@@ -98,6 +105,225 @@ pub struct GhostSchedule {
     /// records for it — the source ranks its case-1 region waits on each
     /// step. Zero for an SD whose whole halo is local.
     pub awaited: Vec<u32>,
+}
+
+/// A rectangle of one local tile, in the tile's interior coordinates: the
+/// unit of compute work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Region {
+    /// Index into [`GhostSchedule::owned`] of the tile.
+    pub tile: u32,
+    /// The cells to update.
+    pub rect: Rect,
+}
+
+/// One same-locality halo copy: `src_rect` of tile `src_tile`'s interior
+/// into `dst_rect` of tile `dst_tile`'s halo (tiles index
+/// [`GhostSchedule::owned`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LocalFill {
+    /// The tile whose halo is filled.
+    pub dst_tile: u32,
+    /// The tile whose interior is read.
+    pub src_tile: u32,
+    /// The cells read, in `src_tile`'s coordinates.
+    pub src_rect: Rect,
+    /// The cells written, in `dst_tile`'s coordinates; same shape.
+    pub dst_rect: Rect,
+}
+
+/// One region list per owned SD, stored flat in tile order.
+#[derive(Debug, Clone, Default)]
+pub struct RegionLists {
+    regions: Vec<Region>,
+    /// `ends[i]` is where tile `i`'s list ends in `regions` (and tile
+    /// `i + 1`'s begins).
+    ends: Vec<u32>,
+}
+
+impl RegionLists {
+    /// Append the list of the next tile: the non-empty `rects`, each cut
+    /// into row bands of height ≤ `band` when one is given.
+    pub(crate) fn push_tile(&mut self, rects: &[Rect], band: Option<i64>) {
+        let tile = self.ends.len() as u32;
+        for rect in rects.iter().filter(|r| !r.is_empty()) {
+            let bands = row_bands(rect, band.unwrap_or(rect.h));
+            self.regions.extend(bands.map(|rect| Region { tile, rect }));
+        }
+        self.ends.push(self.regions.len() as u32);
+    }
+
+    /// The region list of tile `tile` (empty when it has nothing to do in
+    /// this class).
+    pub fn of(&self, tile: u32) -> &[Region] {
+        let tile = tile as usize;
+        let start = if tile == 0 { 0 } else { self.ends[tile - 1] };
+        &self.regions[start as usize..self.ends[tile] as usize]
+    }
+
+    /// The non-empty lists, in tile order.
+    pub fn lists(&self) -> impl Iterator<Item = &[Region]> {
+        self.regions.chunk_by(|a, b| a.tile == b.tile)
+    }
+}
+
+/// How an SD's interior is cut into regions: the tile geometry, whether
+/// the foreign-independent part runs ahead of the ghosts (§6.3), and the
+/// row-band height intra-step stealing cuts every region into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionCut {
+    /// SD side length in cells.
+    pub sd: i64,
+    /// Ghost-ring width in cells.
+    pub halo: i64,
+    /// Case-2 cells run at spawn (`true`) or every SD with a foreign ghost
+    /// waits for its halo before computing anything (ablation A2).
+    pub overlap: bool,
+    /// `Some(h)`: every region is cut into row bands of height ≤ `h`, each
+    /// its own task — the piece an idle worker steals within a step.
+    pub band: Option<i64>,
+}
+
+/// Split `rect` into horizontal bands of height ≤ `band`, top to bottom.
+/// Deterministic in the inputs and an exact cover of `rect`, so banded
+/// execution visits every cell exactly once in a schedule-independent
+/// decomposition.
+pub fn row_bands(rect: &Rect, band: i64) -> impl Iterator<Item = Rect> {
+    assert!(band >= 1, "a row band has at least one row");
+    let rect = *rect;
+    (rect.y0..rect.y1())
+        .step_by(band as usize)
+        .map(move |y| Rect::new(rect.x0, y, rect.w, band.min(rect.y1() - y)))
+}
+
+/// The least work — cells × kernel repeats × stencil points — a compute
+/// task carries unless the step has no more to give it. Measured on the
+/// reference 2-vCPU VM, handing a task to the pool and collecting its
+/// future costs ≈ 0.4–1 µs (closure and promise boxes, injector push, the
+/// worker's two busy-time `Instant`s, the tile lock), while the kernel
+/// retires a stencil point in ≈ 0.3–0.5 ns: a 25-cell SD at ε = 4h is
+/// ≈ 0.4 µs of kernel, less than the cost of scheduling it, and 2¹⁶ points
+/// are ≈ 20–30 µs, which keeps that cost under 5 %. A constant, not an
+/// option: it prices this runtime's task, not a workload — every 625-cell
+/// SD at ε = 8h (123 k points) is above it and keeps a task of its own.
+pub const TASK_WORK_FLOOR: u64 = 1 << 16;
+
+/// Deal region lists into compute tasks. `lists` yields, per SD, one of its
+/// region lists and the SD's work per cell (kernel repeats × stencil
+/// points); `task` receives the regions of each task.
+///
+/// - With [`RegionCut::band`] set every region — a row band — is a task of
+///   its own: it is the thief's unit and never merged.
+/// - Otherwise a list of an SD whose whole interior is at or above
+///   [`TASK_WORK_FLOOR`] is one task by itself, and the lists of smaller
+///   SDs are merged, in order, until the task holds at least the floor.
+///
+/// Every region lands in exactly one task and no region is split, so the
+/// cells computed do not depend on the grouping.
+pub fn group_by_work<'a>(
+    lists: impl IntoIterator<Item = (&'a [Region], u64)>,
+    cut: &RegionCut,
+    mut task: impl FnMut(Vec<Region>),
+) {
+    let sd_cells = (cut.sd * cut.sd) as u64;
+    let (mut open, mut open_work) = (Vec::new(), 0u64);
+    for (list, work_per_cell) in lists {
+        if list.is_empty() {
+            continue;
+        }
+        if cut.band.is_some() {
+            list.iter().for_each(|r| task(vec![*r]));
+        } else if sd_cells * work_per_cell >= TASK_WORK_FLOOR {
+            task(list.to_vec());
+        } else {
+            open.extend_from_slice(list);
+            open_work += list.iter().map(|r| r.rect.area() as u64).sum::<u64>() * work_per_cell;
+            if open_work >= TASK_WORK_FLOOR {
+                // the next task will be about as long: no regrowth
+                let next = Vec::with_capacity(open.len());
+                task(std::mem::replace(&mut open, next));
+                open_work = 0;
+            }
+        }
+    }
+    if !open.is_empty() {
+        task(open);
+    }
+}
+
+/// Everything a step of locality `me` does that follows from the ownership
+/// map alone — built once per ownership epoch and replayed every step.
+#[derive(Debug, Clone)]
+pub struct StepLayout {
+    /// The cut the region lists were made with.
+    pub cut: RegionCut,
+    /// The ghost exchange with the other ranks; its `owned` list is the
+    /// tile order every index below refers to.
+    pub schedule: GhostSchedule,
+    /// The same-locality halo copies, ascending by destination tile (then
+    /// in halo-plan order), so a step visits each destination once.
+    pub fills: Vec<LocalFill>,
+    /// Per owned SD the regions that read no foreign ghost and run when the
+    /// step starts.
+    pub at_spawn: RegionLists,
+    /// Per owned SD the regions that wait for the SD's halo: released when
+    /// the last of its [`GhostSchedule::awaited`] bundles has been
+    /// scattered. Together with `at_spawn` they tile the SD's interior.
+    pub gated: RegionLists,
+}
+
+impl StepLayout {
+    /// Derive `me`'s step from the halo plans (`plans[i]` is SD `i`'s),
+    /// their [`reverse_index`], the ownership map and the region cut.
+    pub fn build(
+        plans: &[HaloPlan],
+        reverse: &[Vec<(SdId, u16)>],
+        owners: &[u32],
+        me: u32,
+        cut: &RegionCut,
+    ) -> Self {
+        let schedule = GhostSchedule::build(plans, reverse, owners, me);
+        let mut tile_of = vec![u32::MAX; owners.len()];
+        for (tile, &sd) in schedule.owned.iter().enumerate() {
+            tile_of[sd as usize] = tile as u32;
+        }
+        let is_foreign = |sd: SdId| owners[sd as usize] != me;
+        let full = Rect::new(0, 0, cut.sd, cut.sd);
+        let mut fills = Vec::new();
+        let (mut at_spawn, mut gated) = (RegionLists::default(), RegionLists::default());
+        for (tile, &sd) in schedule.owned.iter().enumerate() {
+            let tile = tile as u32;
+            let plan = &plans[sd as usize];
+            for (_, src, patch) in plan.sd_patches() {
+                if !is_foreign(src) {
+                    fills.push(LocalFill {
+                        dst_tile: tile,
+                        src_tile: tile_of[src as usize],
+                        src_rect: patch.src_rect,
+                        dst_rect: patch.dst_rect,
+                    });
+                }
+            }
+            // case 2 at spawn, case 1 when the halo is complete; a fully
+            // local SD is all case 2. Without overlap an SD with foreign
+            // ghosts waits for them before computing anything.
+            let split = split_cases(cut.sd, cut.halo, plan, is_foreign);
+            let (now, later) = if cut.overlap || split.is_all_case2() {
+                (split.case2, &split.case1[..])
+            } else {
+                (Rect::empty(), std::slice::from_ref(&full))
+            };
+            at_spawn.push_tile(&[now], cut.band);
+            gated.push_tile(later, cut.band);
+        }
+        StepLayout {
+            cut: *cut,
+            schedule,
+            fills,
+            at_spawn,
+            gated,
+        }
+    }
 }
 
 /// For each source SD, the `(destination SD, patch index)` pairs that read

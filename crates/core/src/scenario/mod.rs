@@ -854,6 +854,10 @@ pub struct DistExtras {
     pub pool_steal_fails: Vec<u64>,
     /// Per-locality worker park events.
     pub pool_parks: Vec<u64>,
+    /// Per-locality wall nanoseconds in each of
+    /// [`crate::dist::STEP_PHASES`] (fill, send, spawn, wait, swap, lb),
+    /// read from the cluster's counter registry at the end of the run.
+    pub phase_ns: Vec<[u64; 6]>,
 }
 
 /// What only the simulator can measure.
@@ -948,6 +952,7 @@ impl RunReport {
                 pool_steals: report.pool_steals,
                 pool_steal_fails: report.pool_steal_fails,
                 pool_parks: report.pool_parks,
+                phase_ns: report.phase_ns,
             }),
         }
     }

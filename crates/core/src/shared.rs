@@ -1,11 +1,14 @@
 //! Shared-memory solver (§8.2): the one-locality instance of the §6 driver.
 //!
-//! One node, many threads: each timestep spawns one task per SD onto the
-//! work-stealing pool and futurization synchronizes the step (Listing 1's
-//! `hpx::async`/`hpx::future` pattern). [`crate::dist`]'s step loop does
-//! exactly that on a cluster of one locality — no ghost is foreign, so no
-//! bundle is sent or awaited and no case-1 work exists — so this module
-//! describes such a run and reads the result; it has no loop of its own.
+//! One node, many threads: each timestep spawns the SDs' updates as tasks
+//! onto the work-stealing pool — one per SD, or one per group of SDs too
+//! small to be worth a task each (see
+//! [`crate::ghost::TASK_WORK_FLOOR`]) — and futurization synchronizes the
+//! step (Listing 1's `hpx::async`/`hpx::future` pattern). [`crate::dist`]'s
+//! step loop does exactly that on a cluster of one locality — no ghost is
+//! foreign, so no bundle is sent or awaited and no case-1 work exists — so
+//! this module describes such a run and reads the result; it has no loop
+//! of its own.
 
 use crate::dist::run_distributed;
 use crate::scenario::{ClusterSpec, Scenario};
@@ -141,10 +144,18 @@ mod tests {
 
     #[test]
     fn tasks_scale_with_sds_and_steps() {
+        // 16 SDs x 3 steps of 16 cells x 13 stencil points each: far below
+        // the work floor, so SDs share tasks — at least one a step, never
+        // more than one per SD and step
         let report = SharedSolver::new(SharedConfig::new(16, 2.0, 4, 3, 2)).run();
-        // 16 SDs x 3 steps
-        assert_eq!(report.tasks, 48);
+        assert!((3..=48).contains(&report.tasks), "{} tasks", report.tasks);
         assert!(report.busy_ns > 0);
+        // 4 SDs x 2 steps of 1024 cells x 197 stencil points: every SD is
+        // above the floor and keeps a task of its own
+        let cells = 32 * 32 * ProblemSpec::square(64, 8.0).build().kernel.stencil.len();
+        assert!(cells as u64 >= crate::ghost::TASK_WORK_FLOOR);
+        let report = SharedSolver::new(SharedConfig::new(64, 8.0, 32, 2, 2)).run();
+        assert_eq!(report.tasks, 8);
     }
 
     #[test]

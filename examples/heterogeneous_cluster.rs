@@ -27,6 +27,14 @@ fn main() {
         println!("after LB epoch {}: SD counts {:?}", epoch + 1, counts);
     }
     println!("final ownership:\n{}", report.final_ownership.render());
+    // where each rank's step loop went: the driver's phase counters
+    let phases = nonlocalheat::core::dist::STEP_PHASES;
+    println!("step-loop ms per rank ({}):", phases.join(" / "));
+    let extras = report.dist_extras().expect("a real-runtime report");
+    for (rank, ns) in extras.phase_ns.iter().enumerate() {
+        let ms = ns.map(|ns| format!("{:.2}", ns as f64 * 1e-6));
+        println!("  rank {rank}: {}", ms.join(" / "));
+    }
 
     // --- simulator: the same cluster at paper scale (400x400) ---
     let paper = scenarios::heterogeneous_cluster(false);

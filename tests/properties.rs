@@ -6,9 +6,12 @@ use nonlocalheat::amt::rendezvous::Rendezvous;
 use nonlocalheat::core::balance::{
     compute_metrics, plan_rebalance, LbNetwork, LbSpec, MoveWeights,
 };
-use nonlocalheat::core::ghost::{reverse_index, GhostSchedule, RankBundle};
+use nonlocalheat::core::ghost::{
+    group_by_work, reverse_index, GhostSchedule, RankBundle, Region, RegionCut, StepLayout,
+    TASK_WORK_FLOOR,
+};
 use nonlocalheat::core::ownership::Ownership;
-use nonlocalheat::mesh::{build_halo_plan, split_cases, Rect, SdGrid};
+use nonlocalheat::mesh::{build_halo_plan, split_cases, PatchSource, Rect, SdGrid};
 use nonlocalheat::netmodel::{CommCost, LinkSpec, NetSpec, TopologySpec};
 use nonlocalheat::partition::{balance as part_balance, part_graph, Csr, PartitionConfig, SdGraph};
 use proptest::prelude::*;
@@ -180,6 +183,138 @@ proptest! {
         // the bundles carry exactly the planner's view of the recurring
         // traffic under this ownership
         prop_assert_eq!(payload, SdGraph::from_plans(&grid, &plans).cut_bytes(&owners));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn step_layout_is_an_exact_cover(
+        nsx in 2i64..6,
+        nsy in 2i64..6,
+        sd in 2i64..6,
+        halo in 1i64..9,
+        n_ranks in 2u32..5,
+        overlap in any::<bool>(),
+        band in 0i64..4,
+        seed in any::<u64>(),
+    ) {
+        // What a rank replays every step of an ownership epoch, derived
+        // from a random owner map: halo <= and > the SD, overlap on and
+        // off, stealing off (band 0) and on.
+        let grid = SdGrid::new(nsx as usize, nsy as usize, sd as usize);
+        let plans: Vec<_> = grid.ids().map(|id| build_halo_plan(&grid, halo, id)).collect();
+        let reverse = reverse_index(&plans);
+        let owners = scrambled_owners(grid.count(), n_ranks, seed);
+        let cut = RegionCut { sd, halo, overlap, band: (band > 0).then_some(band) };
+        // a scrambled half of the SDs is heavy enough for tasks of its own
+        let heavy = |sd_id: u32| (seed.rotate_left(sd_id % 64) ^ u64::from(sd_id)) & 1 == 0;
+        let work_per_cell = |sd_id: u32| if heavy(sd_id) { TASK_WORK_FLOOR } else { 13 };
+        for me in 0..n_ranks {
+            let layout = StepLayout::build(&plans, &reverse, &owners, me, &cut);
+            let owned = &layout.schedule.owned;
+            let n = owned.len() as u32;
+
+            // the flat fill list is exactly the local-source patches, one
+            // visit per destination tile
+            let mut want_fills = Vec::new();
+            for &dst in owned {
+                for patch in &plans[dst as usize].patches {
+                    if let PatchSource::Sd(src) = patch.source {
+                        if owners[src as usize] == me {
+                            want_fills.push((dst, src, patch.src_rect, patch.dst_rect));
+                        }
+                    }
+                }
+            }
+            let sd_of = |tile: u32| owned[tile as usize];
+            let fills: Vec<_> = layout
+                .fills
+                .iter()
+                .map(|f| (sd_of(f.dst_tile), sd_of(f.src_tile), f.src_rect, f.dst_rect))
+                .collect();
+            prop_assert_eq!(fills, want_fills);
+            prop_assert!(layout.fills.windows(2).all(|w| w[0].dst_tile <= w[1].dst_tile));
+
+            // deal the step's tasks the way the driver does: the at-spawn
+            // lists once, and per incoming bundle (here: last rank first)
+            // the gated lists of the tiles whose gate it takes to zero
+            let work_of = |list: &[Region]| work_per_cell(sd_of(list[0].tile));
+            let mut tasks: Vec<Vec<Region>> = Vec::new();
+            let mut dealings = vec![0];
+            let spawn_lists = layout.at_spawn.lists().map(|list| (list, work_of(list)));
+            group_by_work(spawn_lists, &cut, |regions| tasks.push(regions));
+            dealings.push(tasks.len());
+            // a gate is armed with the number of bundles that carry
+            // records for its tile, and only a gated tile awaits any
+            let mut gates = layout.schedule.awaited.clone();
+            for tile in 0..n {
+                let carrying = layout.schedule.recvs.iter();
+                let carrying = carrying.filter(|b| b.records.iter().any(|r| r.tile == tile));
+                prop_assert_eq!(gates[tile as usize] as usize, carrying.count());
+                let is_gated = !layout.gated.of(tile).is_empty();
+                prop_assert_eq!(gates[tile as usize] > 0, is_gated, "tile {}", tile);
+            }
+            for bundle in layout.schedule.recvs.iter().rev() {
+                let mut released = Vec::new();
+                for run in bundle.records.chunk_by(|a, b| a.tile == b.tile) {
+                    let gate = &mut gates[run[0].tile as usize];
+                    *gate -= 1;
+                    if *gate == 0 {
+                        released.push(run[0].tile);
+                    }
+                }
+                let lists = released.iter().map(|&tile| layout.gated.of(tile));
+                let lists = lists.map(|list| (list, work_of(list)));
+                group_by_work(lists, &cut, |regions| tasks.push(regions));
+                dealings.push(tasks.len());
+            }
+            prop_assert!(gates.iter().all(|&g| g == 0));
+
+            // the tasks' regions tile every owned interior exactly once
+            let mut cover = vec![0u32; (n as i64 * sd * sd) as usize];
+            for region in tasks.iter().flatten() {
+                prop_assert!(Rect::new(0, 0, sd, sd).contains_rect(&region.rect));
+                for (x, y) in region.rect.cells() {
+                    cover[(i64::from(region.tile) * sd * sd + y * sd + x) as usize] += 1;
+                }
+            }
+            prop_assert!(cover.iter().all(|&c| c == 1), "cover {:?}", cover);
+
+            let task_work = |task: &[Region]| -> u64 {
+                let work = |r: &Region| r.rect.area() as u64 * work_per_cell(sd_of(r.tile));
+                task.iter().map(work).sum()
+            };
+            if let Some(band) = cut.band {
+                // stealing on: a task is one row band, never more
+                for task in &tasks {
+                    prop_assert_eq!(task.len(), 1);
+                    prop_assert!(task[0].rect.h <= band);
+                }
+            } else {
+                for tile in 0..n {
+                    let lists = [layout.at_spawn.of(tile), layout.gated.of(tile)];
+                    let mine: Vec<_> = tasks
+                        .iter()
+                        .filter(|task| task.iter().any(|r| r.tile == tile))
+                        .collect();
+                    if heavy(sd_of(tile)) {
+                        // at or above the floor: the task set of one task
+                        // per SD and case, nothing merged in
+                        let want = lists.iter().filter(|l| !l.is_empty()).count();
+                        prop_assert_eq!(mine.len(), want);
+                        prop_assert!(mine.iter().all(|task| task.iter().all(|r| r.tile == tile)));
+                    }
+                }
+                // below it: only the last task of a dealing may fall short
+                for deal in dealings.windows(2) {
+                    let dealt = &tasks[deal[0]..deal[1]];
+                    for task in dealt.iter().rev().skip(1) {
+                        prop_assert!(task_work(task) >= TASK_WORK_FLOOR, "{:?}", task);
+                    }
+                }
+            }
+        }
     }
 }
 
