@@ -211,15 +211,18 @@ pub(crate) fn finish_plan(
     raw: Vec<Move>,
     net: &LbNetwork,
 ) -> MigrationPlan {
-    let mut moves: Vec<Move> = Vec::new();
-    let mut slot: std::collections::HashMap<SdId, usize> = std::collections::HashMap::new();
+    // One past where each SD's first move sits in `moves`, 0 = not moved
+    // yet: a dense table over the SDs (a repartition plan moves most of
+    // them), zero-initialised so a plan of few moves touches few pages.
+    let mut slot = vec![0usize; working.owners().len()];
+    let mut moves: Vec<Move> = Vec::with_capacity(raw.len());
     for mv in raw {
-        match slot.entry(mv.sd) {
-            std::collections::hash_map::Entry::Occupied(e) => moves[*e.get()].to = mv.to,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(moves.len());
-                moves.push(mv);
-            }
+        let at = &mut slot[mv.sd as usize];
+        if *at == 0 {
+            moves.push(mv);
+            *at = moves.len();
+        } else {
+            moves[*at - 1].to = mv.to;
         }
     }
     moves.retain(|m| m.from != m.to);

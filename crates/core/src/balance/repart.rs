@@ -9,12 +9,12 @@
 //! both gaps with one mechanism (cf. Lifflander et al., arXiv:2404.16793):
 //!
 //! - **Drift monitoring.** On a cadence (`period` epochs) the policy
-//!   recomputes a fresh capacity-aware k-way cut of the live
-//!   [`SdGraph`](nlheat_partition::SdGraph) via
-//!   [`nlheat_partition::repartition_capacitated`] and compares it against
-//!   the live ownership's cut: `cut_drift = live_cut / fresh_cut`. While
-//!   drift stays under `drift_threshold` the wrapped `inner` policy plans
-//!   the epoch as if the decorator were absent.
+//!   compares the live ownership's cut against a fresh capacity-aware
+//!   k-way cut of the live [`SdGraph`](nlheat_partition::SdGraph) from
+//!   [`nlheat_partition::repartition_capacitated`]:
+//!   `cut_drift = live_cut / fresh_cut`. While drift stays under
+//!   `drift_threshold` the wrapped `inner` policy plans the epoch as if
+//!   the decorator were absent.
 //! - **Replanning.** When drift exceeds the threshold — or the active-rank
 //!   mask changed ([`LbNetwork::active`]), or an SD is stranded on an
 //!   inactive rank — the fresh partition *becomes the target ownership*:
@@ -24,6 +24,17 @@
 //!   per epoch (evacuations off inactive ranks are scheduled first). The
 //!   inner policy is suspended while a diff is draining so it cannot fight
 //!   the target.
+//!
+//! **The fresh partition is computed once per membership, not once per
+//! tick.** It is a function of the SD graph, the active ranks, their byte
+//! capacities, the per-SD footprints and a fixed seed — *not* of the live
+//! ownership, the load metrics or the epoch count, which only decide what
+//! is done with it. `FreshMemo` therefore keeps the last result beside
+//! exactly those inputs and a tick recomputes only when one of them
+//! compares unequal: a steady-membership run partitions once however many
+//! ticks it monitors, and a `Join`/`Drain`/`Fail` recomputes because the
+//! active ranks differ, not because anything was told to forget. The key is
+//! complete because `FreshPartition::compute` takes nothing else.
 //!
 //! An infinite `drift_threshold` with no membership events makes the
 //! decorator fully transparent — byte-identical plans to running `inner`
@@ -35,7 +46,8 @@ use crate::balance::power::LoadMetrics;
 use crate::balance::score::MoveWeights;
 use crate::ownership::Ownership;
 use nlheat_mesh::SdId;
-use nlheat_partition::{repartition_capacitated, PartitionConfig};
+use nlheat_partition::{repartition_capacitated, PartitionConfig, SdGraph};
+use std::sync::Arc;
 
 /// What the drift monitor saw at the last balancing epoch — surfaced
 /// through [`LbPolicy::drift_info`] so both substrates can record trigger
@@ -56,6 +68,95 @@ pub struct DriftInfo {
 /// cross-substrate parity contract).
 const REPART_SEED: u64 = 0x9e3e_11a7;
 
+/// A fresh capacity-aware partition beside everything it was computed
+/// from (see the module docs: nothing else enters the computation).
+struct FreshPartition {
+    graph: Arc<SdGraph>,
+    /// Ranks plans may target, ascending; part `p` is rank `active[p]`.
+    active: Vec<u32>,
+    /// Byte capacity per active rank (`u64::MAX` = unbounded).
+    caps: Vec<u64>,
+    /// The caller's footprint table; `None` = derived from `graph`.
+    footprints: Option<Arc<Vec<u64>>>,
+    /// Target owner of every SD.
+    target: Vec<u32>,
+    /// Ghost cut of `target`, in bytes per timestep.
+    cut: u64,
+}
+
+impl FreshPartition {
+    fn compute(
+        graph: Arc<SdGraph>,
+        active: Vec<u32>,
+        caps: Vec<u64>,
+        footprints: Option<Arc<Vec<u64>>>,
+    ) -> Self {
+        let derived;
+        let bytes: &[u64] = match &footprints {
+            Some(table) => table,
+            None => {
+                derived = graph.footprints();
+                &derived
+            }
+        };
+        let cfg = PartitionConfig::new(active.len() as u32).with_seed(REPART_SEED);
+        let part = repartition_capacitated(graph.csr(), bytes, &caps, &cfg);
+        FreshPartition {
+            target: part.parts.iter().map(|&p| active[p as usize]).collect(),
+            cut: part.edgecut.max(0) as u64,
+            graph,
+            active,
+            caps,
+            footprints,
+        }
+    }
+}
+
+/// The last [`FreshPartition`], reused while its inputs compare equal.
+#[derive(Default)]
+struct FreshMemo {
+    last: Option<FreshPartition>,
+    /// How often [`FreshPartition::compute`] ran.
+    #[cfg(test)]
+    computations: usize,
+}
+
+impl FreshMemo {
+    /// The fresh partition for this epoch's membership: the remembered one
+    /// when every input compares equal (an `Arc` by pointer first, then by
+    /// value), a recomputed one otherwise.
+    fn get(&mut self, own: &Ownership, net: &LbNetwork, graph: &Arc<SdGraph>) -> &FreshPartition {
+        let active = RepartitionPolicy::active_ranks(own, net);
+        let caps: Vec<u64> = active
+            .iter()
+            .map(|&r| {
+                net.memory_bytes
+                    .as_ref()
+                    .map_or(u64::MAX, |c| c[r as usize])
+            })
+            .collect();
+        let reusable = self.last.as_ref().is_some_and(|fresh| {
+            fresh.graph == *graph
+                && fresh.active == active
+                && fresh.caps == caps
+                && fresh.footprints == net.sd_footprint
+        });
+        if !reusable {
+            #[cfg(test)]
+            {
+                self.computations += 1;
+            }
+            self.last = Some(FreshPartition::compute(
+                graph.clone(),
+                active,
+                caps,
+                net.sd_footprint.clone(),
+            ));
+        }
+        self.last.as_ref().expect("present or just computed")
+    }
+}
+
 /// [`LbSpec::Repartition`]: the cut-aware repartitioning decorator.
 ///
 /// [`LbSpec::Repartition`]: crate::balance::policy::LbSpec::Repartition
@@ -72,6 +173,7 @@ pub struct RepartitionPolicy {
     last_mask: Option<Vec<bool>>,
     /// What the monitor reported at the last epoch.
     last: DriftInfo,
+    fresh: FreshMemo,
 }
 
 impl RepartitionPolicy {
@@ -98,6 +200,7 @@ impl RepartitionPolicy {
                 cut_drift: 0.0,
                 replan: false,
             },
+            fresh: FreshMemo::default(),
         }
     }
 
@@ -116,32 +219,6 @@ impl RepartitionPolicy {
             }
             None => (0..own.n_nodes()).collect(),
         }
-    }
-
-    /// Compute the fresh capacity-aware partition and map part ids back
-    /// onto active rank ids. Returns `(target_owners, fresh_cut_bytes)`.
-    fn fresh_partition(
-        own: &Ownership,
-        net: &LbNetwork,
-        graph: &nlheat_partition::SdGraph,
-    ) -> (Vec<u32>, u64) {
-        let active = Self::active_ranks(own, net);
-        let footprints = match &net.sd_footprint {
-            Some(fp) => fp.as_ref().clone(),
-            None => graph.footprints(),
-        };
-        let caps: Vec<u64> = active
-            .iter()
-            .map(|&r| {
-                net.memory_bytes
-                    .as_ref()
-                    .map_or(u64::MAX, |c| c[r as usize])
-            })
-            .collect();
-        let cfg = PartitionConfig::new(active.len() as u32).with_seed(REPART_SEED);
-        let part = repartition_capacitated(graph.csr(), &footprints, &caps, &cfg);
-        let target: Vec<u32> = part.parts.iter().map(|&p| active[p as usize]).collect();
-        (target, part.edgecut.max(0) as u64)
     }
 
     /// Emit the next chunk of the staged old→new diff: evacuations off
@@ -263,16 +340,16 @@ impl LbPolicy for RepartitionPolicy {
             return self.delegate(own, metrics, net);
         }
 
-        let (target, fresh_cut) = Self::fresh_partition(own, net, &graph);
+        let fresh = self.fresh.get(own, net, &graph);
         let live_cut = graph.cut_bytes(own.owners());
-        let cut_drift = if fresh_cut == 0 {
+        let cut_drift = if fresh.cut == 0 {
             if live_cut == 0 {
                 1.0
             } else {
                 f64::INFINITY
             }
         } else {
-            live_cut as f64 / fresh_cut as f64
+            live_cut as f64 / fresh.cut as f64
         };
         if monitor {
             self.last.cut_drift = cut_drift;
@@ -280,12 +357,12 @@ impl LbPolicy for RepartitionPolicy {
         if !(cut_drift > self.drift_threshold || mask_changed || stranded) {
             return self.delegate(own, metrics, net);
         }
-        if target.as_slice() == own.owners() {
+        if fresh.target.as_slice() == own.owners() {
             // Already at the fresh partition (e.g. a Join event before any
             // imbalance): nothing to stage.
             return self.delegate(own, metrics, net);
         }
-        self.target = Some(target);
+        self.target = Some(fresh.target.clone());
         self.last.replan = true;
         self.emit_chunk(own, metrics, net)
     }
@@ -504,6 +581,127 @@ mod tests {
         policy.plan(&own, &m, &net);
         policy.plan(&own, &m, &net);
         assert_eq!(policy.drift_info().unwrap().cut_drift, d1);
+    }
+
+    /// A bare decorator over `tree(0)` monitoring every epoch — built
+    /// directly so the tests below can read the memo's computation count.
+    fn monitor(drift_threshold: f64, max_bytes_per_epoch: u64) -> RepartitionPolicy {
+        RepartitionPolicy::new(
+            LbSpec::tree(0.0).build(),
+            drift_threshold,
+            1,
+            max_bytes_per_epoch,
+        )
+    }
+
+    #[test]
+    fn steady_membership_partitions_once() {
+        let (own, graph) = scrambled();
+        let net = net_with_graph(graph);
+        // a threshold no drift reaches: every epoch monitors, none replans,
+        // the inner tree keeps changing the ownership under the monitor
+        let mut policy = monitor(1e6, u64::MAX);
+        let mut current = own;
+        let mut owners_seen = std::collections::HashSet::new();
+        for _ in 0..6 {
+            owners_seen.insert(current.owners().to_vec());
+            current = policy
+                .plan(&current, &metrics_for(&current), &net)
+                .new_ownership;
+            assert!(policy.drift_info().unwrap().cut_drift > 0.0);
+        }
+        assert!(owners_seen.len() > 1, "the ownership must move under it");
+        assert_eq!(policy.fresh.computations, 1);
+    }
+
+    #[test]
+    fn each_changed_input_recomputes_exactly_once() {
+        let (own, graph) = scrambled();
+        let footprints = graph.footprints();
+        let total: u64 = footprints.iter().sum();
+        let with = |caps: Vec<u64>, footprints: Vec<u64>, mask: [bool; 4]| {
+            let mut net =
+                net_with_graph(graph.clone()).with_memory(Arc::new(caps), Arc::new(footprints));
+            net.active = Some(Arc::new(mask.to_vec()));
+            net
+        };
+        let m = metrics_for(&own);
+        let mut policy = monitor(1e6, u64::MAX);
+        let mut computed_after = |net: &LbNetwork| {
+            // twice: the second call must be served from the memo
+            policy.plan(&own, &m, net);
+            policy.plan(&own, &m, net);
+            policy.fresh.computations
+        };
+        let base = with(vec![total; 4], footprints.clone(), [true; 4]);
+        assert_eq!(computed_after(&base), 1);
+        // equal values behind new `Arc`s: the key compares by value
+        let again = with(vec![total; 4], footprints.clone(), [true; 4]);
+        assert_eq!(computed_after(&again), 1);
+        let masked = with(
+            vec![total; 4],
+            footprints.clone(),
+            [true, true, true, false],
+        );
+        assert_eq!(computed_after(&masked), 2);
+        let capped = with(
+            vec![total, total, total / 2, total],
+            footprints.clone(),
+            [true, true, true, false],
+        );
+        assert_eq!(computed_after(&capped), 3);
+        let mut heavier = footprints.clone();
+        heavier[0] += 8;
+        let refooted = with(
+            vec![total, total, total / 2, total],
+            heavier,
+            [true, true, true, false],
+        );
+        assert_eq!(computed_after(&refooted), 4);
+        // a cap of an *inactive* rank is not an input
+        let idle_cap = {
+            let mut heavier = footprints.clone();
+            heavier[0] += 8;
+            with(
+                vec![total, total, total / 2, 1],
+                heavier,
+                [true, true, true, false],
+            )
+        };
+        assert_eq!(computed_after(&idle_cap), 4);
+    }
+
+    #[test]
+    fn memoised_monitor_matches_one_that_forgets_every_epoch() {
+        let (own, graph) = scrambled();
+        let mut net = net_with_graph(graph);
+        // a budget of five tiles stages every diff over several epochs
+        let mut kept = monitor(1.2, 5 * 152);
+        let mut forgetful = monitor(1.2, 5 * 152);
+        let masks = [
+            [true, true, true, true],
+            [true, true, true, false], // rank 3 drains at epoch 5
+            [true, true, true, true],  // and rejoins at epoch 11
+        ];
+        let mut current = own;
+        let mut replans = 0;
+        for epoch in 0..18 {
+            net.active = Some(Arc::new(
+                masks[(epoch >= 4) as usize + (epoch >= 10) as usize].to_vec(),
+            ));
+            let m = metrics_for(&current);
+            forgetful.fresh = FreshMemo::default();
+            let a = kept.plan(&current, &m, &net);
+            let b = forgetful.plan(&current, &m, &net);
+            assert_eq!(a.moves, b.moves, "epoch {epoch}");
+            assert_eq!(kept.target, forgetful.target, "epoch {epoch}");
+            assert_eq!(kept.drift_info(), forgetful.drift_info(), "epoch {epoch}");
+            replans += usize::from(kept.drift_info().unwrap().replan);
+            current = a.new_ownership;
+        }
+        assert!(replans >= 6, "staged replans must be part of the run");
+        // one partition per membership (the memo holds the last one only)
+        assert_eq!(kept.fresh.computations, 3);
     }
 
     #[test]

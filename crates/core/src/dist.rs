@@ -243,8 +243,9 @@ struct Setup {
     reverse: Vec<Vec<(SdId, u16)>>,
     /// The SD adjacency / halo-volume graph derived from `plans` — the
     /// planner's view of the recurring ghost traffic the real parcels
-    /// produce.
-    sd_graph: Arc<SdGraph>,
+    /// produce. Only planning reads it, so it exists only beside an LB
+    /// schedule.
+    sd_graph: Option<Arc<SdGraph>>,
     initial_owners: Vec<u32>,
     /// Per-locality memory capacities (`u64::MAX` = unbounded) when any
     /// locality declares a cap.
@@ -276,7 +277,10 @@ impl Setup {
             .collect();
         let reverse = reverse_index(&plans);
         let initial_owners = cfg.partition.initial_owners(&sds, n_nodes);
-        let sd_graph = Arc::new(SdGraph::from_plans(&sds, &plans));
+        let sd_graph = cfg
+            .lb
+            .is_some()
+            .then(|| Arc::new(SdGraph::from_plans(&sds, &plans)));
         let sec_per_dp = nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len());
         let memory_caps = cfg.memory_bytes.iter().any(Option::is_some).then(|| {
             assert_eq!(
@@ -814,7 +818,10 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
             lb,
             net: &cfg.net,
             cells_per_sd: sds.cells_per_sd(),
-            sd_graph: setup.sd_graph.clone(),
+            sd_graph: setup
+                .sd_graph
+                .clone()
+                .expect("built beside the LB schedule"),
             memory_caps: setup.memory_caps.clone(),
             lb_input: cfg.lb_input,
             cluster_events: &cfg.cluster_events,

@@ -66,21 +66,18 @@ pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
     for v in 0..n {
         vwgt[map[v] as usize] += g.vwgt[v];
     }
-    // Accumulate coarse edges.
-    let mut edges = std::collections::HashMap::new();
+    // Every fine edge once (from its smaller endpoint), relabelled;
+    // `Csr::from_edges` merges the parallel ones.
+    let mut edge_list: Vec<(u32, u32, i64)> = Vec::new();
     for v in 0..n as u32 {
         let cv = map[v as usize];
         for (u, w) in g.neighbors(v) {
             let cu = map[u as usize];
-            if cu != cv {
-                let key = (cv.min(cu), cv.max(cu));
-                *edges.entry(key).or_insert(0i64) += w;
+            if u > v && cu != cv {
+                edge_list.push((cv, cu, w));
             }
         }
     }
-    // Each undirected fine edge visited twice -> halve.
-    let edge_list: Vec<(u32, u32, i64)> =
-        edges.into_iter().map(|((a, b), w)| (a, b, w / 2)).collect();
     CoarseLevel {
         graph: Csr::from_edges(nc, &edge_list, vwgt),
         map,
@@ -90,16 +87,18 @@ pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
 /// Returns the chain of levels, finest first.
 pub fn coarsen_to(g: &Csr, target_n: usize, rng: &mut impl Rng) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = g.clone();
-    while current.n() > target_n {
-        let mate = heavy_edge_matching(&current, rng);
-        let level = contract(&current, &mate);
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    loop {
+        let current = levels.last().map_or(g, |level| &level.graph);
+        if current.n() <= target_n {
+            break;
+        }
+        let mate = heavy_edge_matching(current, rng);
+        let level = contract(current, &mate);
         // Stall guard: matching too sparse to make progress.
         if level.graph.n() as f64 > current.n() as f64 * 0.95 {
             break;
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels

@@ -18,10 +18,7 @@ pub fn edge_cut(g: &Csr, parts: &[u32]) -> i64 {
 /// Load-balance factor: `max_p weight(p) · k / total` — 1.0 is perfect,
 /// larger means the heaviest part is overloaded by that factor.
 pub fn balance(g: &Csr, parts: &[u32], k: u32) -> f64 {
-    let mut weights = vec![0i64; k as usize];
-    for v in 0..g.n() {
-        weights[parts[v] as usize] += g.vwgt[v];
-    }
+    let weights = part_weights(g, parts, k);
     let max = weights.iter().copied().max().unwrap_or(0);
     let total = g.total_vwgt();
     if total == 0 {
@@ -32,11 +29,16 @@ pub fn balance(g: &Csr, parts: &[u32], k: u32) -> f64 {
 
 /// Per-part vertex-weight totals.
 pub fn part_weights(g: &Csr, parts: &[u32], k: u32) -> Vec<i64> {
-    let mut weights = vec![0i64; k as usize];
-    for v in 0..g.n() {
-        weights[parts[v] as usize] += g.vwgt[v];
+    part_loads(&g.vwgt, parts, k)
+}
+
+/// [`part_weights`] under vertex weights held beside the graph.
+pub(crate) fn part_loads(vwgt: &[i64], parts: &[u32], k: u32) -> Vec<i64> {
+    let mut loads = vec![0i64; k as usize];
+    for (&p, &w) in parts.iter().zip(vwgt) {
+        loads[p as usize] += w;
     }
-    weights
+    loads
 }
 
 /// Number of connected components of part `p` under the graph adjacency —

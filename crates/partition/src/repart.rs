@@ -23,6 +23,14 @@
 //!   where the direct k-way refinement's per-vertex `O(k)` connection
 //!   array would cost ~10¹⁰ operations at 10k parts.
 //!
+//! The byte weights never go into a re-weighted copy of the caller's graph
+//! at cluster scale: the multilevel path reads adjacency from the graph it
+//! was handed and weights from a slice beside it, and every coarse level
+//! is contracted from a borrow of the level before — a 250k-SD replan used
+//! to copy the 26 MB graph three times before partitioning it. Only the
+//! direct path (≤ 8192 vertices) still builds a re-weighted copy, because
+//! [`part_graph`] reads its weights off the graph.
+//!
 //! Both strategies end in [`capacity_repair`]-style sweeps so no part
 //! exceeds its byte capacity when a feasible assignment is reachable by
 //! single-vertex moves. Determinism: same graph, weights, caps and seed
@@ -31,7 +39,7 @@
 use crate::coarsen::{heavy_edge_matching, CoarseLevel};
 use crate::graph::Csr;
 use crate::kway::{part_graph, Partition, PartitionConfig};
-use crate::metrics::{edge_cut, part_weights};
+use crate::metrics::{edge_cut, part_loads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,16 +76,13 @@ pub fn repartition_capacitated(
     assert!(cfg.k >= 1, "k must be positive");
     assert!(caps.iter().all(|&c| c > 0), "capacities must be positive");
 
+    // The byte weights ride beside the caller's graph instead of inside a
+    // re-weighted copy of it: everything below reads adjacency from `g`
+    // and vertex weights from `vwgt`.
     let vwgt: Vec<i64> = bytes
         .iter()
         .map(|&b| b.min(i64::MAX as u64) as i64)
         .collect();
-    let bg = Csr {
-        xadj: g.xadj.clone(),
-        adjncy: g.adjncy.clone(),
-        adjwgt: g.adjwgt.clone(),
-        vwgt,
-    };
 
     if cfg.k == 1 || n == 0 {
         return Partition {
@@ -89,7 +94,7 @@ pub fn repartition_capacitated(
     if cfg.k as usize >= n {
         // One vertex per part, mirroring `part_graph`'s degenerate branch.
         let parts: Vec<u32> = (0..n as u32).collect();
-        let edgecut = edge_cut(&bg, &parts);
+        let edgecut = edge_cut(g, &parts);
         return Partition {
             parts,
             k: cfg.k,
@@ -97,13 +102,20 @@ pub fn repartition_capacitated(
         };
     }
 
-    let eff = effective_caps(&bg, caps, cfg);
+    let eff = effective_caps(&vwgt, caps, cfg);
     let mut parts = if n <= DIRECT_MAX_N && (n as u64) * (cfg.k as u64) <= DIRECT_MAX_WORK {
+        // `part_graph` reads its weights off the graph, so the direct
+        // path — at most `DIRECT_MAX_N` vertices — is the one place that
+        // still re-weights a copy.
+        let bg = Csr {
+            vwgt: vwgt.clone(),
+            ..g.clone()
+        };
         part_graph(&bg, cfg).parts
     } else {
-        multilevel_kway(&bg, cfg, &eff)
+        multilevel_kway(g, &vwgt, cfg, &eff)
     };
-    capacity_sweeps(&bg, &mut parts, cfg, &eff);
+    capacity_sweeps(g, &vwgt, &mut parts, cfg, &eff);
     // The balance-tightened budget can stall the repair with a *hard*
     // capacity still violated (every other part's slack eaten by the
     // tighter balance target, so no move is admissible). A second sweep
@@ -114,9 +126,9 @@ pub fn repartition_capacitated(
         .map(|&c| c.min(i64::MAX as u64) as i64)
         .collect();
     if hard != eff {
-        capacity_sweeps(&bg, &mut parts, cfg, &hard);
+        capacity_sweeps(g, &vwgt, &mut parts, cfg, &hard);
     }
-    let edgecut = edge_cut(&bg, &parts);
+    let edgecut = edge_cut(g, &parts);
     Partition {
         parts,
         k: cfg.k,
@@ -128,8 +140,8 @@ pub fn repartition_capacitated(
 /// tightened by the balance target when that is feasible. With unbounded
 /// caps this reduces to the classic `total/k · imbalance` cap; with tight
 /// heterogeneous caps the capacities win.
-fn effective_caps(g: &Csr, caps: &[u64], cfg: &PartitionConfig) -> Vec<i64> {
-    let total = g.total_vwgt();
+fn effective_caps(vwgt: &[i64], caps: &[u64], cfg: &PartitionConfig) -> Vec<i64> {
+    let total: i64 = vwgt.iter().sum();
     let k = cfg.k as i64;
     let balance_cap = ((total as f64 / k as f64) * cfg.imbalance).ceil() as i64;
     let hard: Vec<i64> = caps
@@ -149,8 +161,9 @@ fn effective_caps(g: &Csr, caps: &[u64], cfg: &PartitionConfig) -> Vec<i64> {
 /// Heavy-edge-matching contraction without the hashing of
 /// [`crate::coarsen::contract`]: every coarse vertex has at most two fine
 /// members, so one dense scratch row accumulates its coarse neighbour
-/// weights in O(degree).
-fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
+/// weights in O(degree). `vwgt` are the vertex weights to merge (the
+/// graph's own at every level but the finest).
+fn contract_fast(g: &Csr, vwgt: &[i64], mate: &[u32]) -> CoarseLevel {
     let n = g.n();
     let mut map = vec![u32::MAX; n];
     let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
@@ -165,13 +178,15 @@ fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
         members.push((v, m));
     }
     let nc = members.len();
-    let mut vwgt = vec![0i64; nc];
+    let mut coarse_vwgt = vec![0i64; nc];
     for v in 0..n {
-        vwgt[map[v] as usize] += g.vwgt[v];
+        coarse_vwgt[map[v] as usize] += vwgt[v];
     }
     let mut xadj = Vec::with_capacity(nc + 1);
-    let mut adjncy: Vec<u32> = Vec::new();
-    let mut adjwgt: Vec<i64> = Vec::new();
+    // A contraction only ever merges entries: the fine count bounds the
+    // coarse one, so the rows are pushed without a single regrowth.
+    let mut adjncy: Vec<u32> = Vec::with_capacity(g.adjncy.len());
+    let mut adjwgt: Vec<i64> = Vec::with_capacity(g.adjncy.len());
     let mut slot = vec![usize::MAX; nc];
     xadj.push(0usize);
     for (c, &(a, b)) in members.iter().enumerate() {
@@ -198,12 +213,14 @@ fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
         }
         xadj.push(adjncy.len());
     }
+    adjncy.shrink_to_fit();
+    adjwgt.shrink_to_fit();
     CoarseLevel {
         graph: Csr {
             xadj,
             adjncy,
             adjwgt,
-            vwgt,
+            vwgt: coarse_vwgt,
         },
         map,
     }
@@ -211,17 +228,23 @@ fn contract_fast(g: &Csr, mate: &[u32]) -> CoarseLevel {
 
 /// Coarsen until `target_n` vertices remain or matching stalls, using the
 /// hash-free contraction. Levels are returned finest-first, like
-/// [`crate::coarsen::coarsen_to`].
-fn coarsen_fast(g: &Csr, target_n: usize, rng: &mut StdRng) -> Vec<CoarseLevel> {
+/// [`crate::coarsen::coarsen_to`]; each level is contracted from a borrow
+/// of the one before it (of `g` under `vwgt` at the finest).
+fn coarsen_fast(g: &Csr, vwgt: &[i64], target_n: usize, rng: &mut StdRng) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.n() > target_n {
-        let mate = heavy_edge_matching(&current, rng);
-        let level = contract_fast(&current, &mate);
+    loop {
+        let (current, weights) = match levels.last() {
+            Some(level) => (&level.graph, level.graph.vwgt.as_slice()),
+            None => (g, vwgt),
+        };
+        if current.n() <= target_n {
+            break;
+        }
+        let mate = heavy_edge_matching(current, rng);
+        let level = contract_fast(current, weights, &mate);
         if level.graph.n() as f64 > current.n() as f64 * 0.95 {
             break;
         }
-        current = level.graph.clone();
         levels.push(level);
     }
     levels
@@ -229,24 +252,27 @@ fn coarsen_fast(g: &Csr, target_n: usize, rng: &mut StdRng) -> Vec<CoarseLevel> 
 
 /// Multilevel k-way partitioning with k-independent refinement — the
 /// cluster-scale path.
-fn multilevel_kway(bg: &Csr, cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
+fn multilevel_kway(g: &Csr, vwgt: &[i64], cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
     let k = cfg.k;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let target = (k as usize * 4).max(256);
-    let levels = coarsen_fast(bg, target, &mut rng);
-    let coarsest: &Csr = levels.last().map(|l| &l.graph).unwrap_or(bg);
+    let levels = coarsen_fast(g, vwgt, target, &mut rng);
+    let (coarsest, coarsest_vwgt) = match levels.last() {
+        Some(level) => (&level.graph, level.graph.vwgt.as_slice()),
+        None => (g, vwgt),
+    };
 
     // Initial assignment: a weight-balanced contiguous sweep over coarse
     // ids (coarse ids inherit fine-vertex order, so contiguous id ranges
     // stay spatially local). Guarantees every part non-empty.
     let nc = coarsest.n();
-    let total = coarsest.total_vwgt();
+    let total: i64 = coarsest_vwgt.iter().sum();
     let mut parts = vec![0u32; nc];
     let mut p = 0u32;
     let mut acc = 0i64;
     for (v, part) in parts.iter_mut().enumerate() {
         *part = p.min(k - 1);
-        acc += coarsest.vwgt[v];
+        acc += coarsest_vwgt[v];
         let remaining_vertices = (nc - v - 1) as u32;
         if p + 1 < k
             && remaining_vertices >= k - p - 1
@@ -255,7 +281,14 @@ fn multilevel_kway(bg: &Csr, cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
             p += 1;
         }
     }
-    refine_capacitated(coarsest, &mut parts, k, eff, cfg.refine_passes);
+    refine_capacitated(
+        coarsest,
+        coarsest_vwgt,
+        &mut parts,
+        k,
+        eff,
+        cfg.refine_passes,
+    );
 
     // Uncoarsen: project through each level's map, refine at each scale
     // (each level's `map` projects onto the graph it contracted — the
@@ -269,8 +302,11 @@ fn multilevel_kway(bg: &Csr, cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
             *part = current[level.map[v] as usize];
         }
         current = finer;
-        let fine_graph: &Csr = if idx == 0 { bg } else { &levels[idx - 1].graph };
-        refine_capacitated(fine_graph, &mut current, k, eff, 2);
+        let (fine_graph, fine_vwgt) = match idx.checked_sub(1) {
+            Some(above) => (&levels[above].graph, levels[above].graph.vwgt.as_slice()),
+            None => (g, vwgt),
+        };
+        refine_capacitated(fine_graph, fine_vwgt, &mut current, k, eff, 2);
     }
     current
 }
@@ -280,12 +316,12 @@ fn multilevel_kway(bg: &Csr, cfg: &PartitionConfig, eff: &[i64]) -> Vec<u32> {
 /// vertex actually touches. Moves require positive gain and a destination
 /// under its effective cap; a vertex in an over-cap part may also take a
 /// zero/negative-gain move to shed load (the repair case).
-fn refine_capacitated(g: &Csr, parts: &mut [u32], k: u32, eff: &[i64], passes: u32) {
+fn refine_capacitated(g: &Csr, vwgt: &[i64], parts: &mut [u32], k: u32, eff: &[i64], passes: u32) {
     let n = g.n();
     if n == 0 || k < 2 {
         return;
     }
-    let mut loads = part_weights(g, parts, k);
+    let mut loads = part_loads(vwgt, parts, k);
     let mut conn = vec![0i64; k as usize];
     let mut touched: Vec<u32> = Vec::with_capacity(32);
     for _ in 0..passes {
@@ -305,7 +341,7 @@ fn refine_capacitated(g: &Csr, parts: &mut [u32], k: u32, eff: &[i64], passes: u
                 }
             }
             if is_boundary {
-                let vw = g.vwgt[v as usize];
+                let vw = vwgt[v as usize];
                 let own_conn = conn[own as usize];
                 let over_cap = loads[own as usize] > eff[own as usize];
                 let mut best: Option<(u32, i64)> = None;
@@ -347,13 +383,13 @@ fn refine_capacitated(g: &Csr, parts: &mut [u32], k: u32, eff: &[i64], passes: u
 /// its boundary vertices out to the adjacent part with the best
 /// (gain, headroom) — or, when no adjacent part has room, to the globally
 /// emptiest part — until every part fits or a sweep makes no progress.
-fn capacity_sweeps(g: &Csr, parts: &mut [u32], cfg: &PartitionConfig, eff: &[i64]) {
+fn capacity_sweeps(g: &Csr, vwgt: &[i64], parts: &mut [u32], cfg: &PartitionConfig, eff: &[i64]) {
     let k = cfg.k;
     let n = g.n();
     if n == 0 || k < 2 {
         return;
     }
-    let mut loads = part_weights(g, parts, k);
+    let mut loads = part_loads(vwgt, parts, k);
     let over = |loads: &[i64]| (0..k as usize).any(|p| loads[p] > eff[p]);
     if !over(&loads) {
         return;
@@ -367,7 +403,7 @@ fn capacity_sweeps(g: &Csr, parts: &mut [u32], cfg: &PartitionConfig, eff: &[i64
             if loads[own as usize] <= eff[own as usize] {
                 continue;
             }
-            let vw = g.vwgt[v as usize];
+            let vw = vwgt[v as usize];
             touched.clear();
             for (u, w) in g.neighbors(v) {
                 let pu = parts[u as usize];
@@ -565,7 +601,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let mate = heavy_edge_matching(&g, &mut rng);
             let slow = contract(&g, &mate);
-            let fast = contract_fast(&g, &mate);
+            let fast = contract_fast(&g, &g.vwgt, &mate);
             assert_eq!(fast.map, slow.map);
             assert_eq!(fast.graph.vwgt, slow.graph.vwgt);
             fast.graph.validate().unwrap();

@@ -13,6 +13,11 @@
 //! simulator charges per ghost message (`cells · 8 + 24` framing, summed
 //! over both directions of the exchange).
 //!
+//! The graph is a function of the grid geometry alone, so it is built once
+//! per run — never per epoch — and shared behind an `Arc` by everything
+//! that plans against it; a run without a balancing schedule never builds
+//! it.
+//!
 //! The graph is stored as the same [`Csr`] the partitioner uses, so the
 //! ownership edge cut — the recurring ghost bytes a given SD→node
 //! assignment ships every timestep — is literally
@@ -34,6 +39,15 @@ pub fn patch_wire_bytes(cells: i64) -> u64 {
     (cells * 8 + 24) as u64
 }
 
+/// One directed ghost message `src → plan.sd` per timestep and SD-sourced
+/// patch of `plan`; [`Csr::from_edges`] sums duplicates, so the symmetric
+/// message of the reverse plan lands on the same undirected edge.
+fn push_exchanges(plan: &HaloPlan, edges: &mut Vec<(SdId, SdId, i64)>) {
+    for (_, src, patch) in plan.sd_patches() {
+        edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
+    }
+}
+
 /// Per-SD neighbour lists with halo-exchange volumes: one vertex per SD
 /// (weight = its cell count), one undirected edge per pair of SDs that
 /// trade ghost patches (weight = total wire bytes per timestep, both
@@ -51,29 +65,31 @@ impl SdGraph {
     /// Panics when `plans` does not cover the grid.
     pub fn from_plans(sds: &SdGrid, plans: &[HaloPlan]) -> Self {
         assert_eq!(plans.len(), sds.count(), "one halo plan per SD");
-        let mut edges: Vec<(SdId, SdId, i64)> = Vec::new();
+        let mut edges = Vec::new();
         for (i, plan) in plans.iter().enumerate() {
             assert_eq!(plan.sd as usize, i, "plans must be in SD id order");
-            for (_, src, patch) in plan.sd_patches() {
-                // One directed ghost message src → plan.sd per timestep;
-                // `Csr::from_edges` sums duplicates, so the symmetric
-                // message of the reverse plan lands on the same
-                // undirected edge.
-                edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
-            }
+            push_exchanges(plan, &mut edges);
         }
-        let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
-        SdGraph {
-            csr: Csr::from_edges(sds.count(), &edges, vwgt),
-        }
+        SdGraph::from_exchanges(sds, &edges)
     }
 
-    /// Build from grid geometry alone (constructs the halo plans
-    /// internally — callers that already hold plans should prefer
-    /// [`SdGraph::from_plans`]).
+    /// Build from grid geometry alone, for callers that hold no plans
+    /// (those that do should prefer [`SdGraph::from_plans`]). Streams: the
+    /// plan of one SD is built, turned into its edges and dropped before
+    /// the next, so a planning-scale grid never holds a plan per SD.
     pub fn build(sds: &SdGrid, halo: i64) -> Self {
-        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(sds, halo, id)).collect();
-        SdGraph::from_plans(sds, &plans)
+        let mut edges = Vec::new();
+        for id in sds.ids() {
+            push_exchanges(&build_halo_plan(sds, halo, id), &mut edges);
+        }
+        SdGraph::from_exchanges(sds, &edges)
+    }
+
+    fn from_exchanges(sds: &SdGrid, edges: &[(SdId, SdId, i64)]) -> Self {
+        let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
+        SdGraph {
+            csr: Csr::from_edges(sds.count(), edges, vwgt),
+        }
     }
 
     /// Number of SDs (vertices).
@@ -254,11 +270,26 @@ mod tests {
         assert!(g3.resident_bytes(centre) > g3.resident_bytes(sds3.id(0, 0)));
     }
 
+    /// The streamed builder against the one over held plans, on a
+    /// non-square grid, from a thin halo to a multi-ring one (12 > sd 5).
     #[test]
     fn from_plans_matches_build() {
-        let sds = SdGrid::new(4, 3, 5);
-        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 7, id)).collect();
-        assert_eq!(SdGraph::from_plans(&sds, &plans), SdGraph::build(&sds, 7));
+        for sd in [5usize, 25] {
+            for halo in [2i64, 4, 8, 12] {
+                let sds = SdGrid::new(4, 3, sd);
+                let plans: Vec<HaloPlan> = sds
+                    .ids()
+                    .map(|id| build_halo_plan(&sds, halo, id))
+                    .collect();
+                let streamed = SdGraph::build(&sds, halo);
+                assert_eq!(
+                    SdGraph::from_plans(&sds, &plans),
+                    streamed,
+                    "sd {sd}, halo {halo}"
+                );
+                streamed.csr().validate().unwrap();
+            }
+        }
     }
 
     /// The satellite acceptance test: the SD-graph cut equals

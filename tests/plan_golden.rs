@@ -76,6 +76,18 @@ const GOLDEN: &[(&str, &str, u64)] = &[
     ("lopsided_one_rack", "hier(greedy,λ)+μ", 0xc5c283466e657f56),
 ];
 
+/// `(scenario, digest)` of the library's three repartition scenarios run
+/// with *their own* policies (the drift monitor at threshold 1.15, and the
+/// membership-driven replans of a `Join` pair and a `Fail`), recorded at
+/// the commit before the fresh partition was memoised (PR 17, `cfd6253`).
+/// The digest also folds every epoch's `cut_drift` bits and `replan` flag,
+/// so a memo that served a stale partition would move it.
+const MONITOR_GOLDEN: &[(&str, u64)] = &[
+    ("cut_drift", 0xb1352366ee86b1b9),
+    ("elastic_scale_out", 0x49b4144c57314e88),
+    ("rank_failure", 0x5da500328391d8e9),
+];
+
 fn fnv1a(h: &mut u64, v: u64) {
     for b in v.to_le_bytes() {
         *h ^= u64::from(b);
@@ -97,6 +109,16 @@ fn digest(report: &RunReport) -> u64 {
     }
     for &o in report.final_ownership.owners() {
         fnv1a(&mut h, u64::from(o));
+    }
+    h
+}
+
+/// [`digest`] plus what the drift monitor reported at every epoch.
+fn monitor_digest(report: &RunReport) -> u64 {
+    let mut h = digest(report);
+    for trace in &report.epoch_traces {
+        fnv1a(&mut h, trace.cut_drift.to_bits());
+        fnv1a(&mut h, u64::from(trace.replan));
     }
     h
 }
@@ -251,5 +273,32 @@ fn gated_plans_match_the_digests_recorded_at_the_parent() {
     assert!(
         actual == GOLDEN,
         "plan digests moved; if intended, GOLDEN becomes:\n{table}"
+    );
+}
+
+#[test]
+fn repartition_scenarios_match_the_digests_recorded_before_the_memo() {
+    let actual: Vec<(&str, u64)> = [
+        ("cut_drift", scenarios::cut_drift(true)),
+        ("elastic_scale_out", scenarios::elastic_scale_out(true)),
+        ("rank_failure", scenarios::rank_failure(true)),
+    ]
+    .into_iter()
+    .map(|(name, sc)| {
+        let report = sc.with_lb_input(LbInput::Modeled).run_sim();
+        assert!(
+            report.epoch_traces.iter().any(|t| t.replan),
+            "{name}: no epoch replanned — the digest would pin the inner policy alone"
+        );
+        (name, monitor_digest(&report))
+    })
+    .collect();
+    let table: String = actual
+        .iter()
+        .map(|(s, d)| format!("    (\"{s}\", 0x{d:016x}),\n"))
+        .collect();
+    assert!(
+        actual == MONITOR_GOLDEN,
+        "repartition digests moved; if intended, MONITOR_GOLDEN becomes:\n{table}"
     );
 }
