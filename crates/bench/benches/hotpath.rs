@@ -20,7 +20,7 @@ use nlheat_core::scenario::{modeled_busy, work_at, ClusterSpec, PartitionSpec, S
 use nlheat_core::scenarios;
 use nlheat_core::Ownership;
 use nlheat_mesh::{Grid, Rect, Tile};
-use nlheat_model::{zero_source, Influence, NonlocalKernel};
+use nlheat_model::{zero_source, Influence, NonlocalKernel, VectorLevel};
 use nlheat_sim::engine::simulate;
 use nlheat_sim::scenario::{RunSim, SimSubstrate};
 use nlheat_sim::LbSchedule;
@@ -127,6 +127,8 @@ fn kernel_bench(c: &mut Criterion) {
     let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Constant);
     let dt = kernel.stable_dt(0.5);
     let src = zero_source();
+    // which instantiation `blocked_*` (and every solver below) ran
+    criterion::record_meta("vector_level", VectorLevel::detect().name());
 
     let mut g = c.benchmark_group("kernel");
     for (label, n) in [("50x50", 50i64), ("200x200", 200i64)] {
@@ -152,22 +154,33 @@ fn kernel_bench(c: &mut Criterion) {
                 );
             })
         });
-        let plan = kernel.plan(curr.stride());
-        g.bench_function(&format!("blocked_{label}_eps8h"), |b| {
-            b.iter(|| {
-                kernel.apply_region_blocked(
-                    black_box(&curr),
-                    &mut next,
-                    &region,
-                    &plan,
-                    (0, 0),
-                    0.0,
-                    dt,
-                    &src,
-                    1,
-                );
-            })
-        });
+        // The production kernel at the level the solvers run on this CPU
+        // (`blocked_*`), and at the baseline level every CPU runs
+        // (`blocked_baseline_*`) — the same entry twice where the CPU has
+        // nothing wider.
+        for (name, plan) in [
+            ("blocked", kernel.plan(curr.stride())),
+            (
+                "blocked_baseline",
+                kernel.plan_at(curr.stride(), VectorLevel::Baseline),
+            ),
+        ] {
+            g.bench_function(&format!("{name}_{label}_eps8h"), |b| {
+                b.iter(|| {
+                    kernel.apply_region_blocked(
+                        black_box(&curr),
+                        &mut next,
+                        &region,
+                        &plan,
+                        (0, 0),
+                        0.0,
+                        dt,
+                        &src,
+                        1,
+                    );
+                })
+            });
+        }
     }
     g.finish();
 }

@@ -9,9 +9,13 @@
 //!    held against its retained baseline measured *in the same run*. The
 //!    `zerocopy` vs `legacy` halo codec and the sweep runner must not be
 //!    slower (a small slack absorbs micro-bench noise). The production
-//!    kernel must stay at or under [`KERNEL_LIMIT`] × the scalar reference:
-//!    its speed *is* its eight independent accumulator chains, and a fall
-//!    back to one chain lands at ≈ 0.85 ×, well past the limit.
+//!    kernel's baseline instantiation must stay at or under
+//!    [`KERNEL_LIMIT`] × the scalar reference: its speed *is* its eight
+//!    independent accumulator chains, and a fall back to one chain lands at
+//!    ≈ 0.85 ×, well past the limit. Where the run's `"vector_level"` says
+//!    the CPU had AVX2, the level the solvers ran must in turn stay at or
+//!    under [`AVX2_LIMIT`] × the baseline instantiation; on any other run
+//!    that pair is skipped.
 //! 2. **Snapshot band**: every benchmark present in the snapshot must stay
 //!    within `NLHEAT_BENCH_TOLERANCE` × its recorded mean (default 1.5 —
 //!    wide enough for runner-to-runner variance, tight enough to catch a
@@ -73,33 +77,70 @@ fn parse_results(doc: &str) -> Vec<Entry> {
     out
 }
 
+/// The `"vector_level"` the run's JSON states (the kernel instantiation
+/// its `kernel/blocked_*` entries and solvers ran), if any.
+fn vector_level(doc: &str) -> Option<String> {
+    doc.lines().find_map(|line| str_field(line, "vector_level"))
+}
+
 fn lookup<'a>(entries: &'a [Entry], name: &str) -> Option<&'a Entry> {
     entries.iter().find(|e| e.name == name)
 }
 
-/// Most the production kernel may take relative to the scalar reference
-/// in the same run. Measured 0.26–0.31 (SSE2 codegen, 2-vCPU Xeon); the
-/// pre-blocking single-chain kernel measured 0.82–0.88.
+/// Most the production kernel's baseline instantiation may take relative
+/// to the scalar reference in the same run — the SSE2 contract, the same
+/// on every machine. Measured 0.26–0.31 (2-vCPU Xeon); the pre-blocking
+/// single-chain kernel measured 0.82–0.88.
 const KERNEL_LIMIT: f64 = 0.6;
+
+/// Most the kernel at the AVX2 level may take relative to its baseline
+/// instantiation in the same run. Measured 0.58–0.61 (same Xeon); 1.0 is
+/// a dispatch that no longer reaches the wide instantiation.
+const AVX2_LIMIT: f64 = 0.8;
 
 /// The optimized/baseline pairs measured within one run, each with the
 /// most its optimized leg may take relative to the baseline: `Some(limit)`
 /// for a pair with a limit of its own, `None` for the shared slack — those
 /// sit under 1.0× in practice and the slack only absorbs timer noise on
-/// sub-µs benches.
-const PAIRS: &[(&str, &str, Option<f64>)] = &[
+/// sub-µs benches. The last field, when set, is the `"vector_level"` the
+/// run must report for the pair to be checked at all.
+const PAIRS: &[(&str, &str, Option<f64>, Option<&str>)] = &[
     (
-        "kernel/blocked_50x50_eps8h",
+        "kernel/blocked_baseline_50x50_eps8h",
         "kernel/scalar_50x50_eps8h",
         Some(KERNEL_LIMIT),
+        None,
+    ),
+    (
+        "kernel/blocked_baseline_200x200_eps8h",
+        "kernel/scalar_200x200_eps8h",
+        Some(KERNEL_LIMIT),
+        None,
+    ),
+    (
+        "kernel/blocked_50x50_eps8h",
+        "kernel/blocked_baseline_50x50_eps8h",
+        Some(AVX2_LIMIT),
+        Some("avx2"),
     ),
     (
         "kernel/blocked_200x200_eps8h",
-        "kernel/scalar_200x200_eps8h",
-        Some(KERNEL_LIMIT),
+        "kernel/blocked_baseline_200x200_eps8h",
+        Some(AVX2_LIMIT),
+        Some("avx2"),
     ),
-    ("halo/pack_zerocopy_8x50", "halo/pack_legacy_8x50", None),
-    ("halo/unpack_zerocopy_8x50", "halo/unpack_legacy_8x50", None),
+    (
+        "halo/pack_zerocopy_8x50",
+        "halo/pack_legacy_8x50",
+        None,
+        None,
+    ),
+    (
+        "halo/unpack_zerocopy_8x50",
+        "halo/unpack_legacy_8x50",
+        None,
+        None,
+    ),
     // The parallel sweep runner: 4 workers must never be slower than 1
     // (on a single-core runner the two legs tie; the slack covers queue
     // and thread-spawn overhead, and any real speedup only helps).
@@ -107,12 +148,21 @@ const PAIRS: &[(&str, &str, Option<f64>)] = &[
         "sweep/quick_grid_16runs_4thr",
         "sweep/quick_grid_16runs_1thr",
         None,
+        None,
     ),
 ];
 
-fn check_pairs(current: &[Entry], slack: f64) -> Vec<String> {
+/// `level` is the run's `"vector_level"`, if its JSON states one.
+fn check_pairs(current: &[Entry], slack: f64, level: Option<&str>) -> Vec<String> {
     let mut failures = Vec::new();
-    for &(optimized, baseline, own_limit) in PAIRS {
+    for &(optimized, baseline, own_limit, needs_level) in PAIRS {
+        if needs_level.is_some() && needs_level != level {
+            println!(
+                "  pair {optimized} / {baseline}: skipped (run at vector level {})",
+                level.unwrap_or("unstated")
+            );
+            continue;
+        }
         let limit = own_limit.unwrap_or(slack);
         let (Some(o), Some(b)) = (lookup(current, optimized), lookup(current, baseline)) else {
             failures.push(format!(
@@ -178,7 +228,9 @@ fn main() -> ExitCode {
     let read = |path: &str| {
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
     };
-    let current = parse_results(&read(current_path));
+    let current_doc = read(current_path);
+    let current = parse_results(&current_doc);
+    let level = vector_level(&current_doc);
     let snapshot = parse_results(&read(snapshot_path));
     assert!(!current.is_empty(), "no results parsed from {current_path}");
     assert!(
@@ -193,7 +245,7 @@ fn main() -> ExitCode {
     let tolerance = env_factor("NLHEAT_BENCH_TOLERANCE", 1.5);
 
     println!("within-run optimized/baseline pairs:");
-    let mut failures = check_pairs(&current, slack);
+    let mut failures = check_pairs(&current, slack, level.as_deref());
     println!("current vs committed snapshot:");
     failures.extend(check_snapshot(&current, &snapshot, tolerance));
 
@@ -214,9 +266,10 @@ mod tests {
     use super::*;
 
     const DOC: &str = r#"{
+  "vector_level": "avx2",
   "results": [
     {"name": "kernel/scalar_50x50_eps8h", "mean_ns": 1000.5, "iters": 100},
-    {"name": "kernel/blocked_50x50_eps8h", "mean_ns": 500.0, "iters": 100}
+    {"name": "kernel/blocked_baseline_50x50_eps8h", "mean_ns": 500.0, "iters": 100}
   ],
   "seed_results": [
     {"name": "kernel/scalar_50x50_eps8h", "mean_ns": 9999.0, "iters": 3}
@@ -231,6 +284,7 @@ mod tests {
         assert_eq!(entries[0].name, "kernel/scalar_50x50_eps8h");
         assert!((entries[0].mean_ns - 1000.5).abs() < 1e-9);
         assert!((entries[1].mean_ns - 500.0).abs() < 1e-9);
+        assert_eq!(vector_level(DOC).as_deref(), Some("avx2"));
     }
 
     fn entry(name: &str, mean_ns: f64) -> Entry {
@@ -243,8 +297,8 @@ mod tests {
     #[test]
     fn pair_check_holds_the_kernel_to_its_own_limit() {
         let fast = parse_results(DOC);
-        // only one pair present (at 0.50x); the other four report as missing
-        let failures = check_pairs(&fast, 1.10);
+        // only one pair present (at 0.50x); the others report as missing
+        let failures = check_pairs(&fast, 1.10, Some("avx2"));
         assert_eq!(
             failures.len(),
             PAIRS.len() - 1,
@@ -254,9 +308,9 @@ mod tests {
         // single dependency chain measures, and the slack does not apply.
         let one_chain = vec![
             entry("kernel/scalar_50x50_eps8h", 1000.0),
-            entry("kernel/blocked_50x50_eps8h", 850.0),
+            entry("kernel/blocked_baseline_50x50_eps8h", 850.0),
         ];
-        let failures = check_pairs(&one_chain, 1.10);
+        let failures = check_pairs(&one_chain, 1.10, None);
         assert!(
             failures
                 .iter()
@@ -266,12 +320,37 @@ mod tests {
     }
 
     #[test]
+    fn the_avx2_pairs_are_checked_only_on_a_run_that_had_avx2() {
+        // the wide level no faster than the baseline one: a dispatch that
+        // lost its wide instantiation
+        let lost = vec![
+            entry("kernel/blocked_baseline_50x50_eps8h", 100.0),
+            entry("kernel/blocked_50x50_eps8h", 100.0),
+        ];
+        let about_avx2 = |failures: Vec<String>| -> Vec<String> {
+            let is_avx2_pair = |f: &String| f.contains("kernel/blocked_50x50_eps8h");
+            failures.into_iter().filter(is_avx2_pair).collect()
+        };
+        let failures = about_avx2(check_pairs(&lost, 1.10, Some("avx2")));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("limit 0.80x"), "{failures:?}");
+        // on a baseline-only CPU the two entries are one code path; and a
+        // run that states no level is skipped, not a missing pair
+        for level in [Some("baseline"), None] {
+            let failures = about_avx2(check_pairs(&lost, 1.10, level));
+            assert!(failures.is_empty(), "{level:?}: {failures:?}");
+            let failures = about_avx2(check_pairs(&[], 1.10, level));
+            assert!(failures.is_empty(), "{level:?}: {failures:?}");
+        }
+    }
+
+    #[test]
     fn pair_check_applies_the_slack_to_the_other_pairs() {
         let within = vec![
             entry("halo/pack_legacy_8x50", 100.0),
             entry("halo/pack_zerocopy_8x50", 105.0),
         ];
-        let failures = check_pairs(&within, 1.10);
+        let failures = check_pairs(&within, 1.10, None);
         assert!(
             failures.iter().all(|f| f.contains("missing")),
             "{failures:?}"
@@ -280,7 +359,7 @@ mod tests {
             entry("halo/pack_legacy_8x50", 100.0),
             entry("halo/pack_zerocopy_8x50", 200.0),
         ];
-        let failures = check_pairs(&slower, 1.10);
+        let failures = check_pairs(&slower, 1.10, None);
         assert!(failures.iter().any(|f| f.contains("2.00x")), "{failures:?}");
     }
 

@@ -229,6 +229,10 @@ pub struct DistReport {
     /// Per-locality wall nanoseconds in each of [`STEP_PHASES`] over the
     /// run, read from the cluster's counter registry.
     pub phase_ns: Vec<[u64; 6]>,
+    /// The [`KERNEL_VECTOR_LEVEL_COUNTER`] of the run: which instantiation
+    /// of the interaction sum produced the times above (0 = baseline,
+    /// 1 = AVX2).
+    pub kernel_vector_level: u64,
 }
 
 /// Ownership-independent, cluster-wide setup shared by all drivers.
@@ -574,6 +578,12 @@ pub fn loop_counter_name(locality: u32) -> String {
     format!("/dist{{locality#{locality}}}/time/loop")
 }
 
+/// Registry name of the [`nlheat_model::VectorLevel`] the drivers' kernel
+/// plan chose, as [`VectorLevel::index`](nlheat_model::VectorLevel::index)
+/// (0 = baseline, 1 = AVX2). One name for the cluster: its localities
+/// share a process, hence a CPU, and every driver publishes the same value.
+pub const KERNEL_VECTOR_LEVEL_COUNTER: &str = "/model/kernel/vector_level";
+
 /// Index into [`STEP_PHASES`].
 #[derive(Clone, Copy)]
 enum Phase {
@@ -717,6 +727,10 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
                 })
             })
             .collect(),
+        kernel_vector_level: cluster
+            .registry()
+            .read(KERNEL_VECTOR_LEVEL_COUNTER)
+            .expect("every driver publishes its kernel plan's level"),
     }
 }
 
@@ -745,6 +759,11 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         dt,
         cell_updates: registry.register(cell_updates_counter_name(me), Counter::raw()),
     });
+    // `register` replaces, so the counter reads the level, not a sum over
+    // drivers
+    registry
+        .register(KERNEL_VECTOR_LEVEL_COUNTER, Counter::raw())
+        .add(kern.plan.level().index());
     let manufactured = setup.parts.manufactured.clone();
     let cut = RegionCut {
         sd: sds.sd,
@@ -1832,6 +1851,13 @@ mod tests {
                 "rank {rank}: phases {phases:?} sum to {sum} of a {whole} ns loop"
             );
         }
+        // ... and say which kernel instantiation they timed
+        let level = nlheat_model::VectorLevel::detect().index();
+        assert_eq!(report.kernel_vector_level, level);
+        assert_eq!(
+            cluster.registry().read(KERNEL_VECTOR_LEVEL_COUNTER),
+            Some(level)
+        );
     }
 
     #[test]

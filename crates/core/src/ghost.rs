@@ -2,8 +2,9 @@
 //! in which rank-to-rank bundle.
 //!
 //! A nonlocal halo is many small patches — an SD with `eps = 4h` on a
-//! 5-cell tiling reads 24 of them — and a parcel costs far more than the
-//! bytes of one patch. So the real runtime ships **one bundle per step and
+//! 5-cell tiling reads 8 of them, one per neighbour of its ring (the halo
+//! of 4 is narrower than an SD), of 16 to 20 cells each — and a parcel
+//! costs far more than the bytes of one patch. So the real runtime ships **one bundle per step and
 //! ordered rank pair**: every patch this locality's SDs feed into SDs of
 //! rank `r` travels in the single parcel to `r`. Sender and receiver each
 //! derive the bundle's record list from the ownership map and the halo
@@ -201,11 +202,19 @@ pub fn row_bands(rect: &Rect, band: i64) -> impl Iterator<Item = Rect> {
 /// reference 2-vCPU VM, handing a task to the pool and collecting its
 /// future costs ≈ 0.4–1 µs (closure and promise boxes, injector push, the
 /// worker's two busy-time `Instant`s, the tile lock), while the kernel
-/// retires a stencil point in ≈ 0.3–0.5 ns: a 25-cell SD at ε = 4h is
-/// ≈ 0.4 µs of kernel, less than the cost of scheduling it, and 2¹⁶ points
-/// are ≈ 20–30 µs, which keeps that cost under 5 %. A constant, not an
-/// option: it prices this runtime's task, not a workload — every 625-cell
-/// SD at ε = 8h (123 k points) is above it and keeps a task of its own.
+/// retires a stencil point in ≈ 0.23 ns at its baseline vector level and
+/// ≈ 0.13–0.15 ns at AVX2 (45 and 25–31 ns per DP over 196 points, on
+/// full 8-wide blocks; the 4- and 1-wide bodies a 5-cell row runs are
+/// about half as fast). A 25-cell SD at ε = 4h (1 200 points) is thus
+/// ≈ 0.2–0.5 µs of kernel, less than the cost of scheduling it, and 2¹⁶
+/// points are ≈ 15 µs at baseline, ≈ 9–10 µs at AVX2: the scheduling cost
+/// is 3–7 % of such a task, or 4–10 %. The faster level did not move the
+/// floor: `dist_ghost_heavy` (1 600 such SDs) at 2¹⁷ against 2¹⁶ read
+/// `unit_rel` 0.1098 against 0.1092 in eight alternating pairs, ahead in
+/// three — unresolved, so the smaller task, which leaves more to balance,
+/// stays. A constant, not an option: it prices this runtime's task, not a
+/// workload — every 625-cell SD at ε = 8h (123 k points) is above it and
+/// keeps a task of its own.
 pub const TASK_WORK_FLOOR: u64 = 1 << 16;
 
 /// Deal region lists into compute tasks. `lists` yields, per SD, one of its

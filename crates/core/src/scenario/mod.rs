@@ -858,6 +858,10 @@ pub struct DistExtras {
     /// [`crate::dist::STEP_PHASES`] (fill, send, spawn, wait, swap, lb),
     /// read from the cluster's counter registry at the end of the run.
     pub phase_ns: Vec<[u64; 6]>,
+    /// The registry's [`crate::dist::KERNEL_VECTOR_LEVEL_COUNTER`]: the
+    /// interaction-sum instantiation the run's kernel plan chose
+    /// (0 = baseline, 1 = AVX2).
+    pub kernel_vector_level: u64,
 }
 
 /// What only the simulator can measure.
@@ -953,6 +957,7 @@ impl RunReport {
                 pool_steal_fails: report.pool_steal_fails,
                 pool_parks: report.pool_parks,
                 phase_ns: report.phase_ns,
+                kernel_vector_level: report.kernel_vector_level,
             }),
         }
     }

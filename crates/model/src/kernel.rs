@@ -29,6 +29,28 @@
 //! one the scalar reference [`NonlocalKernel::apply_region`] computes,
 //! bit for bit, at every width. The step update and the manufactured
 //! solution's precompute ([`crate::manufactured`]) both go through it.
+//!
+//! # Vector width
+//!
+//! The workspace builds for baseline x86-64, where an 8-cell block is four
+//! 128-bit vectors. The block is the unit of independence, not the vector,
+//! so the same source compiled for 256-bit registers is two vectors per
+//! block at half the instructions per cell. [`NonlocalKernel::plan`]
+//! therefore records a [`VectorLevel`] — the widest one the CPU reports —
+//! and `interaction_sums` dispatches on it once per call into the *same*
+//! `#[inline(always)]` body, instantiated a second time under
+//! `#[target_feature(enable = "avx2")]`. There is one body because there is
+//! one arithmetic: a level changes how many cells share an instruction,
+//! never which operations a cell sees or in what order, so the bit-equality
+//! argument above holds at every level unchanged. The baseline
+//! instantiation stays because it is the only one a CPU without AVX2 runs.
+//!
+//! `fma` is deliberately absent from the feature list. A fused
+//! `w·(u_j − u_i) + acc` rounds once where the reference rounds twice: the
+//! sums would differ from the scalar oracle, and from a peer rank whose CPU
+//! lacks FMA. Rust never contracts a separate multiply and add on its own —
+//! not even when the whole build enables FMA (`-C target-cpu=native`), which
+//! CI pins by running the bit-identity tests under `x86-64-v3`.
 
 use crate::influence::{conductivity_constant_2d, Influence};
 use nlheat_mesh::{Grid, Rect, Stencil, Tile};
@@ -73,10 +95,81 @@ pub fn zero_source() -> SourceFn {
 
 /// Output cells of a row whose interaction sums are accumulated together.
 /// Eight independent chains cover a 4-cycle add latency at two adds per
-/// cycle, and as 128-bit vectors the eight accumulators, the eight centre
-/// values and one broadcast weight still fit the sixteen registers of
-/// baseline x86-64.
+/// cycle. Registers, per [`VectorLevel`]: at baseline the block is four
+/// 128-bit accumulators, four centre vectors and one broadcast weight —
+/// nine of the sixteen `xmm`; at AVX2 two 256-bit accumulators, two
+/// centres and the weight — five of the sixteen `ymm`.
+///
+/// Measured on the 2-vCPU AVX-512 Xeon the snapshots come from, and not
+/// built (ns per DP at ε = 8h):
+/// - a 16-wide top segment at AVX2 (four `ymm` chains): within 6 % on 25-
+///   and 100-wide rows (29.4 / 24.6 against 31.3 / 24.6), ≈ 10 % ahead on
+///   the bench suite's 50- and 200-wide tiles (26 / 23 against 29 / 26) —
+///   and not resolvable where it counts: the repository benchmark's
+///   `unit_ms` read 0–8 % lower and its `unit_rel` 0–8 % higher, on SDs of
+///   25 cells whose regions the driver cuts narrower still;
+/// - an AVX-512 instantiation: 37.3 / 31.7 on 25- / 100-wide rows against
+///   AVX2's 30.0 / 23.7 (35 / 33 against 29 / 26 on the bench suite's
+///   tiles) — eight lanes are a single `zmm` chain, so the sum is
+///   latency-bound again;
+/// - an overlapped 8-wide block in place of the 1-wide row remainder: the
+///   lone cell costs ≈ 137 ns, a block ≈ 200 ns.
 const W: usize = 8;
+
+/// The instruction-set level an interaction sum is compiled for — see the
+/// module docs. Part of a [`KernelPlan`]; the production path
+/// ([`NonlocalKernel::plan`]) always takes [`VectorLevel::detect`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VectorLevel {
+    /// What the build targets (SSE2 on x86-64): runs everywhere.
+    Baseline,
+    /// 256-bit vectors. The payload has no public constructor: only
+    /// [`detect`](Self::detect) and [`available`](Self::available) hand
+    /// the variant out, and only on a CPU that reports AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Avx2),
+}
+
+/// Proof that the running CPU reports AVX2 (see [`VectorLevel::Avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Avx2(());
+
+impl VectorLevel {
+    /// Every level this CPU can run, narrowest first — so the pins and the
+    /// bench suite can cover each instantiation on one machine.
+    pub fn available() -> Vec<VectorLevel> {
+        let mut levels = vec![VectorLevel::Baseline];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            levels.push(VectorLevel::Avx2(Avx2(())));
+        }
+        levels
+    }
+
+    /// The widest level this CPU can run.
+    pub fn detect() -> VectorLevel {
+        *Self::available().last().expect("baseline is always there")
+    }
+
+    /// Stable lower-case name, for reports and bench records.
+    pub fn name(self) -> &'static str {
+        match self {
+            VectorLevel::Baseline => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            VectorLevel::Avx2(_) => "avx2",
+        }
+    }
+
+    /// The level as a counter value: 0 = baseline, 1 = AVX2.
+    pub fn index(self) -> u64 {
+        match self {
+            VectorLevel::Baseline => 0,
+            #[cfg(target_arch = "x86_64")]
+            VectorLevel::Avx2(_) => 1,
+        }
+    }
+}
 
 /// Stencil + weights + conductivity for one grid resolution.
 #[derive(Debug, Clone)]
@@ -144,7 +237,16 @@ impl NonlocalKernel {
     /// stencil row; the dj = 0 row splits in two around the excluded
     /// center). Each run pairs a contiguous weight slice with a contiguous
     /// span of tile storage — the inner loop streams both.
+    ///
+    /// The plan runs at the widest [`VectorLevel`] the CPU reports.
     pub fn plan(&self, stride: i64) -> KernelPlan {
+        self.plan_at(stride, VectorLevel::detect())
+    }
+
+    /// [`plan`](Self::plan) at a stated level — for the bit-identity pins
+    /// and the bench suite, which run every [`VectorLevel::available`]
+    /// level on one machine. Solvers call `plan`.
+    pub fn plan_at(&self, stride: i64, level: VectorLevel) -> KernelPlan {
         let mut runs: Vec<WeightRun> = Vec::new();
         let mut prev: Option<(i64, i64)> = None;
         for (idx, &(di, dj)) in self.stencil.offsets.iter().enumerate() {
@@ -160,7 +262,11 @@ impl NonlocalKernel {
             }
             prev = Some((di, dj));
         }
-        KernelPlan { stride, runs }
+        KernelPlan {
+            stride,
+            runs,
+            level,
+        }
     }
 
     /// The scalar reference: one forward-Euler step over `region` (local
@@ -229,6 +335,51 @@ impl NonlocalKernel {
     /// halo and `region` lies within the interior — so every cell `emit`
     /// sees is an interior cell of a tile of `field`'s shape.
     pub(crate) fn interaction_sums(
+        &self,
+        field: &Tile,
+        region: &Rect,
+        plan: &KernelPlan,
+        repeats: u32,
+        emit: impl FnMut(i64, i64, &[f64], &[f64]),
+    ) {
+        match plan.level {
+            VectorLevel::Baseline => self.interaction_sums_body(field, region, plan, repeats, emit),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the callee requires a CPU with AVX2. `plan.level` is
+            // private and only `plan_at` sets it, from a caller's
+            // `VectorLevel`; the `Avx2` payload has no constructor outside
+            // this module, where `VectorLevel::available` builds it behind
+            // `is_x86_feature_detected!("avx2")` and nowhere else. A
+            // `VectorLevel::Avx2` in hand is therefore proof that this
+            // process's CPU reports the feature.
+            VectorLevel::Avx2(_) => unsafe {
+                self.interaction_sums_avx2(field, region, plan, repeats, emit)
+            },
+        }
+    }
+
+    /// The body of [`interaction_sums`](Self::interaction_sums) compiled
+    /// for 256-bit vectors: the same source, inlined with `emit` into a
+    /// function the code generator may use AVX2 in. No `fma` — see the
+    /// module docs.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn interaction_sums_avx2(
+        &self,
+        field: &Tile,
+        region: &Rect,
+        plan: &KernelPlan,
+        repeats: u32,
+        emit: impl FnMut(i64, i64, &[f64], &[f64]),
+    ) {
+        self.interaction_sums_body(field, region, plan, repeats, emit)
+    }
+
+    /// The one interaction-sum loop; `#[inline(always)]` so each
+    /// [`VectorLevel`]'s entry compiles its own copy under its own target
+    /// features.
+    #[inline(always)]
+    fn interaction_sums_body(
         &self,
         field: &Tile,
         region: &Rect,
@@ -426,9 +577,16 @@ struct WeightRun {
 pub struct KernelPlan {
     stride: i64,
     runs: Vec<WeightRun>,
+    /// Private: the kernel's `unsafe` dispatch trusts it.
+    level: VectorLevel,
 }
 
 impl KernelPlan {
+    /// The instantiation of the interaction sum this plan runs.
+    pub fn level(&self) -> VectorLevel {
+        self.level
+    }
+
     /// Number of contiguous runs the stencil decomposed into (diagnostic).
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -607,7 +765,8 @@ mod tests {
         (curr, src)
     }
 
-    /// Both kernels over `region`; panics unless they agree bit for bit.
+    /// The scalar kernel and the blocked one at every level this CPU runs,
+    /// over `region`; panics unless they agree bit for bit.
     fn assert_blocked_matches_scalar(
         kernel: &NonlocalKernel,
         curr: &Tile,
@@ -616,11 +775,8 @@ mod tests {
         repeats: u32,
     ) {
         let offsets = kernel.storage_offsets(curr.stride());
-        let plan = kernel.plan(curr.stride());
-        assert!(plan.run_count() < offsets.len(), "runs must coalesce");
         let dt = kernel.stable_dt(0.5);
         let mut next_s = Tile::new(curr.sd(), curr.halo());
-        let mut next_b = Tile::new(curr.sd(), curr.halo());
         kernel.apply_region(
             curr,
             &mut next_s,
@@ -632,34 +788,40 @@ mod tests {
             src,
             repeats,
         );
-        kernel.apply_region_blocked(
-            curr,
-            &mut next_b,
-            region,
-            &plan,
-            (7, -3),
-            0.25,
-            dt,
-            src,
-            repeats,
-        );
-        // whole tiles: cells outside the region must stay untouched too
-        for (x, y) in curr.padded_rect().cells() {
-            assert_eq!(
-                next_s.get(x, y).to_bits(),
-                next_b.get(x, y).to_bits(),
-                "mismatch at ({x},{y}) region={region:?} repeats={repeats}"
+        for level in VectorLevel::available() {
+            let plan = kernel.plan_at(curr.stride(), level);
+            assert!(plan.run_count() < offsets.len(), "runs must coalesce");
+            let mut next_b = Tile::new(curr.sd(), curr.halo());
+            kernel.apply_region_blocked(
+                curr,
+                &mut next_b,
+                region,
+                &plan,
+                (7, -3),
+                0.25,
+                dt,
+                src,
+                repeats,
             );
+            // whole tiles: cells outside the region must stay untouched too
+            for (x, y) in curr.padded_rect().cells() {
+                assert_eq!(
+                    next_s.get(x, y).to_bits(),
+                    next_b.get(x, y).to_bits(),
+                    "mismatch at ({x},{y}) region={region:?} repeats={repeats} level={level:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn blocked_matches_scalar_bitwise() {
-        // The W-wide kernel must reproduce the flat scalar loop bit for bit:
-        // every cell keeps its accumulation order whichever segment width
-        // it lands in. Widths 1..=2W+1 at x-offsets 0..W reach every mix of
-        // the 8/4/2/1 bodies at every alignment; Triangular makes the
-        // weights non-uniform, so a misplaced weight cannot cancel out.
+        // The W-wide kernel must reproduce the flat scalar loop bit for bit,
+        // at every vector level: every cell keeps its accumulation order
+        // whichever segment width it lands in. Widths 1..=4W+1 at x-offsets
+        // 0..W reach every mix of the 8/4/2/1 bodies at every alignment;
+        // Triangular makes the weights non-uniform, so a misplaced weight
+        // cannot cancel out.
         for influence in [Influence::Constant, Influence::Triangular] {
             for (n, eps_mult) in [(12usize, 2.0), (30, 4.0), (50, 8.0)] {
                 let grid = Grid::square(n, eps_mult);
@@ -668,13 +830,72 @@ mod tests {
                 let (curr, src) = irregular_tile(n, grid.halo);
                 assert_blocked_matches_scalar(&kernel, &curr, &src, &curr.interior_rect(), 1);
                 for x0 in 0..W as i64 {
-                    for w in 1..=(2 * W as i64 + 1).min(n - x0) {
+                    for w in 1..=(4 * W as i64 + 1).min(n - x0) {
                         let region = Rect::new(x0, 1, w, 3);
                         let repeats = if (x0 + w) % 2 == 0 { 1 } else { 3 };
                         assert_blocked_matches_scalar(&kernel, &curr, &src, &region, repeats);
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_term_rounds_its_product_before_the_add() {
+        // The pins above compare two kernels of one binary, which a build
+        // that fuses multiply and add everywhere (`-C target-cpu=native`
+        // on an FMA machine, if the compiler ever contracted) would pass
+        // while disagreeing with every other build. This one has a fixed
+        // answer. A cell at 0 between neighbours at +d and −d sums
+        // `0 + w·d` and then `+ w·(−d)`: rounded separately the two
+        // products cancel exactly; a fused second term keeps the rounding
+        // error of `w·d` instead.
+        let (grid, kernel) = grid_kernel(12, 2.0);
+        let (w, d) = (kernel.weights[0], 0.3);
+        assert_ne!(w.mul_add(d, -(w * d)), 0.0, "w·d must be inexact");
+        let mut curr = Tile::new(12, grid.halo);
+        curr.set(5, 6, d);
+        curr.set(7, 6, -d);
+        let region = Rect::new(6, 6, 1, 1);
+        let dt = kernel.stable_dt(0.5);
+        let mut next = Tile::new(12, grid.halo);
+        next.set(6, 6, f64::NAN);
+        let offsets = kernel.storage_offsets(curr.stride());
+        kernel.apply_region(
+            &curr,
+            &mut next,
+            &region,
+            &offsets,
+            (0, 0),
+            0.0,
+            dt,
+            &zero_source(),
+            1,
+        );
+        assert_eq!(next.get(6, 6).to_bits(), 0.0f64.to_bits(), "scalar");
+        // rows that put the cell in the 8-, 4-, 2- and 1-wide bodies
+        for (level, (x0, width)) in VectorLevel::available()
+            .into_iter()
+            .flat_map(|l| [(0, 12), (4, 4), (6, 2), (6, 1)].map(|row| (l, row)))
+        {
+            next.set(6, 6, f64::NAN);
+            let plan = kernel.plan_at(curr.stride(), level);
+            kernel.apply_region_blocked(
+                &curr,
+                &mut next,
+                &Rect::new(x0, 6, width, 1),
+                &plan,
+                (0, 0),
+                0.0,
+                dt,
+                &zero_source(),
+                1,
+            );
+            assert_eq!(
+                next.get(6, 6).to_bits(),
+                0.0f64.to_bits(),
+                "{level:?}, a row of {width} from {x0}"
+            );
         }
     }
 
@@ -700,8 +921,13 @@ mod tests {
             &src,
             3,
         );
-        let plan = kernel.plan(curr.stride());
-        for band in [1, 4, 25] {
+        let bands = [1, 4, 25];
+        let levels = VectorLevel::available();
+        for (band, level) in bands
+            .into_iter()
+            .flat_map(|b| levels.iter().map(move |&l| (b, l)))
+        {
+            let plan = kernel.plan_at(curr.stride(), level);
             let mut next = Tile::new(27, grid.halo);
             let next_data = next.data_mut().as_mut_ptr();
             for y0 in (region.y0..region.y1()).step_by(band) {
@@ -723,18 +949,38 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(next, reference, "band height {band}");
+            assert_eq!(next, reference, "band height {band}, {level:?}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "another tile stride")]
-    fn plan_for_another_stride_is_refused() {
+    fn plan_runs_at_the_widest_level_the_cpu_reports() {
+        let (_, kernel) = grid_kernel(12, 2.0);
+        let level = kernel.plan(16).level();
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            level.name() == "avx2",
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(level, VectorLevel::Baseline);
+        let available = VectorLevel::available();
+        assert_eq!(available[0], VectorLevel::Baseline);
+        assert_eq!(available.last(), Some(&level));
+        for (i, l) in available.into_iter().enumerate() {
+            assert_eq!(l.index(), i as u64);
+            assert_eq!(kernel.plan_at(16, l).level(), l);
+        }
+    }
+
+    /// One blocked step on a 12-cell tile with a geometry error: a plan
+    /// built `stride_off` off the tile's stride, `halo_cut` cells taken
+    /// off the halo the stencil needs, over `region`.
+    fn refused(level: VectorLevel, stride_off: i64, halo_cut: i64, region: Rect) {
         let (grid, kernel) = grid_kernel(12, 2.0);
-        let curr = Tile::new(12, grid.halo);
-        let mut next = Tile::new(12, grid.halo);
-        let plan = kernel.plan(curr.stride() + 1);
-        let region = curr.interior_rect();
+        let curr = Tile::new(12, grid.halo - halo_cut);
+        let mut next = Tile::new(12, grid.halo - halo_cut);
+        let plan = kernel.plan_at(curr.stride() + stride_off, level);
         kernel.apply_region_blocked(
             &curr,
             &mut next,
@@ -748,27 +994,40 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "leaves the tile interior")]
-    fn region_outside_the_interior_is_refused() {
-        let (grid, kernel) = grid_kernel(12, 2.0);
-        let curr = Tile::new(12, grid.halo);
-        let mut next = Tile::new(12, grid.halo);
-        let plan = kernel.plan(curr.stride());
-        // one column into the halo: the raw write would still be in bounds
-        // of the storage, but it is not a cell this kernel may update
-        let region = Rect::new(1, 0, 12, 12);
-        kernel.apply_region_blocked(
-            &curr,
-            &mut next,
-            &region,
-            &plan,
-            (0, 0),
-            0.0,
-            0.001,
-            &zero_source(),
-            1,
-        );
+    /// The three geometry `assert!`s are what makes the raw write sound, so
+    /// a level must refuse everything the baseline refuses: each of them
+    /// fires at each level.
+    macro_rules! refusals {
+        ($($module:ident = $level:expr;)*) => {$(
+            mod $module {
+                use super::*;
+
+                #[test]
+                #[should_panic(expected = "another tile stride")]
+                fn plan_for_another_stride_is_refused() {
+                    refused($level, 1, 0, Rect::new(0, 0, 12, 12));
+                }
+
+                #[test]
+                #[should_panic(expected = "exceeds the tile halo")]
+                fn stencil_reaching_past_the_halo_is_refused() {
+                    refused($level, 0, 1, Rect::new(0, 0, 12, 12));
+                }
+
+                #[test]
+                #[should_panic(expected = "leaves the tile interior")]
+                fn region_outside_the_interior_is_refused() {
+                    // one column into the halo: the raw write would still
+                    // be in bounds of the storage, but it is not a cell
+                    // this kernel may update
+                    refused($level, 0, 0, Rect::new(1, 0, 12, 12));
+                }
+            }
+        )*};
+    }
+    refusals! {
+        at_baseline = VectorLevel::Baseline;
+        at_the_detected_level = VectorLevel::detect();
     }
 
     #[test]

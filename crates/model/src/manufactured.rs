@@ -24,7 +24,7 @@
 //! per kernel call ([`Source::at_time`]) and then fills whole row segments
 //! from S and L, with the same association, hence the same bits.
 
-use crate::kernel::{NonlocalKernel, RowSource, Source, SourceFn};
+use crate::kernel::{NonlocalKernel, RowSource, Source, SourceFn, VectorLevel};
 use nlheat_mesh::{Grid, Tile};
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -45,6 +45,12 @@ impl Manufactured {
     /// # Panics
     /// Panics for non-square grids (the validation study uses squares).
     pub fn new(grid: &Grid, kernel: &NonlocalKernel) -> Self {
+        Self::at_level(grid, kernel, VectorLevel::detect())
+    }
+
+    /// [`new`](Self::new) with L summed at `level` (the pin below runs
+    /// every level; the fields are the same bits at each).
+    fn at_level(grid: &Grid, kernel: &NonlocalKernel, level: VectorLevel) -> Self {
         assert_eq!(
             grid.nx, grid.ny,
             "manufactured solution expects a square grid"
@@ -65,7 +71,7 @@ impl Manufactured {
         // same shape as `s`, so a storage index means the same cell in both
         let mut l = Tile::new(n, halo);
         let l_data = l.data_mut();
-        let plan = kernel.plan(s.stride());
+        let plan = kernel.plan_at(s.stride(), level);
         kernel.interaction_sums(&s, &s.interior_rect(), &plan, 1, |li, lj, _, sums| {
             let first = s.storage_index(li, lj);
             l_data[first..first + sums.len()].copy_from_slice(sums);
@@ -152,34 +158,36 @@ mod tests {
         // The reference: L as its own scalar loop over the stencil, b with
         // sin and cos evaluated per cell — what this module computed before
         // it shared the kernel's core and hoisted the time factors. 23 cells
-        // per side reach the 8-, 4-, 2- and 1-wide segment bodies;
-        // Triangular makes the weights non-uniform.
+        // per side reach the 8-, 4-, 2- and 1-wide segment bodies, at every
+        // vector level; Triangular makes the weights non-uniform.
         let grid = Grid::square(23, 3.0);
         let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Triangular);
-        let m = Arc::new(Manufactured::new(&grid, &kernel));
-        let src = m.source_fn();
-        for t in [0.0, 0.013, 0.4] {
-            let row_source = src.at_time(t);
-            let phase = 2.0 * PI * t;
-            for gj in 0..grid.ny {
-                let mut row = vec![0.0; grid.nx as usize];
-                row_source(0, gj, &mut row);
-                for gi in 0..grid.nx {
-                    let si = m.s.get(gi, gj);
-                    let mut l = 0.0;
-                    for (&(di, dj), &w) in kernel.stencil.offsets.iter().zip(&kernel.weights) {
-                        l += w * (m.s.get(gi + di, gj + dj) - si);
+        for level in VectorLevel::available() {
+            let m = Arc::new(Manufactured::at_level(&grid, &kernel, level));
+            let src = m.source_fn();
+            for t in [0.0, 0.013, 0.4] {
+                let row_source = src.at_time(t);
+                let phase = 2.0 * PI * t;
+                for gj in 0..grid.ny {
+                    let mut row = vec![0.0; grid.nx as usize];
+                    row_source(0, gj, &mut row);
+                    for gi in 0..grid.nx {
+                        let si = m.s.get(gi, gj);
+                        let mut l = 0.0;
+                        for (&(di, dj), &w) in kernel.stencil.offsets.iter().zip(&kernel.weights) {
+                            l += w * (m.s.get(gi + di, gj + dj) - si);
+                        }
+                        assert_eq!(m.l.get(gi, gj).to_bits(), l.to_bits(), "L at ({gi},{gj})");
+                        let b = -2.0 * PI * phase.sin() * si - kernel.c * phase.cos() * l;
+                        assert_eq!(m.source(t, gi, gj).to_bits(), b.to_bits());
+                        assert_eq!(src.at(t, gi, gj).to_bits(), b.to_bits());
+                        assert_eq!(row[gi as usize].to_bits(), b.to_bits());
                     }
-                    assert_eq!(m.l.get(gi, gj).to_bits(), l.to_bits(), "L at ({gi},{gj})");
-                    let b = -2.0 * PI * phase.sin() * si - kernel.c * phase.cos() * l;
-                    assert_eq!(m.source(t, gi, gj).to_bits(), b.to_bits());
-                    assert_eq!(src.at(t, gi, gj).to_bits(), b.to_bits());
-                    assert_eq!(row[gi as usize].to_bits(), b.to_bits());
                 }
             }
+            // the halo of L stays zero
+            assert_eq!(m.l.get(-1, 0), 0.0);
         }
-        // the halo of L stays zero
-        assert_eq!(m.l.get(-1, 0), 0.0);
     }
 
     #[test]

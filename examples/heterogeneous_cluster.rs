@@ -29,8 +29,12 @@ fn main() {
     println!("final ownership:\n{}", report.final_ownership.render());
     // where each rank's step loop went: the driver's phase counters
     let phases = nonlocalheat::core::dist::STEP_PHASES;
-    println!("step-loop ms per rank ({}):", phases.join(" / "));
     let extras = report.dist_extras().expect("a real-runtime report");
+    println!(
+        "step-loop ms per rank ({}), kernel vector level {} (0 = baseline, 1 = AVX2):",
+        phases.join(" / "),
+        extras.kernel_vector_level
+    );
     for (rank, ns) in extras.phase_ns.iter().enumerate() {
         let ms = ns.map(|ns| format!("{:.2}", ns as f64 * 1e-6));
         println!("  rank {rank}: {}", ms.join(" / "));

@@ -12,7 +12,9 @@
 //! JSON on exit — the format `nlheat-bench`'s `bench_gate` regression gate
 //! consumes (real criterion exposes the same data via
 //! `target/criterion/*/estimates.json`; the env-var seam keeps the shim's
-//! public API identical to the real crate).
+//! public API identical to the real crate). [`record_meta`] is the one
+//! addition: a bench states a fact about the run (which CPU features its
+//! code paths used) that a gate needs to read the numbers.
 
 pub use std::hint::black_box;
 
@@ -31,20 +33,35 @@ pub struct BenchRecord {
 }
 
 static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
+static META: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
+
+/// Record a fact about this run; it is written as a top-level string field
+/// `"key": "value"` of the JSON document, before `results`.
+pub fn record_meta(key: &str, value: &str) {
+    let mut meta = META.lock().unwrap();
+    meta.retain(|(k, _)| k != key);
+    meta.push((key.to_string(), value.to_string()));
+}
 
 /// Snapshot of every benchmark recorded so far in this process.
 pub fn recorded_results() -> Vec<BenchRecord> {
     RESULTS.lock().unwrap().clone()
 }
 
-/// Serialize `results` as the JSON document `bench_gate` reads.
+/// Serialize `results` as the JSON document `bench_gate` reads, led by
+/// the [`record_meta`] fields.
 pub fn results_to_json(results: &[BenchRecord]) -> String {
-    let mut out = String::from("{\n  \"results\": [\n");
+    let escape = |s: &str| s.replace('"', "\\\"");
+    let mut out = String::from("{\n");
+    for (key, value) in META.lock().unwrap().iter() {
+        out.push_str(&format!("  \"{}\": \"{}\",\n", escape(key), escape(value)));
+    }
+    out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"mean_ns\": {:.3}, \"iters\": {}}}{}\n",
-            r.name.replace('"', "\\\""),
+            escape(&r.name),
             r.mean_ns,
             r.iters,
             comma
@@ -239,5 +256,9 @@ mod tests {
         let json = results_to_json(std::slice::from_ref(rec));
         assert!(json.contains("\"name\": \"recorded_smoke\""));
         assert!(json.contains("\"mean_ns\""));
+        record_meta("vector_level", "baseline");
+        record_meta("vector_level", "avx2");
+        let json = results_to_json(std::slice::from_ref(rec));
+        assert!(json.starts_with("{\n  \"vector_level\": \"avx2\",\n  \"results\": [\n"));
     }
 }

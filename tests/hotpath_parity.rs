@@ -11,28 +11,45 @@ use nlheat_amt::codec::{decode_f64_rows, decode_f64_vec, encode_f64_rows, encode
 use nlheat_mesh::{Rect, Tile};
 use nonlocalheat::prelude::*;
 
-/// Forward-Euler on one whole-mesh tile via the *scalar* kernel path —
-/// the pre-optimization reference the runtimes are pinned against.
-fn scalar_reference_field(sc: &Scenario) -> Vec<f64> {
-    let parts = sc.problem.build();
+/// Row stride of the one tile that holds the whole mesh.
+fn whole_mesh_stride(parts: &ProblemParts) -> i64 {
+    Tile::new(parts.grid.nx, parts.grid.halo).stride()
+}
+
+/// Forward-Euler on one whole-mesh tile, `step(curr, next, region, t)`
+/// being one time step; returns the final interior, row-major.
+fn integrate_whole_mesh(
+    sc: &Scenario,
+    parts: &ProblemParts,
+    mut step: impl FnMut(&Tile, &mut Tile, &Rect, f64),
+) -> Vec<f64> {
     let grid = parts.grid;
-    let m = &parts.manufactured;
     let mut curr = Tile::new(grid.nx, grid.halo);
-    for lj in 0..grid.ny {
-        for li in 0..grid.nx {
-            curr.set(li, lj, m.initial(li, lj));
-        }
+    let region = curr.interior_rect();
+    for (gi, gj) in region.cells() {
+        curr.set(gi, gj, parts.manufactured.initial(gi, gj));
     }
     let mut next = Tile::new(grid.nx, grid.halo);
-    let offsets = parts.kernel.storage_offsets(curr.stride());
-    let source = m.source_fn();
-    let region = curr.interior_rect();
-    for step in 0..sc.steps {
-        let t = step as f64 * parts.dt;
+    for k in 0..sc.steps {
+        step(&curr, &mut next, &region, k as f64 * parts.dt);
+        std::mem::swap(&mut curr, &mut next);
+    }
+    curr.pack(&region)
+}
+
+/// The whole-mesh integration via the *scalar* kernel path — the
+/// pre-optimization reference the runtimes are pinned against.
+fn scalar_reference_field(sc: &Scenario) -> Vec<f64> {
+    let parts = sc.problem.build();
+    let offsets = parts
+        .kernel
+        .storage_offsets(parts.grid.nx + 2 * parts.grid.halo);
+    let source = parts.manufactured.source_fn();
+    integrate_whole_mesh(sc, &parts, |curr, next, region, t| {
         parts.kernel.apply_region(
-            &curr,
-            &mut next,
-            &region,
+            curr,
+            next,
+            region,
             &offsets,
             (0, 0),
             t,
@@ -40,15 +57,7 @@ fn scalar_reference_field(sc: &Scenario) -> Vec<f64> {
             &source,
             1,
         );
-        std::mem::swap(&mut curr, &mut next);
-    }
-    let mut out = Vec::with_capacity((grid.nx * grid.ny) as usize);
-    for gj in 0..grid.ny {
-        for gi in 0..grid.nx {
-            out.push(curr.get(gi, gj));
-        }
-    }
-    out
+    })
 }
 
 /// 23-cell SDs whose ghost-dependent margins are 3 = 2+1 cells wide: the
@@ -131,6 +140,35 @@ fn serial_solver_blocked_path_matches_scalar_reference() {
         let mut serial = SerialSolver::manufactured(&parts);
         serial.run(sc.steps);
         assert_eq!(serial.field(), reference, "{name}");
+    }
+}
+
+#[test]
+fn every_vector_level_integrates_to_the_scalar_reference() {
+    // The solvers above run the level the CPU reports; a rank on another
+    // machine may run another. Whole-mesh integration through the blocked
+    // kernel at *each* level this CPU has must give the same bits.
+    for (name, sc) in pinned_scenarios() {
+        let reference = scalar_reference_field(&sc);
+        let parts = sc.problem.build();
+        let source = parts.manufactured.source_fn();
+        for level in VectorLevel::available() {
+            let plan = parts.kernel.plan_at(whole_mesh_stride(&parts), level);
+            let field = integrate_whole_mesh(&sc, &parts, |curr, next, region, t| {
+                parts.kernel.apply_region_blocked(
+                    curr,
+                    next,
+                    region,
+                    &plan,
+                    (0, 0),
+                    t,
+                    parts.dt,
+                    &source,
+                    1,
+                );
+            });
+            assert_eq!(field, reference, "{name} at {level:?}");
+        }
     }
 }
 
