@@ -7,6 +7,34 @@
 //! Everything round-trips exactly (floats bit-for-bit), and decoding is
 //! length-checked so truncated messages surface as [`WireError`] rather than
 //! panics.
+//!
+//! # The halo run and its rows
+//!
+//! The dominant payload is the ghost exchange: a nonlocal halo on small
+//! SDs is thousands of records of four or five rows of four or five `f64`s
+//! each (`dist_ghost_heavy`: 4 602 records of 16–20 cells per rank and
+//! step). [`encode_f64_rows`] / [`decode_f64_rows`] are the only code that
+//! knows the layout of a run, and the **row is their unit**:
+//!
+//! - the buffer grows once per run (`reserve`) and rows are appended into
+//!   the room — nothing zero-fills bytes the copy then overwrites;
+//! - a row of up to eight values goes through an arm of its own width
+//!   (`put_f64_row_le` / `get_f64_row_le`): the length is a constant there,
+//!   so 32–40 bytes move as a few straight-line loads and stores where a
+//!   `memcpy` call of run-time length costs more than the copy; longer
+//!   rows (a migrating SD's 25- or 50-cell rows, a top or bottom halo
+//!   strip) are one bulk copy, as before;
+//! - decode checks the run's bounds once, cuts each row off the front of
+//!   what is left and advances the cursor once.
+//!
+//! [`encode_ghost_record`] appends its three header words as one 24-byte
+//! store, and [`decode_ghost_record`] reads them **in place** — no handle
+//! on the buffer is cloned to peek (that was two atomic read-modify-writes
+//! on the `Arc` per record) and no word is copied out through the cursor —
+//! and still compares them with the expected header *before* a single
+//! value is written. All of this is safe code: every slice is bounds
+//! checked, and the one `unsafe` left in the module is the byte view of an
+//! `&[f64]` in `put_f64_slice_le`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -242,6 +270,9 @@ impl<A: Wire, B: Wire, C: Wire, D: Wire> Wire for (A, B, C, D) {
 fn put_f64_slice_le(values: &[f64], buf: &mut BytesMut) {
     #[cfg(target_endian = "little")]
     {
+        // SAFETY: `values` is a live `&[f64]`, so its `size_of_val` bytes
+        // are readable for the borrow; `f64` has no padding and every bit
+        // pattern is a valid `u8`; `u8` has alignment 1.
         let bytes = unsafe {
             std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
         };
@@ -253,23 +284,130 @@ fn put_f64_slice_le(values: &[f64], buf: &mut BytesMut) {
     }
 }
 
-/// Copy `dst.len()` little-endian words out of `buf` into `dst`. The
-/// caller must have length-checked `buf` (see [`need`]). One `memcpy` on
-/// little-endian targets, per-element swaps otherwise.
+/// Fill `dst` from the little-endian words of `src`, which must hold
+/// exactly `dst.len()` of them. Word by word in the source; on a
+/// little-endian target `from_le_bytes` is a plain load and the `&mut`
+/// rules out overlap, so the optimiser makes it a vector copy loop.
 #[inline]
-fn get_f64_slice_le(buf: &mut Bytes, dst: &mut [f64]) {
-    #[cfg(target_endian = "little")]
-    {
-        let n = std::mem::size_of_val(dst);
-        unsafe {
-            std::ptr::copy_nonoverlapping(buf.chunk().as_ptr(), dst.as_mut_ptr().cast::<u8>(), n);
-        }
-        buf.advance(n);
+fn get_f64_slice_le(src: &[u8], dst: &mut [f64]) {
+    let (words, rest) = src.as_chunks::<8>();
+    assert!(
+        words.len() == dst.len() && rest.is_empty(),
+        "get_f64_slice_le: {} source bytes for {} values",
+        src.len(),
+        dst.len()
+    );
+    for (v, word) in dst.iter_mut().zip(words) {
+        *v = f64::from_le_bytes(*word);
     }
-    #[cfg(not(target_endian = "little"))]
-    for v in dst.iter_mut() {
-        *v = buf.get_f64_le();
+}
+
+/// The widest row that is copied through an arm of its own width (see
+/// [`put_f64_row_le`]). A halo patch is at most `halo = ε/h` cells wide on
+/// its short side, and that is 4 or 8 in every workload of this repository.
+const FIXED_ROW_MAX: usize = 8;
+
+/// Append one row of a run. A row of up to [`FIXED_ROW_MAX`] values — the
+/// halo patch of a small SD is a handful of them, four or five values each
+/// — goes through the arm of its width: the length is a constant there, so
+/// the copy is a few straight-line moves instead of a `memcpy` call that
+/// costs more than the 32–40 bytes it moves. Longer rows are one bulk copy.
+#[inline(always)]
+fn put_f64_row_le(row: &[f64], buf: &mut BytesMut) {
+    #[inline(always)]
+    fn fixed<const N: usize>(row: &[f64], buf: &mut BytesMut) {
+        let row: &[f64; N] = row.try_into().expect("the arm of the row's length");
+        buf.put_slice(row.map(f64::to_le_bytes).as_flattened());
     }
+    match row.len() {
+        1 => fixed::<1>(row, buf),
+        2 => fixed::<2>(row, buf),
+        3 => fixed::<3>(row, buf),
+        4 => fixed::<4>(row, buf),
+        5 => fixed::<5>(row, buf),
+        6 => fixed::<6>(row, buf),
+        7 => fixed::<7>(row, buf),
+        FIXED_ROW_MAX => fixed::<FIXED_ROW_MAX>(row, buf),
+        _ => put_f64_slice_le(row, buf),
+    }
+}
+
+/// Counterpart of [`put_f64_row_le`]: fill `row` from `src`, which must
+/// hold exactly its `row.len()` little-endian words.
+#[inline(always)]
+fn get_f64_row_le(src: &[u8], row: &mut [f64]) {
+    #[inline(always)]
+    fn fixed<const N: usize>(src: &[u8], row: &mut [f64]) {
+        let row: &mut [f64; N] = row.try_into().expect("the arm of the row's length");
+        let words: &[[u8; 8]; N] = src
+            .as_chunks::<8>()
+            .0
+            .try_into()
+            .expect("the caller cut `src` to the row's length");
+        *row = words.map(f64::from_le_bytes);
+    }
+    match row.len() {
+        1 => fixed::<1>(src, row),
+        2 => fixed::<2>(src, row),
+        3 => fixed::<3>(src, row),
+        4 => fixed::<4>(src, row),
+        5 => fixed::<5>(src, row),
+        6 => fixed::<6>(src, row),
+        7 => fixed::<7>(src, row),
+        FIXED_ROW_MAX => fixed::<FIXED_ROW_MAX>(src, row),
+        _ => get_f64_slice_le(src, row),
+    }
+}
+
+/// Append the `total` values of a run supplied as strided `rows`, without
+/// a length prefix. The caller has reserved the room, so no row grows the
+/// buffer — and nothing zero-fills bytes the copy is about to overwrite.
+///
+/// # Panics
+/// If `rows` do not hold exactly `total` values: the prefix that announced
+/// them is already on the wire.
+#[inline(always)]
+fn put_f64_run<'a>(total: usize, rows: impl Iterator<Item = &'a [f64]>, buf: &mut BytesMut) {
+    let start = buf.len();
+    for row in rows {
+        put_f64_row_le(row, buf);
+    }
+    let written = (buf.len() - start) / 8;
+    assert_eq!(
+        written, total,
+        "encode_f64_rows: the rows hold {written} values where the length prefix says {total}"
+    );
+}
+
+/// Decode the `len` values of a run (its length prefix already consumed)
+/// straight into the strided `rows`.
+#[inline(always)]
+fn get_f64_run<'a>(
+    buf: &mut Bytes,
+    len: usize,
+    rows: impl Iterator<Item = &'a mut [f64]>,
+) -> Result<(), WireError> {
+    need(buf, len.saturating_mul(8))?;
+    // The run's bounds are checked once, here; every row is then cut off
+    // the front of what is left, and the cursor advances once at the end.
+    let mut run = &buf.chunk()[..len * 8];
+    let mut taken = 0usize;
+    for row in rows {
+        let Some((src, rest)) = run.split_at_checked(row.len() * 8) else {
+            return Err(WireError::Truncated {
+                needed: (taken + row.len()) * 8,
+                remaining: len * 8,
+            });
+        };
+        get_f64_row_le(src, row);
+        run = rest;
+        taken += row.len();
+    }
+    buf.advance(taken * 8);
+    if taken != len {
+        return Err(WireError::TrailingBytes((len - taken) * 8));
+    }
+    Ok(())
 }
 
 /// Fast bulk encoding for `f64` fields — the dominant payload (ghost-zone
@@ -283,43 +421,19 @@ pub fn encode_f64_slice(values: &[f64], buf: &mut BytesMut) {
 /// Encode a logically contiguous `f64` run supplied as strided `rows`
 /// (e.g. the rows of a tile rectangle) without materializing an
 /// intermediate `Vec<f64>`. Wire-identical to [`encode_f64_slice`] over
-/// the concatenation of `rows`; `total` must equal the summed row lengths
-/// (debug-asserted) because the length prefix is written first.
+/// the concatenation of `rows`.
+///
+/// # Panics
+/// If the summed row lengths differ from `total`, which the length prefix
+/// has announced by then.
 pub fn encode_f64_rows<'a>(
     total: usize,
     rows: impl Iterator<Item = &'a [f64]>,
     buf: &mut BytesMut,
 ) {
+    buf.reserve(8 + total * 8);
     (total as u64).encode(buf);
-    let mut written = 0usize;
-    #[cfg(target_endian = "little")]
-    {
-        // One growth for the whole run, then raw row copies into the
-        // already-sized tail — no per-row capacity checks.
-        let start = buf.len();
-        buf.resize(start + total * 8, 0);
-        let dst = buf[start..].as_mut_ptr();
-        for row in rows {
-            debug_assert!(written + row.len() <= total);
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    row.as_ptr().cast::<u8>(),
-                    dst.add(written * 8),
-                    std::mem::size_of_val(row),
-                );
-            }
-            written += row.len();
-        }
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        buf.reserve(total * 8);
-        for row in rows {
-            put_f64_slice_le(row, buf);
-            written += row.len();
-        }
-    }
-    debug_assert_eq!(written, total, "encode_f64_rows: rows disagree with total");
+    put_f64_run(total, rows, buf);
 }
 
 /// Counterpart to [`encode_f64_slice`].
@@ -327,7 +441,8 @@ pub fn decode_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, WireError> {
     let len = u64::decode(buf)? as usize;
     need(buf, len.saturating_mul(8))?;
     let mut out = vec![0.0f64; len];
-    get_f64_slice_le(buf, &mut out);
+    get_f64_slice_le(&buf.chunk()[..len * 8], &mut out);
+    buf.advance(len * 8);
     Ok(out)
 }
 
@@ -342,47 +457,7 @@ pub fn decode_f64_rows<'a>(
     rows: impl Iterator<Item = &'a mut [f64]>,
 ) -> Result<(), WireError> {
     let len = u64::decode(buf)? as usize;
-    need(buf, len.saturating_mul(8))?;
-    let mut taken = 0usize;
-    #[cfg(target_endian = "little")]
-    {
-        // One cursor advance for the whole run: `need` has verified the
-        // payload is contiguous in `chunk()`, so each row is a raw copy
-        // from a running source offset.
-        let src = buf.chunk().as_ptr();
-        for row in rows {
-            if taken + row.len() > len {
-                return Err(WireError::Truncated {
-                    needed: (taken + row.len()) * 8,
-                    remaining: len * 8,
-                });
-            }
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.add(taken * 8),
-                    row.as_mut_ptr().cast::<u8>(),
-                    std::mem::size_of_val(row),
-                );
-            }
-            taken += row.len();
-        }
-        buf.advance(taken * 8);
-    }
-    #[cfg(not(target_endian = "little"))]
-    for row in rows {
-        if taken + row.len() > len {
-            return Err(WireError::Truncated {
-                needed: (taken + row.len()) * 8,
-                remaining: len * 8,
-            });
-        }
-        get_f64_slice_le(buf, row);
-        taken += row.len();
-    }
-    if taken != len {
-        return Err(WireError::TrailingBytes((len - taken) * 8));
-    }
-    Ok(())
+    get_f64_run(buf, len, rows)
 }
 
 /// Header of one record of a ghost bundle: which halo patch of which
@@ -405,9 +480,33 @@ pub struct GhostRecordHeader {
 }
 
 impl GhostRecordHeader {
+    /// Bytes of the three header words.
+    const BYTES: usize = 24;
+
+    /// The header as it stands on the wire.
+    #[inline]
+    fn to_le_bytes(self) -> [[u8; 8]; 3] {
+        [self.dst_sd, self.pidx, self.cells].map(u64::to_le_bytes)
+    }
+
+    /// The header at the front of `wire`, if `wire` is long enough to hold
+    /// one.
+    #[inline]
+    fn read(wire: &[u8]) -> Option<Self> {
+        let (head, _) = wire.split_first_chunk::<{ Self::BYTES }>()?;
+        let [dst_sd, pidx, cells] = head.as_chunks::<8>().0 else {
+            unreachable!("24 bytes are three words")
+        };
+        Some(GhostRecordHeader {
+            dst_sd: u64::from_le_bytes(*dst_sd),
+            pidx: u64::from_le_bytes(*pidx),
+            cells: u64::from_le_bytes(*cells),
+        })
+    }
+
     /// Bytes the whole record (header and run) occupies in a bundle.
     pub const fn wire_bytes(&self) -> usize {
-        24 + 8 * self.cells as usize
+        Self::BYTES + 8 * self.cells as usize
     }
 }
 
@@ -422,43 +521,43 @@ impl std::fmt::Display for GhostRecordHeader {
 }
 
 /// Append one ghost record: `header` followed by the run supplied as
-/// strided `rows`, which must hold `header.cells` values in total. Grows
-/// `buf` by exactly [`GhostRecordHeader::wire_bytes`].
+/// strided `rows`. Grows `buf` by exactly
+/// [`GhostRecordHeader::wire_bytes`]; the header is one 24-byte append.
+///
+/// # Panics
+/// If `rows` do not hold exactly `header.cells` values.
 pub fn encode_ghost_record<'a>(
     header: GhostRecordHeader,
     rows: impl Iterator<Item = &'a [f64]>,
     buf: &mut BytesMut,
 ) {
-    header.dst_sd.encode(buf);
-    header.pidx.encode(buf);
-    encode_f64_rows(header.cells as usize, rows, buf);
+    buf.reserve(header.wire_bytes());
+    buf.put_slice(header.to_le_bytes().as_flattened());
+    put_f64_run(header.cells as usize, rows, buf);
 }
 
 /// Decode the next record of a bundle straight into the strided `rows`
 /// (which must hold `expected.cells` values in total). The record's
-/// header is compared with `expected` *before* anything is written: a
-/// record for another patch, or one with a different cell count, is a
-/// [`WireError::RecordMismatch`] naming both sides and leaves `rows`
-/// untouched; a bundle that ends early is [`WireError::Truncated`].
+/// header is compared with `expected` where it lies, *before* anything is
+/// written: a record for another patch, or one with a different cell
+/// count, is a [`WireError::RecordMismatch`] naming both sides and leaves
+/// `rows` untouched; a bundle that ends early is [`WireError::Truncated`].
 pub fn decode_ghost_record<'a>(
     buf: &mut Bytes,
     expected: GhostRecordHeader,
     rows: impl Iterator<Item = &'a mut [f64]>,
 ) -> Result<(), WireError> {
-    need(buf, 24)?;
-    // Peek at the length prefix through a cheap handle so the run decoder
-    // below still finds it in place.
-    let mut head = buf.clone();
-    let found = GhostRecordHeader {
-        dst_sd: head.get_u64_le(),
-        pidx: head.get_u64_le(),
-        cells: head.get_u64_le(),
+    let Some(found) = GhostRecordHeader::read(buf.chunk()) else {
+        return Err(WireError::Truncated {
+            needed: GhostRecordHeader::BYTES,
+            remaining: buf.remaining(),
+        });
     };
     if found != expected {
         return Err(WireError::RecordMismatch { expected, found });
     }
-    buf.advance(16);
-    decode_f64_rows(buf, rows)
+    buf.advance(GhostRecordHeader::BYTES);
+    get_f64_run(buf, found.cells as usize, rows)
 }
 
 #[cfg(test)]
@@ -663,6 +762,177 @@ mod tests {
                 Err(WireError::Truncated { .. })
             ));
         }
+    }
+
+    /// Row-major storage of `rows` rows of `stride` values, every value
+    /// distinct, with a NaN that carries a payload and a `-0.0` among them.
+    fn storage(stride: usize, rows: usize) -> Vec<f64> {
+        let mut data: Vec<f64> = (0..stride * rows).map(|i| i as f64 * 0.25 - 3.0).collect();
+        data[0] = f64::from_bits(0x7ff8_dead_beef_0001);
+        let last = data.len() - 1;
+        data[last] = -0.0;
+        data
+    }
+
+    /// The `h` rows of `w` values at `(x0, y0)` of `data` — what
+    /// `Tile::rect_rows` hands the codec.
+    fn rect_rows(
+        data: &[f64],
+        stride: usize,
+        (x0, y0, w, h): (usize, usize, usize, usize),
+    ) -> impl Iterator<Item = &[f64]> {
+        data[y0 * stride..]
+            .chunks(stride)
+            .take(h)
+            .map(move |row| &row[x0..x0 + w])
+    }
+
+    fn rect_rows_mut(
+        data: &mut [f64],
+        stride: usize,
+        (x0, y0, w, h): (usize, usize, usize, usize),
+    ) -> impl Iterator<Item = &mut [f64]> {
+        data[y0 * stride..]
+            .chunks_mut(stride)
+            .take(h)
+            .map(move |row| &mut row[x0..x0 + w])
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_row_width_keeps_the_wire_format_and_every_check() {
+        // every fixed-width arm, the first width past them, and two long rows
+        let widths = (1..=FIXED_ROW_MAX + 1).chain([25, 41]);
+        for (w, h) in widths.flat_map(|w| [(w, 1), (w, 3)]) {
+            // the rect flush with each edge of the storage, and clear of all
+            let placements = [
+                (w, 0, 0),     // as wide as the storage: the rows are adjacent
+                (w + 3, 0, 0), // left and top
+                (w + 3, 3, 0), // right and top
+                (w + 3, 0, 2), // left and bottom
+                (w + 3, 3, 2), // right and bottom
+                (w + 4, 2, 1), // inside
+            ];
+            for (stride, x0, y0) in placements {
+                let what = format!("{w}x{h} at ({x0}, {y0}) of stride {stride}");
+                let rect = (x0, y0, w, h);
+                let src = storage(stride, h + 2);
+                let head = header(41, 7, (w * h) as u64);
+
+                // the wire-format pin: the reference is built a value at a time
+                let mut want = BytesMut::new();
+                head.dst_sd.encode(&mut want);
+                head.pidx.encode(&mut want);
+                head.cells.encode(&mut want);
+                for v in rect_rows(&src, stride, rect).flatten() {
+                    v.encode(&mut want);
+                }
+                let mut record = BytesMut::new();
+                encode_ghost_record(head, rect_rows(&src, stride, rect), &mut record);
+                assert_eq!(&record[..], &want[..], "{what}");
+                assert_eq!(record.len(), head.wire_bytes(), "{what}");
+                let mut run = BytesMut::new();
+                encode_f64_rows(w * h, rect_rows(&src, stride, rect), &mut run);
+                assert_eq!(&run[..], &want[16..], "{what}");
+                let record = record.freeze();
+
+                // decode: bit-exact in the rect, nothing outside it
+                let blank = vec![-7.5f64; stride * (h + 2)];
+                let mut dst = blank.clone();
+                let mut wire = record.clone();
+                decode_ghost_record(&mut wire, head, rect_rows_mut(&mut dst, stride, rect))
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(!wire.has_remaining(), "{what}");
+                let got: Vec<f64> = rect_rows(&dst, stride, rect).flatten().copied().collect();
+                let sent: Vec<f64> = rect_rows(&src, stride, rect).flatten().copied().collect();
+                assert_eq!(bits(&got), bits(&sent), "{what}");
+                let mut outside = dst.clone();
+                rect_rows_mut(&mut outside, stride, rect).for_each(|row| row.fill(-7.5));
+                assert_eq!(bits(&outside), bits(&blank), "{what}");
+                let mut via_rows = blank.clone();
+                decode_f64_rows(
+                    &mut record.slice(16..record.len()),
+                    rect_rows_mut(&mut via_rows, stride, rect),
+                )
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(bits(&via_rows), bits(&dst), "{what}");
+
+                // cut inside the header, at every row boundary and mid-row
+                let run_cuts = (0..h).flat_map(|row| [row * w * 8, row * w * 8 + 4]);
+                for keep in [0, 23].into_iter().chain(run_cuts.map(|cut| 24 + cut)) {
+                    let mut dst = blank.clone();
+                    let mut cut = record.slice(0..keep);
+                    let needed = if keep < 24 { 24 } else { w * h * 8 };
+                    let remaining = if keep < 24 { keep } else { keep - 24 };
+                    assert_eq!(
+                        decode_ghost_record(&mut cut, head, rect_rows_mut(&mut dst, stride, rect)),
+                        Err(WireError::Truncated { needed, remaining }),
+                        "{what}, {keep} bytes kept"
+                    );
+                    assert_eq!(bits(&dst), bits(&blank), "{what}, {keep} bytes kept");
+                }
+
+                // a header that disagrees in any word: refused before any write
+                for expected in [
+                    header(40, 7, head.cells),
+                    header(41, 8, head.cells),
+                    header(41, 7, head.cells + 1),
+                ] {
+                    let mut dst = blank.clone();
+                    assert_eq!(
+                        decode_ghost_record(
+                            &mut record.clone(),
+                            expected,
+                            rect_rows_mut(&mut dst, stride, rect)
+                        ),
+                        Err(WireError::RecordMismatch {
+                            expected,
+                            found: head
+                        }),
+                        "{what}"
+                    );
+                    assert_eq!(bits(&dst), bits(&blank), "{what}");
+                }
+
+                // a run longer than the rows it is decoded into
+                let mut dst = blank.clone();
+                let short = (x0, y0, w, h - 1);
+                assert_eq!(
+                    decode_ghost_record(
+                        &mut record.clone(),
+                        head,
+                        rect_rows_mut(&mut dst, stride, short)
+                    ),
+                    Err(WireError::TrailingBytes(w * 8)),
+                    "{what}"
+                );
+                // ... and one shorter
+                let mut dst = vec![0.0; stride * (h + 3)];
+                let tall = (x0, y0, w, h + 1);
+                assert_eq!(
+                    decode_ghost_record(
+                        &mut record.clone(),
+                        head,
+                        rect_rows_mut(&mut dst, stride, tall)
+                    ),
+                    Err(WireError::Truncated {
+                        needed: w * (h + 1) * 8,
+                        remaining: w * h * 8
+                    }),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the rows hold 6 values where the length prefix says 8")]
+    fn rows_that_disagree_with_the_announced_total_fail_at_the_encoder() {
+        let values = [0.0f64; 6];
+        encode_ghost_record(header(1, 2, 8), values.chunks(3), &mut BytesMut::new());
     }
 
     #[test]

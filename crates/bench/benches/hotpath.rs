@@ -15,11 +15,12 @@
 use bytes::BytesMut;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nlheat_core::balance::{compute_metrics, LbNetwork, LbSpec, LoadMetrics};
+use nlheat_core::ghost::{reverse_index, GhostSchedule};
 use nlheat_core::scenario::sweep::{Axis, ScenarioSweep};
 use nlheat_core::scenario::{modeled_busy, work_at, ClusterSpec, PartitionSpec, Scenario};
 use nlheat_core::scenarios;
 use nlheat_core::Ownership;
-use nlheat_mesh::{Grid, Rect, Tile};
+use nlheat_mesh::{build_halo_plan, Grid, Rect, SdGrid, Tile};
 use nlheat_model::{zero_source, Influence, NonlocalKernel, VectorLevel};
 use nlheat_sim::engine::simulate;
 use nlheat_sim::scenario::{RunSim, SimSubstrate};
@@ -114,6 +115,48 @@ fn halo_codec_bench(c: &mut Criterion) {
             let mut payload = legacy_payload.clone();
             nlheat_amt::codec::decode_f64_rows(&mut payload, tile.rect_rows_mut(&halo_rect))
                 .unwrap();
+        })
+    });
+    // The other end of the scale, where the 8x50 pair is blind: one rank's
+    // whole bundle of the repository benchmark's `dist_ghost_heavy` — 4 602
+    // records of 16-20 cells in rows of 4 or 5 — packed from its 800 tiles
+    // and scattered into them record by record, exactly as the driver's
+    // send phase and bundle continuation do. Per-record cost (header, row
+    // dispatch, a copy of 32-40 bytes) is all there is to time here.
+    let sds = SdGrid::tile_mesh(200, 200, 5);
+    let halo = Grid::square(200, 4.0).halo;
+    let owners = scenarios::drifted_owners(&sds, 2);
+    let plans: Vec<_> = sds
+        .ids()
+        .map(|id| build_halo_plan(&sds, halo, id))
+        .collect();
+    let reverse = reverse_index(&plans);
+    let [mine, peer] = [0, 1].map(|rank| GhostSchedule::build(&plans, &reverse, &owners, rank));
+    let tiles_of = |schedule: &GhostSchedule| -> Vec<Tile> {
+        let tile = |&sd| {
+            let mut tile = Tile::new(sds.sd, halo);
+            for (i, (x, y)) in tile.interior_rect().cells().enumerate() {
+                tile.set(x, y, f64::from(sd) + i as f64 * 0.01);
+            }
+            tile
+        };
+        schedule.owned.iter().map(tile).collect()
+    };
+    let mut tiles = tiles_of(&mine);
+    g.bench_function("bundle_pack_ghost_heavy", |b| {
+        b.iter(|| black_box(mine.sends[0].pack(&mut tiles, |tile| tile)))
+    });
+    let incoming = peer.sends[0].pack(&mut tiles_of(&peer), |tile| tile);
+    let records = &mine.recvs[0].records;
+    assert_eq!(records.len(), 4602);
+    g.bench_function("bundle_scatter_ghost_heavy", |b| {
+        b.iter(|| {
+            let mut payload = incoming.clone();
+            for rec in records {
+                let rows = tiles[rec.tile as usize].rect_rows_mut(&rec.rect);
+                nlheat_amt::codec::decode_ghost_record(&mut payload, rec.header(), rows).unwrap();
+            }
+            assert!(payload.is_empty());
         })
     });
     g.finish();

@@ -19,7 +19,11 @@
 //! 2. **Snapshot band**: every benchmark present in the snapshot must stay
 //!    within `NLHEAT_BENCH_TOLERANCE` × its recorded mean (default 1.5 —
 //!    wide enough for runner-to-runner variance, tight enough to catch a
-//!    2× regression).
+//!    2× regression). The per-record halo cost
+//!    (`halo/bundle_{pack,scatter}_ghost_heavy`) is held by this band
+//!    alone: the per-row `memcpy` path it replaced was deleted, not
+//!    retained, so there is no same-run baseline to pair it with — a
+//!    return to it reads ≈ 2.2× on the scatter entry.
 //!
 //! Usage: `bench_gate <current.json> <snapshot.json>`
 

@@ -29,6 +29,18 @@
 //! is O(tasks + bundles), not O(SDs). Where a rank's step loop went is in
 //! the cluster's counter registry, phase by phase ([`STEP_PHASES`]).
 //!
+//! **Exclusive phases take the tiles exclusively.** The tile table lives
+//! in the `Arc<StepPlan>` the tasks of a step share, each tile behind a
+//! lock — but fill and send run before the step's first task exists, and
+//! swap (with the error sum) after the driver has waited for its last. A
+//! task's handle on the plan is gone before its future is set, so in
+//! those phases `Arc::get_mut` succeeds (`unshared`; it panics otherwise)
+//! and the driver reaches every tile through `RwLock::get_mut` /
+//! `Mutex::get_mut`: plain field accesses, checked by the borrow checker,
+//! no lock round trip and no atomic. Only the code that really runs beside
+//! other tasks keeps its locks: `scatter_bundle` (`curr.write()`) and
+//! `region_task` (`curr.read()`, the `next_data` pointer).
+//!
 //! There is deliberately **no global barrier between timesteps**: tags
 //! carry the step index, so a fast node may run ahead and its bundles are
 //! stashed by the receiver's rendezvous table until expected — the
@@ -330,24 +342,26 @@ impl TileSlot {
     /// # Panics
     /// If the tiles differ in geometry (see [`TileSlot::arm`]).
     fn new(origin: (i64, i64), curr: Tile, next: Tile) -> Self {
-        let slot = TileSlot {
+        let mut slot = TileSlot {
             origin,
             curr: RwLock::new(curr),
             next: Mutex::new(next),
             next_data: AtomicPtr::new(std::ptr::null_mut()),
         };
-        slot.arm(&slot.curr.read(), &mut slot.next.lock());
+        slot.arm();
         slot
     }
 
-    /// Point `next_data` at the storage of `next`, the tile in the slot of
-    /// that name. Called when a tile enters that slot — in `new` and after
-    /// every swap — and so never while a task of the SD runs: deriving the
-    /// pointer again would invalidate the one running tasks write through.
+    /// Point `next_data` at the storage of the tile in `next`. Called when
+    /// a tile enters that slot — in `new` and after every swap — and, as
+    /// the exclusive borrow says, never while a task of the SD runs:
+    /// deriving the pointer again would invalidate the one running tasks
+    /// write through.
     ///
     /// # Panics
     /// If the tiles differ in geometry: tasks index `next` by `curr`'s.
-    fn arm(&self, curr: &Tile, next: &mut Tile) {
+    fn arm(&mut self) {
+        let (curr, next) = (self.curr.get_mut(), self.next.get_mut());
         assert!(
             curr.stride() == next.stride() && curr.halo() == next.halo(),
             "the curr and next tiles of an SD differ in geometry: stride or halo"
@@ -358,12 +372,12 @@ impl TileSlot {
             .store(next.data_mut().as_mut_ptr(), Ordering::Release);
     }
 
-    /// End of a step: what the tasks wrote becomes the current field.
-    fn swap(&self) {
-        let mut curr = self.curr.write();
-        let mut next = self.next.lock();
-        std::mem::swap(&mut *curr, &mut *next);
-        self.arm(&curr, &mut next);
+    /// End of a step: what the tasks wrote becomes the current field. The
+    /// driver holds the plan exclusively here (every task of the step has
+    /// completed), so neither tile needs its lock.
+    fn swap(&mut self) {
+        std::mem::swap(self.curr.get_mut(), self.next.get_mut());
+        self.arm();
     }
 
     /// The slot's `[curr, next]` tiles, for the migration hand-off.
@@ -441,6 +455,18 @@ impl StepPlan {
             gate.store(n, Ordering::Release);
         }
     }
+}
+
+/// The step plan between two steps' tasks, when no task holds a handle on
+/// it: a task's closure — and the clone of the `Arc` it captured — is gone
+/// before its future is set, and the driver has waited on every future of
+/// the step. The fill, send and swap phases lean on this *every step* to
+/// reach the tiles without their locks.
+///
+/// # Panics
+/// If a task still holds the plan.
+fn unshared(plan: &mut Arc<StepPlan>) -> &mut StepPlan {
+    Arc::get_mut(plan).expect("no task outlives its step, so the plan is unshared between steps")
 }
 
 /// The one compute-task body: update `regions` — of any tiles of `plan` —
@@ -864,13 +890,16 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let loop_t0 = Instant::now();
     let mut clock = PhaseClock::start(&loc);
     for step in 0..cfg.n_steps {
+        // no task of the step exists yet: fill and send take no lock
+        let StepPlan { layout, tiles, .. } = unshared(&mut plan);
+
         // --- 1. local halo fill (same-node neighbours: plain copies) ---
-        for run in plan.layout.fills.chunk_by(|a, b| a.dst_tile == b.dst_tile) {
-            let mut dst = plan.tiles[run[0].dst_tile as usize].curr.write();
-            for fill in run {
-                let src = plan.tiles[fill.src_tile as usize].curr.read();
-                dst.copy_rect_from(&src, &fill.src_rect, &fill.dst_rect);
-            }
+        for fill in &layout.fills {
+            let [dst, src] = tiles
+                .get_disjoint_mut([fill.dst_tile as usize, fill.src_tile as usize])
+                .expect("a halo patch is filled from another SD's tile");
+            let (dst, src) = (dst.curr.get_mut(), src.curr.get_mut());
+            dst.copy_rect_from(src, &fill.src_rect, &fill.dst_rect);
         }
         clock.end(Phase::Fill);
 
@@ -878,25 +907,19 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         if cfg.cluster_events.iter().any(|&(from, _)| from == step) {
             failed = failed_at(failed.len(), &cfg.cluster_events, step);
         }
-        let schedule = &plan.layout.schedule;
-        if !schedule.sends.is_empty() {
-            // No task of this step is running yet, so the read locks are
-            // uncontended; records index this list by tile.
-            let tiles: Vec<_> = plan.tiles.iter().map(|slot| slot.curr.read()).collect();
-            for bundle in &schedule.sends {
-                if !failed[me as usize] && !failed[bundle.peer as usize] {
-                    ghost_patches += bundle.records.len() as u64;
-                    ghost_bytes += bundle.wire_bytes as u64;
-                    if comm_cost.link_class(me, bundle.peer) == LinkClass::InterRack {
-                        inter_rack_ghost_bytes += bundle.wire_bytes as u64;
-                    }
+        for bundle in &layout.schedule.sends {
+            if !failed[me as usize] && !failed[bundle.peer as usize] {
+                ghost_patches += bundle.records.len() as u64;
+                ghost_bytes += bundle.wire_bytes as u64;
+                if comm_cost.link_class(me, bundle.peer) == LinkClass::InterRack {
+                    inter_rack_ghost_bytes += bundle.wire_bytes as u64;
                 }
-                loc.send(
-                    bundle.peer,
-                    tag(CLASS_GHOST, step as u64, me as u64, 0),
-                    bundle.pack(&tiles),
-                );
             }
+            loc.send(
+                bundle.peer,
+                tag(CLASS_GHOST, step as u64, me as u64, 0),
+                bundle.pack(tiles, |slot| slot.curr.get_mut()),
+            );
         }
         clock.end(Phase::Send);
 
@@ -906,9 +929,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         // models since the table was made).
         let work_now = cfg.work_at(step);
         if !work_set.is_some_and(|set| std::ptr::eq(set, work_now)) {
-            Arc::get_mut(&mut plan)
-                .expect("no task outlives its step, so the plan is unshared between steps")
-                .set_work(work_now, &sds, loc.speed());
+            unshared(&mut plan).set_work(work_now, &sds, loc.speed());
             work_set = Some(work_now);
         }
         let t = step as f64 * dt;
@@ -958,15 +979,16 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
 
         // --- 4. re-arm the gates, swap buffers ---
         plan.reset_gates();
-        plan.tiles.iter().for_each(TileSlot::swap);
+        let tiles = &mut unshared(&mut plan).tiles;
+        tiles.iter_mut().for_each(TileSlot::swap);
 
         // --- 5. error recording ---
         if cfg.record_error {
             let t_now = (step + 1) as f64 * dt;
             let h = setup.parts.grid.h;
             let mut sum = 0.0;
-            for slot in &plan.tiles {
-                let curr = slot.curr.read();
+            for slot in tiles {
+                let curr = slot.curr.get_mut();
                 for lj in 0..sds.sd {
                     for li in 0..sds.sd {
                         let (gi, gj) = (slot.origin.0 + li, slot.origin.1 + lj);
@@ -1492,7 +1514,7 @@ mod tests {
             let rank = [0u32, 2][k];
             let sender = StepLayout::build(&plans, &reverse, &owners, rank, &cut).schedule;
             assert_eq!(sender.sends[0].peer, 1);
-            sender.sends[0].pack(&[&sources[k]])
+            sender.sends[0].pack(&mut [&sources[k]], |tile| *tile)
         });
         let layout = StepLayout::build(&plans, &reverse, &owners, 1, &cut);
         assert_eq!(layout.schedule.awaited, vec![2]);
@@ -1858,6 +1880,50 @@ mod tests {
             cluster.registry().read(KERNEL_VECTOR_LEVEL_COUNTER),
             Some(level)
         );
+    }
+
+    #[test]
+    fn the_plan_is_unshared_between_the_steps_of_a_long_run() {
+        // Fill, send and swap reach the tiles through `unshared` — that is,
+        // `Arc::get_mut` — *every step*: were one task's handle on the plan
+        // to outlive the driver's wait for it once in these runs, the
+        // driver would panic instead of returning a field. Long runs under
+        // `-O` (the CI step), because a handle dropped a moment late is a
+        // race: the many-task ghost-heavy shape, and 25-cell SDs from the
+        // Metis partition with a crack that moves, so LB epochs rebuild the
+        // plan mid-run; each with overlap on and off and with stealing.
+        let steps = if cfg!(debug_assertions) { 24 } else { 200 };
+        let ghost_heavy = {
+            let mut cfg = DistConfig::new(100, 4.0, 5, steps);
+            let owners = crate::scenarios::drifted_owners(&SdGrid::tile_mesh(100, 100, 5), 2);
+            cfg.partition = PartitionSpec::Explicit(owners);
+            cfg
+        };
+        let metis_lb = {
+            let mut cfg = DistConfig::new(100, 4.0, 25, steps);
+            let crack = |y_cell| WorkModel::Crack {
+                y_cell,
+                half_width: 10,
+                factor: 3.0,
+            };
+            cfg.work_schedule = vec![(0, crack(20)), (steps / 2, crack(80))];
+            cfg.lb = Some(LbSchedule::every(4));
+            cfg.lb_input = LbInput::Modeled;
+            cfg
+        };
+        let want = serial_field(100, 4.0, steps);
+        for (shape, cfg) in [("ghost-heavy", ghost_heavy), ("metis + lb", metis_lb)] {
+            for (overlap, stealing) in [(true, false), (false, false), (true, true)] {
+                let cluster = ClusterBuilder::new().node(2, 1.0).node(2, 0.5).build();
+                let mut cfg = cfg.clone();
+                cfg.overlap = overlap;
+                cfg.intra_step_stealing = stealing;
+                let report = run_distributed(&cluster, &cfg);
+                let what = format!("{shape}, overlap {overlap}, stealing {stealing}");
+                assert!(report.field == want, "{what}: field differs from serial");
+                assert_eq!(report.migrations > 0, cfg.lb.is_some(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,18 @@
 //! [`nlheat_amt::codec::GhostRecordHeader`]) are there to *verify* that
 //! agreement, not to establish it.
 //!
+//! A bundle is packed and scattered row by row through the one run codec
+//! ([`nlheat_amt::codec`]): [`RankBundle::pack`] streams each record's
+//! rows — four or five cells each on a small SD — straight off the source
+//! tile, and the receiver decodes them straight into the destination halo,
+//! after comparing the record's header, where it lies in the bundle, with
+//! the one its own schedule expects. `pack` takes its tile table
+//! exclusively (`&mut`): the driver packs before any task of the step
+//! exists, so a table that keeps its tiles behind locks for the phases
+//! that do share them hands them out here through `get_mut`, lock-free.
+//! A bundle that does not come out at its scheduled size panics at the
+//! sender, not as a `Truncated` a rank away.
+//!
 //! Everything else a step does to the halos and interiors is a function of
 //! the ownership map too, so [`StepLayout`] derives it in the same pass and
 //! the driver replays it every step of the ownership epoch: the local halo
@@ -25,7 +37,6 @@ use bytes::{Bytes, BytesMut};
 use nlheat_amt::codec::{encode_ghost_record, GhostRecordHeader};
 use nlheat_mesh::{split_cases, HaloPlan, Rect, SdId, Tile};
 use std::collections::BTreeMap;
-use std::ops::Deref;
 
 /// One halo patch as a record of a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,16 +87,34 @@ impl RankBundle {
         }
     }
 
-    /// Pack a send bundle straight from the source tiles (`tiles[i]` is the
-    /// tile of [`GhostSchedule::owned`]`[i]`) into one buffer allocated at
-    /// its final size.
-    pub fn pack<T: Deref<Target = Tile>>(&self, tiles: &[T]) -> Bytes {
+    /// Pack a send bundle straight from the source tiles into one buffer
+    /// allocated at its final size. `slots[i]` holds the tile of
+    /// [`GhostSchedule::owned`]`[i]` and `tile_of` reaches it through the
+    /// exclusive borrow — a slot that keeps its tile behind a lock for the
+    /// phases that share it hands it out here without taking the lock.
+    ///
+    /// # Panics
+    /// If the records do not fill [`wire_bytes`](Self::wire_bytes) exactly
+    /// (the schedule and the tiles disagree): better here, at the sender,
+    /// than as the receiver's `Truncated` a rank away.
+    pub fn pack<S>(
+        &self,
+        slots: &mut [S],
+        tile_of: impl for<'a> Fn(&'a mut S) -> &'a Tile,
+    ) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_bytes);
         for rec in &self.records {
-            let rows = tiles[rec.tile as usize].rect_rows(&rec.rect);
+            let rows = tile_of(&mut slots[rec.tile as usize]).rect_rows(&rec.rect);
             encode_ghost_record(rec.header(), rows, &mut buf);
         }
-        debug_assert_eq!(buf.len(), self.wire_bytes);
+        assert_eq!(
+            buf.len(),
+            self.wire_bytes,
+            "the bundle to rank {} packed to {} bytes where its schedule says {}",
+            self.peer,
+            buf.len(),
+            self.wire_bytes
+        );
         buf.freeze()
     }
 }
@@ -461,6 +490,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the bundle to rank 1 packed to 88 bytes where its schedule says 80")]
+    fn a_bundle_that_disagrees_with_its_size_fails_at_the_sender() {
+        let sds = SdGrid::new(2, 1, 4);
+        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 2, id)).collect();
+        let schedule = GhostSchedule::build(&plans, &reverse_index(&plans), &[0, 1], 0);
+        let mut bundle = schedule.sends[0].clone();
+        bundle.wire_bytes -= 8;
+        bundle.pack(&mut [Tile::new(4, 2)], |tile| tile);
+    }
+
+    #[test]
     fn pack_fills_the_buffer_exactly() {
         let sds = SdGrid::new(2, 1, 4);
         let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 2, id)).collect();
@@ -471,7 +511,7 @@ mod tests {
             tile.set(x, y, i as f64);
         }
         let bundle = &schedule.sends[0];
-        let payload = bundle.pack(&[&tile]);
+        let payload = bundle.pack(&mut [tile], |tile| tile);
         assert_eq!(payload.len(), bundle.wire_bytes);
         // one 2x4 patch: 3 header words + 8 values
         assert_eq!(bundle.wire_bytes, 24 + 8 * 8);

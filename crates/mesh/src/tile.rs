@@ -68,6 +68,23 @@ impl Tile {
         ((lj + self.halo) * self.stride + (li + self.halo)) as usize
     }
 
+    /// The rect entry points' bounds check. [`index`](Self::index) only
+    /// `debug_assert!`s its coordinates, and a storage offset computed from
+    /// a column past the halo is *in bounds* — of the next row — so without
+    /// this a release build would silently read or write a neighbour's
+    /// cells. Once per rect, not per row or cell.
+    ///
+    /// # Panics
+    /// If `rect` is not empty and not inside [`padded_rect`](Self::padded_rect).
+    #[inline]
+    fn assert_holds(&self, rect: &Rect) {
+        assert!(
+            self.padded_rect().contains_rect(rect),
+            "rect {rect:?} is not inside the tile's padded extent {:?}",
+            self.padded_rect()
+        );
+    }
+
     /// Read the value at local `(li, lj)` (halo cells allowed).
     #[inline]
     pub fn get(&self, li: i64, lj: i64) -> f64 {
@@ -99,8 +116,11 @@ impl Tile {
     }
 
     /// Copy the cells of `rect` (local coordinates) into a row-major vector.
+    ///
+    /// # Panics
+    /// Panics if `rect` leaves the padded extent.
     pub fn pack(&self, rect: &Rect) -> Vec<f64> {
-        debug_assert!(self.padded_rect().contains_rect(rect));
+        self.assert_holds(rect);
         let mut out = Vec::with_capacity(rect.area() as usize);
         for lj in rect.y0..rect.y1() {
             let row = self.index(rect.x0, lj);
@@ -112,8 +132,11 @@ impl Tile {
     /// The rows of `rect` (local coordinates) as borrowed slices, top to
     /// bottom — lets codecs stream a rectangle straight off the strided
     /// storage without the intermediate vector [`pack`](Self::pack) builds.
+    ///
+    /// # Panics
+    /// Panics if `rect` leaves the padded extent.
     pub fn rect_rows(&self, rect: &Rect) -> impl Iterator<Item = &[f64]> {
-        debug_assert!(self.padded_rect().contains_rect(rect));
+        self.assert_holds(rect);
         let w = rect.w as usize;
         let first = self.index(rect.x0, rect.y0);
         self.data[first..]
@@ -125,8 +148,11 @@ impl Tile {
     /// Mutable counterpart of [`rect_rows`](Self::rect_rows): the rows of
     /// `rect` as mutable slices, for decoding payloads straight into the
     /// tile without an intermediate vector.
+    ///
+    /// # Panics
+    /// Panics if `rect` leaves the padded extent.
     pub fn rect_rows_mut(&mut self, rect: &Rect) -> impl Iterator<Item = &mut [f64]> {
-        debug_assert!(self.padded_rect().contains_rect(rect));
+        self.assert_holds(rect);
         let w = rect.w as usize;
         let first = self.index(rect.x0, rect.y0);
         self.data[first..]
@@ -138,14 +164,15 @@ impl Tile {
     /// Write a row-major vector into the cells of `rect` (local coords).
     ///
     /// # Panics
-    /// Panics if `values.len() != rect.area()`.
+    /// Panics if `values.len() != rect.area()` or `rect` leaves the padded
+    /// extent.
     pub fn unpack(&mut self, rect: &Rect, values: &[f64]) {
         assert_eq!(
             values.len(),
             rect.area() as usize,
             "unpack size mismatch for rect {rect:?}"
         );
-        debug_assert!(self.padded_rect().contains_rect(rect));
+        self.assert_holds(rect);
         for (row_idx, lj) in (rect.y0..rect.y1()).enumerate() {
             let dst = self.index(rect.x0, lj);
             let src = row_idx * rect.w as usize;
@@ -157,9 +184,17 @@ impl Tile {
     /// Copy `src_rect` from another tile into this tile at `dst_rect`
     /// (rect shapes must match). Used for same-locality halo fills where no
     /// serialization is needed.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ or either rect leaves its tile's padded
+    /// extent.
     pub fn copy_rect_from(&mut self, src: &Tile, src_rect: &Rect, dst_rect: &Rect) {
-        assert_eq!(src_rect.w, dst_rect.w);
-        assert_eq!(src_rect.h, dst_rect.h);
+        assert!(
+            (src_rect.w, src_rect.h) == (dst_rect.w, dst_rect.h),
+            "copy_rect_from: {src_rect:?} and {dst_rect:?} differ in shape"
+        );
+        src.assert_holds(src_rect);
+        self.assert_holds(dst_rect);
         for dy in 0..src_rect.h {
             let s = src.index(src_rect.x0, src_rect.y0 + dy);
             let d = self.index(dst_rect.x0, dst_rect.y0 + dy);
@@ -171,8 +206,11 @@ impl Tile {
     }
 
     /// Set every cell of `rect` (local coords) to `value`.
+    ///
+    /// # Panics
+    /// Panics if `rect` leaves the padded extent.
     pub fn fill_rect(&mut self, rect: &Rect, value: f64) {
-        debug_assert!(self.padded_rect().contains_rect(rect));
+        self.assert_holds(rect);
         for lj in rect.y0..rect.y1() {
             let row = self.index(rect.x0, lj);
             self.data[row..row + rect.w as usize].fill(value);
@@ -321,6 +359,90 @@ mod tests {
         assert_eq!(dst.get(-1, 0), 7.0);
         assert_eq!(dst.get(-1, 3), 7.0);
         assert_eq!(dst.get(0, 0), 0.0);
+    }
+
+    /// A 2x2 rect one cell past each edge of a `Tile::new(4, 2)` (padded
+    /// extent `[-2, 6)` both ways). Past the left and right edges every
+    /// storage offset is still in bounds — of a neighbouring row — so only
+    /// the containment check stands between such a rect and a silent wrong
+    /// copy in a release build.
+    fn off_edge() -> [(&'static str, Rect); 4] {
+        [
+            ("left", Rect::new(-3, 0, 2, 2)),
+            ("right", Rect::new(5, 0, 2, 2)),
+            ("below", Rect::new(0, -3, 2, 2)),
+            ("above", Rect::new(0, 5, 2, 2)),
+        ]
+    }
+
+    macro_rules! off_edge_panics {
+        ($($name:ident: $edge:literal, $call:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "is not inside the tile's padded extent")]
+            fn $name() {
+                let mut t = Tile::new(4, 2);
+                let (_, rect) = off_edge()[$edge];
+                let call: fn(&mut Tile, &Rect) -> usize = $call;
+                call(&mut t, &rect);
+            }
+        )*};
+    }
+
+    off_edge_panics! {
+        rect_rows_off_the_left_edge_panics: 0, |t, r| t.rect_rows(r).count();
+        rect_rows_off_the_right_edge_panics: 1, |t, r| t.rect_rows(r).count();
+        rect_rows_off_the_bottom_edge_panics: 2, |t, r| t.rect_rows(r).count();
+        rect_rows_off_the_top_edge_panics: 3, |t, r| t.rect_rows(r).count();
+        rect_rows_mut_off_the_left_edge_panics: 0, |t, r| t.rect_rows_mut(r).count();
+        rect_rows_mut_off_the_right_edge_panics: 1, |t, r| t.rect_rows_mut(r).count();
+        rect_rows_mut_off_the_bottom_edge_panics: 2, |t, r| t.rect_rows_mut(r).count();
+        rect_rows_mut_off_the_top_edge_panics: 3, |t, r| t.rect_rows_mut(r).count();
+    }
+
+    #[test]
+    fn every_rect_entry_point_refuses_a_rect_off_the_tile() {
+        let inside = Rect::new(0, 0, 2, 2);
+        type Call = fn(&mut Tile, &Rect);
+        let calls: [(&str, Call); 5] = [
+            ("pack", |t, r| drop(t.pack(r))),
+            ("unpack", |t, r| t.unpack(r, &[1.0; 4])),
+            ("fill_rect", |t, r| t.fill_rect(r, 1.0)),
+            ("copy_rect_from (source)", |t, r| {
+                let src = t.clone();
+                t.copy_rect_from(&src, r, &Rect::new(0, 0, 2, 2));
+            }),
+            ("copy_rect_from (destination)", |t, r| {
+                let src = t.clone();
+                t.copy_rect_from(&src, &Rect::new(0, 0, 2, 2), r);
+            }),
+        ];
+        for (what, call) in calls {
+            let mut t = Tile::new(4, 2);
+            call(&mut t, &inside);
+            for (edge, rect) in off_edge() {
+                let mut t = Tile::new(4, 2);
+                let outcome = std::panic::catch_unwind(move || {
+                    call(&mut t, &rect);
+                    t
+                });
+                let message = match outcome {
+                    Ok(_) => panic!("{what} accepted a rect off the {edge} edge"),
+                    Err(payload) => *payload.downcast::<String>().expect("a formatted panic"),
+                };
+                assert!(
+                    message.contains("is not inside the tile's padded extent"),
+                    "{what}, {edge} edge: {message}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in shape")]
+    fn copy_rect_of_another_shape_panics() {
+        let src = Tile::new(4, 2);
+        let mut dst = Tile::new(4, 2);
+        dst.copy_rect_from(&src, &Rect::new(0, 0, 2, 3), &Rect::new(0, 0, 3, 2));
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! plus a view range), `BytesMut` a growable builder that freezes into
 //! `Bytes`, and `Buf`/`BufMut` provide the little-endian cursor methods the
 //! workspace codec uses. Only the API surface exercised here is provided.
+//!
+//! The accessors and cursor methods are `#[inline]`, as they are in the
+//! real crate: they are one or two instructions each, the codec calls
+//! several per 32-byte halo row, and without the attribute a non-generic
+//! method of another crate is an out-of-line call.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut, Range};
@@ -34,10 +39,12 @@ impl Bytes {
         Bytes::from(data.to_vec())
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.end - self.start
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.start == self.end
     }
@@ -69,6 +76,7 @@ impl From<Vec<u8>> for Bytes {
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -107,10 +115,12 @@ pub trait Buf {
     fn chunk(&self) -> &[u8];
     fn advance(&mut self, n: usize);
 
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(self.remaining() >= dst.len(), "buffer underflow");
         dst.copy_from_slice(&self.chunk()[..dst.len()]);
@@ -124,60 +134,71 @@ pub trait Buf {
         out
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
         b[0]
     }
 
+    #[inline]
     fn get_u16_le(&mut self) -> u16 {
         let mut b = [0u8; 2];
         self.copy_to_slice(&mut b);
         u16::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
         u32::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
         u64::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_i32_le(&mut self) -> i32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
         i32::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_i64_le(&mut self) -> i64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
         i64::from_le_bytes(b)
     }
 
+    #[inline]
     fn get_f32_le(&mut self) -> f32 {
         f32::from_bits(self.get_u32_le())
     }
 
+    #[inline]
     fn get_f64_le(&mut self) -> f64 {
         f64::from_bits(self.get_u64_le())
     }
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn chunk(&self) -> &[u8] {
         self
     }
 
+    #[inline]
     fn advance(&mut self, n: usize) {
         assert!(n <= self.len(), "advance past end of buffer");
         self.start += n;
@@ -201,24 +222,29 @@ impl BytesMut {
         }
     }
 
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.vec.reserve(additional);
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.vec.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.vec.is_empty()
     }
 
+    #[inline]
     pub fn extend_from_slice(&mut self, data: &[u8]) {
         self.vec.extend_from_slice(data);
     }
 
     /// Grow (zero-filling with `value`) or shrink to `new_len` bytes —
     /// lets bulk encoders allocate once and write through `DerefMut`.
+    #[inline]
     pub fn resize(&mut self, new_len: usize, value: u8) {
         self.vec.resize(new_len, value);
     }
@@ -230,12 +256,14 @@ impl BytesMut {
 
 impl Deref for BytesMut {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.vec
     }
 }
 
 impl DerefMut for BytesMut {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.vec
     }
@@ -245,40 +273,49 @@ impl DerefMut for BytesMut {
 pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i32_le(&mut self, v: i32) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.put_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_f32_le(&mut self, v: f32) {
         self.put_u32_le(v.to_bits());
     }
 
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.vec.extend_from_slice(src);
     }

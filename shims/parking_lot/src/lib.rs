@@ -101,6 +101,10 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<T: Default> Default for RwLock<T> {
@@ -187,6 +191,17 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 6;
         assert_eq!(*l.read(), 6);
+    }
+
+    #[test]
+    fn get_mut_reaches_the_value_without_locking() {
+        let (mut m, mut l) = (Mutex::new(1), RwLock::new(2));
+        // a leaked guard would block `lock`/`write` forever; the exclusive
+        // borrow never looks at the lock state
+        std::mem::forget(l.read());
+        *m.get_mut() += 10;
+        *l.get_mut() += 10;
+        assert_eq!((*m.lock(), *l.read()), (11, 12));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use bytes::BytesMut;
 use nlheat_amt::codec::{decode_f64_rows, decode_f64_vec, encode_f64_rows, encode_f64_slice};
-use nlheat_mesh::{Rect, Tile};
+use nlheat_core::ghost::{reverse_index, GhostSchedule};
+use nlheat_mesh::{build_halo_plan, Rect, Tile};
 use nonlocalheat::prelude::*;
 
 /// Row stride of the one tile that holds the whole mesh.
@@ -231,4 +232,46 @@ fn zero_copy_codec_wire_format_matches_copying_path() {
         decode_f64_rows(&mut streamed.clone(), via_rows.rect_rows_mut(&rect)).unwrap();
         assert_eq!(via_vec, via_rows, "decoded tiles must match for {rect:?}");
     }
+
+    // ... and at the other end of the scale, where rows are four or five
+    // cells and go through the codec's fixed-width arms: one rank's whole
+    // send bundle of the ghost-heavy shape (4 602 records), record by
+    // record against header words + pack + slice-encode.
+    let sds = SdGrid::tile_mesh(200, 200, 5);
+    let halo = Grid::square(200, 4.0).halo;
+    let plans: Vec<_> = sds
+        .ids()
+        .map(|id| build_halo_plan(&sds, halo, id))
+        .collect();
+    let owners = scenarios::drifted_owners(&sds, 2);
+    let schedule = GhostSchedule::build(&plans, &reverse_index(&plans), &owners, 0);
+    let mut tiles: Vec<Tile> = schedule
+        .owned
+        .iter()
+        .map(|&sd| {
+            let mut tile = Tile::new(sds.sd, halo);
+            for (i, (x, y)) in tile.padded_rect().cells().enumerate() {
+                tile.set(x, y, (f64::from(sd) * 0.7 + i as f64).sin());
+            }
+            tile
+        })
+        .collect();
+    let bundle = &schedule.sends[0];
+    assert_eq!(bundle.records.len(), 4602);
+    let packed = bundle.pack(&mut tiles, |tile| tile);
+    let mut at = 0;
+    for rec in &bundle.records {
+        let header = rec.header();
+        let mut copied = BytesMut::new();
+        header.dst_sd.encode(&mut copied);
+        header.pidx.encode(&mut copied);
+        encode_f64_slice(&tiles[rec.tile as usize].pack(&rec.rect), &mut copied);
+        assert_eq!(
+            &packed[at..at + copied.len()],
+            &copied[..],
+            "record {header} at byte {at}"
+        );
+        at += copied.len();
+    }
+    assert_eq!(at, packed.len());
 }
