@@ -357,6 +357,25 @@ fn plan_bench(c: &mut Criterion) {
             b.iter(|| black_box(spec.build().plan(&ownership, &metrics, &net)))
         });
     }
+    // The other end of the scale, which the entries above cannot see
+    // (`node_adjacency` or the partitioner dominates them): one leaf plan
+    // on the library's full-size `lopsided_two_rack` — 256 SDs, 4 ranks, a
+    // Fig.-14 start — where realizing the transfers, i.e. frontier ring
+    // growth in `balance::transfer`, is most of the call. `tree_mu` and
+    // `greedy` are the one-SD-per-call paths (μ active, or stealing one SD
+    // at a time). Ring growth that scans the whole grid through a hash set
+    // per ring again reads 9-19x here.
+    let sc = scenarios::lopsided_two_rack(false);
+    let (ownership, metrics, net) = plan_inputs(&sc);
+    for (label, spec) in [
+        ("tree_256sd", LbSpec::tree(0.0)),
+        ("tree_mu_256sd", LbSpec::tree(0.0).with_mu(0.25)),
+        ("greedy_256sd", LbSpec::greedy_steal(1)),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter(|| black_box(spec.build().plan(&ownership, &metrics, &net)))
+        });
+    }
     // The planning substrate at the repository benchmark's `plan_scale`
     // shape (2500 ranks, 250k SDs): building the SD graph every plan
     // reads, and the drift monitor's *steady* tick — the second and later

@@ -23,7 +23,10 @@
 //!    (`halo/bundle_{pack,scatter}_ghost_heavy`) is held by this band
 //!    alone: the per-row `memcpy` path it replaced was deleted, not
 //!    retained, so there is no same-run baseline to pair it with — a
-//!    return to it reads ≈ 2.2× on the scatter entry.
+//!    return to it reads ≈ 2.2× on the scatter entry. Likewise the leaf
+//!    plans on a 256-SD grid (`plan/{tree,tree_mu,greedy}_256sd`): ring
+//!    growth that scans the grid through a hash set per ring survives only
+//!    as a `#[cfg(test)]` oracle, and a return to it reads 9–19×.
 //!
 //! Usage: `bench_gate <current.json> <snapshot.json>`
 

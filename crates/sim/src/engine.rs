@@ -147,28 +147,40 @@ impl StepScratch {
 /// the per-step hot path never allocates. Returns (finish time, busy
 /// seconds).
 ///
-/// `total_cmp` orders every value the simulator produces exactly like the
-/// previous `partial_cmp` sort (virtual times are finite and
-/// non-negative), and equal (ready, duration) pairs are interchangeable
-/// under list scheduling, so the unstable sort leaves results bit-identical.
+/// Virtual times are finite and `>= +0.0` (the `debug_assert!` below), and
+/// on such values the IEEE bit patterns order exactly like `total_cmp`, so
+/// the sort compares `to_bits()` pairs. Equal (ready, duration) pairs are
+/// interchangeable under list scheduling, so the unstable sort leaves
+/// results bit-identical. A node with one core has no choice of core to
+/// make: its loop carries the one free time in a local, same additions in
+/// the same order as the heap would see.
 fn list_schedule(
     tasks: &mut [(f64, f64)],
     cores: usize,
     t0: f64,
     free: &mut BinaryHeap<Reverse<Ordered>>,
 ) -> (f64, f64) {
-    if tasks.is_empty() {
-        return (t0, 0.0);
-    }
-    tasks.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
-    free.clear();
-    free.extend((0..cores.max(1)).map(|_| Reverse(Ordered(t0))));
+    let is_time = |t: f64| t.is_finite() && t.is_sign_positive();
+    debug_assert!(tasks
+        .iter()
+        .all(|&(ready, dur)| is_time(ready) && is_time(dur)));
+    tasks.sort_unstable_by_key(|&(ready, dur)| (ready.to_bits(), dur.to_bits()));
     let mut finish = t0;
     let mut busy = 0.0;
+    if cores <= 1 {
+        let mut core_free = t0;
+        for &(ready, dur) in tasks.iter() {
+            core_free = ready.max(core_free) + dur;
+            busy += dur;
+            finish = finish.max(core_free);
+        }
+        return (finish, busy);
+    }
+    free.clear();
+    free.extend((0..cores).map(|_| Reverse(Ordered(t0))));
     for &(ready, dur) in tasks.iter() {
         let Reverse(Ordered(core_free)) = free.pop().unwrap();
-        let start = ready.max(core_free);
-        let end = start + dur;
+        let end = ready.max(core_free) + dur;
         busy += dur;
         finish = finish.max(end);
         free.push(Reverse(Ordered(end)));
