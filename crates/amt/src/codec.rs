@@ -410,18 +410,11 @@ fn get_f64_run<'a>(
     Ok(())
 }
 
-/// Fast bulk encoding for `f64` fields — the dominant payload (ghost-zone
-/// temperature values). Writes the length then raw little-endian words.
-pub fn encode_f64_slice(values: &[f64], buf: &mut BytesMut) {
-    (values.len() as u64).encode(buf);
-    buf.reserve(values.len() * 8);
-    put_f64_slice_le(values, buf);
-}
-
 /// Encode a logically contiguous `f64` run supplied as strided `rows`
 /// (e.g. the rows of a tile rectangle) without materializing an
-/// intermediate `Vec<f64>`. Wire-identical to [`encode_f64_slice`] over
-/// the concatenation of `rows`.
+/// intermediate `Vec<f64>`. Wire-identical to `Vec<f64>`'s [`Wire`]
+/// encoding of the concatenation of `rows`: the length as a `u64`, then
+/// the little-endian words.
 ///
 /// # Panics
 /// If the summed row lengths differ from `total`, which the length prefix
@@ -436,22 +429,11 @@ pub fn encode_f64_rows<'a>(
     put_f64_run(total, rows, buf);
 }
 
-/// Counterpart to [`encode_f64_slice`].
-pub fn decode_f64_vec(buf: &mut Bytes) -> Result<Vec<f64>, WireError> {
-    let len = u64::decode(buf)? as usize;
-    need(buf, len.saturating_mul(8))?;
-    let mut out = vec![0.0f64; len];
-    get_f64_slice_le(&buf.chunk()[..len * 8], &mut out);
-    buf.advance(len * 8);
-    Ok(out)
-}
-
 /// Decode a length-prefixed `f64` run straight into the strided mutable
-/// `rows` (e.g. a tile rectangle's rows), skipping the intermediate
-/// `Vec<f64>` of [`decode_f64_vec`]. The payload length must match the
-/// summed row lengths exactly: short payloads surface as
-/// [`WireError::Truncated`], long ones as [`WireError::TrailingBytes`]
-/// (mirroring `Tile::unpack`'s size check on the copying path).
+/// `rows` (e.g. a tile rectangle's rows), without an intermediate
+/// `Vec<f64>`. The payload length must match the summed row lengths
+/// exactly: short payloads surface as [`WireError::Truncated`], long ones
+/// as [`WireError::TrailingBytes`].
 pub fn decode_f64_rows<'a>(
     buf: &mut Bytes,
     rows: impl Iterator<Item = &'a mut [f64]>,
@@ -645,10 +627,10 @@ mod tests {
     #[test]
     fn f64_rows_wire_identical_to_slice() {
         // The zero-copy strided encoder must produce byte-identical wire
-        // output to the flat encoder over the concatenated rows.
+        // output to the element-wise encoder over the concatenated rows.
         let flat: Vec<f64> = (0..24).map(|i| (i as f64) * 1.5 - 7.0).collect();
         let mut a = BytesMut::new();
-        encode_f64_slice(&flat, &mut a);
+        flat.encode(&mut a);
         let mut b = BytesMut::new();
         encode_f64_rows(flat.len(), flat.chunks(8), &mut b);
         assert_eq!(&a[..], &b[..]);
@@ -662,10 +644,7 @@ mod tests {
 
     #[test]
     fn f64_rows_length_mismatches_error() {
-        let flat = [1.0f64, 2.0, 3.0, 4.0];
-        let mut buf = BytesMut::new();
-        encode_f64_slice(&flat, &mut buf);
-        let payload = buf.freeze();
+        let payload = vec![1.0f64, 2.0, 3.0, 4.0].to_bytes();
         // destination larger than the payload: truncated
         let mut dst = [0.0f64; 6];
         let mut b = payload.clone();
@@ -936,25 +915,14 @@ mod tests {
     }
 
     #[test]
-    fn f64_slice_nan_and_negzero_bit_exact() {
+    fn f64_rows_nan_and_negzero_bit_exact() {
         let values = [f64::NAN, -0.0, f64::NEG_INFINITY, 1.0e-308];
         let mut buf = BytesMut::new();
-        encode_f64_slice(&values, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_f64_vec(&mut bytes).unwrap();
+        encode_f64_rows(4, values.chunks(2), &mut buf);
+        let mut back = [0.0f64; 4];
+        decode_f64_rows(&mut buf.freeze(), back.chunks_mut(2)).unwrap();
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn f64_slice_fast_path_roundtrips() {
-        let values: Vec<f64> = (0..100).map(|i| (i as f64).sqrt()).collect();
-        let mut buf = BytesMut::new();
-        encode_f64_slice(&values, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_f64_vec(&mut bytes).unwrap();
-        assert_eq!(back, values);
-        assert!(!bytes.has_remaining());
     }
 }

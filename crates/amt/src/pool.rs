@@ -6,12 +6,8 @@
 //! counters that back the `busy_time` performance counter used by the load
 //! balancer (§7).
 //!
-//! Steal batches adapt per worker (after Fernandes et al., "Adaptive
-//! Asynchronous Work-Stealing", arXiv 2401.04494): a successful steal
-//! doubles the worker's batch bound, a whole scan coming up empty halves
-//! it — so thieves grab aggressively while a straggler's queue is deep
-//! and back off as the pool drains. Steal / failed-scan / park counts and
-//! the live chunk bound are exported per worker for observability.
+//! A steal moves up to [`STEAL_BATCH`] tasks. Steal / failed-scan / park
+//! counts are exported per worker for observability.
 
 use crate::future::{channel, Future};
 use crate::task::{Spawn, Task};
@@ -32,11 +28,6 @@ struct StealStats {
     failed_scans: AtomicU64,
     /// Times the worker gave up and parked on the sleep condvar.
     parks: AtomicU64,
-    /// The worker's current adaptive batch bound (a gauge, not a count).
-    /// Starts at 1, the bound every worker loop starts from — set by the
-    /// constructor, so the gauge is in range before the worker thread has
-    /// run at all.
-    chunk: AtomicU64,
 }
 
 struct PoolInner {
@@ -90,14 +81,7 @@ impl ThreadPool {
             busy_ns: (0..n_workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            steal_stats: (0..n_workers)
-                .map(|_| {
-                    CachePadded::new(StealStats {
-                        chunk: AtomicU64::new(1),
-                        ..StealStats::default()
-                    })
-                })
-                .collect(),
+            steal_stats: (0..n_workers).map(|_| CachePadded::default()).collect(),
             executed: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             first_panic: Mutex::new(None),
@@ -212,11 +196,6 @@ impl ThreadPool {
         self.inner.steal_stats[worker].parks.load(Ordering::Relaxed)
     }
 
-    /// One worker's current adaptive steal-batch bound.
-    pub fn steal_chunk(&self, worker: usize) -> u64 {
-        self.inner.steal_stats[worker].chunk.load(Ordering::Relaxed)
-    }
-
     /// Successful steals summed over all workers.
     pub fn steals_total(&self) -> u64 {
         (0..self.n_workers()).map(|w| self.steals(w)).sum()
@@ -290,36 +269,32 @@ where
     fut
 }
 
-/// Ceiling for a worker's adaptive steal-batch bound.
-const MAX_STEAL_CHUNK: usize = 32;
+/// Most tasks one steal moves. The doubling/halving bound of Fernandes et
+/// al. (arXiv 2401.04494) that stood here bought nothing measurable on
+/// this runtime's short, homogeneous queues; they report its gain under
+/// real heterogeneity.
+const STEAL_BATCH: usize = 4;
 
 /// Local pop, else a batch from the injector, else a batch from a peer's
 /// deque (victims scanned in rotating order from `me + 1`, so thieves
 /// spread instead of all mobbing worker 0). Batch transfers land the
 /// extra tasks in `local`, where the next `local.pop()` — or a peer's
 /// steal — picks them up.
-///
-/// `chunk` is the caller's adaptive batch bound (Fernandes et al.): a
-/// successful steal doubles it, a completely dry scan halves it.
-fn find_task(
-    inner: &PoolInner,
-    local: &Worker<Task>,
-    me: usize,
-    chunk: &mut usize,
-) -> Option<Task> {
+fn find_task(inner: &PoolInner, local: &Worker<Task>, me: usize) -> Option<Task> {
     if let Some(t) = local.pop() {
         return Some(t);
     }
     let stats = &inner.steal_stats[me];
-    let on_success = |t: Task, chunk: &mut usize| {
-        *chunk = (*chunk * 2).min(MAX_STEAL_CHUNK);
-        stats.chunk.store(*chunk as u64, Ordering::Relaxed);
+    let on_success = |t: Task| {
         stats.steals.fetch_add(1, Ordering::Relaxed);
         Some(t)
     };
     loop {
-        match inner.injector.steal_batch_with_limit_and_pop(local, *chunk) {
-            Steal::Success(t) => return on_success(t, chunk),
+        match inner
+            .injector
+            .steal_batch_with_limit_and_pop(local, STEAL_BATCH)
+        {
+            Steal::Success(t) => return on_success(t),
             Steal::Empty => break,
             Steal::Retry => continue,
         }
@@ -328,24 +303,21 @@ fn find_task(
     for k in 1..n {
         let victim = (me + k) % n;
         loop {
-            match inner.stealers[victim].steal_batch_with_limit_and_pop(local, *chunk) {
-                Steal::Success(t) => return on_success(t, chunk),
+            match inner.stealers[victim].steal_batch_with_limit_and_pop(local, STEAL_BATCH) {
+                Steal::Success(t) => return on_success(t),
                 Steal::Empty => break,
                 Steal::Retry => continue,
             }
         }
     }
-    *chunk = (*chunk / 2).max(1);
-    stats.chunk.store(*chunk as u64, Ordering::Relaxed);
     stats.failed_scans.fetch_add(1, Ordering::Relaxed);
     None
 }
 
 fn worker_loop(inner: Arc<PoolInner>, local: Worker<Task>, me: usize) {
     inner.started.fetch_add(1, Ordering::Release);
-    let mut chunk = 1usize;
     loop {
-        match find_task(&inner, &local, me, &mut chunk) {
+        match find_task(&inner, &local, me) {
             Some(task) => {
                 let t0 = Instant::now();
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
@@ -460,13 +432,6 @@ mod tests {
     #[test]
     fn steal_counters_observe_activity() {
         let pool = ThreadPool::new(4, "t");
-        let chunks_in_bounds = |pool: &ThreadPool| {
-            (0..pool.n_workers())
-                .all(|w| (1..=MAX_STEAL_CHUNK as u64).contains(&pool.steal_chunk(w)))
-        };
-        // The adaptive chunk gauge is in bounds from construction — before
-        // any worker thread has necessarily run — and stays there.
-        assert!(chunks_in_bounds(&pool));
         let counter = Arc::new(AtomicU32::new(0));
         for _ in 0..512 {
             let c = counter.clone();
@@ -479,7 +444,6 @@ mod tests {
         // Every task enters through the injector, so the workers must have
         // recorded injector-batch steals.
         assert!(pool.steals_total() >= 1);
-        assert!(chunks_in_bounds(&pool));
         // Failure/park telemetry is wired (idle workers may or may not have
         // whiffed yet — just exercise the getters).
         let _ = pool.steal_fails_total();

@@ -74,45 +74,18 @@ fn halo_codec_bench(c: &mut Criterion) {
     let wire_cap = edge.area() as usize * 8 + 8;
 
     let mut g = c.benchmark_group("halo");
-    // The copying path the seed runtime used: pack to an intermediate
-    // Vec<f64>, then encode element-wise.
-    g.bench_function("pack_legacy_8x50", |b| {
-        b.iter(|| {
-            let values = tile.pack(&edge);
-            let mut buf = BytesMut::with_capacity(wire_cap);
-            nlheat_amt::codec::encode_f64_slice(&values, &mut buf);
-            black_box(buf.freeze())
-        })
-    });
-    let legacy_payload = {
-        let values = tile.pack(&edge);
+    // The strided rows streamed straight onto / off the wire, no
+    // intermediate Vec<f64>.
+    let pack = |tile: &Tile| {
         let mut buf = BytesMut::with_capacity(wire_cap);
-        nlheat_amt::codec::encode_f64_slice(&values, &mut buf);
+        nlheat_amt::codec::encode_f64_rows(edge.area() as usize, tile.rect_rows(&edge), &mut buf);
         buf.freeze()
     };
-    g.bench_function("unpack_legacy_8x50", |b| {
-        b.iter(|| {
-            let mut payload = legacy_payload.clone();
-            let values = nlheat_amt::codec::decode_f64_vec(&mut payload).unwrap();
-            tile.unpack(&halo_rect, &values);
-        })
-    });
-    // The zero-copy path the runtime now uses: stream the strided rows
-    // straight onto / off the wire, no intermediate Vec<f64>.
-    g.bench_function("pack_zerocopy_8x50", |b| {
-        b.iter(|| {
-            let mut buf = BytesMut::with_capacity(wire_cap);
-            nlheat_amt::codec::encode_f64_rows(
-                edge.area() as usize,
-                tile.rect_rows(&edge),
-                &mut buf,
-            );
-            black_box(buf.freeze())
-        })
-    });
+    g.bench_function("pack_zerocopy_8x50", |b| b.iter(|| black_box(pack(&tile))));
+    let packed = pack(&tile);
     g.bench_function("unpack_zerocopy_8x50", |b| {
         b.iter(|| {
-            let mut payload = legacy_payload.clone();
+            let mut payload = packed.clone();
             nlheat_amt::codec::decode_f64_rows(&mut payload, tile.rect_rows_mut(&halo_rect))
                 .unwrap();
         })

@@ -7,26 +7,26 @@
 //!
 //! 1. **Within-run pairs** (machine-independent): every optimized path is
 //!    held against its retained baseline measured *in the same run*. The
-//!    `zerocopy` vs `legacy` halo codec and the sweep runner must not be
-//!    slower (a small slack absorbs micro-bench noise). The production
-//!    kernel's baseline instantiation must stay at or under
-//!    [`KERNEL_LIMIT`] × the scalar reference: its speed *is* its eight
-//!    independent accumulator chains, and a fall back to one chain lands at
-//!    ≈ 0.85 ×, well past the limit. Where the run's `"vector_level"` says
-//!    the CPU had AVX2, the level the solvers ran must in turn stay at or
-//!    under [`AVX2_LIMIT`] × the baseline instantiation; on any other run
-//!    that pair is skipped.
+//!    sweep runner on 4 workers must not be slower than on 1 (within
+//!    [`SWEEP_SLACK`]). The production kernel's baseline instantiation
+//!    must stay at or under [`KERNEL_LIMIT`] × the scalar reference: its
+//!    speed *is* its eight independent accumulator chains, and a fall back
+//!    to one chain lands at ≈ 0.85 ×, well past the limit. Where the run's
+//!    `"vector_level"` says the CPU had AVX2, the level the solvers ran
+//!    must in turn stay at or under [`AVX2_LIMIT`] × the baseline
+//!    instantiation; on any other run that pair is skipped.
 //! 2. **Snapshot band**: every benchmark present in the snapshot must stay
 //!    within `NLHEAT_BENCH_TOLERANCE` × its recorded mean (default 1.5 —
 //!    wide enough for runner-to-runner variance, tight enough to catch a
-//!    2× regression). The per-record halo cost
-//!    (`halo/bundle_{pack,scatter}_ghost_heavy`) is held by this band
-//!    alone: the per-row `memcpy` path it replaced was deleted, not
-//!    retained, so there is no same-run baseline to pair it with — a
-//!    return to it reads ≈ 2.2× on the scatter entry. Likewise the leaf
-//!    plans on a 256-SD grid (`plan/{tree,tree_mu,greedy}_256sd`): ring
-//!    growth that scans the grid through a hash set per ring survives only
-//!    as a `#[cfg(test)]` oracle, and a return to it reads 9–19×.
+//!    2× regression). The halo codec (`halo/*_zerocopy_8x50`,
+//!    `halo/bundle_{pack,scatter}_ghost_heavy`) is held by this band
+//!    alone: the copying codec and the per-row `memcpy` path it replaced
+//!    were deleted, not retained, so there is no same-run baseline to pair
+//!    it with — a return to the latter reads ≈ 2.2× on the scatter entry.
+//!    Likewise the leaf plans on a 256-SD grid
+//!    (`plan/{tree,tree_mu,greedy}_256sd`): ring growth that scans the
+//!    grid through a hash set per ring survives only as a `#[cfg(test)]`
+//!    oracle, and a return to it reads 9–19×.
 //!
 //! Usage: `bench_gate <current.json> <snapshot.json>`
 
@@ -105,64 +105,52 @@ const KERNEL_LIMIT: f64 = 0.6;
 /// a dispatch that no longer reaches the wide instantiation.
 const AVX2_LIMIT: f64 = 0.8;
 
+/// Most the sweep runner on 4 workers may take relative to 1 worker in the
+/// same run: on a single-core runner the two legs tie, and the slack covers
+/// queue and thread-spawn overhead.
+const SWEEP_SLACK: f64 = 1.15;
+
 /// The optimized/baseline pairs measured within one run, each with the
-/// most its optimized leg may take relative to the baseline: `Some(limit)`
-/// for a pair with a limit of its own, `None` for the shared slack — those
-/// sit under 1.0× in practice and the slack only absorbs timer noise on
-/// sub-µs benches. The last field, when set, is the `"vector_level"` the
-/// run must report for the pair to be checked at all.
-const PAIRS: &[(&str, &str, Option<f64>, Option<&str>)] = &[
+/// most its optimized leg may take relative to the baseline. The last
+/// field, when set, is the `"vector_level"` the run must report for the
+/// pair to be checked at all.
+const PAIRS: &[(&str, &str, f64, Option<&str>)] = &[
     (
         "kernel/blocked_baseline_50x50_eps8h",
         "kernel/scalar_50x50_eps8h",
-        Some(KERNEL_LIMIT),
+        KERNEL_LIMIT,
         None,
     ),
     (
         "kernel/blocked_baseline_200x200_eps8h",
         "kernel/scalar_200x200_eps8h",
-        Some(KERNEL_LIMIT),
+        KERNEL_LIMIT,
         None,
     ),
     (
         "kernel/blocked_50x50_eps8h",
         "kernel/blocked_baseline_50x50_eps8h",
-        Some(AVX2_LIMIT),
+        AVX2_LIMIT,
         Some("avx2"),
     ),
     (
         "kernel/blocked_200x200_eps8h",
         "kernel/blocked_baseline_200x200_eps8h",
-        Some(AVX2_LIMIT),
+        AVX2_LIMIT,
         Some("avx2"),
     ),
     (
-        "halo/pack_zerocopy_8x50",
-        "halo/pack_legacy_8x50",
-        None,
-        None,
-    ),
-    (
-        "halo/unpack_zerocopy_8x50",
-        "halo/unpack_legacy_8x50",
-        None,
-        None,
-    ),
-    // The parallel sweep runner: 4 workers must never be slower than 1
-    // (on a single-core runner the two legs tie; the slack covers queue
-    // and thread-spawn overhead, and any real speedup only helps).
-    (
         "sweep/quick_grid_16runs_4thr",
         "sweep/quick_grid_16runs_1thr",
-        None,
+        SWEEP_SLACK,
         None,
     ),
 ];
 
 /// `level` is the run's `"vector_level"`, if its JSON states one.
-fn check_pairs(current: &[Entry], slack: f64, level: Option<&str>) -> Vec<String> {
+fn check_pairs(current: &[Entry], level: Option<&str>) -> Vec<String> {
     let mut failures = Vec::new();
-    for &(optimized, baseline, own_limit, needs_level) in PAIRS {
+    for &(optimized, baseline, limit, needs_level) in PAIRS {
         if needs_level.is_some() && needs_level != level {
             println!(
                 "  pair {optimized} / {baseline}: skipped (run at vector level {})",
@@ -170,7 +158,6 @@ fn check_pairs(current: &[Entry], slack: f64, level: Option<&str>) -> Vec<String
             );
             continue;
         }
-        let limit = own_limit.unwrap_or(slack);
         let (Some(o), Some(b)) = (lookup(current, optimized), lookup(current, baseline)) else {
             failures.push(format!(
                 "missing pair {optimized} / {baseline} in current run"
@@ -218,14 +205,6 @@ fn check_snapshot(current: &[Entry], snapshot: &[Entry], tolerance: f64) -> Vec<
     failures
 }
 
-fn env_factor(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|f: &f64| *f >= 1.0)
-        .unwrap_or(default)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let [_, current_path, snapshot_path] = &args[..] else {
@@ -245,14 +224,14 @@ fn main() -> ExitCode {
         "no results parsed from {snapshot_path}"
     );
 
-    // The halo and sweep pairs sit below 1.0x in practice; the slack only
-    // has to clear timer noise on the sub-µs halo benches. The kernel pairs
-    // have a fixed limit of their own (KERNEL_LIMIT).
-    let slack = env_factor("NLHEAT_BENCH_PAIR_SLACK", 1.15);
-    let tolerance = env_factor("NLHEAT_BENCH_TOLERANCE", 1.5);
+    let tolerance = std::env::var("NLHEAT_BENCH_TOLERANCE")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|f: &f64| *f >= 1.0)
+        .unwrap_or(1.5);
 
     println!("within-run optimized/baseline pairs:");
-    let mut failures = check_pairs(&current, slack, level.as_deref());
+    let mut failures = check_pairs(&current, level.as_deref());
     println!("current vs committed snapshot:");
     failures.extend(check_snapshot(&current, &snapshot, tolerance));
 
@@ -305,19 +284,19 @@ mod tests {
     fn pair_check_holds_the_kernel_to_its_own_limit() {
         let fast = parse_results(DOC);
         // only one pair present (at 0.50x); the others report as missing
-        let failures = check_pairs(&fast, 1.10, Some("avx2"));
+        let failures = check_pairs(&fast, Some("avx2"));
         assert_eq!(
             failures.len(),
             PAIRS.len() - 1,
             "missing pairs counted: {failures:?}"
         );
         // Faster than the scalar reference is not enough: 0.85x is what a
-        // single dependency chain measures, and the slack does not apply.
+        // single dependency chain measures.
         let one_chain = vec![
             entry("kernel/scalar_50x50_eps8h", 1000.0),
             entry("kernel/blocked_baseline_50x50_eps8h", 850.0),
         ];
-        let failures = check_pairs(&one_chain, 1.10, None);
+        let failures = check_pairs(&one_chain, None);
         assert!(
             failures
                 .iter()
@@ -338,35 +317,35 @@ mod tests {
             let is_avx2_pair = |f: &String| f.contains("kernel/blocked_50x50_eps8h");
             failures.into_iter().filter(is_avx2_pair).collect()
         };
-        let failures = about_avx2(check_pairs(&lost, 1.10, Some("avx2")));
+        let failures = about_avx2(check_pairs(&lost, Some("avx2")));
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("limit 0.80x"), "{failures:?}");
         // on a baseline-only CPU the two entries are one code path; and a
         // run that states no level is skipped, not a missing pair
         for level in [Some("baseline"), None] {
-            let failures = about_avx2(check_pairs(&lost, 1.10, level));
+            let failures = about_avx2(check_pairs(&lost, level));
             assert!(failures.is_empty(), "{level:?}: {failures:?}");
-            let failures = about_avx2(check_pairs(&[], 1.10, level));
+            let failures = about_avx2(check_pairs(&[], level));
             assert!(failures.is_empty(), "{level:?}: {failures:?}");
         }
     }
 
     #[test]
-    fn pair_check_applies_the_slack_to_the_other_pairs() {
+    fn pair_check_applies_the_slack_to_the_sweep_pair() {
         let within = vec![
-            entry("halo/pack_legacy_8x50", 100.0),
-            entry("halo/pack_zerocopy_8x50", 105.0),
+            entry("sweep/quick_grid_16runs_1thr", 100.0),
+            entry("sweep/quick_grid_16runs_4thr", 105.0),
         ];
-        let failures = check_pairs(&within, 1.10, None);
+        let failures = check_pairs(&within, None);
         assert!(
             failures.iter().all(|f| f.contains("missing")),
             "{failures:?}"
         );
         let slower = vec![
-            entry("halo/pack_legacy_8x50", 100.0),
-            entry("halo/pack_zerocopy_8x50", 200.0),
+            entry("sweep/quick_grid_16runs_1thr", 100.0),
+            entry("sweep/quick_grid_16runs_4thr", 200.0),
         ];
-        let failures = check_pairs(&slower, 1.10, None);
+        let failures = check_pairs(&slower, None);
         assert!(failures.iter().any(|f| f.contains("2.00x")), "{failures:?}");
     }
 

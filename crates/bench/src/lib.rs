@@ -3,8 +3,7 @@
 //! One function per figure of the paper's evaluation section (§8), each
 //! returning a [`FigData`] table with the same series the paper plots,
 //! plus the ablation studies in [`ablations`]. The `figures` binary
-//! prints them as markdown; the criterion benches run scaled-down variants
-//! so `cargo bench` stays tractable.
+//! prints them as markdown; `cargo bench` runs the one `hotpath` suite.
 //!
 //! Measurement substrate per figure (README "Regenerating figures" has
 //! the rationale):

@@ -267,8 +267,8 @@ pub trait LbPolicy: Send {
     }
 }
 
-/// Serde-free policy selection shared by `Scenario` and `DistConfig`
-/// (via [`LbSchedule`]), mirroring how `NetSpec` selects a `NetModel`.
+/// Serde-free policy selection of a `Scenario` (via [`LbSchedule`]),
+/// mirroring how `NetSpec` selects a `NetModel`.
 ///
 /// The three leaf arms carry the [`MoveWeights`] they score moves with;
 /// decorators carry none — [`LbSpec::with_mu`] and
@@ -687,8 +687,7 @@ impl LbSpec {
 }
 
 /// When to balance and how — the one load-balancing configuration, read
-/// by every substrate through `Scenario` (or the real runtime's low-level
-/// `DistConfig`).
+/// by every substrate through `Scenario`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LbSchedule {
     /// Run the policy every `period` (simulated or real) timesteps.

@@ -47,15 +47,13 @@
 //! asynchronous pipelining an AMT runtime buys.
 
 pub use crate::balance::LbSpec;
-use crate::balance::{
-    EpochConfig, EpochLog, EpochMeasure, EpochTrace, LbEpoch, LbSchedule, Move, SdGraph,
-};
+use crate::balance::{EpochLog, EpochMeasure, EpochTrace, LbEpoch, Move, SdGraph};
 use crate::ghost::{group_by_work, reverse_index, PatchRecord, Region, RegionCut, StepLayout};
 use crate::ownership::Ownership;
-use crate::scenario::{failed_at, nominal_sec_per_dp, LbInput, PartitionSpec};
+use crate::scenario::{failed_at, Scenario};
 use crate::workload::WorkModel;
 use bytes::{Buf, Bytes, BytesMut};
-use nlheat_amt::cluster::{Cluster, ClusterBuilder};
+use nlheat_amt::cluster::Cluster;
 use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, WireError};
 use nlheat_amt::collectives;
 use nlheat_amt::counters::Counter;
@@ -63,11 +61,9 @@ use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
 use nlheat_amt::pool::PoolHandle;
-use nlheat_mesh::{build_halo_plan, HaloPlan, Rect, SdGrid, SdId, Stencil, Tile};
-use nlheat_model::{
-    ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, ProblemSpec, SourceFn,
-};
-use nlheat_netmodel::{LinkClass, NetSpec};
+use nlheat_mesh::{build_halo_plan, HaloPlan, Rect, SdGrid, SdId, Tile};
+use nlheat_model::{ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, SourceFn};
+use nlheat_netmodel::LinkClass;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
@@ -78,111 +74,6 @@ use std::time::{Duration, Instant};
 /// broadcast travel under the collectives' own class).
 const CLASS_GHOST: u8 = 1;
 const CLASS_MIGRATE: u8 = 4;
-
-/// Configuration of a distributed run — the low-level execution config of
-/// the real runtime. Describe experiments with
-/// [`crate::scenario::Scenario`] (which compiles into this via
-/// [`crate::scenario::Scenario::dist_config`]); `DistConfig` remains for
-/// code that must own the [`Cluster`] it runs on and so drives
-/// [`run_distributed`] directly.
-#[derive(Debug, Clone)]
-pub struct DistConfig {
-    /// The physical problem (manufactured source and initial condition).
-    pub spec: ProblemSpec,
-    /// SD side length in cells.
-    pub sd_size: usize,
-    /// Timesteps.
-    pub n_steps: usize,
-    /// Initial distribution method (shared with the simulator).
-    pub partition: PartitionSpec,
-    /// Case-1/case-2 overlap (§6.3); `false` waits for all ghosts before
-    /// computing anything (ablation A2).
-    pub overlap: bool,
-    /// Optional load balancing.
-    pub lb: Option<LbSchedule>,
-    /// Record the eq.-7 error every step.
-    pub record_error: bool,
-    /// Per-SD work factors (crack scenario etc.).
-    pub work: WorkModel,
-    /// Time-varying workload: `(from_step, model)` switch points, sorted
-    /// by step; the last entry with `from_step ≤ s` overrides `work` at
-    /// step `s`. The same propagating-crack schedule the simulator
-    /// executes — the work factor is emulated by kernel repetition, so
-    /// the numerics stay bit-exact while the busy times shift.
-    pub work_schedule: Vec<(usize, WorkModel)>,
-    /// Elastic cluster-membership timeline (`(from_step, event)`, sorted
-    /// by step; see [`crate::scenario::ClusterEvent`]). Events change the
-    /// planner's view — the active-rank mask locality 0's [`LbEpoch`]
-    /// plans under and the failure mask the ghost counters honour —
-    /// never the execution: every locality keeps computing the SDs it
-    /// owns until a replan evacuates them, so the field stays bit-exact.
-    pub cluster_events: Vec<(usize, crate::scenario::ClusterEvent)>,
-    /// Network cost model for the cluster fabric — the same [`NetSpec`]
-    /// the simulator consumes, so one configuration describes both
-    /// substrates. Applied by [`DistConfig::cluster`]; a cluster built
-    /// directly via `ClusterBuilder` keeps whatever model it was given.
-    pub net: NetSpec,
-    /// What the balancing policies plan from: measured wall-clock busy
-    /// times (the paper's mode) or deterministic modeled busy times
-    /// ([`LbInput::Modeled`], the cross-substrate parity mode).
-    pub lb_input: LbInput,
-    /// Group each SD's per-step compute into one task per row band
-    /// instead of one task per case, so idle workers steal pieces of a
-    /// straggler SD *within* a timestep (intra-epoch balancing; the LB
-    /// policies only move SD ownership *between* epochs). The grouping is
-    /// deterministic and every cell is written exactly once from `curr`
-    /// by the same task body, so the field is bit-identical either way.
-    pub intra_step_stealing: bool,
-    /// Per-locality memory capacities in bytes (`None` = unbounded),
-    /// indexed by locality id. Empty = memory-blind planning (the
-    /// historical behaviour). When any cap is set the planner sees the
-    /// capacities and the per-SD resident footprints, so memory-aware
-    /// policies gate destinations on them.
-    pub memory_bytes: Vec<Option<u64>>,
-}
-
-impl DistConfig {
-    /// Defaults mirroring the paper's distributed experiments.
-    pub fn new(n: usize, eps_mult: f64, sd_size: usize, n_steps: usize) -> Self {
-        DistConfig {
-            spec: ProblemSpec::square(n, eps_mult),
-            sd_size,
-            n_steps,
-            partition: PartitionSpec::Metis { seed: 1 },
-            overlap: true,
-            lb: None,
-            record_error: false,
-            work: WorkModel::Uniform,
-            work_schedule: Vec::new(),
-            cluster_events: Vec::new(),
-            net: NetSpec::Instant,
-            lb_input: LbInput::Measured,
-            intra_step_stealing: false,
-            memory_bytes: Vec::new(),
-        }
-    }
-
-    /// The workload in effect at `step`.
-    pub fn work_at(&self, step: usize) -> &WorkModel {
-        crate::scenario::work_at(&self.work, &self.work_schedule, step)
-    }
-
-    /// A [`ClusterBuilder`] pre-configured with this config's network
-    /// model, so examples and tests select the transport in one place:
-    ///
-    /// ```
-    /// use nlheat_core::dist::{run_distributed, DistConfig};
-    /// use nlheat_netmodel::NetSpec;
-    ///
-    /// let mut cfg = DistConfig::new(16, 2.0, 4, 2);
-    /// cfg.net = NetSpec::shared(1e-6, 10e9);
-    /// let cluster = cfg.cluster().uniform(2, 1).build();
-    /// let _report = run_distributed(&cluster, &cfg);
-    /// ```
-    pub fn cluster(&self) -> ClusterBuilder {
-        ClusterBuilder::new().net(self.net)
-    }
-}
 
 /// Result of a distributed run.
 #[derive(Debug, Clone)]
@@ -248,8 +139,8 @@ pub struct DistReport {
 }
 
 /// Ownership-independent, cluster-wide setup shared by all drivers.
-struct Setup {
-    cfg: DistConfig,
+struct Setup<'a> {
+    sc: &'a Scenario,
     parts: ProblemParts,
     sds: SdGrid,
     /// Halo plan per SD (geometry only — never changes).
@@ -263,64 +154,34 @@ struct Setup {
     /// schedule.
     sd_graph: Option<Arc<SdGraph>>,
     initial_owners: Vec<u32>,
-    /// Per-locality memory capacities (`u64::MAX` = unbounded) when any
-    /// locality declares a cap.
-    memory_caps: Option<Vec<u64>>,
     n_nodes: u32,
-    /// Per-locality speed factors (from the cluster), for modeled busy.
-    speeds: Vec<f64>,
-    /// Nominal per-DP seconds of this problem's stencil — the scale the
-    /// modeled planning inputs share with the simulator's calibrated cost
-    /// model.
-    sec_per_dp: f64,
 }
 
-impl Setup {
-    fn build(cfg: DistConfig, n_nodes: u32, speeds: Vec<f64>) -> Self {
-        let parts = cfg.spec.build();
-        let grid = parts.grid;
-        let sds = SdGrid::tile_mesh(grid.nx as usize, grid.ny as usize, cfg.sd_size);
-        // Reject an unpriceable work model on the caller's thread, not on
-        // a driver thread mid-run (where the panic would deadlock the
-        // other localities).
-        cfg.work.validate(&sds);
-        for (_, model) in &cfg.work_schedule {
-            model.validate(&sds);
-        }
+impl<'a> Setup<'a> {
+    /// The setup of a scenario [`Scenario::validate`] has accepted.
+    fn build(sc: &'a Scenario) -> Self {
+        let parts = sc.problem.build();
+        let sds = sc.sd_grid();
         let plans: Vec<HaloPlan> = sds
             .ids()
-            .map(|id| build_halo_plan(&sds, grid.halo, id))
+            .map(|id| build_halo_plan(&sds, parts.grid.halo, id))
             .collect();
         let reverse = reverse_index(&plans);
-        let initial_owners = cfg.partition.initial_owners(&sds, n_nodes);
-        let sd_graph = cfg
+        let n_nodes = sc.cluster.len() as u32;
+        let initial_owners = sc.partition.initial_owners(&sds, n_nodes);
+        let sd_graph = sc
             .lb
             .is_some()
             .then(|| Arc::new(SdGraph::from_plans(&sds, &plans)));
-        let sec_per_dp = nominal_sec_per_dp(Stencil::build(grid.h, grid.eps).len());
-        let memory_caps = cfg.memory_bytes.iter().any(Option::is_some).then(|| {
-            assert_eq!(
-                cfg.memory_bytes.len(),
-                n_nodes as usize,
-                "memory_bytes must name every locality"
-            );
-            cfg.memory_bytes
-                .iter()
-                .map(|c| c.unwrap_or(u64::MAX))
-                .collect()
-        });
         Setup {
-            cfg,
+            sc,
             parts,
             sds,
             plans,
             reverse,
             sd_graph,
             initial_owners,
-            memory_caps,
             n_nodes,
-            speeds,
-            sec_per_dp,
         }
     }
 }
@@ -665,36 +526,52 @@ struct NodeReport {
     pool_parks: u64,
 }
 
-/// Run the distributed solver on `cluster`.
+/// Run `sc` on `cluster`, which must be the cluster `sc` declares
+/// ([`Scenario::build_cluster`]).
 ///
 /// # Panics
-/// Panics if the mesh does not tile into SDs or the configuration is
-/// internally inconsistent.
-pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
-    // Guard the config/cluster seam in both directions: the fabric delays
-    // parcels by the cluster's model while the LB epoch prices moves and
-    // the ghost counters classify links by the config's, so a mismatch
-    // would silently measure a different transport than it plans for (and
-    // than the paired simulation).
+/// On the caller's thread, before any driver starts: if the scenario is
+/// invalid ([`Scenario::validate`]), or if `cluster` differs from the
+/// scenario's declaration in network model, node count, cores or speeds.
+pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> DistReport {
+    // A panic on a driver thread mid-run leaves the other localities
+    // blocked on a rendezvous forever, so everything checkable is checked
+    // here.
+    sc.validate();
+    // Guard the scenario/cluster seam: the fabric delays parcels by the
+    // cluster's model and the pools run the cluster's workers at its
+    // speeds, while the LB epoch prices moves, models busy times and
+    // classifies links by the scenario's — a mismatch would silently
+    // measure a different machine than it plans for (and than the paired
+    // simulation).
     assert!(
-        cluster.net_spec() == &cfg.net,
-        "DistConfig.net is {:?} but the cluster was built with {:?}; \
-         build the cluster with DistConfig::cluster() so both agree",
-        cfg.net,
+        cluster.net_spec() == &sc.net,
+        "the scenario's net is {:?} but the cluster was built with {:?}; \
+         build the cluster with Scenario::build_cluster() so both agree",
+        sc.net,
         cluster.net_spec()
     );
-    // Reject a degenerate policy parameter here (covers direct field
-    // assignment that bypassed `with_spec`): a panic inside the locality-0
-    // driver at the first LB epoch would leave the other localities
-    // blocked on the plan rendezvous forever.
-    if let Some(lb) = &cfg.lb {
-        lb.validate();
-    }
-    let n_nodes = cluster.len() as u32;
-    let speeds: Vec<f64> = cluster.localities().iter().map(|l| l.speed()).collect();
-    let setup = Arc::new(Setup::build(cfg.clone(), n_nodes, speeds));
+    let declared: Vec<_> = sc
+        .cluster
+        .nodes
+        .iter()
+        .map(|n| (n.cores, n.speed))
+        .collect();
+    let built: Vec<_> = cluster
+        .localities()
+        .iter()
+        .map(|l| (l.n_workers(), l.speed()))
+        .collect();
+    assert!(
+        declared == built,
+        "the scenario declares nodes of (cores, speed) {declared:?} but the \
+         cluster has {built:?}; build the cluster with \
+         Scenario::build_cluster() so both agree"
+    );
+    let setup = Setup::build(sc);
+    let n_nodes = setup.n_nodes;
     let t0 = Instant::now();
-    let mut reports = cluster.run(|loc| driver(loc, setup.clone()));
+    let mut reports = cluster.run(|loc| driver(loc, &setup));
     let elapsed = t0.elapsed();
 
     // Assemble the global field.
@@ -715,9 +592,9 @@ pub fn run_distributed(cluster: &Cluster, cfg: &DistConfig) -> DistReport {
         }
     }
     // Sum error partials across nodes per step.
-    let error = cfg.record_error.then(|| {
+    let error = sc.record_error.then(|| {
         let mut acc = ErrorAccumulator::new();
-        for k in 0..cfg.n_steps {
+        for k in 0..sc.steps {
             acc.push(reports.iter().map(|r| r.error_partials[k]).sum());
         }
         acc
@@ -771,9 +648,9 @@ fn pack_tile_rect(tile: &Tile, rect: &Rect) -> Bytes {
 }
 
 #[allow(clippy::too_many_lines)]
-fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
+fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let me = loc.id();
-    let cfg = &setup.cfg;
+    let sc = setup.sc;
     let sds = setup.sds;
     let halo = setup.parts.grid.halo;
     let dt = setup.parts.dt;
@@ -794,10 +671,10 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let cut = RegionCut {
         sd: sds.sd,
         halo,
-        overlap: cfg.overlap,
+        overlap: sc.overlap,
         // Intra-step stealing: one task per row band of this height — a
-        // function of the config alone, never of timing.
-        band: cfg
+        // function of the scenario alone, never of timing.
+        band: sc
             .intra_step_stealing
             .then(|| (sds.sd / (2 * loc.n_workers() as i64)).max(1)),
     };
@@ -832,7 +709,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     // Tiles reclaimed from migrated-away SDs, reused (zeroed) for incoming
     // migrations so steady-state balancing stops allocating tile pairs.
     let mut tile_pool: Vec<Tile> = Vec::new();
-    let mut error_partials = Vec::with_capacity(cfg.n_steps);
+    let mut error_partials = Vec::with_capacity(sc.steps);
     let mut in_migrations = 0usize;
     // Planner-grade ghost-traffic counters (what this locality sends):
     // per foreign patch the same `patch_wire_bytes` the simulator charges
@@ -858,27 +735,13 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     // from the measured migration stalls. Its planning view carries the SD
     // graph of the *real* halo plans, so μ-weighted policies price exactly
     // the record bytes this driver's ghost bundles carry every step.
-    let mut lb_epoch = cfg.lb.as_ref().filter(|_| me == 0).map(|lb| {
-        LbEpoch::new(EpochConfig {
-            lb,
-            net: &cfg.net,
-            cells_per_sd: sds.cells_per_sd(),
-            sd_graph: setup
-                .sd_graph
-                .clone()
-                .expect("built beside the LB schedule"),
-            memory_caps: setup.memory_caps.clone(),
-            lb_input: cfg.lb_input,
-            cluster_events: &cfg.cluster_events,
-            work: &cfg.work,
-            work_schedule: &cfg.work_schedule,
-            speeds: setup.speeds.clone(),
-            sec_per_dp: setup.sec_per_dp,
-        })
+    let mut lb_epoch = sc.lb.as_ref().filter(|_| me == 0).map(|lb| {
+        let sd_graph = setup.sd_graph.clone();
+        LbEpoch::new(sc.epoch_config(lb, sd_graph.expect("built beside the LB schedule")))
     });
     // Link classes for the ghost counters: the very CommCost the planner
     // prices moves with.
-    let comm_cost = cfg.net.comm_cost();
+    let comm_cost = sc.net.comm_cost();
     // Wall time this locality spent in the previous epoch's migration
     // exchange (gathered with the busy times as the adaptive-λ stall
     // signal) and, on locality 0, the length of the previous window.
@@ -889,7 +752,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
     let loop_ns = registry.register(loop_counter_name(me), Counter::raw());
     let loop_t0 = Instant::now();
     let mut clock = PhaseClock::start(&loc);
-    for step in 0..cfg.n_steps {
+    for step in 0..sc.steps {
         // no task of the step exists yet: fill and send take no lock
         let StepPlan { layout, tiles, .. } = unshared(&mut plan);
 
@@ -904,8 +767,8 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         clock.end(Phase::Fill);
 
         // --- 2. sends: one ghost bundle per neighbour rank ---
-        if cfg.cluster_events.iter().any(|&(from, _)| from == step) {
-            failed = failed_at(failed.len(), &cfg.cluster_events, step);
+        if sc.cluster_events.iter().any(|&(from, _)| from == step) {
+            failed = failed_at(failed.len(), &sc.cluster_events, step);
         }
         for bundle in &layout.schedule.sends {
             if !failed[me as usize] && !failed[bundle.peer as usize] {
@@ -927,7 +790,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         //
         // The work factor in effect *now* (the schedule may have switched
         // models since the table was made).
-        let work_now = cfg.work_at(step);
+        let work_now = sc.work_at(step);
         if !work_set.is_some_and(|set| std::ptr::eq(set, work_now)) {
             unshared(&mut plan).set_work(work_now, &sds, loc.speed());
             work_set = Some(work_now);
@@ -983,7 +846,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         tiles.iter_mut().for_each(TileSlot::swap);
 
         // --- 5. error recording ---
-        if cfg.record_error {
+        if sc.record_error {
             let t_now = (step + 1) as f64 * dt;
             let h = setup.parts.grid.h;
             let mut sum = 0.0;
@@ -1004,7 +867,7 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
         clock.end(Phase::Swap);
 
         // --- 6. load-balancing epoch (the configured LbSpec policy) ---
-        if let Some(lb_cfg) = cfg.lb.as_ref().filter(|lb| lb.due(step, cfg.n_steps)) {
+        if let Some(lb_cfg) = sc.lb.as_ref().filter(|lb| lb.due(step, sc.steps)) {
             let epoch = ((step + 1) / lb_cfg.period) as u64;
             // gather busy times on locality 0, piggybacking the wall time
             // each locality spent in the *previous* epoch's migration
@@ -1149,11 +1012,31 @@ fn driver(loc: Arc<Locality>, setup: Arc<Setup>) -> NodeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balance::LbSchedule;
     use crate::balance::MoveWeights;
     use crate::ghost::{row_bands, RegionLists};
-    use nlheat_amt::cluster::ClusterBuilder;
+    use crate::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec};
     use nlheat_amt::pool::ThreadPool;
-    use nlheat_model::SerialSolver;
+    use nlheat_model::{ProblemSpec, SerialSolver};
+    use nlheat_netmodel::NetSpec;
+
+    /// The square problem on `cluster` over the instant network.
+    fn scenario(
+        cluster: ClusterSpec,
+        n: usize,
+        eps_mult: f64,
+        sd: usize,
+        steps: usize,
+    ) -> Scenario {
+        Scenario::square(n, eps_mult, sd, steps)
+            .on(cluster)
+            .with_net(NetSpec::Instant)
+    }
+
+    /// Run `sc` on the cluster it declares.
+    fn run(sc: &Scenario) -> DistReport {
+        run_distributed(&sc.build_cluster(), sc)
+    }
 
     fn serial_field(n: usize, eps_mult: f64, steps: usize) -> Vec<f64> {
         let parts = ProblemSpec::square(n, eps_mult).build();
@@ -1164,17 +1047,15 @@ mod tests {
 
     #[test]
     fn two_nodes_match_serial_bitwise() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let cfg = DistConfig::new(16, 2.0, 4, 5);
-        let report = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 5);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 5));
     }
 
     #[test]
     fn four_nodes_match_serial_bitwise() {
-        let cluster = ClusterBuilder::new().uniform(4, 1).build();
-        let cfg = DistConfig::new(16, 2.0, 4, 5);
-        let report = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(4, 1), 16, 2.0, 4, 5);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 5));
     }
 
@@ -1182,10 +1063,9 @@ mod tests {
     fn intra_step_stealing_matches_serial_bitwise() {
         // Multi-core localities so the row-band tasks really execute on
         // several workers — the decomposition must not perturb a bit.
-        let cluster = ClusterBuilder::new().uniform(2, 4).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 5);
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 4), 16, 2.0, 4, 5);
+        sc.intra_step_stealing = true;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 5));
         assert!(
             report.pool_steals.iter().sum::<u64>() > 0,
@@ -1197,13 +1077,12 @@ mod tests {
     fn intra_step_stealing_straggler_sd_matches_serial_bitwise() {
         // One 8x-slow SD on a single 4-worker locality: idle workers
         // steal the straggler's bands, numerics stay pinned.
-        let cluster = ClusterBuilder::new().uniform(1, 4).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
+        let mut sc = scenario(ClusterSpec::uniform(1, 4), 16, 2.0, 4, 4);
         let mut work = vec![1.0; 16];
         work[0] = 8.0;
-        cfg.work = WorkModel::PerSd(work);
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
+        sc.work = WorkModel::PerSd(work);
+        sc.intra_step_stealing = true;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
     }
 
@@ -1211,11 +1090,10 @@ mod tests {
     fn intra_step_stealing_composes_with_lb() {
         // Stealing within steps + migration between epochs: both on, the
         // field still matches the serial solver bitwise.
-        let cluster = ClusterBuilder::new().uniform(2, 2).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2));
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 2), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2));
+        sc.intra_step_stealing = true;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
     }
 
@@ -1223,65 +1101,59 @@ mod tests {
     fn intra_step_stealing_overlap_off_matches_serial_bitwise() {
         // The non-overlap ablation gates *all* bands on the ghosts; the
         // deferred-futures barrier must still cover them.
-        let cluster = ClusterBuilder::new().uniform(3, 2).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.overlap = false;
-        cfg.intra_step_stealing = true;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(3, 2), 16, 2.0, 4, 4);
+        sc.overlap = false;
+        sc.intra_step_stealing = true;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
     }
 
     #[test]
     fn overlap_off_same_numerics() {
-        let cluster = ClusterBuilder::new().uniform(3, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.overlap = false;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(3, 1), 16, 2.0, 4, 4);
+        sc.overlap = false;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
     }
 
     #[test]
     fn strip_partition_same_numerics() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.partition = PartitionSpec::Strip;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 4);
+        sc.partition = PartitionSpec::Strip;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
     }
 
     #[test]
     fn multi_ring_halo_across_nodes() {
         // sd=4 with eps=6h: halo 6 > sd, ghosts come from two rings away.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let cfg = DistConfig::new(16, 6.0, 4, 3);
-        let report = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(2, 1), 16, 6.0, 4, 3);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 6.0, 3));
     }
 
     #[test]
     fn error_recorded_and_small() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.record_error = true;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.record_error = true;
+        let report = run(&sc);
         let total = report.error.unwrap().total();
         assert!(total < 1e-4, "distributed error {total}");
     }
 
     #[test]
     fn load_balancing_epoch_preserves_numerics() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2));
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2));
         // plans from the modeled load: the balance outcome is a pure
         // function of counts and speeds, not of µs-sized wall-clock luck
-        cfg.lb_input = LbInput::Modeled;
+        sc.lb_input = LbInput::Modeled;
         // start from a deliberately imbalanced explicit assignment:
         // node 0 owns everything except one SD
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
-        cfg.partition = PartitionSpec::Explicit(owners);
-        let report = run_distributed(&cluster, &cfg);
+        sc.partition = PartitionSpec::Explicit(owners);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert_eq!(report.migrations, 7, "15/1 → 8/8 in one epoch");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
@@ -1292,11 +1164,10 @@ mod tests {
         // node 0 is 4x faster; with LB (planning from the modeled load,
         // so the direction does not rest on measured µs) it ends up with
         // the power-proportional share of the 16 SDs
-        let cluster = ClusterBuilder::new().node(1, 1.0).node(1, 0.25).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 8);
-        cfg.lb = Some(LbSchedule::every(2));
-        cfg.lb_input = LbInput::Modeled;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::new().node(1, 1.0).node(1, 0.25), 16, 2.0, 4, 8);
+        sc.lb = Some(LbSchedule::every(2));
+        sc.lb_input = LbInput::Modeled;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 8));
         assert_eq!(report.final_ownership.counts(), vec![13, 3]);
     }
@@ -1308,9 +1179,8 @@ mod tests {
         // `with_spec`) must fail up front on the caller's thread, not
         // inside the locality-0 driver where a panic at the first LB
         // epoch would deadlock the other localities.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.lb = Some(LbSchedule {
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 4);
+        sc.lb = Some(LbSchedule {
             period: 2,
             spec: LbSpec::Tree {
                 weights: MoveWeights {
@@ -1319,19 +1189,18 @@ mod tests {
                 },
             },
         });
-        let _ = run_distributed(&cluster, &cfg);
+        let _ = run(&sc);
     }
 
     #[test]
     fn diffusion_policy_preserves_numerics_and_migrates() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2).with_spec(LbSpec::diffusion(1.0, 8)));
-        cfg.lb_input = LbInput::Modeled;
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2).with_spec(LbSpec::diffusion(1.0, 8)));
+        sc.lb_input = LbInput::Modeled;
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
-        cfg.partition = PartitionSpec::Explicit(owners);
-        let report = run_distributed(&cluster, &cfg);
+        sc.partition = PartitionSpec::Explicit(owners);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert!(report.migrations > 0, "15/1 start must diffuse");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
@@ -1339,14 +1208,13 @@ mod tests {
 
     #[test]
     fn greedy_steal_policy_preserves_numerics_and_migrates() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2).with_spec(LbSpec::greedy_steal(1)));
-        cfg.lb_input = LbInput::Modeled;
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2).with_spec(LbSpec::greedy_steal(1)));
+        sc.lb_input = LbInput::Modeled;
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
-        cfg.partition = PartitionSpec::Explicit(owners);
-        let report = run_distributed(&cluster, &cfg);
+        sc.partition = PartitionSpec::Explicit(owners);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert!(report.migrations > 0, "15/1 start must shed work");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
@@ -1356,13 +1224,12 @@ mod tests {
     fn adaptive_policy_preserves_numerics() {
         // stays on `LbInput::Measured` (the default): the assertion is
         // numerics-only, and the measured-busy path keeps a driver test
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2).with_spec(LbSpec::adaptive(LbSpec::tree(0.0), 0.2)));
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2).with_spec(LbSpec::adaptive(LbSpec::tree(0.0), 0.2)));
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
-        cfg.partition = PartitionSpec::Explicit(owners);
-        let report = run_distributed(&cluster, &cfg);
+        sc.partition = PartitionSpec::Explicit(owners);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
     }
 
@@ -1370,10 +1237,9 @@ mod tests {
     fn noop_epochs_emit_no_lb_history() {
         // A single-node cluster plans a no-op every epoch: the history
         // must stay empty instead of recording unchanged counts.
-        let cluster = ClusterBuilder::new().uniform(1, 2).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2));
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2));
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert_eq!(report.migrations, 0);
         assert!(
@@ -1390,14 +1256,13 @@ mod tests {
 
     #[test]
     fn epoch_traces_record_realized_epochs() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.lb = Some(LbSchedule::every(2));
-        cfg.lb_input = LbInput::Modeled;
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.lb = Some(LbSchedule::every(2));
+        sc.lb_input = LbInput::Modeled;
         let mut owners = vec![0u32; 16];
         owners[15] = 1;
-        cfg.partition = PartitionSpec::Explicit(owners);
-        let report = run_distributed(&cluster, &cfg);
+        sc.partition = PartitionSpec::Explicit(owners);
+        let report = run(&sc);
         assert!(report.migrations > 0);
         // one trace per realized epoch, aligned with lb_history
         assert_eq!(report.epoch_traces.len(), report.lb_history.len());
@@ -1422,9 +1287,9 @@ mod tests {
 
     #[test]
     fn no_rendezvous_leaks() {
-        let cluster = ClusterBuilder::new().uniform(3, 1).build();
-        let cfg = DistConfig::new(16, 2.0, 4, 4);
-        let _ = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(3, 1), 16, 2.0, 4, 4);
+        let cluster = sc.build_cluster();
+        let _ = run_distributed(&cluster, &sc);
         for i in 0..cluster.len() {
             assert_eq!(
                 cluster.locality(i).rendezvous().outstanding(),
@@ -1438,17 +1303,13 @@ mod tests {
     /// fast ranks run ahead, so the slow rank finds later steps' bundles
     /// stashed in its rendezvous table before it expects them.
     fn run_ahead(lb: Option<LbSchedule>) -> DistReport {
-        let cluster = ClusterBuilder::new()
-            .node(1, 1.0)
-            .node(1, 1.0)
-            .node(1, 0.25)
-            .build();
-        let mut cfg = DistConfig::new(24, 6.0, 4, 6);
-        cfg.lb = lb;
+        let mut sc = scenario(ClusterSpec::speeds(&[1.0, 1.0, 0.25]), 24, 6.0, 4, 6);
+        sc.lb = lb;
         // the plan (not the execution) comes from the modeled load, so
         // "the slow rank sheds" does not depend on wall-clock luck
-        cfg.lb_input = LbInput::Modeled;
-        let report = run_distributed(&cluster, &cfg);
+        sc.lb_input = LbInput::Modeled;
+        let cluster = sc.build_cluster();
+        let report = run_distributed(&cluster, &sc);
         assert_eq!(report.field, serial_field(24, 6.0, 6));
         for i in 0..cluster.len() {
             assert_eq!(
@@ -1725,20 +1586,71 @@ mod tests {
     fn instant_config_on_a_priced_cluster_is_rejected() {
         // the direction the one-sided guard let through: the fabric would
         // delay parcels by rack while the LB epoch plans over a free network
-        let cluster = ClusterBuilder::new()
-            .net(NetSpec::shared(1e-6, 10e9))
-            .uniform(2, 1)
-            .build();
-        let cfg = DistConfig::new(16, 2.0, 4, 2);
-        assert_eq!(cfg.net, NetSpec::Instant);
-        let _ = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 2);
+        let cluster = sc.cluster.builder(NetSpec::shared(1e-6, 10e9)).build();
+        assert_eq!(sc.net, NetSpec::Instant);
+        let _ = run_distributed(&cluster, &sc);
+    }
+
+    /// `sc` handed to a cluster built from `other`'s declaration.
+    fn run_on_the_cluster_of(other: ClusterSpec, sc: &Scenario) {
+        let _ = run_distributed(&other.builder(sc.net).build(), sc);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "declares nodes of (cores, speed) [(1, 1.0), (1, 1.0)] but the cluster has [(1, 1.0), (1, 1.0), (1, 1.0)]"
+    )]
+    fn a_cluster_of_another_node_count_is_rejected() {
+        // the drivers of the third locality would index past the
+        // scenario's speeds and capacities
+        let sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 2);
+        run_on_the_cluster_of(ClusterSpec::uniform(3, 1), &sc);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "declares nodes of (cores, speed) [(2, 1.0), (2, 1.0)] but the cluster has [(2, 1.0), (1, 1.0)]"
+    )]
+    fn a_cluster_of_another_worker_count_is_rejected() {
+        let sc = scenario(ClusterSpec::uniform(2, 2), 16, 2.0, 4, 2);
+        run_on_the_cluster_of(ClusterSpec::new().node(2, 1.0).node(1, 1.0), &sc);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "declares nodes of (cores, speed) [(1, 1.0), (1, 0.5)] but the cluster has [(1, 1.0), (1, 0.25)]"
+    )]
+    fn a_cluster_of_another_speed_is_rejected() {
+        // the pools would repeat kernels for a quarter-speed rank while the
+        // LB epoch models a half-speed one
+        let sc = scenario(ClusterSpec::speeds(&[1.0, 0.5]), 16, 2.0, 4, 2);
+        run_on_the_cluster_of(ClusterSpec::speeds(&[1.0, 0.25]), &sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "work_schedule must be sorted by step")]
+    fn an_unsorted_work_schedule_fails_before_the_run() {
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.work_schedule = vec![(4, WorkModel::Uniform), (2, WorkModel::Uniform)];
+        let _ = run(&sc);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster event names rank 2 outside the 2-rank cluster")]
+    fn an_event_for_a_rank_outside_the_cluster_fails_before_the_run() {
+        // `failed_at` would index its mask with it on a driver thread
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        let spec = LbSpec::repartition(LbSpec::greedy_steal(1), f64::INFINITY, 1, u64::MAX);
+        sc.lb = Some(LbSchedule::every(2).with_spec(spec));
+        sc.cluster_events = vec![(3, ClusterEvent::Fail { rank: 2 })];
+        let _ = run(&sc);
     }
 
     #[test]
     fn single_node_cluster_works() {
-        let cluster = ClusterBuilder::new().uniform(1, 2).build();
-        let cfg = DistConfig::new(16, 2.0, 4, 4);
-        let report = run_distributed(&cluster, &cfg);
+        let sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 4);
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 4));
     }
 
@@ -1747,9 +1659,8 @@ mod tests {
         // The propagating crack on real hardware: the schedule switches
         // the work model mid-run (kernel repetition emulates the factor),
         // so the numerics must stay bit-exact while only timing shifts.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-        cfg.work_schedule = vec![
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+        sc.work_schedule = vec![
             (
                 0,
                 WorkModel::Crack {
@@ -1767,32 +1678,32 @@ mod tests {
                 },
             ),
         ];
-        cfg.lb = Some(LbSchedule::every(2));
-        let report = run_distributed(&cluster, &cfg);
+        sc.lb = Some(LbSchedule::every(2));
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
-        assert_eq!(cfg.work_at(0), &cfg.work_schedule[0].1);
-        assert_eq!(cfg.work_at(4), &cfg.work_schedule[1].1);
+        assert_eq!(sc.work_at(0), &sc.work_schedule[0].1);
+        assert_eq!(sc.work_at(4), &sc.work_schedule[1].1);
     }
 
     /// A run whose work model switches at steps 2 and 5 — neither an LB
     /// step of the period-4 schedule — between per-SD factor tables that
     /// differ on every SD.
-    fn switching_work(n_steps: usize) -> DistConfig {
-        let mut cfg = DistConfig::new(16, 2.0, 4, n_steps);
+    fn switching_work(cluster: ClusterSpec, n_steps: usize) -> Scenario {
+        let mut sc = scenario(cluster, 16, 2.0, 4, n_steps);
         let table = |shift: usize| {
             WorkModel::PerSd((0..16).map(|sd| 1.0 + ((sd + shift) % 3) as f64).collect())
         };
-        cfg.work = table(0);
-        cfg.work_schedule = vec![(2, table(1)), (5, table(2))];
-        cfg.lb = Some(LbSchedule::every(4));
-        cfg.lb_input = LbInput::Modeled;
-        cfg
+        sc.work = table(0);
+        sc.work_schedule = vec![(2, table(1)), (5, table(2))];
+        sc.lb = Some(LbSchedule::every(4));
+        sc.lb_input = LbInput::Modeled;
+        sc
     }
 
     #[test]
     fn set_work_gives_the_repeats_of_the_model_in_force() {
-        let cfg = switching_work(8);
-        let setup = Setup::build(cfg.clone(), 2, vec![1.0, 0.5]);
+        let sc = switching_work(ClusterSpec::speeds(&[1.0, 0.5]), 8);
+        let setup = Setup::build(&sc);
         let cut = RegionCut {
             sd: 4,
             halo: setup.parts.grid.halo,
@@ -1805,11 +1716,11 @@ mod tests {
             let owned = layout.schedule.owned.clone();
             let tile = || Tile::new(4, cut.halo);
             let tiles = owned.iter().map(|_| TileSlot::new((0, 0), tile(), tile()));
-            let kern = step_kernel(cfg.spec.build(), 4 + 2 * cut.halo);
+            let kern = step_kernel(sc.problem.build(), 4 + 2 * cut.halo);
             let mut plan = StepPlan::new(layout, tiles.collect(), kern);
             assert!(!owned.is_empty());
-            for step in 0..cfg.n_steps {
-                let work = cfg.work_at(step);
+            for step in 0..sc.steps {
+                let work = sc.work_at(step);
                 plan.set_work(work, &setup.sds, speed);
                 let want: Vec<u32> = owned
                     .iter()
@@ -1828,21 +1739,21 @@ mod tests {
         // the model in force at every step — on one locality, where the
         // plan is never rebuilt, and on two, where an LB epoch rebuilds it
         // between the switches.
-        let cfg = switching_work(8);
+        let sc = switching_work(ClusterSpec::uniform(1, 1), 8);
         let sds = SdGrid::tile_mesh(16, 16, 4);
-        let want: u64 = (0..cfg.n_steps)
+        let want: u64 = (0..sc.steps)
             .flat_map(|step| sds.ids().map(move |sd| (step, sd)))
-            .map(|(step, sd)| 16 * u64::from(cfg.work_at(step).repeats(&sds, sd, 1.0)))
+            .map(|(step, sd)| 16 * u64::from(sc.work_at(step).repeats(&sds, sd, 1.0)))
             .sum();
-        assert_ne!(want, 8 * 256 * u64::from(cfg.work.repeats(&sds, 0, 1.0)));
+        assert_ne!(want, 8 * 256 * u64::from(sc.work.repeats(&sds, 0, 1.0)));
         for n_nodes in [1, 2] {
-            let cluster = ClusterBuilder::new().uniform(n_nodes, 1).build();
-            let mut cfg = cfg.clone();
+            let mut sc = sc.clone().on(ClusterSpec::uniform(n_nodes, 1));
             // lopsided, so the epoch after step 3 migrates
             let mut owners = vec![0u32; 16];
             owners[15] = n_nodes as u32 - 1;
-            cfg.partition = PartitionSpec::Explicit(owners);
-            let report = run_distributed(&cluster, &cfg);
+            sc.partition = PartitionSpec::Explicit(owners);
+            let cluster = sc.build_cluster();
+            let report = run_distributed(&cluster, &sc);
             assert_eq!(report.field, serial_field(16, 2.0, 8));
             assert_eq!(report.migrations > 0, n_nodes == 2);
             let executed: u64 = (0..n_nodes as u32)
@@ -1857,11 +1768,11 @@ mod tests {
 
     #[test]
     fn the_phase_counters_add_up_to_the_step_loop() {
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = switching_work(8);
-        cfg.partition = PartitionSpec::Strip;
-        cfg.record_error = true;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = switching_work(ClusterSpec::uniform(2, 1), 8);
+        sc.partition = PartitionSpec::Strip;
+        sc.record_error = true;
+        let cluster = sc.build_cluster();
+        let report = run_distributed(&cluster, &sc);
         for rank in 0..2u32 {
             let read = |name: String| cluster.registry().read(&name).expect("registered");
             let phases = STEP_PHASES.map(|phase| read(phase_counter_name(rank, phase)));
@@ -1893,35 +1804,35 @@ mod tests {
         // Metis partition with a crack that moves, so LB epochs rebuild the
         // plan mid-run; each with overlap on and off and with stealing.
         let steps = if cfg!(debug_assertions) { 24 } else { 200 };
+        let cluster = ClusterSpec::new().node(2, 1.0).node(2, 0.5);
         let ghost_heavy = {
-            let mut cfg = DistConfig::new(100, 4.0, 5, steps);
+            let mut sc = scenario(cluster.clone(), 100, 4.0, 5, steps);
             let owners = crate::scenarios::drifted_owners(&SdGrid::tile_mesh(100, 100, 5), 2);
-            cfg.partition = PartitionSpec::Explicit(owners);
-            cfg
+            sc.partition = PartitionSpec::Explicit(owners);
+            sc
         };
         let metis_lb = {
-            let mut cfg = DistConfig::new(100, 4.0, 25, steps);
+            let mut sc = scenario(cluster, 100, 4.0, 25, steps);
             let crack = |y_cell| WorkModel::Crack {
                 y_cell,
                 half_width: 10,
                 factor: 3.0,
             };
-            cfg.work_schedule = vec![(0, crack(20)), (steps / 2, crack(80))];
-            cfg.lb = Some(LbSchedule::every(4));
-            cfg.lb_input = LbInput::Modeled;
-            cfg
+            sc.work_schedule = vec![(0, crack(20)), (steps / 2, crack(80))];
+            sc.lb = Some(LbSchedule::every(4));
+            sc.lb_input = LbInput::Modeled;
+            sc
         };
         let want = serial_field(100, 4.0, steps);
-        for (shape, cfg) in [("ghost-heavy", ghost_heavy), ("metis + lb", metis_lb)] {
+        for (shape, sc) in [("ghost-heavy", ghost_heavy), ("metis + lb", metis_lb)] {
             for (overlap, stealing) in [(true, false), (false, false), (true, true)] {
-                let cluster = ClusterBuilder::new().node(2, 1.0).node(2, 0.5).build();
-                let mut cfg = cfg.clone();
-                cfg.overlap = overlap;
-                cfg.intra_step_stealing = stealing;
-                let report = run_distributed(&cluster, &cfg);
+                let mut sc = sc.clone();
+                sc.overlap = overlap;
+                sc.intra_step_stealing = stealing;
+                let report = run(&sc);
                 let what = format!("{shape}, overlap {overlap}, stealing {stealing}");
                 assert!(report.field == want, "{what}: field differs from serial");
-                assert_eq!(report.migrations > 0, cfg.lb.is_some(), "{what}");
+                assert_eq!(report.migrations > 0, sc.lb.is_some(), "{what}");
             }
         }
     }
@@ -1932,10 +1843,9 @@ mod tests {
         // Satellite contract: the bad factor vector must fail on the
         // caller's thread at configuration time, not by out-of-bounds
         // indexing inside a driver mid-run.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 4);
-        cfg.work = WorkModel::PerSd(vec![1.0, 1.0, 1.0]); // grid has 16 SDs
-        let _ = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 4);
+        sc.work = WorkModel::PerSd(vec![1.0, 1.0, 1.0]); // grid has 16 SDs
+        let _ = run(&sc);
     }
 
     #[test]
@@ -1944,12 +1854,12 @@ mod tests {
         // one per step and direction, and their payload is exactly the
         // planner-grade volume — the ownership cut of the SD graph, which
         // is also what the simulator charges for this scenario.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 3);
-        cfg.partition = PartitionSpec::Strip;
-        let report = run_distributed(&cluster, &cfg);
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 3);
+        sc.partition = PartitionSpec::Strip;
+        let cluster = sc.build_cluster();
+        let report = run_distributed(&cluster, &sc);
         let sds = SdGrid::tile_mesh(16, 16, 4);
-        let graph = SdGraph::build(&sds, cfg.spec.build().grid.halo);
+        let graph = SdGraph::build(&sds, sc.problem.build().grid.halo);
         let cut = graph.cut_bytes(report.final_ownership.owners());
         assert!(cut > 0);
         assert_eq!(report.ghost_bytes, 3 * cut);
@@ -1975,17 +1885,16 @@ mod tests {
         // bit-exact throughout (the rank keeps computing until its SDs
         // are gone — membership is a planner-level fact), and nothing
         // may move back afterwards.
-        let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let mut cfg = DistConfig::new(16, 2.0, 4, 8);
-        cfg.lb = Some(LbSchedule::every(2).with_spec(LbSpec::repartition(
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 8);
+        sc.lb = Some(LbSchedule::every(2).with_spec(LbSpec::repartition(
             LbSpec::greedy_steal(1),
             f64::INFINITY,
             1,
             u64::MAX,
         )));
-        cfg.cluster_events = vec![(3, crate::scenario::ClusterEvent::Fail { rank: 1 })];
-        cfg.lb_input = LbInput::Modeled;
-        let report = run_distributed(&cluster, &cfg);
+        sc.cluster_events = vec![(3, ClusterEvent::Fail { rank: 1 })];
+        sc.lb_input = LbInput::Modeled;
+        let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 8));
         assert!(report.migrations > 0, "the failed rank must be evacuated");
         let counts = report.final_ownership.counts();
@@ -2004,18 +1913,17 @@ mod tests {
         // Parity mode: plans derive from the declared work model, so two
         // runs produce identical plan sequences (wall clock never enters)
         // and the numerics stay bit-exact.
-        let run = || {
-            let cluster = ClusterBuilder::new().uniform(2, 1).build();
-            let mut cfg = DistConfig::new(16, 2.0, 4, 6);
-            cfg.lb = Some(LbSchedule::every(2));
-            cfg.lb_input = LbInput::Modeled;
+        let run_once = || {
+            let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 6);
+            sc.lb = Some(LbSchedule::every(2));
+            sc.lb_input = LbInput::Modeled;
             let mut owners = vec![0u32; 16];
             owners[15] = 1;
-            cfg.partition = PartitionSpec::Explicit(owners);
-            run_distributed(&cluster, &cfg)
+            sc.partition = PartitionSpec::Explicit(owners);
+            run(&sc)
         };
-        let a = run();
-        let b = run();
+        let a = run_once();
+        let b = run_once();
         assert_eq!(a.field, serial_field(16, 2.0, 6));
         assert!(a.migrations > 0, "lopsided start must migrate");
         assert_eq!(a.lb_plans, b.lb_plans, "modeled plans are deterministic");

@@ -37,7 +37,7 @@ pub use balance::{
     plan_rebalance, LbNetwork, LbPolicy, LbSchedule, LbSpec, LoadMetrics, MigrationPlan, Move,
     MoveWeights,
 };
-pub use dist::{run_distributed, DistConfig, DistReport};
+pub use dist::{run_distributed, DistReport};
 pub use ownership::Ownership;
 pub use scenario::sweep::{
     Axis, JsonlSink, MemorySink, RunRecord, ScenarioSweep, SweepSink, SweepSummary,

@@ -12,12 +12,11 @@
 //! [`RunReport`], with substrate-specific measurements nested in
 //! [`RunExtras`] instead of forked into parallel types.
 //!
-//! The simulator executes a `Scenario` directly. The real runtime still
-//! compiles it into its low-level `DistConfig` ([`Scenario::dist_config`])
-//! and reports through `DistReport` before [`RunReport::from_dist`] wraps
-//! it — the one remaining per-substrate pair, kept because code that
-//! drives a hand-built `Cluster` (the repo benchmark's traced run) spells
-//! those calls out.
+//! Both substrates execute a `Scenario` directly. The real runtime
+//! reports through its low-level `DistReport` before
+//! [`RunReport::from_dist`] wraps it — kept because code that drives a
+//! `Cluster` it owns (the repo benchmark's traced run) calls
+//! [`run_distributed`] itself and reads that report.
 //!
 //! Declarative scenario/phase descriptions are what let one harness sweep
 //! many workloads across heterogeneous backends (cf. Lifflander et al.,
@@ -31,7 +30,7 @@ pub mod sweep;
 pub use plan::{PlanExtras, PlanSubstrate};
 
 use crate::balance::{EpochConfig, EpochTrace, LbSchedule, Move};
-use crate::dist::{run_distributed, DistConfig, DistReport};
+use crate::dist::{run_distributed, DistReport};
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
@@ -731,28 +730,12 @@ impl Scenario {
         }
     }
 
-    /// Compile into the real runtime's low-level execution config.
-    pub fn dist_config(&self) -> DistConfig {
-        DistConfig {
-            spec: self.problem,
-            sd_size: self.sd_size,
-            n_steps: self.steps,
-            partition: self.partition.clone(),
-            overlap: self.overlap,
-            lb: self.lb.clone(),
-            record_error: self.record_error,
-            work: self.work.clone(),
-            work_schedule: self.work_schedule.clone(),
-            cluster_events: self.cluster_events.clone(),
-            net: self.net,
-            lb_input: self.lb_input,
-            intra_step_stealing: self.intra_step_stealing,
-            memory_bytes: if self.cluster.has_memory_caps() {
-                self.cluster.nodes.iter().map(|n| n.memory_bytes).collect()
-            } else {
-                Vec::new()
-            },
-        }
+    /// The scenario itself: [`run_distributed`] reads it directly. Only
+    /// the frozen repo benchmark still spells
+    /// `run_distributed(&cluster, &sc.dist_config())`; this goes when the
+    /// benchmark is re-based (ROADMAP item 1).
+    pub fn dist_config(&self) -> &Scenario {
+        self
     }
 
     /// Build the real cluster this scenario declares (localities with the
@@ -771,8 +754,8 @@ impl Scenario {
 }
 
 /// The workload in effect at `step` under a base model + switch schedule —
-/// shared by [`Scenario`], `DistConfig` and the epoch driver so the
-/// substrates cannot disagree on what a schedule means.
+/// shared by [`Scenario`] and the epoch driver so the substrates cannot
+/// disagree on what a schedule means.
 pub fn work_at<'a>(
     base: &'a WorkModel,
     schedule: &'a [(usize, WorkModel)],
@@ -806,10 +789,8 @@ impl Substrate for DistSubstrate {
     }
 
     fn run(&self, scenario: &Scenario) -> RunReport {
-        scenario.validate();
         let cluster = scenario.build_cluster();
-        let cfg = scenario.dist_config();
-        let report = run_distributed(&cluster, &cfg);
+        let report = run_distributed(&cluster, scenario);
         let stats = cluster.net_stats();
         RunReport::from_dist(report, stats.messages(), stats.cross_bytes())
             .with_scenario_memory(scenario)
@@ -1244,10 +1225,7 @@ mod tests {
         assert!(!sc.overlap);
         assert!(sc.record_error);
         assert_eq!(sc.lb_input, LbInput::Modeled);
-        let cfg = sc.dist_config();
-        assert_eq!(cfg.n_steps, 5);
-        assert_eq!(cfg.partition, PartitionSpec::Strip);
-        assert_eq!(cfg.lb_input, LbInput::Modeled);
+        assert!(std::ptr::eq(sc.dist_config(), &sc));
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl SharedSolver {
         .with_work(cfg.work)
         .with_record_error(cfg.record_error);
         let cluster = scenario.build_cluster();
-        let report = run_distributed(&cluster, &scenario.dist_config());
+        let report = run_distributed(&cluster, &scenario);
         // The step barrier resolves inside the final task, slightly before
         // the pool retires it — drain fully so the counters below are final.
         let locality = cluster.locality(0);

@@ -161,26 +161,6 @@ impl Tile {
             .map(move |row| &mut row[..w])
     }
 
-    /// Write a row-major vector into the cells of `rect` (local coords).
-    ///
-    /// # Panics
-    /// Panics if `values.len() != rect.area()` or `rect` leaves the padded
-    /// extent.
-    pub fn unpack(&mut self, rect: &Rect, values: &[f64]) {
-        assert_eq!(
-            values.len(),
-            rect.area() as usize,
-            "unpack size mismatch for rect {rect:?}"
-        );
-        self.assert_holds(rect);
-        for (row_idx, lj) in (rect.y0..rect.y1()).enumerate() {
-            let dst = self.index(rect.x0, lj);
-            let src = row_idx * rect.w as usize;
-            self.data[dst..dst + rect.w as usize]
-                .copy_from_slice(&values[src..src + rect.w as usize]);
-        }
-    }
-
     /// Copy `src_rect` from another tile into this tile at `dst_rect`
     /// (rect shapes must match). Used for same-locality halo fills where no
     /// serialization is needed.
@@ -268,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_roundtrip() {
+    fn pack_roundtrip() {
         let mut a = Tile::new(6, 2);
         for lj in 0..6 {
             for li in 0..6 {
@@ -279,7 +259,9 @@ mod tests {
         let packed = a.pack(&rect);
         assert_eq!(packed.len(), 6);
         let mut b = Tile::new(6, 2);
-        b.unpack(&rect, &packed);
+        for ((x, y), v) in rect.cells().zip(packed) {
+            b.set(x, y, v);
+        }
         for (x, y) in rect.cells() {
             assert_eq!(b.get(x, y), a.get(x, y));
         }
@@ -304,11 +286,13 @@ mod tests {
     }
 
     #[test]
-    fn rect_rows_mut_writes_like_unpack() {
+    fn rect_rows_mut_writes_like_set_row_major() {
         let rect = Rect::new(-1, 0, 2, 3);
         let values: Vec<f64> = (0..6).map(f64::from).collect();
         let mut a = Tile::new(4, 1);
-        a.unpack(&rect, &values);
+        for ((x, y), v) in rect.cells().zip(&values) {
+            a.set(x, y, *v);
+        }
         let mut b = Tile::new(4, 1);
         let mut it = values.iter();
         for row in b.rect_rows_mut(&rect) {
@@ -330,23 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn unpack_into_halo_region() {
+    fn rect_rows_mut_reach_the_halo_region() {
         let mut t = Tile::new(4, 2);
         let halo_rect = Rect::new(-2, 0, 2, 4);
-        let values: Vec<f64> = (0..8).map(f64::from).collect();
-        t.unpack(&halo_rect, &values);
+        let values = (0..8).map(f64::from);
+        for (cell, v) in t.rect_rows_mut(&halo_rect).flatten().zip(values) {
+            *cell = v;
+        }
         assert_eq!(t.get(-2, 0), 0.0);
         assert_eq!(t.get(-1, 0), 1.0);
         assert_eq!(t.get(-2, 3), 6.0);
         // interior untouched
         assert_eq!(t.get(0, 0), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn unpack_wrong_size_panics() {
-        let mut t = Tile::new(4, 1);
-        t.unpack(&Rect::new(0, 0, 2, 2), &[1.0, 2.0]);
     }
 
     #[test]
@@ -403,9 +382,8 @@ mod tests {
     fn every_rect_entry_point_refuses_a_rect_off_the_tile() {
         let inside = Rect::new(0, 0, 2, 2);
         type Call = fn(&mut Tile, &Rect);
-        let calls: [(&str, Call); 5] = [
+        let calls: [(&str, Call); 4] = [
             ("pack", |t, r| drop(t.pack(r))),
-            ("unpack", |t, r| t.unpack(r, &[1.0; 4])),
             ("fill_rect", |t, r| t.fill_rect(r, 1.0)),
             ("copy_rect_from (source)", |t, r| {
                 let src = t.clone();

@@ -28,8 +28,8 @@
 //!   inter-rack) with per-sender NIC serialization, for heterogeneous
 //!   clusters built by `ClusterBuilder`.
 //! * [`NetSpec`] — the serializable configuration enum `Scenario`,
-//!   `DistConfig`, examples and benches all use to select a model
-//!   uniformly; [`NetSpec::build`] instantiates the trait object.
+//!   examples and benches all use to select a model uniformly;
+//!   [`NetSpec::build`] instantiates the trait object.
 
 use std::time::Duration;
 
@@ -569,8 +569,8 @@ impl NetModel for TopologyNet {
     }
 }
 
-/// Model selection shared by `Scenario`, `DistConfig`, `ClusterBuilder`,
-/// examples and benches. Build a live model with [`NetSpec::build`].
+/// Model selection shared by `Scenario`, `ClusterBuilder`, examples and
+/// benches. Build a live model with [`NetSpec::build`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum NetSpec {
     /// Zero delay.

@@ -53,7 +53,7 @@ pub mod prelude {
         plan_rebalance, EpochTrace, LbNetwork, LbPolicy, LbSchedule, LbSpec, MigrationPlan,
         MoveScore, MoveWeights,
     };
-    pub use nlheat_core::dist::{run_distributed, DistConfig};
+    pub use nlheat_core::dist::run_distributed;
     pub use nlheat_core::ownership::Ownership;
     pub use nlheat_core::scenario::sweep::{
         Axis, FnSink, JsonlSink, MemorySink, RunRecord, ScenarioSweep, SweepSink, SweepSummary,

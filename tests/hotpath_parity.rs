@@ -2,12 +2,12 @@
 //! kernel, the zero-copy halo codec and the pooled migration buffers must
 //! be invisible in the results. Every optimized path is compared against
 //! the retained scalar/copying reference — `apply_region` with a flat
-//! offset table, and `pack` + `encode_f64_slice` — bit for bit, at scenario
-//! scope. CI runs this file in release as well: the kernel's vectorised
-//! form only exists under the optimiser.
+//! offset table, and `pack` + `Vec<f64>`'s element-wise `Wire` encoding —
+//! bit for bit, at scenario scope. CI runs this file in release as well:
+//! the kernel's vectorised form only exists under the optimiser.
 
 use bytes::BytesMut;
-use nlheat_amt::codec::{decode_f64_rows, decode_f64_vec, encode_f64_rows, encode_f64_slice};
+use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows};
 use nlheat_core::ghost::{reverse_index, GhostSchedule};
 use nlheat_mesh::{build_halo_plan, Rect, Tile};
 use nonlocalheat::prelude::*;
@@ -200,7 +200,7 @@ fn report_counters_unchanged_across_substrates() {
 #[test]
 fn zero_copy_codec_wire_format_matches_copying_path() {
     // Same payload bytes on the wire, same values after decode — the
-    // zero-copy rows codec is a drop-in for pack + slice-encode.
+    // zero-copy rows codec is a drop-in for pack + element-wise encode.
     let mut tile = Tile::new(12, 3);
     for (i, (x, y)) in tile.padded_rect().cells().enumerate() {
         tile.set(x, y, (i as f64).sin());
@@ -210,24 +210,22 @@ fn zero_copy_codec_wire_format_matches_copying_path() {
         Rect::new(-3, 0, 3, 12), // halo destination strip
         Rect::new(0, 0, 12, 12), // whole interior (migration payload)
     ] {
-        let legacy = {
-            let mut buf = BytesMut::new();
-            encode_f64_slice(&tile.pack(&rect), &mut buf);
-            buf.freeze()
-        };
+        let copied = tile.pack(&rect).to_bytes();
         let streamed = {
             let mut buf = BytesMut::new();
             encode_f64_rows(rect.area() as usize, tile.rect_rows(&rect), &mut buf);
             buf.freeze()
         };
         assert_eq!(
-            legacy, streamed,
+            copied, streamed,
             "wire bytes must be identical for {rect:?}"
         );
 
         let mut via_vec = Tile::new(12, 3);
-        let values = decode_f64_vec(&mut legacy.clone()).unwrap();
-        via_vec.unpack(&rect, &values);
+        let values = Vec::<f64>::from_bytes(copied).unwrap();
+        for ((x, y), v) in rect.cells().zip(values) {
+            via_vec.set(x, y, v);
+        }
         let mut via_rows = Tile::new(12, 3);
         decode_f64_rows(&mut streamed.clone(), via_rows.rect_rows_mut(&rect)).unwrap();
         assert_eq!(via_vec, via_rows, "decoded tiles must match for {rect:?}");
@@ -236,7 +234,7 @@ fn zero_copy_codec_wire_format_matches_copying_path() {
     // ... and at the other end of the scale, where rows are four or five
     // cells and go through the codec's fixed-width arms: one rank's whole
     // send bundle of the ghost-heavy shape (4 602 records), record by
-    // record against header words + pack + slice-encode.
+    // record against header words + pack + element-wise encode.
     let sds = SdGrid::tile_mesh(200, 200, 5);
     let halo = Grid::square(200, 4.0).halo;
     let plans: Vec<_> = sds
@@ -265,7 +263,7 @@ fn zero_copy_codec_wire_format_matches_copying_path() {
         let mut copied = BytesMut::new();
         header.dst_sd.encode(&mut copied);
         header.pidx.encode(&mut copied);
-        encode_f64_slice(&tiles[rec.tile as usize].pack(&rec.rect), &mut copied);
+        tiles[rec.tile as usize].pack(&rec.rect).encode(&mut copied);
         assert_eq!(
             &packed[at..at + copied.len()],
             &copied[..],

@@ -176,11 +176,11 @@ fn traffic_statistics_are_plausible() {
 
     // Per-pair attribution through the real driver path: a symmetric
     // decomposition sends symmetric ghosts. The pair counters live on
-    // the fabric, so this leg drives the compatibility layer directly
+    // the fabric, so this leg runs on a cluster it keeps
     // (scenario.build_cluster() keeps the declared net).
     let scenario = Scenario::square(16, 2.0, 4, 3).on(ClusterSpec::uniform(2, 1));
     let cluster = scenario.build_cluster();
-    let _ = run_distributed(&cluster, &scenario.dist_config());
+    let _ = run_distributed(&cluster, &scenario);
     let stats = cluster.net_stats();
     assert_eq!(
         stats.pair_bytes(0, 1),

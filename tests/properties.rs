@@ -1,7 +1,7 @@
 //! Property-based tests of the core invariants (proptest).
 
 use bytes::Bytes;
-use nonlocalheat::amt::codec::{decode_f64_vec, encode_f64_slice, Wire};
+use nonlocalheat::amt::codec::{decode_f64_rows, encode_f64_rows, Wire};
 use nonlocalheat::amt::rendezvous::Rendezvous;
 use nonlocalheat::core::balance::{
     compute_metrics, plan_rebalance, LbNetwork, LbSpec, MoveWeights,
@@ -22,10 +22,15 @@ use std::sync::Arc;
 proptest! {
     #[test]
     fn codec_roundtrip_f64_vec(values in proptest::collection::vec(-1e12f64..1e12, 0..200)) {
+        // the row codec against `Vec<f64>`'s element-wise `Wire` impl,
+        // in both directions
         let mut buf = bytes::BytesMut::new();
-        encode_f64_slice(&values, &mut buf);
+        encode_f64_rows(values.len(), values.chunks(7), &mut buf);
         let mut b = buf.freeze();
-        let back = decode_f64_vec(&mut b).unwrap();
+        prop_assert_eq!(&b, &values.to_bytes());
+        prop_assert_eq!(&Vec::<f64>::decode(&mut b.clone()).unwrap(), &values);
+        let mut back = vec![0.0; values.len()];
+        decode_f64_rows(&mut b, back.chunks_mut(5)).unwrap();
         prop_assert_eq!(back, values);
         prop_assert_eq!(b.len(), 0);
     }
