@@ -2,8 +2,8 @@
 //!
 //! These mirror the `hpx::future` / `hpx::promise` pair the paper's solver is
 //! built on: single-producer, single-consumer futures with a blocking
-//! [`Future::get`], dataflow continuations ([`Future::then`],
-//! [`Future::then_inline`]) and conjunction ([`when_all`]).
+//! [`Future::get`], dataflow continuations ([`Future::then`]) and
+//! conjunction ([`when_all`]).
 
 use crate::task::Spawn;
 use parking_lot::{Condvar, Mutex};
@@ -121,19 +121,6 @@ impl<T> Future<T> {
         }
     }
 
-    /// Non-blocking: take the value if it is already there.
-    pub fn try_take(&self) -> Option<T> {
-        let mut guard = self.shared.state.lock();
-        if matches!(*guard, State::Ready(_)) {
-            match std::mem::replace(&mut *guard, State::Consumed) {
-                State::Ready(v) => Some(v),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
-    }
-
     /// True once a value is waiting (does not consume it).
     pub fn is_ready(&self) -> bool {
         matches!(*self.shared.state.lock(), State::Ready(_))
@@ -180,19 +167,6 @@ impl<T> Future<T> {
         self.on_ready(move |v| sp.spawn_boxed(Box::new(move || p.set(f(v)))));
         fut
     }
-
-    /// Continuation executed synchronously on the fulfilling thread. Use for
-    /// cheap glue (unpacking a message, triggering another promise).
-    pub fn then_inline<U, F>(self, f: F) -> Future<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        let (p, fut) = channel();
-        self.on_ready(move |v| p.set(f(v)));
-        fut
-    }
 }
 
 /// Combine a set of futures into one producing all values in input order.
@@ -237,26 +211,6 @@ pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
     fut
 }
 
-/// Resolve with the index and value of the *first* input future to become
-/// ready (the `hpx::when_any` analogue). Later values are dropped.
-///
-/// # Panics
-/// Panics on an empty input — there is nothing to wait for.
-pub fn when_any<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<(usize, T)> {
-    assert!(!futures.is_empty(), "when_any needs at least one future");
-    let (p, fut) = channel();
-    let winner = Arc::new(Mutex::new(Some(p)));
-    for (i, f) in futures.into_iter().enumerate() {
-        let w = winner.clone();
-        f.on_ready(move |v| {
-            if let Some(p) = w.lock().take() {
-                p.set((i, v));
-            }
-        });
-    }
-    fut
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,15 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn try_take_and_is_ready() {
-        let (p, f) = channel::<u8>();
-        assert!(!f.is_ready());
-        assert_eq!(f.try_take(), None);
-        p.set(3);
-        assert_eq!(f.try_take(), Some(3));
-    }
-
-    #[test]
     fn continuation_runs_on_set() {
         let (p, f) = channel::<u32>();
         let (p2, f2) = channel::<u32>();
@@ -307,12 +252,6 @@ mod tests {
         let (p2, f2) = channel::<u32>();
         f.on_ready(move |v| p2.set(v + 1));
         assert_eq!(f2.get(), 6);
-    }
-
-    #[test]
-    fn then_inline_chains() {
-        let f = ready(10u32).then_inline(|v| v + 1).then_inline(|v| v * 2);
-        assert_eq!(f.get(), 22);
     }
 
     #[test]
@@ -339,28 +278,6 @@ mod tests {
         let all: Future<Vec<u8>> = when_all(vec![]);
         assert!(all.is_ready());
         assert!(all.get().is_empty());
-    }
-
-    #[test]
-    fn when_any_returns_first_ready() {
-        let (p1, f1) = channel::<u32>();
-        let (p2, f2) = channel::<u32>();
-        let any = when_any(vec![f1, f2]);
-        p2.set(20);
-        assert_eq!(any.get(), (1, 20));
-        p1.set(10); // late value is silently dropped
-    }
-
-    #[test]
-    fn when_any_with_already_ready_input() {
-        let any = when_any(vec![ready(5u8)]);
-        assert_eq!(any.get(), (0, 5));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn when_any_rejects_empty() {
-        let _ = when_any(Vec::<Future<u8>>::new());
     }
 
     #[test]

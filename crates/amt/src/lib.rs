@@ -59,10 +59,7 @@ pub mod prelude {
     pub use crate::pool::{async_call, PoolHandle, ThreadPool};
     pub use crate::rendezvous::Rendezvous;
     pub use crate::task::{Spawn, Task};
-    pub use nlheat_netmodel::{
-        CommCost, ConstantBandwidthNet, InstantNet, LinkClass, LinkSpec, Msg, NetModel, NetSpec,
-        SharedBandwidthNet, TopologyNet, TopologySpec,
-    };
+    pub use nlheat_netmodel::{CommCost, LinkClass, LinkSpec, Msg, NetSpec, TopologySpec};
 }
 
 pub use prelude::*;

@@ -1,18 +1,24 @@
-//! In-memory network fabric driven by a pluggable [`NetModel`].
+//! In-memory network fabric driven by the shared [`Net`] model.
 //!
 //! Every inter-locality parcel flows through a [`Fabric`]. The delivery
-//! schedule comes from the shared `nlheat-netmodel` crate — the same cost
-//! models the discrete-event simulator uses — so communication behaviour
-//! agrees between the real runtime and the simulator by construction.
-//! With [`NetSpec::Instant`] parcels are forwarded synchronously; any other
-//! model routes parcels through a delivery thread that releases each one at
-//! the arrival time the model computed. Model time is f64 seconds anchored
-//! at fabric creation; the [`nlheat_netmodel::time`] adapter is the single
+//! schedule comes from the `nlheat-netmodel` crate — the arrival function
+//! the discrete-event simulator calls — so communication behaviour agrees
+//! between the real runtime and the simulator by construction. With an
+//! instant [`NetSpec`] parcels are forwarded synchronously; any other rung
+//! routes parcels through a delivery thread that releases each one at the
+//! arrival time the model computed. Model time is f64 seconds anchored at
+//! fabric creation; the [`nlheat_netmodel::time`] adapter is the single
 //! seam converting to wall-clock `Instant`s.
+//!
+//! Locks on the send path: the NIC slots the rung queues in, one mutex per
+//! rank and direction — none for `Constant`, the sender's egress slot for
+//! `Shared`/`Topology`, the sender's egress then the receiver's ingress
+//! slot for `Duplex` (an egress lock is never awaited while an ingress
+//! lock is held) — and then `delay_tx`, which every delayed send takes.
 
 use crate::parcel::{LocalityId, Parcel};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use nlheat_netmodel::{time as nettime, ConstantBandwidthNet, Msg, NetModel, NetSpec};
+use nlheat_netmodel::{time as nettime, Msg, Net, NetSpec};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -76,53 +82,13 @@ impl NetStats {
     }
 }
 
-/// The fabric's view of the cost model, split by how much
-/// synchronization each class of model needs on the send hot path.
-enum FabricModel {
-    /// Zero delay: no clock read, no lock, forward synchronously.
-    Instant,
-    /// Stateless per-message model: computed lock-free on the sender.
-    Constant(ConstantBandwidthNet),
-    /// Stateful models (per-sender NICs, topology): locked per **sender**.
-    /// Every shardable stateful model keeps its contention state per
-    /// sender (`nic_free[src]`), so one full model instance per
-    /// locality — each only ever queried with its own `src` — yields the
-    /// same arrival times as one shared instance while concurrent senders
-    /// never contend on a lock. Models with genuinely cross-sender state
-    /// (the duplex receiver-ingress queue) go through
-    /// [`FabricModel::CrossSender`] instead; `NetSpec::has_cross_sender_state`
-    /// is the netmodel crate's encoding of that contract.
-    Stateful(Vec<Mutex<Box<dyn NetModel>>>),
-    /// One shard for models whose contention state couples senders (e.g.
-    /// [`nlheat_netmodel::DuplexBandwidthNet`]: every sender mutates the
-    /// receiver's ingress queue, so sharding per sender would silently
-    /// erase the incast contention the model exists to apply).
-    CrossSender(Mutex<Box<dyn NetModel>>),
-}
-
-impl FabricModel {
-    fn build(spec: NetSpec, n: usize) -> Self {
-        // Same early rejection as the simulator path (NetSpec::build):
-        // a degenerate spec must fail at cluster construction, not later
-        // on a driver thread mid-send.
-        spec.validate();
-        match spec {
-            spec if spec.is_instant() => FabricModel::Instant,
-            NetSpec::Constant {
-                latency_s,
-                bytes_per_sec,
-            } => FabricModel::Constant(ConstantBandwidthNet::new(latency_s, bytes_per_sec)),
-            spec if spec.has_cross_sender_state() => {
-                FabricModel::CrossSender(Mutex::new(spec.build(n)))
-            }
-            spec => FabricModel::Stateful((0..n).map(|_| Mutex::new(spec.build(n))).collect()),
-        }
-    }
-}
-
 struct FabricInner {
     links: RwLock<Vec<Option<Sender<Parcel>>>>,
-    model: FabricModel,
+    /// Built without slots of its own: the fabric holds each rank's egress
+    /// and ingress free-time behind its own mutex.
+    net: Net,
+    egress_free: Vec<Mutex<f64>>,
+    ingress_free: Vec<Mutex<f64>>,
     /// Model-time origin: model second 0.0 == this instant.
     epoch: Instant,
     stats: NetStats,
@@ -162,15 +128,20 @@ impl Fabric {
             senders.push(Some(tx));
             receivers.push(rx);
         }
-        let instant = spec.is_instant();
+        // Validates the spec: a degenerate one fails here, at cluster
+        // construction, not later on a driver thread mid-send.
+        let net = spec.build(0);
+        let nic_slots = || (0..n).map(|_| Mutex::new(0.0)).collect();
         let inner = Arc::new(FabricInner {
             links: RwLock::new(senders),
-            model: FabricModel::build(spec, n),
+            net,
+            egress_free: nic_slots(),
+            ingress_free: nic_slots(),
             epoch: Instant::now(),
             stats: NetStats::new(n),
             delay_tx: Mutex::new(None),
         });
-        let delay_thread = if instant {
+        let delay_thread = if inner.net.is_instant() {
             None
         } else {
             let (tx, rx) = unbounded();
@@ -231,37 +202,24 @@ impl FabricHandle {
         self.inner
             .stats
             .record(parcel.src, parcel.dst, parcel.wire_size());
-        if matches!(self.inner.model, FabricModel::Instant) {
+        if self.inner.net.is_instant() {
             self.inner.forward(parcel);
             return;
         }
         // One seam between wall-clock and model time: `now` in model
         // seconds since the fabric epoch, arrival mapped back to an Instant.
         let now_s = nettime::duration_to_secs(self.inner.epoch.elapsed());
-        let arrival_s = match &self.inner.model {
-            FabricModel::Instant => unreachable!("handled above"),
-            FabricModel::Constant(net) => now_s + net.delay_for(parcel.wire_size() as u64),
-            // Lock only this sender's shard: concurrent localities keep
-            // their NIC arithmetic fully parallel.
-            FabricModel::Stateful(shards) => shards[parcel.src as usize].lock().arrival(
-                now_s,
-                &Msg {
-                    src: parcel.src,
-                    dst: parcel.dst,
-                    bytes: parcel.wire_size() as u64,
-                },
-            ),
-            // Cross-sender state (receiver-ingress queues): all senders
-            // serialize on the one true model instance.
-            FabricModel::CrossSender(model) => model.lock().arrival(
-                now_s,
-                &Msg {
-                    src: parcel.src,
-                    dst: parcel.dst,
-                    bytes: parcel.wire_size() as u64,
-                },
-            ),
+        let msg = Msg {
+            src: parcel.src,
+            dst: parcel.dst,
+            bytes: parcel.wire_size() as u64,
         };
+        let arrival_s = self.inner.net.arrival_with(
+            now_s,
+            &msg,
+            || self.inner.egress_free[msg.src as usize].lock(),
+            || self.inner.ingress_free[msg.dst as usize].lock(),
+        );
         if arrival_s <= now_s {
             self.inner.forward(parcel);
             return;
@@ -441,6 +399,50 @@ mod tests {
         );
     }
 
+    /// Two senders released together, one 5000-byte parcel (100 ms of wire
+    /// at 50 kB/s) each to rank 2; returns when the two deliveries landed,
+    /// measured from just before the sends.
+    fn fan_in_delivery_times(spec: NetSpec) -> [Duration; 2] {
+        let (fabric, rx) = Fabric::new(3, spec);
+        let go = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for src in 0..2 {
+                let (h, go) = (fabric.handle(), &go);
+                s.spawn(move || {
+                    go.wait();
+                    h.send(Parcel::new(src, 2, 0, Bytes::from_static(&[0; 4976])));
+                });
+            }
+            let t0 = Instant::now();
+            go.wait();
+            [(); 2].map(|()| {
+                rx[2].recv_timeout(Duration::from_secs(5)).unwrap();
+                t0.elapsed()
+            })
+        })
+    }
+
+    #[test]
+    fn duplex_fan_in_queues_at_the_receiver_and_shared_does_not() {
+        // Duplex: both parcels leave their own egress NIC after one wire
+        // time, then drain through rank 2's ingress NIC one after the
+        // other — model arrivals at 2 and 3 wire times. Deliveries are
+        // never early, so the second bound is exact; the gap allows the
+        // first delivery 40 ms of wake-up jitter.
+        let wire = Duration::from_millis(100);
+        let [first, second] = fan_in_delivery_times(NetSpec::duplex(0.0, 50_000.0));
+        assert!(
+            second >= 3 * wire && second - first >= wire - Duration::from_millis(40),
+            "incast must serialize on the receiver's ingress NIC: {first:?}, {second:?}"
+        );
+        // Shared: no ingress queue, both land one wire time after the send.
+        let [first, second] = fan_in_delivery_times(NetSpec::shared(0.0, 50_000.0));
+        assert!(
+            second < 2 * wire,
+            "sender-side queues only: {first:?}, {second:?}"
+        );
+    }
+
     #[test]
     fn self_send_works() {
         let (fabric, rx) = Fabric::new(1, NetSpec::Instant);
@@ -508,7 +510,7 @@ mod tests {
 
     #[test]
     fn bandwidth_term_increases_delay() {
-        let mut model = nlheat_netmodel::ConstantBandwidthNet::new(1e-3, 1_000_000.0);
+        let mut model = NetSpec::constant(1e-3, 1_000_000.0).build(2);
         let msg = |bytes| Msg {
             src: 0,
             dst: 1,

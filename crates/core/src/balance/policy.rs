@@ -268,7 +268,7 @@ pub trait LbPolicy: Send {
 }
 
 /// Serde-free policy selection of a `Scenario` (via [`LbSchedule`]),
-/// mirroring how `NetSpec` selects a `NetModel`.
+/// mirroring how `NetSpec` selects a network rung.
 ///
 /// The three leaf arms carry the [`MoveWeights`] they score moves with;
 /// decorators carry none — [`LbSpec::with_mu`] and

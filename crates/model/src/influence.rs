@@ -47,11 +47,6 @@ pub fn conductivity_constant_2d(k: f64, eps: f64, j: Influence) -> f64 {
     2.0 * k / (std::f64::consts::PI * eps.powi(4) * j.moment(3))
 }
 
-/// The 1d conductivity constant c = k / (ε³ M₂) (paper eq. 2).
-pub fn conductivity_constant_1d(k: f64, eps: f64, j: Influence) -> f64 {
-    k / (eps.powi(3) * j.moment(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +94,6 @@ mod tests {
         // J = 1: c = 2k/(π ε⁴ · 1/4) = 8k/(π ε⁴)
         let c = conductivity_constant_2d(1.0, 0.1, Influence::Constant);
         assert!((c - 8.0 / (PI * 0.1f64.powi(4))).abs() / c < 1e-14);
-    }
-
-    #[test]
-    fn constant_1d_reduces_to_closed_form() {
-        // J = 1: c = k/(ε³ · 1/3) = 3k/ε³
-        let c = conductivity_constant_1d(2.0, 0.2, Influence::Constant);
-        assert!((c - 6.0 / 0.2f64.powi(3)).abs() / c < 1e-14);
     }
 
     #[test]

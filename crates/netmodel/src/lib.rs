@@ -2,44 +2,40 @@
 //!
 //! The paper's evaluation depends on the real AMT runtime
 //! (`nlheat_amt::network::Fabric`) and the discrete-event simulator
-//! (`nlheat_sim::engine`) agreeing on how communication costs behave.
-//! Historically each had its own copy-pasted latency/bandwidth arithmetic
-//! (the fabric's `NetModel` struct in wall-clock `Duration`s, the
-//! simulator's `SimNet`/`NicState` in virtual `f64` seconds) that drifted
-//! independently. This crate is the single source of truth both consume:
+//! (`nlheat_sim::engine`) agreeing on what communication costs, and on the
+//! planner scoring a transfer with the cost the transport will charge. All
+//! three read this crate:
 //!
-//! * [`NetModel`] — the trait: given the submission time of a [`Msg`],
-//!   return its arrival time, mutating any internal contention state
-//!   (NIC free times). All model time is **f64 seconds**; the wall-clock
-//!   adapter in [`time`] is the *only* place seconds meet `Duration`.
-//! * [`InstantNet`] — zero delay (unit tests, pure-numerics runs).
-//! * [`ConstantBandwidthNet`] — per-message `latency + size/bandwidth`,
-//!   messages independent (the fabric's historical model).
-//! * [`SharedBandwidthNet`] — per-sender NIC serialization: messages from
-//!   one node queue behind each other on its link (the simulator's
-//!   historical `NicState` semantics, reproduced exactly — see the
-//!   `shared_bandwidth_matches_legacy_nicstate` test).
-//! * [`DuplexBandwidthNet`] — per-sender egress **and per-receiver
-//!   ingress** serialization: the fan-in of many senders onto one
-//!   receiver queues at the destination NIC, so the model exhibits
-//!   incast. The only model with cross-sender contention state (the
-//!   receiver queue), which transports must not shard per sender.
-//! * [`TopologyNet`] — per-pair link classes (intra-node / intra-rack /
-//!   inter-rack) with per-sender NIC serialization, for heterogeneous
-//!   clusters built by `ClusterBuilder`.
 //! * [`NetSpec`] — the serializable configuration enum `Scenario`,
-//!   examples and benches all use to select a model uniformly;
-//!   [`NetSpec::build`] instantiates the trait object.
+//!   examples and benches use to select a rung. A rung is a row of data,
+//!   a **link table** × a **queue discipline**:
+//!
+//!   | `NetSpec` | link table | a message queues in |
+//!   |---|---|---|
+//!   | `Instant`, and every `{0, ∞}` spelling | free | — |
+//!   | `Constant` | one link for every pair | nothing |
+//!   | `Shared` | one link for every pair | its sender's egress NIC |
+//!   | `Duplex` | one link for every pair | sender egress, then receiver ingress (incast) |
+//!   | `Topology` | intra-node / intra-rack / inter-rack by pair | its sender's egress NIC |
+//!
+//! * [`CommCost`] — the link table, and the planner's stateless estimate
+//!   over it ([`CommCost::seconds`]).
+//! * [`Net`] — the live model [`NetSpec::build`] returns: the same link
+//!   table, the discipline, and one free-time slot per NIC and direction.
+//!   [`Net::arrival`] maps (submission time, [`Msg`]) to an arrival time
+//!   through the crate's one arrival function; [`Net::arrival_with`] runs
+//!   that function on slots the caller holds (the fabric keeps each
+//!   behind its own mutex).
+//!
+//! All model time is **f64 seconds**; the wall-clock adapter in [`time`]
+//! is the *only* place seconds meet `Duration`.
 
-use std::time::Duration;
+use std::ops::DerefMut;
 
 /// Wall-clock ↔ model-time conversion. The one seam where the fabric's
-/// `Instant`/`Duration` world meets the models' `f64` seconds; keeping it
-/// here (and tested for round-tripping) replaces the ad-hoc
-/// `Duration::from_secs_f64` calls that used to be scattered across both
-/// substrates.
+/// `Instant`/`Duration` world meets the models' `f64` seconds.
 pub mod time {
-    use super::Duration;
+    use std::time::Duration;
 
     /// Model seconds → wall-clock `Duration`. Negative and NaN inputs
     /// clamp to zero (a model can never schedule an arrival before its
@@ -70,15 +66,12 @@ pub mod time {
     }
 }
 
-/// Pure wire (serialization) time of `bytes` at `bytes_per_sec`;
-/// infinite bandwidth costs nothing. The single copy of the
-/// bytes-to-seconds arithmetic every model shares.
+/// Pure wire (serialization) time of `bytes` at `bytes_per_sec`; infinite
+/// bandwidth costs nothing (`x / ∞` is `0.0`). Called from the planner's
+/// estimate ([`CommCost::seconds`]) and from the one arrival function,
+/// nowhere else.
 fn wire_sec(bytes: u64, bytes_per_sec: f64) -> f64 {
-    if bytes_per_sec.is_infinite() {
-        0.0
-    } else {
-        bytes as f64 / bytes_per_sec
-    }
+    bytes as f64 / bytes_per_sec
 }
 
 /// A message as the network models see it: addressing plus wire size.
@@ -92,184 +85,7 @@ pub struct Msg {
     pub bytes: u64,
 }
 
-/// A network cost model: maps (submission time, message) to arrival time.
-///
-/// Implementations may keep mutable contention state (per-sender NIC free
-/// times); the caller owns ordering — arrival times are only meaningful if
-/// messages are submitted in a deterministic order, which both the fabric
-/// (send order) and the simulator (SD id order) guarantee.
-pub trait NetModel: Send {
-    /// Arrival time (model seconds) of `msg` submitted at `now` seconds.
-    /// Must be `>= now`.
-    fn arrival(&mut self, now: f64, msg: &Msg) -> f64;
-
-    /// Drop all contention state; the next message at time `t` sees an
-    /// idle network. Used at load-balancing barriers.
-    fn reset(&mut self, t: f64) {
-        let _ = t;
-    }
-
-    /// True when every message arrives with zero delay — lets transports
-    /// skip their delivery machinery entirely.
-    fn is_instant(&self) -> bool {
-        false
-    }
-}
-
-/// Zero latency, infinite bandwidth.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InstantNet;
-
-impl NetModel for InstantNet {
-    fn arrival(&mut self, now: f64, _msg: &Msg) -> f64 {
-        now
-    }
-
-    fn is_instant(&self) -> bool {
-        true
-    }
-}
-
-/// Per-message `latency + bytes/bandwidth`; messages never contend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantBandwidthNet {
-    /// One-way latency in seconds.
-    pub latency_s: f64,
-    /// Link bandwidth in bytes/second; `f64::INFINITY` disables the
-    /// serialization term.
-    pub bytes_per_sec: f64,
-}
-
-impl ConstantBandwidthNet {
-    pub fn new(latency_s: f64, bytes_per_sec: f64) -> Self {
-        ConstantBandwidthNet {
-            latency_s,
-            bytes_per_sec,
-        }
-    }
-
-    /// Stateless delay for a message of `bytes` (no contention state, so
-    /// callers may use this without `&mut`).
-    pub fn delay_for(&self, bytes: u64) -> f64 {
-        self.latency_s + wire_sec(bytes, self.bytes_per_sec)
-    }
-}
-
-impl NetModel for ConstantBandwidthNet {
-    fn arrival(&mut self, now: f64, msg: &Msg) -> f64 {
-        now + self.delay_for(msg.bytes)
-    }
-
-    fn is_instant(&self) -> bool {
-        self.latency_s == 0.0 && self.bytes_per_sec.is_infinite()
-    }
-}
-
-/// Per-sender NIC serialization: a node's outgoing messages occupy its link
-/// back to back, then latency is added. This is exactly the simulator's
-/// historical `NicState::send` arithmetic:
-///
-/// ```text
-/// start   = max(now, nic_free[src])
-/// done    = start + bytes / bytes_per_sec
-/// nic_free[src] = done
-/// arrival = done + latency
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct SharedBandwidthNet {
-    /// One-way latency in seconds.
-    pub latency_s: f64,
-    /// Per-sender link bandwidth in bytes/second.
-    pub bytes_per_sec: f64,
-    nic_free: Vec<f64>,
-}
-
-impl SharedBandwidthNet {
-    pub fn new(latency_s: f64, bytes_per_sec: f64, n_nodes: usize) -> Self {
-        SharedBandwidthNet {
-            latency_s,
-            bytes_per_sec,
-            nic_free: vec![0.0; n_nodes],
-        }
-    }
-}
-
-impl NetModel for SharedBandwidthNet {
-    fn arrival(&mut self, now: f64, msg: &Msg) -> f64 {
-        let wire = wire_sec(msg.bytes, self.bytes_per_sec);
-        let nic = &mut self.nic_free[msg.src as usize];
-        let start = now.max(*nic);
-        let done = start + wire;
-        *nic = done;
-        done + self.latency_s
-    }
-
-    fn reset(&mut self, t: f64) {
-        self.nic_free.fill(t);
-    }
-}
-
-/// Per-sender egress **and** per-receiver ingress serialization — the
-/// incast model. A message first drains through its sender's egress NIC
-/// (exactly like [`SharedBandwidthNet`]), then through the receiver's
-/// ingress NIC, then latency is added:
-///
-/// ```text
-/// sent     = max(now, tx_free[src]) + bytes/bw;   tx_free[src] = sent
-/// ingested = max(sent, rx_free[dst]) + bytes/bw;  rx_free[dst] = ingested
-/// arrival  = ingested + latency
-/// ```
-///
-/// A fan-in of `k` same-sized messages onto one receiver therefore lands
-/// over `k` wire times instead of one — the incast effect the per-sender
-/// models cannot show. Note a single uncontended message already pays the
-/// wire **twice** (egress + ingress), which is exactly what the
-/// planning-grade [`CommCost`] estimate has always charged.
-///
-/// Unlike every other stateful model, the receiver queue is
-/// **cross-sender** state: two concurrent senders to one destination
-/// contend. Transports that shard model state per sender must keep this
-/// model on a single shard (see [`NetSpec::has_cross_sender_state`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DuplexBandwidthNet {
-    /// One-way latency in seconds.
-    pub latency_s: f64,
-    /// Per-NIC bandwidth in bytes/second (each direction).
-    pub bytes_per_sec: f64,
-    tx_free: Vec<f64>,
-    rx_free: Vec<f64>,
-}
-
-impl DuplexBandwidthNet {
-    pub fn new(latency_s: f64, bytes_per_sec: f64, n_nodes: usize) -> Self {
-        DuplexBandwidthNet {
-            latency_s,
-            bytes_per_sec,
-            tx_free: vec![0.0; n_nodes],
-            rx_free: vec![0.0; n_nodes],
-        }
-    }
-}
-
-impl NetModel for DuplexBandwidthNet {
-    fn arrival(&mut self, now: f64, msg: &Msg) -> f64 {
-        let wire = wire_sec(msg.bytes, self.bytes_per_sec);
-        let tx = &mut self.tx_free[msg.src as usize];
-        let sent = now.max(*tx) + wire;
-        *tx = sent;
-        let rx = &mut self.rx_free[msg.dst as usize];
-        let ingested = sent.max(*rx) + wire;
-        *rx = ingested;
-        ingested + self.latency_s
-    }
-
-    fn reset(&mut self, t: f64) {
-        self.tx_free.fill(t);
-        self.rx_free.fill(t);
-    }
-}
-
-/// Latency/bandwidth of one link class in a [`TopologyNet`].
+/// Latency/bandwidth of one link.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     pub latency_s: f64,
@@ -306,13 +122,11 @@ impl LinkSpec {
     }
 }
 
-/// Declarative description of a [`TopologyNet`]: ranks are packed into
-/// nodes (`node = rank / ranks_per_node`), nodes into racks
+/// Declarative description of a rank → node → rack hierarchy: ranks are
+/// packed into nodes (`node = rank / ranks_per_node`), nodes into racks
 /// (`rack = node / nodes_per_rack`), and each src→dst pair resolves to
-/// one of three link classes. The historical two-tier shape is
-/// `ranks_per_node = 1` (every rank is its own node, loopback only for
-/// self-sends) — the default of every constructor that predates the
-/// three-tier hierarchy.
+/// one of three link classes. `ranks_per_node = 1` is the two-tier shape:
+/// every rank its own node, loopback only for self-sends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologySpec {
     /// Ranks (localities) per node; `node(i) = i / ranks_per_node`.
@@ -352,7 +166,7 @@ impl TopologySpec {
 
     /// The node hosting `rank`.
     pub fn node_of(&self, rank: u32) -> usize {
-        rank as usize / self.ranks_per_node.max(1)
+        rank as usize / self.ranks_per_node
     }
 
     /// The rack hosting `rank`.
@@ -401,7 +215,7 @@ pub const N_LINK_CLASSES: usize = 3;
 /// Estimated transfer cost of a message, derivable from any [`NetSpec`] —
 /// the planner-facing face of the network layer.
 ///
-/// Where [`NetModel::arrival`] answers "when does *this* message land given
+/// Where [`Net::arrival`] answers "when does *this* message land given
 /// everything already in flight" (stateful, simulation-grade), `CommCost`
 /// answers "roughly how many seconds does moving `bytes` from `src` to
 /// `dst` cost the system" (stateless, planning-grade). The estimate charges
@@ -409,7 +223,7 @@ pub const N_LINK_CLASSES: usize = 3;
 /// sender-side serialization every model applies, once for the
 /// receiver-side ingress that a migration target really pays (the tile
 /// must be received and unpacked before its next task can run; the
-/// [`DuplexBandwidthNet`] arrival model simulates exactly this queue).
+/// [`NetSpec::Duplex`] arrival model simulates exactly this queue).
 /// Contention is deliberately ignored: a rebalancing plan cannot know
 /// what else will occupy the NICs when it executes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -437,32 +251,15 @@ impl CommCost {
         }
     }
 
-    /// Derive the cost estimate from a network spec (the same value that
-    /// builds the live [`NetModel`], so planner and transport agree on
-    /// what the network looks like by construction).
+    /// Derive the link table from a network spec. The live [`Net`] holds
+    /// this same value, so planner and transport agree on what the network
+    /// looks like by construction.
     pub fn from_spec(spec: &NetSpec) -> Self {
         spec.validate();
-        let kind = match *spec {
-            NetSpec::Instant => CostKind::Free,
-            NetSpec::Constant {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Shared {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Duplex {
-                latency_s,
-                bytes_per_sec,
-            } => {
-                if latency_s == 0.0 && bytes_per_sec.is_infinite() {
-                    CostKind::Free
-                } else {
-                    CostKind::Uniform(LinkSpec::new(latency_s, bytes_per_sec))
-                }
-            }
-            NetSpec::Topology(spec) => CostKind::Topology(spec),
+        let kind = match (*spec, spec.uniform_link()) {
+            (NetSpec::Topology(topo), _) => CostKind::Topology(topo),
+            (_, Some(link)) if !spec.is_instant() => CostKind::Uniform(link),
+            _ => CostKind::Free,
         };
         CommCost { kind }
     }
@@ -486,14 +283,9 @@ impl CommCost {
     /// The link class used between `src` and `dst`.
     pub fn link_class(&self, src: u32, dst: u32) -> LinkClass {
         match &self.kind {
-            CostKind::Free | CostKind::Uniform(_) => {
-                if src == dst {
-                    LinkClass::IntraNode
-                } else {
-                    LinkClass::IntraRack
-                }
-            }
             CostKind::Topology(spec) => spec.class(src, dst),
+            _ if src == dst => LinkClass::IntraNode,
+            _ => LinkClass::IntraRack,
         }
     }
 
@@ -507,83 +299,162 @@ impl CommCost {
         (0..n_nodes)
             .map(|i| {
                 let mut others: Vec<u32> = (0..n_nodes).filter(|&j| j != i).collect();
-                others.sort_by(|&a, &b| {
-                    self.link_class(i, a)
-                        .cmp(&self.link_class(i, b))
-                        .then(a.cmp(&b))
-                });
+                others.sort_by_key(|&j| (self.link_class(i, j), j));
                 others
             })
             .collect()
     }
 
-    /// Estimated seconds to move `bytes` from `src` to `dst`: link
-    /// latency plus sender-side serialization plus receiver-side ingress
-    /// (see the type docs for why ingress is charged although arrival
-    /// models skip it).
-    pub fn seconds(&self, src: u32, dst: u32, bytes: u64) -> f64 {
-        let link = match &self.kind {
-            CostKind::Free => return 0.0,
-            CostKind::Uniform(link) => *link,
-            CostKind::Topology(spec) => spec.link(src, dst),
-        };
-        link.latency_s + 2.0 * wire_sec(bytes, link.bytes_per_sec)
-    }
-}
-
-/// Per-pair link classes with per-sender NIC serialization. With a single
-/// link class this degenerates to [`SharedBandwidthNet`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopologyNet {
-    spec: TopologySpec,
-    nic_free: Vec<f64>,
-}
-
-impl TopologyNet {
-    pub fn new(spec: TopologySpec, n_nodes: usize) -> Self {
-        assert!(spec.nodes_per_rack > 0, "nodes_per_rack must be positive");
-        TopologyNet {
-            spec,
-            nic_free: vec![0.0; n_nodes],
+    /// The table lookup: the link a `src`→`dst` message crosses, `None`
+    /// when every transfer is free.
+    fn link(&self, src: u32, dst: u32) -> Option<LinkSpec> {
+        match &self.kind {
+            CostKind::Free => None,
+            CostKind::Uniform(link) => Some(*link),
+            CostKind::Topology(spec) => Some(spec.link(src, dst)),
         }
     }
 
-    /// The link class used between `src` and `dst`.
-    pub fn link(&self, src: u32, dst: u32) -> LinkSpec {
-        self.spec.link(src, dst)
+    /// Estimated seconds to move `bytes` from `src` to `dst`: link
+    /// latency plus sender-side serialization plus receiver-side ingress
+    /// (see the type docs for why ingress is charged although most arrival
+    /// rungs skip it).
+    pub fn seconds(&self, src: u32, dst: u32, bytes: u64) -> f64 {
+        self.link(src, dst).map_or(0.0, |link| {
+            link.latency_s + 2.0 * wire_sec(bytes, link.bytes_per_sec)
+        })
     }
 }
 
-impl NetModel for TopologyNet {
-    fn arrival(&mut self, now: f64, msg: &Msg) -> f64 {
-        let link = self.link(msg.src, msg.dst);
-        let nic = &mut self.nic_free[msg.src as usize];
-        let start = now.max(*nic);
-        let done = start + wire_sec(msg.bytes, link.bytes_per_sec);
-        *nic = done;
-        done + link.latency_s
+/// Which NIC queues a message waits in — the second half of a rung.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queues {
+    /// Messages are independent.
+    None,
+    /// A node's outgoing messages occupy its link back to back.
+    Egress,
+    /// Egress, then the receiver's ingress NIC: a fan-in of `k` same-sized
+    /// messages onto one receiver lands over `k` wire times instead of
+    /// one, and a lone message already pays the wire twice — what
+    /// [`CommCost::seconds`] charges.
+    EgressIngress,
+}
+
+/// The live network model: maps (submission time, message) to arrival
+/// time over a link table, a queue discipline and one free-time slot per
+/// NIC and direction. Arrival times are only meaningful if messages are
+/// submitted in a deterministic order, which the simulator (SD id order)
+/// guarantees and the fabric (send order) approximates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Net {
+    links: CommCost,
+    queues: Queues,
+    /// When each rank's egress NIC is next free.
+    tx_free: Vec<f64>,
+    /// When each rank's ingress NIC is next free.
+    rx_free: Vec<f64>,
+}
+
+impl Net {
+    /// Arrival time (model seconds, `>= now`) of `msg` submitted at `now`.
+    pub fn arrival(&mut self, now: f64, msg: &Msg) -> f64 {
+        arrive(
+            &self.links,
+            self.queues,
+            now,
+            msg,
+            || &mut self.tx_free[msg.src as usize],
+            || &mut self.rx_free[msg.dst as usize],
+        )
     }
 
-    fn reset(&mut self, t: f64) {
-        self.nic_free.fill(t);
+    /// [`Net::arrival`] on slots the caller holds instead of this model's
+    /// own: `egress()` yields the sender's egress slot and `ingress()` the
+    /// receiver's ingress slot, each called only if the rung queues there
+    /// and `egress` first, its slot still held while `ingress` runs — so a
+    /// concurrent caller hands in lock acquisitions and a send locks
+    /// exactly what it mutates.
+    pub fn arrival_with<S: DerefMut<Target = f64>>(
+        &self,
+        now: f64,
+        msg: &Msg,
+        egress: impl FnOnce() -> S,
+        ingress: impl FnOnce() -> S,
+    ) -> f64 {
+        arrive(&self.links, self.queues, now, msg, egress, ingress)
+    }
+
+    /// Drop all contention state; the next message at time `t` sees an
+    /// idle network. Used at load-balancing barriers.
+    pub fn reset(&mut self, t: f64) {
+        self.tx_free.fill(t);
+        self.rx_free.fill(t);
+    }
+
+    /// True when every message arrives with zero delay — lets transports
+    /// skip their delivery machinery entirely.
+    pub fn is_instant(&self) -> bool {
+        self.links.is_free()
     }
 }
 
-/// Model selection shared by `Scenario`, `ClusterBuilder`, examples and
-/// benches. Build a live model with [`NetSpec::build`].
+/// The one arrival function:
+///
+/// ```text
+/// Queues::None            arrival = now + (latency + wire)
+/// Queues::Egress          sent = max(now, tx) + wire;  tx = sent
+///                         arrival = sent + latency
+/// Queues::EgressIngress   sent as above
+///                         ingested = max(sent, rx) + wire;  rx = ingested
+///                         arrival = ingested + latency
+/// ```
+///
+/// and `now` itself on a free link table. The association of each sum is
+/// pinned bit for bit by `tests::arrival_bits_match_the_table_recorded_at_
+/// the_parent`.
+fn arrive<S: DerefMut<Target = f64>>(
+    links: &CommCost,
+    queues: Queues,
+    now: f64,
+    msg: &Msg,
+    egress: impl FnOnce() -> S,
+    ingress: impl FnOnce() -> S,
+) -> f64 {
+    let Some(link) = links.link(msg.src, msg.dst) else {
+        return now;
+    };
+    let wire = wire_sec(msg.bytes, link.bytes_per_sec);
+    if queues == Queues::None {
+        return now + (link.latency_s + wire);
+    }
+    let mut tx = egress();
+    let sent = now.max(*tx) + wire;
+    *tx = sent;
+    if queues == Queues::Egress {
+        return sent + link.latency_s;
+    }
+    let mut rx = ingress();
+    let ingested = sent.max(*rx) + wire;
+    *rx = ingested;
+    ingested + link.latency_s
+}
+
+/// Rung selection shared by `Scenario`, `ClusterBuilder`, examples and
+/// benches — see the crate docs for the table. Build the live model with
+/// [`NetSpec::build`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum NetSpec {
     /// Zero delay.
     #[default]
     Instant,
-    /// [`ConstantBandwidthNet`].
+    /// Per-message `latency + bytes/bandwidth`; messages never contend.
     Constant { latency_s: f64, bytes_per_sec: f64 },
-    /// [`SharedBandwidthNet`].
+    /// Per-sender NIC serialization: a node's outgoing messages occupy its
+    /// link back to back, then latency is added.
     Shared { latency_s: f64, bytes_per_sec: f64 },
-    /// [`DuplexBandwidthNet`] — per-sender egress + per-receiver ingress
-    /// serialization (incast).
+    /// Per-sender egress + per-receiver ingress serialization (incast).
     Duplex { latency_s: f64, bytes_per_sec: f64 },
-    /// [`TopologyNet`].
+    /// Per-pair link classes with per-sender NIC serialization.
     Topology(TopologySpec),
 }
 
@@ -591,10 +462,7 @@ impl NetSpec {
     /// Representative cluster interconnect (~5 µs latency, 10 GB/s per
     /// NIC, sender-serialized) — the simulator's historical default.
     pub fn cluster() -> Self {
-        NetSpec::Shared {
-            latency_s: 5e-6,
-            bytes_per_sec: 10e9,
-        }
+        NetSpec::shared(5e-6, 10e9)
     }
 
     /// Per-message independent latency/bandwidth model.
@@ -621,21 +489,22 @@ impl NetSpec {
         }
     }
 
-    /// True when the built model keeps contention state shared across
-    /// senders (the duplex receiver queue), so transports that shard
-    /// per-sender model instances must fall back to one shared instance.
-    /// Per-sender-only models (shared NICs, topology egress) stay safely
-    /// shardable.
-    pub fn has_cross_sender_state(&self) -> bool {
-        matches!(self, NetSpec::Duplex { .. }) && !self.is_instant()
-    }
-
-    /// Convenience for wall-clock call sites (the fabric's historical
-    /// `NetModel::new(Duration, f64)` signature).
-    pub fn constant_wall(latency: Duration, bytes_per_sec: f64) -> Self {
-        NetSpec::Constant {
-            latency_s: time::duration_to_secs(latency),
-            bytes_per_sec,
+    /// The one link of the rack-less rungs.
+    fn uniform_link(&self) -> Option<LinkSpec> {
+        match *self {
+            NetSpec::Constant {
+                latency_s,
+                bytes_per_sec,
+            }
+            | NetSpec::Shared {
+                latency_s,
+                bytes_per_sec,
+            }
+            | NetSpec::Duplex {
+                latency_s,
+                bytes_per_sec,
+            } => Some(LinkSpec::new(latency_s, bytes_per_sec)),
+            NetSpec::Instant | NetSpec::Topology(_) => None,
         }
     }
 
@@ -645,21 +514,9 @@ impl NetSpec {
     /// indistinguishable from instant delivery — transports may skip their
     /// delivery-thread machinery for it.
     pub fn is_instant(&self) -> bool {
-        match self {
-            NetSpec::Instant => true,
-            NetSpec::Constant {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Shared {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Duplex {
-                latency_s,
-                bytes_per_sec,
-            } => *latency_s == 0.0 && bytes_per_sec.is_infinite(),
-            NetSpec::Topology(_) => false,
+        match self.uniform_link() {
+            Some(link) => link.latency_s == 0.0 && link.bytes_per_sec.is_infinite(),
+            None => matches!(self, NetSpec::Instant),
         }
     }
 
@@ -668,73 +525,49 @@ impl NetSpec {
         CommCost::from_spec(self)
     }
 
-    /// Reject degenerate parameters early, with one rule for every
-    /// transport that consumes this spec (the simulator via [`build`],
-    /// the real fabric via its unboxed fast path).
+    /// Reject degenerate parameters early, with one rule for everything
+    /// that consumes this spec ([`NetSpec::build`] for both transports,
+    /// [`CommCost::from_spec`] for the planner).
     ///
     /// # Panics
-    /// Panics on non-finite or negative latency, or zero/negative
-    /// bandwidth — see [`LinkSpec::validate`].
-    ///
-    /// [`build`]: NetSpec::build
+    /// Panics on non-finite or negative latency, zero/negative bandwidth
+    /// (see [`LinkSpec::validate`]), or a [`TopologySpec`] with an empty
+    /// node or rack.
     pub fn validate(&self) {
-        match self {
-            NetSpec::Constant {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Shared {
-                latency_s,
-                bytes_per_sec,
-            }
-            | NetSpec::Duplex {
-                latency_s,
-                bytes_per_sec,
-            } => LinkSpec::new(*latency_s, *bytes_per_sec).validate("NetSpec"),
-            NetSpec::Topology(spec) => {
-                assert!(
-                    spec.ranks_per_node >= 1,
-                    "TopologySpec.ranks_per_node must be at least 1"
-                );
-                assert!(
-                    spec.nodes_per_rack >= 1,
-                    "TopologySpec.nodes_per_rack must be at least 1"
-                );
-                spec.intra_node.validate("TopologySpec.intra_node");
-                spec.intra_rack.validate("TopologySpec.intra_rack");
-                spec.inter_rack.validate("TopologySpec.inter_rack");
-            }
-            NetSpec::Instant => {}
+        if let NetSpec::Topology(spec) = self {
+            assert!(
+                spec.ranks_per_node >= 1,
+                "TopologySpec.ranks_per_node must be at least 1"
+            );
+            assert!(
+                spec.nodes_per_rack >= 1,
+                "TopologySpec.nodes_per_rack must be at least 1"
+            );
+            spec.intra_node.validate("TopologySpec.intra_node");
+            spec.intra_rack.validate("TopologySpec.intra_rack");
+            spec.inter_rack.validate("TopologySpec.inter_rack");
+        } else if let Some(link) = self.uniform_link() {
+            link.validate("NetSpec");
         }
     }
 
-    /// Instantiate the model for a cluster of `n_nodes`.
+    /// Instantiate the model for a cluster of `n_nodes`. An instant spec
+    /// (any spelling) builds the free link table, so the model reports
+    /// [`Net::is_instant`].
     ///
     /// # Panics
     /// Panics on degenerate parameters — see [`NetSpec::validate`].
-    pub fn build(&self, n_nodes: usize) -> Box<dyn NetModel> {
-        self.validate();
-        if self.is_instant() {
-            // Covers the degenerate `Constant`/`Shared { 0, inf }`
-            // spellings: build the model that reports `is_instant()` so
-            // transports skip their delivery machinery.
-            return Box::new(InstantNet);
-        }
-        match self {
-            NetSpec::Instant => Box::new(InstantNet),
-            NetSpec::Constant {
-                latency_s,
-                bytes_per_sec,
-            } => Box::new(ConstantBandwidthNet::new(*latency_s, *bytes_per_sec)),
-            NetSpec::Shared {
-                latency_s,
-                bytes_per_sec,
-            } => Box::new(SharedBandwidthNet::new(*latency_s, *bytes_per_sec, n_nodes)),
-            NetSpec::Duplex {
-                latency_s,
-                bytes_per_sec,
-            } => Box::new(DuplexBandwidthNet::new(*latency_s, *bytes_per_sec, n_nodes)),
-            NetSpec::Topology(spec) => Box::new(TopologyNet::new(*spec, n_nodes)),
+    pub fn build(&self, n_nodes: usize) -> Net {
+        let queues = match self {
+            NetSpec::Instant | NetSpec::Constant { .. } => Queues::None,
+            NetSpec::Shared { .. } | NetSpec::Topology(_) => Queues::Egress,
+            NetSpec::Duplex { .. } => Queues::EgressIngress,
+        };
+        Net {
+            links: self.comm_cost(),
+            queues,
+            tx_free: vec![0.0; n_nodes],
+            rx_free: vec![0.0; n_nodes],
         }
     }
 }
@@ -742,6 +575,7 @@ impl NetSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn msg(src: u32, dst: u32, bytes: u64) -> Msg {
         Msg { src, dst, bytes }
@@ -749,14 +583,14 @@ mod tests {
 
     #[test]
     fn instant_is_free() {
-        let mut net = InstantNet;
+        let mut net = NetSpec::Instant.build(2);
         assert_eq!(net.arrival(3.5, &msg(0, 1, 1 << 30)), 3.5);
         assert!(net.is_instant());
     }
 
     #[test]
     fn constant_is_stateless() {
-        let mut net = ConstantBandwidthNet::new(0.5, 100.0);
+        let mut net = NetSpec::constant(0.5, 100.0).build(2);
         let a1 = net.arrival(0.0, &msg(0, 1, 100)); // 1 s wire + 0.5 s latency
         let a2 = net.arrival(0.0, &msg(0, 1, 100)); // identical: no contention
         assert!((a1 - 1.5).abs() < 1e-12);
@@ -765,7 +599,7 @@ mod tests {
 
     #[test]
     fn constant_with_infinite_bandwidth_is_pure_latency() {
-        let mut net = ConstantBandwidthNet::new(0.25, f64::INFINITY);
+        let mut net = NetSpec::constant(0.25, f64::INFINITY).build(2);
         assert!((net.arrival(1.0, &msg(0, 1, 1 << 40)) - 1.25).abs() < 1e-12);
     }
 
@@ -782,7 +616,7 @@ mod tests {
 
     #[test]
     fn nic_serializes_messages() {
-        let mut nic = SharedBandwidthNet::new(0.0, 100.0, 1); // 100 B/s
+        let mut nic = NetSpec::shared(0.0, 100.0).build(1); // 100 B/s
         let a1 = nic.arrival(0.0, &msg(0, 1, 100)); // 1 s wire
         let a2 = nic.arrival(0.0, &msg(0, 1, 100)); // queued behind the first
         assert!((a1 - 1.0).abs() < 1e-12);
@@ -791,26 +625,26 @@ mod tests {
 
     #[test]
     fn latency_added_after_wire() {
-        let mut nic = SharedBandwidthNet::new(0.5, 100.0, 1);
+        let mut nic = NetSpec::shared(0.5, 100.0).build(1);
         let arr = nic.arrival(1.0, &msg(0, 1, 100));
         assert!((arr - (1.0 + 1.0 + 0.5)).abs() < 1e-12);
     }
 
     #[test]
     fn nic_respects_ready_time() {
-        let mut nic = SharedBandwidthNet::new(0.0, 1e9, 1);
+        let mut nic = NetSpec::shared(0.0, 1e9).build(1);
         let arr = nic.arrival(7.0, &msg(0, 1, 8));
         assert!(arr >= 7.0);
     }
 
-    /// The acceptance-criterion test: `SharedBandwidthNet` reproduces the
-    /// old `sim::net::NicState::send` arrival times exactly. The expected
+    /// The `Shared` rung reproduces the simulator's old
+    /// `sim::net::NicState::send` arrival times exactly. The expected
     /// values are hand-evaluated from the legacy arithmetic
     /// (`start = max(ready, free); done = start + bytes/bw; arrive = done + lat`).
     #[test]
     fn shared_bandwidth_matches_legacy_nicstate() {
         // Legacy test `nic_serializes_messages`: 100 B/s, zero latency.
-        let mut net = SharedBandwidthNet::new(0.0, 100.0, 2);
+        let mut net = NetSpec::shared(0.0, 100.0).build(2);
         let a1 = net.arrival(0.0, &msg(0, 1, 100));
         let a2 = net.arrival(0.0, &msg(0, 1, 100));
         assert!((a1 - 1.0).abs() < 1e-12);
@@ -821,16 +655,16 @@ mod tests {
 
         // Legacy test `latency_added_after_wire`: 0.5 s latency, 100 B/s,
         // ready at t=1: arrive = 1 + 1 + 0.5.
-        let mut net = SharedBandwidthNet::new(0.5, 100.0, 1);
+        let mut net = NetSpec::shared(0.5, 100.0).build(1);
         let arr = net.arrival(1.0, &msg(0, 0, 100));
         assert!((arr - 2.5).abs() < 1e-12);
 
         // Legacy test `nic_respects_ready_time`.
-        let mut net = SharedBandwidthNet::new(0.0, 1e9, 1);
+        let mut net = NetSpec::shared(0.0, 1e9).build(1);
         assert!(net.arrival(7.0, &msg(0, 0, 8)) >= 7.0);
 
         // Interleaved senders keep independent NICs.
-        let mut net = SharedBandwidthNet::new(0.0, 100.0, 2);
+        let mut net = NetSpec::shared(0.0, 100.0).build(2);
         let a = net.arrival(0.0, &msg(0, 1, 100));
         let b = net.arrival(0.0, &msg(1, 0, 100));
         assert_eq!(a, b, "distinct senders must not contend");
@@ -838,7 +672,7 @@ mod tests {
 
     #[test]
     fn shared_reset_clears_contention() {
-        let mut net = SharedBandwidthNet::new(0.0, 100.0, 1);
+        let mut net = NetSpec::shared(0.0, 100.0).build(1);
         let _ = net.arrival(0.0, &msg(0, 0, 10_000)); // NIC busy until t=100
         net.reset(5.0);
         let a = net.arrival(5.0, &msg(0, 0, 100));
@@ -851,8 +685,8 @@ mod tests {
         // receiver: per-sender models deliver them all after one wire
         // time, the duplex model's receiver NIC drains them one at a time.
         let wire = 1.0; // 100 B at 100 B/s
-        let mut shared = SharedBandwidthNet::new(0.0, 100.0, 5);
-        let mut duplex = DuplexBandwidthNet::new(0.0, 100.0, 5);
+        let mut shared = NetSpec::shared(0.0, 100.0).build(5);
+        let mut duplex = NetSpec::duplex(0.0, 100.0).build(5);
         let shared_last = (0..4)
             .map(|s| shared.arrival(0.0, &msg(s, 4, 100)))
             .fold(0.0f64, f64::max);
@@ -873,7 +707,7 @@ mod tests {
     #[test]
     fn duplex_single_message_charges_wire_twice() {
         // Matches the CommCost planning estimate: latency + 2x wire.
-        let mut net = DuplexBandwidthNet::new(0.5, 100.0, 2);
+        let mut net = NetSpec::duplex(0.5, 100.0).build(2);
         let arr = net.arrival(0.0, &msg(0, 1, 100));
         assert!(
             (arr - 2.5).abs() < 1e-12,
@@ -893,8 +727,8 @@ mod tests {
             (0.01, msg(0, 1, 123)),
             (0.02, msg(1, 2, 7_777)),
         ];
-        let mut shared = SharedBandwidthNet::new(1e-4, 1e6, 3);
-        let mut duplex = DuplexBandwidthNet::new(1e-4, 1e6, 3);
+        let mut shared = NetSpec::shared(1e-4, 1e6).build(3);
+        let mut duplex = NetSpec::duplex(1e-4, 1e6).build(3);
         for (t, m) in traffic {
             assert!(duplex.arrival(t, &m) >= shared.arrival(t, &m));
         }
@@ -902,7 +736,7 @@ mod tests {
 
     #[test]
     fn duplex_reset_clears_both_queues() {
-        let mut net = DuplexBandwidthNet::new(0.0, 100.0, 2);
+        let mut net = NetSpec::duplex(0.0, 100.0).build(2);
         let _ = net.arrival(0.0, &msg(0, 1, 10_000)); // both NICs busy
         net.reset(5.0);
         let a = net.arrival(5.0, &msg(0, 1, 100));
@@ -913,20 +747,16 @@ mod tests {
     fn duplex_spec_plumbs_through() {
         let spec = NetSpec::duplex(0.0, f64::INFINITY);
         assert!(spec.is_instant(), "degenerate duplex is instant");
-        assert!(!spec.has_cross_sender_state(), "instant has no state");
         assert!(spec.build(4).is_instant());
         let real = NetSpec::duplex(1e-5, 1e9);
         assert!(!real.is_instant());
-        assert!(real.has_cross_sender_state(), "receiver queue is shared");
-        assert!(!NetSpec::cluster().has_cross_sender_state());
-        assert!(!NetSpec::Topology(TopologySpec::two_tier(2)).has_cross_sender_state());
         let mut m = real.build(4);
         assert!(m.arrival(0.0, &msg(0, 3, 1000)) > 0.0);
     }
 
     #[test]
     fn topology_classes_resolve_by_rack() {
-        let net = TopologyNet::new(TopologySpec::two_tier(2), 4);
+        let net = TopologySpec::two_tier(2);
         assert_eq!(net.link(0, 0), net.link(3, 3), "loopback class");
         assert_eq!(net.link(0, 1).latency_s, net.link(2, 3).latency_s);
         assert!(net.link(0, 2).latency_s > net.link(0, 1).latency_s);
@@ -972,6 +802,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "nodes_per_rack must be at least 1")]
+    fn zero_nodes_per_rack_is_rejected() {
+        let _ = NetSpec::Topology(TopologySpec::two_tier(0)).build(4);
+    }
+
+    #[test]
     fn topology_with_one_class_matches_shared() {
         let uniform = TopologySpec {
             ranks_per_node: 1,
@@ -980,8 +816,8 @@ mod tests {
             intra_rack: LinkSpec::new(0.001, 1e6),
             inter_rack: LinkSpec::new(0.001, 1e6),
         };
-        let mut topo = TopologyNet::new(uniform, 3);
-        let mut shared = SharedBandwidthNet::new(0.001, 1e6, 3);
+        let mut topo = NetSpec::Topology(uniform).build(3);
+        let mut shared = NetSpec::shared(0.001, 1e6).build(3);
         for (t, m) in [
             (0.0, msg(0, 1, 5_000)),
             (0.0, msg(0, 2, 9_000)),
@@ -994,7 +830,7 @@ mod tests {
 
     #[test]
     fn topology_serializes_on_the_sender_nic() {
-        let mut net = TopologyNet::new(TopologySpec::two_tier(2), 4);
+        let mut net = NetSpec::Topology(TopologySpec::two_tier(2)).build(4);
         let a1 = net.arrival(0.0, &msg(0, 2, 1 << 20));
         let a2 = net.arrival(0.0, &msg(0, 3, 1 << 20));
         assert!(a2 > a1, "same sender must serialize: {a1} vs {a2}");
@@ -1136,12 +972,214 @@ mod tests {
         }
         assert_eq!(time::secs_to_duration(-1.0), Duration::ZERO);
         assert_eq!(time::secs_to_duration(f64::NAN), Duration::ZERO);
-        let spec = NetSpec::constant_wall(Duration::from_micros(500), 2e6);
-        match spec {
-            NetSpec::Constant { latency_s, .. } => {
-                assert!((latency_s - 5e-4).abs() < 1e-15)
+    }
+
+    /// The two-rack spec of `nlheat_core::scenario::library::two_rack_net`,
+    /// spelled out because this crate sits below `core`.
+    fn two_rack_net() -> NetSpec {
+        NetSpec::Topology(TopologySpec {
+            ranks_per_node: 1,
+            nodes_per_rack: 2,
+            intra_node: LinkSpec::new(1e-7, 5e9),
+            intra_rack: LinkSpec::new(1e-4, 1e8),
+            inter_rack: LinkSpec::new(4e-4, 2.5e7),
+        })
+    }
+
+    /// One fixed 72-message sequence over 4 ranks: 40 seeded messages of
+    /// mixed sizes (submission times not monotone, as the simulator's SD
+    /// order is not), then a burst from one sender, a three-way fan-in
+    /// onto rank 3, a self-send and a zero-byte message. Returns the
+    /// arrival bits; the queues are reset half-way.
+    fn pinned_arrival_bits(spec: NetSpec) -> Vec<u64> {
+        let mut seq = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        for i in 0..40u64 {
+            let now = i as f64 * 2.5e-4 + next(1000) as f64 * 1e-6;
+            let src = next(4) as u32;
+            let dst = ((u64::from(src) + 1 + next(3)) % 4) as u32;
+            let bytes = [0, 520, 4_976, 65_536, 1_498_896][next(5) as usize] + next(97);
+            seq.push((now, msg(src, dst, bytes)));
+        }
+        let t = 0.0125;
+        seq.extend((0..12).map(|k| (t, msg(1, (k % 3 + 2) % 4, 10_000 + 777 * k as u64))));
+        seq.extend((0..9).map(|k| (t + 1e-3, msg(k % 3, 3, 32_768))));
+        seq.extend((0..9).map(|k| (t + 1e-3 + k as f64 * 1e-5, msg(k % 3, 3, 100 + k as u64))));
+        seq.push((t + 2e-3, msg(2, 2, 123_456)));
+        seq.push((t + 2e-3, msg(0, 1, 0)));
+        assert_eq!(seq.len(), 72);
+        let mut net = spec.build(4);
+        seq.iter()
+            .enumerate()
+            .map(|(i, (now, m))| {
+                if i == 36 {
+                    net.reset(*now);
+                }
+                net.arrival(*now, m).to_bits()
+            })
+            .collect()
+    }
+
+    /// Arrival times of [`pinned_arrival_bits`] per rung, recorded at the
+    /// commit before the five model structs became one `Net` (PR 23's
+    /// parent). A mismatch prints the whole table; re-record only for an
+    /// intended change of the arithmetic.
+    #[rustfmt::skip]
+    const ARRIVAL_PIN: [(&str, [u64; 72]); 5] = [
+        (
+            "constant",
+            [
+                0x3f5bd9b00a1e66f4, 0x3f4b9b1112f7d463, 0x3f56db63be6b6020, 0x3f6121d0e02cd0ee,
+                0x3f917d8a44670d2a, 0x3f574f51f7c47236, 0x3f626f68ee80fc94, 0x3f63b8089a834e7f,
+                0x3f922efaea417ccd, 0x3f929c9e86be4aa9, 0x3f700d613c85ed3f, 0x3f92501617ef5ff5,
+                0x3f6a40b37969a35d, 0x3f6dc659c11182b5, 0x3f6f40575e0acd38, 0x3f714e2902d8a26d,
+                0x3f72d90311018510, 0x3f7591a2296020a7, 0x3f7628bbb5f920bf, 0x3f94b658ed011fbb,
+                0x3f765915450ba2cb, 0x3f790baf8b9e5948, 0x3f7a93ea83161f7c, 0x3f7a9699b4f2658e,
+                0x3f7b02f5d3ac3a05, 0x3f7de59e7fdd5ae5, 0x3f80deb7b0dbd57f, 0x3f7caf9380fbbdfc,
+                0x3f7d4c39139ceadd, 0x3f7e3dc32f143fa9, 0x3f7fe0680a2a7b54, 0x3f8115b4723800cd,
+                0x3f82dc1da2a83615, 0x3f826c5d206c8712, 0x3f81dacf99dbb3c6, 0x3f857c9551e14932,
+                0x3f834f986ea14865, 0x3f8433ba97960941, 0x3f83c70c996b7671, 0x3f843883ffff5434,
+                0x3f8a027525460aa7, 0x3f8a06880470d2fc, 0x3f8a0a9ae39b9b52, 0x3f8a0eadc2c663a8,
+                0x3f8a12c0a1f12bfd, 0x3f8a16d3811bf453, 0x3f8a1ae66046bca8, 0x3f8a1ef93f7184fe,
+                0x3f8a230c1e9c4d54, 0x3f8a271efdc715a9, 0x3f8a2b31dcf1ddff, 0x3f8a2f44bc1ca654,
+                0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2,
+                0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2, 0x3f8c861d90df8bc2,
+                0x3f8c861d90df8bc2, 0x3f8bdad7518b0d10, 0x3f8be016d686340d, 0x3f8be5565b815b0a,
+                0x3f8bea95e07c8208, 0x3f8befd56577a905, 0x3f8bf514ea72d002, 0x3f8bfa546f6df6ff,
+                0x3f8bff93f4691dfd, 0x3f8c04d3796444fa, 0x3f9036ef5562ddf1, 0x3f8de69ad42c3c9f,
+            ],
+        ),
+        (
+            "shared",
+            [
+                0x3f5bd9b00a1e66f3, 0x3f5bf096ab7d9cb9, 0x3f56db63be6b6021, 0x3f6121d0e02cd0ee,
+                0x3f917d8a44670d2a, 0x3f574f51f7c47236, 0x3f626f68ee80fc94, 0x3f917d904e973cc8,
+                0x3f922efaea417ccd, 0x3f929c9e86be4aa9, 0x3f9348969cba0a7d, 0x3fa0c435fa62dd1a,
+                0x3f917dbdf0e6dd6f, 0x3fa0c4f28dd18f54, 0x3f918acffd2de89b, 0x3f714e2902d8a26e,
+                0x3f72d90311018511, 0x3f9355a751682786, 0x3f7628bbb5f920bf, 0x3fa157938fbf5038,
+                0x3fa1585e90da026b, 0x3fa15f026ef022be, 0x3fa165a8506ba845, 0x3f7a9699b4f2658e,
+                0x3fa165bd1e2e1364, 0x3fa11af0464e98ea, 0x3fa1bbc2e440b1cc, 0x3fa1218abf363648,
+                0x3f7d4c39139ceade, 0x3f7e3dc32f143fa9, 0x3fa12824e237981d, 0x3fa12eb8a5228ecb,
+                0x3f82dc1da2a83614, 0x3f918c51dd6d58f3, 0x3f9199760844f2f8, 0x3f92454de7ea5f84,
+                0x3f834f986ea14865, 0x3f8433ba97960941, 0x3f83c70c996b7670, 0x3f843883ffff5433,
+                0x3f8a027525460aa6, 0x3f8a3af5ca470b82, 0x3f8a77894e72d4b4, 0x3f8ab82fb1c9663b,
+                0x3f8afce8f44ac018, 0x3f8b45b515f6e24a, 0x3f8b929416cdccd2, 0x3f8be385f6cf7fb0,
+                0x3f8c388ab5fbfae3, 0x3f8c91a254533e6c, 0x3f8ceeccd1d54a4a, 0x3f8d500a2e821e7e,
+                0x3f8c861d90df8bc2, 0x3f8dfbd6a593a2e0, 0x3f8c861d90df8bc2, 0x3f8d31ea07f11024,
+                0x3f8ea7a31ca52742, 0x3f8d31ea07f11024, 0x3f8dddb67f029486, 0x3f8f536f93b6aba4,
+                0x3f8dddb67f029486, 0x3f8dde3cb6bf9a35, 0x3f8f53f7230c9f76, 0x3f8dde3f65f1767b,
+                0x3f8ddec6f5476a4e, 0x3f8f5482b92d5db2, 0x3f8ddecc53ab22da, 0x3f8ddf553a9a04d0,
+                0x3f8f55125618e657, 0x3f8ddf5d482f99a2, 0x3f9036ef5562ddf1, 0x3f8de69ad42c3c9f,
+            ],
+        ),
+        (
+            "duplex",
+            [
+                0x3f634c42ceb1a95a, 0x3f6357b61f61443d, 0x3f57ad70bbffcafd, 0x3f68b81d3d529bd9,
+                0x3fa06b77f32bb134, 0x3f57c56e89a07d3a, 0x3f6921ca2a302a3f, 0x3fa06b7af843c903,
+                0x3fa81829c2712938, 0x3fa0fb061b221a5d, 0x3fa15102261ffa47, 0x3fafc4e247b347ec,
+                0x3fa15118f747ca9b, 0x3fa151d58ab67cd5, 0x3fafcb6b4dd6cd82, 0x3f715460d557e0bd,
+                0x3f72dec4c6eee755, 0x3f9362b80616448f, 0x3f765d1960a42fa1, 0x3fa9045376ca8cac,
+                0x3fa1592991f4b49e, 0x3fa90af754e0acff, 0x3fa16c4e31e72dcc, 0x3fa90b00ba0f2ff4,
+                0x3fa16c62ffa998eb, 0x3fa1c260b826a281, 0x3fa211c8aa535034, 0x3fafd205c6be6ae0,
+                0x3fafd2c762aa9a1e, 0x3fa90b04c0d9fa5d, 0x3fafd96185abfbf3, 0x3fafdff54896f2a1,
+                0x3fb01af6d15821d5, 0x3fb01b574967fdeb, 0x3fb01ea0541de46c, 0x3fa267b49a26067a,
+                0x3f834fade8302a96, 0x3f8433e183e90339, 0x3f83e1437c5692b3, 0x3f8438bc5f1665f2,
+                0x3f8a36e2eb1c432c, 0x3f8a73766f480c5e, 0x3f8ab41cd29e9de6, 0x3f8af8d6151ff7c2,
+                0x3f8b41a236cc19f5, 0x3f8b8e8137a3047c, 0x3f8bdf7317a4b75a, 0x3f8c3477d6d1328e,
+                0x3f8c8d8f75287616, 0x3f8ceab9f2aa81f5, 0x3f8d4bf74f575628, 0x3f8db1478b2ef2b2,
+                0x3f8df7c3c668da8a, 0x3f8ea7a31ca52742, 0x3f8f536f93b6aba4, 0x3f8fff3c0ac83006,
+                0x3f90558440ecda34, 0x3f90ab6a7c759c65, 0x3f910150b7fe5e96, 0x3f915736f38720c7,
+                0x3f91ad1d2f0fe2f8, 0x3f91ad604aee65d0, 0x3f91ada412995fb9, 0x3f91ade88610d0b4,
+                0x3f91ae2da554b8c0, 0x3f91ae73706517de, 0x3f91aeb9e741ee0d, 0x3f91af0109eb3b4e,
+                0x3f91af48d860ffa0, 0x3f91af9152a33b04, 0x3f917a9140af9d92, 0x3f8de69ad42c3c9f,
+            ],
+        ),
+        (
+            "two_rack",
+            [
+                0x3f70401ed4009db5, 0x3f705705755fd37a, 0x3f5e3bd5433ded4b, 0x3f71dc15c005bf07,
+                0x3fb05ed5f9465274, 0x3f5c8195ecbbd584, 0x3f72af6f99c0dbd3, 0x3fb05edc03768212,
+                0x3f922efaea417ccd, 0x3fb03de30f845768, 0x3fb0e9db2580173c, 0x3fa0c435fa62dd1a,
+                0x3fb04b3e41da150a, 0x3fa0ee7a9c7e5067, 0x3fb06bf978517568, 0x3f717b14c93ac6fc,
+                0x3f7424dad5ceff01, 0x3fb0f6ebda2e3445, 0x3f78006758ffa08b, 0x3fb4b9a2a3837d4d,
+                0x3fb4cee1cfe936e5, 0x3fb4be8a94c3f1dc, 0x3fb4df7f81eb521d, 0x3f7bd20dd453ffb2,
+                0x3fb4dfa91d70285b, 0x3fa246717e7276bf, 0x3fb58bb4a995652b, 0x3fa225b9a2f969b9,
+                0x3f7e98f254c6abcc, 0x3f7f78b6751c8ca9, 0x3fa22c53c5facb8e, 0x3fa232e788e5c23c,
+                0x3f87810b2d5aac1e, 0x3fb06d7b5890e5c0, 0x3fb07a9f83687fc5, 0x3fb091ec512185b6,
+                0x3f83ed222cd09889, 0x3f8433ba97960941, 0x3f84b2fa93af74cd, 0x3f84d6766ec73305,
+                0x3f8b3d07c84b5dcc, 0x3f8c1f0a5c4f613c, 0x3f8bbe548ef880db, 0x3f8d5e376dd5708b,
+                0x3f8e711c77dad7fe, 0x3f8e1c9f4804509d, 0x3f8fed649ce2a450, 0x3f9098960e74b7e4,
+                0x3f907473c549a0b4, 0x3f917547aab97c8f, 0x3f922f9ca5bd944c, 0x3f921196ab52a99c,
+                0x3f8f26cc4796c27a, 0x3f93b7d44237072a, 0x3f8c861d90df8bc2, 0x3f90eaff11ee6a01,
+                0x3f950f6d305a0fee, 0x3f8d31ea07f11024, 0x3f924298001172c5, 0x3f9667061e7d18b2,
+                0x3f8dddb67f029486, 0x3f9243a46f8b7e24, 0x3f9668153d290057, 0x3f8dde3f65f1767b,
+                0x3f9244b8ec9b1e55, 0x3f96692c696a7cce, 0x3f8ddecc53ab22da, 0x3f9245d577405358,
+                0x3f966a4ba3418e17, 0x3f8ddf5d482f99a2, 0x3f8dbf2c797b5921, 0x3f91f730ce7efe8e,
+            ],
+        ),
+        (
+            "three_tier",
+            [
+                0x3f4f4fce40e295ae, 0x3f4f5043818d72ea, 0x3f547cfb02892a07, 0x3f560fe539fbdb4b,
+                0x3f6194446415d0b7, 0x3f55a91c1bff09ed, 0x3f613f8fcc8c1640, 0x3f62f09e081f5080,
+                0x3f661a47f62a108f, 0x3f6a8ca6af105536, 0x3f6a9a689c57ac3d, 0x3f6722860204317e,
+                0x3f696dc5ba63b080, 0x3f6cf373f9a3a4c9, 0x3f6e1197ee4defda, 0x3f70df33aba2e164,
+                0x3f726fb2b97cee25, 0x3f74fa47c226fa97, 0x3f759146bb858f93, 0x3f752a13653cb9a8,
+                0x3f75ef301b731a76, 0x3f786deb19dbcaa0, 0x3f79fba63f747e0f, 0x3f7a32b1ed9e34a6,
+                0x3f7a9eb3b15e368b, 0x3f7ad8f476aa9956, 0x3f7eb08590c581f8, 0x3f7c121a1231a733,
+                0x3f7ce29e530e5b3d, 0x3f7dda05ecea53bb, 0x3f7f42f1493268d3, 0x3f80c71285072038,
+                0x3f8155dde0a3f7ca, 0x3f8237926877e391, 0x3f8237d5b101522b, 0x3f83f13530673cad,
+                0x3f831db47ce709cf, 0x3f83ff336553e005, 0x3f837b4a2339c0ec, 0x3f84067d8212bd93,
+                0x3f899cbee807bbb6, 0x3f899d4f8d852eeb, 0x3f899adce6a68cce, 0x3f899e14125caa1e,
+                0x3f899ec4011b65e5, 0x3f899c579c169f19, 0x3f899fae110e04fb, 0x3f89a07d490e0954,
+                0x3f899e1725e31dd8, 0x3f89a18ce41bcc4c, 0x3f89a27b655d1937, 0x3f89a01b840c090b,
+                0x3f8baa3a38a688c3, 0x3f8baa3a38a688c3, 0x3f8ba648b5f0a21e, 0x3f8babf206a4263f,
+                0x3f8babf206a4263f, 0x3f8ba6a0abf02804, 0x3f8bada9d4a1c3bb, 0x3f8bada9d4a1c3bb,
+                0x3f8ba6f8a1efadea, 0x3f8badab2c3ab1de, 0x3f8badc1f313ae3f, 0x3f8bb06d60cd958b,
+                0x3f8bb83e54b757eb, 0x3f8bbd7c85892cc0, 0x3f8bc027eb040417, 0x3f8bc7f8e72cd66a,
+                0x3f8bcd3717feab41, 0x3f8bcfe2753a72a3, 0x3f8db385e0a0856e, 0x3f8db23a7a4f5177,
+            ],
+        ),
+    ];
+
+    #[test]
+    fn arrival_bits_match_the_table_recorded_at_the_parent() {
+        let rungs = [
+            ("constant", NetSpec::constant(1e-4, 1e8)),
+            ("shared", NetSpec::shared(1e-4, 1e8)),
+            ("duplex", NetSpec::duplex(1e-4, 1e8)),
+            ("two_rack", two_rack_net()),
+            (
+                "three_tier",
+                NetSpec::Topology(TopologySpec::three_tier(2, 2)),
+            ),
+        ];
+        let got: Vec<(&str, Vec<u64>)> = rungs
+            .iter()
+            .map(|&(name, spec)| (name, pinned_arrival_bits(spec)))
+            .collect();
+        let same = got.len() == ARRIVAL_PIN.len()
+            && got
+                .iter()
+                .zip(&ARRIVAL_PIN)
+                .all(|((n, bits), (pn, pin))| n == pn && bits[..] == pin[..]);
+        if !same {
+            for (name, bits) in &got {
+                println!("        (\n            {name:?},\n            [");
+                for row in bits.chunks(4) {
+                    let row: Vec<String> = row.iter().map(|b| format!("{b:#018x}")).collect();
+                    println!("                {},", row.join(", "));
+                }
+                println!("            ],\n        ),");
             }
-            _ => panic!("constant_wall must build a Constant spec"),
+            panic!("arrival bits moved; the table above is what this build computes");
         }
     }
 
@@ -1151,14 +1189,15 @@ mod tests {
         // in model contention.
         let k = 8;
         let bytes = 1_000_000;
-        let last = |m: &mut dyn NetModel| {
+        let last = |spec: NetSpec| {
+            let mut m = spec.build(2);
             (0..k)
                 .map(|_| m.arrival(0.0, &msg(0, 1, bytes)))
                 .fold(0.0f64, f64::max)
         };
-        let t_i = last(&mut InstantNet);
-        let t_c = last(&mut ConstantBandwidthNet::new(1e-5, 1e9));
-        let t_s = last(&mut SharedBandwidthNet::new(1e-5, 1e9, 2));
+        let t_i = last(NetSpec::Instant);
+        let t_c = last(NetSpec::constant(1e-5, 1e9));
+        let t_s = last(NetSpec::shared(1e-5, 1e9));
         assert!(t_i <= t_c && t_c <= t_s);
         assert!(t_s > t_c, "shared must actually queue: {t_c} vs {t_s}");
     }

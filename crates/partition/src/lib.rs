@@ -15,8 +15,8 @@
 //! [`dual::sd_dual_graph`] builds the dual graph of the SD grid (vertices =
 //! SDs, edges = shared boundaries weighted by communication volume), and
 //! [`part_mesh_dual`] is the `METIS_PartMeshDual` replacement used by the
-//! distributed solver. [`baseline`] provides the naive strip/block
-//! partitioners the ablation study compares against.
+//! distributed solver. [`baseline`] provides the naive strip partitioner
+//! the ablation study compares against.
 //!
 //! [`sdgraph::SdGraph`] is the runtime-facing sibling of the dual graph:
 //! SD adjacency derived from the halo plans (corner and multi-ring
@@ -35,7 +35,7 @@ pub mod metrics;
 pub mod repart;
 pub mod sdgraph;
 
-pub use baseline::{block_partition, strip_partition};
+pub use baseline::strip_partition;
 pub use dual::{part_mesh_dual, sd_dual_graph};
 pub use graph::Csr;
 pub use kway::{part_graph, Partition, PartitionConfig};

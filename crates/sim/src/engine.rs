@@ -43,7 +43,7 @@ impl Geometry {
 
 /// One cross-node ghost transfer, precomputed in exact arrival-call order
 /// (destination SDs ascending, patches in plan order) so replaying the
-/// list hits the stateful [`nlheat_netmodel::NetModel`] with the identical
+/// list hits the stateful [`nlheat_netmodel::Net`] with the identical
 /// call sequence the per-step scan used to produce.
 struct GhostSend {
     src: u32,

@@ -31,5 +31,5 @@ pub use cost::CostModel;
 pub use engine::simulate;
 pub use nlheat_core::balance::{LbSchedule, LbSpec};
 pub use nlheat_core::scenario::{PartitionSpec, RunReport, Scenario, VirtualNode};
-pub use nlheat_netmodel::{NetModel, NetSpec};
+pub use nlheat_netmodel::{Net, NetSpec};
 pub use scenario::{RunSim, SimSubstrate};

@@ -96,8 +96,8 @@ fn latency_does_not_change_results() {
     let reference = serial_field(16, 2.0, 4);
     let report = Scenario::square(16, 2.0, 4, 4)
         .on(ClusterSpec::uniform(3, 1))
-        .with_net(NetSpec::constant_wall(
-            Duration::from_micros(500),
+        .with_net(NetSpec::constant(
+            Duration::from_micros(500).as_secs_f64(),
             f64::INFINITY,
         ))
         .run_dist();
@@ -110,7 +110,10 @@ fn bandwidth_limit_does_not_change_results() {
     // ~2 MB/s: a 3 KB ghost message takes ~1.5 ms on the wire
     let report = Scenario::square(16, 2.0, 4, 4)
         .on(ClusterSpec::uniform(2, 1))
-        .with_net(NetSpec::constant_wall(Duration::from_micros(100), 2e6))
+        .with_net(NetSpec::constant(
+            Duration::from_micros(100).as_secs_f64(),
+            2e6,
+        ))
         .run_dist();
     assert_eq!(report.field.as_ref(), Some(&reference));
 }
@@ -120,8 +123,8 @@ fn latency_with_load_balancing_still_exact() {
     let reference = serial_field(16, 2.0, 6);
     let report = Scenario::square(16, 2.0, 4, 6)
         .on(ClusterSpec::new().node(1, 1.0).node(1, 0.5))
-        .with_net(NetSpec::constant_wall(
-            Duration::from_micros(300),
+        .with_net(NetSpec::constant(
+            Duration::from_micros(300).as_secs_f64(),
             f64::INFINITY,
         ))
         .with_lb(LbSchedule::every(2))
@@ -147,8 +150,8 @@ fn overlap_off_under_latency_still_exact() {
     let reference = serial_field(16, 2.0, 3);
     let report = Scenario::square(16, 2.0, 4, 3)
         .on(ClusterSpec::uniform(4, 1))
-        .with_net(NetSpec::constant_wall(
-            Duration::from_micros(400),
+        .with_net(NetSpec::constant(
+            Duration::from_micros(400).as_secs_f64(),
             f64::INFINITY,
         ))
         .with_overlap(false)
