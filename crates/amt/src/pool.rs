@@ -6,7 +6,7 @@
 //! counters that back the `busy_time` performance counter used by the load
 //! balancer (§7).
 //!
-//! A steal moves up to [`STEAL_BATCH`] tasks. Steal / failed-scan / park
+//! A steal moves up to `STEAL_BATCH` tasks. Steal / failed-scan / park
 //! counts are exported per worker for observability.
 
 use crate::future::{channel, Future};

@@ -656,7 +656,7 @@ pub fn a12_policies() -> Vec<(&'static str, LbSpec)> {
 /// the two-rack cluster plus a propagating crack) planned by every
 /// [`a12_policies`] roster entry. Incremental policies can fix the count
 /// skew but inherit the islands, so their steady-state inter-rack ghost
-/// cut stays high; the drift monitor of [`LbSpec::Repartition`] re-invokes
+/// cut stays high; the drift monitor of [`LbSpec::repartition`] re-invokes
 /// the multilevel partitioner, and every repartitioning leg must land a
 /// strictly lower recurring cut — at equal-or-better makespan for at
 /// least one of them. Sim leg at `quick` scale, real leg at smoke scale

@@ -17,7 +17,7 @@
 //! sweep [--quick]      # quick = toy library sizes (the CI smoke contract)
 //! ```
 
-use nlheat_core::balance::{LbSchedule, LbSpec};
+use nlheat_core::balance::{LbSchedule, LbSpec, Leaf};
 use nlheat_core::scenario::sweep::{Axis, FnSink, JsonlSink, ScenarioSweep, SweepSummary};
 use nlheat_core::scenario::{ClusterSpec, DistSubstrate, PartitionSpec, Scenario};
 use nlheat_core::scenarios;
@@ -29,8 +29,8 @@ use std::time::Instant;
 /// untouched (the grid's records are pinned to that meaning).
 fn with_lambda(mut sc: Scenario, lambda: f64) -> Scenario {
     if let Some(lb) = &mut sc.lb {
-        if let LbSpec::Tree { weights } = &mut lb.spec {
-            weights.lambda = lambda;
+        if lb.spec.leaf == Leaf::Tree {
+            lb.spec.weights.lambda = lambda;
         }
     }
     sc

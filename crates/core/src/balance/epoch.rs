@@ -210,7 +210,6 @@ mod tests {
     use crate::balance::algorithm::finish_plan;
     use crate::balance::power::LoadMetrics;
     use crate::balance::repart::DriftInfo;
-    use crate::balance::score::MoveWeights;
     use nlheat_mesh::SdGrid;
     use std::sync::Mutex;
 
@@ -230,7 +229,6 @@ mod tests {
     struct Scripted {
         calls: Arc<Mutex<Vec<Call>>>,
         script: Vec<Vec<Move>>,
-        weights: MoveWeights,
     }
 
     impl LbPolicy for Scripted {
@@ -261,10 +259,6 @@ mod tests {
 
         fn observe_ghost_stall(&mut self, frac: f64) {
             self.calls.lock().unwrap().push(Call::GhostStall(frac));
-        }
-
-        fn weights_mut(&mut self) -> &mut MoveWeights {
-            &mut self.weights
         }
 
         fn drift_info(&self) -> Option<DriftInfo> {
@@ -323,7 +317,6 @@ mod tests {
             let policy = Box::new(Scripted {
                 calls: calls.clone(),
                 script,
-                weights: MoveWeights::default(),
             });
             (LbEpoch::with_policy(cfg, policy), calls)
         }

@@ -32,13 +32,15 @@
 //! The rank → node → rack hierarchy comes from the
 //! [`TopologySpec`](nlheat_netmodel::TopologySpec) behind the active
 //! [`CommCost`]; on a degenerate hierarchy (no topology, or a single
-//! rack of single-rank nodes) [`HierPolicy`] delegates to its configured
-//! inner leaf policy wholesale — byte-identical plans by construction —
-//! unless memory capacities are attached, in which case the capacity-
-//! gated machinery runs even flat.
+//! rack of single-rank nodes) a hierarchical [`LbSpec`] has its leaf plan
+//! the epoch — byte-identical plans by construction — unless memory
+//! capacities are attached, in which case the capacity-gated machinery
+//! runs even flat.
+//!
+//! [`LbSpec`]: crate::balance::LbSpec
 
 use crate::balance::algorithm::{finish_plan, settle, MigrationPlan, Move, Settlement};
-use crate::balance::policy::{LbNetwork, LbPolicy};
+use crate::balance::policy::LbNetwork;
 use crate::balance::power::{largest_remainder_round, LoadMetrics};
 use crate::balance::score::{MoveScore, MoveWeights};
 use crate::ownership::{NodeId, Ownership};
@@ -84,9 +86,9 @@ impl MemoryState {
 }
 
 /// True when the comm hierarchy offers nothing coarser than ranks: no
-/// topology at all, or a single rack of single-rank nodes. [`HierPolicy`]
-/// then delegates to its inner leaf policy (byte-identical plans) unless
-/// memory capacities force the gated machinery to run anyway.
+/// topology at all, or a single rack of single-rank nodes. A hierarchical
+/// spec's leaf then plans the epoch (byte-identical plans) unless memory
+/// capacities force the gated machinery to run anyway.
 pub fn hierarchy_is_degenerate(n_ranks: u32, comm: &CommCost) -> bool {
     match comm.topology_spec() {
         None => true,
@@ -479,39 +481,6 @@ impl ScopeSettlement<'_> {
     }
 }
 
-/// `LbSpec::Hierarchical`: the three-level planner, delegating wholesale
-/// to its inner leaf policy when the hierarchy is degenerate and no
-/// memory capacities are attached. Both paths plan at the leaf's
-/// [`MoveWeights`], so the degenerate case is byte-identical to the leaf
-/// run standalone.
-pub struct HierPolicy {
-    inner: Box<dyn LbPolicy>,
-}
-
-impl HierPolicy {
-    /// Wrap the already-built leaf policy `inner`.
-    pub fn new(inner: Box<dyn LbPolicy>) -> Self {
-        HierPolicy { inner }
-    }
-}
-
-impl LbPolicy for HierPolicy {
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        if hierarchy_is_degenerate(own.n_nodes(), &net.comm) && net.memory_bytes.is_none() {
-            return self.inner.plan(own, metrics, net);
-        }
-        plan_hierarchical(own, metrics, net, *self.inner.weights_mut())
-    }
-
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        self.inner.weights_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,8 +589,8 @@ mod tests {
 
     #[test]
     fn degenerate_policy_delegates_byte_identically() {
-        // single rack, one rank per node: HierPolicy must produce the
-        // inner tree policy's plans exactly, at λ = 0 and λ > 0 alike.
+        // single rack, one rank per node: a hierarchical spec must produce
+        // its tree leaf's plans exactly, at λ = 0 and λ > 0 alike.
         let sds = SdGrid::new(6, 6, 4);
         let flat = LbNetwork::from_spec(
             &NetSpec::Topology(TopologySpec {

@@ -26,8 +26,8 @@
 //! ```
 //!
 //! and realized only while that stays non-negative. The two weights travel
-//! in one [`MoveWeights`], held by the [`LbSpec`] leaf and reached through
-//! [`LbPolicy::weights_mut`].
+//! in one [`MoveWeights`], held by the [`LbSpec`] record and kept live by
+//! the [`Planner`] it builds.
 //!
 //! * λ makes the stack **communication-aware**: migration bytes priced by
 //!   the [`nlheat_netmodel::CommCost`] of the active `NetSpec` make the
@@ -54,12 +54,12 @@
 //! metrics, `plan`, trace — is written once, in [`epoch`]: every substrate
 //! measures, calls [`LbEpoch::plan`], and executes what comes back.
 //!
-//! The tree planner is one strategy behind the pluggable [`policy`] layer:
-//! both substrates select an [`policy::LbPolicy`] via
-//! [`policy::LbSpec`]/[`policy::LbSchedule`] (tree, diffusion,
-//! greedy-steal, the hierarchical memory-aware planner of [`hier`], or
-//! the adaptive-λ/μ decorators), and every policy emits the same
-//! single-hop [`MigrationPlan`] contract.
+//! The tree planner is one leaf of the [`policy`] layer: both substrates
+//! describe their balancer as one [`policy::LbSpec`] record inside a
+//! [`policy::LbSchedule`] (a leaf — tree, diffusion, greedy-steal — with
+//! the hierarchical memory-aware planner of [`hier`], the adaptive-λ/μ
+//! controllers and the monitor below as options), one [`Planner`] runs it,
+//! and every plan honours the same single-hop [`MigrationPlan`] contract.
 //!
 //! Incremental policies only ever nudge ownership; [`repart`] adds the
 //! global escape hatch: a cut-drift monitor that re-invokes the
@@ -80,14 +80,11 @@ pub mod tree;
 
 pub use algorithm::{plan_rebalance, MigrationPlan, Move, PlanComm};
 pub use epoch::{EpochConfig, EpochLog, EpochMeasure, EpochPlan, LbEpoch};
-pub use hier::{hierarchy_is_degenerate, plan_hierarchical, HierPolicy};
+pub use hier::{hierarchy_is_degenerate, plan_hierarchical};
 pub use nlheat_partition::SdGraph;
-pub use policy::{
-    AdaptivePolicy, DiffusionPolicy, GreedyStealPolicy, LbNetwork, LbPolicy, LbSchedule, LbSpec,
-    TreePolicy,
-};
+pub use policy::{LbNetwork, LbPolicy, LbSchedule, LbSpec, Leaf, Planner, RepartitionSpec};
 pub use power::{compute_metrics, LoadMetrics};
-pub use repart::{DriftInfo, RepartitionPolicy};
+pub use repart::DriftInfo;
 pub use score::{ghost_delta_seconds, MoveScore, MoveWeights};
 pub use trace::EpochTrace;
 pub use transfer::{select_transfer, select_transfer_scored};

@@ -1,56 +1,55 @@
-//! The pluggable load-balancing policy layer.
+//! The load-balancing policy layer: one record, one planner.
 //!
 //! The paper contributes *one* rebalancing strategy — the Algorithm-1
 //! dependency-tree planner — but which strategy wins depends on the
 //! workload and the interconnect, so both execution substrates select the
 //! strategy through the same seam they already use for network models
-//! (`NetSpec`): an [`LbSpec`] configuration enum instantiating an
-//! [`LbPolicy`] trait object. A policy maps one epoch's measured state
-//! ([`LoadMetrics`] + [`Ownership`] + the planning-grade network view in
-//! [`LbNetwork`]) to a [`MigrationPlan`]; stateful policies (adaptive λ)
-//! additionally receive post-epoch feedback through
-//! [`LbPolicy::observe_stall`].
+//! (`NetSpec`): an [`LbSpec`] record instantiating one [`Planner`]. The
+//! planner maps one epoch's measured state ([`LoadMetrics`] +
+//! [`Ownership`] + the planning-grade network view in [`LbNetwork`]) to a
+//! [`MigrationPlan`] and takes the substrate's stall feedback through
+//! [`LbPolicy::observe_stall`] / [`LbPolicy::observe_ghost_stall`].
 //!
-//! Every policy emits **single-hop plans**: within one plan no SD appears
-//! twice and every move's `from` is the SD's pre-epoch owner. The
-//! distributed fabric ships all migrating tiles concurrently and would
-//! deadlock on a chained plan, so every implementation routes its raw
-//! transfer trace through the same collapse
-//! (`balance::algorithm::finish_plan`) the tree planner uses — the
-//! invariant is earned structurally, not per policy, and is property-tested
-//! over every variant.
+//! Every plan is **single-hop**: within one plan no SD appears twice and
+//! every move's `from` is the SD's pre-epoch owner. The distributed fabric
+//! ships all migrating tiles concurrently and would deadlock on a chained
+//! plan, so every planner routes its raw transfer trace through the same
+//! collapse (`balance::algorithm::finish_plan`) the tree planner uses —
+//! the invariant is earned structurally and property-tested over the
+//! whole roster.
 //!
-//! Shipped policies:
+//! An [`LbSpec`] is a [`Leaf`] × the one [`MoveWeights`] × four options,
+//! each a field — so it is held at most once, and the order its
+//! constructors were applied in is not part of the value:
 //!
-//! * [`LbSpec::Tree`] — the paper's Algorithm 1
-//!   ([`plan_rebalance`]) at the leaf's
-//!   [`MoveWeights`].
-//! * [`LbSpec::Diffusion`] — first-order pairwise load exchange
+//! * [`Leaf::Tree`] — the paper's Algorithm 1 ([`plan_rebalance`]).
+//! * [`Leaf::Diffusion`] — first-order pairwise load exchange
 //!   (dimension-exchange diffusion, cf. Cybenko 1989 and Demirel &
 //!   Sbalzarini, arXiv:1308.0148) over the neighbour graph induced by the
 //!   link classes, cheap links swept first.
-//! * [`LbSpec::GreedySteal`] — work-stealing-style greedy offload
+//! * [`Leaf::GreedySteal`] — work-stealing-style greedy offload
 //!   (cf. Fernandes et al., arXiv:2401.04494): the most overloaded rank
 //!   repeatedly sheds one SD to its cheapest underloaded neighbour.
-//! * [`LbSpec::AdaptiveLambda`] — a decorator closing the "λ adapts
-//!   online" loop: wraps any inner policy and nudges its leaf's λ from
-//!   the measured migration-stall fraction of previous epochs.
-//! * [`LbSpec::AdaptiveMu`] — the μ analogue: the same controller
-//!   ([`AdaptivePolicy`]) steering μ from the measured ghost-stall
-//!   fraction ([`LbPolicy::observe_ghost_stall`]), so the
+//! * [`LbSpec::adaptive`] — closes the "λ adapts online" loop: λ is
+//!   nudged from the measured migration-stall fraction of previous epochs.
+//! * [`LbSpec::adaptive_mu`] — the μ analogue: the same controller
+//!   steering μ from the measured ghost-stall fraction, so the
 //!   recurring-traffic gate is steered online instead of hand-picked.
-//! * [`LbSpec::Hierarchical`] — the three-level (racks → nodes → ranks)
+//! * [`LbSpec::hierarchical`] — the three-level (racks → nodes → ranks)
 //!   memory-aware planner of [`crate::balance::hier`], near-linear plan
 //!   time at 10k-rank scale; on a degenerate hierarchy without memory
-//!   capacities it delegates wholesale to its inner leaf policy.
+//!   capacities the leaf plans the epoch.
+//! * [`LbSpec::repartition`] — the cut-drift monitor of
+//!   [`crate::balance::repart`] in front of all of the above.
 //!
-//! Every leaf scores candidate moves through the one
-//! [`MoveScore`] at its own [`MoveWeights`];
-//! decorators hold no weights of their own and reach the leaf's through
-//! [`LbPolicy::weights_mut`].
+//! Every candidate move is scored through the one [`MoveScore`] at the
+//! record's [`MoveWeights`]; the planner owns the live pair and the two
+//! controllers nudge it in place.
 
 use crate::balance::algorithm::{finish_plan, plan_rebalance, MigrationPlan, Move};
+use crate::balance::hier::{hierarchy_is_degenerate, plan_hierarchical};
 use crate::balance::power::LoadMetrics;
+use crate::balance::repart::{drop_moves_onto_inactive, DriftInfo, Monitor};
 use crate::balance::score::{MoveScore, MoveWeights};
 use crate::ownership::{NodeId, Ownership};
 use nlheat_netmodel::{CommCost, NetSpec};
@@ -85,11 +84,11 @@ pub struct LbNetwork {
     /// Elastic-membership mask: `active[r]` is false once rank `r` has
     /// drained, failed, or not yet joined ([`crate::scenario::ClusterEvent`]
     /// timeline). `None` = every rank is a legal destination, the
-    /// fixed-membership behaviour. Only [`LbSpec::Repartition`] reads it:
-    /// it evacuates inactive ranks and drops moves onto them from the
-    /// plans of the policy it wraps. Every other policy is
-    /// membership-blind, which is why elastic scenarios require the
-    /// decorator.
+    /// fixed-membership behaviour. Only the monitor of
+    /// [`LbSpec::repartition`] reads it: it evacuates inactive ranks and
+    /// drops moves onto them from the incremental plans. Every incremental
+    /// planner is membership-blind, which is why elastic scenarios require
+    /// the monitor.
     pub active: Option<Arc<Vec<bool>>>,
 }
 
@@ -221,9 +220,11 @@ impl LbNetwork {
 }
 
 /// A load-balancing policy: one epoch's measured state in, a single-hop
-/// [`MigrationPlan`] out.
+/// [`MigrationPlan`] out — what [`LbEpoch`](crate::balance::LbEpoch)
+/// calls. [`Planner`] is the one production implementor; the trait is the
+/// seam the epoch driver's unit tests script a fake through.
 ///
-/// Policies may be stateful across epochs (the adaptive-λ decorator is),
+/// A policy is stateful across epochs (the steered weights, the monitor),
 /// so the substrate builds one instance per run via [`LbSpec::build`] and
 /// keeps it alive between epochs.
 pub trait LbPolicy: Send {
@@ -238,118 +239,101 @@ pub trait LbPolicy: Send {
 
     /// Post-epoch feedback: the fraction of the last balancing window the
     /// substrate spent stalled on migration traffic (0 when the plan was
-    /// empty). Default: ignored.
-    fn observe_stall(&mut self, stall_frac: f64) {
-        let _ = stall_frac;
-    }
+    /// empty) — what the λ controller steers on.
+    fn observe_stall(&mut self, stall_frac: f64);
 
     /// Pre-plan feedback: the fraction of the last balancing window the
     /// substrate spent stalled waiting for ghost-zone arrivals (the
     /// recurring cost an ownership's edge cut causes, as actually
-    /// experienced by the runtime). Default: ignored — the adaptive-μ
-    /// decorator is the consumer.
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        let _ = ghost_frac;
-    }
+    /// experienced by the runtime) — what the μ controller steers on.
+    fn observe_ghost_stall(&mut self, ghost_frac: f64);
 
-    /// The λ/μ the policy scores moves with — read them, or steer them
-    /// (the adaptive decorators do). A leaf returns its own pair;
-    /// a decorator forwards to the policy it wraps, so the leaf's pair is
-    /// the single source of truth for the whole chain.
-    fn weights_mut(&mut self) -> &mut MoveWeights;
-
-    /// What the cut-drift monitor saw at the last epoch. `None` for every
-    /// policy without one — only [`LbSpec::Repartition`] (and decorators
-    /// forwarding to it) reports, and the substrates copy it into
+    /// What the cut-drift monitor saw at the last epoch; `None` without
+    /// one ([`LbSpec::repartition`]). The substrates copy it into
     /// [`EpochTrace`](crate::balance::EpochTrace) for the A12 plots.
-    fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
-        None
-    }
+    fn drift_info(&self) -> Option<DriftInfo>;
 }
 
-/// Serde-free policy selection of a `Scenario` (via [`LbSchedule`]),
-/// mirroring how `NetSpec` selects a network rung.
-///
-/// The three leaf arms carry the [`MoveWeights`] they score moves with;
-/// decorators carry none — [`LbSpec::with_mu`] and
-/// [`LbSpec::hierarchical`] write into the leaf.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LbSpec {
+/// The incremental planner at the bottom of an [`LbSpec`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Leaf {
     /// The paper's Algorithm-1 dependency-tree planner with the λ-weighted
     /// communication-cost gate and the μ-weighted ghost-traffic gate;
     /// zero weights are the count-based paper algorithm.
-    Tree { weights: MoveWeights },
+    Tree,
     /// First-order diffusion: sweep the neighbour graph (cheap edges
     /// first) and settle half of each pair's imbalance difference, for at
     /// most `max_rounds` rounds or until every node is within `tolerance`
     /// SDs of its expected share.
-    Diffusion {
-        tolerance: f64,
-        max_rounds: usize,
-        weights: MoveWeights,
-    },
+    Diffusion { tolerance: f64, max_rounds: usize },
     /// Greedy offload: while some rank's overload is at least `threshold`
     /// SDs, the most overloaded rank sheds one SD to its cheapest
     /// underloaded neighbour.
-    GreedySteal {
-        threshold: usize,
-        weights: MoveWeights,
-    },
-    /// Decorator: run `inner`, and after each epoch nudge its leaf's λ so
-    /// the measured migration-stall fraction approaches
-    /// `target_stall_frac` (doubling λ when migrations stall more than
-    /// the target, halving it when they stall less than half of it).
-    AdaptiveLambda {
-        inner: Box<LbSpec>,
-        target_stall_frac: f64,
-    },
-    /// Decorator: run `inner`, and before each epoch nudge its leaf's μ so
-    /// the measured ghost-stall fraction approaches `target_ghost_frac` —
-    /// the μ analogue of [`LbSpec::AdaptiveLambda`], fed by the
-    /// substrate's [`LbPolicy::observe_ghost_stall`] instead of a
-    /// hand-picked constant.
-    AdaptiveMu {
-        inner: Box<LbSpec>,
-        target_ghost_frac: f64,
-    },
-    /// The hierarchical, memory-aware planner
-    /// ([`crate::balance::hier::plan_hierarchical`]): settle imbalance
-    /// between racks, then between the nodes of each rack, then between
-    /// the ranks of each node, each level over its own coarse group
-    /// graph — near-linear plan time where the flat planner goes
-    /// superlinear. When the [`LbNetwork`] carries memory capacities,
-    /// every level refuses destination-overflowing moves. On a
-    /// degenerate hierarchy (no [`nlheat_netmodel::TopologySpec`], or a
-    /// single rack of single-rank nodes) without capacities it delegates
-    /// wholesale to `inner` — a concrete leaf policy, not a decorator.
-    /// The level machinery plans at `inner`'s weights, so the two paths
-    /// cannot drift apart.
-    Hierarchical { inner: Box<LbSpec> },
-    /// Decorator: run `inner` while the live ownership's ghost cut stays
-    /// within `drift_threshold` of a freshly computed capacity-aware
-    /// k-way cut (recomputed every `period` balancing epochs); past the
-    /// threshold — or on any [`crate::scenario::ClusterEvent`] membership
-    /// change — globally repartition the live [`SdGraph`] and stage the
-    /// old→new diff as single-hop plans under `max_bytes_per_epoch`
-    /// migration bytes per epoch ([`crate::balance::repart`]).
-    Repartition {
-        inner: Box<LbSpec>,
-        /// Replan once `live_cut / fresh_cut` exceeds this (`f64::INFINITY`
-        /// = never: the decorator is transparent absent membership events).
-        drift_threshold: f64,
-        /// Recompute the fresh cut every this many balancing epochs.
-        period: usize,
-        /// Per-epoch migration-payload budget for staged diffs
-        /// (`u64::MAX` = ship the whole diff at once).
-        max_bytes_per_epoch: u64,
-    },
+    GreedySteal { threshold: usize },
+}
+
+/// The parameters of the cut-drift monitor ([`LbSpec::repartition`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RepartitionSpec {
+    /// Replan once `live_cut / fresh_cut` exceeds this (`f64::INFINITY`
+    /// = never: the monitor is transparent absent membership events).
+    pub drift_threshold: f64,
+    /// Recompute the fresh cut every this many balancing epochs.
+    pub period: usize,
+    /// Per-epoch migration-payload budget for staged diffs
+    /// (`u64::MAX` = ship the whole diff at once).
+    pub max_bytes_per_epoch: u64,
+}
+
+/// Serde-free policy selection of a `Scenario` (via [`LbSchedule`]),
+/// mirroring how `NetSpec` selects a network rung: a plain record, so
+/// constructor orders that plan identically compare equal. Build it with
+/// the constructors below; a hand-written literal is checked by
+/// [`LbSpec::validate`] like everything else.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LbSpec {
+    /// The incremental planner.
+    pub leaf: Leaf,
+    /// The λ/μ every candidate move is scored with — where the two
+    /// controllers below start from.
+    pub weights: MoveWeights,
+    /// Plan through [`plan_hierarchical`]: settle imbalance between racks,
+    /// then between the nodes of each rack, then between the ranks of each
+    /// node, each level over its own coarse group graph — near-linear plan
+    /// time where the flat planner goes superlinear. When the
+    /// [`LbNetwork`] carries memory capacities, every level refuses
+    /// destination-overflowing moves. On a degenerate hierarchy (no
+    /// [`nlheat_netmodel::TopologySpec`], or a single rack of single-rank
+    /// nodes) without capacities `leaf` plans the epoch instead; both plan
+    /// at `weights`, so the two paths cannot drift apart.
+    pub hierarchical: bool,
+    /// The λ controller's target: after each epoch nudge λ so the measured
+    /// migration-stall fraction approaches it (doubling λ when migrations
+    /// stall more than the target, halving it when they stall less than
+    /// half of it). `None` = λ stays as configured.
+    pub adaptive_lambda: Option<f64>,
+    /// The μ controller's target, the same loop on the measured
+    /// ghost-stall fraction. `None` = μ stays as configured.
+    pub adaptive_mu: Option<f64>,
+    /// The cut-drift monitor ([`crate::balance::repart`]): plan as above
+    /// while the live ownership's ghost cut stays within `drift_threshold`
+    /// of a freshly computed capacity-aware k-way cut; past the threshold
+    /// — or on any [`crate::scenario::ClusterEvent`] membership change —
+    /// globally repartition the live [`SdGraph`] and stage the old→new
+    /// diff as budgeted single-hop plans.
+    pub repartition: Option<RepartitionSpec>,
 }
 
 impl Default for LbSpec {
     /// The paper's count-based Algorithm 1.
     fn default() -> Self {
-        LbSpec::Tree {
+        LbSpec {
+            leaf: Leaf::Tree,
             weights: MoveWeights::default(),
+            hierarchical: false,
+            adaptive_lambda: None,
+            adaptive_mu: None,
+            repartition: None,
         }
     }
 }
@@ -361,8 +345,9 @@ impl LbSpec {
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn tree(lambda: f64) -> Self {
-        LbSpec::Tree {
+        LbSpec {
             weights: MoveWeights::new(lambda, 0.0),
+            ..LbSpec::default()
         }
     }
 
@@ -371,13 +356,14 @@ impl LbSpec {
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn diffusion(tolerance: f64, max_rounds: usize) -> Self {
-        let spec = LbSpec::Diffusion {
-            tolerance,
-            max_rounds,
-            weights: MoveWeights::default(),
-        };
-        spec.validate();
-        spec
+        LbSpec {
+            leaf: Leaf::Diffusion {
+                tolerance,
+                max_rounds,
+            },
+            ..LbSpec::default()
+        }
+        .validated()
     }
 
     /// Greedy stealing with the given overload threshold
@@ -386,134 +372,105 @@ impl LbSpec {
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn greedy_steal(threshold: usize) -> Self {
-        let spec = LbSpec::GreedySteal {
-            threshold,
-            weights: MoveWeights::default(),
-        };
-        spec.validate();
-        spec
+        LbSpec {
+            leaf: Leaf::GreedySteal { threshold },
+            ..LbSpec::default()
+        }
+        .validated()
     }
 
-    /// Weigh each candidate move's recurring ghost-traffic delta by `mu`
-    /// (written into the leaf policy of a decorator chain). The term only
-    /// bites when the substrate attaches an [`SdGraph`] to its
-    /// [`LbNetwork`]; both execution substrates always do.
+    /// Weigh each candidate move's recurring ghost-traffic delta by `mu`.
+    /// The term only bites when the substrate attaches an [`SdGraph`] to
+    /// its [`LbNetwork`]; both execution substrates always do.
     ///
     /// # Panics
     /// Panics on negative or non-finite `mu`.
     pub fn with_mu(mut self, mu: f64) -> Self {
-        let weights = self.leaf_weights_mut();
-        weights.mu = mu;
-        weights.validate();
-        self
+        self.weights.mu = mu;
+        self.validated()
     }
 
-    /// The hierarchical planner over the leaf policy `inner` (which the
-    /// degenerate case delegates to), weighing migration traffic by
-    /// `lambda` and ghost-blind: the leaf's weights become
-    /// `(lambda, 0)` — add μ via [`LbSpec::with_mu`].
+    /// `inner` planned hierarchically, weighing migration traffic by
+    /// `lambda` and ghost-blind: the weights become `(lambda, 0)` — add μ
+    /// via [`LbSpec::with_mu`].
     ///
     /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
-    pub fn hierarchical(inner: LbSpec, lambda: f64) -> Self {
-        let mut spec = LbSpec::Hierarchical {
-            inner: Box::new(inner),
-        };
-        *spec.leaf_weights_mut() = MoveWeights { lambda, mu: 0.0 };
-        spec.validate();
-        spec
+    /// Panics when `inner` is hierarchical already, and on invalid
+    /// parameters — see [`LbSpec::validate`].
+    pub fn hierarchical(mut inner: LbSpec, lambda: f64) -> Self {
+        assert!(!inner.hierarchical, "the spec is hierarchical already");
+        inner.hierarchical = true;
+        inner.weights = MoveWeights { lambda, mu: 0.0 };
+        inner.validated()
     }
 
-    /// Wrap `inner` in the adaptive-λ decorator.
+    /// `inner` with the λ controller on.
     ///
     /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
-    pub fn adaptive(inner: LbSpec, target_stall_frac: f64) -> Self {
-        let spec = LbSpec::AdaptiveLambda {
-            inner: Box::new(inner),
-            target_stall_frac,
-        };
-        spec.validate();
-        spec
+    /// Panics when `inner` has one already (the second target would
+    /// silently replace the first), and on invalid parameters — see
+    /// [`LbSpec::validate`].
+    pub fn adaptive(mut inner: LbSpec, target_stall_frac: f64) -> Self {
+        assert!(
+            inner.adaptive_lambda.is_none(),
+            "AdaptiveLambda cannot wrap another AdaptiveLambda"
+        );
+        inner.adaptive_lambda = Some(target_stall_frac);
+        inner.validated()
     }
 
-    /// Wrap `inner` in the adaptive-μ decorator.
+    /// `inner` with the μ controller on.
     ///
     /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
-    pub fn adaptive_mu(inner: LbSpec, target_ghost_frac: f64) -> Self {
-        let spec = LbSpec::AdaptiveMu {
-            inner: Box::new(inner),
-            target_ghost_frac,
-        };
-        spec.validate();
-        spec
+    /// Panics when `inner` has one already, and on invalid parameters —
+    /// see [`LbSpec::validate`].
+    pub fn adaptive_mu(mut inner: LbSpec, target_ghost_frac: f64) -> Self {
+        assert!(
+            inner.adaptive_mu.is_none(),
+            "AdaptiveMu cannot wrap another AdaptiveMu"
+        );
+        inner.adaptive_mu = Some(target_ghost_frac);
+        inner.validated()
     }
 
-    /// Wrap `inner` in the cut-aware repartitioning decorator
-    /// ([`crate::balance::repart::RepartitionPolicy`]).
+    /// `inner` behind the cut-drift monitor.
     ///
     /// # Panics
-    /// Panics on invalid parameters — see [`LbSpec::validate`].
+    /// Panics when `inner` has one already, and on invalid parameters —
+    /// see [`LbSpec::validate`].
     pub fn repartition(
-        inner: LbSpec,
+        mut inner: LbSpec,
         drift_threshold: f64,
         period: usize,
         max_bytes_per_epoch: u64,
     ) -> Self {
-        let spec = LbSpec::Repartition {
-            inner: Box::new(inner),
+        assert!(
+            inner.repartition.is_none(),
+            "Repartition cannot wrap another Repartition"
+        );
+        inner.repartition = Some(RepartitionSpec {
             drift_threshold,
             period,
             max_bytes_per_epoch,
-        };
-        spec.validate();
-        spec
+        });
+        inner.validated()
     }
 
-    /// The weights of the leaf policy at the bottom of the decorator
-    /// chain — the only weights the chain has.
-    fn leaf_weights_mut(&mut self) -> &mut MoveWeights {
-        match self {
-            LbSpec::Tree { weights }
-            | LbSpec::Diffusion { weights, .. }
-            | LbSpec::GreedySteal { weights, .. } => weights,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner }
-            | LbSpec::Repartition { inner, .. } => inner.leaf_weights_mut(),
-        }
+    fn validated(self) -> Self {
+        self.validate();
+        self
     }
 
-    /// The spec and everything it wraps, outermost first.
-    fn chain(&self) -> impl Iterator<Item = &LbSpec> {
-        std::iter::successors(Some(self), |spec| match spec {
-            LbSpec::Tree { .. } | LbSpec::Diffusion { .. } | LbSpec::GreedySteal { .. } => None,
-            LbSpec::AdaptiveLambda { inner, .. }
-            | LbSpec::AdaptiveMu { inner, .. }
-            | LbSpec::Hierarchical { inner }
-            | LbSpec::Repartition { inner, .. } => Some(&**inner),
-        })
-    }
-
-    /// True when the spec's decorator chain contains a repartition
-    /// decorator (elastic-membership scenarios *require* one — see
-    /// [`crate::scenario::Scenario::validate`]).
-    pub(crate) fn chain_has_repartition(&self) -> bool {
-        self.chain()
-            .any(|spec| matches!(spec, LbSpec::Repartition { .. }))
-    }
-
-    /// The policy's ablation label.
+    /// The policy's ablation label: the outermost thing it does.
     pub fn name(&self) -> &'static str {
-        match self {
-            LbSpec::Tree { .. } => "tree",
-            LbSpec::Diffusion { .. } => "diffusion",
-            LbSpec::GreedySteal { .. } => "greedy-steal",
-            LbSpec::AdaptiveLambda { .. } => "adaptive-lambda",
-            LbSpec::AdaptiveMu { .. } => "adaptive-mu",
-            LbSpec::Hierarchical { .. } => "hierarchical",
-            LbSpec::Repartition { .. } => "repartition",
+        match self.leaf {
+            _ if self.repartition.is_some() => "repartition",
+            _ if self.adaptive_lambda.is_some() => "adaptive-lambda",
+            _ if self.adaptive_mu.is_some() => "adaptive-mu",
+            _ if self.hierarchical => "hierarchical",
+            Leaf::Tree => "tree",
+            Leaf::Diffusion { .. } => "diffusion",
+            Leaf::GreedySteal { .. } => "greedy-steal",
         }
     }
 
@@ -526,163 +483,58 @@ impl LbSpec {
     /// Panics on: non-finite or negative `lambda` or `mu`
     /// ([`MoveWeights::validate`]); non-finite or non-positive
     /// `tolerance`; `max_rounds` of 0; `threshold` of 0;
-    /// `target_stall_frac` or `target_ghost_frac` outside `(0, 1)`; an
-    /// adaptive or repartition decorator with another of its own kind
-    /// anywhere below it; a `Hierarchical` whose `inner` is not a leaf
-    /// (tree, diffusion, greedy-steal); a NaN or non-positive
-    /// `drift_threshold`; a repartition `period` of 0;
-    /// `max_bytes_per_epoch` of 0; or an invalid inner spec.
+    /// `target_stall_frac` or `target_ghost_frac` outside `(0, 1)`; a NaN
+    /// or non-positive `drift_threshold`; a repartition `period` of 0; or
+    /// `max_bytes_per_epoch` of 0.
     pub fn validate(&self) {
-        match self {
-            LbSpec::Tree { weights } => weights.validate(),
-            LbSpec::Diffusion {
+        self.weights.validate();
+        match self.leaf {
+            Leaf::Tree => {}
+            Leaf::Diffusion {
                 tolerance,
                 max_rounds,
-                weights,
             } => {
                 assert!(
-                    *tolerance > 0.0 && tolerance.is_finite(),
+                    tolerance > 0.0 && tolerance.is_finite(),
                     "diffusion tolerance must be finite and positive, got {tolerance}"
                 );
-                assert!(*max_rounds >= 1, "diffusion max_rounds must be at least 1");
-                weights.validate();
+                assert!(max_rounds >= 1, "diffusion max_rounds must be at least 1");
             }
-            LbSpec::GreedySteal { threshold, weights } => {
-                assert!(*threshold >= 1, "greedy-steal threshold must be at least 1");
-                weights.validate();
+            Leaf::GreedySteal { threshold } => {
+                assert!(threshold >= 1, "greedy-steal threshold must be at least 1");
             }
-            LbSpec::AdaptiveLambda {
-                inner,
-                target_stall_frac,
-            } => {
-                assert!(
-                    *target_stall_frac > 0.0
-                        && *target_stall_frac < 1.0
-                        && target_stall_frac.is_finite(),
-                    "target_stall_frac must be in (0, 1), got {target_stall_frac}"
-                );
-                // A nested same-kind decorator would be silently inert:
-                // both steer the one leaf weight, so the outer feedback
-                // fights the inner — anywhere in the chain, including
-                // through an adaptive-μ layer in between.
-                assert!(
-                    !inner
-                        .chain()
-                        .any(|spec| matches!(spec, LbSpec::AdaptiveLambda { .. })),
-                    "AdaptiveLambda cannot wrap another AdaptiveLambda"
-                );
-                inner.validate();
+        }
+        for (what, target) in [
+            ("target_stall_frac", self.adaptive_lambda),
+            ("target_ghost_frac", self.adaptive_mu),
+        ] {
+            if let Some(t) = target {
+                assert!(t > 0.0 && t < 1.0, "{what} must be in (0, 1), got {t}");
             }
-            LbSpec::AdaptiveMu {
-                inner,
-                target_ghost_frac,
-            } => {
-                assert!(
-                    *target_ghost_frac > 0.0
-                        && *target_ghost_frac < 1.0
-                        && target_ghost_frac.is_finite(),
-                    "target_ghost_frac must be in (0, 1), got {target_ghost_frac}"
-                );
-                assert!(
-                    !inner
-                        .chain()
-                        .any(|spec| matches!(spec, LbSpec::AdaptiveMu { .. })),
-                    "AdaptiveMu cannot wrap another AdaptiveMu"
-                );
-                inner.validate();
-            }
-            LbSpec::Hierarchical { inner } => {
-                // The inner spec is the degenerate-case delegate, planning
-                // whole epochs on its own: a decorator there would never
-                // receive the substrate feedback it adapts on, and a
-                // nested hierarchy is meaningless — demand a leaf.
-                assert!(
-                    matches!(
-                        **inner,
-                        LbSpec::Tree { .. } | LbSpec::Diffusion { .. } | LbSpec::GreedySteal { .. }
-                    ),
-                    "Hierarchical requires a leaf policy (tree, diffusion, greedy-steal) as inner"
-                );
-                inner.validate();
-            }
-            LbSpec::Repartition {
-                inner,
-                drift_threshold,
-                period,
-                max_bytes_per_epoch,
-            } => {
-                assert!(
-                    *drift_threshold > 0.0 && !drift_threshold.is_nan(),
-                    "drift_threshold must be positive (infinity = never replan), \
-                     got {drift_threshold}"
-                );
-                assert!(*period >= 1, "repartition period must be at least 1 epoch");
-                assert!(
-                    *max_bytes_per_epoch >= 1,
-                    "max_bytes_per_epoch must be positive (u64::MAX = unbounded)"
-                );
-                // nesting one would double-replan the same drift
-                assert!(
-                    !inner.chain_has_repartition(),
-                    "Repartition cannot wrap another Repartition"
-                );
-                inner.validate();
-            }
+        }
+        if let Some(monitor) = self.repartition {
+            assert!(
+                monitor.drift_threshold > 0.0,
+                "drift_threshold must be positive (infinity = never replan), got {}",
+                monitor.drift_threshold
+            );
+            assert!(
+                monitor.period >= 1,
+                "repartition period must be at least 1 epoch"
+            );
+            assert!(
+                monitor.max_bytes_per_epoch >= 1,
+                "max_bytes_per_epoch must be positive (u64::MAX = unbounded)"
+            );
         }
     }
 
-    /// Instantiate the policy object for one run.
+    /// Instantiate the planner for one run.
     ///
     /// # Panics
     /// Panics on invalid parameters — see [`LbSpec::validate`].
     pub fn build(&self) -> Box<dyn LbPolicy> {
-        self.validate();
-        match self {
-            LbSpec::Tree { weights } => Box::new(TreePolicy { weights: *weights }),
-            LbSpec::Diffusion {
-                tolerance,
-                max_rounds,
-                weights,
-            } => Box::new(DiffusionPolicy {
-                tolerance: *tolerance,
-                max_rounds: *max_rounds,
-                weights: *weights,
-            }),
-            LbSpec::GreedySteal { threshold, weights } => Box::new(GreedyStealPolicy {
-                threshold: *threshold,
-                weights: *weights,
-            }),
-            LbSpec::AdaptiveLambda {
-                inner,
-                target_stall_frac,
-            } => Box::new(AdaptivePolicy {
-                inner: inner.build(),
-                steers: Steered::Lambda,
-                target_frac: *target_stall_frac,
-            }),
-            LbSpec::AdaptiveMu {
-                inner,
-                target_ghost_frac,
-            } => Box::new(AdaptivePolicy {
-                inner: inner.build(),
-                steers: Steered::Mu,
-                target_frac: *target_ghost_frac,
-            }),
-            LbSpec::Hierarchical { inner } => {
-                Box::new(crate::balance::hier::HierPolicy::new(inner.build()))
-            }
-            LbSpec::Repartition {
-                inner,
-                drift_threshold,
-                period,
-                max_bytes_per_epoch,
-            } => Box::new(crate::balance::repart::RepartitionPolicy::new(
-                inner.build(),
-                *drift_threshold,
-                *period,
-                *max_bytes_per_epoch,
-            )),
-        }
+        Box::new(Planner::new(self))
     }
 }
 
@@ -739,250 +591,240 @@ impl LbSchedule {
 }
 
 // ---------------------------------------------------------------------
-// Policy implementations
+// The planner
 // ---------------------------------------------------------------------
 
-/// [`LbSpec::Tree`]: delegates to the Algorithm-1 planner.
-pub struct TreePolicy {
-    weights: MoveWeights,
+/// What an [`LbSpec`] builds — the one production [`LbPolicy`]. An epoch
+/// is the monitor's staged replan when it has one, else the incremental
+/// plan: hierarchical where asked for and meaningful, else the leaf's.
+pub struct Planner {
+    /// The record; its `weights` are the live pair the controllers nudge.
+    spec: LbSpec,
+    /// The cut-drift monitor's state, when the record asks for one.
+    pub(super) monitor: Option<Monitor>,
 }
 
-impl LbPolicy for TreePolicy {
+impl Planner {
+    /// # Panics
+    /// Panics on invalid parameters — see [`LbSpec::validate`].
+    pub fn new(spec: &LbSpec) -> Self {
+        spec.validate();
+        Planner {
+            spec: spec.clone(),
+            monitor: spec.repartition.map(Monitor::new),
+        }
+    }
+
+    /// The λ/μ the next plan scores moves with.
+    pub fn weights(&self) -> MoveWeights {
+        self.spec.weights
+    }
+
+    fn incremental(
+        &self,
+        own: &Ownership,
+        metrics: &LoadMetrics,
+        net: &LbNetwork,
+    ) -> MigrationPlan {
+        let weights = self.spec.weights;
+        // a hierarchy with nothing coarser than ranks is the leaf's to
+        // plan, unless memory capacities need the gated level machinery
+        let flat =
+            || hierarchy_is_degenerate(own.n_nodes(), &net.comm) && net.memory_bytes.is_none();
+        if self.spec.hierarchical && !flat() {
+            return plan_hierarchical(own, metrics, net, weights);
+        }
+        match self.spec.leaf {
+            Leaf::Tree => plan_rebalance(own, metrics, net, weights),
+            Leaf::Diffusion {
+                tolerance,
+                max_rounds,
+            } => plan_diffusion(own, metrics, net, weights, tolerance, max_rounds),
+            Leaf::GreedySteal { threshold } => {
+                plan_greedy_steal(own, metrics, net, weights, threshold)
+            }
+        }
+    }
+}
+
+impl LbPolicy for Planner {
     fn name(&self) -> &'static str {
-        "tree"
+        self.spec.name()
     }
 
     fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        plan_rebalance(own, metrics, net, self.weights)
-    }
-
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        &mut self.weights
-    }
-}
-
-/// [`LbSpec::Diffusion`]: first-order pairwise load exchange.
-pub struct DiffusionPolicy {
-    tolerance: f64,
-    max_rounds: usize,
-    weights: MoveWeights,
-}
-
-impl LbPolicy for DiffusionPolicy {
-    fn name(&self) -> &'static str {
-        "diffusion"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        let score = MoveScore::new(self.weights, metrics, net);
-        let mut imbalance = metrics.imbalance.clone();
-        let mut working = own.clone();
-        let mut raw: Vec<Move> = Vec::new();
-        // Undirected exchange edges from the neighbour graph (the real
-        // ghost-exchange adjacency when μ is active, the complete
-        // link-class graph otherwise), cheapest class first (ties by ids)
-        // so imbalance settles within racks before any of it crosses them.
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for (i, nbs) in net
-            .neighbour_graph(own, score.ghost_graph())
-            .iter()
-            .enumerate()
-        {
-            for &j in nbs {
-                if (j as usize) > i {
-                    edges.push((i as NodeId, j));
-                }
-            }
-        }
-        edges.sort_by(|&(a, b), &(c, d)| {
-            net.comm
-                .link_class(a, b)
-                .cmp(&net.comm.link_class(c, d))
-                .then(a.cmp(&c))
-                .then(b.cmp(&d))
-        });
-        for _round in 0..self.max_rounds {
-            let worst = imbalance.iter().map(|v| v.abs()).max().unwrap_or(0);
-            if (worst as f64) <= self.tolerance {
-                break;
-            }
-            let mut progressed = false;
-            for &(i, j) in &edges {
-                // settle half the pair's difference toward the needier end
-                let flow = (imbalance[j as usize] - imbalance[i as usize]) / 2;
-                if flow == 0 {
-                    continue;
-                }
-                let (src, dst, amount) = if flow > 0 {
-                    (i, j, flow as usize)
-                } else {
-                    (j, i, (-flow) as usize)
-                };
-                let realized = score.realize(&mut working, &mut raw, src, dst, amount);
-                if realized == 0 {
-                    continue;
-                }
-                imbalance[dst as usize] -= realized;
-                imbalance[src as usize] += realized;
-                progressed = true;
-            }
-            // exhausted frontiers or fully gated: residual imbalance stays
-            // for the next epoch, like the tree planner's residuals
-            if !progressed {
-                break;
-            }
-        }
-        finish_plan(metrics.clone(), working, raw, net)
-    }
-
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        &mut self.weights
-    }
-}
-
-/// [`LbSpec::GreedySteal`]: max-loaded rank sheds to its cheapest
-/// underloaded neighbour, one SD at a time.
-pub struct GreedyStealPolicy {
-    threshold: usize,
-    weights: MoveWeights,
-}
-
-impl LbPolicy for GreedyStealPolicy {
-    fn name(&self) -> &'static str {
-        "greedy-steal"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        let n = own.n_nodes() as usize;
-        let score = MoveScore::new(self.weights, metrics, net);
-        let mut imbalance = metrics.imbalance.clone();
-        let mut working = own.clone();
-        let mut raw: Vec<Move> = Vec::new();
-        let graph = net.neighbour_graph(own, score.ghost_graph());
-        // A rank whose every candidate fails (no reachable frontier, or
-        // fully gated) is parked so the loop always terminates: each
-        // iteration either realizes a move (shrinking Σ|imbalance|) or
-        // parks one rank.
-        let mut parked = vec![false; n];
-        while let Some(src) = (0..n)
-            .filter(|&i| !parked[i] && -imbalance[i] >= self.threshold as i64)
-            .min_by_key(|&i| (imbalance[i], i))
-        {
-            let mut moved = false;
-            for &dst in &graph[src] {
-                if imbalance[dst as usize] > 0
-                    && score.realize(&mut working, &mut raw, src as NodeId, dst, 1) == 1
-                {
-                    imbalance[dst as usize] -= 1;
-                    imbalance[src] += 1;
-                    moved = true;
-                    break;
-                }
-            }
-            if !moved {
-                parked[src] = true;
-            }
-        }
-        finish_plan(metrics.clone(), working, raw, net)
-    }
-
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        &mut self.weights
-    }
-}
-
-/// Which leaf weight an [`AdaptivePolicy`] steers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Steered {
-    /// λ, from the migration-stall fraction ([`LbPolicy::observe_stall`]).
-    Lambda,
-    /// μ, from the ghost-stall fraction
-    /// ([`LbPolicy::observe_ghost_stall`]).
-    Mu,
-}
-
-/// [`LbSpec::AdaptiveLambda`] and [`LbSpec::AdaptiveMu`]: one feedback
-/// controller on one of the leaf policy's [`MoveWeights`]. Doubles the
-/// steered weight when its stall signal exceeded the target fraction over
-/// the last window, halves it when the signal stayed under half the
-/// target (the dead band in between holds the weight steady, avoiding
-/// oscillation around the setpoint). The other signal passes through, so
-/// a λ and a μ controller stack in either order.
-pub struct AdaptivePolicy {
-    inner: Box<dyn LbPolicy>,
-    steers: Steered,
-    target_frac: f64,
-}
-
-impl AdaptivePolicy {
-    /// The weight is clamped here so [`MoveWeights::validate`] can never
-    /// see a non-finite one, no matter how many stalled epochs pile up.
-    const WEIGHT_MAX: f64 = 1e9;
-    /// Below this, the weight snaps to exactly 0 so the inner policy
-    /// degenerates to its count-based / ghost-blind behaviour instead of
-    /// carrying float dust.
-    const WEIGHT_MIN: f64 = 1e-6;
-
-    fn nudge(&mut self, stall_frac: f64) {
-        if !stall_frac.is_finite() || stall_frac < 0.0 {
-            return;
-        }
-        let weights = self.inner.weights_mut();
-        // A disengaged weight restarts where it shapes plans instead of
-        // freezing them: λ at 1 (seconds against seconds), μ at the bottom
-        // of the A9 shaping band.
-        let (weight, engage) = match self.steers {
-            Steered::Lambda => (&mut weights.lambda, 1.0),
-            Steered::Mu => (&mut weights.mu, 0.05),
+        let Some(monitor) = &mut self.monitor else {
+            return self.incremental(own, metrics, net);
         };
-        if stall_frac > self.target_frac {
-            *weight = if *weight <= 0.0 {
-                engage
-            } else {
-                (*weight * 2.0).min(Self::WEIGHT_MAX)
-            };
-        } else if stall_frac < self.target_frac * 0.5 {
-            *weight *= 0.5;
-            if *weight < Self::WEIGHT_MIN {
-                *weight = 0.0;
-            }
+        if let Some(staged) = monitor.replan(own, metrics, net) {
+            return staged;
         }
-    }
-}
-
-impl LbPolicy for AdaptivePolicy {
-    fn name(&self) -> &'static str {
-        match self.steers {
-            Steered::Lambda => "adaptive-lambda",
-            Steered::Mu => "adaptive-mu",
-        }
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
-        self.inner.plan(own, metrics, net)
+        // the incremental planners are membership-blind
+        drop_moves_onto_inactive(self.incremental(own, metrics, net), own, metrics, net)
     }
 
     fn observe_stall(&mut self, stall_frac: f64) {
-        match self.steers {
-            Steered::Lambda => self.nudge(stall_frac),
-            Steered::Mu => self.inner.observe_stall(stall_frac),
+        if let Some(target) = self.spec.adaptive_lambda {
+            nudge(&mut self.spec.weights.lambda, 1.0, target, stall_frac);
         }
     }
 
     fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        match self.steers {
-            Steered::Lambda => self.inner.observe_ghost_stall(ghost_frac),
-            Steered::Mu => self.nudge(ghost_frac),
+        if let Some(target) = self.spec.adaptive_mu {
+            nudge(&mut self.spec.weights.mu, 0.05, target, ghost_frac);
         }
     }
 
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        self.inner.weights_mut()
+    fn drift_info(&self) -> Option<DriftInfo> {
+        self.monitor.as_ref().map(Monitor::drift_info)
     }
+}
 
-    fn drift_info(&self) -> Option<crate::balance::repart::DriftInfo> {
-        self.inner.drift_info()
+/// A steered weight is clamped here so [`MoveWeights::validate`] can never
+/// see a non-finite one, no matter how many stalled epochs pile up.
+const WEIGHT_MAX: f64 = 1e9;
+/// Below this, a steered weight snaps to exactly 0 so the planner
+/// degenerates to its count-based / ghost-blind behaviour instead of
+/// carrying float dust.
+const WEIGHT_MIN: f64 = 1e-6;
+
+/// The one feedback controller, on one of the [`MoveWeights`]: doubles
+/// `weight` when its stall signal exceeded the target fraction over the
+/// last window, halves it when the signal stayed under half the target;
+/// the dead band in between holds the weight steady, avoiding oscillation
+/// around the setpoint. A disengaged weight restarts at `engage`, where it
+/// shapes plans instead of freezing them: λ at 1 (seconds against
+/// seconds), μ at 0.05, the bottom of the A9 shaping band.
+fn nudge(weight: &mut f64, engage: f64, target_frac: f64, stall_frac: f64) {
+    if !stall_frac.is_finite() || stall_frac < 0.0 {
+        return;
     }
+    if stall_frac > target_frac {
+        *weight = if *weight <= 0.0 {
+            engage
+        } else {
+            (*weight * 2.0).min(WEIGHT_MAX)
+        };
+    } else if stall_frac < target_frac * 0.5 {
+        *weight *= 0.5;
+        if *weight < WEIGHT_MIN {
+            *weight = 0.0;
+        }
+    }
+}
+
+/// [`Leaf::Diffusion`]: first-order pairwise load exchange.
+fn plan_diffusion(
+    own: &Ownership,
+    metrics: &LoadMetrics,
+    net: &LbNetwork,
+    weights: MoveWeights,
+    tolerance: f64,
+    max_rounds: usize,
+) -> MigrationPlan {
+    let score = MoveScore::new(weights, metrics, net);
+    let mut imbalance = metrics.imbalance.clone();
+    let mut working = own.clone();
+    let mut raw: Vec<Move> = Vec::new();
+    // Undirected exchange edges from the neighbour graph (the real
+    // ghost-exchange adjacency when μ is active, the complete
+    // link-class graph otherwise), cheapest class first (ties by ids)
+    // so imbalance settles within racks before any of it crosses them.
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for (i, nbs) in net
+        .neighbour_graph(own, score.ghost_graph())
+        .iter()
+        .enumerate()
+    {
+        for &j in nbs {
+            if (j as usize) > i {
+                edges.push((i as NodeId, j));
+            }
+        }
+    }
+    edges.sort_by(|&(a, b), &(c, d)| {
+        net.comm
+            .link_class(a, b)
+            .cmp(&net.comm.link_class(c, d))
+            .then(a.cmp(&c))
+            .then(b.cmp(&d))
+    });
+    for _round in 0..max_rounds {
+        let worst = imbalance.iter().map(|v| v.abs()).max().unwrap_or(0);
+        if (worst as f64) <= tolerance {
+            break;
+        }
+        let mut progressed = false;
+        for &(i, j) in &edges {
+            // settle half the pair's difference toward the needier end
+            let flow = (imbalance[j as usize] - imbalance[i as usize]) / 2;
+            if flow == 0 {
+                continue;
+            }
+            let (src, dst, amount) = if flow > 0 {
+                (i, j, flow as usize)
+            } else {
+                (j, i, (-flow) as usize)
+            };
+            let realized = score.realize(&mut working, &mut raw, src, dst, amount);
+            if realized == 0 {
+                continue;
+            }
+            imbalance[dst as usize] -= realized;
+            imbalance[src as usize] += realized;
+            progressed = true;
+        }
+        // exhausted frontiers or fully gated: residual imbalance stays
+        // for the next epoch, like the tree planner's residuals
+        if !progressed {
+            break;
+        }
+    }
+    finish_plan(metrics.clone(), working, raw, net)
+}
+
+/// [`Leaf::GreedySteal`]: max-loaded rank sheds to its cheapest
+/// underloaded neighbour, one SD at a time.
+fn plan_greedy_steal(
+    own: &Ownership,
+    metrics: &LoadMetrics,
+    net: &LbNetwork,
+    weights: MoveWeights,
+    threshold: usize,
+) -> MigrationPlan {
+    let n = own.n_nodes() as usize;
+    // no overload reaches a threshold past `i64::MAX`: never steal
+    let threshold = i64::try_from(threshold).unwrap_or(i64::MAX);
+    let score = MoveScore::new(weights, metrics, net);
+    let mut imbalance = metrics.imbalance.clone();
+    let mut working = own.clone();
+    let mut raw: Vec<Move> = Vec::new();
+    let graph = net.neighbour_graph(own, score.ghost_graph());
+    // A rank whose every candidate fails (no reachable frontier, or
+    // fully gated) is parked so the loop always terminates: each
+    // iteration either realizes a move (shrinking Σ|imbalance|) or
+    // parks one rank.
+    let mut parked = vec![false; n];
+    while let Some(src) = (0..n)
+        .filter(|&i| !parked[i] && -imbalance[i] >= threshold)
+        .min_by_key(|&i| (imbalance[i], i))
+    {
+        let mut moved = false;
+        for &dst in &graph[src] {
+            if imbalance[dst as usize] > 0
+                && score.realize(&mut working, &mut raw, src as NodeId, dst, 1) == 1
+            {
+                imbalance[dst as usize] -= 1;
+                imbalance[src] += 1;
+                moved = true;
+                break;
+            }
+        }
+        if !moved {
+            parked[src] = true;
+        }
+    }
+    finish_plan(metrics.clone(), working, raw, net)
 }
 
 #[cfg(test)]
@@ -1193,6 +1035,21 @@ mod tests {
     }
 
     #[test]
+    fn greedy_steal_threshold_above_i64_max_never_steals() {
+        // 9/7 split of 16 SDs, imbalance −1/+1: `usize::MAX as i64` is −1,
+        // which every rank's overload reaches
+        let sds = SdGrid::new(16, 1, 4);
+        let owners: Vec<u32> = (0..16).map(|i| u32::from(i >= 9)).collect();
+        let own = Ownership::new(sds, owners, 2);
+        let metrics = metrics_for(&own, &symmetric_busy(&own));
+        for (threshold, moved) in [(1, 1), (5, 0), (usize::MAX, 0)] {
+            let mut policy = LbSpec::greedy_steal(threshold).build();
+            let plan = policy.plan(&own, &metrics, &LbNetwork::free());
+            assert_eq!(plan.moves.len(), moved, "threshold {threshold}");
+        }
+    }
+
+    #[test]
     fn greedy_steal_prefers_cheap_neighbours() {
         // 8x1 row, racks {0,1} and {2,3}: node 1 holds 5 of 8 SDs while
         // its rack peer 0 and the inter-rack nodes 2, 3 are each one SD
@@ -1216,24 +1073,32 @@ mod tests {
 
     #[test]
     fn adaptive_lambda_tracks_stall_feedback() {
-        let mut policy = LbSpec::adaptive(LbSpec::tree(0.0), 0.1).build();
-        assert_eq!(policy.weights_mut().lambda, 0.0, "starts from the inner λ");
+        let mut policy = Planner::new(&LbSpec::adaptive(LbSpec::tree(0.0), 0.1));
+        assert_eq!(policy.weights().lambda, 0.0, "starts from the spec's λ");
         policy.observe_stall(0.5); // stalled well above target: engage gate
-        assert_eq!(policy.weights_mut().lambda, 1.0);
+        assert_eq!(policy.weights().lambda, 1.0);
         policy.observe_stall(0.5);
-        assert_eq!(policy.weights_mut().lambda, 2.0, "doubles while stalling");
+        assert_eq!(policy.weights().lambda, 2.0, "doubles while stalling");
         policy.observe_stall(0.07); // inside the dead band: hold
-        assert_eq!(policy.weights_mut().lambda, 2.0);
+        assert_eq!(policy.weights().lambda, 2.0);
         policy.observe_stall(0.01); // below half target: relax
-        assert_eq!(policy.weights_mut().lambda, 1.0);
+        assert_eq!(policy.weights().lambda, 1.0);
         for _ in 0..40 {
             policy.observe_stall(0.0);
         }
-        assert_eq!(policy.weights_mut().lambda, 0.0, "λ decays to exactly 0");
+        assert_eq!(policy.weights().lambda, 0.0, "λ decays to exactly 0");
         // garbage feedback is ignored
         policy.observe_stall(f64::NAN);
         policy.observe_stall(-1.0);
-        assert_eq!(policy.weights_mut().lambda, 0.0);
+        assert_eq!(policy.weights().lambda, 0.0);
+        // the ghost-stall signal is the other controller's, and a spec
+        // without a controller keeps its weights whatever it is told
+        policy.observe_ghost_stall(0.9);
+        assert_eq!(policy.weights(), MoveWeights::default());
+        let mut fixed = Planner::new(&LbSpec::tree(0.5).with_mu(0.25));
+        fixed.observe_stall(0.9);
+        fixed.observe_ghost_stall(0.9);
+        assert_eq!(fixed.weights(), MoveWeights::new(0.5, 0.25));
     }
 
     #[test]
@@ -1268,36 +1133,27 @@ mod tests {
         assert_eq!(sched.period, 4);
         assert_eq!(
             sched.spec,
-            LbSpec::GreedySteal {
-                threshold: 2,
-                weights: MoveWeights::default()
+            LbSpec {
+                leaf: Leaf::GreedySteal { threshold: 2 },
+                ..LbSpec::default()
             }
+        );
+        assert_eq!(LbSchedule::every(3).spec, LbSpec::tree(0.0));
+        assert_eq!(LbSpec::default().leaf, Leaf::Tree);
+        // with_mu writes the one pair, whatever else the record holds
+        assert_eq!(
+            LbSpec::tree(1.0).with_mu(0.5).weights,
+            MoveWeights::new(1.0, 0.5)
         );
         assert_eq!(
-            LbSchedule::every(3).spec,
-            LbSpec::Tree {
-                weights: MoveWeights::default()
+            LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1).with_mu(2.0),
+            LbSpec {
+                leaf: Leaf::GreedySteal { threshold: 1 },
+                weights: MoveWeights::new(0.0, 2.0),
+                adaptive_lambda: Some(0.1),
+                ..LbSpec::default()
             }
         );
-        // with_mu reaches the leaf's weights, through decorators too
-        assert_eq!(
-            LbSpec::tree(1.0).with_mu(0.5),
-            LbSpec::Tree {
-                weights: MoveWeights::new(1.0, 0.5)
-            }
-        );
-        match LbSpec::adaptive(LbSpec::greedy_steal(1), 0.1).with_mu(2.0) {
-            LbSpec::AdaptiveLambda { inner, .. } => {
-                assert_eq!(
-                    *inner,
-                    LbSpec::GreedySteal {
-                        threshold: 1,
-                        weights: MoveWeights::new(0.0, 2.0)
-                    }
-                );
-            }
-            other => panic!("decorator shape lost: {other:?}"),
-        }
     }
 
     #[test]
@@ -1317,6 +1173,32 @@ mod tests {
         let spec = LbSpec::repartition(LbSpec::tree(0.0), 2.0, 4, u64::MAX);
         assert_eq!(spec.name(), "repartition");
         assert_eq!(spec.build().name(), "repartition");
+        // with several options on, a fixed precedence: repartition,
+        // adaptive-lambda, adaptive-mu, hierarchical, leaf
+        let spec = LbSpec::hierarchical(LbSpec::greedy_steal(1), 0.0);
+        assert_eq!(LbSpec::adaptive_mu(spec.clone(), 0.2).name(), "adaptive-mu");
+        let spec = LbSpec::adaptive(LbSpec::adaptive_mu(spec, 0.2), 0.1);
+        assert_eq!(spec.name(), "adaptive-lambda");
+        let spec = LbSpec::repartition(spec, 2.0, 4, u64::MAX);
+        assert_eq!(spec.name(), "repartition");
+        assert_eq!(spec.build().name(), "repartition");
+    }
+
+    #[test]
+    fn constructor_order_is_not_part_of_the_value() {
+        let x = || LbSpec::diffusion(1.0, 8).with_mu(0.25);
+        let a = LbSpec::adaptive(LbSpec::adaptive_mu(x(), 0.2), 0.1);
+        let b = LbSpec::adaptive_mu(LbSpec::adaptive(x(), 0.1), 0.2);
+        assert_eq!(a, b);
+        assert_eq!(a.name(), b.name());
+        let a = LbSpec::repartition(LbSpec::adaptive(x(), 0.1), 2.0, 4, 1 << 20);
+        let b = LbSpec::adaptive(LbSpec::repartition(x(), 2.0, 4, 1 << 20), 0.1);
+        assert_eq!(a, b);
+        assert_eq!(a.name(), b.name());
+        // the hierarchy used to demand a bare leaf below it
+        let a = LbSpec::hierarchical(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.5);
+        let b = LbSpec::adaptive(LbSpec::hierarchical(LbSpec::tree(0.0), 0.5), 0.1);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1336,22 +1218,20 @@ mod tests {
     #[test]
     fn repartition_forwards_weights_and_drift_through_decorators() {
         let spec = LbSpec::repartition(LbSpec::tree(0.5), 2.0, 1, u64::MAX).with_mu(0.25);
-        match &spec {
-            LbSpec::Repartition { inner, .. } => {
-                assert_eq!(
-                    **inner,
-                    LbSpec::Tree {
-                        weights: MoveWeights::new(0.5, 0.25)
-                    }
-                );
-            }
-            other => panic!("shape lost: {other:?}"),
-        }
-        let mut policy = spec.build();
-        assert_eq!(policy.weights_mut().lambda, 0.5);
-        assert_eq!(policy.weights_mut().mu, 0.25);
+        assert_eq!(spec.leaf, Leaf::Tree);
+        assert_eq!(spec.weights, MoveWeights::new(0.5, 0.25));
+        assert_eq!(
+            spec.repartition,
+            Some(RepartitionSpec {
+                drift_threshold: 2.0,
+                period: 1,
+                max_bytes_per_epoch: u64::MAX
+            })
+        );
+        let policy = Planner::new(&spec);
+        assert_eq!(policy.weights(), MoveWeights::new(0.5, 0.25));
         assert!(policy.drift_info().is_some(), "monitor must report");
-        // an adaptive decorator over Repartition surfaces the drift info
+        // a controller beside the monitor does not hide the drift info
         let wrapped = LbSpec::adaptive(
             LbSpec::repartition(LbSpec::tree(0.0), 2.0, 1, u64::MAX),
             0.1,
@@ -1365,74 +1245,56 @@ mod tests {
     #[test]
     fn hierarchical_spec_round_trips_weights() {
         // the hierarchy has no weights of its own: its λ and with_mu's μ
-        // land in the leaf — replacing whatever the leaf was built with —
-        // which the machinery and the degenerate delegate both read
+        // land in the record's one pair — replacing whatever the leaf was
+        // built with — which the level machinery and the leaf both read
         let spec = LbSpec::hierarchical(LbSpec::tree(0.7).with_mu(0.1), 2.0);
-        assert_eq!(
-            spec,
-            LbSpec::Hierarchical {
-                inner: Box::new(LbSpec::Tree {
-                    weights: MoveWeights::new(2.0, 0.0)
-                })
-            }
-        );
+        assert!(spec.hierarchical);
+        assert_eq!(spec.leaf, Leaf::Tree);
+        assert_eq!(spec.weights, MoveWeights::new(2.0, 0.0));
         let spec = spec.with_mu(0.5);
-        assert_eq!(
-            spec,
-            LbSpec::Hierarchical {
-                inner: Box::new(LbSpec::Tree {
-                    weights: MoveWeights::new(2.0, 0.5)
-                })
-            }
-        );
-        let mut policy = spec.build();
-        assert_eq!(policy.weights_mut().lambda, 2.0);
-        assert_eq!(policy.weights_mut().mu, 0.5);
+        assert_eq!(spec.weights, MoveWeights::new(2.0, 0.5));
+        assert_eq!(Planner::new(&spec).weights(), MoveWeights::new(2.0, 0.5));
     }
 
     #[test]
-    #[should_panic(expected = "requires a leaf policy")]
-    fn hierarchical_rejects_decorator_inner() {
-        let _ = LbSpec::hierarchical(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a leaf policy")]
+    #[should_panic(expected = "the spec is hierarchical already")]
     fn hierarchical_rejects_nested_hierarchy() {
         let _ = LbSpec::hierarchical(LbSpec::hierarchical(LbSpec::tree(0.0), 0.0), 0.0);
     }
 
     #[test]
     fn adaptive_decorator_can_wrap_hierarchical() {
-        // the decorators adapt λ/μ through set_*_weight, which the
-        // hierarchical policy forwards — wrapping it IS allowed
+        // the controller steers the pair the level machinery plans at
         let spec = LbSpec::adaptive(LbSpec::hierarchical(LbSpec::tree(0.0), 0.0), 0.1);
         spec.validate();
-        let mut policy = spec.build();
+        let mut policy = Planner::new(&spec);
         policy.observe_stall(0.9);
-        assert_eq!(policy.weights_mut().lambda, 1.0, "outer λ engaged");
+        assert_eq!(policy.weights().lambda, 1.0, "λ engaged");
     }
 
     #[test]
     fn adaptive_mu_tracks_ghost_stall_feedback() {
-        let mut policy = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2).build();
-        assert_eq!(policy.weights_mut().mu, 0.0, "starts from the inner μ");
+        let mut policy = Planner::new(&LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2));
+        assert_eq!(policy.weights().mu, 0.0, "starts from the spec's μ");
         policy.observe_ghost_stall(0.5); // well above target: engage gate
-        assert_eq!(policy.weights_mut().mu, 0.05, "engages at the shaping band");
+        assert_eq!(policy.weights().mu, 0.05, "engages at the shaping band");
         policy.observe_ghost_stall(0.5);
-        assert_eq!(policy.weights_mut().mu, 0.1, "doubles while stalling");
+        assert_eq!(policy.weights().mu, 0.1, "doubles while stalling");
         policy.observe_ghost_stall(0.15); // inside the dead band: hold
-        assert_eq!(policy.weights_mut().mu, 0.1);
+        assert_eq!(policy.weights().mu, 0.1);
         policy.observe_ghost_stall(0.05); // below half target: relax
-        assert_eq!(policy.weights_mut().mu, 0.05);
+        assert_eq!(policy.weights().mu, 0.05);
         for _ in 0..40 {
             policy.observe_ghost_stall(0.0);
         }
-        assert_eq!(policy.weights_mut().mu, 0.0, "μ decays to exactly 0");
+        assert_eq!(policy.weights().mu, 0.0, "μ decays to exactly 0");
         // garbage feedback is ignored
         policy.observe_ghost_stall(f64::NAN);
         policy.observe_ghost_stall(-1.0);
-        assert_eq!(policy.weights_mut().mu, 0.0);
+        assert_eq!(policy.weights().mu, 0.0);
+        // the migration-stall signal is the other controller's
+        policy.observe_stall(0.9);
+        assert_eq!(policy.weights(), MoveWeights::default());
     }
 
     #[test]
@@ -1446,7 +1308,7 @@ mod tests {
         let busy = vec![9.0, 1.0];
         let graph = std::sync::Arc::new(nlheat_partition::SdGraph::build(&sds, 1));
         let net = LbNetwork::from_spec(&NetSpec::cluster(), 1000).with_sd_graph(graph);
-        let mut policy = LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.05).build();
+        let mut policy = Planner::new(&LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.05));
         assert!(
             !policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
             "μ=0 must balance the skew"
@@ -1457,32 +1319,26 @@ mod tests {
         assert!(
             policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
             "learned μ={} must refuse cut-worsening moves",
-            policy.weights_mut().mu
+            policy.weights().mu
         );
     }
 
     #[test]
     fn adaptive_decorators_compose_both_ways() {
-        // λ(μ(tree)) and μ(λ(tree)) both validate, build, and route each
-        // feedback signal to its owning layer.
+        // λ(μ(tree)) — the same record as μ(λ(tree)), see
+        // `constructor_order_is_not_part_of_the_value` — holds both
+        // targets, and each feedback signal reaches its own controller.
         let both = LbSpec::adaptive(LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.2), 0.1);
         both.validate();
-        let mut policy = both.build();
-        policy.observe_stall(0.9);
-        policy.observe_ghost_stall(0.9);
-        assert_eq!(policy.weights_mut().lambda, 1.0, "outer λ engaged");
-        assert_eq!(policy.weights_mut().mu, 0.05, "inner μ engaged through λ");
-        let other = LbSpec::adaptive_mu(LbSpec::adaptive(LbSpec::tree(0.0), 0.1), 0.2);
-        other.validate();
-        let mut policy = other.build();
-        policy.observe_stall(0.9);
-        policy.observe_ghost_stall(0.9);
         assert_eq!(
-            policy.weights_mut().lambda,
-            1.0,
-            "inner λ engaged through μ"
+            (both.adaptive_lambda, both.adaptive_mu),
+            (Some(0.1), Some(0.2))
         );
-        assert_eq!(policy.weights_mut().mu, 0.05, "outer μ engaged");
+        let mut policy = Planner::new(&both);
+        policy.observe_stall(0.9);
+        assert_eq!(policy.weights(), MoveWeights::new(1.0, 0.0), "λ engaged");
+        policy.observe_ghost_stall(0.9);
+        assert_eq!(policy.weights(), MoveWeights::new(1.0, 0.05), "μ engaged");
     }
 
     #[test]
@@ -1590,39 +1446,15 @@ mod tests {
     }
 
     #[test]
-    fn ghost_weight_hooks_round_trip_and_steer_plans() {
-        // The μ feedback seam (the adaptive-μ decorator's handle): every
-        // policy exposes its leaf's weights through `weights_mut`, the
-        // decorators forward to their inner policy, and a raised μ
-        // actually changes planning — the same gate as the spec's field.
-        for spec in [
-            LbSpec::tree(0.0),
-            LbSpec::diffusion(1.0, 8),
-            LbSpec::greedy_steal(1),
-            LbSpec::adaptive(LbSpec::tree(0.0), 0.1),
-            LbSpec::adaptive_mu(LbSpec::tree(0.0), 0.1),
-        ] {
-            let mut policy = spec.with_mu(0.75).build();
-            let name = policy.name();
-            assert_eq!(policy.weights_mut().mu, 0.75, "{name}: spec μ");
-            policy.weights_mut().mu = 2.5;
-            assert_eq!(policy.weights_mut().mu, 2.5, "{name}: round trip");
+    fn with_mu_reaches_the_planner_through_every_option() {
+        // one pair per record: whatever options are on, the planner scores
+        // moves at the μ `with_mu` wrote (its gate is pinned by
+        // `huge_mu_gates_cut_worsening_moves`)
+        for spec in all_specs() {
+            let lambda = spec.weights.lambda;
+            let planner = Planner::new(&spec.with_mu(0.75));
+            assert_eq!(planner.weights(), MoveWeights::new(lambda, 0.75));
         }
-        // steering: the huge_mu fixture, but with μ injected through the
-        // hook after build instead of the spec
-        let sds = SdGrid::new(6, 6, 4);
-        let owners: Vec<u32> = (0..36).map(|sd| u32::from(sds.coords(sd).0 >= 3)).collect();
-        let own = Ownership::new(sds, owners, 2);
-        let busy = vec![9.0, 1.0];
-        let graph = std::sync::Arc::new(nlheat_partition::SdGraph::build(&sds, 1));
-        let net = LbNetwork::from_spec(&NetSpec::cluster(), 1000).with_sd_graph(graph);
-        let mut policy = LbSpec::tree(0.0).build();
-        assert!(!policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop());
-        policy.weights_mut().mu = 1e12;
-        assert!(
-            policy.plan(&own, &metrics_for(&own, &busy), &net).is_noop(),
-            "hook-injected μ must gate like the spec field"
-        );
     }
 
     #[test]
@@ -1665,14 +1497,13 @@ mod tests {
     #[should_panic(expected = "lambda must be finite")]
     fn adaptive_validates_its_inner_spec() {
         // constructed via the struct literal so only validate() can catch it
-        let spec = LbSpec::AdaptiveLambda {
-            inner: Box::new(LbSpec::Tree {
-                weights: MoveWeights {
-                    lambda: f64::NAN,
-                    mu: 0.0,
-                },
-            }),
-            target_stall_frac: 0.1,
+        let spec = LbSpec {
+            weights: MoveWeights {
+                lambda: f64::NAN,
+                mu: 0.0,
+            },
+            adaptive_lambda: Some(0.1),
+            ..LbSpec::default()
         };
         spec.validate();
     }
@@ -1686,12 +1517,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "mu must be finite")]
     fn nan_mu_rejected_by_validate() {
-        let spec = LbSpec::GreedySteal {
-            threshold: 1,
+        let spec = LbSpec {
+            leaf: Leaf::GreedySteal { threshold: 1 },
             weights: MoveWeights {
                 lambda: 0.0,
                 mu: f64::NAN,
             },
+            ..LbSpec::default()
         };
         spec.validate();
     }

@@ -1,5 +1,6 @@
 //! Cut-aware repartitioning and elastic-membership evacuation — the
-//! global-replan escape hatch behind [`LbSpec::Repartition`].
+//! global-replan escape hatch behind
+//! [`LbSpec::repartition`](crate::balance::LbSpec::repartition).
 //!
 //! Every incremental policy (tree, diffusion, greedy-steal, hierarchical)
 //! only ever *nudges* ownership, so μ-gating merely slows ghost-cut decay:
@@ -8,22 +9,21 @@
 //! absorb a rank joining, draining, or failing mid-run. This module closes
 //! both gaps with one mechanism (cf. Lifflander et al., arXiv:2404.16793):
 //!
-//! - **Drift monitoring.** On a cadence (`period` epochs) the policy
+//! - **Drift monitoring.** On a cadence (`period` epochs) the monitor
 //!   compares the live ownership's cut against a fresh capacity-aware
-//!   k-way cut of the live [`SdGraph`](nlheat_partition::SdGraph) from
-//!   [`nlheat_partition::repartition_capacitated`]:
+//!   k-way cut of the live [`SdGraph`] from [`repartition_capacitated`]:
 //!   `cut_drift = live_cut / fresh_cut`. While drift stays under
-//!   `drift_threshold` the wrapped `inner` policy plans the epoch as if
-//!   the decorator were absent.
+//!   `drift_threshold` the incremental planner plans the epoch as if the
+//!   monitor were absent.
 //! - **Replanning.** When drift exceeds the threshold — or the active-rank
 //!   mask changed ([`LbNetwork::active`]), or an SD is stranded on an
 //!   inactive rank — the fresh partition *becomes the target ownership*:
 //!   the old→new diff is staged and emitted as standard single-hop
 //!   [`MigrationPlan`]s through the same `finish_plan` collapse every
-//!   policy uses, at most `max_bytes_per_epoch` migration payload bytes
+//!   planner uses, at most `max_bytes_per_epoch` migration payload bytes
 //!   per epoch (evacuations off inactive ranks are scheduled first). The
-//!   inner policy is suspended while a diff is draining so it cannot fight
-//!   the target.
+//!   incremental planner is suspended while a diff is draining so it
+//!   cannot fight the target.
 //!
 //! **The fresh partition is computed once per membership, not once per
 //! tick.** It is a function of the SD graph, the active ranks, their byte
@@ -37,21 +37,21 @@
 //! complete because `FreshPartition::compute` takes nothing else.
 //!
 //! An infinite `drift_threshold` with no membership events makes the
-//! decorator fully transparent — byte-identical plans to running `inner`
-//! alone (property-pinned in `tests/properties.rs`).
+//! monitor fully transparent — byte-identical plans to the same spec
+//! without it (property-pinned in `tests/properties.rs`).
 
 use crate::balance::algorithm::{finish_plan, MigrationPlan, Move};
-use crate::balance::policy::{LbNetwork, LbPolicy};
+use crate::balance::policy::{LbNetwork, RepartitionSpec};
 use crate::balance::power::LoadMetrics;
-use crate::balance::score::MoveWeights;
 use crate::ownership::Ownership;
 use nlheat_mesh::SdId;
 use nlheat_partition::{repartition_capacitated, PartitionConfig, SdGraph};
 use std::sync::Arc;
 
 /// What the drift monitor saw at the last balancing epoch — surfaced
-/// through [`LbPolicy::drift_info`] so both substrates can record trigger
-/// points in their [`EpochTrace`](crate::balance::EpochTrace)s.
+/// through [`LbPolicy::drift_info`](crate::balance::LbPolicy::drift_info)
+/// so both substrates can record trigger points in their
+/// [`EpochTrace`](crate::balance::EpochTrace)s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftInfo {
     /// Ratio of the live ownership's ghost cut to a freshly computed
@@ -59,7 +59,7 @@ pub struct DriftInfo {
     /// first cadence check).
     pub cut_drift: f64,
     /// True when this epoch triggered (or continued staging) a global
-    /// replan instead of delegating to the inner policy.
+    /// replan instead of an incremental plan.
     pub replan: bool,
 }
 
@@ -126,7 +126,7 @@ impl FreshMemo {
     /// when every input compares equal (an `Arc` by pointer first, then by
     /// value), a recomputed one otherwise.
     fn get(&mut self, own: &Ownership, net: &LbNetwork, graph: &Arc<SdGraph>) -> &FreshPartition {
-        let active = RepartitionPolicy::active_ranks(own, net);
+        let active = Monitor::active_ranks(own, net);
         let caps: Vec<u64> = active
             .iter()
             .map(|&r| {
@@ -157,14 +157,13 @@ impl FreshMemo {
     }
 }
 
-/// [`LbSpec::Repartition`]: the cut-aware repartitioning decorator.
+/// The cut-drift monitor of [`LbSpec::repartition`]: the state a
+/// [`Planner`](crate::balance::Planner) carries across epochs for it.
 ///
-/// [`LbSpec::Repartition`]: crate::balance::policy::LbSpec::Repartition
-pub struct RepartitionPolicy {
-    inner: Box<dyn LbPolicy>,
-    drift_threshold: f64,
-    period: usize,
-    max_bytes_per_epoch: u64,
+/// [`LbSpec::repartition`]: crate::balance::LbSpec::repartition
+pub(crate) struct Monitor {
+    /// Parameters as validated by `LbSpec::validate`.
+    cfg: RepartitionSpec,
     /// Balancing epochs seen (the cadence counter).
     epochs: usize,
     /// Target ownership of an in-flight replan; `None` when fully drained.
@@ -176,23 +175,10 @@ pub struct RepartitionPolicy {
     fresh: FreshMemo,
 }
 
-impl RepartitionPolicy {
-    /// Parameters as validated by [`LbSpec::validate`] — reached through
-    /// [`LbSpec::build`] only.
-    ///
-    /// [`LbSpec::validate`]: crate::balance::policy::LbSpec::validate
-    /// [`LbSpec::build`]: crate::balance::policy::LbSpec::build
-    pub(crate) fn new(
-        inner: Box<dyn LbPolicy>,
-        drift_threshold: f64,
-        period: usize,
-        max_bytes_per_epoch: u64,
-    ) -> Self {
-        RepartitionPolicy {
-            inner,
-            drift_threshold,
-            period,
-            max_bytes_per_epoch,
+impl Monitor {
+    pub(crate) fn new(cfg: RepartitionSpec) -> Self {
+        Monitor {
+            cfg,
             epochs: 0,
             target: None,
             last_mask: None,
@@ -249,7 +235,7 @@ impl RepartitionPolicy {
         let mut raw: Vec<Move> = Vec::new();
         let mut bytes = 0u64;
         for &sd in &pending {
-            if bytes.saturating_add(net.sd_bytes) > self.max_bytes_per_epoch {
+            if bytes.saturating_add(net.sd_bytes) > self.cfg.max_bytes_per_epoch {
                 break;
             }
             bytes += net.sd_bytes;
@@ -263,47 +249,23 @@ impl RepartitionPolicy {
         if raw.len() == pending.len() {
             self.target = None; // drained
         }
-        let mut working = own.clone();
-        for m in &raw {
-            working.set_owner(m.sd, m.to);
-        }
-        finish_plan(metrics.clone(), working, raw, net)
+        plan_of(raw, own, metrics, net)
     }
 
-    /// Run the inner policy, dropping any move that targets an inactive
-    /// rank (the inner roster is membership-blind).
-    fn delegate(
+    /// What the monitor reported at the last epoch.
+    pub(crate) fn drift_info(&self) -> DriftInfo {
+        self.last
+    }
+
+    /// The monitor's part of one epoch: `Some` staged chunk of a global
+    /// replan, or `None` — the incremental planner plans this epoch (and
+    /// [`drop_moves_onto_inactive`] filters what it returns).
+    pub(crate) fn replan(
         &mut self,
         own: &Ownership,
         metrics: &LoadMetrics,
         net: &LbNetwork,
-    ) -> MigrationPlan {
-        let plan = self.inner.plan(own, metrics, net);
-        let Some(mask) = net.active.as_deref() else {
-            return plan;
-        };
-        if plan.moves.iter().all(|m| mask[m.to as usize]) {
-            return plan;
-        }
-        let raw: Vec<Move> = plan
-            .moves
-            .into_iter()
-            .filter(|m| mask[m.to as usize])
-            .collect();
-        let mut working = own.clone();
-        for m in &raw {
-            working.set_owner(m.sd, m.to);
-        }
-        finish_plan(metrics.clone(), working, raw, net)
-    }
-}
-
-impl LbPolicy for RepartitionPolicy {
-    fn name(&self) -> &'static str {
-        "repartition"
-    }
-
-    fn plan(&mut self, own: &Ownership, metrics: &LoadMetrics, net: &LbNetwork) -> MigrationPlan {
+    ) -> Option<MigrationPlan> {
         self.epochs += 1;
         self.last.replan = false;
 
@@ -314,17 +276,14 @@ impl LbPolicy for RepartitionPolicy {
         };
         self.last_mask = net.active.as_deref().map(|m| m.to_vec());
 
-        let Some(graph) = net.sd_graph.clone() else {
-            // No SD graph: nothing to monitor or diff against — behave as
-            // the inner policy (inactive-target filtering still applies).
-            return self.delegate(own, metrics, net);
-        };
+        // No SD graph: nothing to monitor or diff against.
+        let graph = net.sd_graph.clone()?;
 
         // An in-flight diff drains before anything else happens — unless
         // membership changed under it, which invalidates the target.
         if self.target.is_some() && !mask_changed {
             self.last.replan = true;
-            return self.emit_chunk(own, metrics, net);
+            return Some(self.emit_chunk(own, metrics, net));
         }
         if mask_changed {
             self.target = None;
@@ -334,10 +293,10 @@ impl LbPolicy for RepartitionPolicy {
             .active
             .as_deref()
             .is_some_and(|mask| own.owners().iter().any(|&o| !mask[o as usize]));
-        let due = (self.epochs - 1).is_multiple_of(self.period);
-        let monitor = due && self.drift_threshold.is_finite();
+        let due = (self.epochs - 1).is_multiple_of(self.cfg.period);
+        let monitor = due && self.cfg.drift_threshold.is_finite();
         if !(monitor || mask_changed || stranded) {
-            return self.delegate(own, metrics, net);
+            return None;
         }
 
         let fresh = self.fresh.get(own, net, &graph);
@@ -354,40 +313,60 @@ impl LbPolicy for RepartitionPolicy {
         if monitor {
             self.last.cut_drift = cut_drift;
         }
-        if !(cut_drift > self.drift_threshold || mask_changed || stranded) {
-            return self.delegate(own, metrics, net);
+        if !(cut_drift > self.cfg.drift_threshold || mask_changed || stranded) {
+            return None;
         }
         if fresh.target.as_slice() == own.owners() {
             // Already at the fresh partition (e.g. a Join event before any
             // imbalance): nothing to stage.
-            return self.delegate(own, metrics, net);
+            return None;
         }
         self.target = Some(fresh.target.clone());
         self.last.replan = true;
-        self.emit_chunk(own, metrics, net)
+        Some(self.emit_chunk(own, metrics, net))
     }
+}
 
-    fn drift_info(&self) -> Option<DriftInfo> {
-        Some(self.last)
+/// `plan` without its moves onto inactive ranks (the incremental planners
+/// are membership-blind).
+pub(crate) fn drop_moves_onto_inactive(
+    plan: MigrationPlan,
+    own: &Ownership,
+    metrics: &LoadMetrics,
+    net: &LbNetwork,
+) -> MigrationPlan {
+    let Some(mask) = net.active.as_deref() else {
+        return plan;
+    };
+    if plan.moves.iter().all(|m| mask[m.to as usize]) {
+        return plan;
     }
+    let raw = plan
+        .moves
+        .into_iter()
+        .filter(|m| mask[m.to as usize])
+        .collect();
+    plan_of(raw, own, metrics, net)
+}
 
-    fn observe_stall(&mut self, stall_frac: f64) {
-        self.inner.observe_stall(stall_frac);
+/// The plan that applies `raw` to `own`.
+fn plan_of(
+    raw: Vec<Move>,
+    own: &Ownership,
+    metrics: &LoadMetrics,
+    net: &LbNetwork,
+) -> MigrationPlan {
+    let mut working = own.clone();
+    for m in &raw {
+        working.set_owner(m.sd, m.to);
     }
-
-    fn observe_ghost_stall(&mut self, ghost_frac: f64) {
-        self.inner.observe_ghost_stall(ghost_frac);
-    }
-
-    fn weights_mut(&mut self) -> &mut MoveWeights {
-        self.inner.weights_mut()
-    }
+    finish_plan(metrics.clone(), working, raw, net)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::balance::policy::LbSpec;
+    use crate::balance::policy::{LbPolicy, LbSpec, Planner};
     use crate::balance::power::compute_metrics;
     use nlheat_mesh::SdGrid;
     use nlheat_netmodel::{LinkSpec, NetSpec, TopologySpec};
@@ -583,15 +562,15 @@ mod tests {
         assert_eq!(policy.drift_info().unwrap().cut_drift, d1);
     }
 
-    /// A bare decorator over `tree(0)` monitoring every epoch — built
-    /// directly so the tests below can read the memo's computation count.
-    fn monitor(drift_threshold: f64, max_bytes_per_epoch: u64) -> RepartitionPolicy {
-        RepartitionPolicy::new(
-            LbSpec::tree(0.0).build(),
-            drift_threshold,
-            1,
-            max_bytes_per_epoch,
-        )
+    /// `tree(0)` behind a monitor that is due every epoch — the concrete
+    /// planner, so the tests below can read the memo's computation count.
+    fn monitor(drift_threshold: f64, max_bytes_per_epoch: u64) -> Planner {
+        let spec = LbSpec::repartition(LbSpec::tree(0.0), drift_threshold, 1, max_bytes_per_epoch);
+        Planner::new(&spec)
+    }
+
+    fn state(planner: &mut Planner) -> &mut Monitor {
+        planner.monitor.as_mut().expect("built with a monitor")
     }
 
     #[test]
@@ -611,7 +590,7 @@ mod tests {
             assert!(policy.drift_info().unwrap().cut_drift > 0.0);
         }
         assert!(owners_seen.len() > 1, "the ownership must move under it");
-        assert_eq!(policy.fresh.computations, 1);
+        assert_eq!(state(&mut policy).fresh.computations, 1);
     }
 
     #[test]
@@ -631,7 +610,7 @@ mod tests {
             // twice: the second call must be served from the memo
             policy.plan(&own, &m, net);
             policy.plan(&own, &m, net);
-            policy.fresh.computations
+            state(&mut policy).fresh.computations
         };
         let base = with(vec![total; 4], footprints.clone(), [true; 4]);
         assert_eq!(computed_after(&base), 1);
@@ -690,18 +669,22 @@ mod tests {
                 masks[(epoch >= 4) as usize + (epoch >= 10) as usize].to_vec(),
             ));
             let m = metrics_for(&current);
-            forgetful.fresh = FreshMemo::default();
+            state(&mut forgetful).fresh = FreshMemo::default();
             let a = kept.plan(&current, &m, &net);
             let b = forgetful.plan(&current, &m, &net);
             assert_eq!(a.moves, b.moves, "epoch {epoch}");
-            assert_eq!(kept.target, forgetful.target, "epoch {epoch}");
+            assert_eq!(
+                state(&mut kept).target,
+                state(&mut forgetful).target,
+                "epoch {epoch}"
+            );
             assert_eq!(kept.drift_info(), forgetful.drift_info(), "epoch {epoch}");
             replans += usize::from(kept.drift_info().unwrap().replan);
             current = a.new_ownership;
         }
         assert!(replans >= 6, "staged replans must be part of the run");
         // one partition per membership (the memo holds the last one only)
-        assert_eq!(kept.fresh.computations, 3);
+        assert_eq!(state(&mut kept).fresh.computations, 3);
     }
 
     #[test]

@@ -41,9 +41,9 @@ use nlheat_mesh::SdId;
 use nlheat_netmodel::CommCost;
 use nlheat_partition::SdGraph;
 
-/// The two weights of the move objective — the one carrier every
-/// [`LbSpec`](crate::balance::LbSpec) leaf holds and every
-/// [`LbPolicy`](crate::balance::LbPolicy) exposes through `weights_mut`.
+/// The two weights of the move objective — the one pair an
+/// [`LbSpec`](crate::balance::LbSpec) holds and its
+/// [`Planner`](crate::balance::Planner) plans with.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MoveWeights {
     /// λ: weight of the one-off migration seconds against busy-time

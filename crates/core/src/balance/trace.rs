@@ -37,9 +37,9 @@ pub struct EpochTrace {
     /// The inter-rack share of `ghost_bytes_after`.
     pub inter_rack_ghost_bytes_after: u64,
     /// Ratio of the live ghost cut to a freshly repartitioned cut, as
-    /// last measured by the [`Repartition`](crate::balance::LbSpec::Repartition)
-    /// drift monitor (0 for policies without one, or before the first
-    /// cadence check).
+    /// last measured by the drift monitor of
+    /// [`LbSpec::repartition`](crate::balance::LbSpec::repartition) (0 for
+    /// policies without one, or before the first cadence check).
     pub cut_drift: f64,
     /// True when this epoch's plan came from a global replan (or a staged
     /// chunk of one) rather than the incremental policy.

@@ -45,6 +45,8 @@
 //! carry the step index, so a fast node may run ahead and its bundles are
 //! stashed by the receiver's rendezvous table until expected — the
 //! asynchronous pipelining an AMT runtime buys.
+//!
+//! [`LbSchedule::period`]: crate::balance::LbSchedule::period
 
 pub use crate::balance::LbSpec;
 use crate::balance::{EpochLog, EpochMeasure, EpochTrace, LbEpoch, Move, SdGraph};
@@ -96,7 +98,8 @@ pub struct DistReport {
     /// identical counters on both substrates).
     pub migration_bytes: u64,
     /// The inter-rack share of `migration_bytes` (per the configured
-    /// [`NetSpec`]'s link classes; 0 for rack-less models).
+    /// [`NetSpec`](nlheat_netmodel::NetSpec)'s link classes; 0 for rack-less
+    /// models).
     pub inter_rack_migration_bytes: u64,
     /// Planner-grade ghost-exchange bytes between localities over the
     /// whole run, counted per foreign halo patch with the same
@@ -1182,11 +1185,12 @@ mod tests {
         let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 4);
         sc.lb = Some(LbSchedule {
             period: 2,
-            spec: LbSpec::Tree {
+            spec: LbSpec {
                 weights: MoveWeights {
                     lambda: -1.0,
                     mu: 0.0,
                 },
+                ..LbSpec::default()
             },
         });
         let _ = run(&sc);

@@ -11,9 +11,10 @@
 //! * [`balance`] — **Algorithm 1**: busy-time-derived node power (eq. 8),
 //!   expected SD counts (eq. 10), load imbalance (eq. 9), the
 //!   data-dependency tree with topological ordering (Fig. 7), and
-//!   contiguity-preserving uniform SD borrowing (Fig. 6) — one strategy
-//!   behind the pluggable `LbPolicy`/`LbSpec` layer that also ships
-//!   diffusion, greedy-steal and adaptive-λ policies.
+//!   contiguity-preserving uniform SD borrowing (Fig. 6) — one leaf of
+//!   the `LbSpec` record, beside diffusion and greedy-steal, the
+//!   hierarchical planner, the adaptive-λ/μ controllers and the cut-drift
+//!   monitor, all run by one `Planner`.
 //! * [`ghost`] — the halo-exchange schedule: one bundle of patch records
 //!   per step and ordered rank pair, derived from ownership alone.
 //! * [`ownership`] — the SD→node ownership map shared by all of the above.

@@ -224,7 +224,7 @@ pub fn drifted_owners(sds: &SdGrid, n_nodes: u32) -> Vec<u32> {
 /// [`drifted_owners`] — a lopsided, island-riddled map whose recurring
 /// ghost cut is far above a fresh k-way partition's — and a propagating
 /// crack keeps the balancer working. Incremental policies can fix the
-/// count skew but never heal the islands; the [`LbSpec::Repartition`]
+/// count skew but never heal the islands; the [`LbSpec::repartition`]
 /// decorator's drift monitor compares the live cut against a fresh
 /// partition each epoch and re-invokes the multilevel partitioner once
 /// the ratio passes the threshold. A12 swaps the spec to compare

@@ -203,8 +203,8 @@ impl ClusterSpec {
 /// `work_schedule` entries. Events change what the *planner* sees — the
 /// active-rank mask on its [`crate::balance::LbNetwork`] — never the
 /// numerics: a drained or failed rank keeps computing the SDs it still
-/// owns until the [`Repartition`](crate::balance::LbSpec::Repartition)
-/// policy has evacuated them, so the field stays bit-exact through any
+/// owns until the [`repartition`](crate::balance::LbSpec::repartition)
+/// monitor has evacuated them, so the field stays bit-exact through any
 /// membership timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
@@ -416,9 +416,9 @@ pub struct Scenario {
     pub work_schedule: Vec<(usize, WorkModel)>,
     /// Elastic cluster-membership timeline: `(from_step, event)` entries
     /// sorted by step, applied by both substrates ([`active_at`]). Events
-    /// require an [`LbSpec::Repartition`](crate::balance::LbSpec::Repartition)
-    /// policy in the LB chain — only the replanner evacuates drained and
-    /// failed ranks or spreads load onto joiners.
+    /// require an [`LbSpec::repartition`](crate::balance::LbSpec::repartition)
+    /// policy — only the replanner evacuates drained and failed ranks or
+    /// spreads load onto joiners.
     pub cluster_events: Vec<(usize, ClusterEvent)>,
     /// Case-1/case-2 overlap (§6.3); `false` waits for all ghosts before
     /// computing anything (ablation A2).
@@ -617,9 +617,9 @@ impl Scenario {
             assert!(
                 self.lb
                     .as_ref()
-                    .is_some_and(|lb| lb.spec.chain_has_repartition()),
-                "cluster events require an LbSpec::Repartition policy in the \
-                 LB chain (only the replanner evacuates drained/failed ranks \
+                    .is_some_and(|lb| lb.spec.repartition.is_some()),
+                "cluster events require an LbSpec::repartition policy \
+                 (only the replanner evacuates drained/failed ranks \
                  and spreads load onto joiners)"
             );
             let n = self.cluster.len();
@@ -1306,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "require an LbSpec::Repartition policy")]
+    #[should_panic(expected = "require an LbSpec::repartition policy")]
     fn cluster_events_require_a_repartition_policy() {
         elastic_scenario()
             .with_lb(LbSchedule::every(2).with_spec(LbSpec::greedy_steal(1)))

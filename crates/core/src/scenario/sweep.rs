@@ -384,8 +384,8 @@ pub struct RunRecord {
     /// The inter-rack share of `final_cut_bytes`.
     pub final_inter_rack_cut_bytes: Option<u64>,
     /// Epochs where a drift monitor re-invoked the partitioner
-    /// ([`crate::balance::EpochTrace::replan`]); 0 without an
-    /// [`crate::balance::LbSpec::Repartition`] in the chain.
+    /// ([`crate::balance::EpochTrace::replan`]); 0 without
+    /// [`crate::balance::LbSpec::repartition`].
     pub replans: usize,
     /// Peak live/fresh cut ratio ([`crate::balance::EpochTrace::cut_drift`])
     /// seen across the run's epochs; 0.0 when no drift monitor ran.

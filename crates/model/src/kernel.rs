@@ -17,7 +17,7 @@
 //! Summed one DP at a time it is a single `acc += w·(u_j − u_i)` chain:
 //! every add waits for the one before it, so the loop runs at
 //! floating-point *latency* however its operands are addressed. The one
-//! production implementation ([`NonlocalKernel::interaction_sums`]) instead
+//! production implementation (`NonlocalKernel::interaction_sums`) instead
 //! accumulates `W` = 8 adjacent cells of a row together — for each stencil
 //! weight, `acc[k] += w·(u[idx+k] − u_i[k])` for k in 0..W — which gives the
 //! core eight independent chains and turns the loop throughput-bound.

@@ -3,7 +3,7 @@
 //! The first phase of the multilevel scheme: repeatedly collapse a maximal
 //! matching that prefers heavy edges, so that the coarse graph preserves the
 //! cut structure of the fine graph (Karypis & Kumar 1998, the METIS paper
-//! the reproduction target cites as [7]).
+//! the reproduction target cites as \[7\]).
 
 use crate::graph::Csr;
 use rand::seq::SliceRandom;

@@ -2,7 +2,7 @@
 //!
 //! [`crate::kway::part_graph`] answers the bootstrap question — partition a
 //! mesh nobody owns yet, balancing cell counts. Mid-run repartitioning (the
-//! `LbSpec::Repartition` escape hatch) asks a harder one: re-split the
+//! `LbSpec::repartition` escape hatch) asks a harder one: re-split the
 //! runtime's [`crate::SdGraph`] so that every part fits a *byte capacity*
 //! (per-rank `memory_bytes`, pricing tiles + ghost buffers), at a scale
 //! where the recursive-bisection path is far too slow — a 10k-rank replan
@@ -31,10 +31,10 @@
 //! direct path (≤ 8192 vertices) still builds a re-weighted copy, because
 //! [`part_graph`] reads its weights off the graph.
 //!
-//! Both strategies end in [`capacity_repair`]-style sweeps so no part
-//! exceeds its byte capacity when a feasible assignment is reachable by
-//! single-vertex moves. Determinism: same graph, weights, caps and seed
-//! produce the same partition (the cross-substrate parity contract).
+//! Both strategies end in `capacity_sweeps` so no part exceeds its byte
+//! capacity when a feasible assignment is reachable by single-vertex
+//! moves. Determinism: same graph, weights, caps and seed produce the same
+//! partition (the cross-substrate parity contract).
 
 use crate::coarsen::{heavy_edge_matching, CoarseLevel};
 use crate::graph::Csr;

@@ -560,11 +560,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "lambda must be finite")]
     fn degenerate_lambda_rejected_at_configuration() {
-        let _ = LbSchedule::every(4).with_spec(LbSpec::Tree {
+        let _ = LbSchedule::every(4).with_spec(LbSpec {
             weights: MoveWeights {
                 lambda: f64::NAN,
                 mu: 0.0,
             },
+            ..LbSpec::default()
         });
     }
 

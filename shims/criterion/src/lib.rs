@@ -179,7 +179,7 @@ pub struct Bencher {
 impl Bencher {
     /// Run the routine adaptively: one untimed warm-up, a timed probe to
     /// size the loop, then a measurement loop targeting
-    /// [`target_measurement`] total wall time (min 3 iterations so short
+    /// `target_measurement` total wall time (min 3 iterations so short
     /// routines still average over noise).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
         black_box(routine()); // warm-up, untimed

@@ -162,7 +162,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length selector for [`vec`]: a fixed size or a half-open range.
+    /// Length selector for [`vec()`]: a fixed size or a half-open range.
     pub struct SizeRange(Range<usize>);
 
     impl From<usize> for SizeRange {

@@ -24,6 +24,12 @@
 //! `hierarchical(leaf, λ)` runs the level machinery whatever the leaf; the
 //! single-rack case is there to drive the degenerate delegate — the only
 //! way to reach the diffusion and greedy-steal λ terms from an `LbSpec`.
+//!
+//! [`STEERED_GOLDEN`] is the table for the controllers themselves: the
+//! same digests under `LbInput::Measured`, where the simulator feeds the
+//! policy its migration- and ghost-stall fractions and the adaptive legs
+//! plan at a λ/μ they steered — recorded at PR 24's parent (`af8075b`),
+//! before the decorator chain became one planner.
 
 use nonlocalheat::netmodel::{LinkSpec, NetSpec, TopologySpec};
 use nonlocalheat::prelude::*;
@@ -86,6 +92,22 @@ const MONITOR_GOLDEN: &[(&str, u64)] = &[
     ("cut_drift", 0xb1352366ee86b1b9),
     ("elastic_scale_out", 0x49b4144c57314e88),
     ("rank_failure", 0x5da500328391d8e9),
+];
+
+/// `(scenario, leg, plan digest, makespan bits)` of the steered legs under
+/// `LbInput::Measured`, recorded at the parent commit.
+#[rustfmt::skip]
+const STEERED_GOLDEN: &[(&str, &str, u64, u64)] = &[
+    ("lopsided_two_rack", "adaptive(tree(0.5))", 0x784838806950e381, 0x3f7064a71e926748),
+    ("lopsided_two_rack", "adaptive_mu(tree(0))", 0x53264556c73ccc17, 0x3f70a4acb6f18805),
+    ("lopsided_two_rack", "adaptive(adaptive_mu(tree(0)))", 0x6a885eb3210db461, 0x3f709523932d18e7),
+    ("lopsided_two_rack", "adaptive(hier(tree(0),0.5))", 0x887a354ff75a416f, 0x3f7090c6e2272707),
+    ("lopsided_two_rack", "repartition(adaptive_mu(tree(0)))", 0x53264556c73ccc17, 0x3f70a4acb6f18805),
+    ("heterogeneous_two_rack", "adaptive(tree(0.5))", 0x5553702f5c202d2e, 0x3f70dd21479229a5),
+    ("heterogeneous_two_rack", "adaptive_mu(tree(0))", 0xc0a0b1a6767f83e9, 0x3f74e4a4c0fb4391),
+    ("heterogeneous_two_rack", "adaptive(adaptive_mu(tree(0)))", 0xa2f0ecdf57951345, 0x3f72e516e7f0611a),
+    ("heterogeneous_two_rack", "adaptive(hier(tree(0),0.5))", 0x5553702f5c202d2e, 0x3f70dd21479229a5),
+    ("heterogeneous_two_rack", "repartition(adaptive_mu(tree(0)))", 0xc0a0b1a6767f83e9, 0x3f74e4a4c0fb4391),
 ];
 
 fn fnv1a(h: &mut u64, v: u64) {
@@ -300,5 +322,81 @@ fn repartition_scenarios_match_the_digests_recorded_before_the_memo() {
     assert!(
         actual == MONITOR_GOLDEN,
         "repartition digests moved; if intended, MONITOR_GOLDEN becomes:\n{table}"
+    );
+}
+
+/// The controller legs: `(name, spec, the specs its plans must differ
+/// from)` — first the unsteered sibling (the spec minus its `adaptive*`
+/// layers), then, for the two-controller leg, both one-controller specs.
+/// `tree(0.5)` under both controllers freezes to nothing, hence
+/// `tree(0.0)` there.
+fn steered_roster() -> Vec<(&'static str, LbSpec, Vec<LbSpec>)> {
+    let tree0 = LbSpec::tree(0.0);
+    let hier = LbSpec::hierarchical(tree0.clone(), 0.5);
+    let lambda = LbSpec::adaptive(LbSpec::tree(0.5), 0.05);
+    let mu = LbSpec::adaptive_mu(tree0.clone(), 0.05);
+    vec![
+        (
+            "adaptive(tree(0.5))",
+            lambda.clone(),
+            vec![LbSpec::tree(0.5)],
+        ),
+        ("adaptive_mu(tree(0))", mu.clone(), vec![tree0.clone()]),
+        (
+            "adaptive(adaptive_mu(tree(0)))",
+            LbSpec::adaptive(mu.clone(), 0.05),
+            vec![tree0.clone(), lambda, mu.clone()],
+        ),
+        (
+            "adaptive(hier(tree(0),0.5))",
+            LbSpec::adaptive(hier.clone(), 0.05),
+            vec![hier],
+        ),
+        (
+            "repartition(adaptive_mu(tree(0)))",
+            LbSpec::repartition(mu, 1.15, 1, u64::MAX),
+            vec![LbSpec::repartition(tree0, 1.15, 1, u64::MAX)],
+        ),
+    ]
+}
+
+#[test]
+fn steered_plans_match_the_digests_recorded_at_the_parent() {
+    let run = |base: &Scenario, spec: &LbSpec| {
+        base.clone()
+            .with_lb_input(LbInput::Measured)
+            .with_lb(LbSchedule::every(2).with_spec(spec.clone()))
+            .run_sim()
+    };
+    let mut actual: Vec<(&str, &str, u64, u64)> = Vec::new();
+    for (scenario, base) in [
+        ("lopsided_two_rack", scenarios::lopsided_two_rack(true)),
+        (
+            "heterogeneous_two_rack",
+            scenarios::heterogeneous_cluster(true).with_net(scenarios::two_rack_net()),
+        ),
+    ] {
+        for (name, spec, others) in steered_roster() {
+            let report = run(&base, &spec);
+            assert!(
+                !report.lb_plans.is_empty(),
+                "{scenario}/{name}: the controller froze the plan — the digest would pin nothing"
+            );
+            for other in &others {
+                assert!(
+                    report.lb_plans != run(&base, other).lb_plans,
+                    "{scenario}/{name}: plans equal {other:?}'s — the controller never steered"
+                );
+            }
+            actual.push((scenario, name, digest(&report), report.makespan.to_bits()));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(s, l, d, m)| format!("    (\"{s}\", \"{l}\", 0x{d:016x}, 0x{m:016x}),\n"))
+        .collect();
+    assert!(
+        actual == STEERED_GOLDEN,
+        "steered digests moved; if intended, STEERED_GOLDEN becomes:\n{table}"
     );
 }

@@ -77,7 +77,7 @@ fn cross_substrate_parity_for_every_lb_spec() {
             spec.name()
         );
         // the baseline spec must actually exercise the machinery
-        if matches!(spec, LbSpec::Tree { weights } if weights.lambda == 0.0) {
+        if spec == LbSpec::tree(0.0) {
             assert!(sim.migrations > 0, "the lopsided start must migrate");
         }
     }

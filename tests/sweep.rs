@@ -77,9 +77,7 @@ fn sweep_measurements_agree_across_substrates_under_modeled_input() {
         ScenarioSweep::new(base)
             .axis(Axis::numeric("lambda", &[0.0, 1.0], |mut sc, l| {
                 if let Some(lb) = &mut sc.lb {
-                    if let LbSpec::Tree { weights } = &mut lb.spec {
-                        weights.lambda = l;
-                    }
+                    lb.spec.weights.lambda = l;
                 }
                 sc
             }))
