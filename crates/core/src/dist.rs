@@ -50,7 +50,7 @@
 
 pub use crate::balance::LbSpec;
 use crate::balance::{EpochLog, EpochMeasure, EpochTrace, LbEpoch, Move, SdGraph};
-use crate::ghost::{group_by_work, reverse_index, PatchRecord, Region, RegionCut, StepLayout};
+use crate::ghost::{group_by_work, halo_plans, PatchRecord, Region, RegionCut, StepLayout};
 use crate::ownership::Ownership;
 use crate::scenario::{failed_at, Scenario};
 use crate::workload::WorkModel;
@@ -63,7 +63,7 @@ use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::tag;
 use nlheat_amt::pool::PoolHandle;
-use nlheat_mesh::{build_halo_plan, HaloPlan, Rect, SdGrid, SdId, Tile};
+use nlheat_mesh::{HaloPlan, Rect, SdGrid, SdId, Tile};
 use nlheat_model::{ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, SourceFn};
 use nlheat_netmodel::LinkClass;
 use parking_lot::{Mutex, RwLock};
@@ -102,17 +102,15 @@ pub struct DistReport {
     /// models).
     pub inter_rack_migration_bytes: u64,
     /// Planner-grade ghost-exchange bytes between localities over the
-    /// whole run, counted per foreign halo patch with the same
-    /// `patch_wire_bytes` formula the simulator charges — exactly the
-    /// payload bytes of the ghost bundles (the wire adds only the 24-byte
-    /// parcel header per bundle).
+    /// whole run: the payload bytes of the ghost bundles, which the
+    /// simulator charges too (the wire adds only the 24-byte parcel header
+    /// per bundle).
     pub ghost_bytes: u64,
     /// The inter-rack share of `ghost_bytes`.
     pub inter_rack_ghost_bytes: u64,
     /// Foreign halo patches shipped over the whole run (counted beside
     /// `ghost_bytes`, under the same failure mask): the records inside
-    /// the bundles, and the number of ghost messages the simulator's
-    /// per-patch model sends.
+    /// the bundles.
     pub ghost_patches: u64,
     /// Per-node SD counts after each balancing epoch.
     pub lb_history: Vec<Vec<usize>>,
@@ -165,11 +163,7 @@ impl<'a> Setup<'a> {
     fn build(sc: &'a Scenario) -> Self {
         let parts = sc.problem.build();
         let sds = sc.sd_grid();
-        let plans: Vec<HaloPlan> = sds
-            .ids()
-            .map(|id| build_halo_plan(&sds, parts.grid.halo, id))
-            .collect();
-        let reverse = reverse_index(&plans);
+        let (plans, reverse) = halo_plans(&sds, parts.grid.halo);
         let n_nodes = sc.cluster.len() as u32;
         let initial_owners = sc.partition.initial_owners(&sds, n_nodes);
         let sd_graph = sc
@@ -403,7 +397,7 @@ fn spawn_grouped<'a>(
     });
     let mut futures = Vec::new();
     group_by_work(with_work, &plan.layout.cut, |regions| {
-        futures.push(spawner.async_call(region_task(plan, t, regions)));
+        futures.push(spawner.async_call(region_task(plan, t, regions.to_vec())));
     });
     futures
 }
@@ -671,16 +665,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
         .register(KERNEL_VECTOR_LEVEL_COUNTER, Counter::raw())
         .add(kern.plan.level().index());
     let manufactured = setup.parts.manufactured.clone();
-    let cut = RegionCut {
-        sd: sds.sd,
-        halo,
-        overlap: sc.overlap,
-        // Intra-step stealing: one task per row band of this height — a
-        // function of the scenario alone, never of timing.
-        band: sc
-            .intra_step_stealing
-            .then(|| (sds.sd / (2 * loc.n_workers() as i64)).max(1)),
-    };
+    let cut = RegionCut::new(sc, halo, loc.n_workers());
     // The step plan of `owners`, its tiles drawn from `slot_of`. Rebuilt
     // only when a migration epoch rewrites ownership.
     let plan_for = |owners: &[u32], slot_of: &mut dyn FnMut(SdId) -> TileSlot| {
@@ -715,9 +700,9 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let mut error_partials = Vec::with_capacity(sc.steps);
     let mut in_migrations = 0usize;
     // Planner-grade ghost-traffic counters (what this locality sends):
-    // per foreign patch the same `patch_wire_bytes` the simulator charges
-    // and the SdGraph weighs, so both substrates' counters agree under
-    // identical ownership sequences.
+    // per bundle the wire bytes the simulator charges and the SdGraph
+    // weighs, so both substrates' counters agree under identical
+    // ownership sequences.
     let mut ghost_bytes = 0u64;
     let mut inter_rack_ghost_bytes = 0u64;
     let mut ghost_patches = 0u64;
@@ -1020,6 +1005,7 @@ mod tests {
     use crate::ghost::{row_bands, RegionLists};
     use crate::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec};
     use nlheat_amt::pool::ThreadPool;
+    use nlheat_mesh::build_halo_plan;
     use nlheat_model::{ProblemSpec, SerialSolver};
     use nlheat_netmodel::NetSpec;
 
@@ -1359,8 +1345,7 @@ mod tests {
     /// source tiles the payloads were packed from.
     fn middle_rank_gate() -> ([Bytes; 2], Arc<StepPlan>, [Tile; 2]) {
         let sds = SdGrid::new(3, 1, 4);
-        let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(&sds, 2, id)).collect();
-        let reverse = reverse_index(&plans);
+        let (plans, reverse) = halo_plans(&sds, 2);
         let owners = [0, 1, 2];
         let cut = RegionCut {
             sd: 4,
@@ -1489,14 +1474,14 @@ mod tests {
             *v = (i as f64 * 0.37).sin();
         }
         let sds = SdGrid::new(1, 1, 8);
-        let plans = [build_halo_plan(&sds, halo, 0)];
+        let (plans, reverse) = halo_plans(&sds, halo);
         let cut = RegionCut {
             sd: 8,
             halo,
             overlap: true,
             band,
         };
-        let layout = StepLayout::build(&plans, &reverse_index(&plans), &[0], 0, &cut);
+        let layout = StepLayout::build(&plans, &reverse, &[0], 0, &cut);
         let kern = step_kernel(parts, curr.stride());
         let slot = TileSlot::new((8, 8), curr, Tile::new(8, halo));
         let mut plan = StepPlan::new(layout, vec![slot], kern);
@@ -1515,7 +1500,7 @@ mod tests {
         let mut tasks = Vec::new();
         let work = u64::from(plan.repeats[0]) * plan.kern.kernel.stencil.len() as u64;
         group_by_work(lists.lists().map(|list| (list, work)), cut, |regions| {
-            tasks.push(region_task(plan, 0.25, regions));
+            tasks.push(region_task(plan, 0.25, regions.to_vec()));
         });
         let n = tasks.len();
         tasks.into_iter().for_each(|task| task());

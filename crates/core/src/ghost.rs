@@ -33,10 +33,10 @@
 //! [`Region`]s its compute tasks run — which [`group_by_work`] then deals
 //! into tasks that are worth scheduling.
 
+use crate::scenario::Scenario;
 use bytes::{Bytes, BytesMut};
 use nlheat_amt::codec::{encode_ghost_record, GhostRecordHeader};
-use nlheat_mesh::{split_cases, HaloPlan, Rect, SdId, Tile};
-use std::collections::BTreeMap;
+use nlheat_mesh::{build_halo_plan, split_cases, HaloPlan, Rect, SdGrid, SdId, Tile};
 
 /// One halo patch as a record of a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,9 +176,14 @@ impl RegionLists {
     /// into row bands of height ≤ `band` when one is given.
     pub(crate) fn push_tile(&mut self, rects: &[Rect], band: Option<i64>) {
         let tile = self.ends.len() as u32;
-        for rect in rects.iter().filter(|r| !r.is_empty()) {
-            let bands = row_bands(rect, band.unwrap_or(rect.h));
-            self.regions.extend(bands.map(|rect| Region { tile, rect }));
+        for &rect in rects.iter().filter(|r| !r.is_empty()) {
+            match band {
+                None => self.regions.push(Region { tile, rect }),
+                Some(band) => {
+                    let bands = row_bands(&rect, band);
+                    self.regions.extend(bands.map(|rect| Region { tile, rect }));
+                }
+            }
         }
         self.ends.push(self.regions.len() as u32);
     }
@@ -212,6 +217,25 @@ pub struct RegionCut {
     /// `Some(h)`: every region is cut into row bands of height ≤ `h`, each
     /// its own task — the piece an idle worker steals within a step.
     pub band: Option<i64>,
+}
+
+impl RegionCut {
+    /// The cut `sc`'s steps are made with on a node of `workers` cores
+    /// whose SDs carry a ghost ring of `halo` cells — the one the driver
+    /// replays and the simulator charges. With intra-step stealing every
+    /// region is cut into row bands of height `sd / (2 · workers)`: a
+    /// function of the scenario alone, never of timing.
+    pub fn new(sc: &Scenario, halo: i64, workers: usize) -> Self {
+        let sd = sc.sd_size as i64;
+        RegionCut {
+            sd,
+            halo,
+            overlap: sc.overlap,
+            band: sc
+                .intra_step_stealing
+                .then(|| (sd / (2 * workers as i64)).max(1)),
+        }
+    }
 }
 
 /// Split `rect` into horizontal bands of height ≤ `band`, top to bottom.
@@ -248,7 +272,7 @@ pub const TASK_WORK_FLOOR: u64 = 1 << 16;
 
 /// Deal region lists into compute tasks. `lists` yields, per SD, one of its
 /// region lists and the SD's work per cell (kernel repeats × stencil
-/// points); `task` receives the regions of each task.
+/// points); `task` sees the regions of each task.
 ///
 /// - With [`RegionCut::band`] set every region — a row band — is a task of
 ///   its own: it is the thief's unit and never merged.
@@ -261,7 +285,7 @@ pub const TASK_WORK_FLOOR: u64 = 1 << 16;
 pub fn group_by_work<'a>(
     lists: impl IntoIterator<Item = (&'a [Region], u64)>,
     cut: &RegionCut,
-    mut task: impl FnMut(Vec<Region>),
+    mut task: impl FnMut(&[Region]),
 ) {
     let sd_cells = (cut.sd * cut.sd) as u64;
     let (mut open, mut open_work) = (Vec::new(), 0u64);
@@ -270,22 +294,21 @@ pub fn group_by_work<'a>(
             continue;
         }
         if cut.band.is_some() {
-            list.iter().for_each(|r| task(vec![*r]));
+            list.chunks(1).for_each(&mut task);
         } else if sd_cells * work_per_cell >= TASK_WORK_FLOOR {
-            task(list.to_vec());
+            task(list);
         } else {
             open.extend_from_slice(list);
             open_work += list.iter().map(|r| r.rect.area() as u64).sum::<u64>() * work_per_cell;
             if open_work >= TASK_WORK_FLOOR {
-                // the next task will be about as long: no regrowth
-                let next = Vec::with_capacity(open.len());
-                task(std::mem::replace(&mut open, next));
+                task(&open);
+                open.clear();
                 open_work = 0;
             }
         }
     }
     if !open.is_empty() {
-        task(open);
+        task(&open);
     }
 }
 
@@ -327,9 +350,15 @@ impl StepLayout {
         }
         let is_foreign = |sd: SdId| owners[sd as usize] != me;
         let full = Rect::new(0, 0, cut.sd, cut.sd);
-        let mut fills = Vec::new();
-        let (mut at_spawn, mut gated) = (RegionLists::default(), RegionLists::default());
-        for (tile, &sd) in schedule.owned.iter().enumerate() {
+        let owned = &schedule.owned;
+        let patches = owned.iter().map(|&sd| plans[sd as usize].patches.len());
+        let mut fills = Vec::with_capacity(patches.sum());
+        let lists = || RegionLists {
+            regions: Vec::with_capacity(owned.len()),
+            ends: Vec::with_capacity(owned.len()),
+        };
+        let (mut at_spawn, mut gated) = (lists(), lists());
+        for (tile, &sd) in owned.iter().enumerate() {
             let tile = tile as u32;
             let plan = &plans[sd as usize];
             for (_, src, patch) in plan.sd_patches() {
@@ -347,7 +376,7 @@ impl StepLayout {
             // ghosts waits for them before computing anything.
             let split = split_cases(cut.sd, cut.halo, plan, is_foreign);
             let (now, later) = if cut.overlap || split.is_all_case2() {
-                (split.case2, &split.case1[..])
+                (split.case2, split.case1())
             } else {
                 (Rect::empty(), std::slice::from_ref(&full))
             };
@@ -364,10 +393,37 @@ impl StepLayout {
     }
 }
 
+/// The halo plan of every SD of `sds` under a ghost ring of `halo` cells
+/// (`plans[i]` is SD `i`'s) and their [`reverse_index`]: the
+/// ownership-free half of every [`StepLayout`], built once per run.
+pub fn halo_plans(sds: &SdGrid, halo: i64) -> (Vec<HaloPlan>, Vec<Vec<(SdId, u16)>>) {
+    let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(sds, halo, id)).collect();
+    let reverse = reverse_index(&plans);
+    (plans, reverse)
+}
+
+/// The record list of the bundle to or from `peer` in `bundles`, opened if
+/// there is none yet.
+fn records_to(bundles: &mut Vec<(u32, Vec<PatchRecord>)>, peer: u32) -> &mut Vec<PatchRecord> {
+    let at = match bundles.iter().position(|&(p, _)| p == peer) {
+        Some(at) => at,
+        None => {
+            bundles.push((peer, Vec::new()));
+            bundles.len() - 1
+        }
+    };
+    &mut bundles[at].1
+}
+
 /// For each source SD, the `(destination SD, patch index)` pairs that read
 /// from it — the halo plans turned around.
 pub fn reverse_index(plans: &[HaloPlan]) -> Vec<Vec<(SdId, u16)>> {
-    let mut reverse = vec![Vec::new(); plans.len()];
+    // sized first, so the lists are allocated once each, in SD order
+    let mut readers = vec![0usize; plans.len()];
+    for (_, src, _) in plans.iter().flat_map(HaloPlan::sd_patches) {
+        readers[src as usize] += 1;
+    }
+    let mut reverse: Vec<Vec<(SdId, u16)>> = readers.into_iter().map(Vec::with_capacity).collect();
     for plan in plans {
         for (idx, src, _) in plan.sd_patches() {
             reverse[src as usize].push((plan.sd, idx as u16));
@@ -389,15 +445,16 @@ impl GhostSchedule {
         let owned: Vec<SdId> = (0..owners.len() as SdId)
             .filter(|&sd| owner(sd) == me)
             .collect();
-        let mut sends: BTreeMap<u32, Vec<PatchRecord>> = BTreeMap::new();
-        let mut recvs: BTreeMap<u32, Vec<PatchRecord>> = BTreeMap::new();
+        // `(peer, records)`: a rank has few neighbours, so a list beats a map
+        let mut sends: Vec<(u32, Vec<PatchRecord>)> = Vec::new();
+        let mut recvs: Vec<(u32, Vec<PatchRecord>)> = Vec::new();
         let mut awaited = vec![0u32; owned.len()];
         for (tile, &sd) in owned.iter().enumerate() {
             let tile = tile as u32;
             for &(dst_sd, pidx) in &reverse[sd as usize] {
                 if owner(dst_sd) != me {
                     let patch = &plans[dst_sd as usize].patches[pidx as usize];
-                    sends.entry(owner(dst_sd)).or_default().push(PatchRecord {
+                    records_to(&mut sends, owner(dst_sd)).push(PatchRecord {
                         dst_sd,
                         pidx,
                         tile,
@@ -407,7 +464,7 @@ impl GhostSchedule {
             }
             for (pidx, src, patch) in plans[sd as usize].sd_patches() {
                 if owner(src) != me {
-                    let bundle = recvs.entry(owner(src)).or_default();
+                    let bundle = records_to(&mut recvs, owner(src));
                     if bundle.last().is_none_or(|r| r.dst_sd != sd) {
                         awaited[tile as usize] += 1;
                     }
@@ -423,11 +480,13 @@ impl GhostSchedule {
         // Receive lists come out in wire order (SDs ascending, patches in
         // plan order); send lists were gathered by *source* SD and need
         // the sort.
-        for records in sends.values_mut() {
+        for (_, records) in &mut sends {
             records.sort_unstable_by_key(|r| (r.dst_sd, r.pidx));
         }
-        let bundles = |map: BTreeMap<u32, Vec<PatchRecord>>| {
-            map.into_iter()
+        let bundles = |mut peers: Vec<(u32, Vec<PatchRecord>)>| {
+            peers.sort_unstable_by_key(|&(peer, _)| peer);
+            peers
+                .into_iter()
                 .map(|(peer, records)| RankBundle::new(peer, records))
                 .collect()
         };

@@ -430,12 +430,12 @@ pub struct Scenario {
     pub record_error: bool,
     /// What the balancing policies plan from (measured or modeled busy).
     pub lb_input: LbInput,
-    /// Intra-step tile-task work stealing (real runtime only): decompose
-    /// each SD's step update into row-band tasks so idle pool workers
-    /// steal pieces of a straggler SD *within* a timestep. Orthogonal to
-    /// `lb` — stealing absorbs transients inside a node, migration fixes
-    /// persistent skew across nodes. Numerics are bit-identical either
-    /// way. The simulator's cost model ignores it.
+    /// Intra-step tile-task work stealing: decompose each SD's step
+    /// update into row-band tasks so idle pool workers steal pieces of a
+    /// straggler SD *within* a timestep. Orthogonal to `lb` — stealing
+    /// absorbs transients inside a node, migration fixes persistent skew
+    /// across nodes. Numerics are bit-identical either way. The simulator
+    /// schedules the same row-band tasks.
     pub intra_step_stealing: bool,
 }
 
@@ -532,7 +532,7 @@ impl Scenario {
         self
     }
 
-    /// Toggle intra-step tile-task work stealing (real runtime only).
+    /// Toggle intra-step tile-task work stealing.
     pub fn with_intra_step_stealing(mut self, on: bool) -> Self {
         self.intra_step_stealing = on;
         self
@@ -824,8 +824,8 @@ pub struct DistExtras {
     /// parcel headers and the LB protocol, unlike the planner-grade
     /// counters).
     pub wire_cross_bytes: u64,
-    /// Foreign halo patches shipped inside the ghost bundles — what the
-    /// simulator's per-patch model counts as `messages`.
+    /// Foreign halo patches shipped inside the ghost bundles (their
+    /// records).
     pub ghost_patches: u64,
     /// Per-locality successful task steals in the worker pools over the
     /// whole run (injector grabs plus peer-to-peer deque steals — the
@@ -853,7 +853,8 @@ pub struct SimExtras {
     /// Bytes crossing node boundaries in virtual time (ghosts +
     /// migrations).
     pub cross_bytes: u64,
-    /// Messages crossing node boundaries.
+    /// Messages crossing node boundaries: one ghost bundle per step and
+    /// ordered rank pair that share a halo, plus one per migrated SD.
     pub messages: u64,
 }
 

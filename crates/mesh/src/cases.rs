@@ -22,25 +22,22 @@ pub struct CaseSplit {
     /// The foreign-independent region (computed while messages are in
     /// flight). Empty when foreign margins swallow the whole SD.
     pub case2: Rect,
-    /// Foreign-dependent strips (computed after ghosts arrive). Pairwise
-    /// disjoint; together with `case2` they tile the SD interior.
-    pub case1: Vec<Rect>,
+    /// The first `n_case1` entries are the case-1 strips: one per side at
+    /// most, held inline so a split allocates nothing.
+    case1: [Rect; 4],
+    n_case1: usize,
 }
 
 impl CaseSplit {
-    /// Total case-1 cells.
-    pub fn case1_area(&self) -> i64 {
-        self.case1.iter().map(Rect::area).sum()
-    }
-
-    /// Total case-2 cells.
-    pub fn case2_area(&self) -> i64 {
-        self.case2.area()
+    /// Foreign-dependent strips (computed after ghosts arrive). Pairwise
+    /// disjoint; together with `case2` they tile the SD interior.
+    pub fn case1(&self) -> &[Rect] {
+        &self.case1[..self.n_case1]
     }
 
     /// True when the SD has no foreign dependencies at all.
     pub fn is_all_case2(&self) -> bool {
-        self.case1.is_empty()
+        self.n_case1 == 0
     }
 }
 
@@ -83,28 +80,31 @@ pub fn split_cases(
 
     let inner_w = sd - ml - mr;
     let inner_h = sd - mb - mt;
+    let mut split = CaseSplit {
+        case2: Rect::empty(),
+        case1: [Rect::empty(); 4],
+        n_case1: 0,
+    };
     if inner_w <= 0 || inner_h <= 0 {
         // Margins swallow the SD: everything is case 1.
-        return CaseSplit {
-            case2: Rect::empty(),
-            case1: vec![Rect::new(0, 0, sd, sd)],
-        };
+        split.case1[0] = Rect::new(0, 0, sd, sd);
+        split.n_case1 = 1;
+        return split;
     }
-    let case2 = Rect::new(ml, mb, inner_w, inner_h);
-    let mut case1 = Vec::with_capacity(4);
-    if ml > 0 {
-        case1.push(Rect::new(0, 0, ml, sd));
+    split.case2 = Rect::new(ml, mb, inner_w, inner_h);
+    let strips = [
+        (ml, Rect::new(0, 0, ml, sd)),
+        (mr, Rect::new(sd - mr, 0, mr, sd)),
+        (mb, Rect::new(ml, 0, inner_w, mb)),
+        (mt, Rect::new(ml, sd - mt, inner_w, mt)),
+    ];
+    for (margin, strip) in strips {
+        if margin > 0 {
+            split.case1[split.n_case1] = strip;
+            split.n_case1 += 1;
+        }
     }
-    if mr > 0 {
-        case1.push(Rect::new(sd - mr, 0, mr, sd));
-    }
-    if mb > 0 {
-        case1.push(Rect::new(ml, 0, inner_w, mb));
-    }
-    if mt > 0 {
-        case1.push(Rect::new(ml, sd - mt, inner_w, mt));
-    }
-    CaseSplit { case2, case1 }
+    split
 }
 
 #[cfg(test)]
@@ -131,7 +131,7 @@ mod tests {
         for c in split.case2.cells() {
             *cover.entry(c).or_insert(0) += 1;
         }
-        for r in &split.case1 {
+        for r in split.case1() {
             for c in r.cells() {
                 *cover.entry(c).or_insert(0) += 1;
             }
@@ -172,7 +172,7 @@ mod tests {
         let owners = |id: SdId| if id == 0 { 1u32 } else { 0u32 };
         let s = split(&g, 3, 1, 0, &owners, 0);
         assert_eq!(s.case2, Rect::new(3, 0, 7, 10));
-        assert_eq!(s.case1, vec![Rect::new(0, 0, 3, 10)]);
+        assert_eq!(s.case1(), [Rect::new(0, 0, 3, 10)]);
         assert_tiles_interior(&s, 10);
     }
 
@@ -185,7 +185,7 @@ mod tests {
         let s = split(&g, 3, 1, 1, &owners, 0);
         // conservative: left and bottom strips both case 1
         assert_eq!(s.case2, Rect::new(3, 3, 7, 7));
-        assert_eq!(s.case1_area(), 100 - 49);
+        assert_eq!(s.case1().iter().map(Rect::area).sum::<i64>(), 100 - 49);
         assert_tiles_interior(&s, 10);
     }
 
@@ -196,7 +196,7 @@ mod tests {
         // SD 4 (center) is owned by node 0, everything else by node 1.
         let s = split(&g, 3, 1, 1, &|id| u32::from(id != 4), 0);
         assert!(s.case2.is_empty());
-        assert_eq!(s.case1, vec![Rect::new(0, 0, 4, 4)]);
+        assert_eq!(s.case1(), [Rect::new(0, 0, 4, 4)]);
         assert_tiles_interior(&s, 4);
     }
 
@@ -207,7 +207,7 @@ mod tests {
         let owners = |id: SdId| if id == 1 { 0u32 } else { 7 };
         let s = split(&g, 4, 1, 0, &owners, 0);
         assert_eq!(s.case2, Rect::new(4, 0, 4, 12));
-        assert_eq!(s.case1.len(), 2);
+        assert_eq!(s.case1().len(), 2);
         assert_tiles_interior(&s, 12);
     }
 
@@ -218,7 +218,8 @@ mod tests {
             let plan = build_halo_plan(&g, 2, id);
             // checkerboard ownership: maximal fragmentation
             let s = split_cases(6, 2, &plan, |n| n % 2 == 0);
-            assert_eq!(s.case1_area() + s.case2_area(), 36);
+            let case1: i64 = s.case1().iter().map(Rect::area).sum();
+            assert_eq!(case1 + s.case2.area(), 36);
             assert_tiles_interior(&s, 6);
         }
     }
@@ -235,7 +236,7 @@ mod tests {
         for y in 0..10 {
             for x in 0..halo {
                 assert!(
-                    s.case1.iter().any(|r| r.contains(x, y)),
+                    s.case1().iter().any(|r| r.contains(x, y)),
                     "({x},{y}) reads foreign data but is not case 1"
                 );
             }

@@ -52,12 +52,6 @@ impl HaloPlan {
             }
         })
     }
-
-    /// Total ghost cells coming from other SDs (communication volume in
-    /// cells if every neighbour were remote).
-    pub fn ghost_cells_from_sds(&self) -> i64 {
-        self.sd_patches().map(|(_, _, p)| p.dst_rect.area()).sum()
-    }
 }
 
 /// Build the halo plan for `sd_id` on an SD grid whose cells carry a ghost
@@ -74,7 +68,7 @@ pub fn build_halo_plan(sds: &SdGrid, halo: i64, sd_id: SdId) -> HaloPlan {
     );
     // Number of SD rings the halo can reach into.
     let rings = (halo + sds.sd - 1) / sds.sd;
-    let mut patches = Vec::new();
+    let mut patches = Vec::with_capacity(((2 * rings + 1) * (2 * rings + 1) - 1) as usize);
     for dsy in -rings..=rings {
         for dsx in -rings..=rings {
             if dsx == 0 && dsy == 0 {
@@ -193,7 +187,8 @@ mod tests {
         // Interior SD, halo 2, sd 4: ring area = (4+4)^2 - 16 = 48,
         // all from SDs.
         let plan = plan_for(3, 3, 4, 2, 1, 1);
-        assert_eq!(plan.ghost_cells_from_sds(), 48);
+        let from_sds: i64 = plan.sd_patches().map(|(_, _, p)| p.dst_rect.area()).sum();
+        assert_eq!(from_sds, 48);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! nonlocal model those are not the same graph — the halo reaches corner
 //! neighbours and, when ε exceeds the SD size, SDs several rings away — so
 //! [`SdGraph`] derives its edges from the [`HaloPlan`]s both execution
-//! substrates already build, with edge weights equal to the wire bytes the
-//! simulator charges per ghost message (`cells · 8 + 24` framing, summed
+//! substrates already build, with edge weights equal to the wire bytes
+//! the ghost bundles carry per patch (`cells · 8 + 24` framing, summed
 //! over both directions of the exchange).
 //!
 //! The graph is a function of the grid geometry alone, so it is built once
@@ -29,12 +29,11 @@ use nlheat_mesh::{build_halo_plan, HaloPlan, SdGrid, SdId};
 
 /// Wire bytes of one ghost patch carrying `cells` cells — the
 /// 8-byte-f64 payload plus 24 bytes of framing, the planning-grade wire
-/// estimate shared by the discrete-event simulator's per-patch charge and
-/// the balancer's `sd_bytes` tile size, kept here so the graph's edge
-/// weights and the simulated traffic can never disagree. On the real
-/// fabric this is exactly the size of the patch's record inside a ghost
-/// bundle (two header words, the run's length word, the cells), so an
-/// ownership cut of this graph is the bundles' payload byte for byte.
+/// estimate shared by the graph's edge weights and the balancer's
+/// `sd_bytes` tile size. It is exactly the size of the patch's record
+/// inside a ghost bundle (two header words, the run's length word, the
+/// cells), so an ownership cut of this graph is the bundles' payload —
+/// what both substrates count — byte for byte.
 pub fn patch_wire_bytes(cells: i64) -> u64 {
     (cells * 8 + 24) as u64
 }

@@ -1,206 +1,194 @@
 //! The discrete-event engine: per-step task graphs, asynchronous per-node
 //! clocks (no global barrier between steps, like the real solver), and
 //! load-balancing epochs.
+//!
+//! The step is the real runtime's: per rank and ownership epoch the engine
+//! builds the driver's [`StepLayout`] and charges it in virtual time — the
+//! local fills as one copy, each send bundle as one network arrival after
+//! its pack, each receive bundle's scatter as one copy that releases the
+//! gated regions waiting on it, and each [`group_by_work`] task as one
+//! list-scheduled task. Only the clock differs.
 
 use crate::cost::CostModel;
 use nlheat_core::balance::{EpochMeasure, LbEpoch};
+use nlheat_core::ghost::{group_by_work, halo_plans, RankBundle, Region, RegionCut, StepLayout};
 use nlheat_core::ownership::Ownership;
-use nlheat_core::scenario::{failed_at, RunExtras, RunReport, Scenario, SimExtras};
-use nlheat_mesh::{build_halo_plan, split_cases, Grid, HaloPlan, PatchSource, SdGrid, Stencil};
-use nlheat_netmodel::{LinkClass, Msg};
+use nlheat_core::scenario::{failed_at, RunExtras, RunReport, Scenario, SimExtras, VirtualNode};
+use nlheat_core::workload::WorkModel;
+use nlheat_mesh::{Grid, HaloPlan, SdGrid, SdId, Stencil};
+use nlheat_netmodel::{CommCost, LinkClass, Msg};
 use nlheat_partition::SdGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-struct Geometry {
-    sds: SdGrid,
-    plans: Vec<HaloPlan>,
-    halo: i64,
-    /// Per-SD ghost cells expected from neighbouring SDs — fixed geometry,
-    /// hoisted out of the per-step unpack-cost computation.
-    ghost_cells: Vec<f64>,
-}
-
-impl Geometry {
-    fn build(sds: SdGrid, grid: &Grid) -> Self {
-        let plans: Vec<HaloPlan> = sds
-            .ids()
-            .map(|id| build_halo_plan(&sds, grid.halo, id))
-            .collect();
-        let ghost_cells = plans
-            .iter()
-            .map(|p| p.ghost_cells_from_sds() as f64)
-            .collect();
-        Geometry {
-            sds,
-            plans,
-            halo: grid.halo,
-            ghost_cells,
-        }
-    }
-}
-
-/// One cross-node ghost transfer, precomputed in exact arrival-call order
-/// (destination SDs ascending, patches in plan order) so replaying the
-/// list hits the stateful [`nlheat_netmodel::Net`] with the identical
-/// call sequence the per-step scan used to produce.
-struct GhostSend {
-    src: u32,
-    dst: u32,
-    /// Destination SD the payload feeds.
-    sd: u32,
-    /// Patch area in cells (prices the sender-side pack delay).
-    area: i64,
-    /// Wire bytes on the link.
+/// One ghost bundle as the clock sees it.
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Bundle {
+    /// The rank at the other end.
+    peer: u32,
+    /// Payload bytes on the link ([`RankBundle::wire_bytes`]).
     bytes: u64,
+    /// Cells packed (send) or scattered (receive): the copy it costs.
+    cells: f64,
     /// Whether the link crosses a rack boundary under the run's topology.
     inter_rack: bool,
 }
 
-/// Everything the event loop derives from ownership alone. The per-step
-/// scan used to rebuild all of this (owner copies, cross-node patch scans,
-/// case splits) every step; ownership only changes at realized balancing
-/// epochs, so the view is computed once and swapped on migration.
-struct OwnershipView {
-    /// Per-node owned SDs, ascending id (the order `owned_by` yields).
-    owned: Vec<Vec<u32>>,
-    /// Cross-node ghost sends in arrival-call order.
-    sends: Vec<GhostSend>,
-    /// Per-node cells copied for node-local halo patches each step.
-    local_copy_cells: Vec<i64>,
-    /// Per-SD (case-1 area, case-2 area) under this ownership.
-    splits: Vec<(i64, i64)>,
+/// One rank's step under one ownership map and work model: its
+/// [`StepLayout`] reduced to what the clock charges.
+#[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct RankStep {
+    /// Cells of the local halo fill.
+    fill_cells: f64,
+    /// Send and receive bundles, ascending by peer.
+    sends: Vec<Bundle>,
+    recvs: Vec<Bundle>,
+    /// Durations of the tasks dealt at spawn, in spawn order.
+    at_spawn: Vec<f64>,
+    /// Per distinct set of receive bundles gated tiles await (a mask of
+    /// [`bit`]s): the set, and where its tasks end in `gated`.
+    sets: Vec<(u64, u32)>,
+    /// Durations of the gated tasks, set by set, each in spawn order.
+    gated: Vec<f64>,
+    /// Per tile its awaited set: scratch of the derivation.
+    tile_sets: Vec<u64>,
 }
 
-impl OwnershipView {
-    fn build(
-        geo: &Geometry,
-        ownership: &Ownership,
-        nn: usize,
-        comm: &nlheat_netmodel::CommCost,
-    ) -> Self {
-        let owners = ownership.owners();
-        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nn];
-        let mut sends = Vec::new();
-        let mut local_copy_cells = vec![0i64; nn];
-        let mut splits = Vec::with_capacity(geo.sds.count());
-        for sd in geo.sds.ids() {
-            let dst_node = owners[sd as usize] as usize;
-            owned[dst_node].push(sd);
-            for patch in &geo.plans[sd as usize].patches {
-                if let PatchSource::Sd(src) = patch.source {
-                    let src_node = owners[src as usize] as usize;
-                    if src_node == dst_node {
-                        local_copy_cells[dst_node] += patch.dst_rect.area();
-                        continue;
-                    }
-                    let bytes = nlheat_partition::patch_wire_bytes(patch.dst_rect.area());
-                    sends.push(GhostSend {
-                        src: src_node as u32,
-                        dst: dst_node as u32,
-                        sd,
-                        area: patch.dst_rect.area(),
-                        bytes,
-                        inter_rack: comm.link_class(src_node as u32, dst_node as u32)
-                            == LinkClass::InterRack,
-                    });
-                }
+/// The bit of receive bundle `b` in an awaited set: one per bundle, the
+/// last shared by all past the 63rd (a rank with that many neighbours
+/// waits for all of those at once).
+fn bit(b: usize) -> u64 {
+    1 << b.min(63)
+}
+
+/// What every rank's step derives from: the run's halo plans with their
+/// reverse index, the per-node region cuts the driver uses, and the prices.
+struct StepSource<'a> {
+    sds: SdGrid,
+    plans: Vec<HaloPlan>,
+    reverse: Vec<Vec<(SdId, u16)>>,
+    cuts: Vec<RegionCut>,
+    nodes: &'a [VirtualNode],
+    comm: CommCost,
+    cost: CostModel,
+    stencil_points: u64,
+}
+
+impl<'a> StepSource<'a> {
+    /// The halo plans, cuts and prices of `sc`'s steps.
+    fn new(sc: &'a Scenario) -> Self {
+        let grid = Grid::square(sc.problem.n, sc.problem.eps_mult);
+        let stencil_points = Stencil::build(grid.h, grid.eps).len();
+        let sds = sc.sd_grid();
+        let (plans, reverse) = halo_plans(&sds, grid.halo);
+        let nodes = &sc.cluster.nodes;
+        StepSource {
+            sds,
+            plans,
+            reverse,
+            cuts: nodes
+                .iter()
+                .map(|n| RegionCut::new(sc, grid.halo, n.cores))
+                .collect(),
+            nodes,
+            // Link classes for the virtual-time ghost accounting: the very
+            // CommCost the planner prices moves with, so counter and μ term
+            // can never disagree on what crosses a rack.
+            comm: sc.net.comm_cost(),
+            cost: CostModel::calibrated(stencil_points),
+            stencil_points: stencil_points as u64,
+        }
+    }
+
+    /// Mark stale the steps of the ranks a move of `sd` touches: its two
+    /// owners, and the owners (under `owners`) of every SD that reads from
+    /// it — which are the SDs it reads from, the halo being symmetric.
+    fn touch(&self, stale: &mut [bool], sd: SdId, from: u32, to: u32, owners: &[u32]) {
+        stale[from as usize] = true;
+        stale[to as usize] = true;
+        for &(reader, _) in &self.reverse[sd as usize] {
+            stale[owners[reader as usize] as usize] = true;
+        }
+    }
+
+    /// Re-derive `out` as the step of `rank` under `owners` and `work`.
+    fn derive(&self, out: &mut RankStep, rank: u32, owners: &[u32], work: &WorkModel) {
+        let cut = &self.cuts[rank as usize];
+        let layout = StepLayout::build(&self.plans, &self.reverse, owners, rank, cut);
+        let (schedule, speed) = (&layout.schedule, self.nodes[rank as usize].speed);
+        let bundle = |b: &RankBundle| Bundle {
+            peer: b.peer,
+            bytes: b.wire_bytes as u64,
+            cells: b.records.iter().map(|r| r.rect.area()).sum::<i64>() as f64,
+            inter_rack: self.comm.link_class(rank, b.peer) == LinkClass::InterRack,
+        };
+        out.fill_cells = layout.fills.iter().map(|f| f.dst_rect.area()).sum::<i64>() as f64;
+        out.sends.clear();
+        out.sends.extend(schedule.sends.iter().map(bundle));
+        out.recvs.clear();
+        out.recvs.extend(schedule.recvs.iter().map(bundle));
+        // the driver's grouping (kernel repeats × stencil points per cell);
+        // a task costs what its SDs' regions do, at the exact work factor
+        let sd_of = |list: &[Region]| schedule.owned[list[0].tile as usize];
+        let with_work = |list| {
+            let repeats = work.repeats(&self.sds, sd_of(list), speed);
+            (list, u64::from(repeats) * self.stencil_points)
+        };
+        let duration = |regions: &[Region]| {
+            let runs = regions.chunk_by(|a, b| a.tile == b.tile);
+            runs.fold(0.0, |d, run| {
+                let cells: i64 = run.iter().map(|r| r.rect.area()).sum();
+                let factor = work.factor(&self.sds, sd_of(run));
+                d + self.cost.task_sec(cells, factor, speed)
+            })
+        };
+        out.at_spawn.clear();
+        let lists = layout.at_spawn.lists().map(with_work);
+        group_by_work(lists, cut, |regions| out.at_spawn.push(duration(regions)));
+
+        // Tiles awaiting the same bundles are released by the same scatter:
+        // deal each such set's gated lists as one continuation of the
+        // driver does.
+        let tile_sets = &mut out.tile_sets;
+        tile_sets.clear();
+        tile_sets.resize(schedule.owned.len(), 0);
+        for (b, recv) in schedule.recvs.iter().enumerate() {
+            for run in recv.records.chunk_by(|x, y| x.tile == y.tile) {
+                tile_sets[run[0].tile as usize] |= bit(b);
             }
-            let split = split_cases(geo.sds.sd, geo.halo, &geo.plans[sd as usize], |n| {
-                owners[n as usize] as usize != dst_node
+        }
+        out.sets.clear();
+        for &set in tile_sets.iter() {
+            if set != 0 && !out.sets.iter().any(|&(known, _)| known == set) {
+                out.sets.push((set, 0));
+            }
+        }
+        out.gated.clear();
+        for (set, end) in out.sets.iter_mut() {
+            let tiles = (0..tile_sets.len() as u32).filter(|&t| tile_sets[t as usize] == *set);
+            let lists = tiles.map(|t| layout.gated.of(t)).filter(|l| !l.is_empty());
+            group_by_work(lists.map(with_work), cut, |regions| {
+                out.gated.push(duration(regions))
             });
-            splits.push((split.case1_area(), split.case2_area()));
-        }
-        OwnershipView {
-            owned,
-            sends,
-            local_copy_cells,
-            splits,
+            *end = out.gated.len() as u32;
         }
     }
 }
 
-/// Per-step scratch buffers reused across the whole run: the event loop
-/// proper performs no heap allocation once these reach steady-state size.
-struct StepScratch {
-    /// Ghost arrival times keyed by destination SD.
-    arrivals: Vec<Vec<f64>>,
-    /// (ready, duration) task list for the node being scheduled.
-    tasks: Vec<(f64, f64)>,
-    /// Core-free-time heap for the list scheduler.
-    free: BinaryHeap<Reverse<Ordered>>,
-}
-
-impl StepScratch {
-    fn new(sd_count: usize, max_cores: usize) -> Self {
-        StepScratch {
-            arrivals: vec![Vec::new(); sd_count],
-            tasks: Vec::new(),
-            free: BinaryHeap::with_capacity(max_cores.max(1)),
-        }
-    }
-}
-
-/// List-schedule `tasks` (ready, duration) onto `cores` cores that are
-/// free from `t0`, reusing the caller's `free` heap (cleared on entry) so
-/// the per-step hot path never allocates. Returns (finish time, busy
-/// seconds).
-///
-/// Virtual times are finite and `>= +0.0` (the `debug_assert!` below), and
-/// on such values the IEEE bit patterns order exactly like `total_cmp`, so
-/// the sort compares `to_bits()` pairs. Equal (ready, duration) pairs are
-/// interchangeable under list scheduling, so the unstable sort leaves
-/// results bit-identical. A node with one core has no choice of core to
-/// make: its loop carries the one free time in a local, same additions in
-/// the same order as the heap would see.
-fn list_schedule(
-    tasks: &mut [(f64, f64)],
-    cores: usize,
-    t0: f64,
-    free: &mut BinaryHeap<Reverse<Ordered>>,
-) -> (f64, f64) {
+/// List-schedule `tasks` (ready, duration), in the order given, each onto
+/// the earliest free of the cores whose free times are `free`. Returns
+/// (finish time, busy seconds).
+fn list_schedule(tasks: impl Iterator<Item = (f64, f64)>, free: &mut [f64]) -> (f64, f64) {
     let is_time = |t: f64| t.is_finite() && t.is_sign_positive();
-    debug_assert!(tasks
-        .iter()
-        .all(|&(ready, dur)| is_time(ready) && is_time(dur)));
-    tasks.sort_unstable_by_key(|&(ready, dur)| (ready.to_bits(), dur.to_bits()));
-    let mut finish = t0;
-    let mut busy = 0.0;
-    if cores <= 1 {
-        let mut core_free = t0;
-        for &(ready, dur) in tasks.iter() {
-            core_free = ready.max(core_free) + dur;
-            busy += dur;
-            finish = finish.max(core_free);
-        }
-        return (finish, busy);
-    }
-    free.clear();
-    free.extend((0..cores).map(|_| Reverse(Ordered(t0))));
-    for &(ready, dur) in tasks.iter() {
-        let Reverse(Ordered(core_free)) = free.pop().unwrap();
-        let end = ready.max(core_free) + dur;
+    let tasks = tasks.inspect(|&(ready, dur)| debug_assert!(is_time(ready) && is_time(dur)));
+    let (mut finish, mut busy) = (free[0], 0.0);
+    for (ready, dur) in tasks {
+        let core = (1..free.len()).fold(0, |c, i| if free[i] < free[c] { i } else { c });
+        free[core] = ready.max(free[core]) + dur;
         busy += dur;
-        finish = finish.max(end);
-        free.push(Reverse(Ordered(end)));
+        finish = finish.max(free[core]);
     }
     (finish, busy)
-}
-
-/// Total-ordered f64 wrapper for the scheduler heap.
-#[derive(PartialEq)]
-struct Ordered(f64);
-impl Eq for Ordered {}
-impl PartialOrd for Ordered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ordered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
 }
 
 /// Run `sc` on the discrete-event simulator.
@@ -213,13 +201,11 @@ impl Ord for Ordered {
 /// Panics on an invalid scenario — see [`Scenario::validate`].
 pub fn simulate(sc: &Scenario) -> RunReport {
     sc.validate();
-    let grid = Grid::square(sc.problem.n, sc.problem.eps_mult);
-    let cost = CostModel::calibrated(Stencil::build(grid.h, grid.eps).len());
-    let geo = Geometry::build(sc.sd_grid(), &grid);
-    let nodes = &sc.cluster.nodes;
+    let source = StepSource::new(sc);
+    let (cost, sds, nodes) = (source.cost, source.sds, source.nodes);
     let nn = nodes.len();
-    let owners0 = sc.partition.initial_owners(&geo.sds, nn as u32);
-    let mut ownership = Ownership::new(geo.sds, owners0, nn as u32);
+    let owners0 = sc.partition.initial_owners(&sds, nn as u32);
+    let mut ownership = Ownership::new(sds, owners0, nn as u32);
 
     let mut node_time = vec![0.0f64; nn];
     let mut busy_total = vec![0.0f64; nn];
@@ -236,30 +222,35 @@ pub fn simulate(sc: &Scenario) -> RunReport {
     // One epoch driver lives across the run (stateful policies learn from
     // the simulated migration stalls), and the SD adjacency /
     // halo-volume graph it prices μ against is built from the very halo
-    // plans whose messages the loop below charges.
+    // plans whose bundles the loop below charges.
     let mut lb_epoch = sc.lb.as_ref().map(|lb| {
-        let sd_graph = Arc::new(SdGraph::from_plans(&geo.sds, &geo.plans));
+        let sd_graph = Arc::new(SdGraph::from_plans(&sds, &source.plans));
         LbEpoch::new(sc.epoch_config(lb, sd_graph))
     });
-    // Link classes for the virtual-time ghost accounting: the very
-    // CommCost the planner prices moves with, so counter and μ term can
-    // never disagree on what crosses a rack.
-    let comm = sc.net.comm_cost();
     // The previous epoch's migration stall, fed to the policy with the
     // next epoch's measurement.
     let mut prev_stall_frac: Option<f64> = None;
     let mut last_barrier = 0.0f64;
-    let max_cores = nodes.iter().map(|n| n.cores).max().unwrap_or(1);
-    let mut scratch = StepScratch::new(geo.sds.count(), max_cores);
-    let mut view = OwnershipView::build(&geo, &ownership, nn, &comm);
+    // Every rank's step, re-derived when the work model in force changes
+    // and, for the ranks a migration touches, when ownership does.
+    let mut steps: Vec<RankStep> = (0..nn).map(|_| RankStep::default()).collect();
+    let mut stale = vec![true; nn];
+    let mut work_set: Option<&WorkModel> = None;
+    // per-step scratch: bundle arrivals at `[dst · nn + src]`, when each
+    // driver has packed, and per node its scatters, set releases and cores
+    let (mut arrivals, mut packed) = (vec![0.0; nn * nn], vec![0.0; nn]);
+    let (mut scattered, mut released, mut free) = (Vec::new(), Vec::new(), Vec::new());
 
     for step in 0..sc.steps {
-        // --- ghost messages: (dst node, dst sd) -> arrival time ---
-        // replay the precomputed send list (destination SDs in id order,
-        // the order sender NICs serialize in).
-        for v in scratch.arrivals.iter_mut() {
-            v.clear();
+        let work = sc.work_at(step);
+        if !work_set.is_some_and(|set| std::ptr::eq(set, work)) {
+            stale.fill(true);
+            work_set = Some(work);
         }
+        for (rank, _) in stale.iter().enumerate().filter(|(_, s)| **s) {
+            source.derive(&mut steps[rank], rank as u32, ownership.owners(), work);
+        }
+        stale.fill(false);
         // Failure mask of this step: transfers to or from a fail-stopped
         // rank still happen (the nodes keep executing until evacuated, so
         // virtual time is unchanged) but stop counting toward the
@@ -267,76 +258,66 @@ pub fn simulate(sc: &Scenario) -> RunReport {
         // keeping `cross_bytes == ghost_bytes + migration_bytes` intact.
         let failed_now =
             (!sc.cluster_events.is_empty()).then(|| failed_at(nn, &sc.cluster_events, step));
-        for s in &view.sends {
-            // pack cost delays the send readiness a little
-            let ready = node_time[s.src as usize] + cost.copy_sec_per_cell * s.area as f64;
-            let arr = net.arrival(
-                ready,
-                &Msg {
-                    src: s.src,
-                    dst: s.dst,
-                    bytes: s.bytes,
-                },
-            );
-            scratch.arrivals[s.sd as usize].push(arr);
-            let counted = failed_now
-                .as_ref()
-                .is_none_or(|f| !f[s.src as usize] && !f[s.dst as usize]);
-            if counted {
-                cross_bytes += s.bytes;
-                ghost_bytes += s.bytes;
-                if s.inter_rack {
-                    inter_rack_ghost_bytes += s.bytes;
+
+        // --- fill, then pack and send one bundle per peer ---
+        for (src, rs) in steps.iter().enumerate() {
+            let mut t = node_time[src] + cost.copy_sec_per_cell * rs.fill_cells;
+            for b in &rs.sends {
+                t += cost.copy_sec_per_cell * b.cells;
+                let (src, dst) = (src as u32, b.peer);
+                let msg = Msg {
+                    src,
+                    dst,
+                    bytes: b.bytes,
+                };
+                arrivals[dst as usize * nn + src as usize] = net.arrival(t, &msg);
+                let counted = failed_now
+                    .as_ref()
+                    .is_none_or(|f| !f[src as usize] && !f[dst as usize]);
+                if counted {
+                    cross_bytes += b.bytes;
+                    ghost_bytes += b.bytes;
+                    if b.inter_rack {
+                        inter_rack_ghost_bytes += b.bytes;
+                    }
+                    messages += 1;
                 }
-                messages += 1;
             }
+            packed[src] = t;
         }
 
         // --- per-node task graphs and scheduling ---
-        let work = sc.work_at(step);
-        for node in 0..nn {
-            let spec = nodes[node];
-            let owned = &view.owned[node];
-            // serial driver phase: local halo copies + task spawns
-            let n_tasks_approx = owned.len().max(1);
-            let serial = cost.copy_sec_per_cell * view.local_copy_cells[node] as f64
-                + cost.spawn_sec * n_tasks_approx as f64;
-            let t0 = node_time[node] + serial;
-
-            scratch.tasks.clear();
-            let mut step_ghost_delay = 0.0f64;
-            for &sd in owned {
-                let factor = work.factor(&geo.sds, sd);
-                let (case1_area, case2_area) = view.splits[sd as usize];
-                let arrived = &scratch.arrivals[sd as usize];
-                let ghosts_in = if arrived.is_empty() {
-                    t0
-                } else {
-                    let unpack = cost.copy_sec_per_cell * geo.ghost_cells[sd as usize];
-                    let ready = arrived.iter().fold(t0, |m, &a| m.max(a)) + unpack;
-                    step_ghost_delay = step_ghost_delay.max(ready - t0);
-                    ready
-                };
-                if sc.overlap {
-                    if case2_area > 0 {
-                        scratch
-                            .tasks
-                            .push((t0, cost.task_sec(case2_area, factor, spec.speed)));
-                    }
-                    if case1_area > 0 {
-                        scratch
-                            .tasks
-                            .push((ghosts_in, cost.task_sec(case1_area, factor, spec.speed)));
-                    }
-                } else {
-                    scratch.tasks.push((
-                        ghosts_in,
-                        cost.task_sec(geo.sds.cells_per_sd() as i64, factor, spec.speed),
-                    ));
-                }
+        for (node, rs) in steps.iter().enumerate() {
+            // the driver spawns the at-spawn tasks; each incoming bundle
+            // is scattered once it has arrived and they exist
+            let t0 = packed[node] + cost.spawn_sec * rs.at_spawn.len() as f64;
+            let arrived = &arrivals[node * nn..(node + 1) * nn];
+            let scatter =
+                |b: &Bundle| arrived[b.peer as usize].max(t0) + cost.copy_sec_per_cell * b.cells;
+            scattered.clear();
+            scattered.extend(rs.recvs.iter().map(scatter));
+            let step_ghost_delay = scattered.iter().fold(0.0, |m, &s| f64::max(m, s - t0));
+            // Tasks in the order they are released, each release's in
+            // spawn order: the at-spawn tasks, then each set's gated tasks
+            // once its last bundle is scattered.
+            released.clear();
+            for (s, &(set, _)) in rs.sets.iter().enumerate() {
+                let awaited = scattered
+                    .iter()
+                    .enumerate()
+                    .filter(|&(b, _)| set & bit(b) != 0);
+                released.push((awaited.fold(t0, |ready, (_, &done)| ready.max(done)), s));
             }
-            let (finish, busy) =
-                list_schedule(&mut scratch.tasks, spec.cores, t0, &mut scratch.free);
+            released.sort_unstable_by_key(|&(ready, s)| (ready.to_bits(), s));
+            let gated = released.iter().flat_map(|&(ready, s)| {
+                let start = s.checked_sub(1).map_or(0, |p| rs.sets[p].1 as usize);
+                let tasks = &rs.gated[start..rs.sets[s].1 as usize];
+                tasks.iter().map(move |&dur| (ready, dur))
+            });
+            let at_spawn = rs.at_spawn.iter().map(|&dur| (t0, dur));
+            free.clear();
+            free.resize(nodes[node].cores, t0);
+            let (finish, busy) = list_schedule(at_spawn.chain(gated), &mut free);
             node_time[node] = finish;
             busy_total[node] += busy;
             busy_window[node] += busy;
@@ -376,9 +357,10 @@ pub fn simulate(sc: &Scenario) -> RunReport {
                     node_time[dst] = node_time[dst].max(arr);
                     cross_bytes += bytes;
                     messages += 1;
+                    let owners = plan.new_ownership.owners();
+                    source.touch(&mut stale, mv.sd, mv.from, mv.to, owners);
                 }
                 ownership = plan.new_ownership;
-                view = OwnershipView::build(&geo, &ownership, nn, &comm);
             }
             // How much of the balancing window the epoch's migrations
             // stalled the cluster.
@@ -811,6 +793,54 @@ mod tests {
             off.makespan
         );
         assert!(on.migrations > 0);
+    }
+
+    #[test]
+    fn a_move_marks_every_rank_whose_step_it_changes() {
+        // Three ranks in a scrambled ownership under a two-ring halo: only
+        // the marked ranks re-derive their step after a migration, so
+        // moving any SD to any other rank must mark every rank whose step
+        // the move changes.
+        let sc = Scenario::square(24, 6.0, 4, 1).on(ClusterSpec::uniform(3, 2));
+        let source = StepSource::new(&sc);
+        let owners: Vec<u32> = (0..36u32).map(|sd| (sd * 7 + sd / 5) % 3).collect();
+        let steps_of = |owners: &[u32]| -> Vec<RankStep> {
+            (0..3)
+                .map(|rank| {
+                    let mut step = RankStep::default();
+                    source.derive(&mut step, rank, owners, &WorkModel::Uniform);
+                    step
+                })
+                .collect()
+        };
+        let before = steps_of(&owners);
+        for sd in 0..36u32 {
+            for to in (0..3).filter(|&to| to != owners[sd as usize]) {
+                let mut moved = owners.clone();
+                moved[sd as usize] = to;
+                let mut stale = vec![false; 3];
+                source.touch(&mut stale, sd, owners[sd as usize], to, &moved);
+                for (rank, after) in steps_of(&moved).iter().enumerate() {
+                    let changed = *after != before[rank];
+                    assert!(stale[rank] || !changed, "SD {sd} to {to}: rank {rank}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_may_border_more_ranks_than_a_set_has_bits() {
+        // Rank 0 owns every fourth SD of a 20 x 20 grid and borders all
+        // 69 other ranks: receive bundles past the 63rd share one bit.
+        let owners: Vec<u32> = (0..400u32)
+            .map(|sd| if sd % 4 == 0 { 0 } else { 1 + sd % 69 })
+            .collect();
+        let sc = Scenario::square(80, 2.0, 4, 2)
+            .on(ClusterSpec::uniform(70, 1))
+            .with_partition(PartitionSpec::Explicit(owners));
+        let run = simulate(&sc);
+        run.check_invariants();
+        assert!(run.makespan.is_finite() && run.makespan > 0.0);
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! reproduction runs in a single-core container where wall-clock parallel
 //! speedups are physically unmeasurable. Per the documented substitution
 //! (README "Regenerating figures"), the scaling figures are regenerated
-//! with a deterministic discrete-event simulator that executes the *same decomposition,
-//! dependency structure and communication volumes* as the real solver in
-//! `nlheat-core` — per-SD case-1/case-2 tasks, ghost messages with
-//! latency + bandwidth + NIC serialization, per-node core counts and speed
-//! factors, and Algorithm-1 load-balancing epochs driven by the simulated
-//! busy times.
+//! with a deterministic discrete-event simulator that executes the *same
+//! step* as the real solver in `nlheat-core`: per rank and ownership epoch
+//! it builds the driver's own [`nlheat_core::ghost::StepLayout`] and
+//! charges it in virtual time — the local halo fill, one ghost bundle per
+//! step and ordered rank pair with latency + bandwidth + NIC serialization,
+//! each bundle's scatter releasing the case-1 regions it completes, the
+//! driver's work-grouped tasks list-scheduled on per-node cores at per-node
+//! speeds — and Algorithm-1 load-balancing epochs driven by the simulated
+//! busy times. The two substrates share the step; only the clocks differ.
 //!
 //! The real runtime remains the source of truth for *numerics* (its output
 //! is tested bit-for-bit against the serial solver); the simulator is the

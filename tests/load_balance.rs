@@ -119,10 +119,13 @@ fn sim_busy_fractions_equalize_with_lb() {
 
 #[test]
 fn real_runtime_migrations_match_plans() {
+    // planned from the modeled load: that an epoch migrates must not rest
+    // on µs-sized measured busy times
     let report = Scenario::square(16, 2.0, 4, 6)
         .on(ClusterSpec::uniform(2, 1))
         .with_partition(lopsided16())
         .with_lb(LbSchedule::every(2))
+        .with_lb_input(LbInput::Modeled)
         .run_dist();
     // lb_history records the post-epoch counts; the last entry must match
     // the final ownership, and the recorded plans must cover every move

@@ -29,7 +29,10 @@
 //! same digests under `LbInput::Measured`, where the simulator feeds the
 //! policy its migration- and ghost-stall fractions and the adaptive legs
 //! plan at a λ/μ they steered — recorded at PR 24's parent (`af8075b`),
-//! before the decorator chain became one planner.
+//! before the decorator chain became one planner. Its makespan column was
+//! re-recorded once, when the simulator began charging the driver's own
+//! `StepLayout` (see `tests/sim_golden.rs`); every plan digest stayed the
+//! one recorded at `af8075b`.
 
 use nonlocalheat::netmodel::{LinkSpec, NetSpec, TopologySpec};
 use nonlocalheat::prelude::*;
@@ -95,19 +98,19 @@ const MONITOR_GOLDEN: &[(&str, u64)] = &[
 ];
 
 /// `(scenario, leg, plan digest, makespan bits)` of the steered legs under
-/// `LbInput::Measured`, recorded at the parent commit.
+/// `LbInput::Measured`.
 #[rustfmt::skip]
 const STEERED_GOLDEN: &[(&str, &str, u64, u64)] = &[
-    ("lopsided_two_rack", "adaptive(tree(0.5))", 0x784838806950e381, 0x3f7064a71e926748),
-    ("lopsided_two_rack", "adaptive_mu(tree(0))", 0x53264556c73ccc17, 0x3f70a4acb6f18805),
-    ("lopsided_two_rack", "adaptive(adaptive_mu(tree(0)))", 0x6a885eb3210db461, 0x3f709523932d18e7),
-    ("lopsided_two_rack", "adaptive(hier(tree(0),0.5))", 0x887a354ff75a416f, 0x3f7090c6e2272707),
-    ("lopsided_two_rack", "repartition(adaptive_mu(tree(0)))", 0x53264556c73ccc17, 0x3f70a4acb6f18805),
-    ("heterogeneous_two_rack", "adaptive(tree(0.5))", 0x5553702f5c202d2e, 0x3f70dd21479229a5),
-    ("heterogeneous_two_rack", "adaptive_mu(tree(0))", 0xc0a0b1a6767f83e9, 0x3f74e4a4c0fb4391),
-    ("heterogeneous_two_rack", "adaptive(adaptive_mu(tree(0)))", 0xa2f0ecdf57951345, 0x3f72e516e7f0611a),
-    ("heterogeneous_two_rack", "adaptive(hier(tree(0),0.5))", 0x5553702f5c202d2e, 0x3f70dd21479229a5),
-    ("heterogeneous_two_rack", "repartition(adaptive_mu(tree(0)))", 0xc0a0b1a6767f83e9, 0x3f74e4a4c0fb4391),
+    ("lopsided_two_rack", "adaptive(tree(0.5))", 0x784838806950e381, 0x3f70c6fbec38e796),
+    ("lopsided_two_rack", "adaptive_mu(tree(0))", 0x53264556c73ccc17, 0x3f71042ff6a3f1f4),
+    ("lopsided_two_rack", "adaptive(adaptive_mu(tree(0)))", 0x6a885eb3210db461, 0x3f70f4eb8b0f2370),
+    ("lopsided_two_rack", "adaptive(hier(tree(0),0.5))", 0x887a354ff75a416f, 0x3f70f31bafcda755),
+    ("lopsided_two_rack", "repartition(adaptive_mu(tree(0)))", 0x53264556c73ccc17, 0x3f71042ff6a3f1f4),
+    ("heterogeneous_two_rack", "adaptive(tree(0.5))", 0x5553702f5c202d2e, 0x3f710a069cafd728),
+    ("heterogeneous_two_rack", "adaptive_mu(tree(0))", 0xc0a0b1a6767f83e9, 0x3f753e59f1a7bc61),
+    ("heterogeneous_two_rack", "adaptive(adaptive_mu(tree(0)))", 0xa2f0ecdf57951345, 0x3f7348d8c813e6a4),
+    ("heterogeneous_two_rack", "adaptive(hier(tree(0),0.5))", 0x5553702f5c202d2e, 0x3f710a069cafd728),
+    ("heterogeneous_two_rack", "repartition(adaptive_mu(tree(0)))", 0xc0a0b1a6767f83e9, 0x3f753e59f1a7bc61),
 ];
 
 fn fnv1a(h: &mut u64, v: u64) {

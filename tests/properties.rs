@@ -128,10 +128,10 @@ proptest! {
             let plan = build_halo_plan(&grid, halo, id);
             let split = split_cases(sd, halo, &plan, |n| (owner_bits >> (n % 64)) & 1 == 1);
             let mut area = split.case2.area();
-            for (i, r) in split.case1.iter().enumerate() {
+            for (i, r) in split.case1().iter().enumerate() {
                 area += r.area();
                 prop_assert!(r.intersect(&split.case2).is_empty());
-                for q in split.case1.iter().skip(i + 1) {
+                for q in split.case1().iter().skip(i + 1) {
                     prop_assert!(r.intersect(q).is_empty());
                 }
             }
@@ -248,7 +248,7 @@ proptest! {
             let mut tasks: Vec<Vec<Region>> = Vec::new();
             let mut dealings = vec![0];
             let spawn_lists = layout.at_spawn.lists().map(|list| (list, work_of(list)));
-            group_by_work(spawn_lists, &cut, |regions| tasks.push(regions));
+            group_by_work(spawn_lists, &cut, |regions| tasks.push(regions.to_vec()));
             dealings.push(tasks.len());
             // a gate is armed with the number of bundles that carry
             // records for its tile, and only a gated tile awaits any
@@ -271,7 +271,7 @@ proptest! {
                 }
                 let lists = released.iter().map(|&tile| layout.gated.of(tile));
                 let lists = lists.map(|list| (list, work_of(list)));
-                group_by_work(lists, &cut, |regions| tasks.push(regions));
+                group_by_work(lists, &cut, |regions| tasks.push(regions.to_vec()));
                 dealings.push(tasks.len());
             }
             prop_assert!(gates.iter().all(|&g| g == 0));

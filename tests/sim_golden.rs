@@ -5,40 +5,72 @@
 //! `tests/plan_golden.rs` pins plans, not clocks, and the repository
 //! benchmark's "grid outcomes repeat bit-exactly" digest is computed by
 //! the very binary it checks — neither would notice a change to the
-//! engine's list scheduler, its sort or its cost arithmetic moving a
-//! makespan by one ulp. The constants in [`GOLDEN`] were recorded from a
-//! scratch clone of the commit *before* the scheduler lost its heap on
-//! one-core nodes and its `total_cmp` sort (PR 21's parent, `274946b`),
-//! with this very file dropped into its `tests/`. Every library scenario
-//! runs on one-core nodes; the last two rows put the crack scenario on a
-//! 2-core and a 4-core cluster so the heap path is pinned beside the
-//! one-core fold. After an intended change to simulated time, re-record:
-//! the failure message prints the full table.
+//! engine's list scheduler or its cost arithmetic moving a makespan by
+//! one ulp. [`GOLDEN`] was re-recorded once, when the engine began
+//! charging the driver's own `StepLayout` instead of a step of its own —
+//! one arrival per rank-pair bundle instead of one per patch, the
+//! driver's work-grouped tasks instead of one per SD and case, one
+//! scatter copy per bundle instead of one per ghost cell — which moved
+//! every simulated clock by design. Every library scenario runs on
+//! one-core nodes; the last two rows put the crack scenario on a 2-core
+//! and a 4-core cluster so the choice of core is pinned too. After an
+//! intended change to simulated time, re-record: the failure message
+//! prints the full table.
+//!
+//! [`MODELED_GOLDEN`] pins what no clock may move: under
+//! `LbInput::Modeled` plans do not depend on time, and the ghost bytes are
+//! the bundles' payload by definition. It was recorded from a scratch
+//! clone of the commit before that change (`3187a9a`), with this very
+//! file dropped into its `tests/`, and passes unmodified on the change.
 
 use nonlocalheat::prelude::*;
 
-/// `(scenario, network / cluster, digest)` recorded at the parent commit.
+/// `(scenario, network / cluster, digest)` of the simulated clocks.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("paper-baseline", "own net", 0x7adb37b07adcf904),
-    ("paper-baseline", "two-rack net", 0x9ff5bb9abf4317fa),
-    ("lopsided-two-rack", "own net", 0x454e2e79632de04e),
-    ("lopsided-two-rack", "two-rack net", 0x454e2e79632de04e),
-    ("propagating-crack", "own net", 0x3a1bb2bacd18237f),
-    ("propagating-crack", "two-rack net", 0x53260d30e87c1ebb),
-    ("heterogeneous-cluster", "own net", 0x8ec6def8d67001f2),
-    ("heterogeneous-cluster", "two-rack net", 0x947c94efcf2ba41d),
-    ("incast-duplex", "own net", 0x49bedf80c3df5d18),
-    ("incast-duplex", "two-rack net", 0x9318fb26eea56f0b),
-    ("memory-pressure", "own net", 0xe22d69a5a1c7f5c6),
-    ("memory-pressure", "two-rack net", 0xe22d69a5a1c7f5c6),
-    ("cut-drift", "own net", 0xa617bf670d3d3842),
-    ("cut-drift", "two-rack net", 0xa617bf670d3d3842),
-    ("elastic-scale-out", "own net", 0xf301d8da577e3db6),
-    ("elastic-scale-out", "two-rack net", 0xf301d8da577e3db6),
-    ("rank-failure", "own net", 0xb2155167e4bd821d),
-    ("rank-failure", "two-rack net", 0xb2155167e4bd821d),
-    ("propagating-crack", "4 nodes x 2 cores", 0x225a062e956e3ed2),
-    ("propagating-crack", "2 nodes x 4 cores", 0x3630dca123deb01a),
+    ("paper-baseline", "own net", 0x79c1425456a22de1),
+    ("paper-baseline", "two-rack net", 0x95648c646a2d8c95),
+    ("lopsided-two-rack", "own net", 0xfa66b3c462778a4d),
+    ("lopsided-two-rack", "two-rack net", 0xfa66b3c462778a4d),
+    ("propagating-crack", "own net", 0xf053aae6e4e98122),
+    ("propagating-crack", "two-rack net", 0x560d34030cf9da9a),
+    ("heterogeneous-cluster", "own net", 0x02f079d7e40795c8),
+    ("heterogeneous-cluster", "two-rack net", 0xb299472ae0074232),
+    ("incast-duplex", "own net", 0x02d5b0c50a545165),
+    ("incast-duplex", "two-rack net", 0x2aaad9405b8554e2),
+    ("memory-pressure", "own net", 0xeb9d6c578431b145),
+    ("memory-pressure", "two-rack net", 0xeb9d6c578431b145),
+    ("cut-drift", "own net", 0x01342637e546ac20),
+    ("cut-drift", "two-rack net", 0x01342637e546ac20),
+    ("elastic-scale-out", "own net", 0x89a149b77cccc5b6),
+    ("elastic-scale-out", "two-rack net", 0x89a149b77cccc5b6),
+    ("rank-failure", "own net", 0x42e86df795d9d4e0),
+    ("rank-failure", "two-rack net", 0x42e86df795d9d4e0),
+    ("propagating-crack", "4 nodes x 2 cores", 0x6eedfb834fb7a4c6),
+    ("propagating-crack", "2 nodes x 4 cores", 0x667c45f65600328a),
+];
+
+/// `(scenario, network, digest)` of what the clock must not move: every
+/// library scenario planned from `LbInput::Modeled`, digested by
+/// [`clock_free_digest`].
+const MODELED_GOLDEN: &[(&str, &str, u64)] = &[
+    ("paper-baseline", "own net", 0xf6374b4fc9eb05cc),
+    ("paper-baseline", "two-rack net", 0xfa0a93a50dd56e2c),
+    ("lopsided-two-rack", "own net", 0xe8ff912dd06b1976),
+    ("lopsided-two-rack", "two-rack net", 0xe8ff912dd06b1976),
+    ("propagating-crack", "own net", 0x4f4034bf04e62a48),
+    ("propagating-crack", "two-rack net", 0x8eb429b6ffb7dc26),
+    ("heterogeneous-cluster", "own net", 0x7f91f55923627e9f),
+    ("heterogeneous-cluster", "two-rack net", 0x1e9d335851793533),
+    ("incast-duplex", "own net", 0xc0ca455a34018e45),
+    ("incast-duplex", "two-rack net", 0x780763aed4957dee),
+    ("memory-pressure", "own net", 0xfecd857f88197d68),
+    ("memory-pressure", "two-rack net", 0xfecd857f88197d68),
+    ("cut-drift", "own net", 0x6a1c289b165765f9),
+    ("cut-drift", "two-rack net", 0x6a1c289b165765f9),
+    ("elastic-scale-out", "own net", 0xacb22ff916114d49),
+    ("elastic-scale-out", "two-rack net", 0xacb22ff916114d49),
+    ("rank-failure", "own net", 0x83a6a45ae3ee3643),
+    ("rank-failure", "two-rack net", 0x83a6a45ae3ee3643),
 ];
 
 fn fnv1a(h: &mut u64, v: u64) {
@@ -57,6 +89,48 @@ fn digest(report: &RunReport) -> u64 {
     fnv1a(&mut h, report.ghost_bytes);
     fnv1a(&mut h, report.migrations as u64);
     h
+}
+
+/// FNV-1a over what no clock may move: every realized plan
+/// (length-prefixed, so epoch boundaries count), the final owner of every
+/// SD, the ghost and inter-rack ghost bytes, and the migration count.
+fn clock_free_digest(report: &RunReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for plan in &report.lb_plans {
+        fnv1a(&mut h, plan.len() as u64);
+        for m in plan {
+            fnv1a(&mut h, u64::from(m.sd));
+            fnv1a(&mut h, u64::from(m.from));
+            fnv1a(&mut h, u64::from(m.to));
+        }
+    }
+    for &o in report.final_ownership.owners() {
+        fnv1a(&mut h, u64::from(o));
+    }
+    fnv1a(&mut h, report.ghost_bytes);
+    fnv1a(&mut h, report.inter_rack_ghost_bytes);
+    fnv1a(&mut h, report.migrations as u64);
+    h
+}
+
+#[test]
+fn modeled_plans_and_bytes_match_the_digests_recorded_at_the_parent() {
+    let mut actual: Vec<(&str, &str, u64)> = Vec::new();
+    for (name, sc) in scenarios::all(true) {
+        let sc = sc.with_lb_input(LbInput::Modeled);
+        let two_rack = sc.clone().with_net(scenarios::two_rack_net());
+        for (leg, sc) in [("own net", sc), ("two-rack net", two_rack)] {
+            actual.push((name, leg, clock_free_digest(&SimSubstrate.run(&sc))));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(s, l, d)| format!("    (\"{s}\", \"{l}\", 0x{d:016x}),\n"))
+        .collect();
+    assert!(
+        actual == MODELED_GOLDEN,
+        "modeled plans or ghost bytes moved; if intended, MODELED_GOLDEN becomes:\n{table}"
+    );
 }
 
 #[test]

@@ -1,11 +1,11 @@
-//! Consistency between the discrete-event simulator and the real runtime:
-//! both execute the same decomposition, so their *communication structure*
-//! must agree. The simulator models one message per foreign halo patch;
-//! the real runtime ships the same patches as records of one bundle parcel
-//! per step and ordered rank pair. So patch counts and planner-grade bytes
-//! agree exactly, and the wire differs from the model only by the 24-byte
-//! parcel header per bundle. One `Scenario` value drives both substrates;
-//! the unified `RunReport` carries the counters.
+//! Consistency between the discrete-event simulator and the real runtime.
+//! Both replay one `StepLayout` per rank and ownership epoch, so their
+//! communication structure agrees by construction: one ghost bundle per
+//! step and ordered rank pair, carrying the same planner-grade bytes, and
+//! the wire adds only the 24-byte parcel header per bundle. What is left
+//! to check is that the counters say so, and that both substrates plan
+//! alike. One `Scenario` value drives both; the unified `RunReport` carries
+//! the counters.
 
 use nonlocalheat::prelude::*;
 
@@ -51,12 +51,7 @@ impl Traffic {
     fn check(&self) -> (u64, u64) {
         let dist = self.real.dist_extras().expect("real-runtime extras");
         let sim = self.sim.sim_extras().expect("sim extras");
-        // the simulator's per-patch messages are the bundles' records
-        assert_eq!(
-            sim.messages, dist.ghost_patches,
-            "sim messages vs real ghost patches"
-        );
-        // the fabric carries one bundle per step and ordered rank pair
+        // one bundle per step and ordered rank pair, on both substrates
         assert_eq!(
             dist.wire_messages,
             self.steps * self.halo_pairs,
@@ -64,6 +59,7 @@ impl Traffic {
             self.steps,
             self.halo_pairs
         );
+        assert_eq!(sim.messages, dist.wire_messages, "sim vs real bundles");
         // record bytes are exactly planner-grade on both substrates; only
         // the parcel header per bundle is extra on the wire
         let headers = 24 * dist.wire_messages;
@@ -88,9 +84,8 @@ fn message_counts_agree_exactly() {
 
 #[test]
 fn byte_volumes_agree_within_framing() {
-    // The sim accounts payload + a 24-byte header per *patch*, which is
-    // exactly the size of a record inside a bundle; the real parcel adds
-    // its own 24-byte header once per bundle.
+    // Both substrates count the bundles' records; the real parcel adds its
+    // own 24-byte header once per bundle.
     let t = traffic(24, 2.0, 4, 2, 3);
     t.check();
     let sim = t.sim.sim_extras().unwrap();
