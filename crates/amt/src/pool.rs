@@ -1,8 +1,8 @@
 //! Work-stealing thread pool with per-worker busy-time accounting.
 //!
 //! This is the threading subsystem of the AMT runtime (Fig. 3 of the paper):
-//! task submission onto a sharded injector, per-worker lock-free Chase–Lev
-//! deques with rotating-victim batch stealing, and nanosecond busy-time
+//! task submission onto a sharded injector, one locked deque per worker
+//! with rotating-victim batch stealing, and nanosecond busy-time
 //! counters that back the `busy_time` performance counter used by the load
 //! balancer (§7).
 //!
@@ -66,13 +66,13 @@ pub struct PoolHandle {
     inner: Arc<PoolInner>,
 }
 
-impl ThreadPool {
-    /// Spin up `n_workers` worker threads named `<name>-w<i>`.
-    pub fn new(n_workers: usize, name: &str) -> Self {
-        assert!(n_workers > 0, "a pool needs at least one worker");
+impl PoolInner {
+    /// The shared state of an `n_workers` pool and each worker's own
+    /// deque, indexed by worker.
+    fn new(n_workers: usize) -> (Self, Vec<Worker<Task>>) {
         let locals: Vec<Worker<Task>> = (0..n_workers).map(|_| Worker::new_lifo()).collect();
         let stealers = locals.iter().map(|w| w.stealer()).collect();
-        let inner = Arc::new(PoolInner {
+        let inner = PoolInner {
             injector: Injector::new(),
             stealers,
             shutdown: AtomicBool::new(false),
@@ -90,7 +90,17 @@ impl ThreadPool {
             sleepers: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
-        });
+        };
+        (inner, locals)
+    }
+}
+
+impl ThreadPool {
+    /// Spin up `n_workers` worker threads named `<name>-w<i>`.
+    pub fn new(n_workers: usize, name: &str) -> Self {
+        assert!(n_workers > 0, "a pool needs at least one worker");
+        let (inner, locals) = PoolInner::new(n_workers);
+        let inner = Arc::new(inner);
         let workers = locals
             .into_iter()
             .enumerate()
@@ -448,6 +458,74 @@ mod tests {
         // whiffed yet — just exercise the getters).
         let _ = pool.steal_fails_total();
         let _ = pool.parks_total();
+    }
+
+    /// A task that appends `id` to `log` when it runs.
+    fn tagged(log: &Arc<Mutex<Vec<u32>>>, id: u32) -> Task {
+        let log = log.clone();
+        Box::new(move || log.lock().push(id))
+    }
+
+    /// How many tasks `w` holds: steal each from the front, push it back
+    /// at the back, so the deque ends as it began.
+    fn depth(w: &Worker<Task>) -> usize {
+        let mut held = Vec::new();
+        while let Steal::Success(t) = w.stealer().steal() {
+            held.push(t);
+        }
+        let n = held.len();
+        held.into_iter().for_each(|t| w.push(t));
+        n
+    }
+
+    #[test]
+    fn find_task_pops_local_then_one_injector_batch_then_peers_from_me_plus_one() {
+        // Three workers so that the victim scan from `me + 1` (2, then 0)
+        // differs from a scan from worker 0.
+        let (inner, locals) = PoolInner::new(3);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let depths_ok = || locals.iter().all(|w| depth(w) < STEAL_BATCH);
+        // Workers 0 and 2 each take one batch from a spawn burst, the way
+        // a busy pool leaves them: one task run, the rest in their deques.
+        for id in 0..8 {
+            inner.injector.push(tagged(&log, id));
+        }
+        for me in [0, 2] {
+            find_task(&inner, &locals[me], me).expect("a queued task")();
+        }
+        assert_eq!(*log.lock(), [0, 4]);
+        assert_eq!((depth(&locals[0]), depth(&locals[2])), (3, 3));
+        log.lock().clear();
+
+        // Worker 1: two tasks of its own, six more in the injector.
+        locals[1].push(tagged(&log, 200));
+        locals[1].push(tagged(&log, 201));
+        for id in 100..106 {
+            inner.injector.push(tagged(&log, id));
+        }
+        while let Some(task) = find_task(&inner, &locals[1], 1) {
+            task();
+            assert!(depths_ok(), "a deque holds {STEAL_BATCH} or more tasks");
+            if log.lock().last() == Some(&102) {
+                assert_eq!(
+                    depth(&locals[1]),
+                    STEAL_BATCH - 1,
+                    "one batch, the first run"
+                );
+            }
+        }
+        assert_eq!(
+            *log.lock(),
+            [
+                201, 200, // own deque, newest first
+                102, 105, 104, 103, // one injector batch of STEAL_BATCH
+                100, 101, // the injector's remainder
+                5, 7, 6, // peer 2 = me + 1, oldest first, batch drained LIFO
+                1, 3, 2, // then peer 0
+            ]
+        );
+        assert_eq!(inner.steal_stats[1].steals.load(Ordering::Relaxed), 4);
+        assert_eq!(inner.steal_stats[1].failed_scans.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -259,9 +259,10 @@ fn pool_bench(c: &mut Criterion) {
     // Raw spawn/steal throughput of the AMT pool: 1024 tiny tasks pushed
     // through the injector and drained by the workers, measured at one
     // worker (no contention — pure deque overhead) and at eight (every
-    // worker fighting over the injector and each other's deques). This is
-    // the surface the Chase–Lev deque rewrite targets: on the old
-    // Mutex<VecDeque> shim the 8-thread leg serializes on locks.
+    // worker fighting over the injector and each other's deques). Locked
+    // and lock-free (Chase–Lev) deques read alike here: 10 alternating
+    // pairs on a 2-vCPU VM, median of 200 loops, lock-free → locked,
+    // 1 worker 446 → 473 µs, 8 workers 1245 → 1176 µs.
     use nlheat_amt::pool::ThreadPool;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;

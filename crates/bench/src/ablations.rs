@@ -3,7 +3,9 @@
 use crate::figdata::{FigData, Series};
 use nlheat_core::balance::{LbSchedule, LbSpec};
 use nlheat_core::scenario::sweep::{Axis, ScenarioSweep};
-use nlheat_core::scenario::{ClusterSpec, PartitionSpec, PlanSubstrate, RunReport, Scenario};
+use nlheat_core::scenario::{
+    ClusterSpec, LbInput, PartitionSpec, PlanSubstrate, RunReport, Scenario,
+};
 use nlheat_core::scenarios::{
     cut_drift, elastic_scale_out, heterogeneous_cluster, lopsided_owners, memory_pressure,
     plan_scale, propagating_crack, rank_failure, two_rack_net,
@@ -303,7 +305,8 @@ pub fn a8_policies() -> Vec<(&'static str, LbSpec)> {
 /// simulator at paper scale (makespan, migration traffic, inter-rack
 /// bytes) and the real distributed runtime at smoke scale (migrations
 /// observed on a 4-locality cluster from a deliberately lopsided explicit
-/// start). A no-LB simulator baseline anchors the comparison.
+/// start). A no-LB simulator baseline anchors the comparison. Both legs
+/// plan from `LbInput::Modeled`, so the real column is deterministic too.
 pub fn a8_policy_comparison(quick: bool) -> FigData {
     let steps = if quick { 16 } else { 48 };
     let mut fig = FigData::new(
@@ -324,7 +327,8 @@ pub fn a8_policy_comparison(quick: bool) -> FigData {
     // non-empty, so all policies can find frontiers).
     let real_base = Scenario::square(16, 2.0, 4, 6)
         .on(ClusterSpec::uniform(4, 1))
-        .with_net(two_rack_net());
+        .with_net(two_rack_net())
+        .with_lb_input(LbInput::Modeled);
     let real_owners = lopsided_owners(&real_base.sd_grid(), 4);
     let mut baseline = Series::new("time-ms-no-LB");
     let no_lb = sim_base.clone().run_sim().makespan * 1e3;
@@ -368,12 +372,11 @@ pub fn a8_policy_comparison(quick: bool) -> FigData {
 /// borrowing: the cut collapses further but makespan pays — A9 maps that
 /// boundary, like A7 does for λ.
 ///
-/// Real-runtime leg (smoke scale): wall-clock busy relief is microseconds
-/// against ~100 µs link estimates (the A8 caveat), so any practical μ
-/// acts as a pure gate there; the leg shows μ keeping the balancer from
-/// worsening the recurring cut, with the final inter-rack cut read from
-/// the recorded [`nlheat_core::balance::EpochTrace`]s, falling back to
-/// the initial cut when every epoch was gated.
+/// Real-runtime leg (smoke scale, planned from `LbInput::Modeled` like
+/// A8's, so the column is deterministic): μ must not leave a worse
+/// recurring cut than the ghost-blind run. The final inter-rack cut is
+/// read from the recorded [`nlheat_core::balance::EpochTrace`]s, falling
+/// back to the initial cut when every epoch was gated.
 pub fn a9_ghost_aware_mu(quick: bool) -> FigData {
     let steps = if quick { 24 } else { 48 };
     let mut fig = FigData::new(
@@ -389,7 +392,8 @@ pub fn a9_ghost_aware_mu(quick: bool) -> FigData {
         .with_net(two_rack_net());
     let real_base = Scenario::square(16, 2.0, 4, 6)
         .on(ClusterSpec::uniform(4, 1))
-        .with_net(two_rack_net());
+        .with_net(two_rack_net())
+        .with_lb_input(LbInput::Modeled);
     let sim_sds = sim_base.sd_grid();
     let real_sds = real_base.sd_grid();
     let sim_owners = lopsided_owners(&sim_sds, 4);
@@ -565,9 +569,11 @@ pub fn a10b_plan_time_scaling(quick: bool) -> FigData {
 }
 
 /// **A11** — intra-epoch work stealing vs epoch-level migration: the
-/// Chase–Lev row-band stealing path dueled and composed with the LB
-/// policies on the real runtime (the simulator has no notion of
-/// intra-step scheduling). Four legs per scenario — neither, LB only,
+/// pool's row-band stealing path dueled and composed with the LB
+/// policies on the real runtime (the simulator charges the same row-band
+/// tasks, each on its node's earliest free core — the ideal a stealing
+/// pool approaches; this figure measures the pool itself). Four legs per
+/// scenario — neither, LB only,
 /// stealing only, both — on multi-core re-clusterings of the crack and
 /// heterogeneous-cluster scenarios (the library versions pin one core
 /// per node, where a band task has no one to steal it).
@@ -870,105 +876,85 @@ mod tests {
 
     #[test]
     fn a8_every_policy_beats_the_static_baseline() {
-        // The simulator assertions are deterministic and checked every
-        // attempt. The real-runtime leg plans from *measured* wall-clock
-        // busy times, and at smoke scale scheduling noise on an
-        // oversubscribed machine can flatten the contrast into a no-op
-        // plan (same caveat as the dist-level heterogeneous-cluster
-        // test), so the migration criterion gets a few attempts.
-        let mut last_real = Vec::new();
-        for _attempt in 0..3 {
-            let fig = a8_policy_comparison(true);
-            let time = &fig.series[0].points;
-            let real = &fig.series[3].points;
-            let no_lb = fig.series[4].points[0].1;
-            assert_eq!(time.len(), 5, "all five policy variants must run");
-            for (i, &(x, t)) in time.iter().enumerate() {
-                assert!(t.is_finite() && t > 0.0, "policy {x} produced time {t}");
-                // The strip start on 2:1:2:1 speeds is badly imbalanced,
-                // so every policy must recover most of the static
-                // penalty. The adaptive decorators may briefly gate while
-                // their weights settle, hence the small allowance.
-                assert!(
-                    t <= no_lb * 1.05,
-                    "policy {x} (series idx {i}) lost to no-LB: {t} vs {no_lb}"
-                );
-                assert!(real[i].1.is_finite(), "real run {x} must record a count");
-            }
-            let inter = &fig.series[2].points;
+        // Both legs plan from modeled busy times, so every assertion is
+        // deterministic.
+        let fig = a8_policy_comparison(true);
+        let time = &fig.series[0].points;
+        let real = &fig.series[3].points;
+        let no_lb = fig.series[4].points[0].1;
+        assert_eq!(time.len(), 5, "all five policy variants must run");
+        for (i, &(x, t)) in time.iter().enumerate() {
+            assert!(t.is_finite() && t > 0.0, "policy {x} produced time {t}");
+            // The strip start on 2:1:2:1 speeds is badly imbalanced, so
+            // every policy must recover most of the static penalty. The
+            // adaptive decorators may briefly gate while their weights
+            // settle, hence the small allowance.
             assert!(
-                inter.iter().all(|p| p.1.is_finite()),
-                "inter-rack bytes must be recorded: {inter:?}"
+                t <= no_lb * 1.05,
+                "policy {x} (series idx {i}) lost to no-LB: {t} vs {no_lb}"
             );
-            // Migration counts must be positive for the ungated policies
-            // (indices 1–3: diffusion, greedy-steal, adaptive-λ at its
-            // initial λ=0); tree λ=1 legitimately gates everything at
-            // smoke scale (wall-clock busy relief is microseconds, the
-            // intra-rack link estimate is 100 µs), and adaptive-μ may
-            // learn a gating μ from the smoke-scale ghost stalls for the
-            // same reason (the A9 caveat).
-            last_real = real.clone();
-            if real[1..=3].iter().all(|p| p.1 > 0.0) {
-                return;
-            }
+            assert!(real[i].1.is_finite(), "real run {x} must record a count");
         }
-        panic!(
-            "ungated policies must migrate in the real runtime in at \
-             least one of 3 attempts: {last_real:?}"
+        let inter = &fig.series[2].points;
+        assert!(
+            inter.iter().all(|p| p.1.is_finite()),
+            "inter-rack bytes must be recorded: {inter:?}"
+        );
+        // Migration counts must be positive for the ungated policies
+        // (indices 1–3: diffusion, greedy-steal, adaptive-λ at its initial
+        // λ=0); tree λ=1 legitimately gates everything at smoke scale,
+        // where no move's modeled busy relief outweighs its λ-weighted
+        // migration seconds.
+        assert!(
+            real[1..=3].iter().all(|p| p.1 > 0.0),
+            "ungated policies must migrate in the real runtime: {real:?}"
         );
     }
 
     #[test]
     fn a9_mu_cuts_recurring_inter_rack_ghost_traffic() {
-        // Simulator leg (deterministic): the steady-state inter-rack
-        // ghost cut is monotone non-increasing in μ, strictly below the
-        // ghost-blind baseline once μ bites, and the makespan holds
-        // within noise across the shaping band (μ ≤ 0.5; μ = 1 maps the
-        // freeze boundary and is exempt, like A7's over-large λ).
-        // Real leg: wall-clock noise allows plan-level variation, so only
-        // the end-to-end claim is asserted, with the A8 retry pattern.
-        let mut last_real = Vec::new();
-        for _attempt in 0..3 {
-            let fig = a9_ghost_aware_mu(true);
-            let inter = &fig.series[0].points;
-            let time = &fig.series[1].points;
-            let migr = &fig.series[2].points;
+        // Both legs plan from modeled busy times, so every assertion is
+        // deterministic. Simulator leg: the steady-state inter-rack ghost
+        // cut is monotone non-increasing in μ, strictly below the
+        // ghost-blind baseline once μ bites, and the makespan holds within
+        // noise across the shaping band (μ ≤ 0.5; μ = 1 maps the freeze
+        // boundary and is exempt, like A7's over-large λ). Real leg: the
+        // end-to-end claim only.
+        let fig = a9_ghost_aware_mu(true);
+        let inter = &fig.series[0].points;
+        let time = &fig.series[1].points;
+        let migr = &fig.series[2].points;
+        assert!(
+            inter[0].1 > 0.0,
+            "the blind baseline must pay inter-rack ghost traffic: {inter:?}"
+        );
+        for w in inter.windows(2) {
             assert!(
-                inter[0].1 > 0.0,
-                "the blind baseline must pay inter-rack ghost traffic: {inter:?}"
+                w[1].1 <= w[0].1,
+                "inter-rack ghost cut must not grow with μ: {inter:?}"
             );
-            for w in inter.windows(2) {
-                assert!(
-                    w[1].1 <= w[0].1,
-                    "inter-rack ghost cut must not grow with μ: {inter:?}"
-                );
-            }
-            let in_band: Vec<_> = inter.iter().filter(|p| p.0 <= 0.5).collect();
-            assert!(
-                in_band.last().unwrap().1 < inter[0].1,
-                "μ must cut the recurring traffic within the shaping band: {inter:?}"
-            );
-            let t0 = time[0].1;
-            for &(mu, t) in time.iter().filter(|p| p.0 <= 0.5) {
-                assert!(
-                    t <= t0 * 1.10,
-                    "μ={mu} makespan {t} drifted from baseline {t0}"
-                );
-            }
-            for &(mu, m) in migr.iter().filter(|p| p.0 <= 0.5) {
-                assert!(m > 0.0, "μ={mu} must keep balancing in the shaping band");
-            }
-            // real leg: μ-gated runs must not end with more recurring
-            // inter-rack traffic than the ghost-blind run
-            let real = &fig.series[3].points;
-            last_real = real.clone();
-            if real.last().unwrap().1 <= real[0].1 {
-                return;
-            }
         }
-        panic!(
-            "real runtime: large μ must not leave a worse inter-rack cut \
-             in at least one of 3 attempts: {last_real:?}"
+        let in_band: Vec<_> = inter.iter().filter(|p| p.0 <= 0.5).collect();
+        assert!(
+            in_band.last().unwrap().1 < inter[0].1,
+            "μ must cut the recurring traffic within the shaping band: {inter:?}"
+        );
+        let t0 = time[0].1;
+        for &(mu, t) in time.iter().filter(|p| p.0 <= 0.5) {
+            assert!(
+                t <= t0 * 1.10,
+                "μ={mu} makespan {t} drifted from baseline {t0}"
+            );
+        }
+        for &(mu, m) in migr.iter().filter(|p| p.0 <= 0.5) {
+            assert!(m > 0.0, "μ={mu} must keep balancing in the shaping band");
+        }
+        // real leg: μ-gated runs must not end with more recurring
+        // inter-rack traffic than the ghost-blind run
+        let real = &fig.series[3].points;
+        assert!(
+            real.last().unwrap().1 <= real[0].1,
+            "real runtime: large μ must not leave a worse inter-rack cut: {real:?}"
         );
     }
 

@@ -1,8 +1,8 @@
 //! Minimal std-backed stand-in for the `crossbeam` crate.
 //!
 //! Provides the subset this workspace uses: `channel` (MPMC unbounded
-//! channels with timeouts), `deque` (a lock-free Chase–Lev per-worker
-//! deque plus a sharded injector) and `utils::CachePadded`. Semantics
+//! channels with timeouts), `deque` (a locked per-worker deque plus a
+//! sharded injector) and `utils::CachePadded`. Semantics
 //! (blocking, disconnection, LIFO worker pop vs FIFO steal, batch
 //! transfer into the destination worker) match the real crate for the
 //! paths exercised here.
@@ -237,276 +237,111 @@ pub mod channel {
 }
 
 pub mod deque {
-    //! Work-stealing deques: a lock-free Chase–Lev deque per worker
-    //! (Chase & Lev, SPAA 2005, with the C11 orderings of Lê, Pop,
-    //! Cohen & Zappa Nardelli, PPoPP 2013) and a sharded MPMC injector.
+    //! Work-stealing deques with crossbeam's ends: a worker's owner pushes
+    //! and pops at the back (LIFO), thieves take from the front (oldest
+    //! first); plus a sharded MPMC injector.
     //!
-    //! Elements are stored as boxed pointers in `AtomicPtr` slots, so
-    //! every slot read/write is a single atomic word: stealers may race
-    //! with the owner's push/pop and with buffer growth without ever
-    //! reading a torn `T`. Ownership of an element transfers exactly
-    //! once — to the stealer that wins the `top` CAS, or to the owner's
-    //! `pop` (which CASes `top` itself for the last element). Retired
-    //! grow buffers are kept alive until the deque drops, because a
-    //! stealer that read the old buffer pointer may still index it; the
-    //! grow copies every live slot, so any reachable buffer version
-    //! holds a valid pointer for any index the `top` CAS can validate.
+    //! Each worker's deque is one `Mutex<VecDeque>`. The pool refills a
+    //! deque only once it is empty and a batch adds at most
+    //! `STEAL_BATCH − 1` tasks, each task runs for tens of microseconds,
+    //! and every spawn already takes an injector lock, so a lock per deque
+    //! operation is not what a task's cost is made of.
 
     use std::collections::VecDeque;
     use std::marker::PhantomData;
-    use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex, PoisonError};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
     /// Outcome of a steal attempt.
     pub enum Steal<T> {
         Success(T),
         Empty,
+        /// Part of crossbeam's API; this shim never returns it.
         Retry,
     }
 
-    /// Default batch bound for `steal_batch_and_pop`: enough to amortize
-    /// the CAS traffic, small enough that one thief cannot drain a
-    /// straggler's whole deque in one visit.
+    /// Default batch bound for `steal_batch_and_pop`: small enough that
+    /// one thief cannot drain a straggler's whole queue in one visit.
     const MAX_BATCH: usize = 32;
 
-    /// Initial per-worker ring capacity (grows by doubling).
-    const INITIAL_CAP: usize = 64;
-
-    /// A growable ring of `AtomicPtr` slots indexed by the unbounded
-    /// Chase–Lev positions (wrapping via the power-of-two mask).
-    struct Buffer<T> {
-        slots: Box<[AtomicPtr<T>]>,
-        mask: usize,
+    /// Poison is ignored: a section under this lock only calls `VecDeque`
+    /// methods, each of which leaves the queue valid.
+    fn lock<T>(queue: &Mutex<VecDeque<T>>) -> MutexGuard<'_, VecDeque<T>> {
+        queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    impl<T> Buffer<T> {
-        fn new(cap: usize) -> Self {
-            debug_assert!(cap.is_power_of_two());
-            Buffer {
-                slots: (0..cap)
-                    .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                    .collect(),
-                mask: cap - 1,
-            }
-        }
-
-        fn cap(&self) -> usize {
-            self.slots.len()
-        }
-
-        fn slot(&self, index: isize) -> &AtomicPtr<T> {
-            &self.slots[index as usize & self.mask]
-        }
-    }
-
-    struct Inner<T> {
-        /// Stealer end — advances monotonically, one CAS per element.
-        top: AtomicIsize,
-        /// Owner end — only the owning `Worker` writes it.
-        bottom: AtomicIsize,
-        /// Current ring; swapped (never mutated in place) on growth.
-        buffer: AtomicPtr<Buffer<T>>,
-        /// Rings replaced by growth, freed on drop: a concurrent stealer
-        /// may hold a pointer to any previous version.
-        retired: Mutex<Vec<*mut Buffer<T>>>,
-    }
-
-    unsafe impl<T: Send> Send for Inner<T> {}
-    unsafe impl<T: Send> Sync for Inner<T> {}
-
-    impl<T> Drop for Inner<T> {
-        fn drop(&mut self) {
-            // Exclusive access: free the elements still queued, then every
-            // buffer version.
-            let t = *self.top.get_mut();
-            let b = *self.bottom.get_mut();
-            let buf_ptr = *self.buffer.get_mut();
-            unsafe {
-                let buf = &*buf_ptr;
-                for i in t..b {
-                    drop(Box::from_raw(buf.slot(i).load(Ordering::Relaxed)));
-                }
-                drop(Box::from_raw(buf_ptr));
-            }
-            let retired =
-                std::mem::take(&mut *self.retired.lock().unwrap_or_else(PoisonError::into_inner));
-            for p in retired {
-                unsafe { drop(Box::from_raw(p)) };
-            }
-        }
-    }
-
-    /// The owner end of a Chase–Lev deque: LIFO `push`/`pop`, no locks,
-    /// no CAS except when racing stealers for the last element. `Send`
-    /// but not `Sync` — exactly one thread may own it at a time.
+    /// The owner end of a worker's deque: LIFO `push`/`pop`. `Send` but
+    /// not `Sync`, as crossbeam's: one thread owns it at a time.
+    ///
+    /// ```compile_fail
+    /// fn shared<T: Sync>() {}
+    /// shared::<crossbeam::deque::Worker<u8>>();
+    /// ```
     pub struct Worker<T> {
-        inner: Arc<Inner<T>>,
-        /// The owner-end protocol is single-writer; suppress `Sync`.
+        queue: Arc<Mutex<VecDeque<T>>>,
         _not_sync: PhantomData<std::cell::Cell<()>>,
     }
-
-    unsafe impl<T: Send> Send for Worker<T> {}
 
     impl<T> Worker<T> {
         pub fn new_lifo() -> Self {
             Worker {
-                inner: Arc::new(Inner {
-                    top: AtomicIsize::new(0),
-                    bottom: AtomicIsize::new(0),
-                    buffer: AtomicPtr::new(Box::into_raw(Box::new(Buffer::new(INITIAL_CAP)))),
-                    retired: Mutex::new(Vec::new()),
-                }),
+                queue: Arc::default(),
                 _not_sync: PhantomData,
             }
         }
 
         pub fn push(&self, value: T) {
-            let inner = &*self.inner;
-            let b = inner.bottom.load(Ordering::Relaxed);
-            let t = inner.top.load(Ordering::Acquire);
-            let mut buf = unsafe { &*inner.buffer.load(Ordering::Relaxed) };
-            if b - t >= buf.cap() as isize {
-                self.grow(t, b);
-                buf = unsafe { &*inner.buffer.load(Ordering::Relaxed) };
-            }
-            buf.slot(b)
-                .store(Box::into_raw(Box::new(value)), Ordering::Relaxed);
-            // Publish: a stealer that acquires this bottom also sees the
-            // slot store (and, transitively, the buffer swap of any grow).
-            inner.bottom.store(b + 1, Ordering::Release);
+            lock(&self.queue).push_back(value);
         }
 
-        /// Double the ring, copying the live window `[t, b)`. The old
-        /// buffer is retired, not freed: stealers may already hold it,
-        /// and its copy of any still-unstolen index stays valid.
-        fn grow(&self, t: isize, b: isize) {
-            let inner = &*self.inner;
-            let old_ptr = inner.buffer.load(Ordering::Relaxed);
-            let old = unsafe { &*old_ptr };
-            let new = Buffer::new(old.cap() * 2);
-            for i in t..b {
-                new.slot(i)
-                    .store(old.slot(i).load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            inner
-                .buffer
-                .store(Box::into_raw(Box::new(new)), Ordering::Release);
-            inner
-                .retired
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(old_ptr);
-        }
-
-        /// LIFO pop from the owner end. Lock-free; a single `top` CAS
-        /// arbitrates the last element against concurrent stealers.
         pub fn pop(&self) -> Option<T> {
-            let inner = &*self.inner;
-            let b = inner.bottom.load(Ordering::Relaxed) - 1;
-            inner.bottom.store(b, Ordering::Relaxed);
-            // Order the bottom write before the top read (the Chase–Lev
-            // "reserve then check" handshake with the stealer's fence).
-            fence(Ordering::SeqCst);
-            let t = inner.top.load(Ordering::Relaxed);
-            if t > b {
-                // Deque was empty; undo the reservation.
-                inner.bottom.store(b + 1, Ordering::Relaxed);
-                return None;
-            }
-            let buf = unsafe { &*inner.buffer.load(Ordering::Relaxed) };
-            let elem = buf.slot(b).load(Ordering::Relaxed);
-            if t == b {
-                // Last element: win it with the same CAS stealers use.
-                let won = inner
-                    .top
-                    .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_ok();
-                inner.bottom.store(b + 1, Ordering::Relaxed);
-                won.then(|| unsafe { *Box::from_raw(elem) })
-            } else {
-                Some(unsafe { *Box::from_raw(elem) })
-            }
+            lock(&self.queue).pop_back()
         }
 
         pub fn stealer(&self) -> Stealer<T> {
             Stealer {
-                inner: self.inner.clone(),
+                queue: self.queue.clone(),
             }
         }
     }
 
-    /// Steals from the top (FIFO) end of another worker's deque.
+    /// Steals from the front (FIFO) end of another worker's deque.
     pub struct Stealer<T> {
-        inner: Arc<Inner<T>>,
+        queue: Arc<Mutex<VecDeque<T>>>,
     }
 
     impl<T> Clone for Stealer<T> {
         fn clone(&self) -> Self {
             Stealer {
-                inner: self.inner.clone(),
+                queue: self.queue.clone(),
             }
         }
     }
 
     impl<T> Stealer<T> {
-        /// Lock-free single-element steal: one `top` CAS claims the
-        /// oldest element; a lost race reports [`Steal::Retry`].
+        /// Take the oldest element.
         pub fn steal(&self) -> Steal<T> {
-            let inner = &*self.inner;
-            let t = inner.top.load(Ordering::Acquire);
-            // Pair with the owner's pop fence so the bottom read below
-            // cannot pass the top read above.
-            fence(Ordering::SeqCst);
-            let b = inner.bottom.load(Ordering::Acquire);
-            if t >= b {
-                return Steal::Empty;
-            }
-            // Loaded after bottom: the acquire on bottom orders this read
-            // after any grow that published the bottom value we saw, so
-            // the buffer version holds a valid pointer for index `t`
-            // whenever the CAS below validates `top == t`.
-            let buf = unsafe { &*inner.buffer.load(Ordering::Acquire) };
-            let elem = buf.slot(t).load(Ordering::Relaxed);
-            if inner
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-            {
-                Steal::Success(unsafe { *Box::from_raw(elem) })
-            } else {
-                Steal::Retry
-            }
-        }
-
-        /// Steal up to `limit` elements: the first is returned, the rest
-        /// are pushed into `dest`. Each element is claimed by its own
-        /// `top` CAS — a wider CAS would race the owner's `pop`, which
-        /// takes elements from the other end without touching `top`
-        /// until the deque is nearly empty.
-        pub fn steal_batch_with_limit_and_pop(&self, dest: &Worker<T>, limit: usize) -> Steal<T> {
-            let mut first = None;
-            for taken in 0..limit.max(1) {
-                match self.steal() {
-                    Steal::Success(v) => {
-                        if first.is_none() {
-                            first = Some(v);
-                        } else {
-                            dest.push(v);
-                        }
-                    }
-                    Steal::Retry if taken == 0 => return Steal::Retry,
-                    Steal::Empty | Steal::Retry => break,
-                }
-            }
-            match first {
+            match lock(&self.queue).pop_front() {
                 Some(v) => Steal::Success(v),
                 None => Steal::Empty,
             }
         }
 
-        /// [`Self::steal_batch_with_limit_and_pop`] at the default bound.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            self.steal_batch_with_limit_and_pop(dest, MAX_BATCH)
+        /// Take up to `limit` of the oldest elements: the first is
+        /// returned, the rest go, in order, to the back of `dest`.
+        pub fn steal_batch_with_limit_and_pop(&self, dest: &Worker<T>, limit: usize) -> Steal<T> {
+            let (first, rest): (T, Vec<T>) = {
+                let mut q = lock(&self.queue);
+                let Some(first) = q.pop_front() else {
+                    return Steal::Empty;
+                };
+                let n = q.len().min(limit.max(1) - 1);
+                (first, q.drain(..n).collect())
+            };
+            // Released first: two workers robbing each other would
+            // otherwise take the same two locks in opposite orders.
+            lock(&dest.queue).extend(rest);
+            Steal::Success(first)
         }
     }
 
@@ -778,9 +613,9 @@ mod tests {
     }
 
     #[test]
-    fn single_stealer_sees_fifo_order_across_growth() {
+    fn single_stealer_sees_fifo_order_across_reallocations() {
         // No owner pops: a lone stealer must observe exact push order,
-        // including across several buffer growths (initial cap is 64).
+        // across many reallocations of the queue.
         let w = Worker::new_lifo();
         for i in 0..1000 {
             w.push(i);
@@ -802,10 +637,10 @@ mod tests {
     }
 
     #[test]
-    fn chase_lev_stress_no_lost_or_duplicated_tasks() {
+    fn deque_stress_no_lost_or_duplicated_tasks() {
         // Concurrent owner (push + interleaved LIFO pops) vs 4 stealers
         // hammering single-element steals: every task must be received
-        // exactly once, across buffer growths and last-element races.
+        // exactly once, across reallocations and last-element races.
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         const ITEMS: usize = 20_000;
