@@ -2,6 +2,7 @@
 
 use crate::figdata::{FigData, Series};
 use nlheat_core::balance::{LbSchedule, LbSpec};
+use nlheat_core::ownership::Ownership;
 use nlheat_core::scenario::sweep::{Axis, ScenarioSweep};
 use nlheat_core::scenario::{
     ClusterSpec, LbInput, PartitionSpec, PlanSubstrate, RunReport, Scenario,
@@ -442,18 +443,17 @@ pub fn a9_ghost_aware_mu(quick: bool) -> FigData {
     fig
 }
 
-/// Peak capacity overflow over the whole run, in KB: replay the recorded
-/// plans backward from the final ownership (the same walk
-/// [`RunReport::check_invariants`] asserts with) and report the worst
-/// `Σ max(0, used − cap)` any state reaches. Zero when the report carries
-/// no memory tables.
+/// Peak capacity overflow over the whole run, in KB: the worst
+/// `Σ max(0, used − cap)` any state of [`RunReport::ownership_history`]
+/// (the states [`RunReport::check_invariants`] asserts on) reaches. Zero
+/// when the report carries no memory tables.
 fn peak_overflow_kb(report: &RunReport) -> f64 {
     let (Some(caps), Some(fp)) = (&report.memory_bytes, &report.sd_footprint) else {
         return 0.0;
     };
-    let overflow = |owners: &[u32]| -> u64 {
+    let overflow = |own: &Ownership| -> u64 {
         let mut usage = vec![0u64; caps.len()];
-        for (sd, &o) in owners.iter().enumerate() {
+        for (sd, &o) in own.owners().iter().enumerate() {
             usage[o as usize] = usage[o as usize].saturating_add(fp[sd]);
         }
         usage
@@ -462,15 +462,8 @@ fn peak_overflow_kb(report: &RunReport) -> f64 {
             .map(|(&used, &cap)| used.saturating_sub(cap))
             .sum()
     };
-    let mut owners = report.final_ownership.owners().to_vec();
-    let mut peak = overflow(&owners);
-    for moves in report.lb_plans.iter().rev() {
-        for m in moves {
-            owners[m.sd as usize] = m.from;
-        }
-        peak = peak.max(overflow(&owners));
-    }
-    peak as f64 / 1e3
+    let peak = report.ownership_history().iter().map(overflow).max();
+    peak.unwrap_or(0) as f64 / 1e3
 }
 
 /// **A10** — memory-aware planning under pressure: the `memory-pressure`

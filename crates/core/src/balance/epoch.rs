@@ -90,8 +90,6 @@ pub struct EpochLog {
     pub traces: Vec<EpochTrace>,
     /// The realized plans.
     pub plans: Vec<Vec<Move>>,
-    /// Per-rank SD counts after each realized epoch.
-    pub history: Vec<Vec<usize>>,
     /// Planner-grade migration payload bytes over all realized plans.
     pub migration_bytes: u64,
     /// The inter-rack share of `migration_bytes`.
@@ -189,7 +187,6 @@ impl<'a> LbEpoch<'a> {
             self.log.inter_rack_migration_bytes += trace.inter_rack_migration_bytes;
             self.log.traces.push(trace);
             self.log.plans.push(plan.moves.clone());
-            self.log.history.push(plan.new_ownership.counts());
         }
         EpochPlan {
             plan,
@@ -407,7 +404,6 @@ mod tests {
         assert_eq!(moved.plan.moves, vec![mv]);
         let log = epoch.into_log();
         assert_eq!(log.plans, vec![vec![mv]]);
-        assert_eq!(log.history, vec![vec![2, 2]]);
         assert_eq!(log.traces.len(), 1);
         let trace = &log.traces[0];
         assert_eq!((trace.step, trace.policy, trace.moves), (4, "scripted", 1));

@@ -2,8 +2,8 @@
 //! drawn from, instead of run-level aggregates.
 //!
 //! Both execution substrates record one [`EpochTrace`] per *realized*
-//! balancing epoch (no-op plans emit nothing, matching the `lb_history`
-//! convention): what the policy moved, what shipping it cost, and how the
+//! balancing epoch (no-op plans emit nothing, matching the recorded
+//! plans): what the policy moved, what shipping it cost, and how the
 //! recurring ghost traffic — the ownership edge cut over the
 //! [`SdGraph`](nlheat_partition::SdGraph) — changed. The ghost columns are
 //! zero when the substrate planned without a graph.

@@ -61,7 +61,7 @@ use nlheat_amt::collectives;
 use nlheat_amt::counters::Counter;
 use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
-use nlheat_amt::parcel::tag;
+use nlheat_amt::parcel::{tag, TAG_A_MAX, TAG_B_MAX};
 use nlheat_amt::pool::PoolHandle;
 use nlheat_mesh::{HaloPlan, Rect, SdGrid, SdId, Tile};
 use nlheat_model::{ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, SourceFn};
@@ -112,10 +112,8 @@ pub struct DistReport {
     /// `ghost_bytes`, under the same failure mask): the records inside
     /// the bundles.
     pub ghost_patches: u64,
-    /// Per-node SD counts after each balancing epoch.
-    pub lb_history: Vec<Vec<usize>>,
     /// The realized migration plan of each epoch, in epoch order (empty
-    /// plans are skipped, matching `lb_history`).
+    /// plans are skipped, matching `epoch_traces`).
     pub lb_plans: Vec<Vec<Move>>,
     /// One [`EpochTrace`] per realized balancing epoch (recorded on
     /// locality 0, in epoch order): plan size, migration bytes, and the
@@ -528,13 +526,33 @@ struct NodeReport {
 ///
 /// # Panics
 /// On the caller's thread, before any driver starts: if the scenario is
-/// invalid ([`Scenario::validate`]), or if `cluster` differs from the
-/// scenario's declaration in network model, node count, cores or speeds.
+/// invalid ([`Scenario::validate`]) or overflows a parcel-tag field, or if
+/// `cluster` differs from the scenario's declaration in network model,
+/// node count, cores or speeds.
 pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> DistReport {
     // A panic on a driver thread mid-run leaves the other localities
     // blocked on a rendezvous forever, so everything checkable is checked
     // here.
     sc.validate();
+    // Ghost bundles carry the step and LB parcels the epoch (below the
+    // step) in the tag's `a` field; a migration carries its SD id in `b`.
+    // `tag` asserts both budgets, but only once a driver gets there.
+    assert!(
+        sc.steps as u64 <= TAG_A_MAX + 1,
+        "{} steps exceed the real runtime's limit of {} (TAG_A_MAX + 1), \
+         the parcel tag's step field",
+        sc.steps,
+        TAG_A_MAX + 1
+    );
+    if sc.lb.is_some() {
+        let n_sds = sc.sd_grid().count() as u64;
+        assert!(
+            n_sds <= TAG_B_MAX + 1,
+            "load balancing over {n_sds} SDs exceeds the real runtime's limit of {} \
+             (TAG_B_MAX + 1), the migration tag's SD field",
+            TAG_B_MAX + 1
+        );
+    }
     // Guard the scenario/cluster seam: the fabric delays parcels by the
     // cluster's model and the pools run the cluster's workers at its
     // speeds, while the LB epoch prices moves, models busy times and
@@ -610,7 +628,6 @@ pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> DistReport {
         ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
         inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
         ghost_patches: reports.iter().map(|r| r.ghost_patches).sum(),
-        lb_history: lb_log.history,
         lb_plans: lb_log.plans,
         epoch_traces: lb_log.traces,
         pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
@@ -1224,18 +1241,18 @@ mod tests {
     }
 
     #[test]
-    fn noop_epochs_emit_no_lb_history() {
-        // A single-node cluster plans a no-op every epoch: the history
-        // must stay empty instead of recording unchanged counts.
+    fn noop_epochs_leave_no_record() {
+        // A single-node cluster plans a no-op every epoch: the plan log
+        // must stay empty instead of recording empty plans.
         let mut sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 6);
         sc.lb = Some(LbSchedule::every(2));
         let report = run(&sc);
         assert_eq!(report.field, serial_field(16, 2.0, 6));
         assert_eq!(report.migrations, 0);
         assert!(
-            report.lb_history.is_empty(),
-            "no-op epochs must not emit metrics: {:?}",
-            report.lb_history
+            report.lb_plans.is_empty(),
+            "no-op epochs must not emit plans: {:?}",
+            report.lb_plans
         );
         assert!(
             report.epoch_traces.is_empty(),
@@ -1254,8 +1271,8 @@ mod tests {
         sc.partition = PartitionSpec::Explicit(owners);
         let report = run(&sc);
         assert!(report.migrations > 0);
-        // one trace per realized epoch, aligned with lb_history
-        assert_eq!(report.epoch_traces.len(), report.lb_history.len());
+        // one trace per realized epoch, aligned with lb_plans
+        assert_eq!(report.epoch_traces.len(), report.lb_plans.len());
         let total_moves: usize = report.epoch_traces.iter().map(|t| t.moves).sum();
         assert_eq!(
             total_moves, report.migrations,
@@ -1579,6 +1596,33 @@ mod tests {
         let cluster = sc.cluster.builder(NetSpec::shared(1e-6, 10e9)).build();
         assert_eq!(sc.net, NetSpec::Instant);
         let _ = run_distributed(&cluster, &sc);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "load balancing over 1050625 SDs exceeds the real runtime's \
+                    limit of 1048576 (TAG_B_MAX + 1)"
+    )]
+    fn too_many_sds_to_migrate_are_rejected_before_the_run() {
+        // SD ids ≥ 2^20 do not fit a migration tag: a driver would panic
+        // at the first such move and park the other localities
+        let sc = Scenario::square(2050, 2.0, 2, 1)
+            .on(ClusterSpec::uniform(2, 1))
+            .with_net(NetSpec::Instant)
+            .with_partition(PartitionSpec::Strip)
+            .with_lb(LbSchedule::every(1));
+        assert_eq!(sc.sd_grid().count(), 1_050_625);
+        let _ = run(&sc);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "16777218 steps exceed the real runtime's limit of 16777216 \
+                    (TAG_A_MAX + 1)"
+    )]
+    fn too_many_steps_are_rejected_before_the_run() {
+        let sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, (1 << 24) + 2);
+        let _ = run(&sc);
     }
 
     /// `sc` handed to a cluster built from `other`'s declaration.
@@ -1916,7 +1960,6 @@ mod tests {
         assert_eq!(a.field, serial_field(16, 2.0, 6));
         assert!(a.migrations > 0, "lopsided start must migrate");
         assert_eq!(a.lb_plans, b.lb_plans, "modeled plans are deterministic");
-        assert_eq!(a.lb_history, b.lb_history);
         assert_eq!(a.ghost_bytes, b.ghost_bytes);
     }
 }

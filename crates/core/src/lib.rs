@@ -40,9 +40,7 @@ pub use balance::{
 };
 pub use dist::{run_distributed, DistReport};
 pub use ownership::Ownership;
-pub use scenario::sweep::{
-    Axis, JsonlSink, MemorySink, RunRecord, ScenarioSweep, SweepSink, SweepSummary,
-};
+pub use scenario::sweep::{Axis, JsonlSink, RunRecord, ScenarioSweep, SweepSink, SweepSummary};
 pub use scenario::{
     ClusterSpec, DistSubstrate, LbInput, PartitionSpec, RunExtras, RunReport, Scenario, Substrate,
     VirtualNode,

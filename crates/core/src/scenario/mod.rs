@@ -865,8 +865,9 @@ pub struct SimExtras {
 /// the simulator); the ghost/migration byte counters are planner-grade
 /// wire estimates (`patch_wire_bytes`: payload + framing word) counted by
 /// the same formula on both substrates, so identical plans produce
-/// identical counters; `lb_history`/`lb_plans`/`epoch_traces` record one
-/// entry per *realized* balancing epoch.
+/// identical counters; `lb_plans`/`epoch_traces` record one entry per
+/// *realized* balancing epoch, and [`RunReport::ownership_history`]
+/// replays the ownerships they imply.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Which substrate produced this report (`"dist"` or `"sim"`).
@@ -886,8 +887,6 @@ pub struct RunReport {
     pub ghost_bytes: u64,
     /// The inter-rack share of `ghost_bytes`.
     pub inter_rack_ghost_bytes: u64,
-    /// Per-node SD counts after each realized balancing epoch.
-    pub lb_history: Vec<Vec<usize>>,
     /// The realized migration plan of each epoch, in epoch order.
     pub lb_plans: Vec<Vec<Move>>,
     /// One [`EpochTrace`] per realized balancing epoch.
@@ -921,7 +920,6 @@ impl RunReport {
             inter_rack_migration_bytes: report.inter_rack_migration_bytes,
             ghost_bytes: report.ghost_bytes,
             inter_rack_ghost_bytes: report.inter_rack_ghost_bytes,
-            lb_history: report.lb_history,
             lb_plans: report.lb_plans,
             epoch_traces: report.epoch_traces,
             final_ownership: report.final_ownership,
@@ -980,6 +978,34 @@ impl RunReport {
         }
     }
 
+    /// The ownership at the start of the run followed by the ownership
+    /// after each realized epoch, in epoch order: `lb_plans.len() + 1`
+    /// entries, the last one `final_ownership`. Plans are single-hop and
+    /// each SD moves at most once per epoch, so undoing the recorded plans
+    /// *backward* from the final ownership visits exactly those states.
+    ///
+    /// # Panics
+    /// Panics when the recorded plans and the final ownership disagree.
+    pub fn ownership_history(&self) -> Vec<Ownership> {
+        let mut own = self.final_ownership.clone();
+        let mut states = vec![own.clone()];
+        for (epoch, moves) in self.lb_plans.iter().enumerate().rev() {
+            for m in moves {
+                assert_eq!(
+                    own.owner(m.sd),
+                    m.to,
+                    "{}: epoch {epoch} moved SD {} to where the replay does not find it",
+                    self.substrate,
+                    m.sd
+                );
+                own.set_owner(m.sd, m.from);
+            }
+            states.push(own.clone());
+        }
+        states.reverse();
+        states
+    }
+
     /// Assert the cross-substrate report invariants — what the scenario
     /// smoke suite checks for every library scenario on both substrates.
     ///
@@ -1004,14 +1030,8 @@ impl RunReport {
             self.makespan
         );
         assert_eq!(
-            self.lb_history.len(),
-            self.epoch_traces.len(),
-            "{}: one history entry per realized epoch",
-            self.substrate
-        );
-        assert_eq!(
-            self.lb_history.len(),
             self.lb_plans.len(),
+            self.epoch_traces.len(),
             "{}: one recorded plan per realized epoch",
             self.substrate
         );
@@ -1070,37 +1090,27 @@ impl RunReport {
         }
         // Memory invariant: with the scenario's capacity/footprint tables
         // attached, no ownership the run ever passed through may overflow
-        // a node's capacity. Plans are single-hop and each SD moves at
-        // most once per epoch, so replaying the recorded plans *backward*
-        // from the final ownership visits exactly the post-epoch states
-        // down to the initial partition.
+        // a node's capacity.
         if let (Some(caps), Some(fp)) = (&self.memory_bytes, &self.sd_footprint) {
-            let mut owners = self.final_ownership.owners().to_vec();
             assert_eq!(
                 fp.len(),
-                owners.len(),
+                self.final_ownership.owners().len(),
                 "{}: footprint table must cover every SD",
                 self.substrate
             );
-            let check = |owners: &[u32], when: &str| {
+            for (state, own) in self.ownership_history().iter().enumerate() {
                 let mut usage = vec![0u64; caps.len()];
-                for (sd, &o) in owners.iter().enumerate() {
+                for (sd, &o) in own.owners().iter().enumerate() {
                     usage[o as usize] = usage[o as usize].saturating_add(fp[sd]);
                 }
                 for (node, (&used, &cap)) in usage.iter().zip(caps.iter()).enumerate() {
                     assert!(
                         used <= cap,
-                        "{}: node {node} holds {used} B {when}, over its {cap} B capacity",
+                        "{}: node {node} holds {used} B after {state} realized epochs, \
+                         over its {cap} B capacity",
                         self.substrate
                     );
                 }
-            };
-            check(&owners, "at the end of the run");
-            for (epoch, moves) in self.lb_plans.iter().enumerate().rev() {
-                for m in moves {
-                    owners[m.sd as usize] = m.from;
-                }
-                check(&owners, &format!("before epoch {epoch}'s plan"));
             }
         }
     }

@@ -73,7 +73,6 @@ impl Substrate for PlanSubstrate {
             inter_rack_migration_bytes: log.inter_rack_migration_bytes,
             ghost_bytes: 0,
             inter_rack_ghost_bytes: 0,
-            lb_history: log.history,
             lb_plans: log.plans,
             epoch_traces: log.traces,
             final_ownership: planned.plan.new_ownership,
@@ -98,18 +97,23 @@ mod tests {
     use crate::scenario::library;
     use crate::scenario::{ClusterSpec, PartitionSpec};
 
+    /// 15 SDs on rank 0, one on rank 1.
+    fn lopsided_owners() -> Vec<u32> {
+        let mut o = vec![0u32; 16];
+        o[15] = 1;
+        o
+    }
+
+    fn lopsided() -> Scenario {
+        Scenario::square(16, 2.0, 4, 4)
+            .on(ClusterSpec::uniform(2, 1))
+            .with_partition(PartitionSpec::Explicit(lopsided_owners()))
+            .with_lb(LbSchedule::every(2))
+    }
+
     #[test]
     fn plan_substrate_reports_one_epoch() {
-        let sds_owners = {
-            let mut o = vec![0u32; 16];
-            o[15] = 1;
-            o
-        };
-        let sc = Scenario::square(16, 2.0, 4, 4)
-            .on(ClusterSpec::uniform(2, 1))
-            .with_partition(PartitionSpec::Explicit(sds_owners))
-            .with_lb(LbSchedule::every(2));
-        let report = PlanSubstrate.run(&sc);
+        let report = PlanSubstrate.run(&lopsided());
         report.check_invariants();
         assert_eq!(report.substrate, "plan");
         assert!(report.migrations > 0, "the 15/1 start must plan moves");
@@ -123,6 +127,21 @@ mod tests {
         // the plan moved SDs off the overloaded rank
         let counts = report.final_ownership.counts();
         assert!(counts[0] < 15 && counts[1] > 1, "counts {counts:?}");
+        // undoing the plan from the final ownership lands on the start
+        let history = report.ownership_history();
+        assert_eq!(history.len(), 2);
+        assert_eq!(history[0].owners(), lopsided_owners());
+        assert_eq!(history[1].owners(), report.final_ownership.owners());
+    }
+
+    #[test]
+    #[should_panic(expected = "to where the replay does not find it")]
+    fn a_plan_the_final_ownership_contradicts_is_refused() {
+        let mut report = PlanSubstrate.run(&lopsided());
+        // the recorded move now claims its SD stayed where it was
+        let m = &mut report.lb_plans[0][0];
+        m.to = m.from;
+        let _ = report.ownership_history();
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! product into labeled scenarios, and executes them on a worker pool
 //! ([`ScenarioSweep::run`]) that claims runs from a shared queue so
 //! stragglers never serialize the tail. Results stream to a
-//! [`SweepSink`] as they complete — a [`JsonlSink`] for durable output, a
-//! [`MemorySink`] for tests — and tabulate into a [`SweepSummary`]
+//! [`SweepSink`] as they complete — a [`JsonlSink`] for durable output, an
+//! [`FnSink`] for inline checks — and tabulate into a [`SweepSummary`]
 //! (per-axis-value means/min/max), which subsumes the hand-rolled
 //! ablation loops the figure harness used to carry.
 //!
@@ -19,9 +19,8 @@
 //! deterministic, and runs share nothing, so the *set* of records is
 //! identical for any worker count — JSONL output canonicalizes by
 //! sorting lines. The JSON encoding is hand-rolled (serde-free, like the
-//! criterion shim's): strings are escaped, non-finite floats are guarded
-//! to `null`, and [`RunRecord::from_json_line`] parses the format back
-//! for round-trip tooling.
+//! criterion shim's) and write-only: strings are escaped and non-finite
+//! floats are guarded to `null`.
 //!
 //! This is the batch-runner shape of dslab-dag's `experiment.rs` /
 //! `run_stats.rs` layer, and the bulk what-if evaluation Lifflander et
@@ -340,9 +339,11 @@ impl ScenarioSweep {
     /// Run and collect the records in grid order — the ergonomic path for
     /// summaries and figure tabulation.
     pub fn run_collect(&self, substrate: &(dyn Substrate + Sync)) -> Vec<RunRecord> {
-        let mut sink = MemorySink::default();
-        self.run(substrate, &mut sink);
-        let mut records = sink.records;
+        let mut records = Vec::with_capacity(self.runs());
+        self.run(
+            substrate,
+            &mut FnSink(|record: &RunRecord, _: &RunReport| records.push(record.clone())),
+        );
         records.sort_by_key(|r| r.index);
         records
     }
@@ -498,87 +499,6 @@ impl RunRecord {
         s.push('}');
         s
     }
-
-    /// Parse one JSON line back into a record — the round-trip
-    /// counterpart of [`RunRecord::to_json_line`]. Floats encoded as
-    /// `null` (non-finite at write time) come back as NaN.
-    pub fn from_json_line(line: &str) -> Result<RunRecord, String> {
-        let value = json::parse(line)?;
-        let obj = value.as_object().ok_or("record line must be an object")?;
-        let field = |key: &str| {
-            json::get(obj, key).ok_or_else(|| format!("record is missing field '{key}'"))
-        };
-        let mut axes = Vec::new();
-        for entry in field("axes")?.as_array().ok_or("'axes' must be an array")? {
-            let p = entry.as_object().ok_or("axis entry must be an object")?;
-            let axis_field = |key: &str| {
-                json::get(p, key).ok_or_else(|| format!("axis entry is missing '{key}'"))
-            };
-            axes.push(AxisPoint {
-                axis: axis_field("axis")?
-                    .as_str()
-                    .ok_or("axis name must be a string")?
-                    .to_string(),
-                label: axis_field("label")?
-                    .as_str()
-                    .ok_or("axis label must be a string")?
-                    .to_string(),
-                x: axis_field("x")?.as_f64().ok_or("axis x must be a number")?,
-            });
-        }
-        let uint = |key: &str| -> Result<u64, String> {
-            field(key)?
-                .as_u64()
-                .ok_or_else(|| format!("'{key}' must be an unsigned integer"))
-        };
-        let guarded_f64 = |v: &json::Value, what: &str| -> Result<f64, String> {
-            if v.is_null() {
-                Ok(f64::NAN)
-            } else {
-                v.as_f64()
-                    .ok_or_else(|| format!("{what} must be a number or null"))
-            }
-        };
-        let opt_uint = |key: &str| -> Result<Option<u64>, String> {
-            let v = field(key)?;
-            if v.is_null() {
-                Ok(None)
-            } else {
-                v.as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("'{key}' must be an unsigned integer or null"))
-            }
-        };
-        let mut busy = Vec::new();
-        for (i, v) in field("busy")?
-            .as_array()
-            .ok_or("'busy' must be an array")?
-            .iter()
-            .enumerate()
-        {
-            busy.push(guarded_f64(v, &format!("busy[{i}]"))?);
-        }
-        Ok(RunRecord {
-            index: uint("run")? as usize,
-            substrate: field("substrate")?
-                .as_str()
-                .ok_or("'substrate' must be a string")?
-                .to_string(),
-            axes,
-            makespan: guarded_f64(field("makespan")?, "'makespan'")?,
-            busy,
-            migrations: uint("migrations")? as usize,
-            migration_bytes: uint("migration_bytes")?,
-            inter_rack_migration_bytes: uint("inter_rack_migration_bytes")?,
-            ghost_bytes: uint("ghost_bytes")?,
-            inter_rack_ghost_bytes: uint("inter_rack_ghost_bytes")?,
-            epochs: uint("epochs")? as usize,
-            final_cut_bytes: opt_uint("final_cut_bytes")?,
-            final_inter_rack_cut_bytes: opt_uint("final_inter_rack_cut_bytes")?,
-            replans: uint("replans")? as usize,
-            max_cut_drift: guarded_f64(field("max_cut_drift")?, "'max_cut_drift'")?,
-        })
-    }
 }
 
 /// Append `"key":<uint>`.
@@ -646,259 +566,6 @@ fn push_json_string(s: &mut String, v: &str) {
     s.push('"');
 }
 
-/// Minimal recursive-descent JSON reader for the record lines this module
-/// writes (objects, arrays, strings with escapes, numbers, null, bool).
-mod json {
-    /// A parsed JSON value. Numbers keep their raw token so 64-bit
-    /// counters never round-trip through f64.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn is_null(&self) -> bool {
-            matches!(self, Value::Null)
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(raw) => raw.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Look a key up in a parsed object.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parse one complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {pos}", c as char))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => parse_object(b, pos),
-            Some(b'[') => parse_array(b, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
-            Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-            Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-            Some(_) => parse_number(b, pos),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        let raw = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-        if raw.is_empty() || raw.parse::<f64>().is_err() {
-            return Err(format!("invalid number '{raw}' at byte {start}"));
-        }
-        Ok(Value::Num(raw.to_string()))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = b.get(*pos) else {
-                return Err("unterminated string".into());
-            };
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = b.get(*pos) else {
-                        return Err("unterminated escape".into());
-                    };
-                    *pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => out.push(parse_unicode_escape(b, pos)?),
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                // multi-byte UTF-8 sequences pass through verbatim
-                _ => {
-                    let seq_start = *pos - 1;
-                    let len = utf8_len(c)?;
-                    *pos = seq_start + len;
-                    let s = std::str::from_utf8(
-                        b.get(seq_start..*pos).ok_or("truncated UTF-8 sequence")?,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn utf8_len(first: u8) -> Result<usize, String> {
-        match first {
-            0x00..=0x7f => Ok(1),
-            0xc0..=0xdf => Ok(2),
-            0xe0..=0xef => Ok(3),
-            0xf0..=0xf7 => Ok(4),
-            _ => Err("invalid UTF-8 lead byte".into()),
-        }
-    }
-
-    fn parse_unicode_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
-        let unit = parse_hex4(b, pos)?;
-        // combine surrogate pairs (😀 etc.)
-        if (0xd800..0xdc00).contains(&unit) {
-            if b.get(*pos) == Some(&b'\\') && b.get(*pos + 1) == Some(&b'u') {
-                *pos += 2;
-                let low = parse_hex4(b, pos)?;
-                if (0xdc00..0xe000).contains(&low) {
-                    let c = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                    return char::from_u32(c).ok_or_else(|| "invalid surrogate pair".into());
-                }
-            }
-            return Err("unpaired high surrogate".into());
-        }
-        char::from_u32(unit).ok_or_else(|| "invalid \\u escape".into())
-    }
-
-    fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
-        let hex = b
-            .get(*pos..*pos + 4)
-            .ok_or("truncated \\u escape")
-            .and_then(|h| std::str::from_utf8(h).map_err(|_| "invalid \\u escape"))?;
-        *pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
-    }
-
-    fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'[')?;
-        let mut out = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Arr(out));
-        }
-        loop {
-            out.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Arr(out));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-            }
-        }
-    }
-
-    fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(b, pos, b'{')?;
-        let mut out = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Obj(out));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_string(b, pos)?;
-            skip_ws(b, pos);
-            expect(b, pos, b':')?;
-            out.push((key, parse_value(b, pos)?));
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Obj(out));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------
@@ -946,20 +613,6 @@ impl<W: Write> SweepSink for JsonlSink<W> {
             .write_all(line.as_bytes())
             .expect("sweep JSONL write failed");
         self.rows += 1;
-    }
-}
-
-/// Collects records in memory (completion order) — the test/summary sink.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// Records in completion order; sort by [`RunRecord::index`] to
-    /// canonicalize.
-    pub records: Vec<RunRecord>,
-}
-
-impl SweepSink for MemorySink {
-    fn record(&mut self, record: &RunRecord, _report: &RunReport) {
-        self.records.push(record.clone());
     }
 }
 
@@ -1023,36 +676,32 @@ impl SweepSummary {
     pub fn from_records(records: &[RunRecord]) -> Self {
         let mut sorted: Vec<&RunRecord> = records.iter().collect();
         sorted.sort_by_key(|r| r.index);
-        let mut groups: Vec<(GroupStat, usize)> = Vec::new();
+        let mut groups: Vec<GroupStat> = Vec::new();
         for record in &sorted {
             for point in &record.axes {
                 let slot = groups
                     .iter()
-                    .position(|(g, _)| g.axis == point.axis && g.label == point.label);
-                let (group, count) = match slot {
+                    .position(|g| g.axis == point.axis && g.label == point.label);
+                let group = match slot {
                     Some(i) => &mut groups[i],
                     None => {
-                        groups.push((
-                            GroupStat {
-                                axis: point.axis.clone(),
-                                label: point.label.clone(),
-                                x: point.x,
-                                runs: 0,
-                                makespan_mean: 0.0,
-                                makespan_min: f64::INFINITY,
-                                makespan_max: f64::NEG_INFINITY,
-                                migrations_mean: 0.0,
-                                migration_bytes_mean: 0.0,
-                                inter_rack_migration_bytes_mean: 0.0,
-                                ghost_bytes_mean: 0.0,
-                                inter_rack_ghost_bytes_mean: 0.0,
-                            },
-                            0,
-                        ));
+                        groups.push(GroupStat {
+                            axis: point.axis.clone(),
+                            label: point.label.clone(),
+                            x: point.x,
+                            runs: 0,
+                            makespan_mean: 0.0,
+                            makespan_min: f64::INFINITY,
+                            makespan_max: f64::NEG_INFINITY,
+                            migrations_mean: 0.0,
+                            migration_bytes_mean: 0.0,
+                            inter_rack_migration_bytes_mean: 0.0,
+                            ghost_bytes_mean: 0.0,
+                            inter_rack_ghost_bytes_mean: 0.0,
+                        });
                         groups.last_mut().unwrap()
                     }
                 };
-                *count += 1;
                 group.runs += 1;
                 group.makespan_mean += record.makespan;
                 group.makespan_min = group.makespan_min.min(record.makespan);
@@ -1066,26 +715,22 @@ impl SweepSummary {
         }
         // present whole axes together (values stay in first-seen order)
         let mut axis_order: Vec<String> = Vec::new();
-        for (g, _) in &groups {
+        for g in &groups {
             if !axis_order.contains(&g.axis) {
                 axis_order.push(g.axis.clone());
             }
         }
-        let mut groups: Vec<(GroupStat, usize)> = groups;
-        groups.sort_by_key(|(g, _)| axis_order.iter().position(|a| *a == g.axis));
-        let groups = groups
-            .into_iter()
-            .map(|(mut g, n)| {
-                let n = n.max(1) as f64;
-                g.makespan_mean /= n;
-                g.migrations_mean /= n;
-                g.migration_bytes_mean /= n;
-                g.inter_rack_migration_bytes_mean /= n;
-                g.ghost_bytes_mean /= n;
-                g.inter_rack_ghost_bytes_mean /= n;
-                g
-            })
-            .collect();
+        groups.sort_by_key(|g| axis_order.iter().position(|a| *a == g.axis));
+        // every group holds at least the run that created it
+        for g in &mut groups {
+            let n = g.runs as f64;
+            g.makespan_mean /= n;
+            g.migrations_mean /= n;
+            g.migration_bytes_mean /= n;
+            g.inter_rack_migration_bytes_mean /= n;
+            g.ghost_bytes_mean /= n;
+            g.inter_rack_ghost_bytes_mean /= n;
+        }
         SweepSummary {
             total_runs: records.len(),
             groups,
@@ -1259,7 +904,10 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_escapes_and_non_finite_floats() {
+    fn jsonl_line_pins_escapes_non_finite_floats_and_zeros() {
+        // The format, byte for byte: escaped `"`, `\`, `\n`, `\t` and
+        // control characters, raw non-ASCII, NaN/±∞/`None` as `null`,
+        // 64-bit counters as exact integers, shortest-round-trip floats.
         let record = RunRecord {
             index: 7,
             substrate: "sim".into(),
@@ -1281,54 +929,67 @@ mod tests {
             replans: 2,
             max_cut_drift: f64::INFINITY,
         };
-        let line = record.to_json_line();
-        assert!(!line.contains('\n'), "one record, one line: {line}");
-        assert!(line.contains("\"makespan\":null"), "NaN must guard to null");
-        let back = RunRecord::from_json_line(&line).expect("round trip");
-        assert_eq!(back.index, 7);
-        assert_eq!(back.axes, record.axes);
-        assert!(back.makespan.is_nan());
-        assert_eq!(back.busy[0], 1.5e-3);
-        assert!(back.busy[1].is_nan(), "∞ guards to null, parses as NaN");
         assert_eq!(
-            back.migration_bytes,
-            u64::MAX,
-            "u64 must not round through f64"
+            record.to_json_line(),
+            r#"{"run":7,"substrate":"sim","axes":[{"axis":"policy \"q\"\\path","label":"tree λ=1\n\tπ — ∞ \u0001","x":0.5}],"makespan":null,"busy":[0.0015,null,0.25],"migrations":3,"migration_bytes":18446744073709551615,"inter_rack_migration_bytes":0,"ghost_bytes":1152921504606846976,"inter_rack_ghost_bytes":42,"epochs":1,"final_cut_bytes":99,"final_inter_rack_cut_bytes":null,"replans":2,"max_cut_drift":null}"#
         );
-        assert_eq!(back.ghost_bytes, 1 << 60);
-        assert_eq!(back.final_cut_bytes, Some(99));
-        assert_eq!(back.final_inter_rack_cut_bytes, None);
-        assert_eq!(back.replans, 2);
-        assert!(
-            back.max_cut_drift.is_nan(),
-            "non-finite drift guards to null, parses as NaN"
+        // signed zeros print as `0` and `-0`, never `0.0`
+        let zeros = RunRecord {
+            index: 0,
+            substrate: "dist".into(),
+            axes: vec![AxisPoint {
+                axis: "x".into(),
+                label: "-0".into(),
+                x: -0.0,
+            }],
+            makespan: 0.0,
+            busy: vec![-0.0, 0.0],
+            migrations: 0,
+            migration_bytes: 0,
+            inter_rack_migration_bytes: 0,
+            ghost_bytes: 0,
+            inter_rack_ghost_bytes: 0,
+            epochs: 0,
+            final_cut_bytes: None,
+            final_inter_rack_cut_bytes: Some(0),
+            replans: 0,
+            max_cut_drift: -0.0,
+        };
+        assert_eq!(
+            zeros.to_json_line(),
+            r#"{"run":0,"substrate":"dist","axes":[{"axis":"x","label":"-0","x":-0}],"makespan":0,"busy":[-0,0],"migrations":0,"migration_bytes":0,"inter_rack_migration_bytes":0,"ghost_bytes":0,"inter_rack_ghost_bytes":0,"epochs":0,"final_cut_bytes":null,"final_inter_rack_cut_bytes":0,"replans":0,"max_cut_drift":-0}"#
         );
     }
 
-    #[test]
-    fn from_json_line_reports_descriptive_errors() {
-        assert!(RunRecord::from_json_line("[]")
-            .unwrap_err()
-            .contains("object"));
-        assert!(RunRecord::from_json_line("{\"run\":1}")
-            .unwrap_err()
-            .contains("missing field"));
-        assert!(RunRecord::from_json_line("{").unwrap_err().contains("byte"));
+    /// The real runtime with its wall-clock fields zeroed, so two runs of
+    /// one sweep report identical records.
+    struct Unclocked;
+
+    impl Substrate for Unclocked {
+        fn name(&self) -> &'static str {
+            "dist"
+        }
+
+        fn run(&self, scenario: &Scenario) -> RunReport {
+            let mut report = DistSubstrate.run(scenario);
+            report.makespan = 0.0;
+            report.busy.fill(0.0);
+            report
+        }
     }
 
     #[test]
     fn jsonl_sink_writes_one_line_per_run() {
         let sweep = ScenarioSweep::new(tiny_base()).axis(steps_axis());
         let mut sink = JsonlSink::new(Vec::<u8>::new());
-        sweep.run(&DistSubstrate, &mut sink);
+        sweep.run(&Unclocked, &mut sink);
         assert_eq!(sink.rows(), 2);
         let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            let rec = RunRecord::from_json_line(line).expect("parseable row");
-            assert_eq!(rec.substrate, "dist");
-        }
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        let records = sweep.run_collect(&Unclocked);
+        let expected: Vec<String> = records.iter().map(RunRecord::to_json_line).collect();
+        assert_eq!(lines, expected);
     }
 
     #[test]

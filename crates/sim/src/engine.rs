@@ -395,7 +395,6 @@ pub fn simulate(sc: &Scenario) -> RunReport {
         inter_rack_migration_bytes: log.inter_rack_migration_bytes,
         ghost_bytes,
         inter_rack_ghost_bytes,
-        lb_history: log.history,
         lb_plans: log.plans,
         epoch_traces: log.traces,
         final_ownership: ownership,
@@ -554,15 +553,15 @@ mod tests {
     #[test]
     fn noop_epochs_emit_no_metrics() {
         // One node: every plan is a no-op. The balancer must not record
-        // history entries or migration traffic for idle epochs (it still
-        // pays the planning barrier).
+        // plans or migration traffic for idle epochs (it still pays the
+        // planning barrier).
         let run = simulate(&shared_cfg(4, 2).with_lb(LbSchedule::every(2)));
         assert_eq!(run.migrations, 0);
         assert_eq!(run.migration_bytes, 0);
         assert!(
-            run.lb_history.is_empty(),
-            "no-op epochs must not emit metrics: {:?}",
-            run.lb_history
+            run.lb_plans.is_empty(),
+            "no-op epochs must not emit plans: {:?}",
+            run.lb_plans
         );
         assert!(
             run.epoch_traces.is_empty(),
@@ -597,7 +596,7 @@ mod tests {
     fn epoch_traces_record_the_cut_from_the_sim_graph() {
         let run = simulate(&paper(400, 25, 24, het4()).with_lb(LbSchedule::every(4)));
         assert!(run.migrations > 0);
-        assert_eq!(run.epoch_traces.len(), run.lb_history.len());
+        assert_eq!(run.epoch_traces.len(), run.lb_plans.len());
         let moves: usize = run.epoch_traces.iter().map(|t| t.moves).sum();
         assert_eq!(moves, run.migrations, "traces cover every migration");
         for t in &run.epoch_traces {

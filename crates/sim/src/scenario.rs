@@ -56,7 +56,7 @@ mod tests {
         assert_eq!(report.substrate, "sim");
         assert!(report.field.is_none(), "the simulator carries no numerics");
         assert!(report.migrations > 0, "lopsided start must migrate");
-        assert_eq!(report.lb_plans.len(), report.lb_history.len());
+        assert_eq!(report.lb_plans.len(), report.epoch_traces.len());
         assert!(report.sim_extras().is_some());
     }
 }

@@ -23,8 +23,8 @@ fn main() {
     );
     let report = quick.run_dist();
     println!("SD migrations: {}", report.migrations);
-    for (epoch, counts) in report.lb_history.iter().enumerate() {
-        println!("after LB epoch {}: SD counts {:?}", epoch + 1, counts);
+    for (epoch, own) in report.ownership_history().iter().enumerate().skip(1) {
+        println!("after LB epoch {epoch}: SD counts {:?}", own.counts());
     }
     println!("final ownership:\n{}", report.final_ownership.render());
     // where each rank's step loop went: the driver's phase counters

@@ -50,16 +50,6 @@ fn main() {
     let records = sweep.run_collect(&SimSubstrate);
     println!("\n{}", SweepSummary::from_records(&records).to_markdown());
 
-    // every row parses back — offline tooling reads the same schema
-    let parsed = RunRecord::from_json_line(jsonl.lines().next().unwrap()).unwrap();
-    println!(
-        "row round-trip: run {} at lambda={} mu={} -> {} migrations",
-        parsed.index,
-        parsed.axis_label("lambda").unwrap(),
-        parsed.axis_label("mu").unwrap(),
-        parsed.migrations
-    );
-
     // --- the whole named scenario library as one categorical axis ---
     let library = ScenarioSweep::new(scenarios::paper_baseline(true))
         .axis(Axis::scenarios("scenario", scenarios::all(true)))

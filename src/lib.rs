@@ -56,7 +56,7 @@ pub mod prelude {
     pub use nlheat_core::dist::run_distributed;
     pub use nlheat_core::ownership::Ownership;
     pub use nlheat_core::scenario::sweep::{
-        Axis, FnSink, JsonlSink, MemorySink, RunRecord, ScenarioSweep, SweepSink, SweepSummary,
+        Axis, FnSink, JsonlSink, RunRecord, ScenarioSweep, SweepSink, SweepSummary,
     };
     pub use nlheat_core::scenario::{
         ClusterEvent, ClusterSpec, DistSubstrate, LbInput, PartitionSpec, RunExtras, RunReport,

@@ -177,13 +177,17 @@ fn every_vector_level_integrates_to_the_scalar_reference() {
 fn report_counters_unchanged_across_substrates() {
     // Plan-derived counters must not notice the optimizations: under
     // modeled planning input both substrates still produce identical plan
-    // sequences, histories and planner-grade byte counters.
+    // sequences, final ownership and planner-grade byte counters.
     for (name, sc) in pinned_scenarios() {
         let sc = sc.with_lb_input(LbInput::Modeled);
         let sim = sc.run_sim();
         let real = sc.run_dist();
         assert_eq!(sim.lb_plans, real.lb_plans, "{name}");
-        assert_eq!(sim.lb_history, real.lb_history, "{name}");
+        assert_eq!(
+            sim.final_ownership.owners(),
+            real.final_ownership.owners(),
+            "{name}"
+        );
         assert_eq!(
             (sim.ghost_bytes, sim.inter_rack_ghost_bytes),
             (real.ghost_bytes, real.inter_rack_ghost_bytes),

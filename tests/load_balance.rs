@@ -127,10 +127,14 @@ fn real_runtime_migrations_match_plans() {
         .with_lb(LbSchedule::every(2))
         .with_lb_input(LbInput::Modeled)
         .run_dist();
-    // lb_history records the post-epoch counts; the last entry must match
-    // the final ownership, and the recorded plans must cover every move
-    let last = report.lb_history.last().expect("at least one epoch");
-    assert_eq!(*last, report.final_ownership.counts());
+    // undoing the recorded plans from the final ownership must land on
+    // the initial partition, and the plans must cover every move
+    let history = report.ownership_history();
+    assert_eq!(history.len(), report.lb_plans.len() + 1);
+    assert_eq!(
+        PartitionSpec::Explicit(history[0].owners().to_vec()),
+        lopsided16()
+    );
     assert!(report.migrations > 0);
     assert_eq!(
         report.lb_plans.iter().map(Vec::len).sum::<usize>(),

@@ -3,9 +3,9 @@
 //!
 //! The parity test is the tentpole acceptance criterion: one `Scenario`
 //! under `NetSpec::Instant` + an explicit partition + modeled planning
-//! input yields **identical** `MigrationPlan` sequences and `lb_history`
-//! from both substrates, for every `LbSpec` variant — the two runtimes
-//! provably execute the same experiment, not two similar ones.
+//! input yields **identical** `MigrationPlan` sequences and final
+//! ownership from both substrates, for every `LbSpec` variant — the two
+//! runtimes provably execute the same experiment, not two similar ones.
 
 use nonlocalheat::prelude::*;
 
@@ -23,9 +23,9 @@ fn parity_scenario(spec: LbSpec) -> Scenario {
 #[test]
 fn cross_substrate_parity_for_every_lb_spec() {
     // Under Instant + Modeled, both substrates feed the policies
-    // byte-identical planner inputs, so plan sequences, histories,
-    // traces, final ownership AND the planner-grade ghost counters must
-    // agree exactly — for every policy variant.
+    // byte-identical planner inputs, so plan sequences, traces, final
+    // ownership AND the planner-grade ghost counters must agree exactly
+    // — for every policy variant.
     let specs = [
         LbSpec::tree(0.0),
         LbSpec::tree(1.5),
@@ -44,12 +44,6 @@ fn cross_substrate_parity_for_every_lb_spec() {
             sim.lb_plans,
             real.lb_plans,
             "{}: migration plan sequences must be identical",
-            spec.name()
-        );
-        assert_eq!(
-            sim.lb_history,
-            real.lb_history,
-            "{}: lb_history must be identical",
             spec.name()
         );
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Integration pins for the `ScenarioSweep` layer: parallel execution is
-//! deterministic in content, the JSONL stream round-trips, and a sweep
-//! produces the same planner-grade measurements on both substrates under
-//! modeled planning input.
+//! deterministic in content, the JSONL stream is exactly the collected
+//! records, and a sweep produces the same planner-grade measurements on
+//! both substrates under modeled planning input.
 
 use nonlocalheat::prelude::*;
 
@@ -50,18 +50,20 @@ fn parallel_sweep_is_deterministic_in_content() {
 }
 
 #[test]
-fn jsonl_stream_round_trips_through_the_parser() {
-    // Every streamed line parses back into exactly the record the
-    // in-memory collector saw for the same run index.
+fn jsonl_stream_is_the_collected_records() {
+    // Line i of the sorted stream is, byte for byte, the encoding of the
+    // record the in-memory collector returns at index i (fewer than ten
+    // runs, so sorting the lines sorts them by run index).
     let sweep = lambda_mu_sweep(2);
     let records = sweep.run_collect(&SimSubstrate);
-    for line in sorted_jsonl(&sweep) {
-        let parsed = RunRecord::from_json_line(&line).expect("row parses");
-        let original = &records[parsed.index];
-        assert_eq!(&parsed, original, "run {} must round-trip", parsed.index);
-        assert!(parsed.makespan.is_finite());
-        assert_eq!(parsed.substrate, "sim");
-        assert_eq!(parsed.axes.len(), 2);
+    let lines = sorted_jsonl(&sweep);
+    assert_eq!(lines.len(), records.len());
+    for (i, (line, record)) in lines.iter().zip(&records).enumerate() {
+        assert_eq!(record.index, i);
+        assert_eq!(*line, record.to_json_line(), "run {i}");
+        assert!(record.makespan.is_finite());
+        assert_eq!(record.substrate, "sim");
+        assert_eq!(record.axes.len(), 2);
     }
 }
 
