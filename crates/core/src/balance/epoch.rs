@@ -102,6 +102,9 @@ pub struct LbEpoch<'a> {
     policy: Box<dyn LbPolicy>,
     net: LbNetwork,
     log: EpochLog,
+    /// The step the previous epoch followed and the length, in steps, of
+    /// the window it closed; `None` before the first epoch.
+    last: Option<(usize, usize)>,
 }
 
 impl<'a> LbEpoch<'a> {
@@ -127,6 +130,7 @@ impl<'a> LbEpoch<'a> {
             policy,
             net,
             log: EpochLog::default(),
+            last: None,
         }
     }
 
@@ -142,20 +146,32 @@ impl<'a> LbEpoch<'a> {
     }
 
     /// Plan the epoch that follows timestep `step` from `own`.
+    ///
+    /// Under [`LbInput::Measured`] what was measured is priced on the
+    /// horizon the plan governs, `period` steps: the busy times of a
+    /// shorter window (the schedule's one-step first window) are scaled up
+    /// by `period / window`, and the previous epoch's migration stall is
+    /// taken as a fraction of `period` steps rather than of the window it
+    /// was measured over. After a full window both scales are exactly 1.
     pub fn plan(&mut self, step: usize, own: &Ownership, measure: EpochMeasure) -> EpochPlan {
+        let horizon = self.cfg.lb.period as f64;
+        let window = self.last.map_or(step + 1, |(last, _)| step - last);
+        let stall_scale = self.last.map_or(1.0, |(_, prev)| prev as f64 / horizon);
+        self.last = Some((step, window));
         let busy = match self.cfg.lb_input {
             LbInput::Measured => {
                 // Controller updates before planning, so the nudged λ/μ
                 // steer *this* epoch's plan.
                 if let Some(prev) = measure.prev_migration_stall_frac {
-                    self.policy.observe_stall(prev);
+                    self.policy.observe_stall(prev * stall_scale);
                 }
                 self.policy.observe_ghost_stall(measure.ghost_stall_frac);
                 // A rank that computed nothing must not divide by zero in
                 // eq. 8.
+                let scale = horizon / window as f64;
                 let mut busy = measure.busy;
                 for b in &mut busy {
-                    *b = b.max(1e-12);
+                    *b = (*b * scale).max(1e-12);
                 }
                 busy
             }
@@ -443,21 +459,59 @@ mod tests {
     }
 
     #[test]
-    fn due_is_every_period_but_never_after_the_last_step() {
+    fn due_is_after_the_first_step_then_every_period_but_never_after_the_last() {
         for period in 1..=4usize {
             let mut fx = Fixture::new();
             fx.lb = LbSchedule::every(period);
             let (epoch, _) = fx.driver(LbInput::Measured, Vec::new());
             for n_steps in 1..=9usize {
-                // after `period`, `2·period`, … completed steps, while
-                // steps remain
-                let expected: Vec<usize> = (period..n_steps)
-                    .step_by(period)
-                    .map(|done| done - 1)
-                    .collect();
+                // after 1, `1 + period`, `1 + 2·period`, … completed
+                // steps, while steps remain
+                let expected: Vec<usize> =
+                    (1..n_steps).step_by(period).map(|done| done - 1).collect();
                 let due: Vec<usize> = (0..n_steps).filter(|&s| epoch.due(s, n_steps)).collect();
                 assert_eq!(due, expected, "period {period}, {n_steps} steps");
+                if period == 1 {
+                    // every step but the last
+                    assert_eq!(due, (0..n_steps - 1).collect::<Vec<_>>());
+                }
+                if (2..period).contains(&n_steps) {
+                    assert_eq!(due, vec![0], "a run shorter than a period balances once");
+                }
             }
         }
+    }
+
+    #[test]
+    fn first_window_is_rescaled_to_the_period_horizon() {
+        // period 4: one driver closes the schedule's one-step first window
+        // (epochs after steps 0 and 4), the other a full first window
+        // (epochs after steps 3 and 7). Busy `b` over one step must reach
+        // the planner exactly as busy `4·b` over four, and a migration
+        // stall of `s` of a one-step window exactly as `s / 4` of a full
+        // one; the second windows are full on both, so their busy times
+        // pass unscaled.
+        let mut fx = Fixture::new();
+        fx.lb = LbSchedule::every(4);
+        let own = ownership();
+        let (mut short, short_calls) = fx.driver(LbInput::Measured, Vec::new());
+        let (mut full, full_calls) = fx.driver(LbInput::Measured, Vec::new());
+        let planned = short.plan(0, &own, measure([0.75, 0.5], 0.125, None));
+        full.plan(3, &own, measure([3.0, 2.0], 0.125, None));
+        assert_eq!(planned.busy, vec![3.0, 2.0]);
+        short.plan(4, &own, measure([2.5, 1.5], 0.25, Some(0.3)));
+        full.plan(7, &own, measure([2.5, 1.5], 0.25, Some(0.3 / 4.0)));
+        let calls = short_calls.lock().unwrap().clone();
+        assert_eq!(calls, *full_calls.lock().unwrap());
+        assert_eq!(
+            calls,
+            vec![
+                Call::GhostStall(0.125),
+                plan_call([3.0, 2.0]),
+                Call::Stall(0.3 / 4.0),
+                Call::GhostStall(0.25),
+                plan_call([2.5, 1.5]),
+            ]
+        );
     }
 }

@@ -542,14 +542,16 @@ impl LbSpec {
 /// by every substrate through `Scenario`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LbSchedule {
-    /// Run the policy every `period` (simulated or real) timesteps.
+    /// Run the policy after the first (simulated or real) timestep, then
+    /// every `period` timesteps ([`LbSchedule::due`]).
     pub period: usize,
     /// Which policy plans the epochs.
     pub spec: LbSpec,
 }
 
 impl LbSchedule {
-    /// The paper's count-based Algorithm 1 every `period` timesteps.
+    /// The paper's count-based Algorithm 1 after the first timestep, then
+    /// every `period` timesteps.
     ///
     /// # Panics
     /// Panics on a zero period.
@@ -572,11 +574,15 @@ impl LbSchedule {
     }
 
     /// True when a balancing epoch follows timestep `step` of an
-    /// `n_steps` run: the period divides the steps completed, except after
-    /// the last step (nothing is left to balance for). The one schedule
-    /// predicate every substrate asks.
+    /// `n_steps` run: after the first step, then after every `period`
+    /// further steps, except after the last step (nothing is left to
+    /// balance for). The first window is one step long, so no run spends
+    /// its first `period` steps on the start partition; every later window
+    /// is `period` steps, and [`crate::balance::LbEpoch`] rescales the
+    /// one-step measurement to that horizon. The one schedule predicate
+    /// every substrate asks.
     pub fn due(&self, step: usize, n_steps: usize) -> bool {
-        (step + 1).is_multiple_of(self.period) && step + 1 < n_steps
+        step.is_multiple_of(self.period) && step + 1 < n_steps
     }
 
     /// Validate the whole schedule (covers direct field assignment that

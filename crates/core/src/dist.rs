@@ -6,11 +6,12 @@
 //! case-2 (foreign-independent) computation launched immediately while
 //! each SD's case-1 computation is released by a countdown of the bundles
 //! that fill its halo (§6.3, Fig. 5) — so communication hides behind
-//! computation — and, every
-//! [`LbSchedule::period`] steps, a full load-balancing epoch: busy-time
-//! gather, plan on locality 0 via the configured [`LbSpec`] policy
-//! (Algorithm 1 by default), broadcast — the round
-//! [`nlheat_amt::collectives`] provides — SD migration, counter reset (§7).
+//! computation — and, after the first step and then every
+//! [`LbSchedule::period`] steps ([`LbSchedule::due`]), a full
+//! load-balancing epoch: busy-time gather, plan on locality 0 via the
+//! configured [`LbSpec`] policy (Algorithm 1 by default), broadcast — the
+//! round [`nlheat_amt::collectives`] provides — SD migration, counter
+//! reset (§7).
 //!
 //! This is the only step loop of the real runtime: on one locality no
 //! ghost is foreign, every SD is all case 2, and the loop is the paper's
@@ -47,6 +48,7 @@
 //! asynchronous pipelining an AMT runtime buys.
 //!
 //! [`LbSchedule::period`]: crate::balance::LbSchedule::period
+//! [`LbSchedule::due`]: crate::balance::LbSchedule::due
 
 pub use crate::balance::LbSpec;
 use crate::balance::{EpochLog, EpochMeasure, EpochTrace, LbEpoch, Move, SdGraph};
@@ -873,7 +875,9 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
 
         // --- 6. load-balancing epoch (the configured LbSpec policy) ---
         if let Some(lb_cfg) = sc.lb.as_ref().filter(|lb| lb.due(step, sc.steps)) {
-            let epoch = ((step + 1) / lb_cfg.period) as u64;
+            // due steps are the multiples of the period, so this ordinal
+            // tags each epoch's collectives and migrations apart
+            let epoch = (step / lb_cfg.period) as u64;
             // gather busy times on locality 0, piggybacking the wall time
             // each locality spent in the *previous* epoch's migration
             // exchange — the cluster-wide stall signal adaptive policies
@@ -1280,7 +1284,9 @@ mod tests {
         );
         for t in &report.epoch_traces {
             assert_eq!(t.policy, "tree");
-            assert!(t.step >= 2 && t.step % 2 == 0, "schedule steps: {}", t.step);
+            // epochs follow steps 0, 2, 4: plans take effect before the
+            // odd steps
+            assert!(t.step % 2 == 1, "schedule steps: {}", t.step);
             assert!(
                 t.ghost_bytes_before > 0,
                 "the real runtime always attaches its SdGraph"

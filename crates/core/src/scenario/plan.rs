@@ -59,10 +59,16 @@ impl Substrate for PlanSubstrate {
             ..scenario.epoch_config(lb, Arc::new(scenario.sd_graph()))
         });
 
-        // The scenario's first epoch; the driver times the planning call
-        // alone (everything around it is setup either real substrate
-        // amortizes over a whole run).
-        let planned = epoch.plan(lb.period - 1, &ownership, EpochMeasure::default());
+        // The scenario's first epoch: the first step the schedule is due
+        // after. A scenario that exists only to be planned may declare a
+        // single step, so the run is taken to be at least long enough for
+        // one epoch. The driver times the planning call alone (everything
+        // around it is setup either real substrate amortizes over a whole
+        // run).
+        let n_steps = scenario.steps.max(2);
+        let first = (0..n_steps).find(|&s| lb.due(s, n_steps));
+        let first = first.expect("a run of two steps or more has an epoch");
+        let planned = epoch.plan(first, &ownership, EpochMeasure::default());
         let log = epoch.into_log();
         RunReport {
             substrate: "plan",

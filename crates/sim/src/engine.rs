@@ -528,6 +528,28 @@ mod tests {
     }
 
     #[test]
+    fn measured_lb_moves_work_off_the_slow_rank_after_the_first_step() {
+        // The benchmark's heterogeneous-LB shape at test scale: speeds
+        // 1 / 0.5, strip start, two racks, busy times measured every 4
+        // steps. The first window is one step long, so the slow rank sheds
+        // SDs before step 1 instead of running `period` steps on half the
+        // mesh.
+        let sc = paper(400, 25, 12, ClusterSpec::speeds(&[1.0, 0.5]))
+            .with_partition(PartitionSpec::Strip)
+            .with_net(nlheat_core::scenario::library::two_rack_net())
+            .with_lb(LbSchedule::every(4))
+            .with_lb_input(LbInput::Measured);
+        let run = simulate(&sc);
+        assert_eq!(run.epoch_traces[0].step, 1, "first epoch after step 0");
+        let history = run.ownership_history();
+        let (start, first) = (history[0].counts(), history[1].counts());
+        assert!(
+            first[1] < start[1],
+            "slow rank keeps {first:?} of {start:?}"
+        );
+    }
+
+    #[test]
     fn lb_reduces_makespan_under_heterogeneity() {
         let base = paper(400, 25, 24, het4());
         let without = simulate(&base).makespan;
@@ -718,12 +740,15 @@ mod tests {
         // contributions from the planner-grade counters for the steps it
         // spends failed, so it must count strictly fewer ghost bytes
         // while the sim's cross-traffic partition invariant holds on
-        // both.
+        // both. The event is off an epoch boundary: epochs follow steps
+        // 0, 2, 4, …, so an event at step 4 is first seen by the epoch
+        // after step 4 and rank 1 computes step 4 failed while it still
+        // owns SDs.
         let mk = |ev: ClusterEvent| {
             simulate(
                 &paper(400, 50, 10, ClusterSpec::uniform(2, 1))
                     .with_lb(repart_lb(2))
-                    .with_cluster_events(vec![(3, ev)])
+                    .with_cluster_events(vec![(4, ev)])
                     .with_lb_input(LbInput::Modeled),
             )
         };
@@ -732,6 +757,11 @@ mod tests {
         assert_eq!(fail.lb_plans, drain.lb_plans, "same masks, same plans");
         assert_eq!(fail.final_ownership.counts()[1], 0);
         assert_eq!(drain.final_ownership.counts()[1], 0);
+        // rank 1 owns SDs until the plan that takes effect before step 5
+        let history = fail.ownership_history();
+        let evacuated = history.iter().position(|own| own.counts()[1] == 0);
+        let evacuated = evacuated.expect("the failed rank is evacuated");
+        assert_eq!(fail.epoch_traces[evacuated - 1].step, 5);
         assert!(
             fail.ghost_bytes < drain.ghost_bytes,
             "fail must drop in-flight contributions: {} vs {}",

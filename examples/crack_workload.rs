@@ -56,6 +56,13 @@ fn main() {
         off.makespan / on.makespan,
         on.migrations
     );
+    // virtual time is deterministic: balancing must pay for itself here
+    assert!(
+        on.makespan < off.makespan,
+        "LB must shorten the simulated crack run: {} vs {} s",
+        on.makespan,
+        off.makespan
+    );
     println!("\nfinal ownership (node ids; crack band rows own more SDs):");
     println!("{}", on.final_ownership.render());
     for (node, count) in on.final_ownership.counts().iter().enumerate() {

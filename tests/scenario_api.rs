@@ -155,9 +155,10 @@ fn scenario_validation_rejects_bad_per_sd_vectors() {
 #[test]
 fn plan_only_run_plans_the_first_epoch_of_the_full_run() {
     // A plan-only run goes through the same epoch driver at the first due
-    // step, so it reads the work model in force *there* (not at step 0):
-    // balanced strips under the uniform start, rank 0 four times as heavy
-    // from step 1 on, first epoch after step 1.
+    // step, so it reads the work model in force *there*: rank 0 four times
+    // as heavy until step 1, balanced strips from step 1 on, first epoch
+    // after step 0. Planned at any later step, the strips would be
+    // balanced and the plan empty.
     use nonlocalheat::core::scenario::PlanSubstrate;
     let base = Scenario::square(16, 2.0, 4, 6)
         .on(ClusterSpec::uniform(2, 1))
@@ -170,12 +171,14 @@ fn plan_only_run_plans_the_first_epoch_of_the_full_run() {
         .iter()
         .map(|&o| if o == 0 { 4.0 } else { 1.0 })
         .collect();
-    let sc = base.with_work_schedule(vec![(1, WorkModel::PerSd(heavy_on_rank0))]);
+    let sc = base
+        .with_work(WorkModel::PerSd(heavy_on_rank0))
+        .with_work_schedule(vec![(1, WorkModel::Uniform)]);
     let plan = PlanSubstrate.run(&sc);
     let sim = sc.run_sim();
     assert!(
         !sim.lb_plans.is_empty(),
-        "the switch must unbalance the run"
+        "the heavy start must unbalance the run"
     );
     assert_eq!(plan.lb_plans[0], sim.lb_plans[0]);
     assert_eq!(plan.epoch_traces[0], sim.epoch_traces[0]);

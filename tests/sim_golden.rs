@@ -22,31 +22,40 @@
 //! the bundles' payload by definition. It was recorded from a scratch
 //! clone of the commit before that change (`3187a9a`), with this very
 //! file dropped into its `tests/`, and passes unmodified on the change.
+//!
+//! Both tables were re-recorded once more, together, when the LB
+//! schedule's first window became one step long: an epoch now follows
+//! step 0, so every plan takes effect a step earlier (the ghost bytes of
+//! the steps between move with it) and the quick runs gain an epoch (one
+//! more planning barrier on every balanced clock, and more moves where a
+//! plan converges over several epochs). Only the LB-free `incast-duplex`
+//! rows and `paper-baseline`'s modeled rows (a balanced start: no plan)
+//! held.
 
 use nonlocalheat::prelude::*;
 
 /// `(scenario, network / cluster, digest)` of the simulated clocks.
 const GOLDEN: &[(&str, &str, u64)] = &[
-    ("paper-baseline", "own net", 0x79c1425456a22de1),
-    ("paper-baseline", "two-rack net", 0x95648c646a2d8c95),
-    ("lopsided-two-rack", "own net", 0xfa66b3c462778a4d),
-    ("lopsided-two-rack", "two-rack net", 0xfa66b3c462778a4d),
-    ("propagating-crack", "own net", 0xf053aae6e4e98122),
-    ("propagating-crack", "two-rack net", 0x560d34030cf9da9a),
-    ("heterogeneous-cluster", "own net", 0x02f079d7e40795c8),
-    ("heterogeneous-cluster", "two-rack net", 0xb299472ae0074232),
+    ("paper-baseline", "own net", 0x5bdf7954a4b7afa0),
+    ("paper-baseline", "two-rack net", 0xa3c3a12241ef0c45),
+    ("lopsided-two-rack", "own net", 0x4b7df6585b4301be),
+    ("lopsided-two-rack", "two-rack net", 0x4b7df6585b4301be),
+    ("propagating-crack", "own net", 0x0e391bff4d7091e9),
+    ("propagating-crack", "two-rack net", 0xa3260c1fe91a641a),
+    ("heterogeneous-cluster", "own net", 0x4f0f3c049bac486e),
+    ("heterogeneous-cluster", "two-rack net", 0x3f0279babe73f98f),
     ("incast-duplex", "own net", 0x02d5b0c50a545165),
     ("incast-duplex", "two-rack net", 0x2aaad9405b8554e2),
-    ("memory-pressure", "own net", 0xeb9d6c578431b145),
-    ("memory-pressure", "two-rack net", 0xeb9d6c578431b145),
-    ("cut-drift", "own net", 0x01342637e546ac20),
-    ("cut-drift", "two-rack net", 0x01342637e546ac20),
-    ("elastic-scale-out", "own net", 0x89a149b77cccc5b6),
-    ("elastic-scale-out", "two-rack net", 0x89a149b77cccc5b6),
-    ("rank-failure", "own net", 0x42e86df795d9d4e0),
-    ("rank-failure", "two-rack net", 0x42e86df795d9d4e0),
-    ("propagating-crack", "4 nodes x 2 cores", 0x6eedfb834fb7a4c6),
-    ("propagating-crack", "2 nodes x 4 cores", 0x667c45f65600328a),
+    ("memory-pressure", "own net", 0x611e82683d55f114),
+    ("memory-pressure", "two-rack net", 0x611e82683d55f114),
+    ("cut-drift", "own net", 0x69176215288a4db1),
+    ("cut-drift", "two-rack net", 0x69176215288a4db1),
+    ("elastic-scale-out", "own net", 0xd130793a7d7f1f50),
+    ("elastic-scale-out", "two-rack net", 0xd130793a7d7f1f50),
+    ("rank-failure", "own net", 0x67572b01675ea989),
+    ("rank-failure", "two-rack net", 0x67572b01675ea989),
+    ("propagating-crack", "4 nodes x 2 cores", 0x8e9d65a8635da76e),
+    ("propagating-crack", "2 nodes x 4 cores", 0x1dbfa5579dad7cac),
 ];
 
 /// `(scenario, network, digest)` of what the clock must not move: every
@@ -55,22 +64,22 @@ const GOLDEN: &[(&str, &str, u64)] = &[
 const MODELED_GOLDEN: &[(&str, &str, u64)] = &[
     ("paper-baseline", "own net", 0xf6374b4fc9eb05cc),
     ("paper-baseline", "two-rack net", 0xfa0a93a50dd56e2c),
-    ("lopsided-two-rack", "own net", 0xe8ff912dd06b1976),
-    ("lopsided-two-rack", "two-rack net", 0xe8ff912dd06b1976),
-    ("propagating-crack", "own net", 0x4f4034bf04e62a48),
-    ("propagating-crack", "two-rack net", 0x8eb429b6ffb7dc26),
-    ("heterogeneous-cluster", "own net", 0x7f91f55923627e9f),
-    ("heterogeneous-cluster", "two-rack net", 0x1e9d335851793533),
+    ("lopsided-two-rack", "own net", 0x6fe7bdad02814026),
+    ("lopsided-two-rack", "two-rack net", 0x6fe7bdad02814026),
+    ("propagating-crack", "own net", 0x805405f0173bee56),
+    ("propagating-crack", "two-rack net", 0x9a2e045e1a992d38),
+    ("heterogeneous-cluster", "own net", 0xdaf40e1981135720),
+    ("heterogeneous-cluster", "two-rack net", 0xb50acfd757ec53be),
     ("incast-duplex", "own net", 0xc0ca455a34018e45),
     ("incast-duplex", "two-rack net", 0x780763aed4957dee),
-    ("memory-pressure", "own net", 0xfecd857f88197d68),
-    ("memory-pressure", "two-rack net", 0xfecd857f88197d68),
-    ("cut-drift", "own net", 0x6a1c289b165765f9),
-    ("cut-drift", "two-rack net", 0x6a1c289b165765f9),
-    ("elastic-scale-out", "own net", 0xacb22ff916114d49),
-    ("elastic-scale-out", "two-rack net", 0xacb22ff916114d49),
-    ("rank-failure", "own net", 0x83a6a45ae3ee3643),
-    ("rank-failure", "two-rack net", 0x83a6a45ae3ee3643),
+    ("memory-pressure", "own net", 0x6dcdef75bb1e5292),
+    ("memory-pressure", "two-rack net", 0x6dcdef75bb1e5292),
+    ("cut-drift", "own net", 0x1fd04bc182bb5e8d),
+    ("cut-drift", "two-rack net", 0x1fd04bc182bb5e8d),
+    ("elastic-scale-out", "own net", 0xbc4514234c6527fd),
+    ("elastic-scale-out", "two-rack net", 0xbc4514234c6527fd),
+    ("rank-failure", "own net", 0x9e7b844948393ba3),
+    ("rank-failure", "two-rack net", 0x9e7b844948393ba3),
 ];
 
 fn fnv1a(h: &mut u64, v: u64) {
