@@ -15,7 +15,8 @@
 //!
 //! This is the only step loop of the real runtime: on one locality no
 //! ghost is foreign, every SD is all case 2, and the loop is the paper's
-//! shared-memory solver (§8.2) — see [`crate::shared`].
+//! shared-memory solver (§8.2) — a [`Scenario`] on
+//! [`ClusterSpec::uniform`]`(1, n)`.
 //!
 //! The step is **built once per ownership epoch and replayed**: what
 //! changes only when ownership does — the tile table that owns the SD
@@ -49,12 +50,13 @@
 //!
 //! [`LbSchedule::period`]: crate::balance::LbSchedule::period
 //! [`LbSchedule::due`]: crate::balance::LbSchedule::due
+//! [`ClusterSpec::uniform`]: crate::scenario::ClusterSpec::uniform
 
 pub use crate::balance::LbSpec;
-use crate::balance::{EpochLog, EpochMeasure, EpochTrace, LbEpoch, Move, SdGraph};
+use crate::balance::{EpochLog, EpochMeasure, LbEpoch, SdGraph};
 use crate::ghost::{group_by_work, halo_plans, PatchRecord, Region, RegionCut, StepLayout};
 use crate::ownership::Ownership;
-use crate::scenario::{failed_at, Scenario};
+use crate::scenario::{failed_at, DistExtras, RunExtras, RunReport, Scenario};
 use crate::workload::WorkModel;
 use bytes::{Buf, Bytes, BytesMut};
 use nlheat_amt::cluster::Cluster;
@@ -72,72 +74,12 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Parcel tag classes of the solver protocol (the LB round's gather and
 /// broadcast travel under the collectives' own class).
 const CLASS_GHOST: u8 = 1;
 const CLASS_MIGRATE: u8 = 4;
-
-/// Result of a distributed run.
-#[derive(Debug, Clone)]
-pub struct DistReport {
-    /// Wall time of the whole run (all localities).
-    pub elapsed: Duration,
-    /// Summed per-step errors when requested.
-    pub error: Option<ErrorAccumulator>,
-    /// Final interior field, row-major over the global mesh.
-    pub field: Vec<f64>,
-    /// Final SD ownership.
-    pub final_ownership: Ownership,
-    /// Per-locality busy nanoseconds (since the last counter reset).
-    pub busy_ns: Vec<u64>,
-    /// Total SDs migrated by load balancing.
-    pub migrations: usize,
-    /// Planner-grade migration payload bytes (sum of the realized plans'
-    /// [`EpochTrace::migration_bytes`] — the same `patch_wire_bytes`
-    /// accounting the simulator charges, so identical plans produce
-    /// identical counters on both substrates).
-    pub migration_bytes: u64,
-    /// The inter-rack share of `migration_bytes` (per the configured
-    /// [`NetSpec`](nlheat_netmodel::NetSpec)'s link classes; 0 for rack-less
-    /// models).
-    pub inter_rack_migration_bytes: u64,
-    /// Planner-grade ghost-exchange bytes between localities over the
-    /// whole run: the payload bytes of the ghost bundles, which the
-    /// simulator charges too (the wire adds only the 24-byte parcel header
-    /// per bundle).
-    pub ghost_bytes: u64,
-    /// The inter-rack share of `ghost_bytes`.
-    pub inter_rack_ghost_bytes: u64,
-    /// Foreign halo patches shipped over the whole run (counted beside
-    /// `ghost_bytes`, under the same failure mask): the records inside
-    /// the bundles.
-    pub ghost_patches: u64,
-    /// The realized migration plan of each epoch, in epoch order (empty
-    /// plans are skipped, matching `epoch_traces`).
-    pub lb_plans: Vec<Vec<Move>>,
-    /// One [`EpochTrace`] per realized balancing epoch (recorded on
-    /// locality 0, in epoch order): plan size, migration bytes, and the
-    /// recurring ghost-traffic cut before/after — the per-epoch data
-    /// A8/A9-style plots are drawn from.
-    pub epoch_traces: Vec<EpochTrace>,
-    /// Per-locality successful task steals in the worker pools (includes
-    /// injector grabs; peer-to-peer steals are what intra-step stealing
-    /// adds on a straggler step).
-    pub pool_steals: Vec<u64>,
-    /// Per-locality dry victim scans (steal attempts that found nothing).
-    pub pool_steal_fails: Vec<u64>,
-    /// Per-locality worker park events (idle workers going to sleep).
-    pub pool_parks: Vec<u64>,
-    /// Per-locality wall nanoseconds in each of [`STEP_PHASES`] over the
-    /// run, read from the cluster's counter registry.
-    pub phase_ns: Vec<[u64; 6]>,
-    /// The [`KERNEL_VECTOR_LEVEL_COUNTER`] of the run: which instantiation
-    /// of the interaction sum produced the times above (0 = baseline,
-    /// 1 = AVX2).
-    pub kernel_vector_level: u64,
-}
 
 /// Ownership-independent, cluster-wide setup shared by all drivers.
 struct Setup<'a> {
@@ -524,14 +466,16 @@ struct NodeReport {
 }
 
 /// Run `sc` on `cluster`, which must be the cluster `sc` declares
-/// ([`Scenario::build_cluster`]).
+/// ([`Scenario::build_cluster`]), and report it — the fabric's wire
+/// statistics and the scenario's memory tables
+/// ([`RunReport::with_scenario_memory`]) included.
 ///
 /// # Panics
 /// On the caller's thread, before any driver starts: if the scenario is
 /// invalid ([`Scenario::validate`]) or overflows a parcel-tag field, or if
 /// `cluster` differs from the scenario's declaration in network model,
 /// node count, cores or speeds.
-pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> DistReport {
+pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> RunReport {
     // A panic on a driver thread mid-run leaves the other localities
     // blocked on a rendezvous forever, so everything checkable is checked
     // here.
@@ -616,41 +560,50 @@ pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> DistReport {
         }
         acc
     });
-    let migrations = reports.iter().map(|r| r.in_migrations).sum();
     let lb_log = reports[0].lb_log.take().unwrap_or_default();
-    DistReport {
-        elapsed,
-        error,
-        field,
-        final_ownership: Ownership::new(setup.sds, final_owners, n_nodes),
-        busy_ns: reports.iter().map(|r| r.busy_ns).collect(),
-        migrations,
+    let stats = cluster.net_stats();
+    RunReport {
+        substrate: "dist",
+        makespan: elapsed.as_secs_f64(),
+        busy: reports.iter().map(|r| r.busy_ns as f64 * 1e-9).collect(),
+        migrations: reports.iter().map(|r| r.in_migrations).sum(),
         migration_bytes: lb_log.migration_bytes,
         inter_rack_migration_bytes: lb_log.inter_rack_migration_bytes,
         ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
         inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
-        ghost_patches: reports.iter().map(|r| r.ghost_patches).sum(),
         lb_plans: lb_log.plans,
         epoch_traces: lb_log.traces,
-        pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
-        pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
-        pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
-        phase_ns: (0..n_nodes)
-            .map(|rank| {
-                STEP_PHASES.map(|phase| {
-                    let name = phase_counter_name(rank, phase);
-                    cluster
-                        .registry()
-                        .read(&name)
-                        .expect("every driver registers its phases")
+        final_ownership: Ownership::new(setup.sds, final_owners, n_nodes),
+        field: Some(field),
+        error,
+        memory_bytes: None,
+        sd_footprint: None,
+        extras: RunExtras::Dist(DistExtras {
+            elapsed,
+            wire_messages: stats.messages(),
+            wire_cross_bytes: stats.cross_bytes(),
+            ghost_patches: reports.iter().map(|r| r.ghost_patches).sum(),
+            pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
+            pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
+            pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
+            phase_ns: (0..n_nodes)
+                .map(|rank| {
+                    STEP_PHASES.map(|phase| {
+                        let name = phase_counter_name(rank, phase);
+                        cluster
+                            .registry()
+                            .read(&name)
+                            .expect("every driver registers its phases")
+                    })
                 })
-            })
-            .collect(),
-        kernel_vector_level: cluster
-            .registry()
-            .read(KERNEL_VECTOR_LEVEL_COUNTER)
-            .expect("every driver publishes its kernel plan's level"),
+                .collect(),
+            kernel_vector_level: cluster
+                .registry()
+                .read(KERNEL_VECTOR_LEVEL_COUNTER)
+                .expect("every driver publishes its kernel plan's level"),
+        }),
     }
+    .with_scenario_memory(sc)
 }
 
 /// Serialize `rect` of `tile` into a wire payload, streaming the strided
@@ -1044,8 +997,14 @@ mod tests {
     }
 
     /// Run `sc` on the cluster it declares.
-    fn run(sc: &Scenario) -> DistReport {
+    fn run(sc: &Scenario) -> RunReport {
         run_distributed(&sc.build_cluster(), sc)
+    }
+
+    fn extras(report: &RunReport) -> &DistExtras {
+        report
+            .dist_extras()
+            .expect("the real runtime reports dist extras")
     }
 
     fn serial_field(n: usize, eps_mult: f64, steps: usize) -> Vec<f64> {
@@ -1059,14 +1018,14 @@ mod tests {
     fn two_nodes_match_serial_bitwise() {
         let sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 5);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 5));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 5)));
     }
 
     #[test]
     fn four_nodes_match_serial_bitwise() {
         let sc = scenario(ClusterSpec::uniform(4, 1), 16, 2.0, 4, 5);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 5));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 5)));
     }
 
     #[test]
@@ -1076,9 +1035,9 @@ mod tests {
         let mut sc = scenario(ClusterSpec::uniform(2, 4), 16, 2.0, 4, 5);
         sc.intra_step_stealing = true;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 5));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 5)));
         assert!(
-            report.pool_steals.iter().sum::<u64>() > 0,
+            extras(&report).pool_steals.iter().sum::<u64>() > 0,
             "band tasks should move through the work-stealing scheduler"
         );
     }
@@ -1093,7 +1052,7 @@ mod tests {
         sc.work = WorkModel::PerSd(work);
         sc.intra_step_stealing = true;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 4)));
     }
 
     #[test]
@@ -1104,7 +1063,7 @@ mod tests {
         sc.lb = Some(LbSchedule::every(2));
         sc.intra_step_stealing = true;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
     }
 
     #[test]
@@ -1115,7 +1074,7 @@ mod tests {
         sc.overlap = false;
         sc.intra_step_stealing = true;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 4)));
     }
 
     #[test]
@@ -1123,7 +1082,7 @@ mod tests {
         let mut sc = scenario(ClusterSpec::uniform(3, 1), 16, 2.0, 4, 4);
         sc.overlap = false;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 4)));
     }
 
     #[test]
@@ -1131,7 +1090,7 @@ mod tests {
         let mut sc = scenario(ClusterSpec::uniform(2, 1), 16, 2.0, 4, 4);
         sc.partition = PartitionSpec::Strip;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 4)));
     }
 
     #[test]
@@ -1139,7 +1098,7 @@ mod tests {
         // sd=4 with eps=6h: halo 6 > sd, ghosts come from two rings away.
         let sc = scenario(ClusterSpec::uniform(2, 1), 16, 6.0, 4, 3);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 6.0, 3));
+        assert_eq!(report.field, Some(serial_field(16, 6.0, 3)));
     }
 
     #[test]
@@ -1164,7 +1123,7 @@ mod tests {
         owners[15] = 1;
         sc.partition = PartitionSpec::Explicit(owners);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
         assert_eq!(report.migrations, 7, "15/1 → 8/8 in one epoch");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
     }
@@ -1178,7 +1137,7 @@ mod tests {
         sc.lb = Some(LbSchedule::every(2));
         sc.lb_input = LbInput::Modeled;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 8));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 8)));
         assert_eq!(report.final_ownership.counts(), vec![13, 3]);
     }
 
@@ -1212,7 +1171,7 @@ mod tests {
         owners[15] = 1;
         sc.partition = PartitionSpec::Explicit(owners);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
         assert!(report.migrations > 0, "15/1 start must diffuse");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
     }
@@ -1226,7 +1185,7 @@ mod tests {
         owners[15] = 1;
         sc.partition = PartitionSpec::Explicit(owners);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
         assert!(report.migrations > 0, "15/1 start must shed work");
         assert_eq!(report.final_ownership.counts(), vec![8, 8]);
     }
@@ -1241,7 +1200,7 @@ mod tests {
         owners[15] = 1;
         sc.partition = PartitionSpec::Explicit(owners);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
     }
 
     #[test]
@@ -1251,7 +1210,7 @@ mod tests {
         let mut sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 6);
         sc.lb = Some(LbSchedule::every(2));
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
         assert_eq!(report.migrations, 0);
         assert!(
             report.lb_plans.is_empty(),
@@ -1315,7 +1274,7 @@ mod tests {
     /// Three ranks, the last at quarter speed, under a two-ring halo: the
     /// fast ranks run ahead, so the slow rank finds later steps' bundles
     /// stashed in its rendezvous table before it expects them.
-    fn run_ahead(lb: Option<LbSchedule>) -> DistReport {
+    fn run_ahead(lb: Option<LbSchedule>) -> RunReport {
         let mut sc = scenario(ClusterSpec::speeds(&[1.0, 1.0, 0.25]), 24, 6.0, 4, 6);
         sc.lb = lb;
         // the plan (not the execution) comes from the modeled load, so
@@ -1323,7 +1282,7 @@ mod tests {
         sc.lb_input = LbInput::Modeled;
         let cluster = sc.build_cluster();
         let report = run_distributed(&cluster, &sc);
-        assert_eq!(report.field, serial_field(24, 6.0, 6));
+        assert_eq!(report.field, Some(serial_field(24, 6.0, 6)));
         for i in 0..cluster.len() {
             assert_eq!(
                 cluster.locality(i).rendezvous().outstanding(),
@@ -1339,7 +1298,7 @@ mod tests {
         let report = run_ahead(None);
         // 6 steps x the 6 ordered pairs of 3 mutually adjacent ranks is
         // the most bundles there can be; each carries many patches
-        assert!(report.ghost_patches > 6 * 6);
+        assert!(extras(&report).ghost_patches > 6 * 6);
     }
 
     #[test]
@@ -1690,7 +1649,77 @@ mod tests {
     fn single_node_cluster_works() {
         let sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 4);
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 4));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 4)));
+    }
+
+    // The shared-memory solver (§8.2) is this driver on one locality: no
+    // ghost is foreign, so no bundle is sent or awaited and every SD is
+    // all case 2.
+
+    #[test]
+    fn one_locality_matches_serial_solver_bitwise() {
+        let sc = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 5).with_record_error(true);
+        let field = run(&sc).field.expect("the real runtime reports its field");
+        let serial = serial_field(16, 2.0, 5);
+        assert_eq!(field.len(), serial.len());
+        for (i, (a, b)) in field.iter().zip(&serial).enumerate() {
+            assert_eq!(a, b, "cell {i} differs: one locality {a} vs serial {b}");
+        }
+    }
+
+    #[test]
+    fn one_locality_single_sd_equals_many_sds() {
+        let one = run(&scenario(ClusterSpec::uniform(1, 1), 16, 2.0, 16, 4));
+        let many = run(&scenario(ClusterSpec::uniform(1, 3), 16, 2.0, 4, 4));
+        assert_eq!(
+            one.field, many.field,
+            "decomposition must not change numerics"
+        );
+    }
+
+    #[test]
+    fn one_locality_error_stays_small() {
+        let sc = scenario(ClusterSpec::uniform(1, 2), 24, 3.0, 8, 8).with_record_error(true);
+        let total = run(&sc).error.unwrap().total();
+        assert!(total < 1e-4, "error {total}");
+    }
+
+    #[test]
+    fn one_locality_tasks_scale_with_sds_and_steps() {
+        // The tasks and busy time the locality's pool executed.
+        let pool_counts = |sc: &Scenario| {
+            let cluster = sc.build_cluster();
+            let _ = run_distributed(&cluster, sc);
+            // The step barrier resolves inside the final task, slightly
+            // before the pool retires it — drain fully so the counters are
+            // final.
+            let loc = cluster.locality(0);
+            loc.wait_idle();
+            (loc.pool().tasks_executed(), loc.pool().busy_ns_total())
+        };
+        // 16 SDs x 3 steps of 16 cells x 13 stencil points each: far below
+        // the work floor, so SDs share tasks — at least one a step, never
+        // more than one per SD and step
+        let (tasks, busy_ns) = pool_counts(&scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 3));
+        assert!((3..=48).contains(&tasks), "{tasks} tasks");
+        assert!(busy_ns > 0);
+        // 4 SDs x 2 steps of 1024 cells x 197 stencil points: every SD is
+        // above the floor and keeps a task of its own
+        let cells = 32 * 32 * ProblemSpec::square(64, 8.0).build().kernel.stencil.len();
+        assert!(cells as u64 >= crate::ghost::TASK_WORK_FLOOR);
+        let (tasks, _) = pool_counts(&scenario(ClusterSpec::uniform(1, 2), 64, 8.0, 32, 2));
+        assert_eq!(tasks, 8);
+    }
+
+    #[test]
+    fn one_locality_work_model_changes_cost_not_result() {
+        let uniform = scenario(ClusterSpec::uniform(1, 2), 16, 2.0, 4, 3);
+        let crack = uniform.clone().with_work(WorkModel::Crack {
+            y_cell: 8,
+            half_width: 2,
+            factor: 3.0,
+        });
+        assert_eq!(run(&uniform).field, run(&crack).field);
     }
 
     #[test]
@@ -1719,7 +1748,7 @@ mod tests {
         ];
         sc.lb = Some(LbSchedule::every(2));
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 6));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 6)));
         assert_eq!(sc.work_at(0), &sc.work_schedule[0].1);
         assert_eq!(sc.work_at(4), &sc.work_schedule[1].1);
     }
@@ -1793,7 +1822,7 @@ mod tests {
             sc.partition = PartitionSpec::Explicit(owners);
             let cluster = sc.build_cluster();
             let report = run_distributed(&cluster, &sc);
-            assert_eq!(report.field, serial_field(16, 2.0, 8));
+            assert_eq!(report.field, Some(serial_field(16, 2.0, 8)));
             assert_eq!(report.migrations > 0, n_nodes == 2);
             let executed: u64 = (0..n_nodes as u32)
                 .map(|rank| {
@@ -1812,10 +1841,11 @@ mod tests {
         sc.record_error = true;
         let cluster = sc.build_cluster();
         let report = run_distributed(&cluster, &sc);
+        let extras = extras(&report);
         for rank in 0..2u32 {
             let read = |name: String| cluster.registry().read(&name).expect("registered");
             let phases = STEP_PHASES.map(|phase| read(phase_counter_name(rank, phase)));
-            assert_eq!(report.phase_ns[rank as usize], phases);
+            assert_eq!(extras.phase_ns[rank as usize], phases);
             assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
             let (sum, whole) = (phases.iter().sum::<u64>(), read(loop_counter_name(rank)));
             assert!(
@@ -1825,7 +1855,7 @@ mod tests {
         }
         // ... and say which kernel instantiation they timed
         let level = nlheat_model::VectorLevel::detect().index();
-        assert_eq!(report.kernel_vector_level, level);
+        assert_eq!(extras.kernel_vector_level, level);
         assert_eq!(
             cluster.registry().read(KERNEL_VECTOR_LEVEL_COUNTER),
             Some(level)
@@ -1862,7 +1892,7 @@ mod tests {
             sc.lb_input = LbInput::Modeled;
             sc
         };
-        let want = serial_field(100, 4.0, steps);
+        let want = Some(serial_field(100, 4.0, steps));
         for (shape, sc) in [("ghost-heavy", ghost_heavy), ("metis + lb", metis_lb)] {
             for (overlap, stealing) in [(true, false), (false, false), (true, true)] {
                 let mut sc = sc.clone();
@@ -1907,9 +1937,15 @@ mod tests {
         assert_eq!(report.inter_rack_ghost_bytes, 0);
         // 4 boundary SD pairs with 3 patches each way (side + 2 corners,
         // minus the 2 x 2 corners that fall off the strip's ends)
-        assert_eq!(report.ghost_patches, 3 * 2 * (4 * 3 - 2));
+        let extras = extras(&report);
+        assert_eq!(extras.ghost_patches, 3 * 2 * (4 * 3 - 2));
         let stats = cluster.net_stats();
         assert_eq!(stats.messages(), 3 * 2, "one bundle per step and rank pair");
+        // ... which the report carries
+        assert_eq!(
+            (extras.wire_messages, extras.wire_cross_bytes),
+            (stats.messages(), stats.cross_bytes())
+        );
         // the wire adds only the 24-byte parcel header per bundle
         assert_eq!(
             report.ghost_bytes + 24 * stats.messages(),
@@ -1934,7 +1970,7 @@ mod tests {
         sc.cluster_events = vec![(3, ClusterEvent::Fail { rank: 1 })];
         sc.lb_input = LbInput::Modeled;
         let report = run(&sc);
-        assert_eq!(report.field, serial_field(16, 2.0, 8));
+        assert_eq!(report.field, Some(serial_field(16, 2.0, 8)));
         assert!(report.migrations > 0, "the failed rank must be evacuated");
         let counts = report.final_ownership.counts();
         assert_eq!(counts[1], 0, "failed rank must end empty: {counts:?}");
@@ -1963,7 +1999,7 @@ mod tests {
         };
         let a = run_once();
         let b = run_once();
-        assert_eq!(a.field, serial_field(16, 2.0, 6));
+        assert_eq!(a.field, Some(serial_field(16, 2.0, 6)));
         assert!(a.migrations > 0, "lopsided start must migrate");
         assert_eq!(a.lb_plans, b.lb_plans, "modeled plans are deterministic");
         assert_eq!(a.ghost_bytes, b.ghost_bytes);

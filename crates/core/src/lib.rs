@@ -5,9 +5,8 @@
 //! * [`dist`] — the fully distributed solver (§6) and the one step loop of
 //!   the real runtime: per-locality drivers, ghost-zone bundles, case-2
 //!   computation overlapped with communication and case-1 computation gated
-//!   on the bundles' arrival (§6.3), plus online load balancing epochs.
-//! * [`shared`] — the shared-memory asynchronous solver (§8.2): the same
-//!   driver on one locality.
+//!   on the bundles' arrival (§6.3), plus online load balancing epochs;
+//!   on one locality it is the shared-memory solver (§8.2).
 //! * [`balance`] — **Algorithm 1**: busy-time-derived node power (eq. 8),
 //!   expected SD counts (eq. 10), load imbalance (eq. 9), the
 //!   data-dependency tree with topological ordering (Fig. 7), and
@@ -26,7 +25,6 @@ pub mod dist;
 pub mod ghost;
 pub mod ownership;
 pub mod scenario;
-pub mod shared;
 pub mod workload;
 
 /// The named library scenarios (`scenario::library` under its working
@@ -38,12 +36,11 @@ pub use balance::{
     plan_rebalance, LbNetwork, LbPolicy, LbSchedule, LbSpec, LoadMetrics, MigrationPlan, Move,
     MoveWeights,
 };
-pub use dist::{run_distributed, DistReport};
+pub use dist::run_distributed;
 pub use ownership::Ownership;
 pub use scenario::sweep::{Axis, JsonlSink, RunRecord, ScenarioSweep, SweepSink, SweepSummary};
 pub use scenario::{
     ClusterSpec, DistSubstrate, LbInput, PartitionSpec, RunExtras, RunReport, Scenario, Substrate,
     VirtualNode,
 };
-pub use shared::{SharedConfig, SharedReport, SharedSolver};
 pub use workload::WorkModel;

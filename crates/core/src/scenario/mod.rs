@@ -12,11 +12,9 @@
 //! [`RunReport`], with substrate-specific measurements nested in
 //! [`RunExtras`] instead of forked into parallel types.
 //!
-//! Both substrates execute a `Scenario` directly. The real runtime
-//! reports through its low-level `DistReport` before
-//! [`RunReport::from_dist`] wraps it — kept because code that drives a
-//! `Cluster` it owns (the repo benchmark's traced run) calls
-//! [`run_distributed`] itself and reads that report.
+//! Both substrates execute a `Scenario` directly, and the real runtime's
+//! [`run_distributed`] returns the `RunReport` itself — so code that
+//! drives a `Cluster` it owns gets the report [`Scenario::run_dist`] does.
 //!
 //! Declarative scenario/phase descriptions are what let one harness sweep
 //! many workloads across heterogeneous backends (cf. Lifflander et al.,
@@ -30,7 +28,7 @@ pub mod sweep;
 pub use plan::{PlanExtras, PlanSubstrate};
 
 use crate::balance::{EpochConfig, EpochTrace, LbSchedule, Move};
-use crate::dist::{run_distributed, DistReport};
+use crate::dist::run_distributed;
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
@@ -731,9 +729,7 @@ impl Scenario {
     }
 
     /// The scenario itself: [`run_distributed`] reads it directly. Only
-    /// the frozen repo benchmark still spells
-    /// `run_distributed(&cluster, &sc.dist_config())`; this goes when the
-    /// benchmark is re-based (ROADMAP item 1).
+    /// the frozen repo benchmark still calls this.
     pub fn dist_config(&self) -> &Scenario {
         self
     }
@@ -789,11 +785,7 @@ impl Substrate for DistSubstrate {
     }
 
     fn run(&self, scenario: &Scenario) -> RunReport {
-        let cluster = scenario.build_cluster();
-        let report = run_distributed(&cluster, scenario);
-        let stats = cluster.net_stats();
-        RunReport::from_dist(report, stats.messages(), stats.cross_bytes())
-            .with_scenario_memory(scenario)
+        run_distributed(&scenario.build_cluster(), scenario)
     }
 }
 
@@ -815,8 +807,6 @@ pub enum RunExtras {
 pub struct DistExtras {
     /// Wall time of the whole run.
     pub elapsed: Duration,
-    /// Per-locality busy nanoseconds (raw counter values).
-    pub busy_ns: Vec<u64>,
     /// Parcels the fabric actually carried (one ghost bundle per step and
     /// ordered rank pair + LB protocol + migrations).
     pub wire_messages: u64,
@@ -909,37 +899,18 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Wrap a real-runtime report (with the fabric's wire statistics).
-    pub fn from_dist(report: DistReport, wire_messages: u64, wire_cross_bytes: u64) -> Self {
-        RunReport {
-            substrate: "dist",
-            makespan: report.elapsed.as_secs_f64(),
-            busy: report.busy_ns.iter().map(|&ns| ns as f64 * 1e-9).collect(),
-            migrations: report.migrations,
-            migration_bytes: report.migration_bytes,
-            inter_rack_migration_bytes: report.inter_rack_migration_bytes,
-            ghost_bytes: report.ghost_bytes,
-            inter_rack_ghost_bytes: report.inter_rack_ghost_bytes,
-            lb_plans: report.lb_plans,
-            epoch_traces: report.epoch_traces,
-            final_ownership: report.final_ownership,
-            field: Some(report.field),
-            error: report.error,
-            memory_bytes: None,
-            sd_footprint: None,
-            extras: RunExtras::Dist(DistExtras {
-                elapsed: report.elapsed,
-                busy_ns: report.busy_ns,
-                wire_messages,
-                wire_cross_bytes,
-                ghost_patches: report.ghost_patches,
-                pool_steals: report.pool_steals,
-                pool_steal_fails: report.pool_steal_fails,
-                pool_parks: report.pool_parks,
-                phase_ns: report.phase_ns,
-                kernel_vector_level: report.kernel_vector_level,
-            }),
+    /// `report` with the given wire statistics stored in its
+    /// [`DistExtras`]. Only the frozen repo benchmark still calls it.
+    pub fn from_dist(
+        report: impl Into<RunReport>,
+        wire_messages: u64,
+        wire_cross_bytes: u64,
+    ) -> Self {
+        let mut report = report.into();
+        if let RunExtras::Dist(d) = &mut report.extras {
+            (d.wire_messages, d.wire_cross_bytes) = (wire_messages, wire_cross_bytes);
         }
+        report
     }
 
     /// Attach the scenario's memory-aware planning tables (when it

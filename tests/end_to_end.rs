@@ -78,8 +78,12 @@ fn shared_solver_agrees_with_distributed() {
     let dist = Scenario::square(16, 2.0, 4, 5)
         .on(ClusterSpec::uniform(2, 2))
         .run_dist();
-    let shared = SharedSolver::new(SharedConfig::new(16, 2.0, 4, 5, 3)).run();
-    assert_eq!(dist.field.as_ref(), Some(&shared.field));
+    // the shared-memory solver (§8.2): the same driver on one locality
+    let shared = Scenario::square(16, 2.0, 4, 5)
+        .on(ClusterSpec::uniform(1, 3))
+        .run_dist();
+    assert!(shared.field.is_some());
+    assert_eq!(dist.field, shared.field);
 }
 
 #[test]
