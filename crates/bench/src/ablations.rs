@@ -506,8 +506,9 @@ pub fn a10_memory_pressure(quick: bool) -> FigData {
 /// nodes/rack, 7-period speed skew from a strip start) swept over rank
 /// counts through [`ScenarioSweep`] + [`PlanSubstrate`], hierarchical vs
 /// flat tree. The hierarchical series must grow near-linearly — that is
-/// the subsystem's claim, regressed at fixed scale by the `plan/hier_10k`
-/// bench — while the flat planner's global frontier walk goes superlinear.
+/// the subsystem's claim, whose allocations `tests/steady_state_alloc.rs`
+/// counts at 250 and 2 500 ranks — while the flat planner's global
+/// frontier walk goes superlinear.
 /// Sweeps run at parallelism 1: plan time is the measured quantity, and
 /// concurrent legs would contend for the cores the clock charges.
 pub fn a10b_plan_time_scaling(quick: bool) -> FigData {

@@ -3,7 +3,7 @@
 //! One function per figure of the paper's evaluation section (§8), each
 //! returning a [`FigData`] table with the same series the paper plots,
 //! plus the ablation studies in [`ablations`]. The `figures` binary
-//! prints them as markdown; `cargo bench` runs the one `hotpath` suite.
+//! prints them as markdown. Performance is measured by `benchmark/`.
 //!
 //! Measurement substrate per figure (README "Regenerating figures" has
 //! the rationale):

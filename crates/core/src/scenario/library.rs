@@ -337,15 +337,15 @@ pub fn rank_failure(quick: bool) -> Scenario {
 /// rack, and a deterministic 7-period speed skew so the strip start is
 /// genuinely imbalanced at every scale. One declared timestep — this
 /// scenario exists to be *planned*, not run: drive it through
-/// [`super::PlanSubstrate`] (the plan-time sweeps and the
-/// `plan/hier_10k` bench), which is why it is not in [`all`].
+/// [`super::PlanSubstrate`] (the plan-time sweeps and the repository
+/// benchmark's `plan_scale`), which is why it is not in [`all`].
 pub fn plan_scale(n_ranks: usize) -> Scenario {
     plan_scale_with_density(n_ranks, 100)
 }
 
-/// [`plan_scale`] at an explicit SDs-per-rank density. The `plan/flat_1k`
-/// bench plans 1000 ranks at 10 SDs/rank: dense enough that the flat
-/// planner's global walk dominates, sparse enough to fit a bench budget.
+/// [`plan_scale`] at an explicit SDs-per-rank density. The repository
+/// benchmark plans 500 ranks at 10 SDs/rank: dense enough that the flat
+/// planner's global walk dominates, sparse enough to fit its budget.
 pub fn plan_scale_with_density(n_ranks: usize, sds_per_rank: usize) -> Scenario {
     assert!(n_ranks >= 2, "plan_scale needs at least two ranks");
     let sd_size = 5usize;

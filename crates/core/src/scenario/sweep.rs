@@ -18,8 +18,8 @@
 //! the stable index of its grid cell, the simulator substrate is
 //! deterministic, and runs share nothing, so the *set* of records is
 //! identical for any worker count — JSONL output canonicalizes by
-//! sorting lines. The JSON encoding is hand-rolled (serde-free, like the
-//! criterion shim's) and write-only: strings are escaped and non-finite
+//! sorting lines. The JSON encoding is hand-rolled (serde-free, as the
+//! build is offline) and write-only: strings are escaped and non-finite
 //! floats are guarded to `null`.
 //!
 //! This is the batch-runner shape of dslab-dag's `experiment.rs` /
