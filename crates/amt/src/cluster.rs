@@ -5,7 +5,9 @@
 //! [`Cluster::run`] executes a distributed program: one driver closure per
 //! locality on its own thread, exactly like an SPMD `main` per node.
 
-use crate::counters::CounterRegistry;
+use crate::counters::{
+    Counter, CounterRegistry, NETWORK_BYTES, NETWORK_CROSS_BYTES, NETWORK_MESSAGES,
+};
 use crate::locality::Locality;
 use crate::network::{Fabric, NetStats};
 use nlheat_netmodel::NetSpec;
@@ -78,26 +80,15 @@ impl ClusterBuilder {
         let registry = Arc::new(CounterRegistry::new());
         let (fabric, receivers) = Fabric::new(n, self.net);
         let net = self.net;
-        // Networking counters (the paper lists these as future work, §9):
-        // registered alongside the busy-time counters so they can be
-        // polled and reset through the same interface.
-        {
-            use crate::counters::Counter;
+        // Networking counters (the paper lists these as future work, §9),
+        // polled through the same registry as the busy-time counters.
+        for (name, read) in [
+            (NETWORK_MESSAGES, NetStats::messages as fn(&NetStats) -> u64),
+            (NETWORK_BYTES, NetStats::bytes),
+            (NETWORK_CROSS_BYTES, NetStats::cross_bytes),
+        ] {
             let h = fabric.handle();
-            registry.register(
-                "/network/total/msg-count",
-                Counter::gauge(move || h.stats().messages()),
-            );
-            let h = fabric.handle();
-            registry.register(
-                "/network/total/byte-count",
-                Counter::gauge(move || h.stats().bytes()),
-            );
-            let h = fabric.handle();
-            registry.register(
-                "/network/total/cross-byte-count",
-                Counter::gauge(move || h.stats().cross_bytes()),
-            );
+            registry.register(name, Counter::gauge(move || read(h.stats())));
         }
         let mut localities = Vec::with_capacity(n);
         let mut pumps = Vec::with_capacity(n);
@@ -235,7 +226,7 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counters::busy_time_counter_name;
+    use crate::counters::threads_counter_name;
     use crate::parcel::tag;
     use bytes::Bytes;
 
@@ -291,8 +282,8 @@ mod tests {
     #[test]
     fn busy_time_counters_registered() {
         let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        let name = busy_time_counter_name(0);
-        assert!(cluster.registry().get(&name).is_some());
+        let name = threads_counter_name(0, "time/busy");
+        assert_eq!(cluster.registry().read(&name), Some(0));
         // Run some work and observe the counter move.
         let f = cluster.locality(0).async_call(|| {
             let t0 = std::time::Instant::now();
@@ -309,29 +300,21 @@ mod tests {
     }
 
     #[test]
-    fn network_counters_registered_and_resettable() {
+    fn network_counters_registered_and_monotone() {
         let cluster = ClusterBuilder::new().uniform(2, 1).build();
-        assert_eq!(cluster.registry().read("/network/total/msg-count"), Some(0));
+        let read = |name| cluster.registry().read(name).expect("registered");
+        assert_eq!(read(NETWORK_MESSAGES), 0);
         cluster
             .locality(0)
             .send(1, tag(5, 0, 0, 0), Bytes::from_static(&[0; 10]));
-        assert_eq!(cluster.registry().read("/network/total/msg-count"), Some(1));
-        assert_eq!(
-            cluster.registry().read("/network/total/byte-count"),
-            Some(34)
-        );
-        assert_eq!(
-            cluster.registry().read("/network/total/cross-byte-count"),
-            Some(34)
-        );
-        // reset works like the busy-time counters
-        cluster.registry().reset_prefix("/network");
-        assert_eq!(cluster.registry().read("/network/total/msg-count"), Some(0));
+        assert_eq!(read(NETWORK_MESSAGES), 1);
+        assert_eq!(read(NETWORK_BYTES), 34);
+        assert_eq!(read(NETWORK_CROSS_BYTES), 34);
         cluster.locality(0).send(0, tag(5, 0, 0, 1), Bytes::new());
-        assert_eq!(cluster.registry().read("/network/total/msg-count"), Some(1));
+        assert_eq!(read(NETWORK_MESSAGES), 2);
         assert_eq!(
-            cluster.registry().read("/network/total/cross-byte-count"),
-            Some(0),
+            read(NETWORK_CROSS_BYTES),
+            34,
             "self-send is not cross traffic"
         );
     }

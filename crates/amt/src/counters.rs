@@ -2,14 +2,20 @@
 //!
 //! HPX exposes globally named performance counters registered in AGAS and
 //! polled at run time; the load balancer of the paper reads
-//! `hpx::performance_counters::busy_time` and *resets* it between balancing
-//! iterations so every epoch measures the same time span (§7).
+//! `hpx::performance_counters::busy_time` (§7).
 //!
-//! [`CounterRegistry`] reproduces that contract: counters are addressed by
+//! [`CounterRegistry`] reproduces that registry: counters are addressed by
 //! string names (we keep HPX's `/threads{locality#N/total}/time/busy`
-//! convention), can be backed either by a raw atomic or by a *gauge* closure
-//! reading live runtime state, and support baseline-resets so a read after
-//! [`Counter::reset`] reports only the delta accumulated since.
+//! convention) and are backed either by a raw atomic or by a *gauge*
+//! closure reading live runtime state.
+//!
+//! Counters are **monotone**: nothing resets them, so a read is the total
+//! since the counter was registered and a window is the difference of two
+//! reads. The paper's balancer resets `busy_time` at the end of every
+//! iteration (Algorithm 1, line 35) so the next epoch measures a fresh
+//! interval; the real runtime's LB epoch instead keeps the reading it takes
+//! at that point and subtracts it from the next one — the same quantity,
+//! and the whole run's total stays readable for the report.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -18,47 +24,32 @@ use std::sync::Arc;
 
 enum Source {
     /// A plain atomic owned by the counter.
-    Raw(Arc<AtomicU64>),
+    Raw(AtomicU64),
     /// A closure sampling some live value (e.g. a pool's busy nanoseconds).
-    Gauge(Arc<dyn Fn() -> u64 + Send + Sync>),
+    Gauge(Box<dyn Fn() -> u64 + Send + Sync>),
 }
 
-/// A named counter. Cloning shares the underlying state.
+/// A named, monotone counter. Cloning shares the underlying state.
 #[derive(Clone)]
-pub struct Counter {
-    source: Arc<Source>,
-    baseline: Arc<AtomicU64>,
-}
+pub struct Counter(Arc<Source>);
 
 impl Counter {
-    fn from_source(source: Source) -> Self {
-        Counter {
-            source: Arc::new(source),
-            baseline: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// A counter backed by its own atomic, starting at zero.
     pub fn raw() -> Self {
-        Counter::from_source(Source::Raw(Arc::new(AtomicU64::new(0))))
+        Counter(Arc::new(Source::Raw(AtomicU64::new(0))))
     }
 
     /// A counter sampling `f` on every read.
     pub fn gauge(f: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
-        Counter::from_source(Source::Gauge(Arc::new(f)))
+        Counter(Arc::new(Source::Gauge(Box::new(f))))
     }
 
-    fn absolute(&self) -> u64 {
-        match &*self.source {
+    /// Current value: the total since the counter was created.
+    pub fn read(&self) -> u64 {
+        match &*self.0 {
             Source::Raw(a) => a.load(Ordering::Relaxed),
             Source::Gauge(f) => f(),
         }
-    }
-
-    /// Current value relative to the last [`reset`](Counter::reset).
-    pub fn read(&self) -> u64 {
-        self.absolute()
-            .saturating_sub(self.baseline.load(Ordering::Relaxed))
     }
 
     /// Add to a raw counter.
@@ -66,19 +57,12 @@ impl Counter {
     /// # Panics
     /// Panics when called on a gauge counter.
     pub fn add(&self, delta: u64) {
-        match &*self.source {
+        match &*self.0 {
             Source::Raw(a) => {
                 a.fetch_add(delta, Ordering::Relaxed);
             }
             Source::Gauge(_) => panic!("cannot add to a gauge counter"),
         }
-    }
-
-    /// Re-baseline so subsequent reads report only the delta from now on —
-    /// the `reset_all(busy_time)` step at the end of a load-balancing
-    /// iteration (Algorithm 1, line 35).
-    pub fn reset(&self) {
-        self.baseline.store(self.absolute(), Ordering::Relaxed);
     }
 }
 
@@ -100,24 +84,9 @@ impl CounterRegistry {
         counter
     }
 
-    /// Look up a counter by exact name.
-    pub fn get(&self, name: &str) -> Option<Counter> {
-        self.counters.read().get(name).cloned()
-    }
-
     /// Read a counter by name; `None` if unregistered.
     pub fn read(&self, name: &str) -> Option<u64> {
-        self.get(name).map(|c| c.read())
-    }
-
-    /// Reset every counter whose name starts with `prefix` (HPX's
-    /// `reset_all` over a counter family).
-    pub fn reset_prefix(&self, prefix: &str) {
-        for (name, c) in self.counters.read().iter() {
-            if name.starts_with(prefix) {
-                c.reset();
-            }
-        }
+        self.counters.read().get(name).map(Counter::read)
     }
 
     /// Snapshot of `(name, value)` pairs, sorted by name, for counters whose
@@ -133,39 +102,23 @@ impl CounterRegistry {
         out.sort();
         out
     }
-
-    /// Number of registered counters.
-    pub fn len(&self) -> usize {
-        self.counters.read().len()
-    }
-
-    /// True if the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
-/// The canonical busy-time counter name for a locality, matching HPX's
-/// `/threads{locality#N/total}/time/busy`.
-pub fn busy_time_counter_name(locality: u32) -> String {
-    format!("/threads{{locality#{locality}/total}}/time/busy")
+/// Registry name of counter `name` of locality `locality`'s worker pool, in
+/// HPX's `/threads{locality#N/total}/…` family: `time/busy` (the paper's
+/// `busy_time`, ns), `count/steals` (successful injector and peer-deque
+/// batches), `count/steal-fails` (full scans that found nothing) and
+/// `count/parks` (waits on the sleep condvar).
+pub fn threads_counter_name(locality: u32, name: &str) -> String {
+    format!("/threads{{locality#{locality}/total}}/{name}")
 }
 
-/// Successful work steals (injector + peer-deque batches) of a locality's
-/// pool, in the same HPX-style naming scheme.
-pub fn steals_counter_name(locality: u32) -> String {
-    format!("/threads{{locality#{locality}/total}}/count/steals")
-}
-
-/// Full steal scans that found nothing (the thief's whiffs).
-pub fn steal_fails_counter_name(locality: u32) -> String {
-    format!("/threads{{locality#{locality}/total}}/count/steal-fails")
-}
-
-/// Times a worker parked on the sleep condvar.
-pub fn parks_counter_name(locality: u32) -> String {
-    format!("/threads{{locality#{locality}/total}}/count/parks")
-}
+/// Parcels the cluster's fabric carried.
+pub const NETWORK_MESSAGES: &str = "/network/total/msg-count";
+/// Bytes the fabric carried, parcel headers included.
+pub const NETWORK_BYTES: &str = "/network/total/byte-count";
+/// The share of [`NETWORK_BYTES`] that crossed localities.
+pub const NETWORK_CROSS_BYTES: &str = "/network/total/cross-byte-count";
 
 #[cfg(test)]
 mod tests {
@@ -180,16 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_rebaselines() {
-        let c = Counter::raw();
-        c.add(100);
-        c.reset();
-        assert_eq!(c.read(), 0);
-        c.add(3);
-        assert_eq!(c.read(), 3);
-    }
-
-    #[test]
     fn gauge_reads_live_value() {
         let v = Arc::new(AtomicU64::new(10));
         let v2 = v.clone();
@@ -197,10 +140,6 @@ mod tests {
         assert_eq!(c.read(), 10);
         v.store(25, Ordering::Relaxed);
         assert_eq!(c.read(), 25);
-        c.reset();
-        assert_eq!(c.read(), 0);
-        v.store(31, Ordering::Relaxed);
-        assert_eq!(c.read(), 6);
     }
 
     #[test]
@@ -211,25 +150,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_register_get_reset_prefix() {
+    fn registry_register_read_snapshot() {
         let reg = CounterRegistry::new();
-        let a = reg.register("/threads{locality#0/total}/time/busy", Counter::raw());
-        let b = reg.register("/threads{locality#1/total}/time/busy", Counter::raw());
-        reg.register("/net/bytes", Counter::raw());
+        let a = reg.register(threads_counter_name(0, "time/busy"), Counter::raw());
+        let b = reg.register(threads_counter_name(1, "time/busy"), Counter::raw());
+        reg.register(NETWORK_MESSAGES, Counter::raw());
         a.add(10);
         b.add(20);
         assert_eq!(reg.read("/threads{locality#0/total}/time/busy"), Some(10));
-        reg.reset_prefix("/threads");
-        assert_eq!(reg.read("/threads{locality#0/total}/time/busy"), Some(0));
-        assert_eq!(reg.read("/threads{locality#1/total}/time/busy"), Some(0));
-        assert_eq!(reg.snapshot("/threads").len(), 2);
+        assert_eq!(reg.read("/nowhere"), None);
+        // a counter only grows: a window is the difference of two reads
+        let mark = a.read();
+        a.add(3);
+        assert_eq!(reg.read("/threads{locality#0/total}/time/busy"), Some(13));
+        assert_eq!(a.read() - mark, 3);
+        let threads = reg.snapshot("/threads");
+        assert_eq!(threads.len(), 2);
+        assert_eq!(threads[1], (threads_counter_name(1, "time/busy"), 20));
         assert_eq!(reg.snapshot("").len(), 3);
     }
 
     #[test]
     fn busy_time_name_matches_hpx_convention() {
         assert_eq!(
-            busy_time_counter_name(3),
+            threads_counter_name(3, "time/busy"),
             "/threads{locality#3/total}/time/busy"
         );
     }

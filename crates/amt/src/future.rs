@@ -121,16 +121,6 @@ impl<T> Future<T> {
         }
     }
 
-    /// True once a value is waiting (does not consume it).
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.shared.state.lock(), State::Ready(_))
-    }
-
-    /// True if the promise was dropped without fulfilling.
-    pub fn is_broken(&self) -> bool {
-        matches!(*self.shared.state.lock(), State::Broken)
-    }
-
     /// Attach a continuation that runs exactly once with the value — on this
     /// thread if the value is already available, otherwise on the thread that
     /// fulfils the promise.
@@ -217,6 +207,18 @@ mod tests {
     use crate::task::InlineSpawner;
     use std::thread;
     use std::time::Duration;
+
+    impl<T> Future<T> {
+        /// True once a value is waiting (does not consume it).
+        pub(crate) fn is_ready(&self) -> bool {
+            matches!(*self.shared.state.lock(), State::Ready(_))
+        }
+
+        /// True if the promise was dropped without fulfilling.
+        fn is_broken(&self) -> bool {
+            matches!(*self.shared.state.lock(), State::Broken)
+        }
+    }
 
     #[test]
     fn set_then_get() {

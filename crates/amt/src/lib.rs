@@ -11,7 +11,7 @@
 //!   busy-time accounting (the raw data behind the paper's
 //!   `hpx::performance_counters::busy_time`).
 //! * **Performance counters** — [`counters::CounterRegistry`], a registry of
-//!   named, resettable counters in the AGAS-style `/threads{locality#N}/...`
+//!   named, monotone counters in the AGAS-style `/threads{locality#N}/...`
 //!   naming scheme.
 //! * **Localities and parcels** — simulated distributed compute nodes
 //!   ([`locality::Locality`]) communicating exclusively through serialized

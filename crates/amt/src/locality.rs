@@ -7,10 +7,7 @@
 
 pub use crate::parcel::LocalityId;
 
-use crate::counters::{
-    busy_time_counter_name, parks_counter_name, steal_fails_counter_name, steals_counter_name,
-    Counter, CounterRegistry,
-};
+use crate::counters::{threads_counter_name, Counter, CounterRegistry};
 use crate::future::Future;
 use crate::network::FabricHandle;
 use crate::parcel::{Parcel, Tag};
@@ -28,7 +25,6 @@ pub struct Locality {
     rendezvous: Arc<Rendezvous>,
     fabric: FabricHandle,
     registry: Arc<CounterRegistry>,
-    busy_counter: Counter,
 }
 
 impl Locality {
@@ -43,26 +39,21 @@ impl Locality {
     ) -> Arc<Self> {
         assert!(speed > 0.0, "locality speed must be positive");
         let pool = Arc::new(ThreadPool::new(workers, &format!("loc{id}")));
-        let pool_for_gauge = pool.clone();
-        let busy_counter = registry.register(
-            busy_time_counter_name(id),
-            Counter::gauge(move || pool_for_gauge.busy_ns_total()),
-        );
-        let p = pool.clone();
-        registry.register(
-            steals_counter_name(id),
-            Counter::gauge(move || p.steals_total()),
-        );
-        let p = pool.clone();
-        registry.register(
-            steal_fails_counter_name(id),
-            Counter::gauge(move || p.steal_fails_total()),
-        );
-        let p = pool.clone();
-        registry.register(
-            parks_counter_name(id),
-            Counter::gauge(move || p.parks_total()),
-        );
+        for (name, read) in [
+            (
+                "time/busy",
+                ThreadPool::busy_ns_total as fn(&ThreadPool) -> u64,
+            ),
+            ("count/steals", ThreadPool::steals_total),
+            ("count/steal-fails", ThreadPool::steal_fails_total),
+            ("count/parks", ThreadPool::parks_total),
+        ] {
+            let p = pool.clone();
+            registry.register(
+                threads_counter_name(id, name),
+                Counter::gauge(move || read(&p)),
+            );
+        }
         Arc::new(Locality {
             id,
             pool,
@@ -70,7 +61,6 @@ impl Locality {
             rendezvous: Arc::new(Rendezvous::new()),
             fabric,
             registry,
-            busy_counter,
         })
     }
 
@@ -84,17 +74,11 @@ impl Locality {
         self.pool.n_workers()
     }
 
-    /// Relative compute speed (1.0 = nominal). Slower nodes repeat kernel
-    /// work [`work_repeats`](Self::work_repeats) times so their busy time
-    /// genuinely grows, which is what the load balancer observes.
+    /// Relative compute speed (1.0 = nominal). The solver emulates a slow
+    /// node by repeating its kernel work, so its busy time genuinely
+    /// grows, which is what the load balancer observes.
     pub fn speed(&self) -> f64 {
         self.speed
-    }
-
-    /// Number of times a kernel should repeat its work to emulate this
-    /// locality's speed (≥ 1; 1 for nominal speed).
-    pub fn work_repeats(&self) -> u32 {
-        (1.0 / self.speed).round().max(1.0) as u32
     }
 
     /// The locality's worker pool.
@@ -131,15 +115,10 @@ impl Locality {
         self.rendezvous.expect(tag)
     }
 
-    /// Busy time accumulated by this locality's workers (ns), relative to the
-    /// last counter reset — the paper's `busy_time` performance counter.
+    /// Busy time accumulated by this locality's workers (ns) — the paper's
+    /// `busy_time` performance counter.
     pub fn busy_time_ns(&self) -> u64 {
-        self.busy_counter.read()
-    }
-
-    /// The underlying busy-time counter (shared with the registry).
-    pub fn busy_counter(&self) -> Counter {
-        self.busy_counter.clone()
+        self.pool.busy_ns_total()
     }
 
     /// Cluster-wide counter registry.
@@ -158,23 +137,5 @@ impl Locality {
         while let Ok(parcel) = rx.recv() {
             rendezvous.deliver(parcel.tag, parcel.payload);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-
-    #[test]
-    fn work_repeats_from_speed() {
-        // Construction of Locality requires a fabric; test the arithmetic via
-        // a tiny cluster instead.
-        let cluster = crate::cluster::ClusterBuilder::new()
-            .node(1, 1.0)
-            .node(1, 0.5)
-            .node(1, 0.25)
-            .build();
-        assert_eq!(cluster.locality(0).work_repeats(), 1);
-        assert_eq!(cluster.locality(1).work_repeats(), 2);
-        assert_eq!(cluster.locality(2).work_repeats(), 4);
     }
 }

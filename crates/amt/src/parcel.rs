@@ -47,21 +47,6 @@ pub fn tag_class(t: Tag) -> u8 {
     (t >> (A_BITS + B_BITS + C_BITS)) as u8
 }
 
-/// Extract the `a` field (timestep).
-pub fn tag_a(t: Tag) -> u64 {
-    (t >> (B_BITS + C_BITS)) & TAG_A_MAX
-}
-
-/// Extract the `b` field (sub-domain id).
-pub fn tag_b(t: Tag) -> u64 {
-    (t >> C_BITS) & TAG_B_MAX
-}
-
-/// Extract the `c` field (patch index).
-pub fn tag_c(t: Tag) -> u64 {
-    t & TAG_C_MAX
-}
-
 /// An addressed message with an opaque serialized payload.
 #[derive(Debug, Clone)]
 pub struct Parcel {
@@ -97,22 +82,24 @@ impl Parcel {
 mod tests {
     use super::*;
 
+    /// The `a`, `b` and `c` fields of a tag.
+    fn tag_abc(t: Tag) -> (u64, u64, u64) {
+        let a = (t >> (B_BITS + C_BITS)) & TAG_A_MAX;
+        (a, (t >> C_BITS) & TAG_B_MAX, t & TAG_C_MAX)
+    }
+
     #[test]
     fn tag_fields_roundtrip() {
         let t = tag(3, 12345, 678, 90);
         assert_eq!(tag_class(t), 3);
-        assert_eq!(tag_a(t), 12345);
-        assert_eq!(tag_b(t), 678);
-        assert_eq!(tag_c(t), 90);
+        assert_eq!(tag_abc(t), (12345, 678, 90));
     }
 
     #[test]
     fn tag_fields_at_limits() {
         let t = tag(u8::MAX, TAG_A_MAX, TAG_B_MAX, TAG_C_MAX);
         assert_eq!(tag_class(t), u8::MAX);
-        assert_eq!(tag_a(t), TAG_A_MAX);
-        assert_eq!(tag_b(t), TAG_B_MAX);
-        assert_eq!(tag_c(t), TAG_C_MAX);
+        assert_eq!(tag_abc(t), (TAG_A_MAX, TAG_B_MAX, TAG_C_MAX));
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl ThreadPool {
         self.inner.executed.load(Ordering::Relaxed)
     }
 
-    /// Number of tasks that panicked.
-    pub fn task_panics(&self) -> u64 {
-        self.inner.panics.load(Ordering::Relaxed)
-    }
-
     /// Successful steals (injector + peer-deque batches) of one worker.
     pub fn steals(&self, worker: usize) -> u64 {
         self.inner.steal_stats[worker]

@@ -1,6 +1,7 @@
 //! Ablation studies for the design choices the README's sections argue.
 
 use crate::figdata::{FigData, Series};
+use nlheat_amt::counters::threads_counter_name;
 use nlheat_core::balance::{LbSchedule, LbSpec};
 use nlheat_core::ownership::Ownership;
 use nlheat_core::scenario::sweep::{Axis, ScenarioSweep};
@@ -616,11 +617,9 @@ pub fn a11_intra_step_stealing(quick: bool) -> FigData {
                 ),
             }
             if steal_on {
-                let steals: u64 = report
-                    .dist_extras()
-                    .expect("real-runtime extras")
-                    .pool_steals
-                    .iter()
+                let steals: u64 = (0..report.busy.len() as u32)
+                    .map(|r| report.counter(&threads_counter_name(r, "count/steals")))
+                    .map(|steals| steals.expect("a pool counter"))
                     .sum();
                 assert!(steals > 0, "{name} leg {leg}: no steals observed");
             }

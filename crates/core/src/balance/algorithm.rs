@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn single_node_cluster_is_trivially_balanced() {
-        let own = Ownership::single_node(SdGrid::new(4, 4, 5));
+        let own = Ownership::new(SdGrid::new(4, 4, 5), vec![0; 16], 1);
         let plan = count_based(&own, &[1.0]);
         assert!(plan.is_noop());
     }

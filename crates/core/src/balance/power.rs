@@ -22,17 +22,6 @@ pub struct LoadMetrics {
 }
 
 impl LoadMetrics {
-    /// Sum of |imbalance| / 2 — the number of SD moves a perfect
-    /// realization of this iteration would perform.
-    pub fn pending_moves(&self) -> i64 {
-        self.imbalance.iter().map(|v| v.abs()).sum::<i64>() / 2
-    }
-
-    /// True when every node already holds its expected count.
-    pub fn is_balanced(&self) -> bool {
-        self.imbalance.iter().all(|&v| v == 0)
-    }
-
     /// Busy time one SD contributes on `node` over the measured window —
     /// the *busy-time relief* of migrating one SD away, in the unit of
     /// `busy`. Zero for a node with no SDs (there is nothing to relieve).
@@ -126,8 +115,7 @@ mod tests {
     fn equal_busy_equal_split() {
         let m = compute_metrics(&[10, 10, 10, 10], &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(m.expected, vec![10, 10, 10, 10]);
-        assert!(m.is_balanced());
-        assert_eq!(m.pending_moves(), 0);
+        assert_eq!(m.imbalance, vec![0; 4]);
     }
 
     #[test]

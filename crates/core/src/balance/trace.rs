@@ -100,12 +100,6 @@ impl EpochTrace {
         }
         self
     }
-
-    /// Signed change of recurring ghost bytes per timestep this epoch
-    /// caused (negative: the plan healed the partition).
-    pub fn ghost_delta_bytes(&self) -> i64 {
-        self.ghost_bytes_after as i64 - self.ghost_bytes_before as i64
-    }
 }
 
 #[cfg(test)]
@@ -147,10 +141,6 @@ mod tests {
         assert_eq!(
             trace.ghost_bytes_after,
             graph.cut_bytes(plan.new_ownership.owners())
-        );
-        assert_eq!(
-            trace.ghost_delta_bytes(),
-            trace.ghost_bytes_after as i64 - trace.ghost_bytes_before as i64
         );
         // both nodes sit in one rack here: no inter-rack ghost share
         assert_eq!(trace.inter_rack_ghost_bytes_before, 0);

@@ -10,8 +10,8 @@
 //! [`LbSchedule::period`] steps ([`LbSchedule::due`]), a full
 //! load-balancing epoch: busy-time gather, plan on locality 0 via the
 //! configured [`LbSpec`] policy (Algorithm 1 by default), broadcast — the
-//! round [`nlheat_amt::collectives`] provides — SD migration, counter
-//! reset (§7).
+//! round [`nlheat_amt::collectives`] provides — SD migration, and a new
+//! busy-time window (§7).
 //!
 //! This is the only step loop of the real runtime: on one locality no
 //! ghost is foreign, every SD is all case 2, and the loop is the paper's
@@ -28,8 +28,10 @@
 //! least [`crate::ghost::TASK_WORK_FLOOR`] of work (a task owns a list of
 //! regions of any tiles; with `intra_step_stealing` one row band), waits
 //! for them, re-arms the gates and swaps — per step the driver's own work
-//! is O(tasks + bundles), not O(SDs). Where a rank's step loop went is in
-//! the cluster's counter registry, phase by phase ([`STEP_PHASES`]).
+//! is O(tasks + bundles), not O(SDs). Everything a driver counts — where
+//! its step loop went, phase by phase ([`STEP_PHASES`]), its ghost
+//! traffic and its in-migrations — is a counter of the cluster's registry
+//! ([`dist_counter_name`]), and the report reads them from there.
 //!
 //! **Exclusive phases take the tiles exclusively.** The tile table lives
 //! in the `Arc<StepPlan>` the tasks of a step share, each tile behind a
@@ -56,13 +58,13 @@ pub use crate::balance::LbSpec;
 use crate::balance::{EpochLog, EpochMeasure, LbEpoch, SdGraph};
 use crate::ghost::{group_by_work, halo_plans, PatchRecord, Region, RegionCut, StepLayout};
 use crate::ownership::Ownership;
-use crate::scenario::{failed_at, DistExtras, RunExtras, RunReport, Scenario};
+use crate::scenario::{counter_in, failed_at, DistExtras, RunExtras, RunReport, Scenario};
 use crate::workload::WorkModel;
 use bytes::{Buf, Bytes, BytesMut};
 use nlheat_amt::cluster::Cluster;
 use nlheat_amt::codec::{decode_f64_rows, decode_ghost_record, encode_f64_rows, WireError};
 use nlheat_amt::collectives;
-use nlheat_amt::counters::Counter;
+use nlheat_amt::counters::{threads_counter_name, Counter};
 use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::{tag, TAG_A_MAX, TAG_B_MAX};
@@ -382,26 +384,23 @@ fn scatter_bundle(
 
 /// The sections of a driver step, in order. Each rank accumulates the
 /// wall time it spends in each into the raw counter
-/// [`phase_counter_name`]`(rank, phase)` of the cluster's registry; the
-/// sections are contiguous, so the six sum to the rank's step loop.
+/// [`dist_counter_name`]`(rank, "phase/{phase}")` of the cluster's
+/// registry; the sections are contiguous, so the six sum to the rank's
+/// step loop, `time/loop`.
 pub const STEP_PHASES: [&str; 6] = ["fill", "send", "spawn", "wait", "swap", "lb"];
 
-/// Registry name of locality `locality`'s nanoseconds in step phase
-/// `phase` (one of [`STEP_PHASES`]).
-pub fn phase_counter_name(locality: u32, phase: &str) -> String {
-    format!("/dist{{locality#{locality}}}/phase/{phase}")
-}
-
-/// Registry name of the cell updates (kernel repeats included) locality
-/// `locality`'s compute tasks have executed.
-pub fn cell_updates_counter_name(locality: u32) -> String {
-    format!("/dist{{locality#{locality}}}/count/cell-updates")
-}
-
-/// Registry name of the wall nanoseconds of locality `locality`'s whole
-/// step loop — what its [`STEP_PHASES`] counters add up to.
-pub fn loop_counter_name(locality: u32) -> String {
-    format!("/dist{{locality#{locality}}}/time/loop")
+/// Registry name of counter `name` of locality `locality`'s driver. Each
+/// driver registers (and so restarts at zero) these raw counters:
+/// - `phase/{phase}`, `time/loop`: ns in each of [`STEP_PHASES`] and in
+///   the whole step loop;
+/// - `count/cell-updates`: cell updates its compute tasks executed, kernel
+///   repeats included;
+/// - `count/ghost-bytes`, `count/inter-rack-ghost-bytes`,
+///   `count/ghost-patches`: the planner-grade bytes of the ghost bundles
+///   it sent to live ranks, their inter-rack share, and their records;
+/// - `count/migrations-in`: SDs it received from LB migrations.
+pub fn dist_counter_name(locality: u32, name: &str) -> String {
+    format!("/dist{{locality#{locality}}}/{name}")
 }
 
 /// Registry name of the [`nlheat_model::VectorLevel`] the drivers' kernel
@@ -431,8 +430,8 @@ struct PhaseClock {
 impl PhaseClock {
     fn start(loc: &Locality) -> Self {
         let register = |phase| {
-            loc.registry()
-                .register(phase_counter_name(loc.id(), phase), Counter::raw())
+            let name = dist_counter_name(loc.id(), &format!("phase/{phase}"));
+            loc.registry().register(name, Counter::raw())
         };
         PhaseClock {
             counters: STEP_PHASES.map(register),
@@ -447,28 +446,19 @@ impl PhaseClock {
     }
 }
 
-/// Per-node report returned by each driver.
+/// Per-node report returned by each driver: its data. What it counted is
+/// in the registry.
 struct NodeReport {
     sd_fields: Vec<(SdId, Vec<f64>)>,
     error_partials: Vec<f64>,
-    busy_ns: u64,
-    in_migrations: usize,
-    /// Planner-grade ghost bytes this locality *sent* to other localities.
-    ghost_bytes: u64,
-    inter_rack_ghost_bytes: u64,
-    ghost_patches: u64,
     /// The run's epoch record — locality 0 plans, so only it has one.
     lb_log: Option<EpochLog>,
-    /// Worker-pool steal counters of this locality over the whole run.
-    pool_steals: u64,
-    pool_steal_fails: u64,
-    pool_parks: u64,
 }
 
 /// Run `sc` on `cluster`, which must be the cluster `sc` declares
-/// ([`Scenario::build_cluster`]), and report it — the fabric's wire
-/// statistics and the scenario's memory tables
-/// ([`RunReport::with_scenario_memory`]) included.
+/// ([`Scenario::build_cluster`]), and report it: the registry's counters
+/// at the end of the run ([`RunReport::counters`]) and the scenario's
+/// memory tables ([`RunReport::with_scenario_memory`]) included.
 ///
 /// # Panics
 /// On the caller's thread, before any driver starts: if the scenario is
@@ -561,16 +551,28 @@ pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> RunReport {
         acc
     });
     let lb_log = reports[0].lb_log.take().unwrap_or_default();
-    let stats = cluster.net_stats();
+    // a worker adds a task's busy time after the task has set its future:
+    // drain the pools so the counters are final
+    cluster.localities().iter().for_each(|loc| loc.wait_idle());
+    let counters = cluster.registry().snapshot("");
+    let ranks = || 0..n_nodes;
+    let read = |name: String| counter_in(&counters, &name).expect("a driver's counter");
+    let sum = |name| {
+        ranks()
+            .map(|r| read(dist_counter_name(r, name)))
+            .sum::<u64>()
+    };
     RunReport {
         substrate: "dist",
         makespan: elapsed.as_secs_f64(),
-        busy: reports.iter().map(|r| r.busy_ns as f64 * 1e-9).collect(),
-        migrations: reports.iter().map(|r| r.in_migrations).sum(),
+        busy: ranks()
+            .map(|r| read(threads_counter_name(r, "time/busy")) as f64 * 1e-9)
+            .collect(),
+        migrations: sum("count/migrations-in") as usize,
         migration_bytes: lb_log.migration_bytes,
         inter_rack_migration_bytes: lb_log.inter_rack_migration_bytes,
-        ghost_bytes: reports.iter().map(|r| r.ghost_bytes).sum(),
-        inter_rack_ghost_bytes: reports.iter().map(|r| r.inter_rack_ghost_bytes).sum(),
+        ghost_bytes: sum("count/ghost-bytes"),
+        inter_rack_ghost_bytes: sum("count/inter-rack-ghost-bytes"),
         lb_plans: lb_log.plans,
         epoch_traces: lb_log.traces,
         final_ownership: Ownership::new(setup.sds, final_owners, n_nodes),
@@ -578,30 +580,8 @@ pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> RunReport {
         error,
         memory_bytes: None,
         sd_footprint: None,
-        extras: RunExtras::Dist(DistExtras {
-            elapsed,
-            wire_messages: stats.messages(),
-            wire_cross_bytes: stats.cross_bytes(),
-            ghost_patches: reports.iter().map(|r| r.ghost_patches).sum(),
-            pool_steals: reports.iter().map(|r| r.pool_steals).collect(),
-            pool_steal_fails: reports.iter().map(|r| r.pool_steal_fails).collect(),
-            pool_parks: reports.iter().map(|r| r.pool_parks).collect(),
-            phase_ns: (0..n_nodes)
-                .map(|rank| {
-                    STEP_PHASES.map(|phase| {
-                        let name = phase_counter_name(rank, phase);
-                        cluster
-                            .registry()
-                            .read(&name)
-                            .expect("every driver registers its phases")
-                    })
-                })
-                .collect(),
-            kernel_vector_level: cluster
-                .registry()
-                .read(KERNEL_VECTOR_LEVEL_COUNTER)
-                .expect("every driver publishes its kernel plan's level"),
-        }),
+        extras: RunExtras::Dist(DistExtras::from_counters(elapsed, &counters, n_nodes)),
+        counters,
     }
     .with_scenario_memory(sc)
 }
@@ -624,12 +604,13 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let halo = setup.parts.grid.halo;
     let dt = setup.parts.dt;
     let registry = loc.registry();
+    let count = |name| registry.register(dist_counter_name(me, name), Counter::raw());
     let kern = Arc::new(StepKernel {
         kernel: setup.parts.kernel.clone(),
         plan: setup.parts.kernel.plan(sds.sd + 2 * halo),
         source: setup.parts.manufactured.source_fn(),
         dt,
-        cell_updates: registry.register(cell_updates_counter_name(me), Counter::raw()),
+        cell_updates: count("count/cell-updates"),
     });
     // `register` replaces, so the counter reads the level, not a sum over
     // drivers
@@ -670,14 +651,14 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     // migrations so steady-state balancing stops allocating tile pairs.
     let mut tile_pool: Vec<Tile> = Vec::new();
     let mut error_partials = Vec::with_capacity(sc.steps);
-    let mut in_migrations = 0usize;
+    let in_migrations = count("count/migrations-in");
     // Planner-grade ghost-traffic counters (what this locality sends):
     // per bundle the wire bytes the simulator charges and the SdGraph
     // weighs, so both substrates' counters agree under identical
     // ownership sequences.
-    let mut ghost_bytes = 0u64;
-    let mut inter_rack_ghost_bytes = 0u64;
-    let mut ghost_patches = 0u64;
+    let ghost_bytes = count("count/ghost-bytes");
+    let inter_rack_ghost_bytes = count("count/inter-rack-ghost-bytes");
+    let ghost_patches = count("count/ghost-patches");
     // Failure mask, re-evaluated at event steps: bundles to or from a
     // fail-stopped rank still flow (the solver's numerics are sacred) but
     // stop counting toward the planner-grade ghost counters — a failed
@@ -708,8 +689,11 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let mut prev_stall_ns = 0u64;
     let mut prev_window_secs: Option<f64> = None;
     let mut window_t0 = Instant::now();
+    // The busy-time counter's reading where the current balancing window
+    // began: the window's busy time is the difference.
+    let mut window_busy_ns = loc.busy_time_ns();
 
-    let loop_ns = registry.register(loop_counter_name(me), Counter::raw());
+    let loop_ns = count("time/loop");
     let loop_t0 = Instant::now();
     let mut clock = PhaseClock::start(&loc);
     for step in 0..sc.steps {
@@ -732,10 +716,10 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
         }
         for bundle in &layout.schedule.sends {
             if !failed[me as usize] && !failed[bundle.peer as usize] {
-                ghost_patches += bundle.records.len() as u64;
-                ghost_bytes += bundle.wire_bytes as u64;
+                ghost_patches.add(bundle.records.len() as u64);
+                ghost_bytes.add(bundle.wire_bytes as u64);
                 if comm_cost.link_class(me, bundle.peer) == LinkClass::InterRack {
-                    inter_rack_ghost_bytes += bundle.wire_bytes as u64;
+                    inter_rack_ghost_bytes.add(bundle.wire_bytes as u64);
                 }
             }
             loc.send(
@@ -837,7 +821,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
             // feed on (locality 0's own exchange alone would miss
             // migrations flowing entirely between other localities)
             let stat = (
-                loc.busy_time_ns(),
+                loc.busy_time_ns() - window_busy_ns,
                 plan.tiles.len() as u64,
                 prev_stall_ns,
                 window_ghost_ns,
@@ -911,7 +895,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
                         })
                         .unwrap_or_else(|| Tile::new(sds.sd, halo))
                 };
-                in_migrations += incoming.len();
+                in_migrations.add(incoming.len() as u64);
                 for (sd, fut) in incoming {
                     let mut payload = fut.get();
                     let mut curr = fresh_tile();
@@ -935,9 +919,10 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
             };
             // The ghost-stall window restarts with the busy window.
             window_ghost_ns = 0;
-            // Algorithm 1 line 35: reset the busy-time counters so the next
-            // epoch measures a fresh interval.
-            loc.busy_counter().reset();
+            // Algorithm 1 line 35 resets the busy-time counters here so
+            // the next epoch measures a fresh interval; the counter is
+            // monotone, so the next window starts at this reading.
+            window_busy_ns = loc.busy_time_ns();
             if me == 0 {
                 prev_window_secs = Some(window_t0.elapsed().as_secs_f64());
                 window_t0 = Instant::now();
@@ -959,15 +944,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     NodeReport {
         sd_fields,
         error_partials,
-        busy_ns: loc.busy_time_ns(),
-        in_migrations,
-        ghost_bytes,
-        inter_rack_ghost_bytes,
-        ghost_patches,
         lb_log: lb_epoch.map(LbEpoch::into_log),
-        pool_steals: loc.pool().steals_total(),
-        pool_steal_fails: loc.pool().steal_fails_total(),
-        pool_parks: loc.pool().parks_total(),
     }
 }
 
@@ -978,6 +955,7 @@ mod tests {
     use crate::balance::MoveWeights;
     use crate::ghost::{row_bands, RegionLists};
     use crate::scenario::{ClusterEvent, ClusterSpec, LbInput, PartitionSpec};
+    use nlheat_amt::counters::{NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
     use nlheat_amt::pool::ThreadPool;
     use nlheat_mesh::build_halo_plan;
     use nlheat_model::{ProblemSpec, SerialSolver};
@@ -1001,10 +979,12 @@ mod tests {
         run_distributed(&sc.build_cluster(), sc)
     }
 
-    fn extras(report: &RunReport) -> &DistExtras {
-        report
-            .dist_extras()
-            .expect("the real runtime reports dist extras")
+    /// Counter `name(rank)` of the run, summed over its ranks.
+    fn rank_sum(report: &RunReport, name: impl Fn(u32) -> String) -> u64 {
+        let ranks = 0..report.busy.len() as u32;
+        ranks
+            .map(|r| report.counter(&name(r)).expect("registered"))
+            .sum()
     }
 
     fn serial_field(n: usize, eps_mult: f64, steps: usize) -> Vec<f64> {
@@ -1037,7 +1017,7 @@ mod tests {
         let report = run(&sc);
         assert_eq!(report.field, Some(serial_field(16, 2.0, 5)));
         assert!(
-            extras(&report).pool_steals.iter().sum::<u64>() > 0,
+            rank_sum(&report, |r| threads_counter_name(r, "count/steals")) > 0,
             "band tasks should move through the work-stealing scheduler"
         );
     }
@@ -1298,7 +1278,7 @@ mod tests {
         let report = run_ahead(None);
         // 6 steps x the 6 ordered pairs of 3 mutually adjacent ranks is
         // the most bundles there can be; each carries many patches
-        assert!(extras(&report).ghost_patches > 6 * 6);
+        assert!(rank_sum(&report, |r| dist_counter_name(r, "count/ghost-patches")) > 6 * 6);
     }
 
     #[test]
@@ -1820,16 +1800,10 @@ mod tests {
             let mut owners = vec![0u32; 16];
             owners[15] = n_nodes as u32 - 1;
             sc.partition = PartitionSpec::Explicit(owners);
-            let cluster = sc.build_cluster();
-            let report = run_distributed(&cluster, &sc);
+            let report = run(&sc);
             assert_eq!(report.field, Some(serial_field(16, 2.0, 8)));
             assert_eq!(report.migrations > 0, n_nodes == 2);
-            let executed: u64 = (0..n_nodes as u32)
-                .map(|rank| {
-                    let name = cell_updates_counter_name(rank);
-                    cluster.registry().read(&name).expect("registered")
-                })
-                .sum();
+            let executed = rank_sum(&report, |r| dist_counter_name(r, "count/cell-updates"));
             assert_eq!(executed, want, "{n_nodes} localities");
         }
     }
@@ -1839,15 +1813,15 @@ mod tests {
         let mut sc = switching_work(ClusterSpec::uniform(2, 1), 8);
         sc.partition = PartitionSpec::Strip;
         sc.record_error = true;
-        let cluster = sc.build_cluster();
-        let report = run_distributed(&cluster, &sc);
-        let extras = extras(&report);
+        let report = run(&sc);
         for rank in 0..2u32 {
-            let read = |name: String| cluster.registry().read(&name).expect("registered");
-            let phases = STEP_PHASES.map(|phase| read(phase_counter_name(rank, phase)));
-            assert_eq!(extras.phase_ns[rank as usize], phases);
+            let read = |name: &str| {
+                let name = dist_counter_name(rank, name);
+                report.counter(&name).expect("registered")
+            };
+            let phases = STEP_PHASES.map(|phase| read(&format!("phase/{phase}")));
             assert!(phases.iter().all(|&ns| ns > 0), "{phases:?}");
-            let (sum, whole) = (phases.iter().sum::<u64>(), read(loop_counter_name(rank)));
+            let (sum, whole) = (phases.iter().sum::<u64>(), read("time/loop"));
             assert!(
                 sum <= whole && sum as f64 >= 0.95 * whole as f64,
                 "rank {rank}: phases {phases:?} sum to {sum} of a {whole} ns loop"
@@ -1855,11 +1829,26 @@ mod tests {
         }
         // ... and say which kernel instantiation they timed
         let level = nlheat_model::VectorLevel::detect().index();
-        assert_eq!(extras.kernel_vector_level, level);
-        assert_eq!(
-            cluster.registry().read(KERNEL_VECTOR_LEVEL_COUNTER),
-            Some(level)
-        );
+        assert_eq!(report.counter(KERNEL_VECTOR_LEVEL_COUNTER), Some(level));
+    }
+
+    #[test]
+    fn busy_covers_the_whole_run_across_lb_epochs() {
+        // Epochs after steps 0, 4, 8 and 12 each start a new busy window;
+        // the report's busy time is still every nanosecond the pools spent
+        // on tasks, read off the pools themselves once the run is over.
+        let mut sc = scenario(ClusterSpec::uniform(2, 1), 32, 2.0, 4, 16);
+        let lb = LbSchedule::every(4);
+        let epochs = (0..sc.steps).filter(|&step| lb.due(step, sc.steps)).count();
+        assert_eq!(epochs, 4);
+        sc.lb = Some(lb);
+        sc.lb_input = LbInput::Modeled;
+        let cluster = sc.build_cluster();
+        let report = run_distributed(&cluster, &sc);
+        for (r, &busy) in report.busy.iter().enumerate() {
+            let pool = cluster.locality(r).pool().busy_ns_total();
+            assert_eq!(busy, pool as f64 * 1e-9, "rank {r}");
+        }
     }
 
     #[test]
@@ -1937,14 +1926,17 @@ mod tests {
         assert_eq!(report.inter_rack_ghost_bytes, 0);
         // 4 boundary SD pairs with 3 patches each way (side + 2 corners,
         // minus the 2 x 2 corners that fall off the strip's ends)
-        let extras = extras(&report);
-        assert_eq!(extras.ghost_patches, 3 * 2 * (4 * 3 - 2));
+        let patches = rank_sum(&report, |r| dist_counter_name(r, "count/ghost-patches"));
+        assert_eq!(patches, 3 * 2 * (4 * 3 - 2));
         let stats = cluster.net_stats();
         assert_eq!(stats.messages(), 3 * 2, "one bundle per step and rank pair");
         // ... which the report carries
         assert_eq!(
-            (extras.wire_messages, extras.wire_cross_bytes),
-            (stats.messages(), stats.cross_bytes())
+            (
+                report.counter(NETWORK_MESSAGES),
+                report.counter(NETWORK_CROSS_BYTES)
+            ),
+            (Some(stats.messages()), Some(stats.cross_bytes()))
         );
         // the wire adds only the 24-byte parcel header per bundle
         assert_eq!(

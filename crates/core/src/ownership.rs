@@ -41,12 +41,6 @@ impl Ownership {
         Ownership::new(sds, partition.parts.clone(), partition.k)
     }
 
-    /// All SDs on node 0 (the single-node baseline).
-    pub fn single_node(sds: SdGrid) -> Self {
-        let n = sds.count();
-        Ownership::new(sds, vec![0; n], 1)
-    }
-
     /// The SD grid this ownership refers to.
     pub fn sds(&self) -> &SdGrid {
         &self.sds

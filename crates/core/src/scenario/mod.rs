@@ -32,6 +32,7 @@ use crate::dist::run_distributed;
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
+use nlheat_amt::counters::{threads_counter_name, NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
 use nlheat_mesh::{Grid, SdGrid, Stencil};
 use nlheat_model::{ErrorAccumulator, ProblemSpec};
 use nlheat_netmodel::NetSpec;
@@ -802,37 +803,56 @@ pub enum RunExtras {
     Plan(PlanExtras),
 }
 
-/// What only the real runtime can measure.
-#[derive(Debug, Clone)]
+/// The fields of a real run that the frozen repo benchmark reads, filled
+/// from [`RunReport::counters`] by one function. Everything else a real
+/// run counts is in `counters` under its registry name.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistExtras {
     /// Wall time of the whole run.
     pub elapsed: Duration,
-    /// Parcels the fabric actually carried (one ghost bundle per step and
-    /// ordered rank pair + LB protocol + migrations).
+    /// [`NETWORK_MESSAGES`].
     pub wire_messages: u64,
-    /// Bytes that actually crossed localities on the wire (includes the
-    /// parcel headers and the LB protocol, unlike the planner-grade
-    /// counters).
+    /// [`NETWORK_CROSS_BYTES`].
     pub wire_cross_bytes: u64,
-    /// Foreign halo patches shipped inside the ghost bundles (their
-    /// records).
-    pub ghost_patches: u64,
-    /// Per-locality successful task steals in the worker pools over the
-    /// whole run (injector grabs plus peer-to-peer deque steals — the
-    /// intra-step stealing observability signal).
+    /// Per locality, its pool's `count/steals` ([`threads_counter_name`]).
     pub pool_steals: Vec<u64>,
-    /// Per-locality dry victim scans (steal attempts that found nothing).
+    /// Per locality, its pool's `count/steal-fails`.
     pub pool_steal_fails: Vec<u64>,
-    /// Per-locality worker park events.
+    /// Per locality, its pool's `count/parks`.
     pub pool_parks: Vec<u64>,
-    /// Per-locality wall nanoseconds in each of
-    /// [`crate::dist::STEP_PHASES`] (fill, send, spawn, wait, swap, lb),
-    /// read from the cluster's counter registry at the end of the run.
-    pub phase_ns: Vec<[u64; 6]>,
-    /// The registry's [`crate::dist::KERNEL_VECTOR_LEVEL_COUNTER`]: the
-    /// interaction-sum instantiation the run's kernel plan chose
-    /// (0 = baseline, 1 = AVX2).
-    pub kernel_vector_level: u64,
+}
+
+impl DistExtras {
+    /// The frozen fields of a real run of `elapsed` over `n_ranks`
+    /// localities whose registry read `counters` at its end.
+    pub(crate) fn from_counters(
+        elapsed: Duration,
+        counters: &[(String, u64)],
+        n_ranks: u32,
+    ) -> Self {
+        let read = |name: &str| counter_in(counters, name).expect("a cluster counter");
+        let per_rank = |name| {
+            (0..n_ranks)
+                .map(|r| read(&threads_counter_name(r, name)))
+                .collect()
+        };
+        DistExtras {
+            elapsed,
+            wire_messages: read(NETWORK_MESSAGES),
+            wire_cross_bytes: read(NETWORK_CROSS_BYTES),
+            pool_steals: per_rank("count/steals"),
+            pool_steal_fails: per_rank("count/steal-fails"),
+            pool_parks: per_rank("count/parks"),
+        }
+    }
+}
+
+/// The value of counter `name` in a sorted registry snapshot.
+pub(crate) fn counter_in(counters: &[(String, u64)], name: &str) -> Option<u64> {
+    let at = counters
+        .binary_search_by(|(n, _)| n.as_str().cmp(name))
+        .ok()?;
+    Some(counters[at].1)
 }
 
 /// What only the simulator can measure.
@@ -850,14 +870,17 @@ pub struct SimExtras {
 
 /// The unified outcome of running one [`Scenario`] on either substrate.
 ///
-/// The shared fields mean the same thing on both sides: `makespan` and
-/// `busy` are seconds (wall-clock on the real runtime, virtual time in
-/// the simulator); the ghost/migration byte counters are planner-grade
-/// wire estimates (`patch_wire_bytes`: payload + framing word) counted by
-/// the same formula on both substrates, so identical plans produce
-/// identical counters; `lb_plans`/`epoch_traces` record one entry per
-/// *realized* balancing epoch, and [`RunReport::ownership_history`]
-/// replays the ownerships they imply.
+/// The shared fields mean the same thing on both sides and cover the
+/// whole run: `makespan` and `busy` are seconds (wall-clock on the real
+/// runtime, virtual time in the simulator); the ghost/migration byte
+/// counters are planner-grade wire estimates (`patch_wire_bytes`:
+/// payload and framing word) counted by the same formula on both
+/// substrates, so identical plans produce identical counters;
+/// `lb_plans`/`epoch_traces` record one entry per *realized* balancing
+/// epoch, and [`RunReport::ownership_history`] replays the ownerships
+/// they imply. On the real runtime `busy`, `migrations`, `ghost_bytes`
+/// and `inter_rack_ghost_bytes` are sums over [`RunReport::counters`],
+/// the registry's reading at the end of the run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Which substrate produced this report (`"dist"` or `"sim"`).
@@ -894,6 +917,10 @@ pub struct RunReport {
     pub memory_bytes: Option<Vec<u64>>,
     /// Per-SD resident footprints paired with `memory_bytes`.
     pub sd_footprint: Option<Vec<u64>>,
+    /// Every counter of the cluster's registry at the end of a real run,
+    /// sorted by name (read one with [`RunReport::counter`]); empty on the
+    /// other substrates.
+    pub counters: Vec<(String, u64)>,
     /// Substrate-specific measurements.
     pub extras: RunExtras,
 }
@@ -911,6 +938,12 @@ impl RunReport {
             (d.wire_messages, d.wire_cross_bytes) = (wire_messages, wire_cross_bytes);
         }
         report
+    }
+
+    /// The real run's counter `name` at its end; `None` if the registry
+    /// had no such counter or the report is not from the real runtime.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        counter_in(&self.counters, name)
     }
 
     /// Attach the scenario's memory-aware planning tables (when it
@@ -937,14 +970,6 @@ impl RunReport {
     pub fn sim_extras(&self) -> Option<&SimExtras> {
         match &self.extras {
             RunExtras::Sim(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The plan-only extras, if this report came from [`PlanSubstrate`].
-    pub fn plan_extras(&self) -> Option<&PlanExtras> {
-        match &self.extras {
-            RunExtras::Plan(p) => Some(p),
             _ => None,
         }
     }
@@ -1045,15 +1070,15 @@ impl RunReport {
                     "sim: ghost + migration bytes must partition the cross traffic"
                 );
             }
-            RunExtras::Dist(d) => {
+            RunExtras::Dist(_) => {
                 // wire bytes carry the parcel headers and the LB protocol
                 // on top of the planner-grade counters
+                let wire = self.counter(NETWORK_CROSS_BYTES);
                 assert!(
-                    self.ghost_bytes + self.migration_bytes <= d.wire_cross_bytes,
-                    "dist: planner-grade bytes ({} + {}) exceed the wire ({})",
+                    Some(self.ghost_bytes + self.migration_bytes) <= wire,
+                    "dist: planner-grade bytes ({} + {}) exceed the wire ({wire:?})",
                     self.ghost_bytes,
                     self.migration_bytes,
-                    d.wire_cross_bytes
                 );
             }
             // a plan-only run carries no traffic counters to cross-check
@@ -1365,7 +1390,6 @@ mod tests {
         assert_eq!(report.busy.len(), 2);
         assert!(report.field.is_some());
         assert!(report.ghost_bytes > 0, "two nodes must exchange ghosts");
-        let extras = report.dist_extras().expect("dist extras");
-        assert!(extras.wire_messages > 0);
+        assert!(report.counter(NETWORK_MESSAGES) > Some(0));
     }
 }

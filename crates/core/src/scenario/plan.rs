@@ -86,6 +86,7 @@ impl Substrate for PlanSubstrate {
             error: None,
             memory_bytes: None,
             sd_footprint: None,
+            counters: Vec::new(),
             extras: RunExtras::Plan(PlanExtras {
                 plan_seconds: planned.plan_seconds,
                 n_ranks: n_nodes as usize,
@@ -125,7 +126,9 @@ mod tests {
         assert!(report.migrations > 0, "the 15/1 start must plan moves");
         assert_eq!(report.lb_plans.len(), 1, "exactly one epoch");
         assert!(report.field.is_none());
-        let extras = report.plan_extras().expect("plan extras");
+        let RunExtras::Plan(extras) = &report.extras else {
+            panic!("plan extras")
+        };
         assert_eq!(extras.n_ranks, 2);
         assert_eq!(extras.n_sds, 16);
         assert!(extras.plan_seconds >= 0.0);
@@ -189,7 +192,10 @@ mod tests {
         let sc = library::plan_scale(100);
         let report = PlanSubstrate.run(&sc);
         report.check_invariants();
-        assert_eq!(report.plan_extras().unwrap().n_ranks, 100);
+        let RunExtras::Plan(extras) = &report.extras else {
+            panic!("plan extras")
+        };
+        assert_eq!(extras.n_ranks, 100);
         assert!(
             report.migrations > 0,
             "the skewed speed profile must imbalance the strip start"

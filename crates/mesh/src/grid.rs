@@ -78,11 +78,6 @@ impl Grid {
         self.domain_rect().contains(i, j)
     }
 
-    /// Whether `(i, j)` lies in the collar D_c (zero boundary region).
-    pub fn in_collar(&self, i: i64, j: i64) -> bool {
-        self.padded_rect().contains(i, j) && !self.in_domain(i, j)
-    }
-
     /// Total interior degrees of freedom.
     pub fn n_dofs(&self) -> usize {
         (self.nx * self.ny) as usize
@@ -121,16 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn domain_and_collar_membership() {
+    fn domain_membership() {
         let g = Grid::square(8, 2.0);
         assert!(g.in_domain(0, 0));
         assert!(g.in_domain(7, 7));
         assert!(!g.in_domain(8, 0));
-        assert!(g.in_collar(-1, 0));
-        assert!(g.in_collar(8, 8));
-        assert!(g.in_collar(-2, -2));
-        assert!(!g.in_collar(-3, 0), "outside the padded region");
-        assert!(!g.in_collar(3, 3));
     }
 
     #[test]

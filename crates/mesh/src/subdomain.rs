@@ -89,15 +89,6 @@ impl SdGrid {
         (sx * self.sd, sy * self.sd)
     }
 
-    /// SD containing global cell `(gi, gj)`; `None` outside the mesh.
-    pub fn sd_of_cell(&self, gi: i64, gj: i64) -> Option<SdId> {
-        let (ex, ey) = self.mesh_extent();
-        if gi < 0 || gi >= ex || gj < 0 || gj >= ey {
-            return None;
-        }
-        Some(self.id(gi / self.sd, gj / self.sd))
-    }
-
     /// 4-neighbors (edge-adjacent SDs) of `id`.
     pub fn adjacent4(&self, id: SdId) -> Vec<SdId> {
         let (sx, sy) = self.coords(id);
@@ -108,24 +99,6 @@ impl SdGrid {
                 self.in_bounds(nx, ny).then(|| self.id(nx, ny))
             })
             .collect()
-    }
-
-    /// 8-neighbors (edge- or corner-adjacent SDs) of `id`.
-    pub fn adjacent8(&self, id: SdId) -> Vec<SdId> {
-        let (sx, sy) = self.coords(id);
-        let mut out = Vec::with_capacity(8);
-        for dy in -1..=1 {
-            for dx in -1..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let (nx, ny) = (sx + dx, sy + dy);
-                if self.in_bounds(nx, ny) {
-                    out.push(self.id(nx, ny));
-                }
-            }
-        }
-        out
     }
 
     /// All SD ids in row-major order.
@@ -171,23 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn sd_of_cell_maps_interior_and_rejects_outside() {
-        let g = SdGrid::new(5, 5, 4);
-        assert_eq!(g.sd_of_cell(0, 0), Some(g.id(0, 0)));
-        assert_eq!(g.sd_of_cell(19, 19), Some(g.id(4, 4)));
-        assert_eq!(g.sd_of_cell(8, 12), Some(g.id(2, 3)));
-        assert_eq!(g.sd_of_cell(-1, 0), None);
-        assert_eq!(g.sd_of_cell(20, 0), None);
-    }
-
-    #[test]
     fn adjacency_counts() {
         let g = SdGrid::new(3, 3, 2);
         assert_eq!(g.adjacent4(g.id(1, 1)).len(), 4);
         assert_eq!(g.adjacent4(g.id(0, 0)).len(), 2);
         assert_eq!(g.adjacent4(g.id(1, 0)).len(), 3);
-        assert_eq!(g.adjacent8(g.id(1, 1)).len(), 8);
-        assert_eq!(g.adjacent8(g.id(0, 0)).len(), 3);
     }
 
     #[test]
@@ -195,6 +156,5 @@ mod tests {
         let g = SdGrid::new(1, 1, 10);
         assert_eq!(g.count(), 1);
         assert!(g.adjacent4(0).is_empty());
-        assert!(g.adjacent8(0).is_empty());
     }
 }

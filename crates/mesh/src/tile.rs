@@ -196,31 +196,6 @@ impl Tile {
             self.data[row..row + rect.w as usize].fill(value);
         }
     }
-
-    /// Zero the whole halo ring (used when rebuilding plans after migration).
-    pub fn zero_halo(&mut self) {
-        let full = self.padded_rect();
-        let interior = self.interior_rect();
-        for lj in full.y0..full.y1() {
-            for li in full.x0..full.x1() {
-                if !interior.contains(li, lj) {
-                    let idx = self.index(li, lj);
-                    self.data[idx] = 0.0;
-                }
-            }
-        }
-    }
-
-    /// Sum of interior values (diagnostic).
-    pub fn interior_sum(&self) -> f64 {
-        let mut s = 0.0;
-        for lj in 0..self.sd {
-            for li in 0..self.sd {
-                s += self.get(li, lj);
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -421,16 +396,5 @@ mod tests {
         let src = Tile::new(4, 2);
         let mut dst = Tile::new(4, 2);
         dst.copy_rect_from(&src, &Rect::new(0, 0, 2, 3), &Rect::new(0, 0, 3, 2));
-    }
-
-    #[test]
-    fn zero_halo_preserves_interior() {
-        let mut t = Tile::new(3, 1);
-        t.fill_rect(&t.padded_rect().clone(), 5.0);
-        t.zero_halo();
-        assert_eq!(t.get(-1, -1), 0.0);
-        assert_eq!(t.get(3, 3), 0.0);
-        assert_eq!(t.get(1, 1), 5.0);
-        assert_eq!(t.interior_sum(), 45.0);
     }
 }

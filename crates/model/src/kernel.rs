@@ -586,11 +586,6 @@ impl KernelPlan {
     pub fn level(&self) -> VectorLevel {
         self.level
     }
-
-    /// Number of contiguous runs the stencil decomposed into (diagnostic).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
 }
 
 #[cfg(test)]
@@ -790,7 +785,7 @@ mod tests {
         );
         for level in VectorLevel::available() {
             let plan = kernel.plan_at(curr.stride(), level);
-            assert!(plan.run_count() < offsets.len(), "runs must coalesce");
+            assert!(plan.runs.len() < offsets.len(), "runs must coalesce");
             let mut next_b = Tile::new(curr.sd(), curr.halo());
             kernel.apply_region_blocked(
                 curr,

@@ -41,16 +41,6 @@ pub fn step_error(h: f64, d: u32, pairs: impl Iterator<Item = (f64, f64)>) -> f6
     h.powi(d as i32) * sum
 }
 
-/// Discrete L² norm `√(h^d Σ v²)` (diagnostic).
-pub fn l2_norm(h: f64, d: u32, values: impl Iterator<Item = f64>) -> f64 {
-    (h.powi(d as i32) * values.map(|v| v * v).sum::<f64>()).sqrt()
-}
-
-/// Max-abs norm (diagnostic).
-pub fn max_norm(values: impl Iterator<Item = f64>) -> f64 {
-    values.map(f64::abs).fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +67,6 @@ mod tests {
         assert_eq!(acc.total(), 4.0);
         assert_eq!(acc.max_step(), 2.5);
         assert_eq!(acc.per_step().len(), 3);
-    }
-
-    #[test]
-    fn l2_and_max_norms() {
-        let vals = [3.0, -4.0];
-        assert!((l2_norm(1.0, 0, vals.iter().copied()) - 5.0).abs() < 1e-15);
-        assert_eq!(max_norm(vals.iter().copied()), 4.0);
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl SerialSolver {
         self.step as f64 * self.dt
     }
 
-    /// Steps taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.step
-    }
-
     /// The timestep in use.
     pub fn dt(&self) -> f64 {
         self.dt
@@ -255,6 +250,6 @@ mod tests {
         assert_eq!(s.time(), 0.0);
         s.run(3);
         assert!((s.time() - 3.0 * s.dt()).abs() < 1e-15);
-        assert_eq!(s.steps_taken(), 3);
+        assert_eq!(s.step, 3);
     }
 }

@@ -155,15 +155,6 @@ impl TopologySpec {
         }
     }
 
-    /// The two-tier defaults with the full rank → node → rack hierarchy:
-    /// `ranks_per_node` localities share each node's loopback link.
-    pub fn three_tier(ranks_per_node: usize, nodes_per_rack: usize) -> Self {
-        TopologySpec {
-            ranks_per_node,
-            ..TopologySpec::two_tier(nodes_per_rack)
-        }
-    }
-
     /// The node hosting `rank`.
     pub fn node_of(&self, rank: u32) -> usize {
         rank as usize / self.ranks_per_node
@@ -576,6 +567,18 @@ impl NetSpec {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    impl TopologySpec {
+        /// The two-tier defaults with the full rank → node → rack
+        /// hierarchy: `ranks_per_node` localities share each node's
+        /// loopback link.
+        fn three_tier(ranks_per_node: usize, nodes_per_rack: usize) -> Self {
+            TopologySpec {
+                ranks_per_node,
+                ..TopologySpec::two_tier(nodes_per_rack)
+            }
+        }
+    }
 
     fn msg(src: u32, dst: u32, bytes: u64) -> Msg {
         Msg { src, dst, bytes }

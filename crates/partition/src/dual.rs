@@ -39,7 +39,8 @@ pub fn part_mesh_dual(sds: &SdGrid, k: u32, seed: u64) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{balance, part_components};
+    use crate::metrics::balance;
+    use crate::metrics::tests::part_components;
 
     #[test]
     fn dual_graph_shape() {

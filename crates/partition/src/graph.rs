@@ -40,11 +40,6 @@ impl Csr {
             .zip(self.adjwgt[lo..hi].iter().copied())
     }
 
-    /// Degree of `v`.
-    pub fn degree(&self, v: u32) -> usize {
-        self.xadj[v as usize + 1] - self.xadj[v as usize]
-    }
-
     /// Sum of all vertex weights.
     pub fn total_vwgt(&self) -> i64 {
         self.vwgt.iter().sum()
@@ -203,7 +198,7 @@ mod tests {
         let g = path3();
         assert_eq!(g.n(), 3);
         assert_eq!(g.n_edges(), 2);
-        assert_eq!(g.degree(1), 2);
+        assert_eq!(g.neighbors(1).count(), 2);
         assert_eq!(g.neighbors(0).collect::<Vec<_>>(), vec![(1, 2)]);
         g.validate().unwrap();
     }
@@ -317,7 +312,7 @@ mod tests {
     fn isolated_vertices_allowed() {
         let g = Csr::from_edges(3, &[], vec![1, 1, 1]);
         assert_eq!(g.n_edges(), 0);
-        assert_eq!(g.degree(0), 0);
+        assert_eq!(g.neighbors(0).count(), 0);
         g.validate().unwrap();
     }
 }

@@ -179,7 +179,8 @@ pub fn refine_kway(g: &Csr, parts: &mut [u32], cfg: &PartitionConfig) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{balance, part_components};
+    use crate::metrics::balance;
+    use crate::metrics::tests::part_components;
 
     fn grid_graph(w: usize, h: usize) -> Csr {
         let id = |x: usize, y: usize| (y * w + x) as u32;

@@ -41,39 +41,39 @@ pub(crate) fn part_loads(vwgt: &[i64], parts: &[u32], k: u32) -> Vec<i64> {
     loads
 }
 
-/// Number of connected components of part `p` under the graph adjacency —
-/// 1 for a contiguous part.
-pub fn part_components(g: &Csr, parts: &[u32], p: u32) -> usize {
-    let members: Vec<u32> = (0..g.n() as u32)
-        .filter(|&v| parts[v as usize] == p)
-        .collect();
-    if members.is_empty() {
-        return 0;
-    }
-    let in_part: std::collections::HashSet<u32> = members.iter().copied().collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut components = 0;
-    for &start in &members {
-        if seen.contains(&start) {
-            continue;
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Number of connected components of part `p` under the graph adjacency —
+    /// 1 for a contiguous part.
+    pub(crate) fn part_components(g: &Csr, parts: &[u32], p: u32) -> usize {
+        let members: Vec<u32> = (0..g.n() as u32)
+            .filter(|&v| parts[v as usize] == p)
+            .collect();
+        if members.is_empty() {
+            return 0;
         }
-        components += 1;
-        let mut stack = vec![start];
-        seen.insert(start);
-        while let Some(v) = stack.pop() {
-            for (u, _) in g.neighbors(v) {
-                if in_part.contains(&u) && seen.insert(u) {
-                    stack.push(u);
+        let in_part: std::collections::HashSet<u32> = members.iter().copied().collect();
+        let mut seen = std::collections::HashSet::new();
+        let mut components = 0;
+        for &start in &members {
+            if seen.contains(&start) {
+                continue;
+            }
+            components += 1;
+            let mut stack = vec![start];
+            seen.insert(start);
+            while let Some(v) = stack.pop() {
+                for (u, _) in g.neighbors(v) {
+                    if in_part.contains(&u) && seen.insert(u) {
+                        stack.push(u);
+                    }
                 }
             }
         }
+        components
     }
-    components
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn path4() -> Csr {
         Csr::from_edges(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 4)], vec![1, 2, 3, 4])

@@ -107,12 +107,6 @@ impl SdGraph {
         self.csr.neighbors(sd).map(|(nb, w)| (nb, w as u64))
     }
 
-    /// Total ghost bytes per timestep if every exchange were remote — the
-    /// upper bound of [`SdGraph::cut_bytes`].
-    pub fn total_ghost_bytes(&self) -> u64 {
-        (self.csr.adjwgt.iter().sum::<i64>() / 2) as u64
-    }
-
     /// Resident memory footprint of `sd` on its owner, in bytes: the tile
     /// payload (8-byte f64 per cell) plus the ghost buffers it keeps for
     /// its halo exchanges (the incident edge weights — both directions,
@@ -179,43 +173,6 @@ impl SdGraph {
         }
         delta
     }
-
-    /// [`SdGraph::cut_bytes`] after applying a whole batch of
-    /// reassignments at once (later entries for the same SD win, exactly
-    /// as if the moves were applied in order). The per-move
-    /// [`SdGraph::cut_delta_bytes`] path re-reads every touched
-    /// neighbour list *per move* against a mutating owner table; this
-    /// scans each edge incident to a reassigned SD exactly once, so the
-    /// repartition differ can price an arbitrarily large diff in one
-    /// pass.
-    pub fn cut_after_reassign(&self, owners: &[u32], moves: &[(SdId, u32)]) -> u64 {
-        if moves.is_empty() {
-            return self.cut_bytes(owners);
-        }
-        let mut after: Vec<u32> = owners.to_vec();
-        let mut touched = vec![false; owners.len()];
-        for &(sd, to) in moves {
-            after[sd as usize] = to;
-            touched[sd as usize] = true;
-        }
-        let mut cut = self.cut_bytes(owners) as i64;
-        for v in 0..self.csr.n() as u32 {
-            if !touched[v as usize] {
-                continue;
-            }
-            for (u, w) in self.csr.neighbors(v) {
-                // Edges between two touched SDs are seen from both
-                // endpoints — only account them from the smaller id.
-                if touched[u as usize] && u < v {
-                    continue;
-                }
-                let was_cut = owners[v as usize] != owners[u as usize];
-                let is_cut = after[v as usize] != after[u as usize];
-                cut += w * (is_cut as i64 - was_cut as i64);
-            }
-        }
-        cut as u64
-    }
 }
 
 #[cfg(test)]
@@ -246,7 +203,6 @@ mod tests {
         let (nb, w) = g.neighbours(0).next().unwrap();
         assert_eq!(nb, 1);
         assert_eq!(w, 2 * patch_wire_bytes(7));
-        assert_eq!(g.total_ghost_bytes(), 2 * patch_wire_bytes(7));
     }
 
     #[test]
@@ -354,11 +310,11 @@ mod tests {
         }
     }
 
-    /// The batch differ path must agree exactly with the sequential
-    /// per-move path (`cut_delta_bytes` + apply, move by move), including
-    /// repeated reassignments of the same SD where the last write wins.
+    /// The per-move path (`cut_delta_bytes` + apply, move by move) must
+    /// agree exactly with the cut of the final owners, including repeated
+    /// reassignments of the same SD where the last write wins.
     #[test]
-    fn cut_after_reassign_matches_per_move_path() {
+    fn per_move_cut_deltas_sum_to_the_final_cut() {
         let sds = SdGrid::new(5, 4, 4);
         let g = SdGraph::build(&sds, 2);
         let owners: Vec<u32> = sds.ids().map(|id| id % 3).collect();
@@ -380,12 +336,7 @@ mod tests {
                 cut += g.cut_delta_bytes(&seq, sd, to);
                 seq[sd as usize] = to;
             }
-            assert_eq!(
-                g.cut_after_reassign(&owners, moves),
-                cut as u64,
-                "batch {moves:?}"
-            );
-            assert_eq!(g.cut_after_reassign(&owners, moves), g.cut_bytes(&seq));
+            assert_eq!(cut as u64, g.cut_bytes(&seq), "batch {moves:?}");
         }
     }
 

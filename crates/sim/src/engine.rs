@@ -402,6 +402,7 @@ pub fn simulate(sc: &Scenario) -> RunReport {
         error: None,
         memory_bytes: None,
         sd_footprint: None,
+        counters: Vec::new(),
         extras: RunExtras::Sim(SimExtras {
             busy_fraction,
             cross_bytes,

@@ -10,6 +10,8 @@
 //! cargo run --release --example heterogeneous_cluster
 //! ```
 
+use nonlocalheat::amt::counters::NETWORK_MESSAGES;
+use nonlocalheat::core::dist::{dist_counter_name, KERNEL_VECTOR_LEVEL_COUNTER, STEP_PHASES};
 use nonlocalheat::prelude::*;
 
 fn main() {
@@ -28,15 +30,17 @@ fn main() {
     }
     println!("final ownership:\n{}", report.final_ownership.render());
     // where each rank's step loop went: the driver's phase counters
-    let phases = nonlocalheat::core::dist::STEP_PHASES;
-    let extras = report.dist_extras().expect("a real-runtime report");
+    let count = |name: &str| report.counter(name).expect("a cluster counter");
     println!(
         "step-loop ms per rank ({}), kernel vector level {} (0 = baseline, 1 = AVX2):",
-        phases.join(" / "),
-        extras.kernel_vector_level
+        STEP_PHASES.join(" / "),
+        count(KERNEL_VECTOR_LEVEL_COUNTER)
     );
-    for (rank, ns) in extras.phase_ns.iter().enumerate() {
-        let ms = ns.map(|ns| format!("{:.2}", ns as f64 * 1e-6));
+    for rank in 0..report.busy.len() as u32 {
+        let ms = STEP_PHASES.map(|phase| {
+            let ns = count(&dist_counter_name(rank, &format!("phase/{phase}")));
+            format!("{:.2}", ns as f64 * 1e-6)
+        });
         println!("  rank {rank}: {}", ms.join(" / "));
     }
 
@@ -88,12 +92,11 @@ fn main() {
         .with_lb(LbSchedule::every(3));
     println!("\n== real runtime on 2 racks x 2 nodes (slow inter-rack uplink) ==");
     let report = racked.run_dist();
-    let extras = report.dist_extras().expect("real-runtime extras");
     println!(
-        "wall time {:?}, {} messages, {:.1} KB planner-grade ghost traffic \
+        "wall time {:.2} ms, {} messages, {:.1} KB planner-grade ghost traffic \
          ({:.1} KB of it inter-rack)",
-        extras.elapsed,
-        extras.wire_messages,
+        report.makespan * 1e3,
+        report.counter(NETWORK_MESSAGES).expect("a cluster counter"),
         report.ghost_bytes as f64 / 1e3,
         report.inter_rack_ghost_bytes as f64 / 1e3,
     );

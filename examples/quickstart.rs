@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use nonlocalheat::amt::counters::{NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
 use nonlocalheat::prelude::*;
 
 fn main() {
@@ -22,8 +23,7 @@ fn main() {
     let report = scenario.run_dist();
 
     let error = report.error.as_ref().unwrap();
-    let extras = report.dist_extras().expect("real-runtime extras");
-    println!("elapsed:          {:?}", extras.elapsed);
+    println!("elapsed:          {:.3} ms", report.makespan * 1e3);
     println!(
         "total error e:    {:.3e}   (eq. 7 vs manufactured solution)",
         error.total()
@@ -33,9 +33,12 @@ fn main() {
         "busy time (ms):   {:?}",
         report.busy.iter().map(|&s| s * 1e3).collect::<Vec<_>>()
     );
+    // every count of a real run is a registry counter, read by name
+    let count = |name| report.counter(name).expect("a cluster counter");
     println!(
         "ghost traffic:    {} messages, {} bytes crossed the wire",
-        extras.wire_messages, extras.wire_cross_bytes
+        count(NETWORK_MESSAGES),
+        count(NETWORK_CROSS_BYTES)
     );
 
     // Cross-check against the single-threaded reference solver: the

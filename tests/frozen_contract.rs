@@ -1,9 +1,11 @@
 //! The frozen repo benchmark's legacy names live in the facade alone
-//! (`src/frozen.rs`), and its traced leg measures the program its timed
-//! leg does.
+//! (`src/frozen.rs`), the six `DistExtras` fields it reads are read
+//! nowhere else, and its traced leg measures the program its timed leg
+//! does.
 
+use nonlocalheat::amt::counters::{NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
 use nonlocalheat::core::balance::LbSchedule;
-use nonlocalheat::core::dist::run_distributed;
+use nonlocalheat::core::dist::{run_distributed, DistReport};
 use nonlocalheat::core::scenario::{ClusterSpec, LbInput, PartitionSpec, RunReport, Scenario};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -59,6 +61,57 @@ fn crates_name_no_frozen_item_outside_its_forwards() {
     assert_eq!(found, allowed);
 }
 
+#[test]
+fn no_file_reads_the_frozen_dist_extras_fields() {
+    // The benchmark reads these six fields of `DistExtras`; one function
+    // fills them from the run's counters and `RunReport::from_dist`
+    // overwrites two. Everything else reads counters by name, so the
+    // struct goes when the benchmark stops reading it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    files.sort();
+    assert!(
+        files.iter().any(|f| f.ends_with("examples/quickstart.rs")),
+        "the scan must see the examples"
+    );
+    let fields = [
+        "elapsed",
+        "wire_messages",
+        "wire_cross_bytes",
+        "pool_steals",
+        "pool_steal_fails",
+        "pool_parks",
+    ];
+    // a read is `.field` followed by neither an identifier character nor
+    // a call (`Instant::elapsed()` is no read)
+    let reads = |line: &str| {
+        fields.iter().any(|field| {
+            let dotted = format!(".{field}");
+            line.match_indices(&dotted).any(|(at, _)| {
+                let next = line[at + dotted.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '(')
+            })
+        })
+    };
+    let mut found = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("utf-8 source");
+        let rel = path.strip_prefix(root).expect("under the root");
+        for line in text.lines().filter(|l| reads(l)) {
+            found.push(format!("{}: {}", rel.display(), line.trim()));
+        }
+    }
+    // `from_dist` stores the two wire statistics it is handed
+    let (m, c) = (fields[1], fields[2]);
+    let allowed = [format!(
+        "crates/core/src/scenario/mod.rs: (d.{m}, d.{c}) = ({m}, {c});"
+    )];
+    assert_eq!(found, allowed);
+}
+
 /// Bit patterns of a field, so the comparison is bit for bit.
 fn bits(report: &RunReport) -> Vec<u64> {
     let field = report
@@ -83,7 +136,13 @@ fn the_benchmarks_traced_sequence_reports_what_run_dist_does() {
     let cluster = sc.build_cluster();
     let cfg = sc.dist_config();
     let dist = run_distributed(&cluster, cfg);
-    let (elapsed, migrations, ghost_bytes) = (dist.elapsed, dist.migrations, dist.ghost_bytes);
+    let DistReport {
+        elapsed,
+        migrations,
+        ghost_bytes,
+        ..
+    } = dist.clone();
+    let wrapped = RunReport::from(dist.clone());
     let stats = cluster.net_stats();
     let traced =
         RunReport::from_dist(dist, stats.messages(), stats.cross_bytes()).with_scenario_memory(&sc);
@@ -97,17 +156,16 @@ fn the_benchmarks_traced_sequence_reports_what_run_dist_does() {
     assert_eq!(traced.ghost_bytes, timed.ghost_bytes);
     assert_eq!(traced.migrations, timed.migrations);
     assert_eq!(traced.lb_plans, timed.lb_plans);
-    let (t, s) = (
-        traced.dist_extras().expect("dist extras"),
-        timed.dist_extras().expect("dist extras"),
-    );
-    assert_eq!(
-        (t.wire_messages, t.wire_cross_bytes),
-        (s.wire_messages, s.wire_cross_bytes)
-    );
+    for name in [NETWORK_MESSAGES, NETWORK_CROSS_BYTES] {
+        assert_eq!(traced.counter(name), timed.counter(name), "{name}");
+    }
+    // the wire statistics `from_dist` stores are the ones the report's
+    // counters filled in
+    assert!(traced.dist_extras().is_some());
+    assert_eq!(traced.dist_extras(), wrapped.dist_extras());
     // the view reads the report it wraps
     assert_eq!(
-        (elapsed, migrations, ghost_bytes),
-        (t.elapsed, traced.migrations, traced.ghost_bytes)
+        (elapsed.as_secs_f64(), migrations, ghost_bytes),
+        (traced.makespan, traced.migrations, traced.ghost_bytes)
     );
 }

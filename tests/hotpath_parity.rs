@@ -8,6 +8,7 @@
 
 use bytes::BytesMut;
 use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows};
+use nlheat_amt::counters::threads_counter_name;
 use nlheat_core::ghost::{reverse_index, GhostSchedule};
 use nlheat_mesh::{build_halo_plan, Rect, Tile};
 use nonlocalheat::prelude::*;
@@ -121,11 +122,9 @@ fn intra_step_stealing_matches_scalar_reference_bitwise() {
                 "{name}: cell {i} diverged under intra-step stealing"
             );
         }
-        let steals: u64 = report
-            .dist_extras()
-            .expect("real-runtime extras")
-            .pool_steals
-            .iter()
+        let steals: u64 = (0..report.busy.len() as u32)
+            .map(|r| report.counter(&threads_counter_name(r, "count/steals")))
+            .map(|steals| steals.expect("a pool counter"))
             .sum();
         assert!(steals > 0, "{name}: stealing run scheduled no steals");
     }

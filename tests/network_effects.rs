@@ -8,6 +8,8 @@
 //! Every run is described through the declarative `Scenario` API, so the
 //! network model is one field swap.
 
+use nonlocalheat::amt::counters::{NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
+use nonlocalheat::core::dist::dist_counter_name;
 use nonlocalheat::prelude::*;
 use std::time::Duration;
 
@@ -167,14 +169,18 @@ fn traffic_statistics_are_plausible() {
     // 4x4 SDs halved: 4 boundary SD pairs + diagonals, both directions,
     // 3 steps, shipped as one bundle per step and direction; an LB-free
     // run has no other messages.
-    let extras = report.dist_extras().expect("real-runtime extras");
-    assert_eq!(extras.wire_messages, 3 * 2);
-    assert!(extras.ghost_patches > extras.wire_messages);
+    let count = |name: &str| report.counter(name).expect("a cluster counter");
+    let messages = count(NETWORK_MESSAGES);
+    assert_eq!(messages, 3 * 2);
+    let patches: u64 = (0..2)
+        .map(|r| count(&dist_counter_name(r, "count/ghost-patches")))
+        .sum();
+    assert!(patches > messages);
     assert!(report.ghost_bytes > 0);
     // planner-grade bytes + the 24-byte parcel header per bundle = wire
     assert_eq!(
-        report.ghost_bytes + 24 * extras.wire_messages,
-        extras.wire_cross_bytes
+        report.ghost_bytes + 24 * messages,
+        count(NETWORK_CROSS_BYTES)
     );
 
     // Per-pair attribution through the real driver path: a symmetric

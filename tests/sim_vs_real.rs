@@ -7,6 +7,8 @@
 //! alike. One `Scenario` value drives both; the unified `RunReport` carries
 //! the counters.
 
+use nonlocalheat::amt::counters::{NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
+use nonlocalheat::core::dist::dist_counter_name;
 use nonlocalheat::prelude::*;
 
 /// LB-free ghost traffic of one scenario on both substrates.
@@ -49,23 +51,26 @@ impl Traffic {
     /// The identities every LB-free run satisfies; returns
     /// `(ghost patches, bundles)` for the callers' magnitude checks.
     fn check(&self) -> (u64, u64) {
-        let dist = self.real.dist_extras().expect("real-runtime extras");
+        let count = |name: &str| self.real.counter(name).expect("a cluster counter");
+        let (messages, cross_bytes) = (count(NETWORK_MESSAGES), count(NETWORK_CROSS_BYTES));
         let sim = self.sim.sim_extras().expect("sim extras");
         // one bundle per step and ordered rank pair, on both substrates
         assert_eq!(
-            dist.wire_messages,
+            messages,
             self.steps * self.halo_pairs,
             "{} steps x {} halo-sharing rank pairs",
             self.steps,
             self.halo_pairs
         );
-        assert_eq!(sim.messages, dist.wire_messages, "sim vs real bundles");
+        assert_eq!(sim.messages, messages, "sim vs real bundles");
         // record bytes are exactly planner-grade on both substrates; only
         // the parcel header per bundle is extra on the wire
-        let headers = 24 * dist.wire_messages;
-        assert_eq!(self.real.ghost_bytes + headers, dist.wire_cross_bytes);
-        assert_eq!(sim.cross_bytes + headers, dist.wire_cross_bytes);
-        (dist.ghost_patches, dist.wire_messages)
+        let headers = 24 * messages;
+        assert_eq!(self.real.ghost_bytes + headers, cross_bytes);
+        assert_eq!(sim.cross_bytes + headers, cross_bytes);
+        let ranks = 0..self.real.busy.len() as u32;
+        let patches = ranks.map(|r| count(&dist_counter_name(r, "count/ghost-patches")));
+        (patches.sum(), messages)
     }
 }
 
