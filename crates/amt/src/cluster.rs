@@ -1,7 +1,7 @@
 //! Cluster assembly: localities + fabric + counter registry.
 //!
 //! [`ClusterBuilder`] wires up `n` localities (each with its own worker pool,
-//! inbox pump and speed factor) over a shared [`crate::network::Fabric`], and
+//! inbox pump and speed factor) over a shared `network::Fabric`, and
 //! [`Cluster::run`] executes a distributed program: one driver closure per
 //! locality on its own thread, exactly like an SPMD `main` per node.
 
@@ -15,28 +15,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Configuration of one locality.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeSpec {
-    /// Worker threads in the locality's pool.
-    pub workers: usize,
-    /// Relative compute speed (1.0 = nominal, 0.5 = half speed).
-    pub speed: f64,
-}
-
-impl Default for NodeSpec {
-    fn default() -> Self {
-        NodeSpec {
-            workers: 1,
-            speed: 1.0,
-        }
-    }
-}
-
 /// Builder for a simulated cluster.
 #[derive(Default)]
 pub struct ClusterBuilder {
-    nodes: Vec<NodeSpec>,
+    /// Per locality its worker threads and relative compute speed (1.0 =
+    /// nominal, 0.5 = half speed).
+    nodes: Vec<(usize, f64)>,
     net: NetSpec,
 }
 
@@ -47,18 +31,7 @@ impl ClusterBuilder {
 
     /// Append one locality with `workers` threads and relative `speed`.
     pub fn node(mut self, workers: usize, speed: f64) -> Self {
-        self.nodes.push(NodeSpec { workers, speed });
-        self
-    }
-
-    /// Append `n` identical localities.
-    pub fn uniform(mut self, n: usize, workers: usize) -> Self {
-        for _ in 0..n {
-            self.nodes.push(NodeSpec {
-                workers,
-                speed: 1.0,
-            });
-        }
+        self.nodes.push((workers, speed));
         self
     }
 
@@ -77,7 +50,7 @@ impl ClusterBuilder {
     pub fn build(self) -> Cluster {
         assert!(!self.nodes.is_empty(), "cluster needs at least one node");
         let n = self.nodes.len();
-        let registry = Arc::new(CounterRegistry::new());
+        let registry = Arc::new(CounterRegistry::default());
         let (fabric, receivers) = Fabric::new(n, self.net);
         let net = self.net;
         // Networking counters (the paper lists these as future work, §9),
@@ -93,14 +66,8 @@ impl ClusterBuilder {
         let mut localities = Vec::with_capacity(n);
         let mut pumps = Vec::with_capacity(n);
         let pumps_started = Arc::new(AtomicUsize::new(0));
-        for (i, (spec, rx)) in self.nodes.iter().zip(receivers).enumerate() {
-            let loc = Locality::new(
-                i as u32,
-                spec.workers,
-                spec.speed,
-                fabric.handle(),
-                registry.clone(),
-            );
+        for (i, (&(workers, speed), rx)) in self.nodes.iter().zip(receivers).enumerate() {
+            let loc = Locality::new(i as u32, workers, speed, fabric.handle(), registry.clone());
             let rendezvous = loc.rendezvous().clone();
             let started = pumps_started.clone();
             pumps.push(
@@ -226,6 +193,16 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ClusterBuilder {
+        /// Append `n` identical localities.
+        pub(crate) fn uniform(mut self, n: usize, workers: usize) -> Self {
+            for _ in 0..n {
+                self.nodes.push((workers, 1.0));
+            }
+            self
+        }
+    }
     use crate::counters::threads_counter_name;
     use crate::parcel::tag;
     use bytes::Bytes;
@@ -285,16 +262,12 @@ mod tests {
         let name = threads_counter_name(0, "time/busy");
         assert_eq!(cluster.registry().read(&name), Some(0));
         // Run some work and observe the counter move.
-        let f = cluster.locality(0).async_call(|| {
+        cluster.locality(0).pool().spawn(|| {
             let t0 = std::time::Instant::now();
             while t0.elapsed() < std::time::Duration::from_millis(3) {
                 std::hint::spin_loop();
             }
-            1u32
         });
-        assert_eq!(f.get(), 1);
-        // busy time is accounted when the pool retires the task, slightly
-        // after the future resolves — drain first
         cluster.locality(0).wait_idle();
         assert!(cluster.registry().read(&name).unwrap() > 0);
     }

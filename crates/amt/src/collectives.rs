@@ -17,7 +17,7 @@ use crate::parcel::tag;
 use bytes::Bytes;
 
 /// Tag class reserved for collective traffic (solver classes are 1–4).
-pub const CLASS_COLLECTIVE: u8 = 0xC0;
+pub(crate) const CLASS_COLLECTIVE: u8 = 0xC0;
 
 /// Sub-operations within the collective class (encoded in the tag's `c`
 /// field so gather/broadcast phases of the same epoch stay distinct).

@@ -40,7 +40,7 @@ impl Counter {
     }
 
     /// A counter sampling `f` on every read.
-    pub fn gauge(f: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
+    pub(crate) fn gauge(f: impl Fn() -> u64 + Send + Sync + 'static) -> Self {
         Counter(Arc::new(Source::Gauge(Box::new(f))))
     }
 
@@ -73,20 +73,11 @@ pub struct CounterRegistry {
 }
 
 impl CounterRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Register (or replace) a counter under `name` and return it.
     pub fn register(&self, name: impl Into<String>, counter: Counter) -> Counter {
         let name = name.into();
         self.counters.write().insert(name, counter.clone());
         counter
-    }
-
-    /// Read a counter by name; `None` if unregistered.
-    pub fn read(&self, name: &str) -> Option<u64> {
-        self.counters.read().get(name).map(Counter::read)
     }
 
     /// Snapshot of `(name, value)` pairs, sorted by name, for counters whose
@@ -116,13 +107,20 @@ pub fn threads_counter_name(locality: u32, name: &str) -> String {
 /// Parcels the cluster's fabric carried.
 pub const NETWORK_MESSAGES: &str = "/network/total/msg-count";
 /// Bytes the fabric carried, parcel headers included.
-pub const NETWORK_BYTES: &str = "/network/total/byte-count";
-/// The share of [`NETWORK_BYTES`] that crossed localities.
+pub(crate) const NETWORK_BYTES: &str = "/network/total/byte-count";
+/// The share of `NETWORK_BYTES` that crossed localities.
 pub const NETWORK_CROSS_BYTES: &str = "/network/total/cross-byte-count";
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CounterRegistry {
+        /// Read a counter by name; `None` if unregistered.
+        pub(crate) fn read(&self, name: &str) -> Option<u64> {
+            self.counters.read().get(name).map(Counter::read)
+        }
+    }
 
     #[test]
     fn raw_counter_add_and_read() {
@@ -151,7 +149,7 @@ mod tests {
 
     #[test]
     fn registry_register_read_snapshot() {
-        let reg = CounterRegistry::new();
+        let reg = CounterRegistry::default();
         let a = reg.register(threads_counter_name(0, "time/busy"), Counter::raw());
         let b = reg.register(threads_counter_name(1, "time/busy"), Counter::raw());
         reg.register(NETWORK_MESSAGES, Counter::raw());

@@ -5,7 +5,7 @@
 //! [`Future::get`], dataflow continuations ([`Future::then`]) and
 //! conjunction ([`when_all`]).
 
-use crate::task::Spawn;
+use crate::pool::PoolHandle;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
@@ -27,23 +27,21 @@ struct Shared<T> {
     cv: Condvar,
 }
 
-/// The write end of a future: fulfil it exactly once with [`Promise::set`].
-///
-/// Dropping a promise without setting a value marks the future *broken*;
-/// a subsequent `get` panics instead of deadlocking.
-pub struct Promise<T> {
+/// The write end of a future, fulfilled once by [`Promise::set`]. Dropped
+/// unfulfilled, it marks the future *broken*: `get` panics, not deadlocks.
+pub(crate) struct Promise<T> {
     shared: Arc<Shared<T>>,
     fulfilled: bool,
 }
 
 /// The read end: consume with [`Future::get`] (blocking) or attach a
-/// continuation with [`Future::then`] / [`Future::on_ready`].
+/// continuation with [`Future::then`].
 pub struct Future<T> {
     shared: Arc<Shared<T>>,
 }
 
 /// Create a connected promise/future pair.
-pub fn channel<T>() -> (Promise<T>, Future<T>) {
+pub(crate) fn channel<T>() -> (Promise<T>, Future<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State::Pending(None)),
         cv: Condvar::new(),
@@ -67,7 +65,7 @@ pub fn ready<T>(value: T) -> Future<T> {
 impl<T> Promise<T> {
     /// Fulfil the promise. Runs the registered continuation (if any) on the
     /// calling thread, otherwise stores the value and wakes blocked getters.
-    pub fn set(mut self, value: T) {
+    pub(crate) fn set(mut self, value: T) {
         self.fulfilled = true;
         let mut guard = self.shared.state.lock();
         match std::mem::replace(&mut *guard, State::Consumed) {
@@ -124,7 +122,7 @@ impl<T> Future<T> {
     /// Attach a continuation that runs exactly once with the value — on this
     /// thread if the value is already available, otherwise on the thread that
     /// fulfils the promise.
-    pub fn on_ready<F: FnOnce(T) + Send + 'static>(self, f: F)
+    pub(crate) fn on_ready<F: FnOnce(T) + Send + 'static>(self, f: F)
     where
         T: Send + 'static,
     {
@@ -143,18 +141,17 @@ impl<T> Future<T> {
         }
     }
 
-    /// Dataflow continuation executed as a task on `spawner` once the value
+    /// Dataflow continuation executed as a task on `pool` once the value
     /// arrives (the `future.then(hpx::launch::async, ...)` shape).
-    pub fn then<U, S, F>(self, spawner: &S, f: F) -> Future<U>
+    pub fn then<U, F>(self, pool: &PoolHandle, f: F) -> Future<U>
     where
         T: Send + 'static,
         U: Send + 'static,
-        S: Spawn + Clone + 'static,
         F: FnOnce(T) -> U + Send + 'static,
     {
         let (p, fut) = channel();
-        let sp = spawner.clone();
-        self.on_ready(move |v| sp.spawn_boxed(Box::new(move || p.set(f(v)))));
+        let pool = pool.clone();
+        self.on_ready(move |v| pool.spawn_boxed(Box::new(move || p.set(f(v)))));
         fut
     }
 }
@@ -204,7 +201,7 @@ pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::InlineSpawner;
+    use crate::pool::ThreadPool;
     use std::thread;
     use std::time::Duration;
 
@@ -257,8 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn then_runs_on_spawner() {
-        let f = ready(2u32).then(&InlineSpawner, |v| v * 3);
+    fn then_runs_on_the_pool() {
+        let pool = ThreadPool::new(1, "t");
+        let f = ready(2u32).then(&pool.handle(), |v| v * 3);
         assert_eq!(f.get(), 6);
     }
 

@@ -4,18 +4,19 @@
 //! small asynchronous many-task (AMT) runtime providing the pieces the paper
 //! relies on (§5 of Gadikar, Diehl & Jha 2021):
 //!
-//! * **Local control objects** — [`Promise`]/[`Future`] with blocking `get`,
+//! * **Local control objects** — `Promise`/[`Future`] with blocking `get`,
 //!   dataflow continuations ([`Future::then`]) and [`when_all`], mirroring
 //!   `hpx::future` / `hpx::async`.
-//! * **A work-stealing thread pool** — [`pool::ThreadPool`] with per-worker
-//!   busy-time accounting (the raw data behind the paper's
-//!   `hpx::performance_counters::busy_time`).
+//! * **A work-stealing thread pool** — [`pool::ThreadPool`] with scoped
+//!   jobs ([`pool::PoolHandle::scope`], the fork-join shape of HPX's
+//!   `define_task_block`) and per-worker busy-time accounting (the raw
+//!   data behind the paper's `hpx::performance_counters::busy_time`).
 //! * **Performance counters** — [`counters::CounterRegistry`], a registry of
 //!   named, monotone counters in the AGAS-style `/threads{locality#N}/...`
 //!   naming scheme.
 //! * **Localities and parcels** — simulated distributed compute nodes
 //!   ([`locality::Locality`]) communicating exclusively through serialized
-//!   [`parcel::Parcel`]s over an in-memory [`network::Fabric`] with an
+//!   `Parcel`s over an in-memory `network::Fabric` with an
 //!   optional latency/bandwidth model.
 //! * **Collectives** — [`collectives::gather`] / [`collectives::broadcast`]
 //!   over those parcels: the two halves of the solver's load-balancing
@@ -30,9 +31,12 @@
 //! use nlheat_amt::prelude::*;
 //!
 //! let pool = ThreadPool::new(2, "demo");
-//! let a = async_call(&pool.handle(), || 1 + 2);
-//! let b = async_call(&pool.handle(), || 4 + 5);
-//! assert_eq!(a.get() + b.get(), 12);
+//! let (mut a, mut b) = (0, 0);
+//! pool.handle().scope(|s| {
+//!     s.spawn(|| a = 1 + 2);
+//!     s.spawn(|| b = 4 + 5);
+//! });
+//! assert_eq!(a + b, 12);
 //! ```
 
 pub mod cluster;
@@ -45,20 +49,18 @@ pub mod network;
 pub mod parcel;
 pub mod pool;
 pub mod rendezvous;
-pub mod task;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use crate::cluster::{Cluster, ClusterBuilder, NodeSpec};
+    pub use crate::cluster::{Cluster, ClusterBuilder};
     pub use crate::codec::{Wire, WireError};
     pub use crate::counters::{Counter, CounterRegistry};
-    pub use crate::future::{channel, ready, when_all, Future, Promise};
+    pub use crate::future::{ready, when_all, Future};
     pub use crate::locality::{Locality, LocalityId};
     pub use crate::network::NetStats;
-    pub use crate::parcel::{tag, tag_class, Parcel, Tag};
-    pub use crate::pool::{async_call, PoolHandle, ThreadPool};
+    pub use crate::parcel::{tag, Tag};
+    pub use crate::pool::{PoolHandle, Scope, ThreadPool};
     pub use crate::rendezvous::Rendezvous;
-    pub use crate::task::{Spawn, Task};
     pub use nlheat_netmodel::{CommCost, LinkClass, LinkSpec, Msg, NetSpec, TopologySpec};
 }
 

@@ -11,7 +11,7 @@ use crate::counters::{threads_counter_name, Counter, CounterRegistry};
 use crate::future::Future;
 use crate::network::FabricHandle;
 use crate::parcel::{Parcel, Tag};
-use crate::pool::{PoolHandle, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::rendezvous::Rendezvous;
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -28,8 +28,7 @@ pub struct Locality {
 }
 
 impl Locality {
-    /// Assembled by [`crate::cluster::ClusterBuilder`]; not constructed
-    /// directly by user code.
+    /// Assembled by [`crate::cluster::ClusterBuilder`].
     pub(crate) fn new(
         id: LocalityId,
         workers: usize,
@@ -86,20 +85,6 @@ impl Locality {
         &self.pool
     }
 
-    /// Submission handle onto the pool.
-    pub fn spawner(&self) -> PoolHandle {
-        self.pool.handle()
-    }
-
-    /// `hpx::async` on this locality.
-    pub fn async_call<T, F>(&self, f: F) -> Future<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.pool.handle().async_call(f)
-    }
-
     /// Block until all tasks submitted to this locality finished.
     pub fn wait_idle(&self) {
         self.pool.wait_idle();
@@ -107,7 +92,13 @@ impl Locality {
 
     /// Send a tagged payload to `dst` (may be `self.id()`).
     pub fn send(&self, dst: LocalityId, tag: Tag, payload: Bytes) {
-        self.fabric.send(Parcel::new(self.id, dst, tag, payload));
+        let src = self.id;
+        self.fabric.send(Parcel {
+            src,
+            dst,
+            tag,
+            payload,
+        });
     }
 
     /// Future for the payload that will arrive under `tag`.

@@ -1,6 +1,6 @@
 //! In-memory network fabric driven by the shared [`Net`] model.
 //!
-//! Every inter-locality parcel flows through a [`Fabric`]. The delivery
+//! Every inter-locality parcel flows through a `Fabric`. The delivery
 //! schedule comes from the `nlheat-netmodel` crate — the arrival function
 //! the discrete-event simulator calls — so communication behaviour agrees
 //! between the real runtime and the simulator by construction. With an
@@ -62,7 +62,7 @@ impl NetStats {
     }
 
     /// Total bytes sent (wire size including headers).
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 
@@ -106,21 +106,21 @@ impl FabricInner {
 }
 
 /// The cluster-wide transport. Owns the (optional) delivery thread.
-pub struct Fabric {
+pub(crate) struct Fabric {
     inner: Arc<FabricInner>,
     delay_thread: Option<JoinHandle<()>>,
 }
 
 /// Cheap per-locality sending handle.
 #[derive(Clone)]
-pub struct FabricHandle {
+pub(crate) struct FabricHandle {
     inner: Arc<FabricInner>,
 }
 
 impl Fabric {
     /// Create a fabric for `n` localities over the network model described
     /// by `spec`; returns the fabric and one inbox receiver per locality.
-    pub fn new(n: usize, spec: NetSpec) -> (Self, Vec<Receiver<Parcel>>) {
+    pub(crate) fn new(n: usize, spec: NetSpec) -> (Self, Vec<Receiver<Parcel>>) {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -164,20 +164,20 @@ impl Fabric {
     }
 
     /// Sending handle to share with localities.
-    pub fn handle(&self) -> FabricHandle {
+    pub(crate) fn handle(&self) -> FabricHandle {
         FabricHandle {
             inner: self.inner.clone(),
         }
     }
 
     /// Traffic statistics.
-    pub fn stats(&self) -> &NetStats {
+    pub(crate) fn stats(&self) -> &NetStats {
         &self.inner.stats
     }
 
     /// Tear down: close all links (inbox pumps observe disconnect) and stop
     /// the delivery thread after it drains in-flight parcels.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.inner.delay_tx.lock().take();
         if let Some(t) = self.delay_thread.take() {
             let _ = t.join();
@@ -198,7 +198,7 @@ impl Drop for Fabric {
 impl FabricHandle {
     /// Send a parcel, subject to the network model. Self-sends are legal and
     /// take the same path (so code need not special-case them).
-    pub fn send(&self, parcel: Parcel) {
+    pub(crate) fn send(&self, parcel: Parcel) {
         self.inner
             .stats
             .record(parcel.src, parcel.dst, parcel.wire_size());
@@ -234,7 +234,7 @@ impl FabricHandle {
     }
 
     /// Traffic statistics.
-    pub fn stats(&self) -> &NetStats {
+    pub(crate) fn stats(&self) -> &NetStats {
         &self.inner.stats
     }
 }

@@ -1,6 +1,6 @@
 //! Parcels: tagged, addressed messages between localities.
 //!
-//! A [`Parcel`] is the only way data moves between localities, mirroring
+//! A `Parcel` is the only way data moves between localities, mirroring
 //! HPX's parcel transport. The 64-bit [`Tag`] keys the destination's
 //! rendezvous table for point-to-point matching (protocol class, step,
 //! sender).
@@ -26,7 +26,7 @@ pub const TAG_A_MAX: u64 = (1 << A_BITS) - 1;
 /// Maximum value of the `b` field (sub-domain id).
 pub const TAG_B_MAX: u64 = (1 << B_BITS) - 1;
 /// Maximum value of the `c` field (patch index).
-pub const TAG_C_MAX: u64 = (1 << C_BITS) - 1;
+pub(crate) const TAG_C_MAX: u64 = (1 << C_BITS) - 1;
 
 /// Build a tag from its four fields.
 ///
@@ -42,14 +42,9 @@ pub fn tag(class: u8, a: u64, b: u64, c: u64) -> Tag {
     ((class as u64) << (A_BITS + B_BITS + C_BITS)) | (a << (B_BITS + C_BITS)) | (b << C_BITS) | c
 }
 
-/// Extract the class byte of a tag.
-pub fn tag_class(t: Tag) -> u8 {
-    (t >> (A_BITS + B_BITS + C_BITS)) as u8
-}
-
 /// An addressed message with an opaque serialized payload.
 #[derive(Debug, Clone)]
-pub struct Parcel {
+pub(crate) struct Parcel {
     /// Sending locality.
     pub src: LocalityId,
     /// Destination locality.
@@ -61,19 +56,9 @@ pub struct Parcel {
 }
 
 impl Parcel {
-    /// Construct a parcel.
-    pub fn new(src: LocalityId, dst: LocalityId, tag: Tag, payload: Bytes) -> Self {
-        Parcel {
-            src,
-            dst,
-            tag,
-            payload,
-        }
-    }
-
     /// Total wire size (payload plus a nominal fixed header), used by the
     /// network model to compute transfer time.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.payload.len() + 24
     }
 }
@@ -81,6 +66,22 @@ impl Parcel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Parcel {
+        pub(crate) fn new(src: LocalityId, dst: LocalityId, tag: Tag, payload: Bytes) -> Self {
+            Parcel {
+                src,
+                dst,
+                tag,
+                payload,
+            }
+        }
+    }
+
+    /// Extract the class byte of a tag.
+    fn tag_class(t: Tag) -> u8 {
+        (t >> (A_BITS + B_BITS + C_BITS)) as u8
+    }
 
     /// The `a`, `b` and `c` fields of a tag.
     fn tag_abc(t: Tag) -> (u64, u64, u64) {

@@ -9,14 +9,16 @@
 //! A steal moves up to `STEAL_BATCH` tasks. Steal / failed-scan / park
 //! counts are exported per worker for observability.
 
-use crate::future::{channel, Future};
-use crate::task::{Spawn, Task};
+use crate::future::Future;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::marker::PhantomData;
+use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Per-worker steal telemetry (one cache line per worker).
@@ -60,7 +62,7 @@ pub struct ThreadPool {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Cheap, cloneable submission handle (implements [`Spawn`]).
+/// Cheap, cloneable submission handle.
 #[derive(Clone)]
 pub struct PoolHandle {
     inner: Arc<PoolInner>,
@@ -123,14 +125,14 @@ impl ThreadPool {
     }
 
     /// Number of worker threads.
-    pub fn n_workers(&self) -> usize {
+    pub(crate) fn n_workers(&self) -> usize {
         self.inner.busy_ns.len()
     }
 
     /// Block until every worker thread is running. Threads start
     /// asynchronously, so a caller about to fan work out (or to time it)
     /// waits here rather than race the pool's own start-up.
-    pub fn wait_started(&self) {
+    pub(crate) fn wait_started(&self) {
         while self.inner.started.load(Ordering::Acquire) < self.n_workers() {
             std::thread::yield_now();
         }
@@ -138,7 +140,7 @@ impl ThreadPool {
 
     /// Submit a task.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.handle().spawn(f);
+        self.handle().spawn_boxed(Box::new(f));
     }
 
     /// Block the calling thread (which must not be a pool worker) until every
@@ -172,48 +174,30 @@ impl ThreadPool {
             .sum()
     }
 
-    /// Busy time of a single worker in nanoseconds.
-    pub fn busy_ns(&self, worker: usize) -> u64 {
-        self.inner.busy_ns[worker].load(Ordering::Relaxed)
-    }
-
     /// Number of completed tasks.
     pub fn tasks_executed(&self) -> u64 {
         self.inner.executed.load(Ordering::Relaxed)
     }
 
-    /// Successful steals (injector + peer-deque batches) of one worker.
-    pub fn steals(&self, worker: usize) -> u64 {
-        self.inner.steal_stats[worker]
-            .steals
-            .load(Ordering::Relaxed)
+    /// `stat` summed over all workers.
+    fn stat_total(&self, stat: fn(&StealStats) -> &AtomicU64) -> u64 {
+        let stats = self.inner.steal_stats.iter();
+        stats.map(|s| stat(s).load(Ordering::Relaxed)).sum()
     }
 
-    /// Failed full scans (injector and every peer empty) of one worker.
-    pub fn steal_fails(&self, worker: usize) -> u64 {
-        self.inner.steal_stats[worker]
-            .failed_scans
-            .load(Ordering::Relaxed)
+    /// Successful steals (injector + peer-deque batches), all workers.
+    pub(crate) fn steals_total(&self) -> u64 {
+        self.stat_total(|s| &s.steals)
     }
 
-    /// Times one worker parked on the sleep condvar.
-    pub fn parks(&self, worker: usize) -> u64 {
-        self.inner.steal_stats[worker].parks.load(Ordering::Relaxed)
+    /// Failed full scans (injector and every peer empty), all workers.
+    pub(crate) fn steal_fails_total(&self) -> u64 {
+        self.stat_total(|s| &s.failed_scans)
     }
 
-    /// Successful steals summed over all workers.
-    pub fn steals_total(&self) -> u64 {
-        (0..self.n_workers()).map(|w| self.steals(w)).sum()
-    }
-
-    /// Failed full scans summed over all workers.
-    pub fn steal_fails_total(&self) -> u64 {
-        (0..self.n_workers()).map(|w| self.steal_fails(w)).sum()
-    }
-
-    /// Parks summed over all workers.
-    pub fn parks_total(&self) -> u64 {
-        (0..self.n_workers()).map(|w| self.parks(w)).sum()
+    /// Times a worker parked on the sleep condvar, all workers.
+    pub(crate) fn parks_total(&self) -> u64 {
+        self.stat_total(|s| &s.parks)
     }
 }
 
@@ -230,8 +214,12 @@ impl Drop for ThreadPool {
     }
 }
 
-impl Spawn for PoolHandle {
-    fn spawn_boxed(&self, task: Task) {
+/// A unit of work scheduled onto a worker pool.
+pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+
+impl PoolHandle {
+    /// Queue `task` on the pool.
+    pub(crate) fn spawn_boxed(&self, task: Task) {
         self.inner.pending.fetch_add(1, Ordering::AcqRel);
         self.inner.injector.push(task);
         // Dekker-style handoff with the park path: the fence orders the
@@ -246,32 +234,142 @@ impl Spawn for PoolHandle {
             self.inner.sleep_cv.notify_one();
         }
     }
-}
 
-impl PoolHandle {
-    /// `hpx::async` analogue: run `f` on the pool, returning a future for the
-    /// result.
-    pub fn async_call<T, F>(&self, f: F) -> Future<T>
+    /// Run `body` with a [`Scope`] whose jobs may borrow what outlives
+    /// this call, in the shape of [`std::thread::scope`] (HPX's
+    /// `define_task_block`); returns once every job spawned into it, by
+    /// `body` or by jobs, has run or been dropped. Not for a job of this
+    /// pool to call: it blocks its worker.
+    ///
+    /// # Panics
+    /// Once every job has finished: with `body`'s panic, else the first
+    /// job panic's own payload — or if a job was dropped unrun (a
+    /// [`Scope::spawn_on`] whose promise was dropped unfulfilled).
+    pub fn scope<'env, F, R>(&self, body: F) -> R
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
-        let (p, fut) = channel();
-        self.spawn_boxed(Box::new(move || p.set(f())));
-        fut
+        let scope = Scope {
+            pool: self.clone(),
+            state: Arc::new(ScopeState {
+                pending: AtomicUsize::new(0),
+                panic: Mutex::new(None),
+                owner: std::thread::current(),
+            }),
+            scope: PhantomData,
+            env: PhantomData,
+        };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(&scope)));
+        // Acquire, paired with each job's Release count-down
+        while scope.state.pending.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        if let Some(payload) = scope.state.panic.lock().take().filter(|_| result.is_ok()) {
+            resume_unwind(payload);
+        }
+        result.unwrap_or_else(|payload| resume_unwind(payload))
     }
 }
 
-/// Free-function form of [`PoolHandle::async_call`] usable with any spawner.
-pub fn async_call<T, F, S>(spawner: &S, f: F) -> Future<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-    S: Spawn + ?Sized,
-{
-    let (p, fut) = channel();
-    spawner.spawn_boxed(Box::new(move || p.set(f())));
-    fut
+/// The jobs of one [`PoolHandle::scope`] call, which may borrow for
+/// `'scope` (invariant, as in [`std::thread::Scope`]).
+pub struct Scope<'scope, 'env: 'scope> {
+    pool: PoolHandle,
+    state: Arc<ScopeState>,
+    scope: PhantomData<&'scope mut &'scope ()>,
+    env: PhantomData<&'env mut &'env ()>,
+}
+
+struct ScopeState {
+    /// Jobs neither run nor dropped yet.
+    pending: AtomicUsize,
+    /// The first job's panic, or the panic a job dropped unrun stands for.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The thread waiting in `scope`.
+    owner: Thread,
+}
+
+/// A job of a scope, counted down when dropped: after it ran, or unrun.
+///
+/// The pool holds a job as a `'static` box although it may borrow for
+/// `'scope`: [`Scope::spawn`] and [`Scope::spawn_on`] each erase that
+/// lifetime, the pool's only `unsafe` code. That is sound because the
+/// job's borrows end before its count goes down (`run` consumes it first;
+/// an unrun job's `Drop` drops it first), and `scope`, which holds every
+/// `'scope` borrow, does not return while a count is pending — not on a
+/// panicking body, and not when the pool or a broken promise drops a job
+/// unrun, which still counts down. So no job outlives what it borrows;
+/// `pool::tests` pin each of these exits.
+struct ScopedJob<F> {
+    job: Option<F>,
+    state: Arc<ScopeState>,
+}
+
+impl<F> ScopedJob<F> {
+    fn run<A>(mut self, arg: A)
+    where
+        F: FnOnce(A),
+    {
+        let job = self.job.take().expect("a job runs once");
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(|| job(arg))) {
+            self.state.panic.lock().get_or_insert(payload);
+        }
+    }
+}
+
+impl<F> Drop for ScopedJob<F> {
+    fn drop(&mut self) {
+        let state = &self.state;
+        if let Some(job) = self.job.take() {
+            // unrun: its borrows end before the count goes down
+            drop(job);
+            let unrun =
+                "a scoped job was dropped unrun: a spawn_on promise was dropped unfulfilled";
+            state.panic.lock().get_or_insert(Box::new(unrun));
+        }
+        if state.pending.fetch_sub(1, Ordering::Release) == 1 {
+            state.owner.unpark();
+        }
+    }
+}
+
+impl<'scope> Scope<'scope, '_> {
+    /// Run `job` on the pool; it may spawn more jobs into this scope.
+    pub fn spawn<F: FnOnce() + Send + 'scope>(&'scope self, job: F) {
+        let job = self.counted(move |()| job());
+        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || job.run(()));
+        // SAFETY: a `ScopedJob`'s lifetime erasure (see there)
+        let task = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(task) };
+        self.pool.spawn_boxed(task);
+    }
+
+    /// Run `job` on the pool with `future`'s value once it is ready.
+    pub fn spawn_on<T, F>(&'scope self, future: Future<T>, job: F)
+    where
+        T: Send + 'static,
+        F: FnOnce(T) + Send + 'scope,
+    {
+        type Continuation<'a, T> = Box<dyn FnOnce(T) + Send + 'a>;
+        let job = self.counted(job);
+        let job: Continuation<'scope, T> = Box::new(move |v| job.run(v));
+        // SAFETY: a `ScopedJob`'s lifetime erasure (see there)
+        let job = unsafe {
+            std::mem::transmute::<Continuation<'scope, T>, Continuation<'static, T>>(job)
+        };
+        let pool = self.pool.clone();
+        future.on_ready(move |v| pool.spawn_boxed(Box::new(move || job(v))));
+    }
+
+    /// `job`, counted into the scope.
+    fn counted<A, F: FnOnce(A)>(&self, job: F) -> ScopedJob<F> {
+        // Relaxed: it precedes, in this thread, the push that hands the job
+        // out and the count-down of the job spawning it
+        self.state.pending.fetch_add(1, Ordering::Relaxed);
+        ScopedJob {
+            job: Some(job),
+            state: self.state.clone(),
+        }
+    }
 }
 
 /// Most tasks one steal moves. The doubling/halving bound of Fernandes et
@@ -366,8 +464,8 @@ fn worker_loop(inner: Arc<PoolInner>, local: Worker<Task>, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::future::when_all;
     use std::sync::atomic::AtomicU32;
+    use std::sync::mpsc;
 
     #[test]
     fn wait_started_sees_every_worker() {
@@ -391,20 +489,139 @@ mod tests {
         assert_eq!(pool.tasks_executed(), 100);
     }
 
-    #[test]
-    fn async_call_returns_value() {
-        let pool = ThreadPool::new(2, "t");
-        let f = pool.handle().async_call(|| 6 * 7);
-        assert_eq!(f.get(), 42);
+    /// The message of a panic payload.
+    fn message(payload: Box<dyn Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+        }
+    }
+
+    /// Sends on its channel when dropped — in a panicking job, as it
+    /// unwinds.
+    struct SignalOnDrop(mpsc::Sender<()>);
+
+    impl Drop for SignalOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
     }
 
     #[test]
-    fn futures_compose_across_pool() {
+    fn scoped_jobs_borrow_the_stack_and_finish_before_the_scope_returns() {
         let pool = ThreadPool::new(2, "t");
-        let h = pool.handle();
-        let futs: Vec<_> = (0..16u64).map(|i| h.async_call(move || i * i)).collect();
-        let sum: u64 = when_all(futs).get().into_iter().sum();
-        assert_eq!(sum, (0..16u64).map(|i| i * i).sum());
+        let mut cells = vec![0u64; 64];
+        let total = AtomicU64::new(0);
+        let (body_done, wait) = mpsc::channel();
+        pool.handle().scope(|s| {
+            let mut wait = Some(wait);
+            for (i, cell) in cells.iter_mut().enumerate() {
+                let (total, wait) = (&total, wait.take());
+                s.spawn(move || {
+                    // the first job finishes only after the body has
+                    if let Some(wait) = wait {
+                        wait.recv().unwrap();
+                    }
+                    *cell = i as u64 * 3;
+                    total.fetch_add(i as u64, Ordering::Relaxed);
+                });
+            }
+            body_done.send(()).unwrap();
+        });
+        assert_eq!(cells, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(total.into_inner(), (0..64).sum());
+    }
+
+    #[test]
+    fn jobs_spawned_by_jobs_and_continuations_are_waited_for() {
+        let pool = ThreadPool::new(2, "t");
+        let (promise, future) = crate::future::channel::<u64>();
+        let hits = AtomicU64::new(0);
+        let hits = &hits;
+        let (body_done, wait) = mpsc::channel();
+        let (body_done_too, wait_too) = mpsc::channel::<()>();
+        pool.handle().scope(|s| {
+            s.spawn(move || {
+                s.spawn(move || {
+                    wait.recv().unwrap();
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            s.spawn_on(future, move |v| {
+                s.spawn(move || {
+                    hits.fetch_add(v, Ordering::Relaxed);
+                });
+            });
+            // the parcel arrives from outside the pool after the body ends
+            std::thread::spawn(move || {
+                wait_too.recv().unwrap();
+                promise.set(10);
+            });
+            body_done.send(()).unwrap();
+            body_done_too.send(()).unwrap();
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 11);
+    }
+
+    #[test]
+    fn a_job_panic_is_re_raised_with_its_payload_after_its_siblings() {
+        let pool = ThreadPool::new(2, "t");
+        let sibling_done = AtomicBool::new(false);
+        let (unwinding, wait) = mpsc::channel();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.handle().scope(|s| {
+                s.spawn(move || {
+                    let _signal = SignalOnDrop(unwinding);
+                    panic!("record mismatch in job 7");
+                });
+                let sibling_done = &sibling_done;
+                s.spawn(move || {
+                    // finishes only after its sibling has panicked
+                    wait.recv().unwrap();
+                    sibling_done.store(true, Ordering::Relaxed);
+                });
+            })
+        }));
+        assert_eq!(message(caught.unwrap_err()), "record mismatch in job 7");
+        assert!(sibling_done.load(Ordering::Relaxed));
+        // the scope caught it: the pool has no panic of its own to report
+        pool.wait_idle();
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped job was dropped unrun")]
+    fn a_dropped_promise_under_spawn_on_panics_instead_of_hanging() {
+        let pool = ThreadPool::new(1, "t");
+        let (promise, future) = crate::future::channel::<u64>();
+        let (body_done, wait) = mpsc::channel();
+        pool.handle().scope(|s| {
+            s.spawn_on(future, |_| unreachable!("the promise never delivers"));
+            std::thread::spawn(move || {
+                wait.recv().unwrap();
+                drop(promise);
+            });
+            body_done.send(()).unwrap();
+        });
+    }
+
+    #[test]
+    fn a_panicking_body_still_waits_for_its_jobs() {
+        let pool = ThreadPool::new(1, "t");
+        let done = AtomicBool::new(false);
+        let (body_panics, wait) = mpsc::channel();
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.handle().scope(|s| {
+                let done = &done;
+                s.spawn(move || {
+                    wait.recv().unwrap();
+                    done.store(true, Ordering::Relaxed);
+                });
+                body_panics.send(()).unwrap();
+                panic!("the body fails");
+            })
+        }));
+        assert_eq!(message(caught.unwrap_err()), "the body fails");
+        assert!(done.load(Ordering::Relaxed));
     }
 
     #[test]
@@ -530,14 +747,14 @@ mod tests {
         let counter = Arc::new(AtomicU32::new(0));
         let c = counter.clone();
         let h2 = h.clone();
-        h.spawn(move || {
+        h.spawn_boxed(Box::new(move || {
             for _ in 0..10 {
                 let c = c.clone();
-                h2.spawn(move || {
+                h2.spawn_boxed(Box::new(move || {
                     c.fetch_add(1, Ordering::SeqCst);
-                });
+                }));
             }
-        });
+        }));
         pool.wait_idle();
         assert_eq!(counter.load(Ordering::SeqCst), 10);
     }

@@ -33,17 +33,15 @@
 //! traffic and its in-migrations — is a counter of the cluster's registry
 //! ([`dist_counter_name`]), and the report reads them from there.
 //!
-//! **Exclusive phases take the tiles exclusively.** The tile table lives
-//! in the `Arc<StepPlan>` the tasks of a step share, each tile behind a
-//! lock — but fill and send run before the step's first task exists, and
-//! swap (with the error sum) after the driver has waited for its last. A
-//! task's handle on the plan is gone before its future is set, so in
-//! those phases `Arc::get_mut` succeeds (`unshared`; it panics otherwise)
-//! and the driver reaches every tile through `RwLock::get_mut` /
-//! `Mutex::get_mut`: plain field accesses, checked by the borrow checker,
-//! no lock round trip and no atomic. Only the code that really runs beside
-//! other tasks keeps its locks: `scatter_bundle` (`curr.write()`) and
-//! `region_task` (`curr.read()`, the `next_data` pointer).
+//! **A step is a scope** ([`PoolHandle::scope`]): its region tasks and
+//! bundle continuations borrow the plan and the kernel, write each SD's
+//! `next` tile through a [`TileWriter`] that hands each region out once,
+//! and have all finished when the scope returns. So fill and send before
+//! it and gates, swap and the error sum after it hold the plan by `&mut`:
+//! no lock and no atomic, checked by the borrow checker. Inside, `curr`
+//! keeps its lock, because there it is shared: on a multi-worker rank a
+//! bundle continuation writes an SD's foreign halo (`scatter_bundle`)
+//! while an at-spawn task of that SD reads it.
 //!
 //! There is deliberately **no global barrier between timesteps**: tags
 //! carry the step index, so a fast node may run ahead and its bundles are
@@ -53,6 +51,7 @@
 //! [`LbSchedule::period`]: crate::balance::LbSchedule::period
 //! [`LbSchedule::due`]: crate::balance::LbSchedule::due
 //! [`ClusterSpec::uniform`]: crate::scenario::ClusterSpec::uniform
+//! [`PoolHandle::scope`]: nlheat_amt::pool::PoolHandle::scope
 
 pub use crate::balance::LbSpec;
 use crate::balance::{EpochLog, EpochMeasure, LbEpoch, SdGraph};
@@ -68,13 +67,13 @@ use nlheat_amt::counters::{threads_counter_name, Counter};
 use nlheat_amt::future::Future;
 use nlheat_amt::locality::Locality;
 use nlheat_amt::parcel::{tag, TAG_A_MAX, TAG_B_MAX};
-use nlheat_amt::pool::PoolHandle;
-use nlheat_mesh::{HaloPlan, Rect, SdGrid, SdId, Tile};
+use nlheat_amt::pool::Scope;
+use nlheat_mesh::{DisjointRects, HaloPlan, Rect, SdGrid, SdId, Tile, TileWriter};
 use nlheat_model::{ErrorAccumulator, KernelPlan, NonlocalKernel, ProblemParts, SourceFn};
 use nlheat_netmodel::LinkClass;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -127,64 +126,23 @@ impl<'a> Setup<'a> {
     }
 }
 
-/// One owned SD in the epoch's tile table: its double buffer, shared
-/// between the driver and the SD's tasks, and where those tasks write.
+/// One owned SD in the epoch's tile table: its double buffer.
 struct TileSlot {
     origin: (i64, i64),
+    /// Locked only inside a step's scope, where a bundle continuation may
+    /// write its halo while a task of the SD reads it.
     curr: RwLock<Tile>,
-    next: Mutex<Tile>,
-    /// Storage of the tile in `next`, through which the SD's compute tasks
-    /// of one step write their pairwise-disjoint regions without a lock
-    /// around the compute. Set by [`TileSlot::arm`]; the safety argument
-    /// lives at its one dereference, in [`region_task`].
-    next_data: AtomicPtr<f64>,
+    /// Written by the step's tasks through a [`TileWriter`].
+    next: Tile,
 }
 
 impl TileSlot {
-    /// # Panics
-    /// If the tiles differ in geometry (see [`TileSlot::arm`]).
     fn new(origin: (i64, i64), curr: Tile, next: Tile) -> Self {
-        let mut slot = TileSlot {
+        TileSlot {
             origin,
             curr: RwLock::new(curr),
-            next: Mutex::new(next),
-            next_data: AtomicPtr::new(std::ptr::null_mut()),
-        };
-        slot.arm();
-        slot
-    }
-
-    /// Point `next_data` at the storage of the tile in `next`. Called when
-    /// a tile enters that slot — in `new` and after every swap — and, as
-    /// the exclusive borrow says, never while a task of the SD runs:
-    /// deriving the pointer again would invalidate the one running tasks
-    /// write through.
-    ///
-    /// # Panics
-    /// If the tiles differ in geometry: tasks index `next` by `curr`'s.
-    fn arm(&mut self) {
-        let (curr, next) = (self.curr.get_mut(), self.next.get_mut());
-        assert!(
-            curr.stride() == next.stride() && curr.halo() == next.halo(),
-            "the curr and next tiles of an SD differ in geometry: stride or halo"
-        );
-        // Release, paired with the tasks' Acquire load (the spawn that
-        // hands them out orders the two as well).
-        self.next_data
-            .store(next.data_mut().as_mut_ptr(), Ordering::Release);
-    }
-
-    /// End of a step: what the tasks wrote becomes the current field. The
-    /// driver holds the plan exclusively here (every task of the step has
-    /// completed), so neither tile needs its lock.
-    fn swap(&mut self) {
-        std::mem::swap(self.curr.get_mut(), self.next.get_mut());
-        self.arm();
-    }
-
-    /// The slot's `[curr, next]` tiles, for the migration hand-off.
-    fn into_tiles(self) -> [Tile; 2] {
-        [self.curr.into_inner(), self.next.into_inner()]
+            next,
+        }
     }
 }
 
@@ -202,36 +160,45 @@ struct StepKernel {
 
 /// The step of one ownership epoch, built when ownership changes and
 /// replayed every step until it changes again: the layout ownership
-/// implies, the tile table that *owns* the SD buffers for the epoch
-/// (parallel to the schedule's `owned`), one halo gate per owned SD, and
-/// the kernel repeats of the work model in force.
+/// implies, and per owned SD (in the schedule's `owned` order) the tile
+/// slot that *owns* its buffers for the epoch, the regions its tasks
+/// write, a halo gate, and the kernel repeats of the work model in force.
 struct StepPlan {
     layout: StepLayout,
     tiles: Vec<TileSlot>,
-    /// Per owned SD the incoming bundles that have not yet delivered into
-    /// its halo this step. The bundle continuations count it down — the
-    /// one that reaches zero has seen the halo completed and releases the
-    /// SD's gated regions — and the driver stores `schedule.awaited` back
-    /// between steps.
+    /// The at-spawn and gated regions, checked pairwise disjoint: what a
+    /// step's [`TileWriter`] hands out, each once.
+    writes: Vec<DisjointRects>,
+    /// The incoming bundles that have not yet delivered into the SD's halo
+    /// this step, counted down by the bundle continuations — the one that
+    /// reaches zero releases the SD's gated regions.
     gates: Vec<AtomicU32>,
-    /// Per owned SD the kernel repetitions emulating its work factor; see
-    /// [`StepPlan::set_work`].
+    /// The kernel repetitions emulating the work factor ([`Self::set_work`]).
     repeats: Vec<u32>,
-    kern: Arc<StepKernel>,
 }
 
 impl StepPlan {
     /// The plan of `layout` over `tiles` (`tiles[i]` is the slot of
     /// `layout.schedule.owned[i]`), gates armed, under uniform work.
-    fn new(layout: StepLayout, tiles: Vec<TileSlot>, kern: Arc<StepKernel>) -> Self {
+    ///
+    /// # Panics
+    /// If an SD's regions overlap, leave its tile, or are not numbered in
+    /// the order of its write list.
+    fn new(layout: StepLayout, mut tiles: Vec<TileSlot>) -> Self {
         assert_eq!(tiles.len(), layout.schedule.owned.len());
-        let awaited = &layout.schedule.awaited;
+        let writes = (0..tiles.len() as u32).zip(&mut tiles).map(|(tile, slot)| {
+            let regions = layout.at_spawn.of(tile).iter().chain(layout.gated.of(tile));
+            let numbered = regions.clone().zip(0..).all(|(r, i)| r.write == i);
+            assert!(numbered, "tile {tile}'s regions are misnumbered");
+            DisjointRects::new(slot.curr.get_mut(), regions.map(|r| r.rect))
+        });
+        let gates = layout.schedule.awaited.iter().map(|&n| AtomicU32::new(n));
         StepPlan {
-            gates: awaited.iter().map(|&n| AtomicU32::new(n)).collect(),
+            writes: writes.collect(),
+            gates: gates.collect(),
             repeats: vec![1; tiles.len()],
             layout,
             tiles,
-            kern,
         }
     }
 
@@ -247,139 +214,126 @@ impl StepPlan {
             .extend(owned.iter().map(|&sd| work.repeats(sds, sd, speed)));
     }
 
-    /// Re-arm the gates for the next step. Must happen after the driver
-    /// has seen every bundle continuation of the last step complete (their
-    /// futures' locks order the countdowns before these stores) and before
-    /// it expects the next step's bundles (a continuation only exists once
-    /// `expect` has registered it, so it sees the stores).
-    fn reset_gates(&self) {
-        for (gate, &n) in self.gates.iter().zip(&self.layout.schedule.awaited) {
-            gate.store(n, Ordering::Release);
+    /// Re-arm the gates between two steps' scopes.
+    fn reset_gates(&mut self) {
+        for (gate, &n) in self.gates.iter_mut().zip(&self.layout.schedule.awaited) {
+            *gate.get_mut() = n;
+        }
+    }
+
+    /// Lend the plan to the tasks of the step at time `t`, run by `kern`.
+    fn lend<'s>(&'s mut self, kern: &'s StepKernel, t: f64) -> Step<'s> {
+        let slots = self.tiles.iter_mut().zip(&mut self.writes);
+        let tiles = slots
+            .zip(&self.repeats)
+            .map(|((slot, writes), &repeats)| StepTile {
+                origin: slot.origin,
+                curr: &slot.curr,
+                next: TileWriter::new(&mut slot.next, writes),
+                repeats,
+            });
+        Step {
+            kern,
+            layout: &self.layout,
+            gates: &self.gates,
+            tiles: tiles.collect(),
+            t,
         }
     }
 }
 
-/// The step plan between two steps' tasks, when no task holds a handle on
-/// it: a task's closure — and the clone of the `Arc` it captured — is gone
-/// before its future is set, and the driver has waited on every future of
-/// the step. The fill, send and swap phases lean on this *every step* to
-/// reach the tiles without their locks.
-///
-/// # Panics
-/// If a task still holds the plan.
-fn unshared(plan: &mut Arc<StepPlan>) -> &mut StepPlan {
-    Arc::get_mut(plan).expect("no task outlives its step, so the plan is unshared between steps")
+/// An owned SD as the tasks of one step see it.
+struct StepTile<'s> {
+    origin: (i64, i64),
+    curr: &'s RwLock<Tile>,
+    next: TileWriter<'s>,
+    repeats: u32,
 }
 
-/// The one compute-task body: update `regions` — of any tiles of `plan` —
-/// from time `t`, writing each through its tile's `next_data`. Every cell
-/// is computed once, from the same `curr` with the same arithmetic, so the
-/// field does not depend on how regions were grouped into tasks.
-fn region_task(
-    plan: &Arc<StepPlan>,
+/// The plan as one step's tasks borrow it ([`StepPlan::lend`]).
+struct Step<'s> {
+    kern: &'s StepKernel,
+    layout: &'s StepLayout,
+    gates: &'s [AtomicU32],
+    /// Parallel to the schedule's `owned`.
+    tiles: Vec<StepTile<'s>>,
     t: f64,
-    regions: Vec<Region>,
-) -> impl FnOnce() + Send + 'static {
-    let plan = plan.clone();
-    move || {
-        let k = &*plan.kern;
+}
+
+impl<'s> Step<'s> {
+    /// The one compute-task body: update `regions` — of any tiles — each
+    /// claimed from its tile's writer. Every cell is computed once, from
+    /// the same `curr` with the same arithmetic, so the field does not
+    /// depend on how regions were grouped into tasks.
+    fn run(&self, regions: &[Region]) {
+        let k = self.kern;
         let mut cell_updates = 0;
         for run in regions.chunk_by(|a, b| a.tile == b.tile) {
-            let tile = run[0].tile as usize;
-            let (slot, repeats) = (&plan.tiles[tile], plan.repeats[tile]);
-            let curr = slot.curr.read();
-            let next = slot.next_data.load(Ordering::Acquire);
+            let tile = &self.tiles[run[0].tile as usize];
+            let (curr, origin, repeats) = (tile.curr.read(), tile.origin, tile.repeats);
             for region in run {
-                // SAFETY: `TileSlot::arm` took `next` from the tile in this
-                // slot's `next` when it entered the slot, after asserting
-                // that it has `curr`'s stride and halo, and the storage
-                // stays put and untouched until the driver swaps the
-                // buffers or takes the slot out of the table — both only
-                // after it has seen every task of the step complete. The
-                // tasks of one step write pairwise disjoint regions of a
-                // tile: `StepLayout` cuts the SD's interior into an
-                // `at_spawn` and a `gated` list that tile it (`split_cases`;
-                // bands partition their rect; overlap off: nothing, then
-                // all of it), `group_by_work` puts each region of a list in
-                // exactly one task, and a step deals `at_spawn` once and a
-                // tile's `gated` list once — in the one bundle continuation
-                // that takes its gate to zero. Nothing reads `next` before
-                // the driver has seen every task complete.
-                unsafe {
-                    k.kernel.apply_region_blocked_raw(
-                        &curr,
-                        next,
-                        &region.rect,
-                        &k.plan,
-                        slot.origin,
-                        t,
-                        k.dt,
-                        &k.source,
-                        repeats,
-                    );
-                }
+                let out = tile.next.claim(region.write as usize);
+                k.kernel.apply_into(
+                    &curr, out, &k.plan, origin, self.t, k.dt, &k.source, repeats,
+                );
                 cell_updates += region.rect.area() as u64 * u64::from(repeats);
             }
         }
         k.cell_updates.add(cell_updates);
     }
-}
 
-/// Deal `lists` — region lists of tiles of `plan` — into tasks worth
-/// scheduling ([`group_by_work`]), spawn them at time `t` and return their
-/// futures.
-fn spawn_grouped<'a>(
-    plan: &'a Arc<StepPlan>,
-    spawner: &PoolHandle,
-    t: f64,
-    lists: impl IntoIterator<Item = &'a [Region]>,
-) -> Vec<Future<()>> {
-    let stencil_points = plan.kern.kernel.stencil.len() as u64;
-    let with_work = lists.into_iter().filter_map(|list| {
-        let tile = list.first()?.tile as usize;
-        Some((list, u64::from(plan.repeats[tile]) * stencil_points))
-    });
-    let mut futures = Vec::new();
-    group_by_work(with_work, &plan.layout.cut, |regions| {
-        futures.push(spawner.async_call(region_task(plan, t, regions.to_vec())));
-    });
-    futures
-}
+    /// Deal `lists` — region lists of this step's tiles — into tasks worth
+    /// scheduling ([`group_by_work`]) and spawn them into `scope`.
+    fn spawn_grouped<'a>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
+        lists: impl IntoIterator<Item = &'a [Region]>,
+    ) {
+        let stencil_points = self.kern.kernel.stencil.len() as u64;
+        let with_work = lists.into_iter().filter_map(|list| {
+            let tile = list.first()?.tile as usize;
+            Some((list, u64::from(self.tiles[tile].repeats) * stencil_points))
+        });
+        group_by_work(with_work, &self.layout.cut, |regions| {
+            let regions = regions.to_vec();
+            scope.spawn(move || self.run(&regions));
+        });
+    }
 
-/// Scatter one incoming bundle into the destination halos: check every
-/// record against the schedule's `records`, decode it straight into its
-/// tile of `tiles`, count the tile's gate (both parallel to the schedule's
-/// `owned`) down once, and report each tile whose last awaited bundle this
-/// was to `release`. A bundle that disagrees with the schedule — a record
-/// for another patch, a short run, bytes after the last record — is an
-/// error, and no record at or after the disagreement is written.
-fn scatter_bundle(
-    mut payload: Bytes,
-    records: &[PatchRecord],
-    tiles: &[TileSlot],
-    gates: &[AtomicU32],
-    mut release: impl FnMut(u32),
-) -> Result<(), WireError> {
-    for run in records.chunk_by(|a, b| a.tile == b.tile) {
-        let tile = run[0].tile;
-        {
-            let mut curr = tiles[tile as usize].curr.write();
-            for rec in run {
-                let rows = curr.rect_rows_mut(&rec.rect);
-                decode_ghost_record(&mut payload, rec.header(), rows)?;
+    /// Scatter one incoming bundle into the destination halos: check every
+    /// record against the schedule's `records`, decode it straight into its
+    /// tile, count the tile's gate down once, and report each tile whose
+    /// last awaited bundle this was to `release`. A bundle that disagrees
+    /// with the schedule — a record for another patch, a short run, bytes
+    /// after the last record — is an error, and no record at or after the
+    /// disagreement is written.
+    fn scatter_bundle(
+        &self,
+        mut payload: Bytes,
+        records: &[PatchRecord],
+        mut release: impl FnMut(u32),
+    ) -> Result<(), WireError> {
+        for run in records.chunk_by(|a, b| a.tile == b.tile) {
+            let tile = run[0].tile;
+            {
+                let mut curr = self.tiles[tile as usize].curr.write();
+                for rec in run {
+                    let rows = curr.rect_rows_mut(&rec.rect);
+                    decode_ghost_record(&mut payload, rec.header(), rows)?;
+                }
+            }
+            // AcqRel: every bundle's decrement releases its halo writes,
+            // and the decrement that reaches zero acquires them all before
+            // the gated regions are handed out.
+            if self.gates[tile as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                release(tile);
             }
         }
-        // AcqRel: every bundle's decrement releases its halo writes, and
-        // the decrement that reaches zero acquires them all before the
-        // gated regions are handed out.
-        if gates[tile as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-            release(tile);
+        if payload.has_remaining() {
+            return Err(WireError::TrailingBytes(payload.remaining()));
         }
+        Ok(())
     }
-    if payload.has_remaining() {
-        return Err(WireError::TrailingBytes(payload.remaining()));
-    }
-    Ok(())
 }
 
 /// The sections of a driver step, in order. Each rank accumulates the
@@ -551,8 +505,9 @@ pub fn run_distributed(cluster: &Cluster, sc: &Scenario) -> RunReport {
         acc
     });
     let lb_log = reports[0].lb_log.take().unwrap_or_default();
-    // a worker adds a task's busy time after the task has set its future:
-    // drain the pools so the counters are final
+    // a worker adds a task's busy time after the task has finished — and
+    // so after the step's scope has seen it finish: drain the pools so the
+    // counters are final
     cluster.localities().iter().for_each(|loc| loc.wait_idle());
     let counters = cluster.registry().snapshot("");
     let ranks = || 0..n_nodes;
@@ -605,13 +560,13 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let dt = setup.parts.dt;
     let registry = loc.registry();
     let count = |name| registry.register(dist_counter_name(me, name), Counter::raw());
-    let kern = Arc::new(StepKernel {
+    let kern = StepKernel {
         kernel: setup.parts.kernel.clone(),
         plan: setup.parts.kernel.plan(sds.sd + 2 * halo),
         source: setup.parts.manufactured.source_fn(),
         dt,
         cell_updates: count("count/cell-updates"),
-    });
+    };
     // `register` replaces, so the counter reads the level, not a sum over
     // drivers
     registry
@@ -629,7 +584,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
             .iter()
             .map(|&sd| slot_of(sd))
             .collect();
-        Arc::new(StepPlan::new(layout, tiles, kern.clone()))
+        StepPlan::new(layout, tiles)
     };
 
     let mut owners = setup.initial_owners.clone();
@@ -667,9 +622,8 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     // Ghost-stall accounting: each step's worst ghost-arrival delay
     // (wall time from task spawn to the last bundle continuation firing),
     // accumulated per balancing window — the adaptive-μ feedback signal.
-    let step_ghost_wait = Arc::new(AtomicU64::new(0));
     let mut window_ghost_ns = 0u64;
-    let spawner = loc.spawner();
+    let pool = loc.pool().handle();
 
     // Locality 0 plans every epoch through one driver, kept alive across
     // epochs so stateful policies (the adaptive-λ decorator) can learn
@@ -698,7 +652,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
     let mut clock = PhaseClock::start(&loc);
     for step in 0..sc.steps {
         // no task of the step exists yet: fill and send take no lock
-        let StepPlan { layout, tiles, .. } = unshared(&mut plan);
+        let StepPlan { layout, tiles, .. } = &mut plan;
 
         // --- 1. local halo fill (same-node neighbours: plain copies) ---
         for fill in &layout.fills {
@@ -730,64 +684,54 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
         }
         clock.end(Phase::Send);
 
-        // --- 3. spawn compute tasks (case 2 immediately, case 1 gated) ---
+        // --- 3. the step's scope: compute tasks (case 2 immediately, case
+        // 1 gated), waited for when the scope ends ---
         //
         // The work factor in effect *now* (the schedule may have switched
         // models since the table was made).
         let work_now = sc.work_at(step);
         if !work_set.is_some_and(|set| std::ptr::eq(set, work_now)) {
-            unshared(&mut plan).set_work(work_now, &sds, loc.speed());
+            plan.set_work(work_now, &sds, loc.speed());
             work_set = Some(work_now);
         }
-        let t = step as f64 * dt;
         let ghost_t0 = Instant::now();
-        let step_futures = spawn_grouped(&plan, &spawner, t, plan.layout.at_spawn.lists());
-        // One continuation per incoming bundle: check every record against
-        // the schedule, decode it straight into the destination halo, and
-        // spawn the gated regions of each SD whose last awaited bundle
-        // this was, grouped like the ones above. Their futures are the
-        // continuation's value, so the wait below sees exactly the tasks
-        // that were spawned.
-        let mut bundle_futures = Vec::with_capacity(plan.layout.schedule.recvs.len());
-        for (b, bundle) in plan.layout.schedule.recvs.iter().enumerate() {
-            let peer = bundle.peer;
-            let plan = plan.clone();
-            let ghost_wait = step_ghost_wait.clone();
-            let spawn_in = spawner.clone();
-            let arrival = loc.expect(tag(CLASS_GHOST, step as u64, peer as u64, 0));
-            bundle_futures.push(arrival.then(&spawner, move |payload| {
-                // the worst ghost-arrival delay of the step — the μ
-                // feedback signal
-                ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                let mut released = Vec::new();
-                let records = &plan.layout.schedule.recvs[b].records;
-                scatter_bundle(payload, records, &plan.tiles, &plan.gates, |tile| {
-                    released.push(tile);
-                })
-                .unwrap_or_else(|e| {
-                    panic!("step {step}: ghost bundle from rank {peer} to rank {me}: {e}")
+        let ghost_wait = AtomicU64::new(0);
+        let lent = plan.lend(&kern, step as f64 * dt);
+        pool.scope(|s| {
+            let (lent, ghost_wait) = (&lent, &ghost_wait);
+            lent.spawn_grouped(s, lent.layout.at_spawn.lists());
+            // One continuation per incoming bundle: check every record
+            // against the schedule, decode it straight into the destination
+            // halo, and spawn the gated regions of each SD whose last
+            // awaited bundle this was, grouped like the ones above.
+            for bundle in &lent.layout.schedule.recvs {
+                let peer = bundle.peer;
+                let arrival = loc.expect(tag(CLASS_GHOST, step as u64, peer as u64, 0));
+                s.spawn_on(arrival, move |payload| {
+                    // the worst ghost-arrival delay of the step — the μ
+                    // feedback signal
+                    ghost_wait.fetch_max(ghost_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    let mut released = Vec::new();
+                    lent.scatter_bundle(payload, &bundle.records, |tile| released.push(tile))
+                        .unwrap_or_else(|e| {
+                            panic!("step {step}: ghost bundle from rank {peer} to rank {me}: {e}")
+                        });
+                    let gated = &lent.layout.gated;
+                    lent.spawn_grouped(s, released.iter().map(|&tile| gated.of(tile)));
                 });
-                let gated = &plan.layout.gated;
-                let lists = released.iter().map(|&tile| gated.of(tile));
-                spawn_grouped(&plan, &spawn_in, t, lists)
-            }));
-        }
-        clock.end(Phase::Spawn);
-
-        step_futures.into_iter().for_each(Future::get);
-        // Every continuation has run once its future is ready, so its value
-        // is the complete set of the gated tasks it released (there is no
-        // continuation on a single locality).
-        for released in bundle_futures {
-            released.get().into_iter().for_each(Future::get);
-        }
-        window_ghost_ns += step_ghost_wait.swap(0, Ordering::Relaxed);
+            }
+            clock.end(Phase::Spawn);
+        });
+        drop(lent);
+        window_ghost_ns += ghost_wait.into_inner();
         clock.end(Phase::Wait);
 
         // --- 4. re-arm the gates, swap buffers ---
         plan.reset_gates();
-        let tiles = &mut unshared(&mut plan).tiles;
-        tiles.iter_mut().for_each(TileSlot::swap);
+        let tiles = &mut plan.tiles;
+        for slot in tiles.iter_mut() {
+            std::mem::swap(slot.curr.get_mut(), &mut slot.next);
+        }
 
         // --- 5. error recording ---
         if sc.record_error {
@@ -857,11 +801,8 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
             let migrate_t0 = Instant::now();
             if !moves.is_empty() {
                 // Ownership changes, so the epoch's plan ends here: take
-                // the tiles back out of its table. Every task of the step
-                // has completed and dropped its handle on the plan.
-                let StepPlan { layout, tiles, .. } = Arc::try_unwrap(plan).unwrap_or_else(|_| {
-                    panic!("rank {me}: a task of step {step} still holds the step plan")
-                });
+                // the tiles back out of its table.
+                let StepPlan { layout, tiles, .. } = plan;
                 let mut slots: HashMap<SdId, TileSlot> =
                     layout.schedule.owned.into_iter().zip(tiles).collect();
                 // send outgoing SDs first, then collect incoming; tiles of
@@ -875,7 +816,7 @@ fn driver(loc: Arc<Locality>, setup: &Setup) -> NodeReport {
                         let slot = slots.remove(&sd).unwrap_or_else(|| {
                             panic!("rank {me} is to migrate SD {sd}, which it does not own")
                         });
-                        let [curr, next] = slot.into_tiles();
+                        let (curr, next) = (slot.curr.into_inner(), slot.next);
                         let payload = pack_tile_rect(&curr, &curr.interior_rect());
                         loc.send(to, tag(CLASS_MIGRATE, epoch, sd as u64, 0), payload);
                         tile_pool.extend([curr, next]);
@@ -1049,7 +990,7 @@ mod tests {
     #[test]
     fn intra_step_stealing_overlap_off_matches_serial_bitwise() {
         // The non-overlap ablation gates *all* bands on the ghosts; the
-        // deferred-futures barrier must still cover them.
+        // step's scope must still wait for them.
         let mut sc = scenario(ClusterSpec::uniform(3, 2), 16, 2.0, 4, 4);
         sc.overlap = false;
         sc.intra_step_stealing = true;
@@ -1291,21 +1232,21 @@ mod tests {
 
     /// A kernel bundle for tests: `parts`' kernel planned for `stride`,
     /// counting into a counter of its own.
-    fn step_kernel(parts: ProblemParts, stride: i64) -> Arc<StepKernel> {
-        Arc::new(StepKernel {
+    fn step_kernel(parts: ProblemParts, stride: i64) -> StepKernel {
+        StepKernel {
             plan: parts.kernel.plan(stride),
             kernel: parts.kernel,
             source: parts.manufactured.source_fn(),
             dt: parts.dt,
             cell_updates: Counter::raw(),
-        })
+        }
     }
 
     /// Three 4-cell SDs in a row, one per rank, halo 2: the middle rank
     /// awaits one bundle from each side. Returns the two bundles' payloads,
-    /// the middle rank's plan (one tile, all of it gated), and the two
-    /// source tiles the payloads were packed from.
-    fn middle_rank_gate() -> ([Bytes; 2], Arc<StepPlan>, [Tile; 2]) {
+    /// the middle rank's plan (one tile, all of it gated) and kernel, and
+    /// the two source tiles the payloads were packed from.
+    fn middle_rank_gate() -> ([Bytes; 2], StepPlan, StepKernel, [Tile; 2]) {
         let sds = SdGrid::new(3, 1, 4);
         let (plans, reverse) = halo_plans(&sds, 2);
         let owners = [0, 1, 2];
@@ -1338,146 +1279,162 @@ mod tests {
         let parts = ProblemSpec::square(12, 2.0).build();
         assert_eq!(parts.grid.halo, 2);
         let kern = step_kernel(parts, 8);
-        let plan = Arc::new(StepPlan::new(layout, vec![slot], kern));
-        (payloads, plan, sources)
+        let plan = StepPlan::new(layout, vec![slot]);
+        (payloads, plan, kern, sources)
     }
 
     #[test]
     fn the_last_awaited_bundle_releases_the_gated_tasks() {
-        let (payloads, plan, sources) = middle_rank_gate();
-        let recvs = &plan.layout.schedule.recvs;
+        let (payloads, mut plan, kern, sources) = middle_rank_gate();
         let mut released = Vec::new();
         let [left, right] = payloads;
-        let scatter = |payload, b: usize, released: &mut Vec<u32>| {
-            scatter_bundle(
-                payload,
-                &recvs[b].records,
-                &plan.tiles,
-                &plan.gates,
-                |tile| {
-                    released.push(tile);
-                },
-            )
-            .unwrap();
-        };
-        scatter(left, 0, &mut released);
-        assert!(released.is_empty(), "one bundle still awaited");
-        scatter(right, 1, &mut released);
-        assert_eq!(released, vec![0]);
-        // both halo strips hold exactly what a local copy would have put there
-        let plans = build_halo_plan(&SdGrid::new(3, 1, 4), 2, 1);
-        let mut want = Tile::new(4, 2);
-        for (_, src, patch) in plans.sd_patches() {
-            let from = &sources[usize::from(src == 2)];
-            want.copy_rect_from(from, &patch.src_rect, &patch.dst_rect);
-        }
-        assert_eq!(plan.tiles[0].curr.read().data(), want.data());
-        // the released tile's gated regions become tasks that update the
-        // whole interior from that halo
         let pool = ThreadPool::new(1, "gate");
-        let lists = released.iter().map(|&tile| plan.layout.gated.of(tile));
-        let futures = spawn_grouped(&plan, &pool.handle(), 0.0, lists);
-        assert_eq!(futures.len(), 1);
-        futures.into_iter().for_each(Future::get);
-        let next = plan.tiles[0].next.lock();
+        {
+            let lent = plan.lend(&kern, 0.0);
+            let recvs = &lent.layout.schedule.recvs;
+            let scatter = |payload, b: usize, released: &mut Vec<u32>| {
+                lent.scatter_bundle(payload, &recvs[b].records, |tile| {
+                    released.push(tile);
+                })
+                .unwrap();
+            };
+            scatter(left, 0, &mut released);
+            assert!(released.is_empty(), "one bundle still awaited");
+            scatter(right, 1, &mut released);
+            assert_eq!(released, vec![0]);
+            // both halo strips hold exactly what a local copy would have
+            // put there
+            let plans = build_halo_plan(&SdGrid::new(3, 1, 4), 2, 1);
+            let mut want = Tile::new(4, 2);
+            for (_, src, patch) in plans.sd_patches() {
+                let from = &sources[usize::from(src == 2)];
+                want.copy_rect_from(from, &patch.src_rect, &patch.dst_rect);
+            }
+            assert_eq!(lent.tiles[0].curr.read().data(), want.data());
+            // the released tile's gated regions become tasks that update
+            // the whole interior from that halo
+            let lists = released.iter().map(|&tile| lent.layout.gated.of(tile));
+            pool.handle().scope(|s| lent.spawn_grouped(s, lists));
+            pool.wait_idle();
+            assert_eq!(pool.tasks_executed(), 1);
+        }
+        let next = &plan.tiles[0].next;
         assert!(next
             .interior_rect()
             .cells()
             .all(|(x, y)| next.get(x, y) != 0.0));
-        assert_eq!(plan.kern.cell_updates.read(), 16);
+        assert_eq!(kern.cell_updates.read(), 16);
         // the driver re-arms the gate between steps
-        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 0);
+        assert_eq!(*plan.gates[0].get_mut(), 0);
         plan.reset_gates();
-        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 2);
+        assert_eq!(*plan.gates[0].get_mut(), 2);
     }
 
     #[test]
     fn a_bundle_that_disagrees_with_the_schedule_is_rejected() {
         // bytes after the last scheduled record
-        let (payloads, plan, _) = middle_rank_gate();
-        let recvs = &plan.layout.schedule.recvs;
+        let (payloads, mut plan, kern, _) = middle_rank_gate();
+        let lent = plan.lend(&kern, 0.0);
+        let recvs = &lent.layout.schedule.recvs;
         let mut long = BytesMut::new();
         long.extend_from_slice(&payloads[0]);
         long.extend_from_slice(&[0u8; 8]);
-        let (tiles, gates) = (&plan.tiles, &plan.gates);
         assert_eq!(
-            scatter_bundle(long.freeze(), &recvs[0].records, tiles, gates, |_| ()),
+            lent.scatter_bundle(long.freeze(), &recvs[0].records, |_| ()),
             Err(WireError::TrailingBytes(8))
         );
         // the right neighbour's bundle where the left one's is expected:
         // refused at the first header, nothing scattered, nothing released
-        let (payloads, plan, _) = middle_rank_gate();
-        let recvs = &plan.layout.schedule.recvs;
+        let (payloads, mut plan, kern, _) = middle_rank_gate();
+        let lent = plan.lend(&kern, 0.0);
+        let recvs = &lent.layout.schedule.recvs;
         let [_, right] = payloads;
         let mut released = 0;
-        let err = scatter_bundle(right, &recvs[0].records, &plan.tiles, &plan.gates, |_| {
-            released += 1;
-        })
-        .unwrap_err();
+        let err = lent
+            .scatter_bundle(right, &recvs[0].records, |_| {
+                released += 1;
+            })
+            .unwrap_err();
         assert!(
             matches!(err, WireError::RecordMismatch { expected, found }
                 if expected == recvs[0].records[0].header()
                     && found == recvs[1].records[0].header()),
             "{err}"
         );
-        assert!(plan.tiles[0].curr.read().data().iter().all(|&v| v == 0.0));
-        assert_eq!(plan.gates[0].load(Ordering::Relaxed), 2);
+        assert!(lent.tiles[0].curr.read().data().iter().all(|&v| v == 0.0));
+        assert_eq!(lent.gates[0].load(Ordering::Relaxed), 2);
         assert_eq!(released, 0);
     }
 
     /// A one-SD plan over the kernel of a 16-cell mesh at ε = 2h — the SD's
-    /// `curr` tile has every storage cell different — and a region list
-    /// shaped like a case split: a wide rect, a strip, an empty rect.
-    fn lone_sd(repeats: u32, band: Option<i64>) -> (Arc<StepPlan>, [Rect; 3]) {
+    /// `curr` tile has every storage cell different — whose one region
+    /// list, run at spawn, is `rects` cut by `band`; and the kernel.
+    fn lone_sd(repeats: u32, band: Option<i64>, rects: &[Rect]) -> (StepPlan, StepKernel) {
         let parts = ProblemSpec::square(16, 2.0).build();
         let halo = parts.grid.halo;
         let mut curr = Tile::new(8, halo);
         for (i, v) in curr.data_mut().iter_mut().enumerate() {
             *v = (i as f64 * 0.37).sin();
         }
-        let sds = SdGrid::new(1, 1, 8);
-        let (plans, reverse) = halo_plans(&sds, halo);
         let cut = RegionCut {
             sd: 8,
             halo,
             overlap: true,
             band,
         };
-        let layout = StepLayout::build(&plans, &reverse, &[0], 0, &cut);
+        let (plans, reverse) = halo_plans(&SdGrid::new(1, 1, 8), halo);
+        let mut layout = StepLayout::build(&plans, &reverse, &[0], 0, &cut);
+        layout.at_spawn = RegionLists::default();
+        layout.at_spawn.push_tile(rects, band, 0);
         let kern = step_kernel(parts, curr.stride());
         let slot = TileSlot::new((8, 8), curr, Tile::new(8, halo));
-        let mut plan = StepPlan::new(layout, vec![slot], kern);
+        let mut plan = StepPlan::new(layout, vec![slot]);
         plan.repeats = vec![repeats];
-        let rects = [Rect::new(2, 0, 6, 8), Rect::new(0, 0, 2, 8), Rect::empty()];
-        (Arc::new(plan), rects)
+        (plan, kern)
     }
 
-    /// Cut `rects` of the lone SD into a region list, deal it into tasks,
-    /// run them here, and return their number and the `next` tile they
-    /// wrote.
-    fn run_tasks(plan: &Arc<StepPlan>, rects: &[Rect]) -> (usize, Tile) {
-        let cut = &plan.layout.cut;
-        let mut lists = RegionLists::default();
-        lists.push_tile(rects, cut.band);
-        let mut tasks = Vec::new();
-        let work = u64::from(plan.repeats[0]) * plan.kern.kernel.stencil.len() as u64;
-        group_by_work(lists.lists().map(|list| (list, work)), cut, |regions| {
-            tasks.push(region_task(plan, 0.25, regions.to_vec()));
-        });
-        let n = tasks.len();
-        tasks.into_iter().for_each(|task| task());
-        let written = plan.tiles[0].next.lock().clone();
-        (n, written)
+    /// A case split's region list: a wide rect, a strip, an empty rect.
+    const RECTS: [Rect; 3] = [
+        Rect {
+            x0: 2,
+            y0: 0,
+            w: 6,
+            h: 8,
+        },
+        Rect {
+            x0: 0,
+            y0: 0,
+            w: 2,
+            h: 8,
+        },
+        Rect {
+            x0: 0,
+            y0: 0,
+            w: 0,
+            h: 0,
+        },
+    ];
+
+    /// Deal [`lone_sd`]'s region list into tasks, run them on a pool, and
+    /// return their number and the `next` tile they wrote.
+    fn run_tasks(band: Option<i64>, rects: &[Rect], repeats: u32) -> (u64, Tile) {
+        let (mut plan, kern) = lone_sd(repeats, band, rects);
+        let pool = ThreadPool::new(2, "lone");
+        let lent = plan.lend(&kern, 0.25);
+        pool.handle()
+            .scope(|s| lent.spawn_grouped(s, lent.layout.at_spawn.lists()));
+        drop(lent);
+        // a worker counts a task after the task's scope has seen it end
+        pool.wait_idle();
+        (pool.tasks_executed(), plan.tiles[0].next.clone())
     }
 
     #[test]
     fn stealing_off_is_one_task_per_region_list() {
-        let (plan, rects) = lone_sd(1, None);
-        assert_eq!(run_tasks(&plan, &rects).0, 1);
-        assert_eq!(run_tasks(&plan, &rects[..1]).0, 1);
+        assert_eq!(run_tasks(None, &RECTS, 1).0, 1);
+        assert_eq!(run_tasks(None, &RECTS[..1], 1).0, 1);
         // nothing to compute, nothing to schedule
-        let (plan, _) = lone_sd(1, None);
-        let (n, written) = run_tasks(&plan, &[Rect::empty(), Rect::empty()]);
+        let (n, written) = run_tasks(None, &[Rect::empty(), Rect::empty()], 1);
         assert_eq!(n, 0);
         assert!(written.data().iter().all(|&v| v == 0.0));
     }
@@ -1485,27 +1442,23 @@ mod tests {
     #[test]
     fn stealing_on_is_one_task_per_row_band() {
         for band in [1, 3, 8] {
-            let (plan, rects) = lone_sd(1, Some(band));
-            let bands: usize = rects.iter().map(|r| row_bands(r, band).count()).sum();
-            assert_eq!(run_tasks(&plan, &rects).0, bands);
+            let bands: usize = RECTS.iter().map(|r| row_bands(r, band).count()).sum();
+            assert_eq!(run_tasks(Some(band), &RECTS, 1).0, bands as u64);
         }
         // 8 rows in bands of 3 are 3 + 3 + 2, for both non-empty rects
-        let (plan, rects) = lone_sd(1, Some(3));
-        assert_eq!(run_tasks(&plan, &rects).0, 6);
-        assert_eq!(run_tasks(&plan, &[Rect::empty()]).0, 0);
+        assert_eq!(run_tasks(Some(3), &RECTS, 1).0, 6);
+        assert_eq!(run_tasks(Some(3), &[Rect::empty()], 1).0, 0);
     }
 
     #[test]
     fn grouping_does_not_change_a_bit() {
         for repeats in [1, 3] {
-            let (whole, rects) = lone_sd(repeats, None);
-            let (banded, _) = lone_sd(repeats, Some(3));
-            let kern = &whole.kern;
-            let curr = whole.tiles[0].curr.read().clone();
+            let (mut plan, kern) = lone_sd(repeats, None, &RECTS);
+            let curr = plan.tiles[0].curr.get_mut();
             let mut want = Tile::new(curr.sd(), curr.halo());
-            for rect in &rects {
+            for rect in &RECTS {
                 kern.kernel.apply_region_blocked(
-                    &curr,
+                    curr,
                     &mut want,
                     rect,
                     &kern.plan,
@@ -1517,19 +1470,25 @@ mod tests {
                 );
             }
             assert_ne!(want.get(0, 0), 0.0);
-            let (_, whole) = run_tasks(&whole, &rects);
-            let (_, banded) = run_tasks(&banded, &rects);
+            let (_, whole) = run_tasks(None, &RECTS, repeats);
+            let (_, banded) = run_tasks(Some(3), &RECTS, repeats);
             assert_eq!(whole.data(), want.data(), "repeats {repeats}");
             assert_eq!(banded.data(), want.data(), "repeats {repeats}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "differ in geometry: stride or halo")]
-    fn next_of_another_geometry_is_refused_when_armed() {
-        // equal strides, so every offset is in bounds — but of the wrong
-        // cells: refused before any task exists, let alone writes
-        let _ = TileSlot::new((0, 0), Tile::new(10, 2), Tile::new(8, 3));
+    #[should_panic(expected = "claimed twice")]
+    fn a_region_dealt_twice_in_one_step_panics() {
+        // the same list spawned a second time — a continuation releasing a
+        // gated list the step already dealt — is refused, not computed twice
+        let (mut plan, kern) = lone_sd(1, None, &RECTS);
+        let pool = ThreadPool::new(1, "twice");
+        let lent = plan.lend(&kern, 0.25);
+        pool.handle().scope(|s| {
+            lent.spawn_grouped(s, lent.layout.at_spawn.lists());
+            lent.spawn_grouped(s, lent.layout.at_spawn.lists());
+        });
     }
 
     #[test]
@@ -1764,8 +1723,7 @@ mod tests {
             let owned = layout.schedule.owned.clone();
             let tile = || Tile::new(4, cut.halo);
             let tiles = owned.iter().map(|_| TileSlot::new((0, 0), tile(), tile()));
-            let kern = step_kernel(sc.problem.build(), 4 + 2 * cut.halo);
-            let mut plan = StepPlan::new(layout, tiles.collect(), kern);
+            let mut plan = StepPlan::new(layout, tiles.collect());
             assert!(!owned.is_empty());
             for step in 0..sc.steps {
                 let work = sc.work_at(step);
@@ -1852,15 +1810,16 @@ mod tests {
     }
 
     #[test]
-    fn the_plan_is_unshared_between_the_steps_of_a_long_run() {
-        // Fill, send and swap reach the tiles through `unshared` — that is,
-        // `Arc::get_mut` — *every step*: were one task's handle on the plan
-        // to outlive the driver's wait for it once in these runs, the
-        // driver would panic instead of returning a field. Long runs under
-        // `-O` (the CI step), because a handle dropped a moment late is a
-        // race: the many-task ghost-heavy shape, and 25-cell SDs from the
-        // Metis partition with a crack that moves, so LB epochs rebuild the
-        // plan mid-run; each with overlap on and off and with stealing.
+    fn long_runs_of_scoped_steps_on_two_workers_match_serial_bitwise() {
+        // Every step lends the plan to its scope: tasks claim their regions
+        // from the `next` writers on two workers per rank while bundle
+        // continuations write halos under `curr`'s lock, and each step's
+        // scope must end with every region written once and the gates,
+        // swap and migration seeing all of it. Long runs under `-O` (the
+        // CI step), where those interleavings vary most: the many-task
+        // ghost-heavy shape, and 25-cell SDs from the Metis partition with
+        // a crack that moves, so LB epochs rebuild the plan mid-run; each
+        // with overlap on and off and with stealing.
         let steps = if cfg!(debug_assertions) { 24 } else { 200 };
         let cluster = ClusterSpec::new().node(2, 1.0).node(2, 0.5);
         let ghost_heavy = {

@@ -20,9 +20,9 @@
 //! tile, and the receiver decodes them straight into the destination halo,
 //! after comparing the record's header, where it lies in the bundle, with
 //! the one its own schedule expects. `pack` takes its tile table
-//! exclusively (`&mut`): the driver packs before any task of the step
-//! exists, so a table that keeps its tiles behind locks for the phases
-//! that do share them hands them out here through `get_mut`, lock-free.
+//! exclusively (`&mut`): the driver packs before it opens the step's
+//! scope, so the locks a table keeps for the tasks of that scope are
+//! passed here through `get_mut`, lock-free.
 //! A bundle that does not come out at its scheduled size panics at the
 //! sender, not as a `Truncated` a rank away.
 //!
@@ -145,6 +145,9 @@ pub struct Region {
     pub tile: u32,
     /// The cells to update.
     pub rect: Rect,
+    /// Its index in the tile's write list: the tile's at-spawn regions,
+    /// then its gated ones ([`StepLayout`]).
+    pub write: u32,
 }
 
 /// One same-locality halo copy: `src_rect` of tile `src_tile`'s interior
@@ -173,17 +176,24 @@ pub struct RegionLists {
 
 impl RegionLists {
     /// Append the list of the next tile: the non-empty `rects`, each cut
-    /// into row bands of height ≤ `band` when one is given.
-    pub(crate) fn push_tile(&mut self, rects: &[Rect], band: Option<i64>) {
+    /// into row bands of height ≤ `band` when one is given, written from
+    /// index `first_write` on.
+    pub(crate) fn push_tile(&mut self, rects: &[Rect], band: Option<i64>, first_write: u32) {
         let tile = self.ends.len() as u32;
+        let start = self.regions.len();
         for &rect in rects.iter().filter(|r| !r.is_empty()) {
+            let region = |rect| Region {
+                tile,
+                rect,
+                write: 0,
+            };
             match band {
-                None => self.regions.push(Region { tile, rect }),
-                Some(band) => {
-                    let bands = row_bands(&rect, band);
-                    self.regions.extend(bands.map(|rect| Region { tile, rect }));
-                }
+                None => self.regions.push(region(rect)),
+                Some(band) => self.regions.extend(row_bands(&rect, band).map(region)),
             }
+        }
+        for (write, region) in (first_write..).zip(&mut self.regions[start..]) {
+            region.write = write;
         }
         self.ends.push(self.regions.len() as u32);
     }
@@ -252,8 +262,8 @@ pub fn row_bands(rect: &Rect, band: i64) -> impl Iterator<Item = Rect> {
 
 /// The least work — cells × kernel repeats × stencil points — a compute
 /// task carries unless the step has no more to give it. Measured on the
-/// reference 2-vCPU VM, handing a task to the pool and collecting its
-/// future costs ≈ 0.4–1 µs (closure and promise boxes, injector push, the
+/// reference 2-vCPU VM, handing a task to the pool cost ≈ 0.4–1 µs when
+/// each task also had a promise (its boxes, the injector push, the
 /// worker's two busy-time `Instant`s, the tile lock), while the kernel
 /// retires a stencil point in ≈ 0.23 ns at its baseline vector level and
 /// ≈ 0.13–0.15 ns at AVX2 (45 and 25–31 ns per DP over 196 points, on
@@ -380,8 +390,8 @@ impl StepLayout {
             } else {
                 (Rect::empty(), std::slice::from_ref(&full))
             };
-            at_spawn.push_tile(&[now], cut.band);
-            gated.push_tile(later, cut.band);
+            at_spawn.push_tile(&[now], cut.band, 0);
+            gated.push_tile(later, cut.band, at_spawn.of(tile).len() as u32);
         }
         StepLayout {
             cut: *cut,

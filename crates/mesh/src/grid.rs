@@ -34,7 +34,7 @@ impl Grid {
     }
 
     /// General mesh with an explicit horizon.
-    pub fn with_eps(nx: usize, ny: usize, eps: f64) -> Self {
+    pub(crate) fn with_eps(nx: usize, ny: usize, eps: f64) -> Self {
         assert!(nx > 0 && ny > 0, "grid must have at least one cell");
         assert!(eps > 0.0, "horizon must be positive");
         let h = 1.0 / nx as f64;
@@ -59,18 +59,8 @@ impl Grid {
     }
 
     /// The interior index set K as a rectangle.
-    pub fn domain_rect(&self) -> Rect {
+    pub(crate) fn domain_rect(&self) -> Rect {
         Rect::new(0, 0, self.nx, self.ny)
-    }
-
-    /// The full index set K ∪ K_c (interior plus collar).
-    pub fn padded_rect(&self) -> Rect {
-        Rect::new(
-            -self.halo,
-            -self.halo,
-            self.nx + 2 * self.halo,
-            self.ny + 2 * self.halo,
-        )
     }
 
     /// Whether `(i, j)` lies in the material domain D.
@@ -87,6 +77,18 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Grid {
+        /// The full index set K ∪ K_c (interior plus collar).
+        fn padded_rect(&self) -> Rect {
+            Rect::new(
+                -self.halo,
+                -self.halo,
+                self.nx + 2 * self.halo,
+                self.ny + 2 * self.halo,
+            )
+        }
+    }
 
     #[test]
     fn square_grid_dimensions() {

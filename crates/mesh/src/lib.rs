@@ -3,7 +3,8 @@
 //! Implements §3.1 and §6.1 of Gadikar, Diehl & Jha 2021: the uniform grid
 //! over the unit square with its nonlocal collar, the ε-ball interaction
 //! stencil, the decomposition into square sub-domains (SDs), per-SD padded
-//! tiles with halo storage, halo exchange plans, and the case-1/case-2
+//! tiles with halo storage and a writer that lends disjoint rects of a
+//! tile to concurrent tasks, halo exchange plans, and the case-1/case-2
 //! classification of discretized points (DPs) that lets computation overlap
 //! communication (§6.3, Fig. 5).
 //!
@@ -16,13 +17,13 @@
 //! * **tile storage** — SD-local shifted by `+halo`, used only inside
 //!   [`tile::Tile`].
 
-pub mod cases;
-pub mod grid;
-pub mod halo;
-pub mod rect;
-pub mod stencil;
-pub mod subdomain;
-pub mod tile;
+mod cases;
+mod grid;
+mod halo;
+mod rect;
+mod stencil;
+mod subdomain;
+mod tile;
 
 pub use cases::{split_cases, CaseSplit};
 pub use grid::Grid;
@@ -30,4 +31,4 @@ pub use halo::{build_halo_plan, HaloPatch, HaloPlan, PatchSource};
 pub use rect::Rect;
 pub use stencil::Stencil;
 pub use subdomain::{SdGrid, SdId};
-pub use tile::Tile;
+pub use tile::{DisjointRects, RectMut, Tile, TileWriter};

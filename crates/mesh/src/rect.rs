@@ -55,12 +55,12 @@ impl Rect {
     }
 
     /// Whether `(x, y)` lies inside.
-    pub fn contains(&self, x: i64, y: i64) -> bool {
+    pub(crate) fn contains(&self, x: i64, y: i64) -> bool {
         x >= self.x0 && x < self.x1() && y >= self.y0 && y < self.y1()
     }
 
     /// The rectangle shifted by `(dx, dy)`.
-    pub fn translate(&self, dx: i64, dy: i64) -> Rect {
+    pub(crate) fn translate(&self, dx: i64, dy: i64) -> Rect {
         Rect::new(self.x0 + dx, self.y0 + dy, self.w, self.h)
     }
 

@@ -4,8 +4,17 @@
 //! `halo` cells holding ghost copies of neighbour data (or the collar's
 //! zeros). Indices are SD-local: interior `[0, sd)`, full tile
 //! `[-halo, sd + halo)`.
+//!
+//! Several tasks may write pairwise disjoint rects of one tile at once: a
+//! [`TileWriter`] exclusively borrows the tile and hands each rect of a
+//! [`DisjointRects`] list out at most once, as a [`RectMut`] written row
+//! by row through bounds-checked slices. Its one raw access, a row slice
+//! of a rect no one else holds, is the only place disjointness is relied
+//! on.
 
 use crate::rect::Rect;
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A square tile of `f64` values with halo padding.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,11 +84,18 @@ impl Tile {
     /// cells. Once per rect, not per row or cell.
     ///
     /// # Panics
-    /// If `rect` is not empty and not inside [`padded_rect`](Self::padded_rect).
+    /// If `rect` has a negative extent, or is not empty and not inside
+    /// [`padded_rect`](Self::padded_rect).
     #[inline]
-    fn assert_holds(&self, rect: &Rect) {
+    pub(crate) fn assert_holds(&self, rect: &Rect) {
+        // without overflow: `Rect`'s fields are public, and the `x0 + w`
+        // of an arbitrary one may wrap
+        let (lo, hi) = (-self.halo, self.sd + self.halo);
+        let fits = |a0: i64, n: i64| a0 >= lo && n <= hi - a0;
         assert!(
-            self.padded_rect().contains_rect(rect),
+            rect.w >= 0
+                && rect.h >= 0
+                && (rect.is_empty() || fits(rect.x0, rect.w) && fits(rect.y0, rect.h)),
             "rect {rect:?} is not inside the tile's padded extent {:?}",
             self.padded_rect()
         );
@@ -161,6 +177,28 @@ impl Tile {
             .map(move |row| &mut row[..w])
     }
 
+    /// `rect` (local coordinates) as a [`RectMut`]; an empty `rect`, which
+    /// may lie anywhere, as [`Rect::empty`].
+    ///
+    /// # Panics
+    /// If `rect` leaves the padded extent.
+    pub fn rect_mut(&mut self, rect: &Rect) -> RectMut<'_> {
+        self.assert_holds(rect);
+        let rect = if rect.is_empty() {
+            Rect::empty()
+        } else {
+            *rect
+        };
+        let (stride, halo) = (self.stride(), self.halo());
+        RectMut {
+            data: self.data_mut().as_mut_ptr(),
+            stride,
+            halo,
+            rect,
+            _cells: PhantomData,
+        }
+    }
+
     /// Copy `src_rect` from another tile into this tile at `dst_rect`
     /// (rect shapes must match). Used for same-locality halo fills where no
     /// serialization is needed.
@@ -184,23 +222,152 @@ impl Tile {
             dst_slice.copy_from_slice(src_slice);
         }
     }
+}
 
-    /// Set every cell of `rect` (local coords) to `value`.
+/// Pairwise disjoint, non-empty rects of a tile of one geometry, with a
+/// claim flag each.
+pub struct DisjointRects {
+    geometry: (i64, i64),
+    rects: Vec<Rect>,
+    claimed: Vec<AtomicBool>,
+}
+
+impl DisjointRects {
+    /// `rects`, checked against `tile`'s geometry.
     ///
     /// # Panics
-    /// Panics if `rect` leaves the padded extent.
-    pub fn fill_rect(&mut self, rect: &Rect, value: f64) {
-        self.assert_holds(rect);
-        for lj in rect.y0..rect.y1() {
-            let row = self.index(rect.x0, lj);
-            self.data[row..row + rect.w as usize].fill(value);
+    /// If a rect is empty, has a negative extent, leaves `tile`'s padded
+    /// extent, or overlaps another.
+    pub fn new(tile: &Tile, rects: impl IntoIterator<Item = Rect>) -> Self {
+        let rects: Vec<Rect> = rects.into_iter().collect();
+        for (i, a) in rects.iter().enumerate() {
+            assert!(!a.is_empty(), "a writer's rect is empty");
+            tile.assert_holds(a);
+            if let Some(b) = rects[..i].iter().find(|b| !a.intersect(b).is_empty()) {
+                panic!("rects {b:?} and {a:?} of one tile overlap");
+            }
         }
+        DisjointRects {
+            geometry: (tile.sd(), tile.halo()),
+            claimed: rects.iter().map(|_| AtomicBool::new(false)).collect(),
+            rects,
+        }
+    }
+}
+
+/// A tile lent to tasks that write the rects of a [`DisjointRects`], each
+/// rect once.
+pub struct TileWriter<'t> {
+    tile: RectMut<'t>,
+    rects: &'t DisjointRects,
+}
+
+// SAFETY: only `tile`'s raw pointer keeps `TileWriter` from being `Sync`.
+// Shared, the writer hands that pointer out only inside the `RectMut` of
+// a claimed rect: `rects`' claim flags are atomic, each rect is claimed
+// once, and the rects are pairwise disjoint, so no two threads ever hold
+// the same cell. `rects` is otherwise only read.
+unsafe impl Sync for TileWriter<'_> {}
+
+impl<'t> TileWriter<'t> {
+    /// Lend `tile` to the claims of `rects`, all of them open.
+    ///
+    /// # Panics
+    /// If `tile`'s geometry is not the one `rects` were checked against.
+    pub fn new(tile: &'t mut Tile, rects: &'t mut DisjointRects) -> Self {
+        assert!(
+            (tile.sd(), tile.halo()) == rects.geometry,
+            "the written tile and its rects differ in geometry: stride or halo"
+        );
+        rects.claimed.iter_mut().for_each(|c| *c.get_mut() = false);
+        // the tile's storage, lent out one claimed rect at a time
+        let tile = tile.rect_mut(&Rect::empty());
+        TileWriter { tile, rects }
+    }
+
+    /// The `i`-th rect of the writer's list.
+    ///
+    /// # Panics
+    /// If it was claimed before, or there is none.
+    pub fn claim(&self, i: usize) -> RectMut<'_> {
+        let (rect, claimed) = (self.rects.rects[i], &self.rects.claimed[i]);
+        // Relaxed: the flag publishes nothing; a claimed rect is its claimer's
+        let twice = claimed.swap(true, Ordering::Relaxed);
+        assert!(!twice, "rect {i}, {rect:?}, claimed twice");
+        RectMut { rect, ..self.tile }
+    }
+}
+
+/// Out of line, so that the checks on the kernel's hot path inline.
+#[cold]
+#[inline(never)]
+fn outside(li: i64, lj: i64, n: usize, rect: Rect) -> ! {
+    panic!("cells ({li}, {lj}) + {n} leave rect {rect:?}")
+}
+
+/// The cells of one rect of a tile, held exclusively: written row by row.
+pub struct RectMut<'w> {
+    /// The tile's storage, in rows of `stride`.
+    data: *mut f64,
+    stride: i64,
+    halo: i64,
+    rect: Rect,
+    _cells: PhantomData<&'w mut [f64]>,
+}
+
+impl RectMut<'_> {
+    /// The rect, in tile-local coordinates.
+    #[inline]
+    pub fn rect(&self) -> Rect {
+        self.rect
+    }
+
+    /// The tile's `(stride, halo)`.
+    #[inline]
+    pub fn geometry(&self) -> (i64, i64) {
+        (self.stride, self.halo)
+    }
+
+    /// The `n` cells of row `lj` from column `li` (tile-local).
+    ///
+    /// # Panics
+    /// Unless they lie inside the rect.
+    #[inline]
+    pub fn cells(&mut self, li: i64, lj: i64, n: usize) -> &mut [f64] {
+        let r = self.rect;
+        // a coordinate before the rect's first wraps to a huge offset
+        let (dx, dy) = (li.wrapping_sub(r.x0) as u64, lj.wrapping_sub(r.y0) as u64);
+        if dy >= r.h as u64 || dx.saturating_add(n as u64) > r.w as u64 {
+            outside(li, lj, n, r);
+        }
+        let start = ((lj + self.halo) * self.stride + li + self.halo) as usize;
+        // SAFETY: the cells lie inside this rect (checked, without
+        // wrapping), and the rect, its extents not negative, inside the
+        // tile's storage: `Tile::rect_mut` asserts that, and a `TileWriter`
+        // hands out only rects `DisjointRects::new` checked against a tile
+        // of this geometry. The storage is exclusively borrowed for `'w`
+        // — by `Tile::rect_mut`'s `&mut Tile`, or by a `TileWriter` that
+        // lends each of its pairwise disjoint rects to one holder only —
+        // and borrowing `self` for the slice's life keeps two slices of
+        // one `RectMut` from aliasing either.
+        unsafe { std::slice::from_raw_parts_mut(self.data.add(start), n) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Tile {
+        /// Set every cell of `rect` (local coords) to `value`.
+        pub(crate) fn fill_rect(&mut self, rect: &Rect, value: f64) {
+            self.assert_holds(rect);
+            for lj in rect.y0..rect.y1() {
+                let row = self.index(rect.x0, lj);
+                self.data[row..row + rect.w as usize].fill(value);
+            }
+        }
+    }
 
     #[test]
     fn new_tile_is_zero() {
@@ -359,7 +526,9 @@ mod tests {
         type Call = fn(&mut Tile, &Rect);
         let calls: [(&str, Call); 4] = [
             ("pack", |t, r| drop(t.pack(r))),
-            ("fill_rect", |t, r| t.fill_rect(r, 1.0)),
+            ("rect_mut", |t, r| {
+                t.rect_mut(r);
+            }),
             ("copy_rect_from (source)", |t, r| {
                 let src = t.clone();
                 t.copy_rect_from(&src, r, &Rect::new(0, 0, 2, 2));
@@ -396,5 +565,139 @@ mod tests {
         let src = Tile::new(4, 2);
         let mut dst = Tile::new(4, 2);
         dst.copy_rect_from(&src, &Rect::new(0, 0, 2, 3), &Rect::new(0, 0, 3, 2));
+    }
+
+    /// The rects of a 4-cell tile's interior cut into a left strip and two
+    /// right halves.
+    fn cut() -> [Rect; 3] {
+        [
+            Rect::new(0, 0, 1, 4),
+            Rect::new(1, 0, 3, 2),
+            Rect::new(1, 2, 3, 2),
+        ]
+    }
+
+    #[test]
+    fn claimed_rects_write_their_own_cells_from_several_threads() {
+        let mut tile = Tile::new(4, 2);
+        let mut rects = DisjointRects::new(&tile, cut());
+        let writer = TileWriter::new(&mut tile, &mut rects);
+        std::thread::scope(|s| {
+            for (k, rect) in cut().into_iter().enumerate() {
+                let writer = &writer;
+                s.spawn(move || {
+                    let mut out = writer.claim(k);
+                    for lj in rect.y0..rect.y1() {
+                        out.cells(rect.x0, lj, rect.w as usize).fill(k as f64 + 1.0);
+                    }
+                });
+            }
+        });
+        let mut want = Tile::new(4, 2);
+        for (k, rect) in cut().iter().enumerate() {
+            want.fill_rect(rect, k as f64 + 1.0);
+        }
+        assert_eq!(tile, want);
+    }
+
+    #[test]
+    fn a_new_writer_reopens_every_claim() {
+        let mut tile = Tile::new(4, 2);
+        let mut rects = DisjointRects::new(&tile, cut());
+        for _step in 0..2 {
+            let writer = TileWriter::new(&mut tile, &mut rects);
+            for (i, rect) in cut().iter().enumerate() {
+                writer.claim(i).cells(rect.x0, rect.y0, 1)[0] = 1.0;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "claimed twice")]
+    fn a_second_claim_of_a_rect_panics() {
+        let mut tile = Tile::new(4, 2);
+        let mut rects = DisjointRects::new(&tile, cut());
+        let writer = TileWriter::new(&mut tile, &mut rects);
+        let _first = writer.claim(1);
+        let _second = writer.claim(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "of one tile overlap")]
+    fn overlapping_rects_are_refused() {
+        let tile = Tile::new(4, 2);
+        let _ = DisjointRects::new(&tile, [Rect::new(0, 0, 2, 2), Rect::new(1, 1, 2, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not inside the tile's padded extent")]
+    fn a_rect_off_the_tile_is_refused() {
+        let tile = Tile::new(4, 2);
+        let _ = DisjointRects::new(&tile, [Rect::new(5, 0, 2, 2)]);
+    }
+
+    /// Rects a struct literal can build past `Rect::new`'s clamp: negative
+    /// extents, which a `== 0` emptiness test and the intersection's clamp
+    /// let through, and an `x0 + w` that wraps.
+    fn malformed() -> [Rect; 3] {
+        let rect = |x0, w, h| Rect { x0, y0: 0, w, h };
+        [rect(0, -1, -1), rect(0, -1, 2), rect(i64::MAX - 1, 10, 1)]
+    }
+
+    #[test]
+    fn malformed_rects_are_refused_where_writes_begin() {
+        for rect in malformed() {
+            let refused = |call: &dyn Fn()| {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+                let payload = outcome.expect_err("a malformed rect was accepted");
+                let message = *payload.downcast::<String>().expect("a formatted panic");
+                assert!(
+                    message.contains("is not inside the tile's padded extent"),
+                    "{message}"
+                );
+            };
+            refused(&|| {
+                Tile::new(4, 2).rect_mut(&rect);
+            });
+            refused(&|| drop(DisjointRects::new(&Tile::new(4, 2), [rect])));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "leave rect")]
+    fn cells_past_the_rect_end_panic_without_wrapping() {
+        let mut tile = Tile::new(4, 2);
+        let r = cut()[1];
+        let _ = tile.rect_mut(&r).cells(r.x0 + 1, r.y0, usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "leave rect")]
+    fn cells_from_before_the_rect_panic_without_wrapping() {
+        // column x0 - 1 wraps to a huge offset, which `+ 2` must not undo
+        let mut tile = Tile::new(4, 2);
+        let r = cut()[1];
+        let _ = tile.rect_mut(&r).cells(r.x0 - 1, r.y0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in geometry: stride or halo")]
+    fn next_of_another_geometry_is_refused() {
+        // equal strides, so every offset is in bounds — but of the wrong
+        // cells: refused before any rect is handed out, let alone written
+        let curr = Tile::new(10, 2);
+        let mut next = Tile::new(8, 3);
+        assert_eq!(curr.stride(), next.stride());
+        let mut rects = DisjointRects::new(&curr, cut());
+        let _ = TileWriter::new(&mut next, &mut rects);
+    }
+
+    #[test]
+    #[should_panic(expected = "cells (1, 2) + 3 leave rect")]
+    fn cells_outside_the_rect_panic() {
+        let mut tile = Tile::new(4, 2);
+        let mut rects = DisjointRects::new(&tile, cut());
+        let writer = TileWriter::new(&mut tile, &mut rects);
+        let _ = writer.claim(1).cells(1, 2, 3);
     }
 }

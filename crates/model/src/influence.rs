@@ -22,7 +22,7 @@ pub enum Influence {
 
 impl Influence {
     /// Evaluate J(r) for normalized distance `r` (0 outside [0, 1]).
-    pub fn eval(&self, r: f64) -> f64 {
+    pub(crate) fn eval(&self, r: f64) -> f64 {
         if !(0.0..=1.0).contains(&r) {
             return 0.0;
         }
@@ -33,7 +33,7 @@ impl Influence {
     }
 
     /// The i-th moment Mᵢ = ∫₀¹ J(r) rⁱ dr (closed form).
-    pub fn moment(&self, i: u32) -> f64 {
+    pub(crate) fn moment(&self, i: u32) -> f64 {
         let i = f64::from(i);
         match self {
             Influence::Constant => 1.0 / (i + 1.0),
@@ -43,7 +43,7 @@ impl Influence {
 }
 
 /// The 2d conductivity constant c = 2k / (π ε⁴ M₃) (paper eq. 2).
-pub fn conductivity_constant_2d(k: f64, eps: f64, j: Influence) -> f64 {
+pub(crate) fn conductivity_constant_2d(k: f64, eps: f64, j: Influence) -> f64 {
     2.0 * k / (std::f64::consts::PI * eps.powi(4) * j.moment(3))
 }
 

@@ -53,7 +53,7 @@
 //! CI pins by running the bit-identity tests under `x86-64-v3`.
 
 use crate::influence::{conductivity_constant_2d, Influence};
-use nlheat_mesh::{Grid, Rect, Stencil, Tile};
+use nlheat_mesh::{Grid, Rect, RectMut, Stencil, Tile};
 use std::sync::Arc;
 
 /// External heat source b(t, x_i) addressed by global cell index. Every
@@ -87,11 +87,6 @@ impl<F: Fn(f64, i64, i64) -> f64 + Send + Sync> Source for F {
 
 /// A shareable [`Source`].
 pub type SourceFn = Arc<dyn Source>;
-
-/// A source that is identically zero.
-pub fn zero_source() -> SourceFn {
-    Arc::new(|_: f64, _: i64, _: i64| 0.0)
-}
 
 /// Output cells of a row whose interaction sums are accumulated together.
 /// Eight independent chains cover a 4-cycle add latency at two adds per
@@ -152,15 +147,6 @@ impl VectorLevel {
         *Self::available().last().expect("baseline is always there")
     }
 
-    /// Stable lower-case name, for reports and bench records.
-    pub fn name(self) -> &'static str {
-        match self {
-            VectorLevel::Baseline => "baseline",
-            #[cfg(target_arch = "x86_64")]
-            VectorLevel::Avx2(_) => "avx2",
-        }
-    }
-
     /// The level as a counter value: 0 = baseline, 1 = AVX2.
     pub fn index(self) -> u64 {
         match self {
@@ -188,7 +174,7 @@ pub struct NonlocalKernel {
 
 impl NonlocalKernel {
     /// Build the kernel for `grid` with conductivity `k` and influence `j`.
-    pub fn new(grid: &Grid, k: f64, j: Influence) -> Self {
+    pub(crate) fn new(grid: &Grid, k: f64, j: Influence) -> Self {
         let stencil = Stencil::build(grid.h, grid.eps);
         let vol = grid.cell_volume();
         let weights: Vec<f64> = stencil
@@ -212,7 +198,7 @@ impl NonlocalKernel {
     ///
     /// The stiffest mode of `du_i/dt = c Σ w (u_j − u_i)` has rate
     /// `λ ≤ 2·c·Σw`, so Δt ≤ 2/λ = 1/(c·Σw) keeps |1 − Δt·λ| ≤ 1.
-    pub fn stable_dt(&self, safety: f64) -> f64 {
+    pub(crate) fn stable_dt(&self, safety: f64) -> f64 {
         assert!(safety > 0.0 && safety <= 1.0);
         safety / (self.c * self.sum_w)
     }
@@ -470,7 +456,7 @@ impl NonlocalKernel {
     /// `u + Δt·(b + c·Σ)`.
     ///
     /// # Panics
-    /// If the tiles differ in shape, or on the conditions of the raw path.
+    /// On the conditions of [`apply_into`](Self::apply_into).
     #[allow(clippy::too_many_arguments)]
     pub fn apply_region_blocked(
         &self,
@@ -484,52 +470,25 @@ impl NonlocalKernel {
         source: &SourceFn,
         repeats: u32,
     ) {
-        assert_eq!(curr.stride(), next.stride(), "tiles differ in stride");
-        assert_eq!(curr.halo(), next.halo(), "tiles differ in halo");
-        // SAFETY: `next` is exclusively borrowed and, as just asserted,
-        // has `curr`'s stride and halo, so the raw path's pointer and
-        // single-writer requirements hold.
-        unsafe {
-            self.apply_region_blocked_raw(
-                curr,
-                next.data_mut().as_mut_ptr(),
-                region,
-                plan,
-                origin,
-                t,
-                dt,
-                source,
-                repeats,
-            );
-        }
+        let out = next.rect_mut(region);
+        self.apply_into(curr, out, plan, origin, t, dt, source, repeats);
     }
 
-    /// [`Self::apply_region_blocked`] writing through a raw pointer to the
-    /// destination tile's storage — the substrate for intra-step work
-    /// stealing, where several pool workers update pairwise-disjoint row
-    /// bands of one SD's `next` tile concurrently without a lock around
-    /// the compute.
-    ///
-    /// A cell's value does not depend on which segment or region it falls
-    /// in, so any disjoint decomposition of a region produces a
-    /// bit-identical tile regardless of which thread computed which band.
+    /// [`Self::apply_region_blocked`] over the rect of `out`, written
+    /// through it: with [`TileWriter`](nlheat_mesh::TileWriter) rects,
+    /// several workers update disjoint regions of one tile at once, and as
+    /// a cell's value does not depend on the region it falls in, any
+    /// disjoint decomposition gives a bit-identical tile.
     ///
     /// # Panics
-    /// If `plan` was built for another stride than `curr`'s, the stencil
-    /// reaches past `curr`'s halo, or `region` leaves its interior.
-    ///
-    /// # Safety
-    /// - `next_data` must point to the storage of a live tile with the
-    ///   same stride and halo as `curr`, and stay valid for the call.
-    /// - Concurrent callers targeting the same tile must cover pairwise
-    ///   disjoint regions, and nothing may read the written cells until
-    ///   every caller returns.
+    /// If `out`'s tile differs from `curr` in stride or halo, `plan` was
+    /// built for another stride, the stencil reaches past `curr`'s halo,
+    /// or the rect leaves its interior.
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn apply_region_blocked_raw(
+    pub fn apply_into(
         &self,
         curr: &Tile,
-        next_data: *mut f64,
-        region: &Rect,
+        mut out: RectMut<'_>,
         plan: &KernelPlan,
         origin: (i64, i64),
         t: f64,
@@ -537,23 +496,20 @@ impl NonlocalKernel {
         source: &SourceFn,
         repeats: u32,
     ) {
+        assert!(
+            out.geometry() == (curr.stride(), curr.halo()),
+            "the written tile differs from the read one in geometry: stride or halo"
+        );
+        let region = out.rect();
         let source_row = source.at_time(t);
         let mut b = [0.0; W];
-        self.interaction_sums(curr, region, plan, repeats, |li, lj, u, sums| {
+        self.interaction_sums(curr, &region, plan, repeats, |li, lj, u, sums| {
             let b = &mut b[..u.len()];
             source_row(origin.0 + li, origin.1 + lj, b);
-            let base = curr.storage_index(li, lj);
+            let cells = out.cells(li, lj, u.len());
             for k in 0..u.len() {
                 let rhs = b[k] + self.c * sums[k];
-                // SAFETY: every read above went through bounds-checked
-                // slices of `curr`; this is the block's one raw access, one
-                // write per cell. `interaction_sums` asserted region ⊆
-                // interior before the first call, so `base + k` is the
-                // index `Tile::set` would use for interior cell
-                // `(li + k, lj)`, in bounds of `curr`'s storage and hence
-                // of any tile of its stride and halo — which the caller
-                // guarantees `next_data` is.
-                unsafe { *next_data.add(base + k) = u[k] + dt * rhs };
+                cells[k] = u[k] + dt * rhs;
             }
         });
     }
@@ -589,8 +545,25 @@ impl KernelPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl VectorLevel {
+        /// Stable lower-case name.
+        fn name(self) -> &'static str {
+            match self {
+                VectorLevel::Baseline => "baseline",
+                #[cfg(target_arch = "x86_64")]
+                VectorLevel::Avx2(_) => "avx2",
+            }
+        }
+    }
+    use nlheat_mesh::{DisjointRects, TileWriter};
+
+    /// A source that is identically zero.
+    pub(crate) fn zero_source() -> SourceFn {
+        Arc::new(|_: f64, _: i64, _: i64| 0.0)
+    }
 
     fn grid_kernel(n: usize, eps_mult: f64) -> (Grid, NonlocalKernel) {
         let grid = Grid::square(n, eps_mult);
@@ -637,7 +610,7 @@ mod tests {
         let halo = grid.halo;
         let mut curr = Tile::new(12, halo);
         // constant over interior AND halo so every stencil read sees 5.0
-        curr.fill_rect(&curr.padded_rect().clone(), 5.0);
+        curr.data_mut().fill(5.0);
         let mut next = Tile::new(12, halo);
         let offsets = kernel.storage_offsets(curr.stride());
         let region = curr.interior_rect();
@@ -686,7 +659,9 @@ mod tests {
         let (grid, kernel) = grid_kernel(16, 2.0);
         let mut curr = Tile::new(16, grid.halo);
         // hot square in the middle
-        curr.fill_rect(&Rect::new(6, 6, 4, 4), 1.0);
+        Rect::new(6, 6, 4, 4)
+            .cells()
+            .for_each(|(x, y)| curr.set(x, y, 1.0));
         let mut next = Tile::new(16, grid.halo);
         let offsets = kernel.storage_offsets(curr.stride());
         let dt = kernel.stable_dt(0.5);
@@ -895,10 +870,10 @@ mod tests {
     }
 
     #[test]
-    fn row_bands_through_the_raw_path_match_scalar_bitwise() {
+    fn row_bands_through_the_writer_match_scalar_bitwise() {
         // Intra-step stealing covers a region with disjoint row bands, each
-        // written through the raw pointer; the tile must equal the scalar
-        // reference's whatever the band height.
+        // claimed from one `TileWriter` and written by its own thread; the
+        // tile must equal the scalar reference's whatever the band height.
         let grid = Grid::square(27, 4.0);
         let kernel = NonlocalKernel::new(&grid, 1.0, Influence::Triangular);
         let (curr, src) = irregular_tile(27, grid.halo);
@@ -923,27 +898,22 @@ mod tests {
             .flat_map(|b| levels.iter().map(move |&l| (b, l)))
         {
             let plan = kernel.plan_at(curr.stride(), level);
-            let mut next = Tile::new(27, grid.halo);
-            let next_data = next.data_mut().as_mut_ptr();
-            for y0 in (region.y0..region.y1()).step_by(band) {
+            let rows = (region.y0..region.y1()).step_by(band).map(|y0| {
                 let h = (band as i64).min(region.y1() - y0);
-                let rows = Rect::new(region.x0, y0, region.w, h);
-                // SAFETY: `next` has `curr`'s shape, is not otherwise
-                // accessed while the bands run, and the bands are disjoint.
-                unsafe {
-                    kernel.apply_region_blocked_raw(
-                        &curr,
-                        next_data,
-                        &rows,
-                        &plan,
-                        (0, 0),
-                        0.5,
-                        dt,
-                        &src,
-                        3,
-                    );
+                Rect::new(region.x0, y0, region.w, h)
+            });
+            let mut next = Tile::new(27, grid.halo);
+            let mut bands = DisjointRects::new(&curr, rows.clone());
+            let writer = TileWriter::new(&mut next, &mut bands);
+            std::thread::scope(|s| {
+                for band_no in 0..rows.count() {
+                    let (kernel, curr, plan, src, writer) = (&kernel, &curr, &plan, &src, &writer);
+                    s.spawn(move || {
+                        let out = writer.claim(band_no);
+                        kernel.apply_into(curr, out, plan, (0, 0), 0.5, dt, src, 3);
+                    });
                 }
-            }
+            });
             assert_eq!(next, reference, "band height {band}, {level:?}");
         }
     }
@@ -989,9 +959,9 @@ mod tests {
         );
     }
 
-    /// The three geometry `assert!`s are what makes the raw write sound, so
-    /// a level must refuse everything the baseline refuses: each of them
-    /// fires at each level.
+    /// The three geometry `assert!`s keep every read inside `curr` and
+    /// every write inside the region, so a level must refuse everything
+    /// the baseline refuses: each of them fires at each level.
     macro_rules! refusals {
         ($($module:ident = $level:expr;)*) => {$(
             mod $module {
@@ -1012,7 +982,7 @@ mod tests {
                 #[test]
                 #[should_panic(expected = "leaves the tile interior")]
                 fn region_outside_the_interior_is_refused() {
-                    // one column into the halo: the raw write would still
+                    // one column into the halo: a write there would still
                     // be in bounds of the storage, but it is not a cell
                     // this kernel may update
                     refused($level, 0, 0, Rect::new(1, 0, 12, 12));
@@ -1029,7 +999,9 @@ mod tests {
     fn partial_region_leaves_rest_untouched() {
         let (grid, kernel) = grid_kernel(10, 2.0);
         let mut curr = Tile::new(10, grid.halo);
-        curr.fill_rect(&Rect::new(0, 0, 10, 10), 1.0);
+        Rect::new(0, 0, 10, 10)
+            .cells()
+            .for_each(|(x, y)| curr.set(x, y, 1.0));
         let mut next = Tile::new(10, grid.halo);
         let offsets = kernel.storage_offsets(curr.stride());
         let region = Rect::new(0, 0, 5, 10); // left half only

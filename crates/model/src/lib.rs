@@ -17,18 +17,16 @@
 //! assert!(err.total() < 1e-2);
 //! ```
 
-pub mod influence;
-pub mod kernel;
-pub mod manufactured;
-pub mod norms;
-pub mod problem;
-pub mod serial;
+mod influence;
+mod kernel;
+mod manufactured;
+mod norms;
+mod problem;
+mod serial;
 
 pub mod prelude {
-    pub use crate::influence::{conductivity_constant_2d, Influence};
-    pub use crate::kernel::{
-        zero_source, KernelPlan, NonlocalKernel, RowSource, Source, SourceFn, VectorLevel,
-    };
+    pub use crate::influence::Influence;
+    pub use crate::kernel::{KernelPlan, NonlocalKernel, RowSource, Source, SourceFn, VectorLevel};
     pub use crate::manufactured::Manufactured;
     pub use crate::norms::ErrorAccumulator;
     pub use crate::problem::{ProblemParts, ProblemSpec};

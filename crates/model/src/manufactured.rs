@@ -44,7 +44,7 @@ impl Manufactured {
     ///
     /// # Panics
     /// Panics for non-square grids (the validation study uses squares).
-    pub fn new(grid: &Grid, kernel: &NonlocalKernel) -> Self {
+    pub(crate) fn new(grid: &Grid, kernel: &NonlocalKernel) -> Self {
         Self::at_level(grid, kernel, VectorLevel::detect())
     }
 
@@ -104,7 +104,7 @@ impl Manufactured {
     }
 
     /// Source `b(t, x_i)` per eq. 6 with the discrete quadrature.
-    pub fn source(&self, t: f64, gi: i64, gj: i64) -> f64 {
+    pub(crate) fn source(&self, t: f64, gi: i64, gj: i64) -> f64 {
         debug_assert!(self.grid.in_domain(gi, gj));
         let (ds, dl) = self.time_factors(t);
         ds * self.s.get(gi, gj) - dl * self.l.get(gi, gj)
@@ -113,11 +113,6 @@ impl Manufactured {
     /// The source in the form the solvers take.
     pub fn source_fn(self: &Arc<Self>) -> SourceFn {
         self.clone()
-    }
-
-    /// The grid this instance was built for.
-    pub fn grid(&self) -> &Grid {
-        &self.grid
     }
 }
 

@@ -19,11 +19,6 @@ impl ErrorAccumulator {
         self.per_step.push(e_k);
     }
 
-    /// Per-step errors in recording order.
-    pub fn per_step(&self) -> &[f64] {
-        &self.per_step
-    }
-
     /// Total error `e = Σ_k e_k`.
     pub fn total(&self) -> f64 {
         self.per_step.iter().sum()
@@ -36,7 +31,7 @@ impl ErrorAccumulator {
 }
 
 /// One step's error `e_k = h^d Σ |ū − û|²` from (exact, numeric) pairs.
-pub fn step_error(h: f64, d: u32, pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
+pub(crate) fn step_error(h: f64, d: u32, pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     let sum: f64 = pairs.map(|(a, b)| (a - b) * (a - b)).sum();
     h.powi(d as i32) * sum
 }
@@ -66,7 +61,7 @@ mod tests {
         acc.push(0.5);
         assert_eq!(acc.total(), 4.0);
         assert_eq!(acc.max_step(), 2.5);
-        assert_eq!(acc.per_step().len(), 3);
+        assert_eq!(acc.per_step.len(), 3);
     }
 
     #[test]

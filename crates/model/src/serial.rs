@@ -33,7 +33,7 @@ impl SerialSolver {
     ///
     /// # Panics
     /// Panics for non-square grids.
-    pub fn new(
+    pub(crate) fn new(
         grid: &Grid,
         kernel: NonlocalKernel,
         source: SourceFn,
@@ -82,7 +82,7 @@ impl SerialSolver {
     }
 
     /// Advance one timestep.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         let region = Rect::new(0, 0, self.grid.nx, self.grid.ny);
         let t = self.time();
         self.kernel.apply_region_blocked(
@@ -127,7 +127,7 @@ impl SerialSolver {
     }
 
     /// Current numerical error `e_k` against an exact-solution closure.
-    pub fn error_vs(&self, exact: impl Fn(f64, i64, i64) -> f64) -> f64 {
+    pub(crate) fn error_vs(&self, exact: impl Fn(f64, i64, i64) -> f64) -> f64 {
         let t = self.time();
         let pairs = (0..self.grid.ny).flat_map(|gj| (0..self.grid.nx).map(move |gi| (gi, gj)));
         step_error(
@@ -137,19 +137,9 @@ impl SerialSolver {
         )
     }
 
-    /// Temperature at interior cell `(gi, gj)`.
-    pub fn value(&self, gi: i64, gj: i64) -> f64 {
-        self.curr.get(gi, gj)
-    }
-
     /// Simulated time `t_k = k·Δt`.
-    pub fn time(&self) -> f64 {
+    pub(crate) fn time(&self) -> f64 {
         self.step as f64 * self.dt
-    }
-
-    /// The timestep in use.
-    pub fn dt(&self) -> f64 {
-        self.dt
     }
 
     /// Row-major copy of the interior field (for comparisons).
@@ -167,8 +157,15 @@ impl SerialSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SerialSolver {
+        /// The timestep in use.
+        fn dt(&self) -> f64 {
+            self.dt
+        }
+    }
     use crate::influence::Influence;
-    use crate::kernel::zero_source;
+    use crate::kernel::tests::zero_source;
     use crate::problem::ProblemSpec;
 
     #[test]

@@ -39,6 +39,8 @@
 //! assert!(sim.makespan > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod frozen;
 
 pub use nlheat_amt as amt;

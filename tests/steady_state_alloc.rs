@@ -154,11 +154,14 @@ fn a_steady_state_step_allocates_per_task_not_per_sd() {
     let (long, _) = allocations_of(&ghost_heavy(2 * n), usize::MAX);
     let per_step = (long - short) as f64 / n as f64;
     let per_sd_step = (per_step - kernel_calls as f64) / sds.count() as f64;
-    // Measured: 0.21 (1.21 with the kernel's boxes); the parent, which
-    // built a gate, two task lists, two boxed closures and two futures
-    // per SD and step, read 10.04 (9.04).
+    println!("step: {per_step} allocations, {per_sd_step} per SD and step besides the kernel's");
+    // Measured: 0.152 (1.152 with the kernel's boxes), in debug and under
+    // -O. With a promise/future pair per task, before each step became a
+    // scope, it read 0.182; before the step was replayed, with a gate,
+    // two task lists, two boxed closures and two futures per SD and step,
+    // 10.04 (9.04).
     assert!(
-        per_sd_step < 0.25,
+        per_sd_step < 0.165,
         "{per_step} allocations a step, {kernel_calls} of them the kernel's: \
          {per_sd_step} per SD and step"
     );
