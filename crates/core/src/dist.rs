@@ -92,10 +92,10 @@ struct Setup<'a> {
     /// Reverse index: for each source SD, the `(destination SD, patch
     /// index)` pairs that read from it.
     reverse: Vec<Vec<(SdId, u16)>>,
-    /// The SD adjacency / halo-volume graph derived from `plans` — the
-    /// planner's view of the recurring ghost traffic the real parcels
-    /// produce. Only planning reads it, so it exists only beside an LB
-    /// schedule.
+    /// The SD adjacency / halo-volume graph of the same halo geometry as
+    /// `plans` — the planner's view of the recurring ghost traffic the
+    /// real parcels produce. Only planning reads it, so it exists only
+    /// beside an LB schedule.
     sd_graph: Option<Arc<SdGraph>>,
     initial_owners: Vec<u32>,
     n_nodes: u32,
@@ -109,10 +109,7 @@ impl<'a> Setup<'a> {
         let (plans, reverse) = halo_plans(&sds, parts.grid.halo);
         let n_nodes = sc.cluster.len() as u32;
         let initial_owners = sc.partition.initial_owners(&sds, n_nodes);
-        let sd_graph = sc
-            .lb
-            .is_some()
-            .then(|| Arc::new(SdGraph::from_plans(&sds, &plans)));
+        let sd_graph = sc.lb.is_some().then(|| Arc::new(sc.sd_graph()));
         Setup {
             sc,
             parts,

@@ -36,7 +36,7 @@
 use crate::scenario::Scenario;
 use bytes::{Bytes, BytesMut};
 use nlheat_amt::codec::{encode_ghost_record, GhostRecordHeader};
-use nlheat_mesh::{build_halo_plan, split_cases, HaloPlan, Rect, SdGrid, SdId, Tile};
+use nlheat_mesh::{split_cases, HaloPlan, HaloTemplate, Rect, SdGrid, SdId, Tile};
 
 /// One halo patch as a record of a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -344,8 +344,8 @@ pub struct StepLayout {
 }
 
 impl StepLayout {
-    /// Derive `me`'s step from the halo plans (`plans[i]` is SD `i`'s),
-    /// their [`reverse_index`], the ownership map and the region cut.
+    /// Derive `me`'s step from the halo plans and reverse index of
+    /// [`halo_plans`], the ownership map and the region cut.
     pub fn build(
         plans: &[HaloPlan],
         reverse: &[Vec<(SdId, u16)>],
@@ -403,12 +403,33 @@ impl StepLayout {
     }
 }
 
+/// The most patches a halo plan may have: a [`PatchRecord`] names its
+/// patch by a `u16` index. [`Scenario::validate`] rejects a halo that
+/// reaches further.
+pub(crate) const MAX_HALO_PATCHES: u64 = u16::MAX as u64 + 1;
+
+/// Patch index `i` as the `u16` a [`PatchRecord`] carries.
+fn patch_index(i: usize) -> u16 {
+    u16::try_from(i).expect("a halo plan of more patches than a u16 names")
+}
+
 /// The halo plan of every SD of `sds` under a ghost ring of `halo` cells
-/// (`plans[i]` is SD `i`'s) and their [`reverse_index`]: the
-/// ownership-free half of every [`StepLayout`], built once per run.
+/// (`plans[i]` is SD `i`'s) and their reverse index — for each source SD,
+/// the `(destination SD, patch index)` pairs that read from it, in
+/// ascending destination id — both read off the grid's one
+/// [`HaloTemplate`]: the ownership-free half of every [`StepLayout`],
+/// built once per run.
 pub fn halo_plans(sds: &SdGrid, halo: i64) -> (Vec<HaloPlan>, Vec<Vec<(SdId, u16)>>) {
-    let plans: Vec<HaloPlan> = sds.ids().map(|id| build_halo_plan(sds, halo, id)).collect();
-    let reverse = reverse_index(&plans);
+    let template = HaloTemplate::new(*sds, halo);
+    let plans = sds.ids().map(|id| template.plan(id)).collect();
+    let reverse = sds
+        .ids()
+        .map(|src| {
+            let mut readers = Vec::with_capacity(template.readers(src).count());
+            readers.extend(template.readers(src).map(|(dst, i)| (dst, patch_index(i))));
+            readers
+        })
+        .collect();
     (plans, reverse)
 }
 
@@ -425,26 +446,9 @@ fn records_to(bundles: &mut Vec<(u32, Vec<PatchRecord>)>, peer: u32) -> &mut Vec
     &mut bundles[at].1
 }
 
-/// For each source SD, the `(destination SD, patch index)` pairs that read
-/// from it — the halo plans turned around.
-pub fn reverse_index(plans: &[HaloPlan]) -> Vec<Vec<(SdId, u16)>> {
-    // sized first, so the lists are allocated once each, in SD order
-    let mut readers = vec![0usize; plans.len()];
-    for (_, src, _) in plans.iter().flat_map(HaloPlan::sd_patches) {
-        readers[src as usize] += 1;
-    }
-    let mut reverse: Vec<Vec<(SdId, u16)>> = readers.into_iter().map(Vec::with_capacity).collect();
-    for plan in plans {
-        for (idx, src, _) in plan.sd_patches() {
-            reverse[src as usize].push((plan.sd, idx as u16));
-        }
-    }
-    reverse
-}
-
 impl GhostSchedule {
-    /// Derive `me`'s schedule from the halo plans (`plans[i]` is SD `i`'s),
-    /// their [`reverse_index`] and the ownership map.
+    /// Derive `me`'s schedule from the halo plans and reverse index of
+    /// [`halo_plans`] and the ownership map.
     pub fn build(
         plans: &[HaloPlan],
         reverse: &[Vec<(SdId, u16)>],
@@ -480,7 +484,7 @@ impl GhostSchedule {
                     }
                     bundle.push(PatchRecord {
                         dst_sd: sd,
-                        pidx: pidx as u16,
+                        pidx: patch_index(pidx),
                         tile,
                         rect: patch.dst_rect,
                     });
@@ -512,8 +516,69 @@ impl GhostSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nlheat_mesh::{build_halo_plan, SdGrid};
-    use nlheat_partition::patch_wire_bytes;
+    use nlheat_mesh::{build_halo_plan, Grid, SdGrid};
+    use nlheat_partition::{patch_wire_bytes, Csr, SdGraph};
+
+    /// The halo plans turned around by a scan of every plan: the reverse
+    /// index [`halo_plans`] built before it read it off the template.
+    fn reverse_index(plans: &[HaloPlan]) -> Vec<Vec<(SdId, u16)>> {
+        let mut reverse = vec![Vec::new(); plans.len()];
+        for plan in plans {
+            for (idx, src, _) in plan.sd_patches() {
+                reverse[src as usize].push((plan.sd, patch_index(idx)));
+            }
+        }
+        reverse
+    }
+
+    /// The template-read set-up against the per-SD construction it
+    /// replaced: the SD graph against [`Csr::from_edges`] over every
+    /// plan's exchanges (one directed edge per SD-sourced patch), and
+    /// [`halo_plans`] against per-SD [`build_halo_plan`] with the scanning
+    /// `reverse_index`. On 1×1, 1×N and N×1 grids, under no halo, a halo
+    /// of one SD and a multi-ring one (12 over 5), and at `plan_scale(250)`.
+    #[test]
+    fn the_template_matches_the_per_sd_construction() {
+        let big = crate::scenarios::plan_scale(250);
+        let big_halo = Grid::square(big.problem.n, big.problem.eps_mult).halo;
+        let shapes = [
+            (SdGrid::new(1, 1, 5), 2),
+            (SdGrid::new(1, 7, 5), 5),
+            (SdGrid::new(7, 1, 5), 12),
+            (SdGrid::new(4, 3, 5), 0),
+            (SdGrid::new(4, 3, 5), 5),
+            (SdGrid::new(4, 3, 5), 12),
+            (SdGrid::new(6, 5, 3), 4),
+            (big.sd_grid(), big_halo),
+        ];
+        for (sds, halo) in shapes {
+            let at = format!("{}x{} SDs of {}, halo {halo}", sds.nsx, sds.nsy, sds.sd);
+            let per_sd: Vec<HaloPlan> = sds
+                .ids()
+                .map(|id| build_halo_plan(&sds, halo, id))
+                .collect();
+            let mut edges = Vec::new();
+            for plan in &per_sd {
+                for (_, src, patch) in plan.sd_patches() {
+                    edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
+                }
+            }
+            let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
+            let graph = SdGraph::build(&sds, halo);
+            assert_eq!(
+                graph.csr(),
+                &Csr::from_edges(sds.count(), &edges, vwgt),
+                "{at}"
+            );
+
+            let (plans, reverse) = halo_plans(&sds, halo);
+            assert_eq!(plans.len(), per_sd.len(), "{at}");
+            for (plan, want) in plans.iter().zip(&per_sd) {
+                assert_eq!((plan.sd, &plan.patches), (want.sd, &want.patches), "{at}");
+            }
+            assert_eq!(reverse, reverse_index(&per_sd), "{at}");
+        }
+    }
 
     #[test]
     fn a_record_is_exactly_the_planner_grade_patch() {

@@ -29,11 +29,12 @@ pub use plan::{PlanExtras, PlanSubstrate};
 
 use crate::balance::{EpochConfig, EpochTrace, LbSchedule, Move};
 use crate::dist::run_distributed;
+use crate::ghost::MAX_HALO_PATCHES;
 use crate::ownership::Ownership;
 use crate::workload::WorkModel;
 use nlheat_amt::cluster::{Cluster, ClusterBuilder};
 use nlheat_amt::counters::{threads_counter_name, NETWORK_CROSS_BYTES, NETWORK_MESSAGES};
-use nlheat_mesh::{Grid, SdGrid, Stencil};
+use nlheat_mesh::{Grid, HaloTemplate, SdGrid, Stencil};
 use nlheat_model::{ErrorAccumulator, ProblemSpec};
 use nlheat_netmodel::NetSpec;
 use nlheat_partition::{part_mesh_dual, strip_partition};
@@ -574,11 +575,13 @@ impl Scenario {
     /// mid-run and deadlock a cluster.
     ///
     /// # Panics
-    /// Panics on: a mesh that does not tile into `sd_size` SDs; zero
-    /// steps; a degenerate cluster ([`ClusterSpec::validate`]); an invalid
-    /// network spec; an explicit partition of the wrong length; an invalid
-    /// work model ([`WorkModel::validate`]) in `work` or any schedule
-    /// entry; an unsorted `work_schedule`; or an invalid LB schedule.
+    /// Panics on: a mesh that does not tile into `sd_size` SDs; a halo
+    /// of more patches per SD than a `u16` patch index names (one that
+    /// reaches 128 SD rings or more); zero steps; a degenerate cluster
+    /// ([`ClusterSpec::validate`]); an invalid network spec; an explicit
+    /// partition of the wrong length; an invalid work model
+    /// ([`WorkModel::validate`]) in `work` or any schedule entry; an
+    /// unsorted `work_schedule`; or an invalid LB schedule.
     pub fn validate(&self) {
         assert!(self.steps >= 1, "scenario needs at least one timestep");
         assert!(
@@ -586,6 +589,15 @@ impl Scenario {
             "mesh of {} cells does not tile into {}-cell SDs",
             self.problem.n,
             self.sd_size
+        );
+        let halo = Grid::square(self.problem.n, self.problem.eps_mult).halo;
+        let patches = HaloTemplate::patch_count(self.sd_size as i64, halo);
+        assert!(
+            patches <= MAX_HALO_PATCHES,
+            "sd_size {} under ε = {}h gives {patches} halo patches per SD, more \
+             than the {MAX_HALO_PATCHES} a patch index can name",
+            self.sd_size,
+            self.problem.eps_mult
         );
         self.cluster.validate();
         self.net.validate();
@@ -1157,6 +1169,16 @@ mod tests {
         assert_eq!(spec.memory_capacities(), vec![u64::MAX, 1 << 20, u64::MAX]);
         assert!(!ClusterSpec::uniform(2, 1).has_memory_caps());
         spec.validate();
+    }
+
+    /// A halo of 128 SD rings has 257² − 1 patches per SD, past the
+    /// `u16` patch index of a ghost record: refused before anything runs.
+    /// One ring less still fits.
+    #[test]
+    #[should_panic(expected = "sd_size 1 under ε = 128h gives 66048 halo patches per SD")]
+    fn a_halo_past_the_patch_index_is_rejected() {
+        Scenario::square(256, 127.0, 1, 1).validate();
+        Scenario::square(256, 128.0, 1, 1).validate();
     }
 
     #[test]

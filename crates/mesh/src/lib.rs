@@ -4,7 +4,8 @@
 //! over the unit square with its nonlocal collar, the ε-ball interaction
 //! stencil, the decomposition into square sub-domains (SDs), per-SD padded
 //! tiles with halo storage and a writer that lends disjoint rects of a
-//! tile to concurrent tasks, halo exchange plans, and the case-1/case-2
+//! tile to concurrent tasks, halo exchange plans (one translation-invariant
+//! template per grid, instantiated per SD), and the case-1/case-2
 //! classification of discretized points (DPs) that lets computation overlap
 //! communication (§6.3, Fig. 5).
 //!
@@ -27,7 +28,7 @@ mod tile;
 
 pub use cases::{split_cases, CaseSplit};
 pub use grid::Grid;
-pub use halo::{build_halo_plan, HaloPatch, HaloPlan, PatchSource};
+pub use halo::{build_halo_plan, HaloPatch, HaloPlan, HaloTemplate, PatchSource, TemplatePatch};
 pub use rect::Rect;
 pub use stencil::Stencil;
 pub use subdomain::{SdGrid, SdId};

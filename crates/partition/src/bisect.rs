@@ -6,7 +6,7 @@ use crate::graph::Csr;
 use rand::Rng;
 
 /// Cut weight of a bisection.
-pub fn bisection_cut(g: &Csr, parts: &[u8]) -> i64 {
+pub(crate) fn bisection_cut(g: &Csr, parts: &[u8]) -> i64 {
     let mut cut = 0;
     for v in 0..g.n() as u32 {
         for (u, w) in g.neighbors(v) {
@@ -20,7 +20,7 @@ pub fn bisection_cut(g: &Csr, parts: &[u8]) -> i64 {
 
 /// Greedy graph growing: grow part 0 from a seed until it reaches
 /// `target0` weight; repeat for `tries` seeds and keep the lowest cut.
-pub fn grow_bisection(g: &Csr, target0: i64, rng: &mut impl Rng, tries: usize) -> Vec<u8> {
+pub(crate) fn grow_bisection(g: &Csr, target0: i64, rng: &mut impl Rng, tries: usize) -> Vec<u8> {
     let n = g.n();
     assert!(n >= 2, "bisection needs at least two vertices");
     let mut best: Option<(i64, Vec<u8>)> = None;
@@ -68,7 +68,13 @@ pub fn grow_bisection(g: &Csr, target0: i64, rng: &mut impl Rng, tries: usize) -
 /// updates. Moves are accepted when they reduce the cut (or keep it equal
 /// while improving balance) and keep part 0's weight within
 /// `target0 ± slack`.
-pub fn refine_bisection(g: &Csr, parts: &mut [u8], target0: i64, slack: i64, max_passes: u32) {
+pub(crate) fn refine_bisection(
+    g: &Csr,
+    parts: &mut [u8],
+    target0: i64,
+    slack: i64,
+    max_passes: u32,
+) {
     let n = g.n();
     let mut w0: i64 = (0..n).filter(|&v| parts[v] == 0).map(|v| g.vwgt[v]).sum();
     for _pass in 0..max_passes {
@@ -123,7 +129,7 @@ pub fn refine_bisection(g: &Csr, parts: &mut [u8], target0: i64, slack: i64, max
 
 /// Multilevel bisection of `g` with part 0 receiving roughly `frac0` of the
 /// total vertex weight.
-pub fn multilevel_bisection(g: &Csr, frac0: f64, rng: &mut impl Rng) -> Vec<u8> {
+pub(crate) fn multilevel_bisection(g: &Csr, frac0: f64, rng: &mut impl Rng) -> Vec<u8> {
     assert!((0.0..=1.0).contains(&frac0));
     let total = g.total_vwgt();
     let target0 = (total as f64 * frac0).round() as i64;

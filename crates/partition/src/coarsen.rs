@@ -11,16 +11,16 @@ use rand::Rng;
 
 /// A fine→coarse projection produced by one coarsening step.
 #[derive(Debug, Clone)]
-pub struct CoarseLevel {
+pub(crate) struct CoarseLevel {
     /// The contracted graph.
-    pub graph: Csr,
+    pub(crate) graph: Csr,
     /// For every fine vertex, its coarse vertex id.
-    pub map: Vec<u32>,
+    pub(crate) map: Vec<u32>,
 }
 
 /// Compute a heavy-edge matching. Returns `mate[v]`: the partner of `v`, or
 /// `v` itself when unmatched.
-pub fn heavy_edge_matching(g: &Csr, rng: &mut impl Rng) -> Vec<u32> {
+pub(crate) fn heavy_edge_matching(g: &Csr, rng: &mut impl Rng) -> Vec<u32> {
     let n = g.n();
     let mut mate: Vec<u32> = (0..n as u32).collect();
     let mut matched = vec![false; n];
@@ -48,7 +48,7 @@ pub fn heavy_edge_matching(g: &Csr, rng: &mut impl Rng) -> Vec<u32> {
 
 /// Contract a matching into a coarse graph. Matched pairs merge vertex
 /// weights; parallel edges merge edge weights; intra-pair edges vanish.
-pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
+pub(crate) fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
     let n = g.n();
     let mut map = vec![u32::MAX; n];
     let mut next = 0u32;
@@ -86,7 +86,7 @@ pub fn contract(g: &Csr, mate: &[u32]) -> CoarseLevel {
 
 /// Coarsen until at most `target_n` vertices remain or progress stalls.
 /// Returns the chain of levels, finest first.
-pub fn coarsen_to(g: &Csr, target_n: usize, rng: &mut impl Rng) -> Vec<CoarseLevel> {
+pub(crate) fn coarsen_to(g: &Csr, target_n: usize, rng: &mut impl Rng) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
     loop {
         let current = levels.last().map_or(g, |level| &level.graph);

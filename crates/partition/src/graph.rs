@@ -1,20 +1,21 @@
 //! Compressed-sparse-row graphs with vertex and edge weights.
 //!
-//! A [`Csr`] is built once and then only read: [`Csr::from_edges`] is the
-//! one builder every graph of the crate goes through (the SD halo graph of
-//! both substrates' set-up, the partitioner's dual graph, every level of
-//! the hashing contraction), so it is a counting sort over flat arrays —
-//! it sits in front of every plan and every partition.
+//! A [`Csr`] is built once and then only read. [`Csr::from_edges`] builds
+//! the partitioner's graphs — the dual graph and every level of the
+//! hashing contraction — as a counting sort over flat arrays. The SD halo
+//! graph of both substrates' set-up does not go through it:
+//! [`crate::SdGraph::build`] writes its rows straight from the grid's halo
+//! template, already sorted and merged.
 
 /// An undirected graph in CSR form (every edge stored in both directions).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Csr {
     /// Adjacency offsets, length `n + 1`.
-    pub xadj: Vec<usize>,
+    pub(crate) xadj: Vec<usize>,
     /// Flattened neighbour lists.
-    pub adjncy: Vec<u32>,
+    pub(crate) adjncy: Vec<u32>,
     /// Edge weights parallel to `adjncy`.
-    pub adjwgt: Vec<i64>,
+    pub(crate) adjwgt: Vec<i64>,
     /// Vertex weights, length `n`.
     pub vwgt: Vec<i64>,
 }
@@ -31,7 +32,7 @@ impl Csr {
     }
 
     /// Neighbours of `v` with edge weights.
-    pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, i64)> + '_ {
+    pub(crate) fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, i64)> + '_ {
         let lo = self.xadj[v as usize];
         let hi = self.xadj[v as usize + 1];
         self.adjncy[lo..hi]
@@ -41,7 +42,7 @@ impl Csr {
     }
 
     /// Sum of all vertex weights.
-    pub fn total_vwgt(&self) -> i64 {
+    pub(crate) fn total_vwgt(&self) -> i64 {
         self.vwgt.iter().sum()
     }
 
@@ -122,7 +123,7 @@ impl Csr {
 
     /// The subgraph induced by `ids` (edges leaving the set are dropped).
     /// Returns the subgraph and the local→global vertex map (= `ids`).
-    pub fn induced_subgraph(&self, ids: &[u32]) -> (Csr, Vec<u32>) {
+    pub(crate) fn induced_subgraph(&self, ids: &[u32]) -> (Csr, Vec<u32>) {
         let mut global_to_local = std::collections::HashMap::with_capacity(ids.len());
         for (local, &g) in ids.iter().enumerate() {
             global_to_local.insert(g, local as u32);
@@ -154,8 +155,9 @@ impl Csr {
     }
 
     /// Consistency check: symmetric adjacency, sorted offsets, matching
-    /// array lengths. Used by tests and debug assertions.
-    pub fn validate(&self) -> Result<(), String> {
+    /// array lengths.
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let n = self.n();
         if self.xadj.len() != n + 1 {
             return Err(format!("xadj length {} != n+1", self.xadj.len()));

@@ -10,14 +10,14 @@ use rand::SeedableRng;
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionConfig {
     /// Number of parts.
-    pub k: u32,
+    pub(crate) k: u32,
     /// Allowed imbalance: heaviest part ≤ `imbalance · total/k`
     /// (METIS' default ballpark of 1.03–1.05).
-    pub imbalance: f64,
+    pub(crate) imbalance: f64,
     /// RNG seed — same seed, same partition.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Direct k-way refinement passes after recursive bisection.
-    pub refine_passes: u32,
+    pub(crate) refine_passes: u32,
 }
 
 impl PartitionConfig {
@@ -120,7 +120,7 @@ fn rec_bisect(root: &Csr, ids: &[u32], k: u32, base: u32, parts: &mut [u32], rng
 /// Direct k-way boundary refinement: greedily move boundary vertices to the
 /// adjacent part with the largest positive gain, subject to the imbalance
 /// cap.
-pub fn refine_kway(g: &Csr, parts: &mut [u32], cfg: &PartitionConfig) {
+pub(crate) fn refine_kway(g: &Csr, parts: &mut [u32], cfg: &PartitionConfig) {
     let k = cfg.k;
     let n = g.n();
     if k < 2 || n == 0 {

@@ -5,35 +5,38 @@
 //! computational nodes with minimum data exchange (§6.2); this crate
 //! implements the same algorithm family from scratch:
 //!
-//! 1. **Coarsening** by heavy-edge matching ([`coarsen`]),
-//! 2. **Initial partitioning** by greedy graph growing ([`bisect`]),
-//! 3. **Uncoarsening with FM-style boundary refinement** ([`bisect`],
-//!    [`kway`]),
+//! 1. **Coarsening** by heavy-edge matching (`coarsen`),
+//! 2. **Initial partitioning** by greedy graph growing (`bisect`),
+//! 3. **Uncoarsening with FM-style boundary refinement** (`bisect`,
+//!    `kway`),
 //! 4. **k-way partitions** via recursive bisection plus a direct k-way
-//!    refinement pass ([`kway`]).
+//!    refinement pass ([`part_graph`]).
 //!
-//! [`dual::sd_dual_graph`] builds the dual graph of the SD grid (vertices =
+//! [`sd_dual_graph`] builds the dual graph of the SD grid (vertices =
 //! SDs, edges = shared boundaries weighted by communication volume), and
 //! [`part_mesh_dual`] is the `METIS_PartMeshDual` replacement used by the
-//! distributed solver. [`baseline`] provides the naive strip partitioner
+//! distributed solver. [`strip_partition`] is the naive strip partitioner
 //! the ablation study compares against.
 //!
-//! [`sdgraph::SdGraph`] is the runtime-facing sibling of the dual graph:
-//! SD adjacency derived from the halo plans (corner and multi-ring
+//! [`SdGraph`] is the runtime-facing sibling of the dual graph: SD
+//! adjacency read off the grid's halo template (corner and multi-ring
 //! neighbours included) with edge weights in ghost wire bytes per
 //! timestep, so the load balancer can price the *recurring* traffic of an
 //! ownership — its edge cut over this graph — and not just one-off
 //! migration bytes.
+//!
+//! Only the re-exported items below are public; the modules are the
+//! crate's own.
 
-pub mod baseline;
-pub mod bisect;
-pub mod coarsen;
-pub mod dual;
-pub mod graph;
-pub mod kway;
-pub mod metrics;
-pub mod repart;
-pub mod sdgraph;
+mod baseline;
+mod bisect;
+mod coarsen;
+mod dual;
+mod graph;
+mod kway;
+mod metrics;
+mod repart;
+mod sdgraph;
 
 pub use baseline::strip_partition;
 pub use dual::{part_mesh_dual, sd_dual_graph};

@@ -28,7 +28,7 @@ pub fn balance(g: &Csr, parts: &[u32], k: u32) -> f64 {
 }
 
 /// Per-part vertex-weight totals.
-pub fn part_weights(g: &Csr, parts: &[u32], k: u32) -> Vec<i64> {
+pub(crate) fn part_weights(g: &Csr, parts: &[u32], k: u32) -> Vec<i64> {
     part_loads(&g.vwgt, parts, k)
 }
 

@@ -8,10 +8,19 @@
 //! each timestep, and how many wire bytes each exchange carries. For a
 //! nonlocal model those are not the same graph — the halo reaches corner
 //! neighbours and, when ε exceeds the SD size, SDs several rings away — so
-//! [`SdGraph`] derives its edges from the [`HaloPlan`]s both execution
-//! substrates already build, with edge weights equal to the wire bytes
-//! the ghost bundles carry per patch (`cells · 8 + 24` framing, summed
-//! over both directions of the exchange).
+//! [`SdGraph`] reads its edges off the grid's [`HaloTemplate`], the halo
+//! geometry every SD's [`nlheat_mesh::HaloPlan`] on both execution
+//! substrates is instantiated from. Edge weights are the wire bytes the
+//! ghost bundles carry per patch (`cells · 8 + 24` framing, summed over
+//! both directions of the exchange).
+//!
+//! The halo is symmetric — SD `u` reads from `v` at offset `o` exactly
+//! when `v` reads from `u` at `−o`, over a patch of the same area — so
+//! each template slot is one undirected edge of weight
+//! `2 · patch_wire_bytes(area)`, and a vertex's row is its on-grid slots
+//! in template order, which is ascending neighbour id. The graph is
+//! therefore written row by row into arrays of their exact size: no edge
+//! list, no sort, no merge.
 //!
 //! The graph is a function of the grid geometry alone, so it is built once
 //! per run — never per epoch — and shared behind an `Arc` by everything
@@ -25,7 +34,7 @@
 
 use crate::graph::Csr;
 use crate::metrics::edge_cut;
-use nlheat_mesh::{build_halo_plan, HaloPlan, SdGrid, SdId};
+use nlheat_mesh::{HaloTemplate, SdGrid, SdId};
 
 /// Wire bytes of one ghost patch carrying `cells` cells — the
 /// 8-byte-f64 payload plus 24 bytes of framing, the planning-grade wire
@@ -38,15 +47,6 @@ pub fn patch_wire_bytes(cells: i64) -> u64 {
     (cells * 8 + 24) as u64
 }
 
-/// One directed ghost message `src → plan.sd` per timestep and SD-sourced
-/// patch of `plan`; [`Csr::from_edges`] sums duplicates, so the symmetric
-/// message of the reverse plan lands on the same undirected edge.
-fn push_exchanges(plan: &HaloPlan, edges: &mut Vec<(SdId, SdId, i64)>) {
-    for (_, src, patch) in plan.sd_patches() {
-        edges.push((plan.sd, src, patch_wire_bytes(patch.dst_rect.area()) as i64));
-    }
-}
-
 /// Per-SD neighbour lists with halo-exchange volumes: one vertex per SD
 /// (weight = its cell count), one undirected edge per pair of SDs that
 /// trade ghost patches (weight = total wire bytes per timestep, both
@@ -57,37 +57,42 @@ pub struct SdGraph {
 }
 
 impl SdGraph {
-    /// Build from the halo plans both substrates already construct
-    /// (`plans[i]` must be the plan of SD `i`).
+    /// The graph of `sds` under a ghost ring of `halo` cells — the one
+    /// constructor.
     ///
-    /// # Panics
-    /// Panics when `plans` does not cover the grid.
-    pub fn from_plans(sds: &SdGrid, plans: &[HaloPlan]) -> Self {
-        assert_eq!(plans.len(), sds.count(), "one halo plan per SD");
-        let mut edges = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            assert_eq!(plan.sd as usize, i, "plans must be in SD id order");
-            push_exchanges(plan, &mut edges);
-        }
-        SdGraph::from_exchanges(sds, &edges)
-    }
-
-    /// Build from grid geometry alone, for callers that hold no plans
-    /// (those that do should prefer [`SdGraph::from_plans`]). Streams: the
-    /// plan of one SD is built, turned into its edges and dropped before
-    /// the next, so a planning-scale grid never holds a plan per SD.
+    /// Each SD's row is its on-grid [`HaloTemplate`] slots, written
+    /// straight into arrays allocated once at the size
+    /// [`HaloTemplate::exchange_count`] gives: no halo plan per SD, no
+    /// edge list, no sort. The result is, byte for byte, the [`Csr`] that
+    /// [`Csr::from_edges`] makes of every SD plan's exchanges.
     pub fn build(sds: &SdGrid, halo: i64) -> Self {
-        let mut edges = Vec::new();
+        let template = HaloTemplate::new(*sds, halo);
+        // both directions of a slot's exchange carry a patch of its area
+        let weights: Vec<i64> = template
+            .patches()
+            .iter()
+            .map(|p| 2 * patch_wire_bytes(p.dst_rect.area()) as i64)
+            .collect();
+        let edges = template.exchange_count();
+        let mut xadj = Vec::with_capacity(sds.count() + 1);
+        let mut adjncy = Vec::with_capacity(edges);
+        let mut adjwgt = Vec::with_capacity(edges);
+        xadj.push(0);
         for id in sds.ids() {
-            push_exchanges(&build_halo_plan(sds, halo, id), &mut edges);
+            for (slot, nb) in template.sources(id) {
+                adjncy.push(nb);
+                adjwgt.push(weights[slot]);
+            }
+            xadj.push(adjncy.len());
         }
-        SdGraph::from_exchanges(sds, &edges)
-    }
-
-    fn from_exchanges(sds: &SdGrid, edges: &[(SdId, SdId, i64)]) -> Self {
-        let vwgt = vec![sds.cells_per_sd() as i64; sds.count()];
+        debug_assert_eq!(adjncy.len(), edges);
         SdGraph {
-            csr: Csr::from_edges(sds.count(), edges, vwgt),
+            csr: Csr {
+                xadj,
+                adjncy,
+                adjwgt,
+                vwgt: vec![sds.cells_per_sd() as i64; sds.count()],
+            },
         }
     }
 
@@ -178,6 +183,7 @@ impl SdGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nlheat_mesh::{build_halo_plan, HaloPlan};
 
     #[test]
     fn edges_match_halo_reach() {
@@ -225,28 +231,6 @@ mod tests {
         assert!(g3.resident_bytes(centre) > g3.resident_bytes(sds3.id(0, 0)));
     }
 
-    /// The streamed builder against the one over held plans, on a
-    /// non-square grid, from a thin halo to a multi-ring one (12 > sd 5).
-    #[test]
-    fn from_plans_matches_build() {
-        for sd in [5usize, 25] {
-            for halo in [2i64, 4, 8, 12] {
-                let sds = SdGrid::new(4, 3, sd);
-                let plans: Vec<HaloPlan> = sds
-                    .ids()
-                    .map(|id| build_halo_plan(&sds, halo, id))
-                    .collect();
-                let streamed = SdGraph::build(&sds, halo);
-                assert_eq!(
-                    SdGraph::from_plans(&sds, &plans),
-                    streamed,
-                    "sd {sd}, halo {halo}"
-                );
-                streamed.csr().validate().unwrap();
-            }
-        }
-    }
-
     /// The satellite acceptance test: the SD-graph cut equals
     /// `partition::metrics::edge_cut` on the rect fixtures AND equals a
     /// brute-force count of the per-message wire bytes that actually cross
@@ -259,7 +243,7 @@ mod tests {
                 .ids()
                 .map(|id| build_halo_plan(&sds, halo, id))
                 .collect();
-            let g = SdGraph::from_plans(&sds, &plans);
+            let g = SdGraph::build(&sds, halo);
             for pattern in 0..4u32 {
                 let owners: Vec<u32> = sds
                     .ids()

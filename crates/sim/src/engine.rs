@@ -17,7 +17,6 @@ use nlheat_core::scenario::{failed_at, RunExtras, RunReport, Scenario, SimExtras
 use nlheat_core::workload::WorkModel;
 use nlheat_mesh::{Grid, HaloPlan, SdGrid, SdId, Stencil};
 use nlheat_netmodel::{CommCost, LinkClass, Msg};
-use nlheat_partition::SdGraph;
 use std::sync::Arc;
 
 /// One ghost bundle as the clock sees it.
@@ -221,10 +220,10 @@ pub fn simulate(sc: &Scenario) -> RunReport {
     let mut ghost_wait_window = vec![0.0f64; nn];
     // One epoch driver lives across the run (stateful policies learn from
     // the simulated migration stalls), and the SD adjacency /
-    // halo-volume graph it prices μ against is built from the very halo
-    // plans whose bundles the loop below charges.
+    // halo-volume graph it prices μ against is built from the same halo
+    // geometry as the plans whose bundles the loop below charges.
     let mut lb_epoch = sc.lb.as_ref().map(|lb| {
-        let sd_graph = Arc::new(SdGraph::from_plans(&sds, &source.plans));
+        let sd_graph = Arc::new(sc.sd_graph());
         LbEpoch::new(sc.epoch_config(lb, sd_graph))
     });
     // The previous epoch's migration stall, fed to the policy with the

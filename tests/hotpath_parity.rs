@@ -9,8 +9,8 @@
 use bytes::BytesMut;
 use nlheat_amt::codec::{decode_f64_rows, encode_f64_rows};
 use nlheat_amt::counters::threads_counter_name;
-use nlheat_core::ghost::{reverse_index, GhostSchedule};
-use nlheat_mesh::{build_halo_plan, Rect, Tile};
+use nlheat_core::ghost::{halo_plans, GhostSchedule};
+use nlheat_mesh::{Rect, Tile};
 use nonlocalheat::prelude::*;
 
 /// Row stride of the one tile that holds the whole mesh.
@@ -240,12 +240,9 @@ fn zero_copy_codec_wire_format_matches_copying_path() {
     // record against header words + pack + element-wise encode.
     let sds = SdGrid::tile_mesh(200, 200, 5);
     let halo = Grid::square(200, 4.0).halo;
-    let plans: Vec<_> = sds
-        .ids()
-        .map(|id| build_halo_plan(&sds, halo, id))
-        .collect();
+    let (plans, reverse) = halo_plans(&sds, halo);
     let owners = scenarios::drifted_owners(&sds, 2);
-    let schedule = GhostSchedule::build(&plans, &reverse_index(&plans), &owners, 0);
+    let schedule = GhostSchedule::build(&plans, &reverse, &owners, 0);
     let mut tiles: Vec<Tile> = schedule
         .owned
         .iter()

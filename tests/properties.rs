@@ -7,7 +7,7 @@ use nonlocalheat::core::balance::{
     compute_metrics, plan_rebalance, LbNetwork, LbSpec, MoveWeights,
 };
 use nonlocalheat::core::ghost::{
-    group_by_work, reverse_index, GhostSchedule, RankBundle, Region, RegionCut, StepLayout,
+    group_by_work, halo_plans, GhostSchedule, RankBundle, Region, RegionCut, StepLayout,
     TASK_WORK_FLOOR,
 };
 use nonlocalheat::core::ownership::Ownership;
@@ -156,8 +156,7 @@ proptest! {
         // Every rank derives its schedule on its own; nothing but the
         // shared ordering rule keeps sender and receiver in step.
         let grid = SdGrid::new(nsx as usize, nsy as usize, sd as usize);
-        let plans: Vec<_> = grid.ids().map(|id| build_halo_plan(&grid, halo, id)).collect();
-        let reverse = reverse_index(&plans);
+        let (plans, reverse) = halo_plans(&grid, halo);
         let owners = scrambled_owners(grid.count(), n_ranks, seed);
         let schedules: Vec<GhostSchedule> = (0..n_ranks)
             .map(|me| GhostSchedule::build(&plans, &reverse, &owners, me))
@@ -187,7 +186,7 @@ proptest! {
         }
         // the bundles carry exactly the planner's view of the recurring
         // traffic under this ownership
-        prop_assert_eq!(payload, SdGraph::from_plans(&grid, &plans).cut_bytes(&owners));
+        prop_assert_eq!(payload, SdGraph::build(&grid, halo).cut_bytes(&owners));
     }
 }
 
@@ -208,8 +207,7 @@ proptest! {
         // from a random owner map: halo <= and > the SD, overlap on and
         // off, stealing off (band 0) and on.
         let grid = SdGrid::new(nsx as usize, nsy as usize, sd as usize);
-        let plans: Vec<_> = grid.ids().map(|id| build_halo_plan(&grid, halo, id)).collect();
-        let reverse = reverse_index(&plans);
+        let (plans, reverse) = halo_plans(&grid, halo);
         let owners = scrambled_owners(grid.count(), n_ranks, seed);
         let cut = RegionCut { sd, halo, overlap, band: (band > 0).then_some(band) };
         // a scrambled half of the SDs is heavy enough for tasks of its own

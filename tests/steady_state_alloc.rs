@@ -8,10 +8,10 @@
 
 use nonlocalheat::amt::codec::decode_ghost_record;
 use nonlocalheat::core::balance::{compute_metrics, LbNetwork, LbSchedule, LbSpec, MigrationPlan};
-use nonlocalheat::core::ghost::{reverse_index, GhostSchedule, RegionCut, StepLayout};
+use nonlocalheat::core::ghost::{halo_plans, GhostSchedule, RegionCut, StepLayout};
 use nonlocalheat::core::scenario::{modeled_busy, ClusterSpec, LbInput, PartitionSpec, Scenario};
 use nonlocalheat::core::{scenarios, Ownership, WorkModel};
-use nonlocalheat::mesh::{build_halo_plan, Grid, SdGrid, Tile};
+use nonlocalheat::mesh::{Grid, SdGrid, Tile};
 use nonlocalheat::netmodel::NetSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -123,10 +123,7 @@ fn a_steady_state_step_allocates_per_task_not_per_sd() {
     // not of the driver — so that many allocations are set aside.
     let sc = ghost_heavy(1);
     let (sds, halo) = (sc.sd_grid(), sc.problem.build().grid.halo);
-    let plans: Vec<_> = sds
-        .ids()
-        .map(|id| build_halo_plan(&sds, halo, id))
-        .collect();
+    let (plans, reverse) = halo_plans(&sds, halo);
     let owners = sc.partition.initial_owners(&sds, 2);
     let cut = RegionCut {
         sd: sds.sd,
@@ -136,7 +133,7 @@ fn a_steady_state_step_allocates_per_task_not_per_sd() {
     };
     let kernel_calls: usize = (0..2)
         .map(|me| {
-            let layout = StepLayout::build(&plans, &reverse_index(&plans), &owners, me, &cut);
+            let layout = StepLayout::build(&plans, &reverse, &owners, me, &cut);
             layout
                 .at_spawn
                 .lists()
@@ -252,19 +249,22 @@ fn a_leaf_plan_grows_its_rings_without_a_set_per_ring() {
 }
 
 #[test]
-fn the_sd_graph_allocates_about_once_per_vertex() {
+fn the_sd_graph_allocates_a_constant_number_of_times() {
     let _serial = serial();
-    // `plan_scale(250)`: 24 964 five-cell SDs. Each SD's halo plan is built
-    // and dropped; its edges go into one list. Measured: 24 991; with a
-    // hash map per vertex summing its edges, 124 242.
-    let sc = scenarios::plan_scale(250);
-    let (allocs, graph) = own_allocations(|| sc.sd_graph());
-    let vertices = graph.n_sds() as u64;
-    println!("sd_graph: {allocs} allocations for {vertices} vertices");
-    assert!(
-        2 * allocs <= 3 * vertices,
-        "{allocs} allocations for {vertices} vertices"
-    );
+    // `plan_scale(25)` and `plan_scale(250)`: 2 500 and 24 964 five-cell
+    // SDs. The graph is written row by row from the grid's one halo
+    // template into arrays allocated at their exact size, so ten times the
+    // SDs make no more allocations. Measured: 6 and 6; with a halo plan
+    // built and dropped per SD and a counting sort of the edge list,
+    // 2 524 and 24 991.
+    let [small, large] = [25, 250].map(|ranks| {
+        let sc = scenarios::plan_scale(ranks);
+        let (allocs, graph) = own_allocations(|| sc.sd_graph());
+        println!("sd_graph: {allocs} allocations for {} SDs", graph.n_sds());
+        allocs
+    });
+    assert_eq!(small, large, "allocations grow with the SD count");
+    assert!(large <= 8, "{large} allocations for one SD graph");
 }
 
 #[test]
@@ -301,11 +301,7 @@ fn a_ghost_bundle_packs_into_one_buffer_and_scatters_in_place() {
     let sds = SdGrid::tile_mesh(200, 200, 5);
     let halo = Grid::square(200, 4.0).halo;
     let owners = scenarios::drifted_owners(&sds, 2);
-    let plans: Vec<_> = sds
-        .ids()
-        .map(|id| build_halo_plan(&sds, halo, id))
-        .collect();
-    let reverse = reverse_index(&plans);
+    let (plans, reverse) = halo_plans(&sds, halo);
     let [mine, peer] = [0, 1].map(|rank| GhostSchedule::build(&plans, &reverse, &owners, rank));
     let tiles_of = |schedule: &GhostSchedule| -> Vec<Tile> {
         let tile = |&sd| {
